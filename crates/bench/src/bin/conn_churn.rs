@@ -17,9 +17,7 @@
 //!    refuses to read replies. The server must engage backpressure at
 //!    the write cap and the paused outbox must not grow.
 //!
-//! Results merge into `results/read_throughput.json` under a `"reactor"`
-//! key — read-modify-write, preserving the read-tier numbers already
-//! recorded there by the `read_throughput` binary.
+//! Results go to `results/conn_churn.json`.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -482,7 +480,7 @@ fn main() {
         );
     }
 
-    let reactor = serde_json::json!({
+    let doc = serde_json::json!({
         "backend": backend,
         "churn": {
             "connect_noop_close_cycles": churned,
@@ -518,18 +516,5 @@ fn main() {
         "methodology": "one reactor-driven server on the main thread; clients are self-exec'd subprocesses (fd limit caps one process below 2x the connection count); dispatch latency is the server's readiness_to_dispatch obs histogram over the whole run",
     });
 
-    // Read-modify-write: the read-tier numbers in read_throughput.json
-    // come from a different binary, so merge instead of overwrite.
-    let path = std::path::Path::new("results/read_throughput.json");
-    let mut doc = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| serde_json::from_str(&text).ok())
-        .unwrap_or_else(|| serde_json::json!({}));
-    match doc.as_object_mut() {
-        Some(map) => {
-            map.insert("reactor".into(), reactor);
-        }
-        None => doc = serde_json::json!({ "reactor": reactor }),
-    }
-    write_json("read_throughput", &doc);
+    write_json("conn_churn", &doc);
 }

@@ -3,8 +3,8 @@
 //! The obs registry's promise is that always-on metrics are cheap enough
 //! to leave enabled in production: counters are single atomic adds, and a
 //! latency sample is two clock reads plus one atomic bucket increment.
-//! This bench proves it on the same workload as `read_throughput`: the
-//! 4-worker read tier serving 8 in-process clients, timed with the
+//! This bench proves it on a retrieve-only workload: the 4-worker read
+//! tier serving 8 in-process clients, timed with the
 //! registry enabled and with it disabled (the handles short-circuit to
 //! no-ops), A/B-interleaved with best-of-N per mode so scheduler noise
 //! cancels instead of accumulating into either arm.
@@ -50,8 +50,7 @@ fn build() -> (MoiraServer, Vec<InProcChannel>, Vec<String>) {
     (server, clients, logins)
 }
 
-/// The same retrieve mix as `read_throughput`: mostly point lookups, some
-/// wildcard scans.
+/// The retrieve mix: mostly point lookups, some wildcard scans.
 fn request_for(logins: &[String], round: usize, client: usize) -> Request {
     let n = round * CLIENTS + client;
     if n % 8 == 7 {

@@ -225,7 +225,6 @@ fn slow_scan_does_not_delay_point_query() {
     let state = shared(s);
     let mut server = MoiraServer::new(state, registry, None);
     server.set_read_workers(2);
-    server.enable_service_trace();
 
     let (mut scanner, scan_end) = pair();
     let (mut pointer, point_end) = pair();
@@ -242,7 +241,12 @@ fn slow_scan_does_not_delay_point_query() {
         let r = Reply::decode(recv_blocking(c, 100).unwrap()).unwrap();
         assert_eq!(r.code, 0);
     }
-    server.take_service_trace();
+    let read_samples = |server: &MoiraServer| {
+        let snap = server.obs().snapshot();
+        snap.histogram("server.latency.read").map_or(0, |h| h.count)
+    };
+    let reads_before = read_samples(&server);
+    let (_, writes_before) = server.dispatch_counts();
 
     // Both requests land before the next pass: a 300-row Like scan and a
     // point lookup.
@@ -275,8 +279,8 @@ fn slow_scan_does_not_delay_point_query() {
     }
     assert_eq!(scan_replies.len(), 301);
 
-    // Both dispatched on the shared tier.
-    let trace = server.take_service_trace();
-    assert_eq!(trace.len(), 2);
-    assert!(trace.iter().all(|t| t.read_tier));
+    // Both dispatched on the shared tier: two timed read-tier executions,
+    // nothing on the exclusive tier.
+    assert_eq!(read_samples(&server) - reads_before, 2);
+    assert_eq!(server.dispatch_counts().1, writes_before);
 }

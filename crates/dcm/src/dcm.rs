@@ -8,15 +8,15 @@
 //! flags, soft/hard error bookkeeping, and Zephyr/mail notification follow
 //! the paper.
 //!
-//! Past the paper's ~20 hosts, the host scan runs hierarchically: update
-//! legs execute on a bounded worker pool (`fanout_width`), and a
-//! [`RackTopology`] splits each cycle into an *origin* wave (rack relays
-//! and direct hosts) followed by a *leaf* wave gated on each rack's relay
-//! — see [`crate::relay`]. Each leg is three phases: *prepare* (locks, DB
-//! writes, archive, credentials — serial), *transfer* (network only — on
-//! the pool), *record* (stats, cursor, retry ledger, DB — serial, in todo
-//! order). With width 1 and no racks the composition is exactly the
-//! legacy serial scan.
+//! The host scan is one plan at every scale: update legs execute on a
+//! bounded worker pool (`fanout_width`), and a [`RackTopology`] splits each
+//! cycle into an *origin* wave (rack relays and direct hosts) followed by a
+//! *leaf* wave gated on each rack's relay — see [`crate::relay`]. Each leg
+//! is three phases: *prepare* (locks, DB writes, archive, credentials —
+//! serial), *transfer* (network only — on the pool), *record* (stats,
+//! cursor, retry ledger, DB — serial, in todo order). The paper's ~20-host
+//! scan is the degenerate instance: width 1, no racks, so one origin wave
+//! whose pool is the DCM thread itself.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -137,7 +137,7 @@ pub struct Dcm {
     net: Arc<dyn Network>,
     /// Soft-failure streak ledger driving the backoff gate.
     retry: RetryBook,
-    /// Bounded concurrency of the host fan-out (1 = legacy serial scan).
+    /// Bounded concurrency of the host fan-out, ≥ 1.
     fanout_width: usize,
     /// Rack grouping driving relay election (empty = every host direct).
     topology: RackTopology,
@@ -186,8 +186,8 @@ impl Dcm {
         &mut self.retry
     }
 
-    /// Sets the bounded concurrency of the host fan-out (clamped to ≥ 1).
-    /// Width 1 with no racks is exactly the legacy serial scan.
+    /// Sets the bounded concurrency of the host fan-out (clamped to ≥ 1):
+    /// how many transfer legs of a wave may be in flight at once.
     pub fn set_fanout_width(&mut self, width: usize) {
         self.fanout_width = width.max(1);
     }
@@ -500,27 +500,7 @@ impl Dcm {
             .prepared
             .get(&svc.name)
             .map(|b| Arc::new(b.archive().clone()));
-        if self.fanout_width <= 1 && self.topology.is_empty() {
-            // The legacy serial scan: one host at a time, in todo order,
-            // stopping at the first hard failure of a replicated service.
-            let mut replicated_failed = false;
-            for (mach_name, mach_id, value3) in todo {
-                if replicated_failed {
-                    break;
-                }
-                let result =
-                    self.update_one_host(svc, dfgen, &mach_name, mach_id, &value3, shared.as_ref());
-                if let Err(e) = &result {
-                    if e.is_hard() && svc.replicated {
-                        replicated_failed = true;
-                        self.mark_replicated_failed(svc, dfgen, e);
-                    }
-                }
-                report.updates.push((svc.name.clone(), mach_name, result));
-            }
-        } else {
-            self.fanout_phase(svc, dfgen, &todo, shared.as_ref(), report);
-        }
+        self.fanout_phase(svc, dfgen, &todo, shared.as_ref(), report);
         let mut state = self.state.write();
         state.locks.release("dcm", &format!("svc:{}", svc.name));
     }
@@ -586,50 +566,12 @@ impl Dcm {
         out
     }
 
-    /// One host's update, serially: prepare, transfer, record. The legacy
-    /// single-host path, kept as the oracle the fan-out must match.
-    fn update_one_host(
-        &mut self,
-        svc: &ServiceInfo,
-        dfgen: i64,
-        mach_name: &str,
-        mach_id: i64,
-        value3: &str,
-        shared: Option<&Arc<Archive>>,
-    ) -> Result<(), UpdateError> {
-        match self.prepare_update(svc, mach_name, mach_id, value3, shared, None) {
-            Prepared::Busy => Err(UpdateError::Busy),
-            Prepared::Failed(e) => self.record_update(
-                svc,
-                dfgen,
-                mach_name,
-                mach_id,
-                None,
-                false,
-                Err(e),
-                &TransferStats::default(),
-            ),
-            Prepared::Job(job) => {
-                let (result, tstats) = run_transfer(self.net.as_ref(), &job);
-                self.record_update(
-                    svc,
-                    dfgen,
-                    &job.mach_name,
-                    mach_id,
-                    Some(&job.archive),
-                    false,
-                    result,
-                    &tstats,
-                )
-            }
-        }
-    }
-
-    /// The parallel push: plan the rack split, run the origin wave (relays
-    /// and direct hosts), then the leaf wave for every rack whose relay
-    /// succeeded. Racks whose relay leg failed are deferred whole — their
-    /// leaves are not attempted, not charged a retry streak, and stay in
-    /// the next cycle's todo list.
+    /// The push: plan the rack split, run the origin wave (relays and
+    /// direct hosts), then the leaf wave for every rack whose relay
+    /// succeeded. With no racks every host is an origin leg. Racks whose
+    /// relay leg failed are deferred whole — their leaves are not
+    /// attempted, not charged a retry streak, and stay in the next cycle's
+    /// todo list.
     fn fanout_phase(
         &mut self,
         svc: &ServiceInfo,
@@ -798,8 +740,8 @@ impl Dcm {
                 None => {
                     // The replicated stop flag tripped before any worker
                     // claimed this leg. Undo the prepare (inprogress bit,
-                    // host lock) and leave the host for the next cycle —
-                    // the legacy serial loop would not have attempted it.
+                    // host lock) and leave the host for the next cycle,
+                    // unreported: it was never attempted.
                     self.abort_prepared(svc, &job.mach_name);
                 }
             }
@@ -824,55 +766,44 @@ impl Dcm {
         jobs: &[(usize, UpdateJob)],
         replicated: bool,
     ) -> HashMap<usize, (Result<(), UpdateError>, TransferStats, u64)> {
-        if jobs.is_empty() {
-            return HashMap::new();
-        }
-        let width = self.fanout_width.max(1).min(jobs.len());
-        if width == 1 {
-            // One worker is a serial loop; skip the thread scaffolding.
-            let mut results = HashMap::with_capacity(jobs.len());
-            for (i, job) in jobs {
-                let t0 = Instant::now();
-                let (result, tstats) = run_transfer(self.net.as_ref(), job);
-                let hard = matches!(&result, Err(e) if e.is_hard());
-                results.insert(*i, (result, tstats, t0.elapsed().as_nanos() as u64));
-                if replicated && hard {
-                    break;
-                }
-            }
-            return results;
-        }
+        let width = self.fanout_width.min(jobs.len());
         let next = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
         let results = Mutex::new(HashMap::with_capacity(jobs.len()));
         let net = self.net.as_ref();
-        std::thread::scope(|scope| {
-            for _ in 0..width {
-                scope.spawn(|| loop {
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    let Some((i, job)) = jobs.get(k) else { break };
-                    let t0 = Instant::now();
-                    let (result, tstats) = run_transfer(net, job);
-                    if replicated && matches!(&result, Err(e) if e.is_hard()) {
-                        stop.store(true, Ordering::Release);
-                    }
-                    results
-                        .lock()
-                        .insert(*i, (result, tstats, t0.elapsed().as_nanos() as u64));
-                });
+        let worker = || loop {
+            if stop.load(Ordering::Acquire) {
+                break;
             }
-        });
+            let k = next.fetch_add(1, Ordering::Relaxed);
+            let Some((i, job)) = jobs.get(k) else { break };
+            let t0 = Instant::now();
+            let (result, tstats) = run_transfer(net, job);
+            if replicated && matches!(&result, Err(e) if e.is_hard()) {
+                stop.store(true, Ordering::Release);
+            }
+            results
+                .lock()
+                .insert(*i, (result, tstats, t0.elapsed().as_nanos() as u64));
+        };
+        if width <= 1 {
+            // A pool of one is the DCM thread.
+            worker();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..width {
+                    scope.spawn(worker);
+                }
+            });
+        }
         results.into_inner()
     }
 
     /// Reverses `prepare_update` for a leg that never ran: clears the
     /// inprogress bit (leaving `lts` at 0, so the host stays in the next
     /// cycle's todo list with no error recorded) and releases the host
-    /// lock. Matches the legacy serial loop, which simply never prepared
-    /// hosts after a replicated stop.
+    /// lock: "no more updates will be attempted" after a replicated
+    /// service's hard failure (§5.7.1).
     fn abort_prepared(&mut self, svc: &ServiceInfo, mach_name: &str) {
         let now = self.state.read().now();
         let mut state = self.state.write();
@@ -979,8 +910,7 @@ impl Dcm {
                     archive,
                 }))
             }
-            // The host lock stays held: recording the failure releases it,
-            // exactly as the legacy single-phase path did.
+            // The host lock stays held: recording the failure releases it.
             Err(e) => Prepared::Failed(e),
         }
     }
@@ -1715,27 +1645,11 @@ mod tests {
         assert!(kiwi.2.is_ok());
     }
 
-    /// Satellite pin: `fanout_width = 1` with zero racks takes literally
-    /// the legacy serial loop — same update order, same outcomes.
-    #[test]
-    fn width_one_no_racks_is_the_legacy_serial_path() {
-        let (mut dcm, _state, _hosts) = setup();
-        dcm.set_fanout_width(1);
-        assert!(dcm.topology().is_empty());
-        let report = dcm.run_once();
-        let order: Vec<&str> = report.updates.iter().map(|(_, h, _)| h.as_str()).collect();
-        assert_eq!(
-            order,
-            vec!["KIWI.MIT.EDU", "SUOMI.MIT.EDU"],
-            "serverhosts row order preserved"
-        );
-        assert!(report.updates.iter().all(|(_, _, r)| r.is_ok()));
-    }
-
-    /// Satellite pin: the pooled fan-out path (width > 1, no racks) is
-    /// byte-equivalent to the serial oracle across a whole scripted run —
-    /// reports, notices (retry/Zephyr escalation included), stats,
-    /// serverhosts rows, and host filesystems.
+    /// The byte-for-byte pin: a pool of eight is equivalent to the pool of
+    /// one — the paper's one-host-at-a-time scan, the serial oracle —
+    /// across a whole scripted run: reports in serverhosts row order,
+    /// notices (retry/Zephyr escalation included), stats, serverhosts
+    /// rows, and host filesystems.
     #[test]
     fn fanout_pool_matches_serial_oracle_exactly() {
         type Trace = (
@@ -1749,6 +1663,7 @@ mod tests {
             let (mut dcm, state, hosts) = setup();
             dcm.set_retry_policy(quick_retry(2, usize::MAX));
             dcm.set_fanout_width(width);
+            assert!(dcm.topology().is_empty());
             let mut updates = Vec::new();
             // Scripted history: a down host soft-fails, fails again and
             // escalates to a hard error with Zephyr + mail, gets reset by
@@ -1819,6 +1734,12 @@ mod tests {
         };
         let serial = run(1);
         let pooled = run(8);
+        let first_cycle: Vec<&str> = serial.0[..2].iter().map(|(_, h, _)| h.as_str()).collect();
+        assert_eq!(
+            first_cycle,
+            vec!["KIWI.MIT.EDU", "SUOMI.MIT.EDU"],
+            "serverhosts row order preserved"
+        );
         assert_eq!(serial.0, pooled.0, "update reports");
         assert_eq!(serial.1, pooled.1, "notices incl. escalation");
         assert_eq!(serial.2, pooled.2, "whole stats struct");

@@ -29,8 +29,7 @@
 //!   retry, exponential backoff with deterministic jitter, escalation of
 //!   long streaks to operator-visible hard errors.
 //! - [`relay`] — the hierarchical fan-out tier: rack topology with relay
-//!   election, and the per-host delta cursor store that generalizes the
-//!   old `last_pushed` patch-base map.
+//!   election, and the [`CursorStore`] of per-host patch bases.
 
 pub mod archive;
 pub mod dcm;

@@ -1,15 +1,15 @@
 //! The hierarchical fan-out tier: rack topology, relay election, and the
 //! per-host delta cursor store.
 //!
-//! The paper's DCM walks ~20 server hosts serially; at thousands of
-//! consumer hosts the cycle needs two structural changes. First, update
-//! legs run on a bounded worker pool (`fanout_width`). Second, hosts are
-//! grouped into *racks*: the DCM pushes each archive once to a *relay*
-//! host per rack, and only then fans out to that rack's *leaf* hosts —
-//! so a dead rack uplink costs one probe, not one timeout per host.
+//! The paper's DCM walks ~20 server hosts one at a time; at thousands of
+//! consumer hosts the same plan widens two ways. Update legs run on a
+//! bounded worker pool (`fanout_width`; the paper's walk is width 1). And
+//! hosts are grouped into *racks*: the DCM pushes each archive once to a
+//! *relay* host per rack, and only then fans out to that rack's *leaf*
+//! hosts — so a dead rack uplink costs one probe, not one timeout per
+//! host. With no racks declared every host is pushed directly.
 //!
-//! The [`CursorStore`] generalizes the old `last_pushed` map. For each
-//! `(service, host)` pair it remembers the archive the host last
+//! For each `(service, host)` pair the [`CursorStore`] remembers the archive the host last
 //! confirmed installing — the *base* the update protocol patches against
 //! — together with the service generation it belongs to and a base-CRC
 //! [`Manifest`]. The invariants:
@@ -51,8 +51,8 @@ impl Cursor {
     }
 }
 
-/// Per-`(service, host)` delta cursors, replacing the flat `last_pushed`
-/// map. See the module docs for the invariants.
+/// Per-`(service, host)` delta cursors. See the module docs for the
+/// invariants.
 #[derive(Debug, Default)]
 pub struct CursorStore {
     entries: HashMap<(String, String), Cursor>,
@@ -148,7 +148,7 @@ pub struct RackTopology {
 }
 
 impl RackTopology {
-    /// An empty topology (every host goes direct — the legacy shape).
+    /// An empty topology: every host is pushed directly from the origin.
     pub fn new() -> RackTopology {
         RackTopology::default()
     }
@@ -195,10 +195,6 @@ impl RackTopology {
     /// plan refer to positions in `todo`.
     pub fn plan(&self, todo: &[String], serving: &HashSet<String>) -> FanoutPlan {
         let mut plan = FanoutPlan::default();
-        if self.is_empty() {
-            plan.origin = (0..todo.len()).collect();
-            return plan;
-        }
         let mut racks_touched: HashSet<&str> = HashSet::new();
         for (i, host) in todo.iter().enumerate() {
             let Some(rack) = self.rack_of(host) else {

@@ -20,8 +20,15 @@ use crate::{Diagnostic, Workspace};
 
 pub const NAME: &str = "panic-path";
 
-const FILES: &[&str] = &[
-    "crates/core/src/server.rs",
+/// The audited files, by workspace-relative path. A listed path that does
+/// not exist is silently unaudited, so the fixtures suite asserts each one
+/// does.
+pub const FILES: &[&str] = &[
+    "crates/core/src/server/mod.rs",
+    "crates/core/src/server/collect.rs",
+    "crates/core/src/server/classify.rs",
+    "crates/core/src/server/tiers.rs",
+    "crates/core/src/server/reply.rs",
     "crates/client/src/conn.rs",
     "crates/dcm/src/update.rs",
     "crates/core/src/recovery.rs",

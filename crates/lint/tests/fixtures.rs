@@ -113,7 +113,7 @@ fn poll(&mut self) {
     conn.reply(msg);
 }
 ";
-    let ws = Workspace::from_sources(&[("crates/core/src/server.rs", src)]).unwrap();
+    let ws = Workspace::from_sources(&[("crates/core/src/server/mod.rs", src)]).unwrap();
     let diags = ws.run_pass("panic-path").unwrap();
     assert_eq!(
         diags.len(),
@@ -228,6 +228,30 @@ fn real_workspace_is_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+/// The panic-path audit names its files by path, so a file that moves
+/// without the list following it silently drops out of the audit. Every
+/// listed path must exist, and every file of the server module — the
+/// dispatch loop the pass exists for — must be listed.
+#[test]
+fn panic_path_audits_files_that_exist() {
+    use moira_lint::passes::panics::FILES;
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for rel in FILES {
+        assert!(
+            root.join(rel).is_file(),
+            "panic-path lists {rel}, which does not exist"
+        );
+    }
+    let server = "crates/core/src/server";
+    for entry in fs::read_dir(root.join(server)).unwrap() {
+        let rel = format!("{server}/{}", entry.unwrap().file_name().to_string_lossy());
+        assert!(
+            FILES.contains(&rel.as_str()),
+            "{rel} is not panic-path audited"
+        );
+    }
 }
 
 /// No stale `lint:allow` comments in the audited tree: every escape still

@@ -1,4 +1,4 @@
-//@ file: crates/core/src/server.rs
+//@ file: crates/core/src/server/mod.rs
 // `.unwrap()` and `.expect()` in the request loop: one poisoned task and
 // the daemon every workstation depends on is gone.
 

@@ -795,10 +795,9 @@ mod tests {
 
     #[test]
     fn real_result_files_parse() {
-        // The actual results/ corpus must round-trip through the parser,
-        // since conn_churn read-modify-writes read_throughput.json.
+        // The actual results/ corpus must round-trip through the parser.
         for file in [
-            "../../results/read_throughput.json",
+            "../../results/conn_churn.json",
             "../../results/wal_commit.json",
         ] {
             if let Ok(text) = std::fs::read_to_string(file) {
