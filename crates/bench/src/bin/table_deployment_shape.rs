@@ -41,7 +41,8 @@ fn main() {
                 .select_one(&Pred::Eq("name", d.population.nfs_servers[0].as_str().into()))
                 .unwrap();
             let mach_id = s.db.cell("machine", mach, "mach_id").as_int();
-            moira_dcm::generators::nfs::NfsGenerator::for_host(&s, mach_id, "")
+            let shared = d.dcm.prepared("NFS").expect("NFS generated");
+            moira_dcm::generators::nfs::NfsGenerator::for_host(&s, mach_id, "", shared)
                 .expect("distinct partition stems")
                 .len()
         }

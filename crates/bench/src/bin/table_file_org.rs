@@ -75,9 +75,12 @@ fn main() {
             state.db.cell("machine", row, "mach_id").as_int()
         })
         .collect();
+    let nfs_shared = NfsGenerator.generate(&state, "").expect("nfs generation");
     let nfs_archives: Vec<_> = nfs_mach_ids
         .iter()
-        .map(|&m| NfsGenerator::for_host(&state, m, "").expect("distinct partition stems"))
+        .map(|&m| {
+            NfsGenerator::for_host(&state, m, "", &nfs_shared).expect("distinct partition stems")
+        })
         .collect();
     eprintln!(
         "generated all service files in {:.2}s",

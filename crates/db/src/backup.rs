@@ -52,11 +52,17 @@ pub fn unescape_field(s: &str) -> MrResult<String> {
                     i += 2;
                 }
                 d if d.is_ascii_digit() => {
-                    if i + 3 >= bytes.len() {
-                        return Err(MrError::Internal);
-                    }
-                    let oct = &s[i + 1..i + 4];
-                    let val = u8::from_str_radix(oct, 8).map_err(|_| MrError::Internal)?;
+                    // Three octal digits, read as bytes: a `str` slice here
+                    // could land inside a multi-byte character.
+                    let val = bytes
+                        .get(i + 1..i + 4)
+                        .and_then(|oct| {
+                            oct.iter().try_fold(0u32, |acc, b| {
+                                matches!(b, b'0'..=b'7').then(|| acc * 8 + u32::from(b - b'0'))
+                            })
+                        })
+                        .and_then(|v| u8::try_from(v).ok())
+                        .ok_or(MrError::Internal)?;
                     out.push(val);
                     i += 4;
                 }

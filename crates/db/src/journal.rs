@@ -11,7 +11,7 @@
 
 use moira_common::errors::{MrError, MrResult};
 
-use crate::backup::{escape_field, unescape_field};
+use crate::backup::{escape_field, split_unescaped_colons, unescape_field};
 
 /// One successful, side-effecting operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,7 +43,7 @@ impl JournalEntry {
 
     /// Parses one journal line.
     pub fn from_line(line: &str) -> MrResult<JournalEntry> {
-        let parts = split_cols(line);
+        let parts = split_unescaped_colons(line);
         if parts.len() < 4 {
             return Err(MrError::Internal);
         }
@@ -58,25 +58,6 @@ impl JournalEntry {
                 .collect::<MrResult<_>>()?,
         })
     }
-}
-
-fn split_cols(line: &str) -> Vec<&str> {
-    let bytes = line.as_bytes();
-    let mut fields = Vec::new();
-    let (mut start, mut i) = (0, 0);
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b':' => {
-                fields.push(&line[start..i]);
-                start = i + 1;
-                i += 1;
-            }
-            _ => i += 1,
-        }
-    }
-    fields.push(&line[start..]);
-    fields
 }
 
 /// An in-memory journal with text serialization.

@@ -2,9 +2,10 @@
 //! escaping against arbitrary content.
 
 use moira_common::VClock;
-use moira_db::backup::{escape_field, unescape_field};
+use moira_db::backup::{decode_backup, escape_field, unescape_field};
 use moira_db::journal::{Journal, JournalEntry};
 use moira_db::schema::{ColumnDef, TableSchema};
+use moira_db::snapshot::decode_snapshot;
 use moira_db::{Database, Pred, Table, Value};
 use proptest::prelude::*;
 
@@ -34,7 +35,43 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Text as a damaged disk might hold it: dense in backslashes, octal and
+/// non-octal digits, colons, newlines and multi-byte characters.
+const HOSTILE: &str = "[\\\\\\\\\\\\0-9::é日x\n]{0,24}";
+
+/// The reproduced panic: `\12` followed by a two-byte character put the
+/// three-"digit" slice end inside that character.
+#[test]
+fn unescape_rejects_an_octal_escape_running_into_a_multibyte_char() {
+    assert!(unescape_field("\\12é").is_err());
+    assert!(unescape_field("\\1日").is_err());
+    assert_eq!(unescape_field("\\351").ok(), None, "lone 0xE9 is not UTF-8");
+    assert_eq!(unescape_field("\\012").unwrap(), "\n");
+}
+
 proptest! {
+    /// No byte sequence on disk can panic a decoder: every entry point that
+    /// unescapes fields answers hostile text with `Ok` or `Err`.
+    #[test]
+    fn decoders_are_total_on_hostile_text(
+        field in HOSTILE,
+        rows in prop::collection::vec(HOSTILE, 0..4),
+    ) {
+        let _ = unescape_field(&field);
+        let _ = JournalEntry::from_line(&field);
+        let _ = JournalEntry::from_line(&format!("0:{field}:w:q:{field}"));
+        let body = rows.join("\n");
+        let _ = decode_backup(&body);
+        let _ = decode_backup(&format!(
+            "moira-backup:1\ntable:{field}\n{body}\nendtable\nend\n"
+        ));
+        let _ = decode_snapshot(&body);
+        let _ = decode_snapshot(&format!(
+            "moira-snapshot:1\nepoch:1\nnow:0\nseq:0\ntable:t:0:0:0:0:0\n\
+             row:0:1:{field}\nendtable\njournal:0:{field}\nend\n"
+        ));
+    }
+
     /// The table agrees with a Vec-of-rows model under arbitrary mutation,
     /// and its indexes agree with full scans.
     #[test]

@@ -32,7 +32,6 @@ use parking_lot::Mutex;
 
 use crate::archive::Archive;
 use crate::generators::incremental::{self, CachedBuild};
-use crate::generators::nfs::NfsGenerator;
 use crate::generators::Generator;
 use crate::host::SimHost;
 use crate::net::{Network, PerfectNetwork};
@@ -66,8 +65,8 @@ pub struct DcmStats {
     pub generations: u64,
     /// Generation attempts suppressed by `MR_NO_CHANGE`.
     pub no_changes: u64,
-    /// Refreshes that took the full-rebuild path (first run or cursor
-    /// invalidation — restore, replay, plan-less generator).
+    /// Refreshes that took the full-rebuild path (first run, lost data
+    /// files, or cursor invalidation — restore, replay).
     pub full_rebuilds: u64,
     /// Refreshes that replayed row deltas against a cached build.
     pub delta_builds: u64,
@@ -453,8 +452,7 @@ impl Dcm {
                 .map(|row| state.db.cell("servers", row, "dfgen").as_int())
                 .unwrap_or(0)
         };
-        let per_host = svc.name == "NFS" || svc.name == "PASSWD";
-        if !self.prepared.contains_key(&svc.name) && !per_host {
+        if !self.prepared.contains_key(&svc.name) {
             if dfgen == 0 {
                 // Never generated; nothing to push.
                 return;
@@ -494,13 +492,11 @@ impl Dcm {
             }
         }
         let todo = self.hosts_needing_update(&svc.name, dfgen);
-        // The shared (non-per-host) archive, cloned once per cycle into an
-        // Arc every leg of the fan-out reads.
-        let shared: Option<Arc<Archive>> = self
-            .prepared
-            .get(&svc.name)
-            .map(|b| Arc::new(b.archive().clone()));
-        self.fanout_phase(svc, dfgen, &todo, shared.as_ref(), report);
+        // The shared archive, cloned once per cycle into an Arc every leg
+        // of the fan-out reads (a per-host service's legs cut theirs from
+        // it).
+        let shared = Arc::new(self.prepared[&svc.name].archive().clone());
+        self.fanout_phase(svc, dfgen, &todo, &shared, report);
         let mut state = self.state.write();
         state.locks.release("dcm", &format!("svc:{}", svc.name));
     }
@@ -577,7 +573,7 @@ impl Dcm {
         svc: &ServiceInfo,
         dfgen: i64,
         todo: &[(String, i64, String)],
-        shared: Option<&Arc<Archive>>,
+        shared: &Arc<Archive>,
         report: &mut DcmReport,
     ) {
         if todo.is_empty() {
@@ -670,7 +666,7 @@ impl Dcm {
         dfgen: i64,
         todo: &[(String, i64, String)],
         legs: &[(usize, Option<String>)],
-        shared: Option<&Arc<Archive>>,
+        shared: &Arc<Archive>,
         report: &mut DcmReport,
         replicated_failed: &mut bool,
     ) -> WaveResult {
@@ -837,7 +833,7 @@ impl Dcm {
         mach_name: &str,
         mach_id: i64,
         value3: &str,
-        shared: Option<&Arc<Archive>>,
+        shared: &Arc<Archive>,
         relay: Option<Arc<Mutex<SimHost>>>,
     ) -> Prepared {
         self.stats.updates_attempted += 1;
@@ -877,21 +873,16 @@ impl Dcm {
             );
         }
 
-        // Build the archive: per-host for NFS and PASSWD, shared otherwise.
-        // A generator failure here (e.g. colliding member stems) is bad data
-        // for this host — a soft error, retried once the data is fixed.
-        let archive = if svc.name == "NFS" {
-            let state = self.state.read();
-            NfsGenerator::for_host(&state, mach_id, value3)
+        // The archive: the shared one, or for a per-host service this
+        // host's cut of it. A generator failure here (e.g. colliding member
+        // stems) is bad data for this host — a soft error, retried once the
+        // data is fixed.
+        let generator = self.generators.get(svc.name.as_str()).expect("eligible");
+        let archive = match generator.per_host() {
+            Some(for_host) => for_host(&self.state.read(), mach_id, value3, shared)
                 .map(Arc::new)
-                .map_err(|_| UpdateError::BadData)
-        } else if svc.name == "PASSWD" {
-            let state = self.state.read();
-            crate::generators::hostaccess::HostAccessGenerator::for_host(&state, mach_id)
-                .map(Arc::new)
-                .map_err(|_| UpdateError::BadData)
-        } else {
-            Ok(shared.cloned().unwrap_or_default())
+                .map_err(|_| UpdateError::BadData),
+            None => Ok(shared.clone()),
         };
 
         let credentials = self.credentials_for(mach_name);
@@ -1503,6 +1494,62 @@ mod tests {
         let t = s.db.table("serverhosts");
         for (row, _) in t.iter() {
             assert!(!t.cell(row, "override").as_bool());
+        }
+    }
+
+    #[test]
+    fn lost_per_host_data_files_are_rebuilt_before_the_push() {
+        // A per-host service's archives are cut from its prepared shared
+        // build, so a crash that loses the data files (dfgen says generated,
+        // nothing prepared) must rebuild them like any other service's.
+        let (mut dcm, state, hosts) = setup();
+        let registry = Registry::standard();
+        let run = |q: &str, args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|x| x.to_string()).collect();
+            registry
+                .execute(&mut state.write(), &Caller::root("ops"), q, &args)
+                .unwrap();
+        };
+        run(
+            "add_server_info",
+            &[
+                "NFS",
+                "720",
+                "/tmp/nfs.out",
+                "install-nfs",
+                "UNIQUE",
+                "1",
+                "NONE",
+                "NONE",
+            ],
+        );
+        for host in ["KIWI.MIT.EDU", "SUOMI.MIT.EDU"] {
+            run("add_server_host_info", &["NFS", host, "1", "0", "0", ""]);
+        }
+        dcm.run_once();
+        let full_rebuilds = dcm.stats.full_rebuilds;
+
+        dcm.drop_prepared("NFS");
+        for host in &hosts {
+            host.lock().remove_file("/var/nfs/credentials");
+        }
+        for host in ["KIWI.MIT.EDU", "SUOMI.MIT.EDU"] {
+            run("set_server_host_override", &["NFS", host]);
+        }
+        // Within the interval: the generation phase does not run.
+        state.write().db.clock().advance(60);
+        let report = dcm.run_once();
+        assert!(report.generated.is_empty());
+        assert_eq!(dcm.stats.full_rebuilds, full_rebuilds + 1);
+        assert_eq!(report.updates.len(), 2);
+        assert!(report
+            .updates
+            .iter()
+            .all(|(svc, _, r)| svc == "NFS" && r.is_ok()));
+        let shared = dcm.prepared("NFS").unwrap().get("credentials").unwrap();
+        assert!(String::from_utf8_lossy(shared).contains("babette:6530\n"));
+        for host in &hosts {
+            assert_eq!(host.lock().read_file("/var/nfs/credentials"), Some(shared));
         }
     }
 

@@ -5,14 +5,11 @@
 //! server receives the same archive; the install script restarts the
 //! nameserver so the new files are read into memory.
 
-use moira_common::errors::MrResult;
 use moira_core::state::MoiraState;
 use moira_db::{Pred, RowId};
 
-use crate::archive::Archive;
-
 use super::incremental::{DeltaPlan, LineKey, Section, SectionKind};
-use super::{active_groups, active_users, group_map, groups_of_user, Generator};
+use super::{groups_of_user, Generator};
 
 /// Generator for the HESIOD service.
 pub struct HesiodGenerator;
@@ -48,22 +45,6 @@ impl Generator for HesiodGenerator {
             "strings",
             "nfsphys",
         ]
-    }
-
-    fn generate(&self, state: &MoiraState, _value3: &str) -> MrResult<Archive> {
-        let mut archive = Archive::new();
-        archive.add("cluster.db", cluster_db(state))?;
-        archive.add("filsys.db", filsys_db(state))?;
-        archive.add("gid.db", gid_db(state))?;
-        archive.add("group.db", group_db(state))?;
-        archive.add("grplist.db", grplist_db(state))?;
-        archive.add("passwd.db", passwd_db(state))?;
-        archive.add("pobox.db", pobox_db(state))?;
-        archive.add("printcap.db", printcap_db(state))?;
-        archive.add("service.db", service_db(state))?;
-        archive.add("sloc.db", sloc_db(state))?;
-        archive.add("uid.db", uid_db(state))?;
-        Ok(archive)
     }
 
     fn delta_plan(&self) -> DeltaPlan {
@@ -160,11 +141,12 @@ impl Generator for HesiodGenerator {
     }
 }
 
-/// True when the users row is an active account (the `active_users` filter).
+/// True when the users row is an active account.
 fn user_active(state: &MoiraState, row: RowId) -> bool {
     state.db.table("users").cell(row, "status").as_int() == 1
 }
 
+/// `cluster.db`, first half: one cluster's data lines.
 fn frag_cluster(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
     let clusters = state.db.table("cluster");
     let name = clusters.cell(row, "name").as_str().to_owned();
@@ -178,6 +160,8 @@ fn frag_cluster(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
     Some(((row as i64, String::new()), text))
 }
 
+/// `cluster.db`, second half: a CNAME per machine; a machine in several
+/// clusters gets a pseudo-cluster holding the union.
 fn frag_cluster_machine(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
     let machines = state.db.table("machine");
     let mach = machines.cell(row, "name").as_str().to_owned();
@@ -200,6 +184,9 @@ fn frag_cluster_machine(state: &MoiraState, row: RowId) -> Option<(LineKey, Stri
             }
         }
         _ => {
+            // "A pseudo-cluster will be made by Moira which has as its
+            // cluster data, the union of the data of each of the other
+            // clusters this machine is in."
             let pseudo = format!("{}-pseudo", mach.to_ascii_lowercase());
             for (label, data) in
                 moira_core::queries::machines::cluster_data_for_machine(state, mach_id)
@@ -212,6 +199,7 @@ fn frag_cluster_machine(state: &MoiraState, row: RowId) -> Option<(LineKey, Stri
     Some(((row as i64, String::new()), text))
 }
 
+/// `filsys.db`: every filesystem entry needed to find and attach lockers.
 fn frag_filsys(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
     let t = state.db.table("filesys");
     let label = t.cell(row, "label").as_str().to_owned();
@@ -230,11 +218,12 @@ fn frag_filsys(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
         "filsys",
         &format!("{fstype} {name} {machine} {access} {mount}"),
     );
-    // NUL joins (label, line) so the key sorts like the full builder's
-    // tuple sort (labels are not unique across filesystems).
+    // NUL joins (label, line) so the key sorts as the tuple would (labels
+    // are not unique across filesystems).
     Some(((0, format!("{label}\u{0}{line}")), line))
 }
 
+/// `gid.db`: group ID numbers to group entries.
 fn frag_gid(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
     let t = state.db.table("list");
     if !(t.cell(row, "active").as_bool() && t.cell(row, "grouplist").as_bool()) {
@@ -246,6 +235,7 @@ fn frag_gid(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
     Some(((0, name), line))
 }
 
+/// `group.db`: `/etc/group`-shaped entries (members never filled in).
 fn frag_group(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
     let t = state.db.table("list");
     if !(t.cell(row, "active").as_bool() && t.cell(row, "grouplist").as_bool()) {
@@ -257,6 +247,7 @@ fn frag_group(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
     Some(((0, name), line))
 }
 
+/// `grplist.db`: per-user colon-separated (group, gid) pairs.
 fn frag_grplist(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
     if !user_active(state, row) {
         return None;
@@ -272,6 +263,7 @@ fn frag_grplist(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
     Some(((0, login), line))
 }
 
+/// `passwd.db`: `/etc/passwd`-shaped entries for active users.
 fn frag_passwd(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
     if !user_active(state, row) {
         return None;
@@ -282,6 +274,7 @@ fn frag_passwd(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
     Some(((0, login), line))
 }
 
+/// `pobox.db`: the location of each active POP user's post office box.
 fn frag_pobox(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
     if !user_active(state, row) {
         return None;
@@ -296,6 +289,7 @@ fn frag_pobox(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
     Some(((0, login), line))
 }
 
+/// `printcap.db`: `/etc/printcap` entries.
 fn frag_printcap(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
     let t = state.db.table("printcap");
     let name = t.cell(row, "name").as_str().to_owned();
@@ -306,6 +300,7 @@ fn frag_printcap(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
     Some(((0, line.clone()), line))
 }
 
+/// `service.db`: `/etc/services` entries.
 fn frag_service(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
     let t = state.db.table("services");
     let name = t.cell(row, "name").as_str().to_owned();
@@ -315,6 +310,7 @@ fn frag_service(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
     Some(((0, line.clone()), line))
 }
 
+/// `sloc.db`: DCM service/host tuples, indexed by service.
 fn frag_sloc(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
     let t = state.db.table("serverhosts");
     let service = t.cell(row, "service").as_str().to_owned();
@@ -323,6 +319,7 @@ fn frag_sloc(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
     Some(((0, line.clone()), line))
 }
 
+/// `uid.db`: unix UIDs to password entries, in stable uid order.
 fn frag_uid(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
     if !user_active(state, row) {
         return None;
@@ -334,131 +331,7 @@ fn frag_uid(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
     Some(((uid, login), line))
 }
 
-/// `cluster.db`: per-cluster data lines plus a CNAME per machine; machines
-/// in several clusters get a pseudo-cluster holding the union.
-pub fn cluster_db(state: &MoiraState) -> String {
-    let mut out = String::new();
-    let clusters = state.db.table("cluster");
-    let mut cluster_rows: Vec<_> = clusters.iter().map(|(id, _)| id).collect();
-    cluster_rows.sort_unstable();
-    for row in cluster_rows {
-        let name = clusters.cell(row, "name").as_str().to_owned();
-        let clu_id = clusters.cell(row, "clu_id").as_int();
-        for srow in state.db.select("svc", &Pred::Eq("clu_id", clu_id.into())) {
-            let label = state.db.cell("svc", srow, "serv_label").render();
-            let data = state.db.cell("svc", srow, "serv_cluster").render();
-            out.push_str(&unspeca(&name, "cluster", &format!("{label} {data}")));
-        }
-    }
-    // Machine CNAMEs (and pseudo-clusters for multi-cluster machines).
-    let machines = state.db.table("machine");
-    let mut mrows: Vec<_> = machines.iter().map(|(id, _)| id).collect();
-    mrows.sort_unstable();
-    for mrow in mrows {
-        let mach = machines.cell(mrow, "name").as_str().to_owned();
-        let mach_id = machines.cell(mrow, "mach_id").as_int();
-        let memberships = state
-            .db
-            .select("mcmap", &Pred::Eq("mach_id", mach_id.into()));
-        match memberships.len() {
-            0 => {}
-            1 => {
-                let clu_id = state.db.cell("mcmap", memberships[0], "clu_id").as_int();
-                if let Some(crow) = state
-                    .db
-                    .table("cluster")
-                    .select_one(&Pred::Eq("clu_id", clu_id.into()))
-                {
-                    let cluster = state.db.cell("cluster", crow, "name").render();
-                    out.push_str(&cname(&mach, "cluster", &format!("{cluster}.cluster")));
-                }
-            }
-            _ => {
-                // "A pseudo-cluster will be made by Moira which has as its
-                // cluster data, the union of the data of each of the other
-                // clusters this machine is in."
-                let pseudo = format!("{}-pseudo", mach.to_ascii_lowercase());
-                for (label, data) in
-                    moira_core::queries::machines::cluster_data_for_machine(state, mach_id)
-                {
-                    out.push_str(&unspeca(&pseudo, "cluster", &format!("{label} {data}")));
-                }
-                out.push_str(&cname(&mach, "cluster", &format!("{pseudo}.cluster")));
-            }
-        }
-    }
-    out
-}
-
-/// `filsys.db`: every filesystem entry needed to find and attach lockers.
-pub fn filsys_db(state: &MoiraState) -> String {
-    let t = state.db.table("filesys");
-    let mut entries: Vec<(String, String)> = t
-        .iter()
-        .map(|(id, row)| {
-            let label = row[t.col("label")].as_str().to_owned();
-            let fstype = row[t.col("type")].as_str().to_owned();
-            let name = row[t.col("name")].as_str().to_owned();
-            let machine = machine_name_upper(state, row[t.col("mach_id")].as_int())
-                .to_ascii_lowercase()
-                .split('.')
-                .next()
-                .unwrap_or_default()
-                .to_owned();
-            let access = row[t.col("access")].as_str().to_owned();
-            let mount = row[t.col("mount")].as_str().to_owned();
-            let _ = id;
-            (
-                label.clone(),
-                unspeca(
-                    &label,
-                    "filsys",
-                    &format!("{fstype} {name} {machine} {access} {mount}"),
-                ),
-            )
-        })
-        .collect();
-    entries.sort();
-    entries.into_iter().map(|(_, line)| line).collect()
-}
-
-/// `gid.db`: group ID numbers to group entries.
-pub fn gid_db(state: &MoiraState) -> String {
-    let mut out = String::new();
-    for (_, name, gid) in active_groups(state) {
-        out.push_str(&cname(&gid.to_string(), "gid", &format!("{name}.group")));
-    }
-    out
-}
-
-/// `group.db`: `/etc/group`-shaped entries (members never filled in).
-pub fn group_db(state: &MoiraState) -> String {
-    let mut out = String::new();
-    for (_, name, gid) in active_groups(state) {
-        out.push_str(&unspeca(&name, "group", &format!("{name}:*:{gid}:")));
-    }
-    out
-}
-
-/// `grplist.db`: per-user colon-separated (group, gid) pairs.
-pub fn grplist_db(state: &MoiraState) -> String {
-    let users = state.db.table("users");
-    let groups = group_map(state);
-    let mut out = String::new();
-    for (row, login, _uid) in active_users(state) {
-        let users_id = users.cell(row, "users_id").as_int();
-        let mut entry = login.clone();
-        if let Some(memberships) = groups.get(&users_id) {
-            for (gname, gid) in memberships {
-                entry.push_str(&format!(":{gname}:{gid}"));
-            }
-        }
-        out.push_str(&unspeca(&login, "grplist", &entry));
-    }
-    out
-}
-
-fn passwd_line(state: &MoiraState, row: moira_db::RowId) -> String {
+fn passwd_line(state: &MoiraState, row: RowId) -> String {
     let t = state.db.table("users");
     format!(
         "{}:*:{}:101:{},,,,:/mit/{}:{}",
@@ -468,88 +341,6 @@ fn passwd_line(state: &MoiraState, row: moira_db::RowId) -> String {
         t.cell(row, "login").render(),
         t.cell(row, "shell").render(),
     )
-}
-
-/// `passwd.db`: `/etc/passwd`-shaped entries for active users.
-pub fn passwd_db(state: &MoiraState) -> String {
-    let mut out = String::new();
-    for (row, login, _) in active_users(state) {
-        out.push_str(&unspeca(&login, "passwd", &passwd_line(state, row)));
-    }
-    out
-}
-
-/// `pobox.db`: the location of each active POP user's post office box.
-pub fn pobox_db(state: &MoiraState) -> String {
-    let users = state.db.table("users");
-    let mut out = String::new();
-    for (row, login, _) in active_users(state) {
-        if users.cell(row, "potype").as_str() != "POP" {
-            continue;
-        }
-        let machine = machine_name_upper(state, users.cell(row, "pop_id").as_int());
-        out.push_str(&unspeca(&login, "pobox", &format!("POP {machine} {login}")));
-    }
-    out
-}
-
-/// `printcap.db`: `/etc/printcap` entries.
-pub fn printcap_db(state: &MoiraState) -> String {
-    let t = state.db.table("printcap");
-    let mut entries: Vec<String> = t
-        .iter()
-        .map(|(_, row)| {
-            let name = row[t.col("name")].as_str().to_owned();
-            let rp = row[t.col("rp")].as_str().to_owned();
-            let rm = machine_name_upper(state, row[t.col("mach_id")].as_int());
-            let sd = row[t.col("dir")].as_str().to_owned();
-            unspeca(&name, "pcap", &format!("{name}:rp={rp}:rm={rm}:sd={sd}"))
-        })
-        .collect();
-    entries.sort();
-    entries.concat()
-}
-
-/// `service.db`: `/etc/services` entries.
-pub fn service_db(state: &MoiraState) -> String {
-    let t = state.db.table("services");
-    let mut entries: Vec<String> = t
-        .iter()
-        .map(|(_, row)| {
-            let name = row[t.col("name")].as_str().to_owned();
-            let proto = row[t.col("protocol")].as_str().to_ascii_lowercase();
-            let port = row[t.col("port")].as_int();
-            unspeca(&name, "service", &format!("{name} {proto} {port}"))
-        })
-        .collect();
-    entries.sort();
-    entries.concat()
-}
-
-/// `sloc.db`: DCM service/host tuples, indexed by service.
-pub fn sloc_db(state: &MoiraState) -> String {
-    let t = state.db.table("serverhosts");
-    let mut entries: Vec<String> = t
-        .iter()
-        .map(|(_, row)| {
-            let service = row[t.col("service")].as_str().to_owned();
-            let machine = machine_name_upper(state, row[t.col("mach_id")].as_int());
-            format!("{service}.sloc\tHS UNSPECA\t{machine}\n")
-        })
-        .collect();
-    entries.sort();
-    entries.concat()
-}
-
-/// `uid.db`: unix UIDs to password entries.
-pub fn uid_db(state: &MoiraState) -> String {
-    let mut out = String::new();
-    let mut users = active_users(state);
-    users.sort_by_key(|(_, _, uid)| *uid);
-    for (_, login, uid) in users {
-        out.push_str(&cname(&uid.to_string(), "uid", &format!("{login}.passwd")));
-    }
-    out
 }
 
 pub(crate) fn machine_name_upper(state: &MoiraState, mach_id: i64) -> String {
@@ -564,6 +355,7 @@ pub(crate) fn machine_name_upper(state: &MoiraState, mach_id: i64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators::member_text;
     use moira_core::queries::testutil::state_with_admin;
     use moira_core::registry::Registry;
     use moira_core::state::Caller;
@@ -692,16 +484,21 @@ mod tests {
         s
     }
 
+    /// One generated file, read out of the archive.
+    fn file(s: &MoiraState, name: &str) -> String {
+        member_text(&HesiodGenerator.generate(s, "").unwrap(), name)
+    }
+
     #[test]
     fn passwd_and_uid_cross_reference() {
         let s = setup();
-        let passwd = passwd_db(&s);
+        let passwd = file(&s, "passwd.db");
         assert!(passwd.contains(
             "babette.passwd\tHS UNSPECA\t\"babette:*:6530:101:Harmon C Fowler,,,,:/mit/babette:/bin/csh\""
         ));
         // Inactive users excluded.
         assert!(!passwd.contains("ghost"));
-        let uid = uid_db(&s);
+        let uid = file(&s, "uid.db");
         assert!(uid.contains("6530.uid\tHS CNAME\tbabette.passwd"));
         assert!(!uid.contains("6599"));
         // Every uid entry points at a passwd entry.
@@ -714,7 +511,7 @@ mod tests {
     #[test]
     fn pobox_entries() {
         let s = setup();
-        let pobox = pobox_db(&s);
+        let pobox = file(&s, "pobox.db");
         assert!(pobox.contains("babette.pobox\tHS UNSPECA\t\"POP ATHENA-PO-2.MIT.EDU babette\""));
         assert_eq!(pobox.lines().count(), 1);
     }
@@ -722,9 +519,9 @@ mod tests {
     #[test]
     fn group_files_consistent() {
         let s = setup();
-        let group = group_db(&s);
-        let gid = gid_db(&s);
-        let grplist = grplist_db(&s);
+        let group = file(&s, "group.db");
+        let gid = file(&s, "gid.db");
+        let grplist = file(&s, "grplist.db");
         assert!(group.contains("babette.group\tHS UNSPECA\t\"babette:*:10914:\""));
         assert!(gid.contains("10914.gid\tHS CNAME\tbabette.group"));
         assert!(grplist.contains("\"babette:babette:10914\""));
@@ -733,7 +530,7 @@ mod tests {
     #[test]
     fn filsys_format() {
         let s = setup();
-        let f = filsys_db(&s);
+        let f = file(&s, "filsys.db");
         assert!(
             f.contains("aab.filsys\tHS UNSPECA\t\"NFS /u1/lockers/aab charon w /mit/aab\""),
             "{f}"
@@ -743,17 +540,17 @@ mod tests {
     #[test]
     fn printcap_service_sloc() {
         let s = setup();
-        assert!(printcap_db(&s).contains(
+        assert!(file(&s, "printcap.db").contains(
             "linus.pcap\tHS UNSPECA\t\"linus:rp=linus:rm=BLANKET.MIT.EDU:sd=/usr/spool/printer/linus\""
         ));
-        assert!(service_db(&s).contains("smtp.service\tHS UNSPECA\t\"smtp tcp 25\""));
-        assert!(sloc_db(&s).contains("HESIOD.sloc\tHS UNSPECA\tCHARON"));
+        assert!(file(&s, "service.db").contains("smtp.service\tHS UNSPECA\t\"smtp tcp 25\""));
+        assert!(file(&s, "sloc.db").contains("HESIOD.sloc\tHS UNSPECA\tCHARON"));
     }
 
     #[test]
     fn cluster_pseudo_union() {
         let s = setup();
-        let c = cluster_db(&s);
+        let c = file(&s, "cluster.db");
         assert!(c.contains("bldge40-vs.cluster\tHS UNSPECA\t\"zephyr neskaya.mit.edu\""));
         assert!(c.contains("TOTO.cluster\tHS CNAME\tbldge40-rt.cluster"));
         // SCARECROW is in both clusters: pseudo-cluster with the union.

@@ -12,15 +12,15 @@
 //! when the machine has no HOSTACCESS entry) plus the `/.klogin` file
 //! listing the Kerberos principals allowed in as root.
 
-use moira_common::errors::MrResult;
+use moira_common::errors::{MrError, MrResult};
 use moira_core::queries::lists::expand_member_ids_recursive;
 use moira_core::state::MoiraState;
 use moira_db::Pred;
 
 use crate::archive::Archive;
 
-use super::incremental::{DeltaPlan, LineKey, Section, SectionKind};
-use super::{active_users, Generator};
+use super::incremental::{render_lines, DeltaPlan, LineKey, Section, SectionKind};
+use super::{user_rows, Generator, PerHostFn};
 
 /// Generator for the PASSWD service (per host).
 pub struct HostAccessGenerator;
@@ -34,13 +34,7 @@ impl Generator for HostAccessGenerator {
         &["users", "hostaccess", "list", "members"]
     }
 
-    fn generate(&self, state: &MoiraState, _value3: &str) -> MrResult<Archive> {
-        // Host-independent form: the unrestricted password file.
-        let mut archive = Archive::new();
-        archive.add("passwd", passwd_file(state, None))?;
-        Ok(archive)
-    }
-
+    /// Host-independent form: the unrestricted password file.
     fn delta_plan(&self) -> DeltaPlan {
         DeltaPlan {
             sections: vec![Section {
@@ -53,25 +47,37 @@ impl Generator for HostAccessGenerator {
         }
     }
 
-    fn per_host(&self) -> bool {
-        true
+    fn per_host(&self) -> Option<PerHostFn> {
+        Some(HostAccessGenerator::for_host)
     }
 }
 
 impl HostAccessGenerator {
-    /// Builds the archive for one machine: its restricted `/etc/passwd`
-    /// and its `/.klogin`.
-    pub fn for_host(state: &MoiraState, mach_id: i64) -> MrResult<Archive> {
-        let restriction = hostaccess_users(state, mach_id);
+    /// Builds the archive for one machine: its `/etc/passwd` — the shared
+    /// file, or the lines of the users its HOSTACCESS ACE admits — and its
+    /// `/.klogin`.
+    pub fn for_host(
+        state: &MoiraState,
+        mach_id: i64,
+        _value3: &str,
+        shared: &Archive,
+    ) -> MrResult<Archive> {
+        let passwd = match hostaccess_users(state, mach_id) {
+            Some(admitted) => {
+                render_lines(state, frag_passwd, &user_rows(state, &admitted)).into_bytes()
+            }
+            None => shared.get("passwd").ok_or(MrError::Internal)?.to_vec(),
+        };
         let mut archive = Archive::new();
-        archive.add("passwd", passwd_file(state, restriction.as_deref()))?;
+        archive.add("passwd", passwd)?;
         archive.add("klogin", klogin_file(state, mach_id))?;
         Ok(archive)
     }
 }
 
-/// One active user's line of the unrestricted password file.
-fn frag_passwd(state: &MoiraState, row: moira_db::RowId) -> Option<(LineKey, String)> {
+/// One active user's standard-format password line (also the mail hub's
+/// `passwd`).
+pub(crate) fn frag_passwd(state: &MoiraState, row: moira_db::RowId) -> Option<(LineKey, String)> {
     let users = state.db.table("users");
     if users.cell(row, "status").as_int() != 1 {
         return None;
@@ -110,42 +116,15 @@ fn hostaccess_users(state: &MoiraState, mach_id: i64) -> Option<Vec<i64>> {
     }
 }
 
-/// Renders a standard-format password file, optionally restricted to a
-/// users_id set.
-pub fn passwd_file(state: &MoiraState, restrict: Option<&[i64]>) -> String {
-    let users = state.db.table("users");
-    let mut out = String::new();
-    for (row, login, uid) in active_users(state) {
-        let users_id = users.cell(row, "users_id").as_int();
-        if let Some(allowed) = restrict {
-            if !allowed.contains(&users_id) {
-                continue;
-            }
-        }
-        out.push_str(&format!(
-            "{login}:*:{uid}:101:{},,,:/mit/{login}:{}\n",
-            users.cell(row, "fullname").render(),
-            users.cell(row, "shell").render(),
-        ));
-    }
-    out
-}
-
 /// Renders the `/.klogin` file: one `principal.root@REALM`-style line per
 /// admitted administrator.
 pub fn klogin_file(state: &MoiraState, mach_id: i64) -> String {
     let Some(users) = hostaccess_users(state, mach_id) else {
         return String::new();
     };
-    let mut logins: Vec<String> = users
-        .iter()
-        .filter_map(|&users_id| {
-            state
-                .db
-                .table("users")
-                .select_one(&Pred::Eq("users_id", users_id.into()))
-                .map(|r| state.db.cell("users", r, "login").render())
-        })
+    let mut logins: Vec<String> = user_rows(state, &users)
+        .into_iter()
+        .map(|row| state.db.cell("users", row, "login").render())
         .collect();
     logins.sort();
     logins
@@ -157,6 +136,7 @@ pub fn klogin_file(state: &MoiraState, mach_id: i64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators::member_text;
     use moira_core::queries::testutil::{add_test_machine, state_with_admin};
     use moira_core::registry::Registry;
     use moira_core::state::Caller;
@@ -208,16 +188,22 @@ mod tests {
         (s, restricted, open)
     }
 
+    /// The archive one machine installs, cut from a fresh shared build.
+    fn for_host(s: &MoiraState, mach_id: i64) -> Archive {
+        let shared = HostAccessGenerator.generate(s, "").unwrap();
+        HostAccessGenerator::for_host(s, mach_id, "", &shared).unwrap()
+    }
+
     #[test]
     fn restricted_host_gets_only_its_ace() {
         let (s, restricted, _) = setup();
-        let archive = HostAccessGenerator::for_host(&s, restricted).unwrap();
-        let passwd = String::from_utf8(archive.get("passwd").unwrap().to_vec()).unwrap();
+        let archive = for_host(&s, restricted);
+        let passwd = member_text(&archive, "passwd");
         assert!(passwd.contains("alice:*:7001"));
         assert!(passwd.contains("bob:*:7002"));
         assert!(!passwd.contains("carol"));
         assert!(!passwd.contains("ops"));
-        let klogin = String::from_utf8(archive.get("klogin").unwrap().to_vec()).unwrap();
+        let klogin = member_text(&archive, "klogin");
         assert_eq!(
             klogin,
             "alice.root@ATHENA.MIT.EDU\nbob.root@ATHENA.MIT.EDU\n"
@@ -227,12 +213,12 @@ mod tests {
     #[test]
     fn unrestricted_host_gets_everyone_and_empty_klogin() {
         let (s, _, open) = setup();
-        let archive = HostAccessGenerator::for_host(&s, open).unwrap();
-        let passwd = String::from_utf8(archive.get("passwd").unwrap().to_vec()).unwrap();
+        let archive = for_host(&s, open);
+        let passwd = member_text(&archive, "passwd");
         for login in ["alice", "bob", "carol", "ops"] {
             assert!(passwd.contains(&format!("{login}:*:")), "{login}");
         }
-        let klogin = String::from_utf8(archive.get("klogin").unwrap().to_vec()).unwrap();
+        let klogin = member_text(&archive, "klogin");
         assert!(klogin.is_empty());
     }
 
@@ -247,8 +233,8 @@ mod tests {
             &["DIALUP.MIT.EDU".into(), "NONE".into(), "NONE".into()],
         )
         .unwrap();
-        let archive = HostAccessGenerator::for_host(&s, restricted).unwrap();
-        let passwd = String::from_utf8(archive.get("passwd").unwrap().to_vec()).unwrap();
+        let archive = for_host(&s, restricted);
+        let passwd = member_text(&archive, "passwd");
         assert!(passwd.is_empty());
     }
 
@@ -256,7 +242,7 @@ mod tests {
     fn generate_without_host_is_unrestricted() {
         let (s, _, _) = setup();
         let archive = HostAccessGenerator.generate(&s, "").unwrap();
-        let passwd = String::from_utf8(archive.get("passwd").unwrap().to_vec()).unwrap();
+        let passwd = member_text(&archive, "passwd");
         assert!(passwd.contains("carol"));
     }
 }

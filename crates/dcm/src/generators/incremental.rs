@@ -9,11 +9,12 @@
 //! advances it by applying `changed_since` row deltas instead of re-reading
 //! the database.
 //!
-//! Correctness contract: assembling the section caches must reproduce
-//! `Generator::generate(state, "")` byte for byte. Both the full-rebuild
-//! and the delta path assemble from the same caches, so the two paths
-//! cannot drift from each other; the proptest in `tests/incremental.rs`
-//! pins both against `generate`.
+//! There is one renderer: a from-scratch build ([`build`], which is all
+//! `Generator::generate` does) is the delta routine replaying every live
+//! driver row into an empty cache, so a delta-maintained build and a
+//! from-scratch one differ only in which rows they fed the same fragment
+//! functions. The proptest in `tests/incremental.rs` pins the two equal
+//! after every op, and `tests/golden_generators.rs` pins the bytes.
 //!
 //! Fallback rules (cursor invalidation): a missing cache (first run), an
 //! epoch change (the state was rebuilt — backup restore or journal
@@ -90,23 +91,9 @@ pub struct DeltaPlan {
     pub sections: Vec<Section>,
 }
 
-impl DeltaPlan {
-    /// The empty plan: no incremental support, always rebuild fully.
-    pub fn none() -> DeltaPlan {
-        DeltaPlan {
-            sections: Vec::new(),
-        }
-    }
-
-    /// True when the plan describes at least one section.
-    pub fn supports_delta(&self) -> bool {
-        !self.sections.is_empty()
-    }
-}
-
 /// Cached fragments of one section.
 #[derive(Clone)]
-enum SectionCache {
+pub(crate) enum SectionCache {
     Lines {
         /// `(key, driver row) -> rendered text`.
         by_key: BTreeMap<(LineKey, RowId), String>,
@@ -117,6 +104,63 @@ enum SectionCache {
         /// `driver row -> members it contributes`.
         by_row: BTreeMap<RowId, Vec<(String, Vec<u8>)>>,
     },
+}
+
+impl SectionCache {
+    fn empty(kind: &SectionKind) -> SectionCache {
+        match kind {
+            SectionKind::Lines(_) => SectionCache::Lines {
+                by_key: BTreeMap::new(),
+                key_of: HashMap::new(),
+            },
+            SectionKind::Members(_) => SectionCache::Members {
+                by_row: BTreeMap::new(),
+            },
+        }
+    }
+
+    /// A section built from scratch: every live driver row replayed into
+    /// an empty cache.
+    fn full(state: &MoiraState, section: &Section) -> SectionCache {
+        let mut cache = SectionCache::empty(&section.kind);
+        // full-rebuild fallback
+        let rows = full_rebuild_rows(state, section.driver);
+        cache.apply(state, &section.kind, &rows);
+        cache
+    }
+
+    /// The one evict-render-insert routine: each changed row's old fragment
+    /// is dropped and, when the row is still live, rendered afresh.
+    fn apply(&mut self, state: &MoiraState, kind: &SectionKind, changes: &[RowChange]) {
+        match (kind, self) {
+            (SectionKind::Lines(frag), SectionCache::Lines { by_key, key_of }) => {
+                for change in changes {
+                    let id = change.id();
+                    if let Some(old_key) = key_of.remove(&id) {
+                        by_key.remove(&(old_key, id));
+                    }
+                    if let RowChange::Upserted(id) = *change {
+                        if let Some((key, text)) = frag(state, id) {
+                            key_of.insert(id, key.clone());
+                            by_key.insert((key, id), text);
+                        }
+                    }
+                }
+            }
+            (SectionKind::Members(frag), SectionCache::Members { by_row }) => {
+                for change in changes {
+                    by_row.remove(&change.id());
+                    if let RowChange::Upserted(id) = *change {
+                        let members = frag(state, id);
+                        if !members.is_empty() {
+                            by_row.insert(id, members);
+                        }
+                    }
+                }
+            }
+            _ => unreachable!("section kind and cache kind always match"),
+        }
+    }
 }
 
 /// A generator build cached across DCM cycles: the assembled archive, the
@@ -184,44 +228,61 @@ pub fn refresh(
                 full: false,
             });
         }
-        let mut refreshed = if plan.supports_delta() && prev.cursor.valid_for(&state.db) {
+        let mut refreshed = if prev.cursor.valid_for(&state.db) {
             let _span = state.obs.span("dcm.stage.delta_scan_ns");
             delta_refresh(state, prev, cursor, &plan)?
         } else {
-            // Invalid cursor (restore/replay gave the state a new epoch) or
-            // a plan-less generator: rebuild, but still compare content so
-            // an identical result reports NoChange.
+            // Invalid cursor (restore/replay gave the state a new epoch):
+            // rebuild, but still compare content so an identical result
+            // reports NoChange.
             let _span = state.obs.span("dcm.stage.section_rebuild_ns");
-            full_refresh(generator, state, cursor, &plan, Some(prev.archive))?
+            full_refresh(state, cursor, &plan, Some(prev.archive))?
         };
         // A per-host generator's moved rows (quotas, partitions, host ACEs)
-        // may only surface in the per-host archives built during the host
+        // may only surface in the per-host members built during the host
         // scan, so an unchanged *shared* archive must still count as a
         // change and re-push the hosts.
-        refreshed.changed |= generator.per_host();
+        refreshed.changed |= generator.per_host().is_some();
         return Ok(refreshed);
     }
     let _span = state.obs.span("dcm.stage.section_rebuild_ns");
-    full_refresh(generator, state, cursor, &plan, None)
+    full_refresh(state, cursor, &plan, None)
+}
+
+/// Builds a plan's archive from scratch: every section from
+/// `full_rebuild_rows`, assembled in plan order.
+pub(crate) fn build(
+    state: &MoiraState,
+    plan: &DeltaPlan,
+) -> MrResult<(Archive, Vec<SectionCache>)> {
+    let sections: Vec<SectionCache> = plan
+        .sections
+        .iter()
+        .map(|section| SectionCache::full(state, section))
+        .collect();
+    Ok((assemble(plan, &sections, None)?, sections))
+}
+
+/// One `Lines` fragment rendered over just `rows`, in section order — a
+/// restricted host's cut of a shared file, from the same fragment function.
+pub(crate) fn render_lines(state: &MoiraState, frag: LineFragmentFn, rows: &[RowId]) -> String {
+    let kind = SectionKind::Lines(frag);
+    let mut cache = SectionCache::empty(&kind);
+    let changes: Vec<RowChange> = rows.iter().map(|&id| RowChange::Upserted(id)).collect();
+    cache.apply(state, &kind, &changes);
+    match cache {
+        SectionCache::Lines { by_key, .. } => by_key.into_values().collect(),
+        SectionCache::Members { .. } => unreachable!("built as Lines"),
+    }
 }
 
 fn full_refresh(
-    generator: &dyn Generator,
     state: &MoiraState,
     cursor: GenCursor,
     plan: &DeltaPlan,
     prev_archive: Option<Archive>,
 ) -> MrResult<Refresh> {
-    let (archive, sections) = if plan.supports_delta() {
-        let mut sections = Vec::with_capacity(plan.sections.len());
-        for section in &plan.sections {
-            sections.push(build_section_full(state, section));
-        }
-        (assemble(plan, &sections, None)?, sections)
-    } else {
-        // full-rebuild fallback: this plan has no delta support.
-        (generator.generate(state, "")?, Vec::new())
-    };
+    let (archive, sections) = build(state, plan)?;
     let changed = prev_archive.is_none_or(|p| p != archive);
     Ok(Refresh {
         build: CachedBuild {
@@ -256,8 +317,8 @@ fn delta_refresh(
                 .expect("section tables are in depends_on")
         };
         // A lookup table changed under the fragments: any fragment may be
-        // stale. Narrow the damage to specific driver rows when the section
-        // knows how; otherwise rebuild the whole section.
+        // stale. Narrow the damage to specific (live) driver rows when the
+        // section knows how; otherwise rebuild the whole section.
         let mut rerender: BTreeSet<RowId> = BTreeSet::new();
         let mut rebuild = false;
         for lookup in section.lookups.iter().filter(|l| advanced.contains(*l)) {
@@ -274,16 +335,20 @@ fn delta_refresh(
             }
         }
         if rebuild {
-            *cache = build_section_full(state, section);
+            *cache = SectionCache::full(state, section);
             *dirty = true;
             continue;
         }
-        if advanced.contains(section.driver) {
-            apply_driver_delta(state, section, cache, since_of(section.driver));
-            *dirty = true;
-        }
-        if !rerender.is_empty() {
-            rerender_rows(state, section, cache, &rerender);
+        // The driver's own row delta, then the narrowed lookup damage.
+        let mut changes = if advanced.contains(section.driver) {
+            let driver = state.db.table(section.driver);
+            driver.changed_since(since_of(section.driver))
+        } else {
+            Vec::new()
+        };
+        changes.extend(rerender.into_iter().map(RowChange::Upserted));
+        if !changes.is_empty() {
+            cache.apply(state, &section.kind, &changes);
             *dirty = true;
         }
     }
@@ -298,99 +363,6 @@ fn delta_refresh(
         changed,
         full: false,
     })
-}
-
-fn build_section_full(state: &MoiraState, section: &Section) -> SectionCache {
-    match section.kind {
-        SectionKind::Lines(frag) => {
-            let mut by_key = BTreeMap::new();
-            let mut key_of = HashMap::new();
-            for id in full_rebuild_rows(state, section.driver) {
-                // full-rebuild fallback
-                if let Some((key, text)) = frag(state, id) {
-                    key_of.insert(id, key.clone());
-                    by_key.insert((key, id), text);
-                }
-            }
-            SectionCache::Lines { by_key, key_of }
-        }
-        SectionKind::Members(frag) => {
-            let mut by_row = BTreeMap::new();
-            for id in full_rebuild_rows(state, section.driver) {
-                // full-rebuild fallback
-                let members = frag(state, id);
-                if !members.is_empty() {
-                    by_row.insert(id, members);
-                }
-            }
-            SectionCache::Members { by_row }
-        }
-    }
-}
-
-fn apply_driver_delta(state: &MoiraState, section: &Section, cache: &mut SectionCache, since: u64) {
-    let changes = state.db.table(section.driver).changed_since(since);
-    match (&section.kind, cache) {
-        (SectionKind::Lines(frag), SectionCache::Lines { by_key, key_of }) => {
-            for change in changes {
-                let id = change.id();
-                if let Some(old_key) = key_of.remove(&id) {
-                    by_key.remove(&(old_key, id));
-                }
-                if let RowChange::Upserted(id) = change {
-                    if let Some((key, text)) = frag(state, id) {
-                        key_of.insert(id, key.clone());
-                        by_key.insert((key, id), text);
-                    }
-                }
-            }
-        }
-        (SectionKind::Members(frag), SectionCache::Members { by_row }) => {
-            for change in changes {
-                by_row.remove(&change.id());
-                if let RowChange::Upserted(id) = change {
-                    let members = frag(state, id);
-                    if !members.is_empty() {
-                        by_row.insert(id, members);
-                    }
-                }
-            }
-        }
-        _ => unreachable!("section kind and cache kind always match"),
-    }
-}
-
-/// Re-renders specific (live) driver rows in place — the narrowed form of a
-/// lookup-change rebuild, applied to the rows an [`AffectedFn`] reported.
-fn rerender_rows(
-    state: &MoiraState,
-    section: &Section,
-    cache: &mut SectionCache,
-    rows: &BTreeSet<RowId>,
-) {
-    match (&section.kind, cache) {
-        (SectionKind::Lines(frag), SectionCache::Lines { by_key, key_of }) => {
-            for &id in rows {
-                if let Some(old_key) = key_of.remove(&id) {
-                    by_key.remove(&(old_key, id));
-                }
-                if let Some((key, text)) = frag(state, id) {
-                    key_of.insert(id, key.clone());
-                    by_key.insert((key, id), text);
-                }
-            }
-        }
-        (SectionKind::Members(frag), SectionCache::Members { by_row }) => {
-            for &id in rows {
-                by_row.remove(&id);
-                let members = frag(state, id);
-                if !members.is_empty() {
-                    by_row.insert(id, members);
-                }
-            }
-        }
-        _ => unreachable!("section kind and cache kind always match"),
-    }
 }
 
 /// Assembles the archive from section caches, in plan order. Consecutive

@@ -6,15 +6,13 @@
 //! output if the user's account is active." A second file, a complete
 //! password file, keeps the mail hub's finger server informed.
 
-use moira_common::errors::MrResult;
 use moira_core::queries::lists::expand_members_recursive;
 use moira_core::state::MoiraState;
 use moira_db::Pred;
 
-use crate::archive::Archive;
-
+use super::hostaccess::frag_passwd;
 use super::incremental::{DeltaPlan, LineKey, Section, SectionKind};
-use super::{active_users, Generator};
+use super::Generator;
 
 /// Generator for the MAIL service.
 pub struct MailGenerator;
@@ -26,13 +24,6 @@ impl Generator for MailGenerator {
 
     fn depends_on(&self) -> &'static [&'static str] {
         &["users", "list", "members", "strings", "machine"]
-    }
-
-    fn generate(&self, state: &MoiraState, _value3: &str) -> MrResult<Archive> {
-        let mut archive = Archive::new();
-        archive.add("aliases", aliases(state))?;
-        archive.add("passwd", passwd(state))?;
-        Ok(archive)
     }
 
     fn delta_plan(&self) -> DeltaPlan {
@@ -60,6 +51,9 @@ impl Generator for MailGenerator {
                     kind: SectionKind::Lines(frag_pobox_routing),
                     affected: None,
                 },
+                // The standard-format password file for the mail hub's
+                // finger server — "an entry for every active account at
+                // Athena" — is the unrestricted PASSWD file, line for line.
                 Section {
                     file: "passwd",
                     driver: "users",
@@ -138,7 +132,8 @@ fn lists_affected_by_user_changes(
     Some(rows.into_iter().collect())
 }
 
-/// One maillist's aliases block (comment, owner alias, member line).
+/// One active maillist's aliases block: comment, `owner-` alias from its
+/// ACE, member line.
 fn frag_maillist(state: &MoiraState, row: moira_db::RowId) -> Option<(LineKey, String)> {
     let lists = state.db.table("list");
     if !(lists.cell(row, "active").as_bool() && lists.cell(row, "maillist").as_bool()) {
@@ -193,22 +188,6 @@ fn frag_pobox_routing(state: &MoiraState, row: moira_db::RowId) -> Option<(LineK
     Some(((0, login), line))
 }
 
-/// One active user's mail-hub passwd line.
-fn frag_passwd(state: &MoiraState, row: moira_db::RowId) -> Option<(LineKey, String)> {
-    let users = state.db.table("users");
-    if users.cell(row, "status").as_int() != 1 {
-        return None;
-    }
-    let login = users.cell(row, "login").as_str().to_owned();
-    let uid = users.cell(row, "uid").as_int();
-    let line = format!(
-        "{login}:*:{uid}:101:{},,,:/mit/{login}:{}\n",
-        users.cell(row, "fullname").render(),
-        users.cell(row, "shell").render(),
-    );
-    Some(((0, login), line))
-}
-
 /// Short host name for `@<po>.LOCAL` routing.
 fn po_shortname(state: &MoiraState, mach_id: i64) -> String {
     state
@@ -219,83 +198,10 @@ fn po_shortname(state: &MoiraState, mach_id: i64) -> String {
         .unwrap_or_else(|| format!("#{mach_id}"))
 }
 
-/// The `/usr/lib/aliases` file.
-pub fn aliases(state: &MoiraState) -> String {
-    let mut out = String::new();
-    // Active mailing lists first, with owner- aliases from their ACEs.
-    let lists = state.db.table("list");
-    let mut list_rows: Vec<_> = lists
-        .iter()
-        .filter(|(_, row)| {
-            row[lists.col("active")].as_bool() && row[lists.col("maillist")].as_bool()
-        })
-        .map(|(id, _)| id)
-        .collect();
-    list_rows.sort_by_key(|&id| lists.cell(id, "name").as_str().to_owned());
-    for row in list_rows {
-        let name = lists.cell(row, "name").render();
-        let desc = lists.cell(row, "desc").render();
-        let list_id = lists.cell(row, "list_id").as_int();
-        if !desc.is_empty() {
-            out.push_str(&format!("# {desc}\n"));
-        }
-        let (ace_type, ace_name) = moira_core::ace::render_ace(
-            &state.db,
-            lists.cell(row, "acl_type").as_str(),
-            lists.cell(row, "acl_id").as_int(),
-        );
-        if ace_type != "NONE" {
-            out.push_str(&format!("owner-{name}: {ace_name}\n"));
-        }
-        let (users, strings) = expand_members_recursive(state, list_id);
-        let mut members = users;
-        members.extend(strings);
-        if members.is_empty() {
-            out.push_str(&format!("{name}: /dev/null\n"));
-        } else {
-            out.push_str(&format!("{name}: {}\n", members.join(", ")));
-        }
-    }
-    // Pobox routing for active users.
-    let users = state.db.table("users");
-    for (row, login, _) in active_users(state) {
-        match users.cell(row, "potype").as_str() {
-            "POP" => {
-                let po = po_shortname(state, users.cell(row, "pop_id").as_int());
-                let short = po.split('.').next().unwrap_or(&po).to_owned();
-                out.push_str(&format!("{login}: {login}@{short}.LOCAL\n"));
-            }
-            "SMTP" => {
-                let addr = moira_core::queries::helpers::string_of(
-                    state,
-                    users.cell(row, "box_id").as_int(),
-                );
-                out.push_str(&format!("{login}: {addr}\n"));
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// The standard-format password file for the mail hub's finger server —
-/// "an entry for every active account at Athena".
-pub fn passwd(state: &MoiraState) -> String {
-    let users = state.db.table("users");
-    let mut out = String::new();
-    for (row, login, uid) in active_users(state) {
-        out.push_str(&format!(
-            "{login}:*:{uid}:101:{},,,:/mit/{login}:{}\n",
-            users.cell(row, "fullname").render(),
-            users.cell(row, "shell").render(),
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators::member_text;
     use moira_core::queries::testutil::state_with_admin;
     use moira_core::registry::Registry;
     use moira_core::state::Caller;
@@ -379,10 +285,15 @@ mod tests {
         s
     }
 
+    /// One generated file, read out of the archive.
+    fn file(s: &MoiraState, name: &str) -> String {
+        member_text(&MailGenerator.generate(s, "").unwrap(), name)
+    }
+
     #[test]
     fn aliases_contents() {
         let s = setup();
-        let a = aliases(&s);
+        let a = file(&s, "aliases");
         assert!(a.contains("# Video Users\n"));
         assert!(a.contains("owner-video-users: paul\n"));
         assert!(a.contains("video-users: paul, smyser, rubin@media-lab.mit.edu\n"));
@@ -419,14 +330,14 @@ mod tests {
             "add_member_to_list",
             &["umbrella", "USER", "babette"],
         );
-        let a = aliases(&s);
+        let a = file(&s, "aliases");
         assert!(a.contains("umbrella: babette, paul, smyser, rubin@media-lab.mit.edu\n"));
     }
 
     #[test]
     fn passwd_file_standard_format() {
         let s = setup();
-        let p = passwd(&s);
+        let p = file(&s, "passwd");
         assert!(p.contains("babette:*:6530:101:First  Last,,,:/mit/babette:/bin/csh\n"));
         assert_eq!(p.lines().count(), 4, "ops + three users");
     }

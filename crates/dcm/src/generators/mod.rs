@@ -16,7 +16,7 @@ pub mod zephyr;
 
 use moira_common::errors::{MrError, MrResult};
 use moira_core::state::MoiraState;
-use moira_db::{GenCursor, RowId};
+use moira_db::{GenCursor, RowChange, RowId};
 
 use crate::archive::Archive;
 use incremental::DeltaPlan;
@@ -31,26 +31,35 @@ pub trait Generator: Send + Sync {
     /// `MR_NO_CHANGE`.
     fn depends_on(&self) -> &'static [&'static str];
 
-    /// Builds the archive of files for this service (the per-host variant
-    /// receives the serverhost's `value3`; services with identical files
-    /// everywhere ignore it).
-    fn generate(&self, state: &MoiraState, value3: &str) -> MrResult<Archive>;
+    /// The service's files as delta-maintainable sections — the only
+    /// description of their format: [`incremental::refresh`] keeps a build
+    /// current from it, and [`Generator::generate`] is the same sections
+    /// built from scratch. For a per-host service this is the shared form
+    /// of the output.
+    fn delta_plan(&self) -> DeltaPlan;
 
-    /// The incremental maintenance plan for the shared (`value3 = ""`)
-    /// form of this generator's output. The default — no sections — makes
-    /// [`incremental::refresh`] fall back to a full `generate` every cycle,
-    /// which is always correct; generators opt in by describing their files
-    /// as delta-maintainable sections.
-    fn delta_plan(&self) -> DeltaPlan {
-        DeltaPlan::none()
+    /// Builds the shared archive from scratch: every section of
+    /// [`Generator::delta_plan`] from `full_rebuild_rows`, assembled. The
+    /// second argument is unused (no serverhost is in scope here; per-host
+    /// archives come from [`Generator::per_host`]).
+    fn generate(&self, state: &MoiraState, _value3: &str) -> MrResult<Archive> {
+        incremental::build(state, &self.delta_plan()).map(|(archive, _)| archive)
     }
 
-    /// True when the files are per-host rather than shared: the DCM must
-    /// regenerate per target instead of reusing one archive.
-    fn per_host(&self) -> bool {
-        false
+    /// For a service whose files differ per host, the function cutting one
+    /// serverhost's archive from this cycle's shared one. `None`: every host
+    /// installs the shared archive as is.
+    fn per_host(&self) -> Option<PerHostFn> {
+        None
     }
 }
+
+/// Builds one serverhost's archive from `(state, mach_id, value3, shared)`:
+/// members every unrestricted host holds alike are taken from `shared`, a
+/// restricted host gets the same fragment function over its admitted rows
+/// ([`incremental::render_lines`]), and only the genuinely per-host members
+/// are rendered here. Fails when member names collide.
+pub type PerHostFn = fn(&MoiraState, i64, &str, &Archive) -> MrResult<Archive>;
 
 /// Applies the staleness check against a previously cut generation cursor:
 /// `Err(MR_NO_CHANGE)` when none of the generator's dependency relations
@@ -77,31 +86,33 @@ pub fn check_no_change(
     }
 }
 
-/// The explicit full-rebuild fallback of the incremental engine: the row ids
-/// a full section rebuild visits. This is the only place the incremental
-/// path is allowed to touch every row of a dependency table (CI greps for
-/// it), and it funnels through `changed_since(0)` so the enumeration matches
-/// what the delta path would see from a zero cursor.
-pub(crate) fn full_rebuild_rows(state: &MoiraState, table: &str) -> Vec<RowId> {
-    state
-        .db
-        .table(table)
-        .changed_since(0)
+/// The explicit full-rebuild fallback of the incremental engine: the change
+/// list a from-scratch section build replays — what the delta path sees
+/// from a zero cursor, every live row as an upsert (outstanding tombstones
+/// come along and evict nothing from an empty cache). This is the only
+/// place the incremental path is allowed to touch every row of a dependency
+/// table (CI greps for it).
+pub(crate) fn full_rebuild_rows(state: &MoiraState, table: &str) -> Vec<RowChange> {
+    state.db.table(table).changed_since(0)
+}
+
+/// The `users` rows of a `users_id` set (ids naming no user are skipped) —
+/// the admitted rows of a restricted host's credentials or passwd file.
+pub(crate) fn user_rows(state: &MoiraState, users_ids: &[i64]) -> Vec<RowId> {
+    let users = state.db.table("users");
+    users_ids
         .iter()
-        .filter_map(|c| match c {
-            moira_db::RowChange::Upserted(id) => Some(*id),
-            moira_db::RowChange::Deleted(_) => None,
-        })
+        .filter_map(|&id| users.select_one(&moira_db::Pred::Eq("users_id", id.into())))
         .collect()
 }
 
 /// Reverse membership: every active unix group (active && grouplist) that
 /// transitively contains user `users_id`, as sorted, deduplicated
-/// `(name, gid)` — the per-user slice of [`group_map`], computed by climbing
-/// the membership graph upward from the user instead of expanding every
-/// group. O(ancestor edges) per user, which is what makes per-user delta
-/// maintenance cheaper than a full `group_map` pass.
-pub(crate) fn groups_of_user(state: &MoiraState, users_id: i64) -> Vec<(String, i64)> {
+/// `(name, gid)`, computed by climbing the membership graph upward from the
+/// user instead of expanding every group. O(ancestor edges) per user, which
+/// is what makes per-user delta maintenance cheap. (`tests/incremental.rs`
+/// checks it against the top-down expansion of every group.)
+pub fn groups_of_user(state: &MoiraState, users_id: i64) -> Vec<(String, i64)> {
     use moira_db::Pred;
     let members = state.db.table("members");
     let mut seen: std::collections::HashSet<i64> = std::collections::HashSet::new();
@@ -148,60 +159,8 @@ pub fn standard_generators() -> Vec<Box<dyn Generator>> {
     ]
 }
 
-/// Shared helper: iterate active users as `(row id, login, uid)`.
-pub(crate) fn active_users(state: &MoiraState) -> Vec<(moira_db::RowId, String, i64)> {
-    let t = state.db.table("users");
-    let mut out: Vec<(moira_db::RowId, String, i64)> = t
-        .iter()
-        .filter(|(_, row)| row[t.col("status")] == moira_db::Value::Int(1))
-        .map(|(id, row)| {
-            (
-                id,
-                row[t.col("login")].as_str().to_owned(),
-                row[t.col("uid")].as_int(),
-            )
-        })
-        .collect();
-    out.sort_by(|a, b| a.1.cmp(&b.1));
-    out
-}
-
-/// Shared helper: active unix groups as `(list_id, name, gid)` sorted by
-/// name.
-pub(crate) fn active_groups(state: &MoiraState) -> Vec<(i64, String, i64)> {
-    let t = state.db.table("list");
-    let mut out: Vec<(i64, String, i64)> = t
-        .iter()
-        .filter(|(_, row)| row[t.col("active")].as_bool() && row[t.col("grouplist")].as_bool())
-        .map(|(_, row)| {
-            (
-                row[t.col("list_id")].as_int(),
-                row[t.col("name")].as_str().to_owned(),
-                row[t.col("gid")].as_int(),
-            )
-        })
-        .collect();
-    out.sort_by(|a, b| a.1.cmp(&b.1));
-    out
-}
-
-/// Shared helper: one pass over the membership graph building
-/// `users_id -> [(group name, gid)]` for every active group, expanding
-/// nested lists. Built once per generation; O(membership edges), not
-/// O(users × groups).
-pub(crate) fn group_map(state: &MoiraState) -> std::collections::HashMap<i64, Vec<(String, i64)>> {
-    let mut map: std::collections::HashMap<i64, Vec<(String, i64)>> =
-        std::collections::HashMap::new();
-    for (list_id, name, gid) in active_groups(state) {
-        let (users, _strings) =
-            moira_core::queries::lists::expand_member_ids_recursive(state, list_id);
-        for users_id in users {
-            map.entry(users_id).or_default().push((name.clone(), gid));
-        }
-    }
-    for groups in map.values_mut() {
-        groups.sort();
-        groups.dedup();
-    }
-    map
+/// A member's text (tests read generated files out of the archive).
+#[cfg(test)]
+pub(crate) fn member_text(archive: &Archive, name: &str) -> String {
+    String::from_utf8(archive.get(name).expect(name).to_vec()).unwrap()
 }

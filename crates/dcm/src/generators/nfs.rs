@@ -5,18 +5,18 @@
 //! membership is either all active users or, when the serverhost's `value3`
 //! names a list, that list's membership.
 
-use moira_common::errors::MrResult;
-use moira_core::ace::user_in_list;
+use moira_common::errors::{MrError, MrResult};
+use moira_core::queries::lists::expand_member_ids_recursive;
 use moira_core::state::MoiraState;
 use moira_db::Pred;
 
 use crate::archive::Archive;
 
-use super::incremental::{DeltaPlan, LineKey, Section, SectionKind};
-use super::{active_users, group_map, groups_of_user, Generator};
+use super::incremental::{render_lines, DeltaPlan, LineKey, Section, SectionKind};
+use super::{groups_of_user, user_rows, Generator, PerHostFn};
 
-/// Generator for the NFS service. Host-specific: build with
-/// [`NfsGenerator::for_host`] inside the DCM.
+/// Generator for the NFS service. Its plan is the shared credentials file;
+/// the DCM cuts each host's archive with [`NfsGenerator::for_host`].
 pub struct NfsGenerator;
 
 impl Generator for NfsGenerator {
@@ -26,13 +26,6 @@ impl Generator for NfsGenerator {
 
     fn depends_on(&self) -> &'static [&'static str] {
         &["users", "nfsquota", "nfsphys", "filesys", "list", "members"]
-    }
-
-    fn generate(&self, state: &MoiraState, value3: &str) -> MrResult<Archive> {
-        // Without a host context only the shared credentials file exists.
-        let mut archive = Archive::new();
-        archive.add("credentials", credentials(state, value3))?;
-        Ok(archive)
     }
 
     fn delta_plan(&self) -> DeltaPlan {
@@ -47,19 +40,39 @@ impl Generator for NfsGenerator {
         }
     }
 
-    fn per_host(&self) -> bool {
-        true
+    fn per_host(&self) -> Option<PerHostFn> {
+        Some(NfsGenerator::for_host)
     }
 }
 
 impl NfsGenerator {
     /// Builds the archive for one NFS server host: credentials plus a
-    /// `.quotas` and `.dirs` file per exported partition. Fails with
-    /// `MR_EXISTS` when two partitions' directories collapse to the same
-    /// member stem.
-    pub fn for_host(state: &MoiraState, mach_id: i64, value3: &str) -> MrResult<Archive> {
+    /// `.quotas` and `.dirs` file per exported partition. "If this field
+    /// \[value3\] is non-blank, it specifies the list whose membership will
+    /// appear in the credentials file"; blank, or naming no list, the host
+    /// takes the shared file. Fails with `MR_EXISTS` when two partitions'
+    /// directories collapse to the same member stem.
+    pub fn for_host(
+        state: &MoiraState,
+        mach_id: i64,
+        value3: &str,
+        shared: &Archive,
+    ) -> MrResult<Archive> {
+        let lists = state.db.table("list");
+        let list = value3.trim();
+        let restrict = (!list.is_empty())
+            .then(|| lists.select_one(&Pred::Eq("name", list.into())))
+            .flatten()
+            .map(|row| lists.cell(row, "list_id").as_int());
+        let credentials = match restrict {
+            Some(list_id) => {
+                let (admitted, _strings) = expand_member_ids_recursive(state, list_id);
+                render_lines(state, frag_credentials, &user_rows(state, &admitted)).into_bytes()
+            }
+            None => shared.get("credentials").ok_or(MrError::Internal)?.to_vec(),
+        };
         let mut archive = Archive::new();
-        archive.add("credentials", credentials(state, value3))?;
+        archive.add("credentials", credentials)?;
         for prow in state
             .db
             .select("nfsphys", &Pred::Eq("mach_id", mach_id.into()))
@@ -74,7 +87,7 @@ impl NfsGenerator {
     }
 }
 
-/// Per-user credentials line for the shared (`value3 = ""`) form.
+/// One active user's credentials line: `login:uid:gid:gid…`.
 fn frag_credentials(state: &MoiraState, row: moira_db::RowId) -> Option<(LineKey, String)> {
     let users = state.db.table("users");
     if users.cell(row, "status").as_int() != 1 {
@@ -89,42 +102,6 @@ fn frag_credentials(state: &MoiraState, row: moira_db::RowId) -> Option<(LineKey
     }
     line.push('\n');
     Some(((0, login), line))
-}
-
-/// The credentials file: `login:uid:gid:gid…`, one line per user. "If this
-/// field \[value3\] is non-blank, it specifies the list whose membership
-/// will appear in the credentials file."
-pub fn credentials(state: &MoiraState, value3: &str) -> String {
-    let restrict = if value3.trim().is_empty() {
-        None
-    } else {
-        state
-            .db
-            .table("list")
-            .select_one(&Pred::Eq("name", value3.trim().into()))
-            .map(|row| state.db.cell("list", row, "list_id").as_int())
-    };
-    let users = state.db.table("users");
-    let groups = group_map(state);
-    let mut out = String::new();
-    for (row, login, uid) in active_users(state) {
-        let users_id = users.cell(row, "users_id").as_int();
-        if let Some(list_id) = restrict {
-            if !user_in_list(&state.db, users_id, list_id) {
-                continue;
-            }
-        }
-        out.push_str(&login);
-        out.push(':');
-        out.push_str(&uid.to_string());
-        if let Some(memberships) = groups.get(&users_id) {
-            for (_, gid) in memberships {
-                out.push_str(&format!(":{gid}"));
-            }
-        }
-        out.push('\n');
-    }
-    out
 }
 
 /// The quotas file for one partition: `uid quota` per line.
@@ -188,6 +165,7 @@ pub fn dirs_file(state: &MoiraState, phys_id: i64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators::member_text;
     use moira_core::queries::testutil::state_with_admin;
     use moira_core::registry::Registry;
     use moira_core::state::Caller;
@@ -290,10 +268,16 @@ mod tests {
         (s, mach_id)
     }
 
+    /// The archive CHARON installs, cut from a fresh shared build.
+    fn for_host(s: &MoiraState, mach_id: i64, value3: &str) -> Archive {
+        let shared = NfsGenerator.generate(s, "").unwrap();
+        NfsGenerator::for_host(s, mach_id, value3, &shared).unwrap()
+    }
+
     #[test]
     fn credentials_all_active() {
         let (s, _) = setup();
-        let cred = credentials(&s, "");
+        let cred = member_text(&NfsGenerator.generate(&s, "").unwrap(), "credentials");
         assert!(cred.contains("mtalford:14956:5904\n"));
         assert!(cred.contains("mstai:9296\n"));
         assert!(!cred.contains("inactive"));
@@ -301,26 +285,26 @@ mod tests {
 
     #[test]
     fn credentials_restricted_by_value3() {
-        let (s, _) = setup();
-        let cred = credentials(&s, "staff-cred");
+        let (s, mach_id) = setup();
+        let cred = member_text(&for_host(&s, mach_id, "staff-cred"), "credentials");
         assert!(cred.contains("mstai"));
         assert!(!cred.contains("mtalford"));
         // Unknown list name falls back to everyone.
-        let cred = credentials(&s, "no-such-list");
+        let cred = member_text(&for_host(&s, mach_id, "no-such-list"), "credentials");
         assert!(cred.contains("mtalford"));
     }
 
     #[test]
     fn quotas_and_dirs() {
         let (s, mach_id) = setup();
-        let archive = NfsGenerator::for_host(&s, mach_id, "").unwrap();
+        let archive = for_host(&s, mach_id, "");
         assert_eq!(
             archive.member_names(),
             vec!["credentials", "u1_lockers.quotas", "u1_lockers.dirs"]
         );
-        let quotas = String::from_utf8(archive.get("u1_lockers.quotas").unwrap().to_vec()).unwrap();
+        let quotas = member_text(&archive, "u1_lockers.quotas");
         assert_eq!(quotas, "14956 300\n");
-        let dirs = String::from_utf8(archive.get("u1_lockers.dirs").unwrap().to_vec()).unwrap();
+        let dirs = member_text(&archive, "u1_lockers.dirs");
         assert_eq!(dirs, "/u1/lockers/mtalford 14956 5904 HOMEDIR\n");
     }
 
@@ -347,8 +331,8 @@ mod tests {
             ],
         )
         .unwrap();
-        let archive = NfsGenerator::for_host(&s, mach_id, "").unwrap();
-        let dirs = String::from_utf8(archive.get("u1_lockers.dirs").unwrap().to_vec()).unwrap();
+        let archive = for_host(&s, mach_id, "");
+        let dirs = member_text(&archive, "u1_lockers.dirs");
         assert!(!dirs.contains("noauto"));
     }
 }

@@ -4,12 +4,9 @@
 //! output, one entry per line. Recursive lists will be expanded." A `NONE`
 //! ACE renders as the open wildcard `*.*@*`, matching the paper's example.
 
-use moira_common::errors::MrResult;
 use moira_core::queries::lists::expand_members_recursive;
 use moira_core::state::MoiraState;
 use moira_db::Pred;
-
-use crate::archive::Archive;
 
 use super::incremental::{DeltaPlan, Section, SectionKind};
 use super::Generator;
@@ -34,28 +31,6 @@ impl Generator for ZephyrGenerator {
         &["zephyr", "list", "members", "users", "strings"]
     }
 
-    fn generate(&self, state: &MoiraState, _value3: &str) -> MrResult<Archive> {
-        let mut archive = Archive::new();
-        let t = state.db.table("zephyr");
-        let mut rows: Vec<_> = t.iter().map(|(id, _)| id).collect();
-        rows.sort_unstable();
-        for row in rows {
-            let class = t.cell(row, "class").render();
-            for (type_col, id_col, suffix) in ACL_SLOTS {
-                let ace_type = t.cell(row, type_col).as_str().to_owned();
-                // "For each existing ACE (even if it is empty), the
-                // membership will be output" — NONE slots have no ACE and
-                // produce no file (the server treats absence as open).
-                if ace_type == "NONE" {
-                    continue;
-                }
-                let content = acl_file(state, &ace_type, t.cell(row, id_col).as_int());
-                archive.add(&format!("{class}.{suffix}.acl"), content)?;
-            }
-        }
-        Ok(archive)
-    }
-
     fn delta_plan(&self) -> DeltaPlan {
         DeltaPlan {
             sections: vec![Section {
@@ -76,6 +51,9 @@ fn frag_class(state: &MoiraState, row: moira_db::RowId) -> Vec<(String, Vec<u8>)
     let mut out = Vec::new();
     for (type_col, id_col, suffix) in ACL_SLOTS {
         let ace_type = t.cell(row, type_col).as_str().to_owned();
+        // "For each existing ACE (even if it is empty), the membership
+        // will be output" — NONE slots have no ACE and produce no file
+        // (the server treats absence as open).
         if ace_type == "NONE" {
             continue;
         }
@@ -116,6 +94,7 @@ pub fn acl_file(state: &MoiraState, ace_type: &str, ace_id: i64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators::member_text;
     use moira_core::queries::testutil::state_with_admin;
     use moira_core::registry::Registry;
     use moira_core::state::Caller;
@@ -170,7 +149,7 @@ mod tests {
     fn list_ace_expands_recursively() {
         let s = setup();
         let archive = ZephyrGenerator.generate(&s, "").unwrap();
-        let xmt = String::from_utf8(archive.get("MOIRA.xmt.acl").unwrap().to_vec()).unwrap();
+        let xmt = member_text(&archive, "MOIRA.xmt.acl");
         assert!(xmt.contains("wheel@ATHENA.MIT.EDU\n"));
         assert!(
             xmt.contains("ops@ATHENA.MIT.EDU\n"),
@@ -182,7 +161,7 @@ mod tests {
     fn user_ace_and_open_slots() {
         let s = setup();
         let archive = ZephyrGenerator.generate(&s, "").unwrap();
-        let iws = String::from_utf8(archive.get("MOIRA.iws.acl").unwrap().to_vec()).unwrap();
+        let iws = member_text(&archive, "MOIRA.iws.acl");
         assert_eq!(iws, "wheel@ATHENA.MIT.EDU\n");
         // NONE slots produce no file; the server treats absence as open.
         assert!(archive.get("MOIRA.sub.acl").is_none());

@@ -3,14 +3,44 @@
 //! byte-identical to generating from scratch — for every standard
 //! generator, whether the refresh rode the delta path, a section rebuild,
 //! or the full fallback, and across simulated DCM restarts (dropped
-//! caches).
+//! caches). Both sides render through the same fragment functions, so the
+//! one fragment helper with real logic of its own — the bottom-up
+//! `groups_of_user` climb — is also checked against an independent
+//! top-down expansion of every group.
 
+use std::collections::HashMap;
+
+use moira_core::queries::lists::expand_member_ids_recursive;
 use moira_core::queries::testutil::state_with_admin;
 use moira_core::registry::Registry;
 use moira_core::state::{Caller, MoiraState};
 use moira_dcm::generators::incremental::{refresh, CachedBuild};
-use moira_dcm::generators::standard_generators;
+use moira_dcm::generators::{groups_of_user, standard_generators};
 use proptest::prelude::*;
+
+/// The oracle for `groups_of_user`: one top-down pass expanding every
+/// active unix group (nested lists included) into
+/// `users_id -> [(group name, gid)]`, sorted and deduplicated.
+fn group_map(state: &MoiraState) -> HashMap<i64, Vec<(String, i64)>> {
+    let t = state.db.table("list");
+    let mut map: HashMap<i64, Vec<(String, i64)>> = HashMap::new();
+    for (_, row) in t.iter() {
+        if !(row[t.col("active")].as_bool() && row[t.col("grouplist")].as_bool()) {
+            continue;
+        }
+        let name = row[t.col("name")].as_str().to_owned();
+        let gid = row[t.col("gid")].as_int();
+        let (users, _strings) = expand_member_ids_recursive(state, row[t.col("list_id")].as_int());
+        for users_id in users {
+            map.entry(users_id).or_default().push((name.clone(), gid));
+        }
+    }
+    for groups in map.values_mut() {
+        groups.sort();
+        groups.dedup();
+    }
+    map
+}
 
 /// One mutation drawn from the op vocabulary. The two payload bytes pick
 /// entity names from small pools so ops collide (duplicate adds, deletes of
@@ -162,6 +192,22 @@ proptest! {
             // next refresh must take the full-rebuild path.
             if step == usize::from(drop_at) % 20 {
                 caches.fill(None);
+            }
+            let oracle = group_map(&state);
+            let users = state.db.table("users");
+            for (_, row) in users.iter() {
+                if row[users.col("status")].as_int() != 1 {
+                    continue;
+                }
+                let users_id = row[users.col("users_id")].as_int();
+                prop_assert_eq!(
+                    groups_of_user(&state, users_id),
+                    oracle.get(&users_id).cloned().unwrap_or_default(),
+                    "groups of {} after step {} ({:?})",
+                    row[users.col("login")].as_str(),
+                    step,
+                    (code, a, b)
+                );
             }
             for (generator, cache) in generators.iter().zip(&mut caches) {
                 let prev_bytes = cache

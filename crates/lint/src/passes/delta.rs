@@ -10,10 +10,9 @@
 //! - in each generator, the delta-fragment functions named by `Section`
 //!   literals (`SectionKind::Lines(f)`, `SectionKind::Members(f)`,
 //!   `affected: Some(f)`) must stay per-row: no `.table(..).iter()`, no
-//!   `Pred::True` selects, and none of the full-scan helpers
-//!   (`active_users`, `active_groups`, `group_map`) — `groups_of_user` is
-//!   the delta-friendly form. Full builders (the non-delta `generate`
-//!   path) may scan; they are not reachable from `delta_refresh`.
+//!   `Pred::True` selects, and no call that reaches one. The fragments are
+//!   the only renderers — a from-scratch `generate` is the same fragments
+//!   over `full_rebuild_rows` — so nothing in a generator may scan.
 //!
 //! The pass runs on the call-graph engine's `Scans` summaries: a fragment
 //! that reaches a whole-table enumeration through any chain of helpers —
@@ -32,9 +31,6 @@ pub const NAME: &str = "delta-scan";
 
 const GENERATORS_DIR: &str = "crates/dcm/src/generators/";
 const INCREMENTAL: &str = "crates/dcm/src/generators/incremental.rs";
-
-/// Whole-table helper functions a delta fragment must never call.
-const FULL_SCAN_HELPERS: &[&str] = &["active_users", "active_groups", "group_map"];
 
 pub fn run(ws: &Workspace, eng: &Engine<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
@@ -234,7 +230,7 @@ fn check_generator(sf: &SourceFile, eng: &Engine<'_>, fi: usize, out: &mut Vec<D
 
 /// One delta fragment: its own body must be scan-free token-exactly, and
 /// every call out of it must not transitively reach a whole-table
-/// enumeration or one of the full-scan helpers.
+/// enumeration.
 fn check_fragment(
     sf: &SourceFile,
     eng: &Engine<'_>,
@@ -268,33 +264,14 @@ fn check_fragment(
             ));
         }
     }
-    for fc in scan::free_calls(body) {
-        if FULL_SCAN_HELPERS.contains(&fc.name) {
-            out.push(Diagnostic::new(
-                NAME,
-                sf.rel.clone(),
-                fc.line,
-                format!(
-                    "delta fragment `{frag}` calls full-scan helper `{}` — use the \
-                     per-entity forms (e.g. groups_of_user)",
-                    fc.name
-                ),
-            ));
-        }
-    }
     // Transitive walk: calls whose callee summary scans, at any depth, in
-    // any file. (Direct sites in the fragment's own body, and direct
-    // calls to the full-scan helpers, are caught token-exactly above —
-    // the helpers' bodies also carry `Scans`, so reaching one through an
-    // intermediate function lands here with the full chain.)
+    // any file. (Direct sites in the fragment's own body are caught
+    // token-exactly above.)
     for c in eng.calls(id) {
         if c.marked {
             continue;
         }
         for &t in &c.targets {
-            if FULL_SCAN_HELPERS.contains(&eng.fns[t].func.name.as_str()) && !c.method {
-                continue; // the direct free-call check above already fired
-            }
             if !eng.effects(t).has(Effect::Scans) {
                 continue;
             }

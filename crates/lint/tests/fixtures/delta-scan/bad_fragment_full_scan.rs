@@ -1,7 +1,7 @@
 //@ file: crates/dcm/src/generators/mail.rs
 // The Section literal names frag_bad as a delta fragment, and frag_bad
-// full-scans: iterates a table, selects with Pred::True, and calls the
-// whole-table helper active_users.
+// full-scans: iterates a table directly, iterates one through a local
+// binding, and selects with Pred::True.
 
 fn delta_plan(&self) -> DeltaPlan {
     DeltaPlan {
@@ -20,6 +20,7 @@ fn frag_bad(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
         let _ = r;
     }
     let all = state.db.select("users", &Pred::True);
-    let actives = active_users(state);
-    Some((LineKey::Row(row), format!("{}:{}", all.len(), actives.len())))
+    let lists = state.db.table("list");
+    let actives = lists.iter().count();
+    Some((LineKey::Row(row), format!("{}:{}", all.len(), actives)))
 }

@@ -1,18 +1,22 @@
 //! The obs `Clock` seam under simulation: stage spans recorded inside a
 //! deployment measure *virtual* seconds, not wall-clock nanoseconds.
 
-use moira_common::errors::MrResult;
 use moira_common::VClock;
+use moira_core::queries::testutil::add_test_user;
 use moira_core::state::MoiraState;
-use moira_dcm::generators::{incremental, Generator};
-use moira_dcm::Archive;
+use moira_db::RowId;
+use moira_dcm::generators::incremental::{self, DeltaPlan, LineKey, Section, SectionKind};
+use moira_dcm::generators::Generator;
 use moira_sim::deployment::Deployment;
 use moira_sim::population::PopulationSpec;
 
-/// A generator that burns seven simulated seconds building its archive —
-/// the stand-in for an expensive extraction pass.
-struct SlowGenerator {
-    clock: VClock,
+/// A generator whose one fragment burns seven simulated seconds — the
+/// stand-in for an expensive extraction pass.
+struct SlowGenerator;
+
+fn frag_slow(state: &MoiraState, _row: RowId) -> Option<(LineKey, String)> {
+    state.db.clock().advance(7);
+    Some(((0, String::new()), "slow\n".to_owned()))
 }
 
 impl Generator for SlowGenerator {
@@ -24,24 +28,28 @@ impl Generator for SlowGenerator {
         &["users"]
     }
 
-    fn generate(&self, _state: &MoiraState, _value3: &str) -> MrResult<Archive> {
-        self.clock.advance(7);
-        let mut a = Archive::new();
-        a.add("slow.db", b"slow\n".to_vec())?;
-        Ok(a)
+    fn delta_plan(&self) -> DeltaPlan {
+        DeltaPlan {
+            sections: vec![Section {
+                file: "slow.db",
+                driver: "users",
+                lookups: &[],
+                kind: SectionKind::Lines(frag_slow),
+                affected: None,
+            }],
+        }
     }
 }
 
 #[test]
 fn stage_spans_report_simulated_durations() {
     let clock = VClock::new();
-    let state = MoiraState::new(clock.clone());
+    let mut state = MoiraState::new(clock.clone());
     state.obs.set_virtual_clock(clock.clone());
+    // One users row: one fragment render, one seven-second burn.
+    add_test_user(&mut state, "slowpoke", 7007);
 
-    let generator = SlowGenerator {
-        clock: clock.clone(),
-    };
-    let refreshed = incremental::refresh(&generator, &state, None).unwrap();
+    let refreshed = incremental::refresh(&SlowGenerator, &state, None).unwrap();
     assert!(refreshed.full, "no cache: the rebuild path runs");
 
     let snap = state.obs.snapshot();
