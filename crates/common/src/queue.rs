@@ -1,7 +1,10 @@
 //! The simple queue abstraction from the Moira application library (§5.6.3).
 //!
-//! A growable ring-buffer FIFO. The DCM uses it to order host updates and
-//! the server loop uses it for pending replies.
+//! A growable ring-buffer FIFO, kept as part of the reproduced library
+//! surface: nothing in the workspace queues through it today (the DCM
+//! orders host updates by todo index, the server loop's pending replies
+//! live in each channel's outbox); its only caller is the model-based
+//! property test in `tests/prop.rs`.
 
 /// A FIFO queue over a growable ring buffer.
 #[derive(Debug, Clone)]

@@ -735,17 +735,6 @@ pub(crate) fn user_row_and_id(state: &MoiraState, login: &str) -> MrResult<(RowI
     Ok((row, state.db.cell("users", row, "users_id").as_int()))
 }
 
-/// Used by `register_user` test and the userreg server: has this uid a
-/// registerable record?
-pub fn find_registerable_by_name(state: &MoiraState, first: &str, last: &str) -> Option<RowId> {
-    state
-        .db
-        .table("users")
-        .select(&Pred::Eq("first", first.into()).and(Pred::Eq("last", last.into())))
-        .into_iter()
-        .next()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

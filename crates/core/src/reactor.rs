@@ -12,16 +12,20 @@
 //! - **Level-triggered.** A key stays ready until its condition is
 //!   drained, so a pass that leaves bytes behind (frame still partial,
 //!   outbox still full) is re-woken on the next wait without bookkeeping.
-//! - **Degradation, not failure.** If the OS selector cannot be opened
-//!   (non-Unix builds) or an fd cannot be registered, the reactor reports
-//!   it and the server falls back to scanning those connections each
-//!   pass with a clamped wait — slower, never wrong.
+//! - **Refusal, not degradation.** Readiness events are the only way a
+//!   source is ever served, so there is no second path to fall back to: a
+//!   server whose selector cannot be opened does not start
+//!   ([`Reactor::new`] panics, once, at construction), and a source whose
+//!   fd the selector refuses gets its error back from
+//!   [`Reactor::register`] — the server drops that connection, or fails
+//!   that `listen_tcp`, instead of carrying it unwatched.
 //!
 //! The reactor wait is the loop's only blocking point, and it blocks with
 //! a timeout while holding **no** locks; `moira-lint`'s
 //! reactor-discipline pass enforces that no `SharedState` guard is live
 //! across it.
 
+use std::io;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -49,38 +53,35 @@ pub(crate) struct ReadySet {
 /// a timer.
 #[derive(Clone)]
 pub struct Waker {
-    poller: Option<Arc<Poller>>,
+    poller: Arc<Poller>,
 }
 
 impl Waker {
-    /// Interrupts the current (or next) reactor wait. A no-op without an
-    /// OS selector — there the loop already ticks on a clamped timeout.
+    /// Interrupts the current (or next) reactor wait.
     pub fn wake(&self) {
-        if let Some(p) = &self.poller {
-            let _ = p.notify();
-        }
+        let _ = self.poller.notify();
     }
 }
 
 /// The server loop's event source.
 pub(crate) struct Reactor {
-    poller: Option<Arc<Poller>>,
+    poller: Arc<Poller>,
     events: Events,
 }
 
 impl Reactor {
-    /// Opens the OS selector; degrades to selector-less (scan) mode if
-    /// the platform has none.
+    /// Opens the OS selector.
+    ///
+    /// # Panics
+    /// When the selector cannot be opened (fd exhaustion at start-up): a
+    /// server that cannot observe readiness cannot serve anyone, and
+    /// `MoiraServer::new` has no error to return it through.
     pub fn new() -> Reactor {
+        let poller = Poller::new().expect("open the OS readiness selector");
         Reactor {
-            poller: Poller::new().ok().map(Arc::new),
+            poller: Arc::new(poller),
             events: Events::new(),
         }
-    }
-
-    /// True when an OS selector is available and registrations can work.
-    pub fn has_poller(&self) -> bool {
-        self.poller.is_some()
     }
 
     /// A handle that can interrupt this reactor's wait from other threads.
@@ -90,57 +91,36 @@ impl Reactor {
         }
     }
 
-    /// Registers `fd` under `key`. Returns false when the fd could not be
-    /// registered — the caller must then scan that source itself.
-    pub fn register(&self, fd: polling::RawFd, key: usize, read: bool, write: bool) -> bool {
-        match &self.poller {
-            Some(p) => p
-                .add(
-                    fd,
-                    Event {
-                        key,
-                        readable: read,
-                        writable: write,
-                    },
-                )
-                .is_ok(),
-            None => false,
-        }
+    /// Registers `fd` under `key` with read interest — every source starts
+    /// out unpaused with an empty outbox. An error (closed fd, a file type
+    /// the selector rejects, registration table full) means the source
+    /// will never be seen: the caller must refuse it.
+    pub fn register(&self, fd: polling::RawFd, key: usize) -> io::Result<()> {
+        self.poller.add(fd, Event::readable(key))
     }
 
     /// Replaces the interest of a registered fd (backpressure pause and
     /// resume, write-interest toggling).
     pub fn update(&self, fd: polling::RawFd, key: usize, read: bool, write: bool) {
-        if let Some(p) = &self.poller {
-            let _ = p.modify(
-                fd,
-                Event {
-                    key,
-                    readable: read,
-                    writable: write,
-                },
-            );
-        }
+        let interest = Event {
+            key,
+            readable: read,
+            writable: write,
+        };
+        let _ = self.poller.modify(fd, interest);
     }
 
     /// Removes a registered fd (connection teardown).
     pub fn deregister(&self, fd: polling::RawFd) {
-        if let Some(p) = &self.poller {
-            let _ = p.delete(fd);
-        }
+        let _ = self.poller.delete(fd);
     }
 
     /// Blocks until something is ready, the timeout lapses, or a [`Waker`]
-    /// fires; returns the observed readiness. Without an OS selector this
-    /// returns an empty set immediately and the caller scans instead
-    /// (sleeping for pacing is the caller's choice, made *after* it knows
-    /// whether the scan produced work).
+    /// fires; returns the observed readiness (empty when the wait itself
+    /// failed — the next pass waits again).
     pub fn wait(&mut self, timeout: Option<Duration>) -> ReadySet {
         let mut ready = ReadySet::default();
-        let Some(poller) = &self.poller else {
-            return ready;
-        };
-        if poller.wait(&mut self.events, timeout).is_err() {
+        if self.poller.wait(&mut self.events, timeout).is_err() {
             return ready;
         }
         for ev in self.events.iter() {
@@ -156,5 +136,18 @@ impl Reactor {
             }
         }
         ready
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn register_hands_back_the_selectors_refusal() {
+        // Both callers — `attach` and `listen_tcp` — turn this error into
+        // a refusal; neither keeps an unwatched source.
+        let reactor = Reactor::new();
+        assert!(reactor.register(-1, 0).is_err());
     }
 }

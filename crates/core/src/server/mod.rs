@@ -45,13 +45,14 @@ mod tiers;
 use std::collections::HashMap;
 use std::io;
 use std::net::TcpListener;
+use std::os::unix::io::AsRawFd;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use moira_krb::ticket::Verifier;
 use moira_protocol::transport::Channel;
 
-use self::collect::SCAN_TICK;
+use self::collect::RESUME_TICK;
 use self::tiers::Tiers;
 use crate::reactor::{Reactor, Waker, LISTENER_KEY};
 use crate::registry::Registry;
@@ -89,11 +90,9 @@ struct Connection {
     /// Stable reactor registration key (connection indexes shift on
     /// removal; keys never do).
     key: usize,
-    /// The channel's readiness fd, if it has one.
-    fd: Option<polling::RawFd>,
-    /// True once `fd` is registered with the reactor; unregistered
-    /// connections are scanned every pass instead.
-    registered: bool,
+    /// The channel's readiness fd, registered with the reactor under
+    /// `key` for as long as the connection lives.
+    fd: polling::RawFd,
     /// Read interest as the reactor currently knows it.
     reg_read: bool,
     /// Write interest as the reactor currently knows it.
@@ -131,8 +130,6 @@ pub struct MoiraServer {
     key_map: HashMap<usize, usize>,
     /// Next connection registration key.
     next_key: usize,
-    /// True once the TCP listener's fd is registered with the reactor.
-    listener_registered: bool,
     /// Per-connection outbox cap override applied at attach time.
     write_cap: Option<usize>,
     /// Live connections right now.
@@ -141,6 +138,8 @@ pub struct MoiraServer {
     obs_conn_accepted: moira_obs::Counter,
     /// Connections torn down over the server's lifetime.
     obs_conn_closed: moira_obs::Counter,
+    /// Channels refused at attach because the reactor rejected their fd.
+    obs_conn_register_failed: moira_obs::Counter,
     /// Pause transitions: times a connection's outbox crossed its cap and
     /// read interest was withdrawn.
     obs_backpressure: moira_obs::Counter,
@@ -164,12 +163,12 @@ impl MoiraServer {
             obs_conn_open: obs.gauge("server.connections.open"),
             obs_conn_accepted: obs.counter("server.connections.accepted"),
             obs_conn_closed: obs.counter("server.connections.closed"),
+            obs_conn_register_failed: obs.counter("server.connections.register_failed"),
             obs_backpressure: obs.counter("server.backpressure.engaged"),
             tiers,
             reactor: Reactor::new(),
             key_map: HashMap::new(),
             next_key: 0,
-            listener_registered: false,
             write_cap: None,
             connections: Vec::new(),
             sessions: Vec::new(),
@@ -226,9 +225,19 @@ impl MoiraServer {
         (self.tiers.reads_dispatched, self.tiers.writes_dispatched)
     }
 
-    /// Attaches an already-connected channel (the in-process transport),
-    /// registering its readiness fd with the reactor when it has one.
+    /// Attaches an already-connected channel (the in-process transport, or
+    /// a freshly accepted socket), registering its readiness fd with the
+    /// reactor. A channel whose fd the reactor refuses could never be
+    /// served, so it is dropped here — the peer sees a close — and counted
+    /// in `server.connections.register_failed`.
     pub fn attach(&mut self, mut chan: Box<dyn Channel>, host: &str, port: u16) {
+        let key = self.next_key;
+        let fd = chan.raw_fd();
+        if self.reactor.register(fd, key).is_err() {
+            self.obs_conn_register_failed.inc();
+            return;
+        }
+        self.next_key += 1;
         let mut state = self.tiers.state.write();
         let client_number = state.next_client_number();
         let connect_time = state.now();
@@ -243,17 +252,12 @@ impl MoiraServer {
         if let Some(cap) = self.write_cap {
             chan.set_write_cap(cap);
         }
-        let key = self.next_key;
-        self.next_key += 1;
-        let fd = chan.raw_fd();
-        let registered = fd.is_some_and(|fd| self.reactor.register(fd, key, true, false));
         self.key_map.insert(key, self.connections.len());
         self.sessions.push(Session::new(client_number));
         self.connections.push(Connection {
             chan,
             key,
             fd,
-            registered,
             reg_read: true,
             reg_write: false,
             paused: false,
@@ -263,18 +267,13 @@ impl MoiraServer {
     }
 
     /// Starts listening on a TCP address (pass port 0 for an ephemeral
-    /// port); returns the bound address.
+    /// port); returns the bound address, or the error that kept the
+    /// listener from binding or from registering with the reactor.
     pub fn listen_tcp(&mut self, addr: &str) -> io::Result<std::net::SocketAddr> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let bound = listener.local_addr()?;
-        #[cfg(unix)]
-        {
-            use std::os::unix::io::AsRawFd;
-            self.listener_registered =
-                self.reactor
-                    .register(listener.as_raw_fd(), LISTENER_KEY, true, false);
-        }
+        self.reactor.register(listener.as_raw_fd(), LISTENER_KEY)?;
         self.listener = Some(listener);
         Ok(bound)
     }
@@ -325,15 +324,14 @@ impl MoiraServer {
     /// tear down dead connections. Returns how many requests were
     /// received.
     pub fn poll_with_timeout(&mut self, timeout: Option<Duration>) -> usize {
-        let scan_mode = self.scan_mode();
-        let bound = self.wait_bound(timeout, scan_mode);
+        let bound = self.wait_bound(timeout);
         // The loop's single blocking point. No state guard is held here —
         // moira-lint's reactor-discipline pass enforces that.
         let ready = self.reactor.wait(bound);
         let ready_at = Instant::now();
 
         let mut pass = Pass::default();
-        let frames = self.collect(&ready, scan_mode, &mut pass);
+        let frames = self.collect(&ready, &mut pass);
         let received = frames.len();
 
         let (mut tasks, shed) =
@@ -348,27 +346,16 @@ impl MoiraServer {
         self.send_replies(tasks, &mut pass);
         self.resync(&mut pass);
         self.teardown(pass.dead);
-
-        // Selector-less pacing: with no OS wait to block in, an empty scan
-        // honors the caller's timeout with a bounded sleep instead of
-        // spinning.
-        if !self.reactor.has_poller() && received == 0 {
-            if let Some(t) = timeout.filter(|t| !t.is_zero()) {
-                // No OS wait exists on this degraded path; a bounded pace
-                // beats spinning. lint:allow(reactor-discipline)
-                std::thread::sleep(t.min(SCAN_TICK));
-            }
-        }
         received
     }
 
     /// Polls until `idle_rounds` consecutive passes process nothing. Idle
-    /// passes block in the reactor wait (clamped to [`SCAN_TICK`]) rather
+    /// passes block in the reactor wait (clamped to [`RESUME_TICK`]) rather
     /// than spinning.
     pub fn run_until_idle(&mut self, idle_rounds: usize) {
         let mut idle = 0;
         while idle < idle_rounds {
-            if self.poll_with_timeout(Some(SCAN_TICK)) == 0 {
+            if self.poll_with_timeout(Some(RESUME_TICK)) == 0 {
                 idle += 1;
             } else {
                 idle = 0;
@@ -986,6 +973,60 @@ mod tests {
         }
         assert_eq!(got, 50, "backlog fully answered after resume");
         assert_eq!(server.connection_queued_bytes()[0], 0);
+    }
+
+    /// An in-process channel reporting an fd no selector will take.
+    struct BadFd(moira_protocol::transport::InProcChannel);
+
+    impl Channel for BadFd {
+        fn send(&mut self, frame: bytes::Bytes) -> io::Result<()> {
+            self.0.send(frame)
+        }
+        fn try_recv(&mut self) -> io::Result<Option<bytes::Bytes>> {
+            self.0.try_recv()
+        }
+        fn is_closed(&self) -> bool {
+            self.0.is_closed()
+        }
+        fn raw_fd(&self) -> polling::RawFd {
+            -1
+        }
+        fn flush(&mut self) -> io::Result<bool> {
+            self.0.flush()
+        }
+        fn queued_bytes(&self) -> usize {
+            self.0.queued_bytes()
+        }
+        fn write_cap(&self) -> usize {
+            self.0.write_cap()
+        }
+        fn set_write_cap(&mut self, cap: usize) {
+            self.0.set_write_cap(cap)
+        }
+    }
+
+    #[test]
+    fn attach_refuses_a_channel_the_reactor_cannot_watch() {
+        // A connection the reactor cannot register would never be read:
+        // it is dropped at attach and counted, and the pass that follows
+        // serves everyone else as usual.
+        let (mut server, mut good) = setup();
+        good.send(Request::new(MajorRequest::Noop, &[]).encode())
+            .unwrap();
+        let (mut refused, server_end) = pair();
+        server.attach(Box::new(BadFd(server_end)), "local", 0);
+
+        assert_eq!(server.connection_count(), 1, "only setup's connection");
+        assert_eq!(server.state().read().clients.len(), 1, "no client row");
+        let snap = server.obs().snapshot();
+        assert_eq!(snap.counter("server.connections.register_failed"), 1);
+        assert_eq!(snap.counter("server.connections.accepted"), 1);
+        assert_eq!(snap.gauge("server.connections.open"), 1);
+        assert!(refused.try_recv().is_err(), "the refused peer sees a close");
+
+        server.run_until_idle(2);
+        let reply = Reply::decode(recv_blocking(&mut good, 100).unwrap()).unwrap();
+        assert_eq!(reply.code, 0, "the bystander was answered");
     }
 
     #[test]

@@ -72,10 +72,9 @@ impl MoiraServer {
         }
         let want_read = !conn.paused;
         let want_write = !flushed_clean;
-        if conn.registered && (want_read != conn.reg_read || want_write != conn.reg_write) {
-            if let Some(fd) = conn.fd {
-                self.reactor.update(fd, conn.key, want_read, want_write);
-            }
+        if want_read != conn.reg_read || want_write != conn.reg_write {
+            self.reactor
+                .update(conn.fd, conn.key, want_read, want_write);
             conn.reg_read = want_read;
             conn.reg_write = want_write;
         }
@@ -92,9 +91,7 @@ impl MoiraServer {
         let dead: HashSet<usize> = dead.into_iter().collect();
         let mut gone: HashSet<u64> = HashSet::with_capacity(dead.len());
         remove_at(&mut self.connections, &dead, |conn| {
-            if let (true, Some(fd)) = (conn.registered, conn.fd) {
-                self.reactor.deregister(fd);
-            }
+            self.reactor.deregister(conn.fd)
         });
         remove_at(&mut self.sessions, &dead, |session| {
             gone.insert(session.client_number);

@@ -7,8 +7,8 @@
 //! only known cure \[for binary corruption\] is to dump the entire database
 //! to text files, and recreate it from scratch from the text files".
 //!
-//! `nightly` reproduces the `nightly.sh` rotation that keeps the last three
-//! backups on line.
+//! [`MediaRotation`] reproduces the `nightly.sh` rotation that keeps the last
+//! three backups on line.
 
 use std::collections::BTreeMap;
 
@@ -76,13 +76,46 @@ pub fn unescape_field(s: &str) -> MrResult<String> {
     String::from_utf8(out).map_err(|_| MrError::Internal)
 }
 
+/// Appends one row in the dump format — every value rendered, escaped and
+/// colon-separated, no newline. The one row encoding: a table dump line
+/// and a snapshot `row:` line both end in it.
+pub(crate) fn encode_row(out: &mut String, row: &[Value]) {
+    for (i, v) in row.iter().enumerate() {
+        if i > 0 {
+            out.push(':');
+        }
+        out.push_str(&escape_field(&v.render()));
+    }
+}
+
+/// Reverses [`encode_row`] on fields already split at their unescaped
+/// colons: one field per column, each unescaped and parsed as its column's
+/// type. Any mismatch is [`MrError::Internal`].
+pub(crate) fn decode_row<S: AsRef<str>>(raw: &[S], types: &[ColType]) -> MrResult<Vec<Value>> {
+    if raw.len() != types.len() {
+        return Err(MrError::Internal);
+    }
+    raw.iter()
+        .zip(types)
+        .map(|(field, &ty)| {
+            let text = unescape_field(field.as_ref())?;
+            Value::parse(ty, &text).ok_or(MrError::Internal)
+        })
+        .collect()
+}
+
+/// A table's column types, in schema order — what [`decode_row`] parses
+/// against.
+pub(crate) fn column_types(db: &Database, table: &str) -> Vec<ColType> {
+    let columns = &db.table(table).schema().columns;
+    columns.iter().map(|c| c.ty).collect()
+}
+
 /// Dumps one table to its ASCII representation.
 pub fn dump_table(db: &Database, table: &str) -> String {
-    let t = db.table(table);
     let mut out = String::new();
-    for (_, row) in t.iter() {
-        let line: Vec<String> = row.iter().map(|v| escape_field(&v.render())).collect();
-        out.push_str(&line.join(":"));
+    for (_, row) in db.table(table).iter() {
+        encode_row(&mut out, row);
         out.push('\n');
     }
     out
@@ -109,27 +142,10 @@ pub fn restore_table(db: &mut Database, table: &str, dump: &str) -> MrResult<usi
     if !db.table(table).is_empty() {
         return Err(MrError::Exists);
     }
-    let types: Vec<ColType> = db
-        .table(table)
-        .schema()
-        .columns
-        .iter()
-        .map(|c| c.ty)
-        .collect();
+    let types = column_types(db, table);
     let mut count = 0;
-    for line in dump.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        let raw_fields = split_unescaped_colons(line);
-        if raw_fields.len() != types.len() {
-            return Err(MrError::Internal);
-        }
-        let mut row = Vec::with_capacity(types.len());
-        for (raw, &ty) in raw_fields.iter().zip(&types) {
-            let text = unescape_field(raw)?;
-            row.push(Value::parse(ty, &text).ok_or(MrError::Internal)?);
-        }
+    for line in dump.lines().filter(|l| !l.is_empty()) {
+        let row = decode_row(&split_unescaped_colons(line), &types)?;
         db.append(table, row)?;
         count += 1;
     }
@@ -167,31 +183,6 @@ pub(crate) fn split_unescaped_colons(line: &str) -> Vec<&str> {
     }
     fields.push(&line[start..]);
     fields
-}
-
-/// A three-generation rotation of on-line backups, as `nightly.sh` kept.
-#[derive(Debug, Default)]
-pub struct NightlyRotation {
-    generations: Vec<BTreeMap<String, String>>,
-}
-
-impl NightlyRotation {
-    /// Creates an empty rotation.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Takes a backup of `db` and rotates it in, discarding the oldest when
-    /// more than three are held.
-    pub fn run_nightly(&mut self, db: &Database) {
-        self.generations.insert(0, mrbackup(db));
-        self.generations.truncate(3);
-    }
-
-    /// Backup generations, newest first.
-    pub fn generations(&self) -> &[BTreeMap<String, String>] {
-        &self.generations
-    }
 }
 
 /// One-file encoding of a full backup, suitable for atomic replacement on
@@ -399,24 +390,6 @@ mod tests {
             restore_table(&mut db, "users", "only:two\n"),
             Err(MrError::Internal)
         );
-    }
-
-    #[test]
-    fn nightly_keeps_three() {
-        let mut db = sample_db();
-        let mut rot = NightlyRotation::new();
-        for i in 0..5 {
-            db.append(
-                "users",
-                vec![format!("u{i}").into(), i.into(), true.into(), "U".into()],
-            )
-            .unwrap();
-            rot.run_nightly(&db);
-        }
-        assert_eq!(rot.generations().len(), 3);
-        // Newest generation has all five users; oldest kept has three.
-        assert_eq!(rot.generations()[0]["users"].lines().count(), 5);
-        assert_eq!(rot.generations()[2]["users"].lines().count(), 3);
     }
 
     #[test]

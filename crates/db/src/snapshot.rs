@@ -15,11 +15,10 @@
 
 use moira_common::errors::{MrError, MrResult};
 
-use crate::backup::{escape_field, split_unescaped_colons, unescape_field};
+use crate::backup::{column_types, decode_row, encode_row, split_unescaped_colons};
 use crate::database::Database;
 use crate::journal::{Journal, JournalEntry};
 use crate::table::{RowId, TableImage, TableStats};
-use crate::value::{ColType, Value};
 
 /// Magic first line; the `:1` is the format version.
 const MAGIC: &str = "moira-snapshot:1";
@@ -65,11 +64,8 @@ pub fn encode_snapshot(db: &Database, journal: &Journal, seq: u64) -> String {
             s.appends, s.updates, s.deletes, s.modtime, s.generation
         ));
         for (id, gen, row) in &image.rows {
-            out.push_str(&format!("row:{id}:{gen}"));
-            for v in row {
-                out.push(':');
-                out.push_str(&escape_field(&v.render()));
-            }
+            out.push_str(&format!("row:{id}:{gen}:"));
+            encode_row(&mut out, row);
             out.push('\n');
         }
         for (id, gen) in &image.dead {
@@ -150,10 +146,7 @@ pub fn decode_snapshot(text: &str) -> MrResult<SnapshotImage> {
                 }
                 let id = parse_u64(fields[0])? as RowId;
                 let gen = parse_u64(fields[1])?;
-                let values = fields[2..]
-                    .iter()
-                    .map(|f| unescape_field(f).map_err(|_| MrError::Durability))
-                    .collect::<MrResult<Vec<String>>>()?;
+                let values = fields[2..].iter().map(|f| (*f).to_owned()).collect();
                 t.1.rows.push((id, gen, values));
             }
             "dead" => {
@@ -198,28 +191,18 @@ pub fn decode_snapshot(text: &str) -> MrResult<SnapshotImage> {
 impl SnapshotImage {
     /// Applies the image to a database whose schema has already been
     /// created (and whose epoch the caller set via [`Database::recovered`]).
-    /// Every table named in the snapshot must exist and be pristine.
+    /// Every table named in the snapshot must exist and be pristine, and
+    /// every row must decode against its table's column types — the rows
+    /// stay escaped text until here, where the types are known.
     pub fn apply(&self, db: &mut Database) -> MrResult<()> {
         for (name, raw) in &self.tables {
             if !db.has_table(name) {
                 return Err(MrError::Durability);
             }
-            let types: Vec<ColType> = db
-                .table(name)
-                .schema()
-                .columns
-                .iter()
-                .map(|c| c.ty)
-                .collect();
+            let types = column_types(db, name);
             let mut rows = Vec::with_capacity(raw.rows.len());
             for (id, gen, fields) in &raw.rows {
-                if fields.len() != types.len() {
-                    return Err(MrError::Durability);
-                }
-                let mut values = Vec::with_capacity(types.len());
-                for (text, &ty) in fields.iter().zip(&types) {
-                    values.push(Value::parse(ty, text).ok_or(MrError::Durability)?);
-                }
+                let values = decode_row(fields, &types).map_err(|_| MrError::Durability)?;
                 rows.push((*id, *gen, values));
             }
             let image = TableImage {

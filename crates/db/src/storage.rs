@@ -178,8 +178,6 @@ struct SimState {
     armed: Option<(OpKind, u64)>,
     /// After a crash fires every op fails until [`SimMedia::power_cycle`].
     dead: bool,
-    /// How many crash points have fired over this media's lifetime.
-    crashes: u64,
 }
 
 impl SimState {
@@ -190,7 +188,6 @@ impl SimState {
                 if *n == 0 {
                     self.armed = None;
                     self.dead = true;
-                    self.crashes += 1;
                     true
                 } else {
                     *n -= 1;
@@ -240,11 +237,6 @@ impl SimMedia {
     /// until the next [`SimMedia::power_cycle`]).
     pub fn crashed(&self) -> bool {
         self.state.lock().dead
-    }
-
-    /// Number of crash points that have fired.
-    pub fn crash_count(&self) -> u64 {
-        self.state.lock().crashes
     }
 
     /// The durable contents of a file — what a post-crash reboot reads.
@@ -574,11 +566,6 @@ impl DurableEngine {
             .counter("db.wal.torn_tail_truncations")
             .add(self.scan.torn_tail_truncations);
         self.obs = Some(obs);
-    }
-
-    /// What the opening WAL scan found.
-    pub fn scan_stats(&self) -> WalScan {
-        self.scan
     }
 
     fn fsync_wal(&mut self) -> MrResult<()> {

@@ -8,101 +8,42 @@
 //! flags, soft/hard error bookkeeping, and Zephyr/mail notification follow
 //! the paper.
 //!
-//! The host scan is one plan at every scale: update legs execute on a
-//! bounded worker pool (`fanout_width`), and a [`RackTopology`] splits each
-//! cycle into an *origin* wave (rack relays and direct hosts) followed by a
-//! *leaf* wave gated on each rack's relay — see [`crate::relay`]. Each leg
-//! is three phases: *prepare* (locks, DB writes, archive, credentials —
-//! serial), *transfer* (network only — on the pool), *record* (stats,
-//! cursor, retry ledger, DB — serial, in todo order). The paper's ~20-host
+//! [`Dcm::run_once`] is the stage sequence, one file per stage: `scan`
+//! (the `servers` scan with generation, the `serverhosts` scan), then per
+//! wave of hosts `prepare` (locks, DB writes, archive, credentials —
+//! serial), `transfer` (network only — on a bounded worker pool of
+//! `fanout_width`), `record` (stats, cursor, retry ledger, DB — serial, in
+//! todo order). A [`RackTopology`] splits a service's hosts into an
+//! *origin* wave (rack relays and direct hosts) followed by a *leaf* wave
+//! gated on each rack's relay — see [`crate::relay`]. The paper's ~20-host
 //! scan is the degenerate instance: width 1, no racks, so one origin wave
 //! whose pool is the DCM thread itself.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+mod prepare;
+mod record;
+mod scan;
+mod transfer;
+
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use moira_common::errors::MrResult;
 use moira_core::registry::Registry;
-use moira_core::state::{Caller, MoiraState, SharedState};
+use moira_core::state::SharedState;
 use moira_db::lock::LockMode;
-use moira_db::Pred;
 use parking_lot::Mutex;
 
+use self::prepare::Prepared;
+pub use self::record::{DcmReport, DcmStats, Notice};
+use self::scan::{HostTodo, ServiceInfo};
 use crate::archive::Archive;
-use crate::generators::incremental::{self, CachedBuild};
+use crate::generators::incremental::CachedBuild;
 use crate::generators::Generator;
 use crate::host::SimHost;
 use crate::net::{Network, PerfectNetwork};
-use crate::relay::{CursorStore, RackTopology};
-use crate::retry::{RetryBook, RetryPolicy, SoftOutcome};
-use crate::update::{
-    run_update_instrumented, Script, TransferStats, UpdateCredentials, UpdateError,
-};
-
-/// A notification emitted on hard failures — "a zephyr message is sent to
-/// class MOIRA instance DCM", and for host failures "a zephyrgram and mail
-/// are sent about it".
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Notice {
-    /// `"zephyr"` or `"mail"`.
-    pub kind: &'static str,
-    /// Zephyr class / mail recipient.
-    pub target: String,
-    /// Zephyr instance (empty for mail).
-    pub instance: String,
-    /// Message body.
-    pub message: String,
-}
-
-/// Counters across the DCM's lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DcmStats {
-    /// run_once invocations that actually scanned.
-    pub scans: u64,
-    /// Services whose files were (re)generated.
-    pub generations: u64,
-    /// Generation attempts suppressed by `MR_NO_CHANGE`.
-    pub no_changes: u64,
-    /// Refreshes that took the full-rebuild path (first run, lost data
-    /// files, or cursor invalidation — restore, replay).
-    pub full_rebuilds: u64,
-    /// Refreshes that replayed row deltas against a cached build.
-    pub delta_builds: u64,
-    /// Host updates attempted.
-    pub updates_attempted: u64,
-    /// Host updates confirmed successful.
-    pub updates_succeeded: u64,
-    /// Soft failures (retried later).
-    pub soft_failures: u64,
-    /// Hard failures (need operator reset).
-    pub hard_failures: u64,
-    /// Updates skipped because the backoff gate had not reopened (or the
-    /// per-pass retry budget was spent).
-    pub retries_deferred: u64,
-    /// Soft-failure streaks escalated to operator-visible hard errors.
-    pub escalations: u64,
-    /// Updates refused because another update of the host was in progress.
-    pub busy_conflicts: u64,
-    /// Leaf legs deferred because their rack's relay failed or was
-    /// unreachable — the rack retries next cycle; no streak is charged.
-    pub relay_deferrals: u64,
-}
-
-/// What one `run_once` did.
-#[derive(Debug, Clone, Default)]
-pub struct DcmReport {
-    /// DCM exited immediately (disable file or `dcm_enable` = 0).
-    pub disabled: bool,
-    /// Services whose data files were regenerated, with file count and
-    /// total bytes.
-    pub generated: Vec<(String, usize, usize)>,
-    /// Services skipped as unchanged.
-    pub unchanged: Vec<String>,
-    /// Per-host update outcomes: `(service, host, result)`.
-    pub updates: Vec<(String, String, Result<(), UpdateError>)>,
-}
+use crate::relay::{CursorStore, FanoutPlan, RackTopology};
+use crate::retry::{RetryBook, RetryPolicy};
+use crate::update::{TransferStats, UpdateError};
 
 /// The Data Control Manager.
 pub struct Dcm {
@@ -229,33 +170,10 @@ impl Dcm {
         self.kerberos = Some((kdc, client.to_owned(), key));
     }
 
-    /// Obtains fresh credentials for one host, if Kerberos is enabled.
-    fn credentials_for(&mut self, mach_name: &str) -> Option<UpdateCredentials> {
-        let (kdc, client, key) = self.kerberos.as_ref()?;
-        self.auth_nonce += 1;
-        let service = format!("rcmd.{mach_name}");
-        let (ticket, session) = kdc.srvtab_ticket(client, *key, &service).ok()?;
-        let authenticator = moira_krb::ticket::make_authenticator(
-            session,
-            client,
-            kdc.clock().now(),
-            self.auth_nonce,
-        );
-        Some(UpdateCredentials {
-            ticket,
-            authenticator,
-        })
-    }
-
     /// Registers a target host.
     pub fn add_host(&mut self, host: Arc<Mutex<SimHost>>) {
         let name = host.lock().name.clone();
         self.hosts.insert(name, host);
-    }
-
-    /// Registers an additional (non-standard) generator.
-    pub fn add_generator(&mut self, generator: Box<dyn Generator>) {
-        self.generators.insert(generator.service(), generator);
     }
 
     /// The prepared archive for a service, if generated.
@@ -268,26 +186,9 @@ impl Dcm {
         self.prepared.remove(service);
     }
 
-    fn caller() -> Caller {
-        // "It connects to the database and authenticates as root."
-        Caller::root("dcm")
-    }
-
-    fn exec(&self, state: &mut MoiraState, query: &str, args: &[String]) -> MrResult<()> {
-        self.registry.execute(state, &Self::caller(), query, args)?;
-        Ok(())
-    }
-
-    fn notify(&mut self, kind: &'static str, target: &str, instance: &str, message: String) {
-        self.notices.push(Notice {
-            kind,
-            target: target.to_owned(),
-            instance: instance.to_owned(),
-            message,
-        });
-    }
-
-    /// One DCM invocation (normally fired by cron).
+    /// One DCM invocation (normally fired by cron): the `servers` scan
+    /// with generation, then per service the `serverhosts` scan and its
+    /// waves of prepare → transfer → record.
     pub fn run_once(&mut self) -> DcmReport {
         let mut report = DcmReport::default();
         // "On startup, the DCM first checks for the existance of the
@@ -301,7 +202,7 @@ impl Dcm {
         let enabled = self.state.read().get_value("dcm_enable").unwrap_or(0);
         if enabled == 0 {
             report.disabled = true;
-            self.notify("zephyr", "MOIRA", "DCM", "dcm_enable is 0; exiting".into());
+            self.zephyr("dcm_enable is 0; exiting".into());
             return report;
         }
         self.stats.scans += 1;
@@ -321,159 +222,11 @@ impl Dcm {
         report
     }
 
-    /// Services that are enabled, have no hard errors, a non-zero interval,
-    /// and a generator module.
-    fn eligible_services(&self) -> Vec<ServiceInfo> {
-        let state = self.state.read();
-        let t = state.db.table("servers");
-        let mut out = Vec::new();
-        for (row, _) in t.iter() {
-            let name = t.cell(row, "name").as_str().to_owned();
-            let info = ServiceInfo {
-                interval_secs: t.cell(row, "update_int").as_int() * 60,
-                target: t.cell(row, "target_file").as_str().to_owned(),
-                script: t.cell(row, "script").as_str().to_owned(),
-                replicated: t.cell(row, "type").as_str() == "REPLICAT",
-                enabled: t.cell(row, "enable").as_bool(),
-                harderror: t.cell(row, "harderror").as_int(),
-                dfgen: t.cell(row, "dfgen").as_int(),
-                dfcheck: t.cell(row, "dfcheck").as_int(),
-                name,
-            };
-            if info.enabled
-                && info.harderror == 0
-                && info.interval_secs > 0
-                && self.generators.contains_key(info.name.as_str())
-            {
-                out.push(info);
-            }
-        }
-        out
-    }
-
-    fn generation_phase(&mut self, svc: &ServiceInfo, report: &mut DcmReport) {
-        let now = self.state.read().now();
-        // "it compares dfcheck and the update interval against the current
-        // time."
-        if now < svc.dfcheck + svc.interval_secs {
-            return;
-        }
-        // "it will obtain an exclusive lock on the service, set the
-        // inprogress flag, then run the generator."
-        {
-            let mut state = self.state.write();
-            if state
-                .locks
-                .acquire("dcm", &format!("svc:{}", svc.name), LockMode::Exclusive)
-                .is_err()
-            {
-                return;
-            }
-            let _ = self.exec(
-                &mut state,
-                "set_server_internal_flags",
-                &[
-                    svc.name.clone(),
-                    svc.dfgen.to_string(),
-                    svc.dfcheck.to_string(),
-                    "1".into(),
-                    "0".into(),
-                    String::new(),
-                ],
-            );
-        }
-        let generator = self.generators.get(svc.name.as_str()).expect("eligible");
-        // Refresh the cached build under one read guard: the cursor cut and
-        // the delta reads describe a single database version.
-        let prev = self.prepared.remove(&svc.name);
-        let result = {
-            let state = self.state.read();
-            incremental::refresh(generator.as_ref(), &state, prev)
-        };
-        let (dfgen, dfcheck, harderr, errmsg) = match result {
-            Ok(refresh) => {
-                let outcome = if refresh.changed {
-                    self.stats.generations += 1;
-                    if refresh.full {
-                        self.stats.full_rebuilds += 1;
-                    } else {
-                        self.stats.delta_builds += 1;
-                    }
-                    report.generated.push((
-                        svc.name.clone(),
-                        refresh.build.archive().len(),
-                        refresh.build.archive().payload_size(),
-                    ));
-                    (now, now, 0, String::new())
-                } else {
-                    self.stats.no_changes += 1;
-                    report.unchanged.push(svc.name.clone());
-                    // "If the generator exits indicating that nothing has
-                    // changed, only dfcheck is updated."
-                    (svc.dfgen, now, 0, String::new())
-                };
-                self.prepared.insert(svc.name.clone(), refresh.build);
-                outcome
-            }
-            Err(e) => {
-                self.notify(
-                    "zephyr",
-                    "MOIRA",
-                    "DCM",
-                    format!("{}: generator hard error: {}", svc.name, e),
-                );
-                (svc.dfgen, svc.dfcheck, e.code(), e.to_string())
-            }
-        };
-        let mut state = self.state.write();
-        let _ = self.exec(
-            &mut state,
-            "set_server_internal_flags",
-            &[
-                svc.name.clone(),
-                dfgen.to_string(),
-                dfcheck.to_string(),
-                "0".into(),
-                harderr.to_string(),
-                errmsg,
-            ],
-        );
-        state.locks.release("dcm", &format!("svc:{}", svc.name));
-    }
-
+    /// One service's host scan, under the service lock.
     fn host_phase(&mut self, svc: &ServiceInfo, report: &mut DcmReport) {
-        // Re-read dfgen: generation may just have happened.
-        let dfgen = {
-            let state = self.state.read();
-            state
-                .db
-                .table("servers")
-                .select_one(&Pred::Eq("name", svc.name.clone().into()))
-                .map(|row| state.db.cell("servers", row, "dfgen").as_int())
-                .unwrap_or(0)
+        let Some(dfgen) = self.pushable_generation(svc) else {
+            return;
         };
-        if !self.prepared.contains_key(&svc.name) {
-            if dfgen == 0 {
-                // Never generated; nothing to push.
-                return;
-            }
-            // Data files recorded as generated but missing (a Moira crash
-            // lost them): rebuild from the database rather than ever
-            // pushing an empty archive. "Crashes of the Moira machine will
-            // result in (at worst) delays in updates."
-            let generator = self.generators.get(svc.name.as_str()).expect("eligible");
-            let rebuilt = {
-                let state = self.state.read();
-                incremental::refresh(generator.as_ref(), &state, None)
-            };
-            match rebuilt {
-                Ok(refresh) => {
-                    self.stats.full_rebuilds += 1;
-                    self.prepared.insert(svc.name.clone(), refresh.build);
-                }
-                Err(_) => return,
-            }
-        }
         // "During the host scan, the DCM first locks the service … If the
         // service type is replicated … exclusively, otherwise … shared."
         let mode = if svc.replicated {
@@ -481,127 +234,46 @@ impl Dcm {
         } else {
             LockMode::Shared
         };
-        {
-            let mut state = self.state.write();
-            if state
-                .locks
-                .acquire("dcm", &format!("svc:{}", svc.name), mode)
-                .is_err()
-            {
-                return;
-            }
-        }
-        let todo = self.hosts_needing_update(&svc.name, dfgen);
-        // The shared archive, cloned once per cycle into an Arc every leg
-        // of the fan-out reads (a per-host service's legs cut theirs from
-        // it).
-        let shared = Arc::new(self.prepared[&svc.name].archive().clone());
-        self.fanout_phase(svc, dfgen, &todo, &shared, report);
-        let mut state = self.state.write();
-        state.locks.release("dcm", &format!("svc:{}", svc.name));
-    }
-
-    /// "If there is a hard failure and the service is replicated, then the
-    /// error code & message are also set in the service record so that no
-    /// more updates will be attempted."
-    fn mark_replicated_failed(&mut self, svc: &ServiceInfo, dfgen: i64, e: &UpdateError) {
-        let mut state = self.state.write();
-        let _ = self.exec(
-            &mut state,
-            "set_server_internal_flags",
-            &[
-                svc.name.clone(),
-                dfgen.to_string(),
-                dfgen.to_string(),
-                "0".into(),
-                e.code().to_string(),
-                e.message(),
-            ],
-        );
-    }
-
-    /// Hosts that are enabled, have no hard errors, have not been
-    /// successfully updated since the data files were generated (or have
-    /// override set), and whose retry backoff gate — if a soft-failure
-    /// streak is open — has reopened. `override` bypasses the gate: an
-    /// operator demanding an immediate push gets one.
-    fn hosts_needing_update(&mut self, service: &str, dfgen: i64) -> Vec<(String, i64, String)> {
-        let state = self.state.read();
-        let now = state.now();
-        let t = state.db.table("serverhosts");
-        let budget = self.retry.policy().per_run_budget;
-        let mut retries_scheduled = 0usize;
-        let mut out = Vec::new();
-        for row in t.select(&Pred::Eq("service", service.into())) {
-            let enabled = t.cell(row, "enable").as_bool();
-            let hosterror = t.cell(row, "hosterror").as_int();
-            let lts = t.cell(row, "lts").as_int();
-            let override_ = t.cell(row, "override").as_bool();
-            if !enabled || hosterror != 0 {
-                continue;
-            }
-            if lts >= dfgen && !override_ {
-                continue;
-            }
-            let mach_id = t.cell(row, "mach_id").as_int();
-            let name = state
-                .db
-                .table("machine")
-                .select_one(&Pred::Eq("mach_id", mach_id.into()))
-                .map(|r| state.db.cell("machine", r, "name").render())
-                .unwrap_or_default();
-            if !override_ && self.retry.is_retry(service, &name) {
-                if !self.retry.ready(service, &name, now) || retries_scheduled >= budget {
-                    self.stats.retries_deferred += 1;
-                    continue;
-                }
-                retries_scheduled += 1;
-            }
-            out.push((name, mach_id, t.cell(row, "value3").render()));
-        }
-        out
-    }
-
-    /// The push: plan the rack split, run the origin wave (relays and
-    /// direct hosts), then the leaf wave for every rack whose relay
-    /// succeeded. With no racks every host is an origin leg. Racks whose
-    /// relay leg failed are deferred whole — their leaves are not
-    /// attempted, not charged a retry streak, and stay in the next cycle's
-    /// todo list.
-    fn fanout_phase(
-        &mut self,
-        svc: &ServiceInfo,
-        dfgen: i64,
-        todo: &[(String, i64, String)],
-        shared: &Arc<Archive>,
-        report: &mut DcmReport,
-    ) {
-        if todo.is_empty() {
+        let lock = svc_lock(&svc.name);
+        let locked = self.state.write().locks.acquire("dcm", &lock, mode);
+        if locked.is_err() {
             return;
         }
+        let scan = self.scan_hosts(&svc.name, dfgen);
+        if !scan.todo.is_empty() {
+            let names: Vec<String> = scan.todo.iter().map(|h| h.name.clone()).collect();
+            let plan = self.topology.plan(&names, &scan.serving);
+            let mut push = Push {
+                svc,
+                dfgen,
+                todo: &scan.todo,
+                // The shared archive, cloned once per cycle into an Arc
+                // every leg of the fan-out reads (a per-host service's
+                // legs cut theirs from it).
+                shared: Arc::new(self.prepared[&svc.name].archive().clone()),
+                stopped: false,
+            };
+            self.fanout_phase(&mut push, &plan, report);
+        }
+        self.state.write().locks.release("dcm", &lock);
+    }
+
+    /// The push: run the origin wave (relays and direct hosts), then the
+    /// leaf wave for every rack whose relay succeeded. With no racks every
+    /// host is an origin leg. Racks whose relay leg failed are deferred
+    /// whole — their leaves are not attempted, not charged a retry streak,
+    /// and stay in the next cycle's todo list.
+    fn fanout_phase(&mut self, push: &mut Push<'_>, plan: &FanoutPlan, report: &mut DcmReport) {
         let wall = Instant::now();
-        let serving = self.serving_hosts(&svc.name);
-        let names: Vec<String> = todo.iter().map(|(n, _, _)| n.clone()).collect();
-        let plan = self.topology.plan(&names, &serving);
         let obs = self.state.read().obs.clone();
         obs.gauge("dcm.fanout.width").set(self.fanout_width as i64);
         obs.gauge("dcm.fanout.racks").set(plan.racks as i64);
 
-        let mut replicated_failed = false;
-        let origin_legs: Vec<(usize, Option<String>)> =
-            plan.origin.iter().map(|&i| (i, None)).collect();
-        let wave1 = self.fanout_wave(
-            svc,
-            dfgen,
-            todo,
-            &origin_legs,
-            shared,
-            report,
-            &mut replicated_failed,
-        );
+        let origin_legs: Vec<Leg> = plan.origin.iter().map(|&i| (i, None)).collect();
+        let wave1 = self.fanout_wave(push, &origin_legs, report);
         obs.counter("dcm.fanout.origin_legs").add(wave1.legs_run);
 
-        let mut leaf_legs: Vec<(usize, Option<String>)> = Vec::new();
+        let mut leaf_legs: Vec<Leg> = Vec::new();
         for (i, relay_name) in &plan.leaves {
             if wave1.outcomes.get(relay_name) == Some(&false) {
                 // The relay's own update failed this cycle, so nothing
@@ -614,15 +286,7 @@ impl Dcm {
             }
             leaf_legs.push((*i, Some(relay_name.clone())));
         }
-        let wave2 = self.fanout_wave(
-            svc,
-            dfgen,
-            todo,
-            &leaf_legs,
-            shared,
-            report,
-            &mut replicated_failed,
-        );
+        let wave2 = self.fanout_wave(push, &leaf_legs, report);
         obs.counter("dcm.fanout.relay_leaf_legs")
             .add(wave2.legs_run);
         // Wall versus summed leg time: wall < sum is the overlap proof the
@@ -633,75 +297,34 @@ impl Dcm {
             .add(wall.elapsed().as_nanos() as u64);
     }
 
-    /// Hosts with an enabled server-host row for the service — the relay
-    /// candidate pool for `RackTopology::plan`.
-    fn serving_hosts(&self, service: &str) -> HashSet<String> {
-        let state = self.state.read();
-        let t = state.db.table("serverhosts");
-        let mut out = HashSet::new();
-        for row in t.select(&Pred::Eq("service", service.into())) {
-            if !t.cell(row, "enable").as_bool() {
-                continue;
-            }
-            let mach_id = t.cell(row, "mach_id").as_int();
-            if let Some(r) = state
-                .db
-                .table("machine")
-                .select_one(&Pred::Eq("mach_id", mach_id.into()))
-            {
-                out.insert(state.db.cell("machine", r, "name").render());
-            }
-        }
-        out
-    }
-
     /// One wave of legs: prepares each serially (DB writes, host locks,
     /// credentials — in todo order), transfers on the worker pool, records
     /// each outcome serially back in todo order. Returns per-host success
     /// for the caller's relay gating.
-    #[allow(clippy::too_many_arguments)]
     fn fanout_wave(
         &mut self,
-        svc: &ServiceInfo,
-        dfgen: i64,
-        todo: &[(String, i64, String)],
-        legs: &[(usize, Option<String>)],
-        shared: &Arc<Archive>,
+        push: &mut Push<'_>,
+        legs: &[Leg],
         report: &mut DcmReport,
-        replicated_failed: &mut bool,
     ) -> WaveResult {
         let mut wave = WaveResult::default();
-        if legs.is_empty() || *replicated_failed {
-            return wave;
-        }
+        let (svc, todo) = (push.svc, push.todo);
         let mut entries: Vec<(usize, Result<(), UpdateError>)> = Vec::new();
-        let mut jobs: Vec<(usize, UpdateJob)> = Vec::new();
+        let mut jobs = Vec::new();
         for (i, relay_name) in legs {
-            if *replicated_failed {
+            if push.stopped {
                 break;
             }
-            let (mach_name, mach_id, value3) = &todo[*i];
+            let host = &todo[*i];
             let relay = relay_name.as_ref().and_then(|r| self.hosts.get(r).cloned());
-            match self.prepare_update(svc, mach_name, *mach_id, value3, shared, relay) {
+            match self.prepare_update(svc, host, &push.shared, relay) {
                 Prepared::Busy => entries.push((*i, Err(UpdateError::Busy))),
                 Prepared::Failed(e) => {
-                    let result = self.record_update(
-                        svc,
-                        dfgen,
-                        mach_name,
-                        *mach_id,
-                        None,
-                        relay_name.is_some(),
-                        Err(e),
-                        &TransferStats::default(),
-                    );
-                    if let Err(err) = &result {
-                        if err.is_hard() && svc.replicated {
-                            *replicated_failed = true;
-                            self.mark_replicated_failed(svc, dfgen, err);
-                        }
-                    }
-                    wave.outcomes.insert(mach_name.clone(), result.is_ok());
+                    let via_relay = relay_name.is_some();
+                    let no_bytes = TransferStats::default();
+                    let result =
+                        self.record_update(push, &host.name, None, via_relay, Err(e), &no_bytes);
+                    wave.outcomes.insert(host.name.clone(), result.is_ok());
                     entries.push((*i, result));
                 }
                 Prepared::Job(job) => jobs.push((*i, *job)),
@@ -709,389 +332,63 @@ impl Dcm {
         }
         let mut results = self.run_wave(&jobs, svc.replicated);
         for (i, job) in jobs {
-            match results.remove(&i) {
-                Some((result, tstats, leg_ns)) => {
-                    wave.legs_run += 1;
-                    wave.legs_ns += leg_ns;
-                    let recorded = self.record_update(
-                        svc,
-                        dfgen,
-                        &job.mach_name,
-                        job.mach_id,
-                        Some(&job.archive),
-                        job.relay.is_some(),
-                        result,
-                        &tstats,
-                    );
-                    if let Err(e) = &recorded {
-                        if e.is_hard() && svc.replicated && !*replicated_failed {
-                            *replicated_failed = true;
-                            self.mark_replicated_failed(svc, dfgen, e);
-                        }
-                    }
-                    wave.outcomes
-                        .insert(job.mach_name.clone(), recorded.is_ok());
-                    entries.push((i, recorded));
-                }
-                None => {
-                    // The replicated stop flag tripped before any worker
-                    // claimed this leg. Undo the prepare (inprogress bit,
-                    // host lock) and leave the host for the next cycle,
-                    // unreported: it was never attempted.
-                    self.abort_prepared(svc, &job.mach_name);
-                }
-            }
+            let Some((result, tstats, leg_ns)) = results.remove(&i) else {
+                // The replicated stop flag tripped before any worker
+                // claimed this leg. Undo the prepare (inprogress bit, host
+                // lock) and leave the host for the next cycle, unreported:
+                // it was never attempted.
+                self.abort_prepared(svc, &job.mach_name);
+                continue;
+            };
+            wave.legs_run += 1;
+            wave.legs_ns += leg_ns;
+            let via_relay = job.relay.is_some();
+            let recorded = self.record_update(
+                push,
+                &job.mach_name,
+                Some(&job.archive),
+                via_relay,
+                result,
+                &tstats,
+            );
+            wave.outcomes.insert(job.mach_name, recorded.is_ok());
+            entries.push((i, recorded));
         }
         entries.sort_by_key(|&(i, _)| i);
         for (i, result) in entries {
             report
                 .updates
-                .push((svc.name.clone(), todo[i].0.clone(), result));
+                .push((svc.name.clone(), todo[i].name.clone(), result));
         }
         wave
     }
-
-    /// Runs prepared jobs' network legs with bounded concurrency:
-    /// `fanout_width` workers claim jobs off a shared counter. For a
-    /// replicated service the first hard failure raises a stop flag —
-    /// running legs finish, unclaimed jobs stay absent from the result
-    /// map. Pure transfer work: no database or DCM state crosses into the
-    /// pool.
-    fn run_wave(
-        &self,
-        jobs: &[(usize, UpdateJob)],
-        replicated: bool,
-    ) -> HashMap<usize, (Result<(), UpdateError>, TransferStats, u64)> {
-        let width = self.fanout_width.min(jobs.len());
-        let next = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        let results = Mutex::new(HashMap::with_capacity(jobs.len()));
-        let net = self.net.as_ref();
-        let worker = || loop {
-            if stop.load(Ordering::Acquire) {
-                break;
-            }
-            let k = next.fetch_add(1, Ordering::Relaxed);
-            let Some((i, job)) = jobs.get(k) else { break };
-            let t0 = Instant::now();
-            let (result, tstats) = run_transfer(net, job);
-            if replicated && matches!(&result, Err(e) if e.is_hard()) {
-                stop.store(true, Ordering::Release);
-            }
-            results
-                .lock()
-                .insert(*i, (result, tstats, t0.elapsed().as_nanos() as u64));
-        };
-        if width <= 1 {
-            // A pool of one is the DCM thread.
-            worker();
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..width {
-                    scope.spawn(worker);
-                }
-            });
-        }
-        results.into_inner()
-    }
-
-    /// Reverses `prepare_update` for a leg that never ran: clears the
-    /// inprogress bit (leaving `lts` at 0, so the host stays in the next
-    /// cycle's todo list with no error recorded) and releases the host
-    /// lock: "no more updates will be attempted" after a replicated
-    /// service's hard failure (§5.7.1).
-    fn abort_prepared(&mut self, svc: &ServiceInfo, mach_name: &str) {
-        let now = self.state.read().now();
-        let mut state = self.state.write();
-        let _ = self.exec(
-            &mut state,
-            "set_server_host_internal",
-            &[
-                svc.name.clone(),
-                mach_name.to_owned(),
-                "0".into(),
-                "0".into(),
-                "0".into(),
-                "0".into(),
-                String::new(),
-                now.to_string(),
-                "0".into(),
-            ],
-        );
-        state
-            .locks
-            .release("dcm", &format!("host:{}:{}", svc.name, mach_name));
-    }
-
-    /// Phase 1 of a leg — everything that must stay serial on the DCM
-    /// thread: the attempt counter, the exclusive host lock and inprogress
-    /// bit, the archive build, and fresh credentials (the authenticator
-    /// nonce is a sequence).
-    fn prepare_update(
-        &mut self,
-        svc: &ServiceInfo,
-        mach_name: &str,
-        mach_id: i64,
-        value3: &str,
-        shared: &Arc<Archive>,
-        relay: Option<Arc<Mutex<SimHost>>>,
-    ) -> Prepared {
-        self.stats.updates_attempted += 1;
-        let now = self.state.read().now();
-        // Exclusive lock on the host + inprogress bit.
-        {
-            let mut state = self.state.write();
-            if state
-                .locks
-                .acquire(
-                    "dcm",
-                    &format!("host:{}:{}", svc.name, mach_name),
-                    LockMode::Exclusive,
-                )
-                .is_err()
-            {
-                // Another update of this host holds the lock: a distinct
-                // soft conflict, not a network timeout. The colliding pass
-                // simply retries later; no failure streak is charged.
-                self.stats.busy_conflicts += 1;
-                return Prepared::Busy;
-            }
-            let _ = self.exec(
-                &mut state,
-                "set_server_host_internal",
-                &[
-                    svc.name.clone(),
-                    mach_name.to_owned(),
-                    "0".into(),
-                    "0".into(),
-                    "1".into(),
-                    "0".into(),
-                    String::new(),
-                    now.to_string(),
-                    "0".into(),
-                ],
-            );
-        }
-
-        // The archive: the shared one, or for a per-host service this
-        // host's cut of it. A generator failure here (e.g. colliding member
-        // stems) is bad data for this host — a soft error, retried once the
-        // data is fixed.
-        let generator = self.generators.get(svc.name.as_str()).expect("eligible");
-        let archive = match generator.per_host() {
-            Some(for_host) => for_host(&self.state.read(), mach_id, value3, shared)
-                .map(Arc::new)
-                .map_err(|_| UpdateError::BadData),
-            None => Ok(shared.clone()),
-        };
-
-        let credentials = self.credentials_for(mach_name);
-        match archive {
-            Ok(archive) => {
-                let script = Script::standard(&archive, &install_dir(&svc.name), &svc.script);
-                Prepared::Job(Box::new(UpdateJob {
-                    mach_name: mach_name.to_owned(),
-                    mach_id,
-                    prev: self.cursors.base(&svc.name, mach_name),
-                    host: self.hosts.get(mach_name).cloned(),
-                    relay,
-                    target: svc.target.clone(),
-                    script,
-                    credentials,
-                    archive,
-                }))
-            }
-            // The host lock stays held: recording the failure releases it.
-            Err(e) => Prepared::Failed(e),
-        }
-    }
-
-    /// Phase 3 of a leg — everything after the network returns, serial on
-    /// the DCM thread: obs counters, the cursor advance, retry-ledger and
-    /// notice bookkeeping, the final server-host row write, and the host
-    /// lock release.
-    #[allow(clippy::too_many_arguments)]
-    fn record_update(
-        &mut self,
-        svc: &ServiceInfo,
-        dfgen: i64,
-        mach_name: &str,
-        mach_id: i64,
-        archive: Option<&Arc<Archive>>,
-        via_relay: bool,
-        result: Result<(), UpdateError>,
-        tstats: &TransferStats,
-    ) -> Result<(), UpdateError> {
-        // Patch-versus-whole byte split (the §5.7 partial-transfer savings)
-        // and, when a leg broke, a per-leg retry count: the attempt that
-        // follows the failure is charged to the leg that caused it. The
-        // registry handle is an Arc clone taken under a statement-scoped
-        // guard; the recording itself happens lock-free.
-        let obs = self.state.read().obs.clone();
-        obs.counter("dcm.transfer.patch_members")
-            .add(tstats.patch_members);
-        obs.counter("dcm.transfer.patch_bytes")
-            .add(tstats.patch_bytes);
-        obs.counter("dcm.transfer.full_members")
-            .add(tstats.full_members);
-        obs.counter("dcm.transfer.full_bytes")
-            .add(tstats.full_bytes);
-        // The same split keyed by tier — relay-gated leaf legs versus
-        // direct origin legs — so a scaled deployment sees where its bytes
-        // flow.
-        let tier = if via_relay { "relay" } else { "origin" };
-        obs.counter(&format!("dcm.transfer.{tier}.patch_members"))
-            .add(tstats.patch_members);
-        obs.counter(&format!("dcm.transfer.{tier}.patch_bytes"))
-            .add(tstats.patch_bytes);
-        obs.counter(&format!("dcm.transfer.{tier}.full_members"))
-            .add(tstats.full_members);
-        obs.counter(&format!("dcm.transfer.{tier}.full_bytes"))
-            .add(tstats.full_bytes);
-        if let Some(leg) = tstats.failed_leg {
-            obs.counter(&format!("dcm.retry.leg.{leg}")).inc();
-            if leg == "relay" {
-                // The leaf's rack relay was unreachable at transfer time:
-                // the rack is effectively deferred, same as a plan-time
-                // deferral.
-                self.stats.relay_deferrals += 1;
-                obs.counter("dcm.fanout.relay_deferred").inc();
-            }
-        }
-        // Only a confirmed install advances the patch cursor: on any
-        // failure the host may hold the old archive, the new one, or a
-        // torn mix — the base CRCs in its next stale reply sort that out.
-        if result.is_ok() {
-            if let Some(archive) = archive {
-                self.cursors
-                    .record(&svc.name, mach_name, dfgen, archive.clone());
-            }
-        }
-
-        // Record the outcome.
-        let now = self.state.read().now();
-        let (success, hosterror, errmsg, lts) = match &result {
-            Ok(()) => {
-                self.stats.updates_succeeded += 1;
-                self.retry.record_success(&svc.name, mach_name);
-                (true, 0, String::new(), now)
-            }
-            Err(e) if e.is_hard() => {
-                self.stats.hard_failures += 1;
-                // A hard error gates on `hosterror` until an operator
-                // resets it; the reset deserves a clean retry slate.
-                self.retry.reset(&svc.name, mach_name);
-                self.notify(
-                    "zephyr",
-                    "MOIRA",
-                    "DCM",
-                    format!("{} on {}: {}", svc.name, mach_name, e.message()),
-                );
-                self.notify(
-                    "mail",
-                    "moira-maintainers",
-                    "",
-                    format!(
-                        "hard failure updating {} on {}: {}",
-                        svc.name,
-                        mach_name,
-                        e.message()
-                    ),
-                );
-                (false, e.code(), e.message(), 0)
-            }
-            Err(e) => {
-                self.stats.soft_failures += 1;
-                match self.retry.record_soft_failure(&svc.name, mach_name, now) {
-                    SoftOutcome::Backoff { .. } => (false, 0, e.message(), 0),
-                    SoftOutcome::Escalate { consecutive } => {
-                        // A streak this long is not transient. Promote it
-                        // to an operator-visible hard error: set hosterror,
-                        // page through Zephyr, mail the maintainers.
-                        self.stats.escalations += 1;
-                        let msg = format!(
-                            "escalated after {consecutive} consecutive soft failures: {}",
-                            e.message()
-                        );
-                        self.notify(
-                            "zephyr",
-                            "MOIRA",
-                            "DCM",
-                            format!("{} on {}: {}", svc.name, mach_name, msg),
-                        );
-                        self.notify(
-                            "mail",
-                            "moira-maintainers",
-                            "",
-                            format!("{} on {}: {}", svc.name, mach_name, msg),
-                        );
-                        (false, e.code(), msg, 0)
-                    }
-                }
-            }
-        };
-        let mut state = self.state.write();
-        let sh_row = state.db.select(
-            "serverhosts",
-            &Pred::Eq("service", svc.name.clone().into()).and(Pred::Eq("mach_id", mach_id.into())),
-        );
-        let prev_lts = sh_row
-            .first()
-            .map(|&r| state.db.cell("serverhosts", r, "lts").as_int())
-            .unwrap_or(0);
-        let _ = self.exec(
-            &mut state,
-            "set_server_host_internal",
-            &[
-                svc.name.clone(),
-                mach_name.to_owned(),
-                "0".into(), // override cleared by an attempt
-                if success { "1" } else { "0" }.into(),
-                "0".into(), // inprogress cleared
-                hosterror.to_string(),
-                errmsg,
-                now.to_string(),
-                if success {
-                    lts.to_string()
-                } else {
-                    prev_lts.to_string()
-                },
-            ],
-        );
-        state
-            .locks
-            .release("dcm", &format!("host:{}:{}", svc.name, mach_name));
-        result
-    }
 }
 
-/// What `prepare_update` produced for one leg.
-enum Prepared {
-    /// Locked, prepared, and ready for its network legs.
-    Job(Box<UpdateJob>),
-    /// Host lock held by someone else; nothing was written or locked.
-    Busy,
-    /// Archive build failed. The host lock and inprogress bit are still
-    /// held — recording the failure releases them.
-    Failed(UpdateError),
+/// Lock-manager name of a service's lock.
+fn svc_lock(service: &str) -> String {
+    format!("svc:{service}")
 }
 
-/// Everything one transfer leg needs, self-contained so it can cross onto
-/// a pool worker: no `&Dcm`, no database guard, no shared mutable state.
-struct UpdateJob {
-    mach_name: String,
-    mach_id: i64,
-    /// The archive to install.
-    archive: Arc<Archive>,
-    /// The host's cursor base — the patch reference, if any.
-    prev: Option<Arc<Archive>>,
-    credentials: Option<UpdateCredentials>,
-    host: Option<Arc<Mutex<SimHost>>>,
-    /// The rack relay this leaf leg is gated on, if any.
-    relay: Option<Arc<Mutex<SimHost>>>,
-    target: String,
-    script: Script,
+/// Lock-manager name of one server-host's update lock.
+fn host_lock(service: &str, mach: &str) -> String {
+    format!("host:{service}:{mach}")
 }
+
+/// One service's host scan in flight: what every wave and leg of it shares.
+struct Push<'a> {
+    svc: &'a ServiceInfo,
+    /// The generation being pushed.
+    dfgen: i64,
+    todo: &'a [HostTodo],
+    shared: Arc<Archive>,
+    /// Raised by a replicated service's first hard failure: "no more
+    /// updates will be attempted".
+    stopped: bool,
+}
+
+/// One leg of a wave: an index into the todo list, and for a leaf leg the
+/// rack relay it is gated on.
+type Leg = (usize, Option<String>);
 
 /// What one fan-out wave reports back to `fanout_phase`.
 #[derive(Default)]
@@ -1105,45 +402,6 @@ struct WaveResult {
     legs_ns: u64,
 }
 
-/// Phase 2 of a leg — the network. Runs off the DCM thread on the fan-out
-/// pool; touches only the job, the network, and the simulated hosts.
-fn run_transfer(net: &dyn Network, job: &UpdateJob) -> (Result<(), UpdateError>, TransferStats) {
-    let mut tstats = TransferStats::default();
-    // A leaf leg first probes its rack relay. A dead relay costs this one
-    // check — not a full per-leaf timeout — and is charged to the "relay"
-    // leg so the retry ledger and obs can tell the tiers apart. The guard
-    // is statement-scoped: dropped before the leaf host locks.
-    if let Some(relay) = &job.relay {
-        let relay_up = relay.lock().reachable();
-        if !relay_up {
-            tstats.failed_leg = Some("relay");
-            return (Err(UpdateError::HostDown), tstats);
-        }
-    }
-    let outcome = match &job.host {
-        Some(host) => {
-            let mut h = host.lock();
-            run_update_instrumented(
-                net,
-                &mut h,
-                job.credentials.as_ref(),
-                &job.archive,
-                job.prev.as_deref(),
-                &job.target,
-                &job.script,
-                &mut tstats,
-            )
-        }
-        None => {
-            // No such host is a connection failure as far as the retry
-            // ledger is concerned.
-            tstats.failed_leg = Some("connect");
-            Err(UpdateError::HostDown)
-        }
-    };
-    (outcome, tstats)
-}
-
 /// Where a service's files are installed on its hosts (the `target` is the
 /// transfer landing spot; this is the live directory the script swaps files
 /// into).
@@ -1151,24 +409,13 @@ pub fn install_dir(service: &str) -> String {
     format!("/var/{}", service.to_ascii_lowercase())
 }
 
-#[derive(Debug, Clone)]
-struct ServiceInfo {
-    name: String,
-    interval_secs: i64,
-    target: String,
-    script: String,
-    replicated: bool,
-    enabled: bool,
-    harderror: i64,
-    dfgen: i64,
-    dfcheck: i64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use moira_core::queries::testutil::{add_test_machine, state_with_admin};
     use moira_core::seed::seed_capacls;
+    use moira_core::state::{Caller, MoiraState};
+    use moira_db::Pred;
 
     type SharedHosts = Vec<Arc<Mutex<SimHost>>>;
 

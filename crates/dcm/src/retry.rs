@@ -199,11 +199,6 @@ impl RetryBook {
         };
         capped + jitter
     }
-
-    /// Number of open streaks.
-    pub fn open_streaks(&self) -> usize {
-        self.entries.len()
-    }
 }
 
 #[cfg(test)]

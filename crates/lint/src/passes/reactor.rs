@@ -18,10 +18,10 @@
 //!   non-blocking fds) are fine and deliberately not matched — the engine
 //!   tracks those as a separate `BlocksNet` effect.
 //!
-//! The deliberate selector-less pacing sleep in `poll_with_timeout`
-//! carries a reviewed `lint:allow(reactor-discipline)` — the degraded scan
-//! path has no OS wait to block in, so it honors its timeout with a
-//! bounded sleep instead of spinning.
+//! `crates/core/src/server/` carries no allow for this pass: the
+//! selector-less scan loop whose pacing sleep needed one is gone, and
+//! every wait the loop makes is the reactor's. The one allow naming the
+//! pass sits on the WAL journaling boundary in `registry.rs`.
 
 use crate::engine::{self, Effect, Engine, FnId};
 use crate::{Diagnostic, Workspace};

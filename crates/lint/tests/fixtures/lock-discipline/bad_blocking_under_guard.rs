@@ -1,4 +1,4 @@
-//@ file: crates/dcm/src/dcm.rs
+//@ file: crates/dcm/src/dcm/mod.rs
 // Blocking I/O while holding the state write guard stalls every session
 // behind the lock for the duration of the disk write and the sleep.
 

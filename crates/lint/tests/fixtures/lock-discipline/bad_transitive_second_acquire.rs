@@ -1,4 +1,4 @@
-//@ file: crates/dcm/src/dcm.rs
+//@ file: crates/dcm/src/dcm/mod.rs
 // The helper chain crosses a module boundary and re-acquires the state
 // lock two hops down — an instant self-deadlock under a non-reentrant
 // RwLock, invisible to a one-level walk.

@@ -16,12 +16,13 @@
 //! not disconnection, and the server's per-connection memory stays
 //! bounded by `write_cap` plus one in-flight reply batch.
 //!
-//! Reactor visibility: every channel can expose a readiness fd via
+//! Reactor visibility: every channel has a readiness fd,
 //! [`Channel::raw_fd`] — the socket itself for TCP, a wake-pipe for
 //! in-process channels (each queued frame is accompanied by a wake byte,
 //! so a `polling::Poller` sees in-proc traffic exactly like socket
-//! traffic). Channels without an fd (non-Unix builds) return `None` and
-//! the server falls back to scanning them each wake-up.
+//! traffic). The trait has no provided methods: a wrapper that forgets to
+//! forward the fd, the outbox depth or the cap does not compile. Unix
+//! only, like the reactor it feeds.
 //!
 //! Frames are length-prefixed: `u32` big-endian payload length, then the
 //! payload (a [`crate::wire`] encoding). Headers announcing more than
@@ -32,13 +33,16 @@
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
+use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 
-/// Raw readiness fd (mirrors `std::os::unix::io::RawFd`; meaningless and
-/// never produced off Unix).
-pub type RawFd = i32;
+/// Raw readiness fd.
+pub type RawFd = std::os::unix::io::RawFd;
 
 /// Hard ceiling on a single frame's payload. A length prefix above this
 /// is treated as a malformed/hostile header and kills the connection
@@ -64,37 +68,25 @@ pub trait Channel: Send {
     /// True once the peer has closed.
     fn is_closed(&self) -> bool;
 
-    /// Readiness fd for reactor registration, if this transport has one.
-    fn raw_fd(&self) -> Option<RawFd> {
-        None
-    }
+    /// Readiness fd for reactor registration: readable whenever
+    /// `try_recv` has something to report (a frame, EOF, an error).
+    fn raw_fd(&self) -> RawFd;
 
     /// Drains as much queued output as the OS will take without blocking.
     /// `Ok(true)` when the outbox is empty, `Ok(false)` when bytes remain
     /// (write interest should stay registered), `Err` when the peer died.
-    fn flush(&mut self) -> io::Result<bool> {
-        Ok(true)
-    }
+    fn flush(&mut self) -> io::Result<bool>;
 
     /// Bytes queued toward the peer and not yet accepted by the OS (TCP)
     /// or consumed by the peer (in-proc). The backpressure signal.
-    fn queued_bytes(&self) -> usize {
-        0
-    }
+    fn queued_bytes(&self) -> usize;
 
     /// The outbox high-water mark this channel advertises to the server.
-    fn write_cap(&self) -> usize {
-        usize::MAX
-    }
+    fn write_cap(&self) -> usize;
 
     /// Overrides the outbox high-water mark (tests and benches).
-    fn set_write_cap(&mut self, _cap: usize) {}
+    fn set_write_cap(&mut self, cap: usize);
 }
-
-#[cfg(unix)]
-use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// In-process channel endpoint built on crossbeam queues, with a
 /// Unix-socket wake pipe so a reactor can watch it like a TCP peer.
@@ -109,10 +101,8 @@ pub struct InProcChannel {
     in_depth: Arc<AtomicUsize>,
     write_cap: usize,
     /// Readable whenever the peer has queued frames for us.
-    #[cfg(unix)]
     wake_rx: UnixStream,
     /// Writing one byte here marks the peer's `wake_rx` readable.
-    #[cfg(unix)]
     wake_tx: UnixStream,
 }
 
@@ -122,7 +112,6 @@ pub fn pair() -> (InProcChannel, InProcChannel) {
     let (btx, brx) = unbounded();
     let a_depth = Arc::new(AtomicUsize::new(0));
     let b_depth = Arc::new(AtomicUsize::new(0));
-    #[cfg(unix)]
     let ((a_wake_rx, a_wake_tx), (b_wake_rx, b_wake_tx)) = {
         let a = UnixStream::pair().expect("socketpair");
         let b = UnixStream::pair().expect("socketpair");
@@ -139,9 +128,7 @@ pub fn pair() -> (InProcChannel, InProcChannel) {
             out_depth: a_depth.clone(),
             in_depth: b_depth.clone(),
             write_cap: DEFAULT_WRITE_CAP,
-            #[cfg(unix)]
             wake_rx: a_wake_rx,
-            #[cfg(unix)]
             wake_tx: b_wake_tx,
         },
         InProcChannel {
@@ -151,9 +138,7 @@ pub fn pair() -> (InProcChannel, InProcChannel) {
             out_depth: b_depth,
             in_depth: a_depth,
             write_cap: DEFAULT_WRITE_CAP,
-            #[cfg(unix)]
             wake_rx: b_wake_rx,
-            #[cfg(unix)]
             wake_tx: a_wake_tx,
         },
     )
@@ -163,7 +148,6 @@ impl InProcChannel {
     /// Drains pending wake bytes. EOF here only means the peer endpoint
     /// was dropped — queued frames must still drain, so closure is
     /// detected via the crossbeam queue, never via the wake pipe.
-    #[cfg(unix)]
     fn drain_wake(&mut self) {
         let mut buf = [0u8; 256];
         loop {
@@ -186,10 +170,7 @@ impl Channel for InProcChannel {
         // unconsumed wake bytes, so the peer is provably waking anyway;
         // any other failure means the peer endpoint is mid-teardown and
         // the Disconnected path will report it.
-        #[cfg(unix)]
-        {
-            let _ = self.wake_tx.write(&[1]);
-        }
+        let _ = self.wake_tx.write(&[1]);
         Ok(())
     }
 
@@ -204,7 +185,6 @@ impl Channel for InProcChannel {
                 // far, then re-check. A peer that enqueues after the drain
                 // writes its wake byte after it too (send orders queue
                 // push before wake), so no wake-up can be lost.
-                #[cfg(unix)]
                 self.drain_wake();
                 match self.rx.try_recv() {
                     Ok(frame) => {
@@ -229,14 +209,13 @@ impl Channel for InProcChannel {
         self.closed
     }
 
-    fn raw_fd(&self) -> Option<RawFd> {
-        #[cfg(unix)]
-        {
-            use std::os::unix::io::AsRawFd;
-            Some(self.wake_rx.as_raw_fd())
-        }
-        #[cfg(not(unix))]
-        None
+    fn raw_fd(&self) -> RawFd {
+        self.wake_rx.as_raw_fd()
+    }
+
+    /// Nothing to drain: the queue hands frames straight to the peer.
+    fn flush(&mut self) -> io::Result<bool> {
+        Ok(true)
     }
 
     fn queued_bytes(&self) -> usize {
@@ -343,14 +322,8 @@ impl Channel for TcpChannel {
         self.closed
     }
 
-    fn raw_fd(&self) -> Option<RawFd> {
-        #[cfg(unix)]
-        {
-            use std::os::unix::io::AsRawFd;
-            Some(self.stream.as_raw_fd())
-        }
-        #[cfg(not(unix))]
-        None
+    fn raw_fd(&self) -> RawFd {
+        self.stream.as_raw_fd()
     }
 
     fn flush(&mut self) -> io::Result<bool> {
@@ -449,11 +422,10 @@ mod tests {
         assert!(b.is_closed());
     }
 
-    #[cfg(unix)]
     #[test]
     fn inproc_wake_fd_tracks_queued_frames() {
         let (mut a, mut b) = pair();
-        let fd = b.raw_fd().expect("in-proc channels expose a wake fd");
+        let fd = b.raw_fd();
         let poller = polling::Poller::new().unwrap();
         poller.add(fd, polling::Event::readable(1)).unwrap();
         let mut events = polling::Events::new();

@@ -95,13 +95,13 @@ mod tests {
         let run = run_cron(&mut d, 5 * 24 * 3600, 6 * 3600);
         assert_eq!(run.nightly_backups, 5);
         // Only the last three generations stay on line.
-        assert_eq!(d.backups.generations().len(), 3);
+        let generations = d.backups.generations().unwrap();
+        assert_eq!(generations.len(), 3);
         assert!(d.last_backup > 0);
         // The newest generation restores into a working database.
         let mut fresh = moira_db::Database::new(moira_common::VClock::new());
         moira_core::schema::create_all_tables(&mut fresh);
-        let restored =
-            moira_db::backup::mrrestore(&mut fresh, &d.backups.generations()[0]).unwrap();
+        let restored = moira_db::backup::mrrestore(&mut fresh, &generations[0]).unwrap();
         assert!(restored > 500);
     }
 

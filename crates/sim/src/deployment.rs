@@ -16,11 +16,10 @@ use moira_core::registry::Registry;
 use moira_core::seed::seed_capacls;
 use moira_core::state::{MoiraState, SharedState};
 use moira_core::userreg::RegistrationServer;
-use moira_db::backup::NightlyRotation;
+use moira_db::backup::MediaRotation;
 use moira_db::storage::{DurableEngine, GroupCommitConfig, SimMedia, Storage};
 use moira_dcm::dcm::{install_dir, Dcm, DcmReport};
 use moira_dcm::host::SimHost;
-use moira_dcm::relay::RackTopology;
 use moira_krb::realm::Kdc;
 use moira_svc::{HesiodServer, MailHub, NfsServer, ZephyrServer};
 use parking_lot::Mutex;
@@ -61,8 +60,8 @@ pub struct Deployment {
     /// What the population generator built.
     pub population: PopulationReport,
     /// The nightly.sh backup rotation ("maintains the last three backups
-    /// on line", §5.2.2).
-    pub backups: NightlyRotation,
+    /// on line", §5.2.2), on backup media of its own.
+    pub backups: MediaRotation<SimMedia>,
     /// Unix time of the most recent nightly backup.
     pub last_backup: i64,
     /// The server's durable storage media once
@@ -261,7 +260,7 @@ impl Deployment {
             dcm_key,
             regserver,
             population,
-            backups: NightlyRotation::new(),
+            backups: MediaRotation::new(SimMedia::new()),
             last_backup: 0,
             durable_media: None,
         }
@@ -329,7 +328,9 @@ impl Deployment {
     /// recovery knows where to replay from.
     pub fn run_nightly_backup(&mut self) {
         let s = self.state.read();
-        self.backups.run_nightly(&s.db);
+        self.backups
+            .run_nightly(&s.db)
+            .expect("nightly backup onto sim media");
         self.last_backup = s.now();
     }
 
@@ -350,26 +351,6 @@ impl Deployment {
             fresh.add_host(host.clone());
         }
         self.dcm = fresh;
-    }
-
-    /// Groups every simulated host into racks of `rack_size` (sorted by
-    /// name, chunked), wires matching fault domains into the fabric, and
-    /// points the DCM at the topology with a `fanout_width`-worker pool.
-    /// Returns the topology for scenario scripting.
-    pub fn configure_racks(&mut self, rack_size: usize, fanout_width: usize) -> RackTopology {
-        let mut names: Vec<String> = self.hosts.keys().cloned().collect();
-        names.sort();
-        let mut topo = RackTopology::new();
-        for (n, chunk) in names.chunks(rack_size.max(1)).enumerate() {
-            let rack = format!("rack-{n}");
-            for host in chunk {
-                self.net.assign_rack(host, &rack);
-            }
-            topo.add_rack(&rack, chunk.iter().cloned());
-        }
-        self.dcm.set_topology(topo.clone());
-        self.dcm.set_fanout_width(fanout_width);
-        topo
     }
 
     /// Runs one DCM pass (consuming any pending trigger), then delivers any
@@ -400,16 +381,6 @@ impl Deployment {
     /// True if a Trigger_DCM request is pending.
     pub fn dcm_triggered(&self) -> bool {
         self.state.read().dcm_trigger
-    }
-
-    /// Builds a reactor-driven [`moira_core::MoiraServer`] over this
-    /// deployment's live state and registry — the connection tier for
-    /// scenarios that exercise real client traffic (churn, backpressure,
-    /// concurrent sessions) against the simulated campus. Trusted-mode
-    /// auth, like the in-process deployments the tests use; callers
-    /// wanting Kerberos pass their own verifier to `MoiraServer::new`.
-    pub fn build_server(&self) -> moira_core::MoiraServer {
-        moira_core::MoiraServer::new(self.state.clone(), self.registry.clone(), None)
     }
 
     /// Advances virtual time.
@@ -564,27 +535,35 @@ mod tests {
 
     #[test]
     fn kerberized_hosts_reject_unauthenticated_updates() {
-        use moira_dcm::update::{run_update, run_update_with_auth, Script, UpdateError};
+        use moira_dcm::net::PerfectNetwork;
+        use moira_dcm::update::{run_update, Script, UpdateCredentials, UpdateError};
         let mut d = Deployment::build(&PopulationSpec::small());
         d.run_dcm_once(); // the real, kerberized DCM succeeds
         let host = d.hosts[&d.population.hesiod_servers[0]].clone();
         let archive = moira_dcm::Archive::from_members(vec![("f".into(), b"x".to_vec())]).unwrap();
         let script = Script::standard(&archive, "/var/hesiod", "install-hesiod");
-        // A rogue pusher with no credentials is refused…
-        {
+        let rogue_push = |creds: Option<&UpdateCredentials>| {
             let mut h = host.lock();
-            assert_eq!(
-                run_update(&mut h, &archive, "/tmp/rogue", &script),
-                Err(UpdateError::AuthFailed)
-            );
-        }
+            run_update(
+                &PerfectNetwork,
+                &mut h,
+                creds,
+                &archive,
+                None,
+                "/tmp/rogue",
+                &script,
+            )
+            .0
+        };
+        // A rogue pusher with no credentials is refused…
+        assert_eq!(rogue_push(None), Err(UpdateError::AuthFailed));
         // …as is one with credentials for the wrong service.
         let wrong_key = d.kdc.register_service("rcmd.IMPOSTOR.MIT.EDU").unwrap();
         let (ticket, session) = d
             .kdc
             .srvtab_ticket("rcmd.IMPOSTOR.MIT.EDU", wrong_key, "rcmd.IMPOSTOR.MIT.EDU")
             .unwrap();
-        let creds = moira_dcm::update::UpdateCredentials {
+        let creds = UpdateCredentials {
             ticket,
             authenticator: moira_krb::ticket::make_authenticator(
                 session,
@@ -593,17 +572,11 @@ mod tests {
                 999,
             ),
         };
-        {
-            let mut h = host.lock();
-            assert_eq!(
-                run_update_with_auth(&mut h, Some(&creds), &archive, "/tmp/rogue", &script),
-                Err(UpdateError::AuthFailed)
-            );
-            assert!(
-                h.read_file("/tmp/rogue").is_none(),
-                "nothing was transferred"
-            );
-        }
+        assert_eq!(rogue_push(Some(&creds)), Err(UpdateError::AuthFailed));
+        assert!(
+            host.lock().read_file("/tmp/rogue").is_none(),
+            "nothing was transferred"
+        );
     }
 
     #[test]

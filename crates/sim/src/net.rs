@@ -269,6 +269,26 @@ impl Channel for FaultyChannel {
     fn is_closed(&self) -> bool {
         self.inner.is_closed()
     }
+
+    fn raw_fd(&self) -> moira_protocol::transport::RawFd {
+        self.inner.raw_fd()
+    }
+
+    fn flush(&mut self) -> std::io::Result<bool> {
+        self.inner.flush()
+    }
+
+    fn queued_bytes(&self) -> usize {
+        self.inner.queued_bytes()
+    }
+
+    fn write_cap(&self) -> usize {
+        self.inner.write_cap()
+    }
+
+    fn set_write_cap(&mut self, cap: usize) {
+        self.inner.set_write_cap(cap)
+    }
 }
 
 #[cfg(test)]
@@ -388,5 +408,53 @@ mod tests {
         // A partitioned link refuses outright.
         fabric.partition("LINK");
         assert!(chan.send(bytes::Bytes::from_static(b"four")).is_err());
+    }
+
+    /// An inner channel whose every answer is distinguishable from what a
+    /// wrapper could make up on its own.
+    struct Marked {
+        cap: usize,
+    }
+
+    impl Channel for Marked {
+        fn send(&mut self, _frame: bytes::Bytes) -> std::io::Result<()> {
+            Ok(())
+        }
+        fn try_recv(&mut self) -> std::io::Result<Option<bytes::Bytes>> {
+            Ok(None)
+        }
+        fn is_closed(&self) -> bool {
+            false
+        }
+        fn raw_fd(&self) -> moira_protocol::transport::RawFd {
+            4242
+        }
+        fn flush(&mut self) -> std::io::Result<bool> {
+            Ok(false)
+        }
+        fn queued_bytes(&self) -> usize {
+            77
+        }
+        fn write_cap(&self) -> usize {
+            self.cap
+        }
+        fn set_write_cap(&mut self, cap: usize) {
+            self.cap = cap;
+        }
+    }
+
+    #[test]
+    fn faulty_channel_delegates_the_reactor_facing_methods() {
+        // A wrapped TCP channel must keep its readiness fd, its outbox
+        // flush and its backpressure signal: the server and
+        // `recv_blocking` see the wrapper, not the socket.
+        let fabric = Arc::new(NetFabric::new(VClock::new(), 3));
+        let mut chan = FaultyChannel::new(Box::new(Marked { cap: 5 }), fabric, "LINK");
+        assert_eq!(chan.raw_fd(), 4242);
+        assert!(!chan.flush().unwrap(), "inner reports bytes still queued");
+        assert_eq!(chan.queued_bytes(), 77);
+        assert_eq!(chan.write_cap(), 5);
+        chan.set_write_cap(9);
+        assert_eq!(chan.write_cap(), 9);
     }
 }

@@ -69,7 +69,7 @@ fn restore_and_replay_invalidates_generator_caches() {
     let mut fresh = MoiraState::new(d.clock.clone());
     let mut db = moira_db::Database::new(d.clock.clone());
     moira_core::schema::create_all_tables(&mut db);
-    moira_db::backup::mrrestore(&mut db, &d.backups.generations()[0]).unwrap();
+    moira_db::backup::mrrestore(&mut db, &d.backups.generations().unwrap()[0]).unwrap();
     fresh.db = db;
     for (who, query, args) in &replay {
         d.registry

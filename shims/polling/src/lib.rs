@@ -1,5 +1,6 @@
 //! Offline shim for the `polling` crate: OS readiness polling behind one
-//! portable API.
+//! API. Unix only — every backend below is a Unix selector, and the build
+//! refuses any other target rather than offering a poller that cannot open.
 //!
 //! The build environment has no access to crates.io, so the workspace
 //! vendors the subset the connection tier uses: a [`Poller`] with
@@ -23,20 +24,13 @@
 
 #![warn(missing_docs)]
 
-#[cfg(unix)]
+#[cfg(not(target_family = "unix"))]
+compile_error!("the connection tier needs a Unix readiness selector (epoll, kqueue or poll(2))");
+
 pub use unix_impl::Poller;
 
-#[cfg(not(unix))]
-pub use stub_impl::Poller;
-
-/// Raw file descriptor type (mirrors `std::os::unix::io::RawFd`).
-#[cfg(unix)]
+/// Raw file descriptor type (`std::os::unix::io::RawFd`).
 pub type RawFd = std::os::unix::io::RawFd;
-
-/// Raw file descriptor type (no meaning off Unix; present so the
-/// connection tier compiles).
-#[cfg(not(unix))]
-pub type RawFd = i32;
 
 /// Interest in, or readiness of, one registered source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,10 +118,8 @@ impl Events {
     }
 }
 
-#[cfg(unix)]
 mod sys {
-    //! The `extern "C"` surface, shared constants, and the two portable
-    //! backends. Everything here is Unix-only.
+    //! The `extern "C"` surface and shared constants.
 
     use std::os::raw::{c_int, c_ulong};
 
@@ -144,9 +136,14 @@ mod sys {
         pub revents: i16,
     }
 
+    /// `fcntl` command reading the descriptor flags — the cheapest call
+    /// that fails with `EBADF` on a closed fd.
+    pub const F_GETFD: c_int = 1;
+
     extern "C" {
         pub fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
         pub fn close(fd: c_int) -> c_int;
+        pub fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
     }
 
     #[cfg(target_os = "linux")]
@@ -226,7 +223,6 @@ mod sys {
     }
 }
 
-#[cfg(unix)]
 mod unix_impl {
     use std::collections::HashMap;
     use std::io::{self, Read, Write};
@@ -434,6 +430,12 @@ mod unix_impl {
                     Ok(())
                 }
                 Backend::Poll { interest } => {
+                    // poll(2) reports a closed fd per wait (POLLNVAL), not
+                    // at registration; refuse it here like epoll and
+                    // kqueue do, so `add` means the same on every backend.
+                    if adding && unsafe { sys::fcntl(fd, sys::F_GETFD) } < 0 {
+                        return Err(io::Error::last_os_error());
+                    }
                     interest.lock().expect("interest map").insert(fd, ev);
                     Ok(())
                 }
@@ -636,56 +638,7 @@ mod unix_impl {
     }
 }
 
-#[cfg(not(unix))]
-mod stub_impl {
-    //! Non-Unix stub: the connection tier compiles but a reactor cannot be
-    //! opened; callers fall back to scan-everything polling.
-
-    use std::io;
-    use std::time::Duration;
-
-    use crate::{Event, Events, RawFd};
-
-    /// Readiness poller stub; [`Poller::new`] always fails off Unix.
-    pub struct Poller;
-
-    impl Poller {
-        /// Always `Unsupported` off Unix.
-        pub fn new() -> io::Result<Poller> {
-            Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "no readiness backend on this platform",
-            ))
-        }
-
-        /// Unreachable (no instance can exist).
-        pub fn add(&self, _fd: RawFd, _ev: Event) -> io::Result<()> {
-            unreachable!("stub poller cannot be constructed")
-        }
-
-        /// Unreachable (no instance can exist).
-        pub fn modify(&self, _fd: RawFd, _ev: Event) -> io::Result<()> {
-            unreachable!("stub poller cannot be constructed")
-        }
-
-        /// Unreachable (no instance can exist).
-        pub fn delete(&self, _fd: RawFd) -> io::Result<()> {
-            unreachable!("stub poller cannot be constructed")
-        }
-
-        /// Unreachable (no instance can exist).
-        pub fn wait(&self, _events: &mut Events, _timeout: Option<Duration>) -> io::Result<usize> {
-            unreachable!("stub poller cannot be constructed")
-        }
-
-        /// Unreachable (no instance can exist).
-        pub fn notify(&self) -> io::Result<()> {
-            unreachable!("stub poller cannot be constructed")
-        }
-    }
-}
-
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};
