@@ -366,8 +366,9 @@ fn main() {
         dispatch.p50_us, dispatch.p99_us
     );
 
-    // Phase 3: never-draining reader, in-process so the outbox is
-    // observable. The write cap is small so backpressure is reachable.
+    // Phase 3: never-draining reader over TCP, the server in this process
+    // so its outbox is observable. The write cap is small so backpressure
+    // is reachable.
     server.set_write_cap(2048);
     let stream = TcpStream::connect(&addr).expect("connect greedy");
     stream.set_nonblocking(true).ok();

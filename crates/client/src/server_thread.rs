@@ -13,10 +13,10 @@
 //! immediately rather than on the next tick.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Sender};
 use moira_core::server::MoiraServer;
 use moira_core::Waker;
 use moira_protocol::transport::{pair, Channel};
@@ -43,7 +43,7 @@ pub struct ServerThread {
 impl ServerThread {
     /// Spawns the loop.
     pub fn spawn(mut server: MoiraServer) -> ServerThread {
-        let (tx, rx) = unbounded::<Command>();
+        let (tx, rx) = channel::<Command>();
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
         let waker = server.waker();

@@ -1,11 +1,9 @@
 //! Stage 1 of a poll pass: from the reactor's readiness events to drained
-//! frames — how long the wait may block, which connections to read, and
-//! every complete frame they hold, in per-connection order. Readiness
-//! events are the only source of work: every connection and the listener
-//! are registered with the reactor (or were refused), so nothing is ever
+//! frames — which connections to flush and read, and every complete frame
+//! they hold, in per-connection order. Readiness events are the only
+//! source of work: every connection and the listener are registered with
+//! the reactor (or were refused), so the connection table is never
 //! scanned.
-
-use std::time::Duration;
 
 use moira_protocol::transport::TcpChannel;
 
@@ -13,26 +11,7 @@ use super::classify::Frame;
 use super::{MoiraServer, Pass};
 use crate::reactor::ReadySet;
 
-/// Wait clamp while a paused connection's resume condition produces no
-/// event — the peer draining an in-process queue, whose depth the server
-/// reads but whose wake pipe only signals the other direction. The loop
-/// ticks at this cadence instead of blocking the full timeout, so such a
-/// connection resumes within a millisecond of its peer catching up.
-pub(super) const RESUME_TICK: Duration = Duration::from_millis(1);
-
 impl MoiraServer {
-    /// How long the reactor wait may block for a caller asking `timeout`:
-    /// all of it, unless a paused connection needs its periodic resume
-    /// check. A paused connection with write interest registered needs
-    /// none — the socket turning writable is its event.
-    pub(super) fn wait_bound(&self, timeout: Option<Duration>) -> Option<Duration> {
-        if self.connections.iter().any(|c| c.paused && !c.reg_write) {
-            Some(timeout.unwrap_or(RESUME_TICK).min(RESUME_TICK))
-        } else {
-            timeout
-        }
-    }
-
     /// Turns one wait's events into frames: flush writable outboxes,
     /// accept, pick the readable set, drain it.
     pub(super) fn collect(&mut self, ready: &ReadySet, pass: &mut Pass) -> Vec<Frame> {
@@ -73,12 +52,7 @@ impl MoiraServer {
             loop {
                 match c.chan.try_recv() {
                     Ok(Some(bytes)) => frames.push((conn, bytes)),
-                    Ok(None) => {
-                        if c.chan.is_closed() {
-                            pass.dead.push(conn);
-                        }
-                        break;
-                    }
+                    Ok(None) => break,
                     Err(_) => {
                         pass.dead.push(conn);
                         break;

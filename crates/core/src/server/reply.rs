@@ -1,6 +1,8 @@
 //! Stage 5 of a poll pass: replies go out in per-connection FIFO order,
-//! reactor interest is brought in line with each outbox, and connections
-//! that died during the pass are torn down together.
+//! reactor interest is brought in line with each outbox the pass touched
+//! (backpressure lives here: the server's cap against the channel's
+//! `queued_bytes`), and connections that died during the pass are torn
+//! down together — the one stage that walks the connection table.
 
 use std::collections::HashSet;
 
@@ -26,17 +28,11 @@ impl MoiraServer {
 
     /// Re-syncs reactor interest for every connection this pass touched:
     /// write interest while the OS would not take the whole outbox, and
-    /// the backpressure pause/resume transitions. Paused connections
-    /// always get a resume check — their peers may have drained without
-    /// producing any event (in-process queues, or replies retired by an
-    /// earlier pass's flush).
+    /// the backpressure pause/resume transitions. A paused connection is
+    /// touched exactly when its resume check is due: it holds write
+    /// interest, so its socket turning writable put it in `collect`'s
+    /// flush set.
     pub(super) fn resync(&mut self, pass: &mut Pass) {
-        let paused = self
-            .connections
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.paused);
-        pass.touched.extend(paused.map(|(idx, _)| idx));
         pass.touched.sort_unstable();
         pass.touched.dedup();
         for &idx in &pass.touched {
@@ -57,7 +53,7 @@ impl MoiraServer {
             return false;
         };
         let queued = conn.chan.queued_bytes();
-        let cap = conn.chan.write_cap();
+        let cap = self.write_cap;
         if !conn.paused && queued > cap {
             // Over the high-water mark: stop reading this peer. Its
             // requests wait in its socket (and eventually its own send
@@ -72,6 +68,9 @@ impl MoiraServer {
         }
         let want_read = !conn.paused;
         let want_write = !flushed_clean;
+        // A paused outbox is above cap/2, so never empty: the write event
+        // that drains it is the connection's resume signal, the only one.
+        debug_assert!(!conn.paused || want_write, "paused without write interest");
         if want_read != conn.reg_read || want_write != conn.reg_write {
             self.reactor
                 .update(conn.fd, conn.key, want_read, want_write);

@@ -22,9 +22,9 @@
 //! as its own reply with code `MR_MORE_DATA`, and the final reply carries
 //! the overall status with no fields.
 //!
-//! [`transport`] supplies the two channel types the rest of the system
-//! uses: an in-process pair (crossbeam channels) and a non-blocking TCP
-//! stream — the latter is what lets the server stay a single UNIX process
+//! [`transport`] supplies the one channel type the rest of the system
+//! uses: a non-blocking framed stream, over TCP or over the two ends of an
+//! in-process socketpair — what lets the server stay a single UNIX process
 //! handling many simultaneous connections, as GDB did for the original.
 
 pub mod transport;

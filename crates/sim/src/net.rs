@@ -281,14 +281,6 @@ impl Channel for FaultyChannel {
     fn queued_bytes(&self) -> usize {
         self.inner.queued_bytes()
     }
-
-    fn write_cap(&self) -> usize {
-        self.inner.write_cap()
-    }
-
-    fn set_write_cap(&mut self, cap: usize) {
-        self.inner.set_write_cap(cap)
-    }
 }
 
 #[cfg(test)]
@@ -412,9 +404,7 @@ mod tests {
 
     /// An inner channel whose every answer is distinguishable from what a
     /// wrapper could make up on its own.
-    struct Marked {
-        cap: usize,
-    }
+    struct Marked;
 
     impl Channel for Marked {
         fn send(&mut self, _frame: bytes::Bytes) -> std::io::Result<()> {
@@ -435,12 +425,6 @@ mod tests {
         fn queued_bytes(&self) -> usize {
             77
         }
-        fn write_cap(&self) -> usize {
-            self.cap
-        }
-        fn set_write_cap(&mut self, cap: usize) {
-            self.cap = cap;
-        }
     }
 
     #[test]
@@ -449,12 +433,9 @@ mod tests {
         // flush and its backpressure signal: the server and
         // `recv_blocking` see the wrapper, not the socket.
         let fabric = Arc::new(NetFabric::new(VClock::new(), 3));
-        let mut chan = FaultyChannel::new(Box::new(Marked { cap: 5 }), fabric, "LINK");
+        let mut chan = FaultyChannel::new(Box::new(Marked), fabric, "LINK");
         assert_eq!(chan.raw_fd(), 4242);
         assert!(!chan.flush().unwrap(), "inner reports bytes still queued");
         assert_eq!(chan.queued_bytes(), 77);
-        assert_eq!(chan.write_cap(), 5);
-        chan.set_write_cap(9);
-        assert_eq!(chan.write_cap(), 9);
     }
 }
