@@ -1,5 +1,9 @@
 //! The `MoiraConn` trait and the RPC client (§5.6.2).
 
+// Connection glue runs in every long-lived client: errors surface as
+// `MrError`, never as a panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use bytes::Bytes;
 use moira_common::errors::{MrError, MrResult};
 use moira_krb::ticket::{Authenticator, Ticket};

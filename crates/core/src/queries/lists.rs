@@ -719,6 +719,9 @@ fn get_ace_use(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<Vec
     Ok(out)
 }
 
+// Tristate qualifier over five unindexed flag columns: a genuine dump, no
+// index can narrow it.
+#[allow(clippy::disallowed_methods)]
 fn qualified_get_lists(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
     let active = parse_tristate(&a[0])?;
     let public = parse_tristate(&a[1])?;
@@ -732,8 +735,6 @@ fn qualified_get_lists(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult
     }
     let t = state.db.table("list");
     let mut out = Vec::new();
-    // Tristate qualifier over five unindexed flag columns: a genuine
-    // dump, no index can narrow it. lint:allow(plan-discipline)
     for (row, _) in t.iter() {
         if matches_tristate(t.cell(row, "active"), active)
             && matches_tristate(t.cell(row, "public"), public)

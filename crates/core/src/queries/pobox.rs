@@ -111,12 +111,13 @@ fn get_pobox(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<
     ]])
 }
 
+// Dump of every pobox by type — no index on potype, and the query is an
+// enumeration by design.
+#[allow(clippy::disallowed_methods)]
 fn poboxes_where(state: &MoiraState, want: Option<&str>) -> Vec<Vec<String>> {
     state
         .db
         .table("users")
-        // Dump of every pobox by type — no index on potype, and the
-        // query is an enumeration by design. lint:allow(plan-discipline)
         .iter()
         .filter(|(_, r)| {
             let t = r[state.db.table("users").col("potype")].as_str();

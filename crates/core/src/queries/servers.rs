@@ -292,6 +292,9 @@ fn get_server_info(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec
     Ok(ids.into_iter().map(|id| render_server(state, id)).collect())
 }
 
+// Tristate qualifier over unindexed status flags: a genuine admin dump
+// over a tiny relation, so the planner has nothing to offer.
+#[allow(clippy::disallowed_methods)]
 fn qualified_get_server(
     state: &MoiraState,
     _c: &Caller,
@@ -302,8 +305,6 @@ fn qualified_get_server(
     let harderror = parse_tristate(&a[2])?;
     let t = state.db.table("servers");
     let mut out = Vec::new();
-    // Tristate qualifier over unindexed status flags: a genuine admin
-    // dump over a tiny relation. lint:allow(plan-discipline)
     for (row, _) in t.iter() {
         let he = t.cell(row, "harderror").as_int() != 0;
         if matches_tristate(t.cell(row, "enable"), enable)

@@ -18,6 +18,10 @@
 //! installed; the durable engine is only attached afterwards, so recovered
 //! entries are never re-appended to the log they came from.
 
+// Recovery runs on whatever bytes a crash left behind; a panic here makes
+// the database unbootable.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use moira_common::clock::VClock;
 use moira_common::errors::{MrError, MrResult};
 use moira_db::storage::{DurableEngine, GroupCommitConfig, Media, Storage};

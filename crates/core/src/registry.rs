@@ -58,7 +58,50 @@ pub enum AccessRule {
 }
 
 /// Read-tier handler signature: shared state, caller, string arguments →
-/// tuples. The `&MoiraState` makes it a type error for a retrieve to mutate.
+/// tuples. The `&MoiraState` makes it a type error for a retrieve to mutate:
+/// every `Database`/`Table` mutator takes `&mut self`, rows have no interior
+/// mutability, and `Database` is not `Clone`, so there is no detached copy to
+/// read or write either. A retrieve compiles —
+///
+/// ```
+/// # use moira_common::errors::MrResult;
+/// # use moira_core::registry::ReadHandler;
+/// # use moira_core::state::{Caller, MoiraState};
+/// # use moira_db::Pred;
+/// fn retrieve(state: &MoiraState, _c: &Caller, _a: &[String]) -> MrResult<Vec<Vec<String>>> {
+///     let _ = state.db.select("users", &Pred::True);
+///     Ok(Vec::new())
+/// }
+/// let _: ReadHandler = retrieve;
+/// ```
+///
+/// — the same handler mutating through the shared reference does not (E0596) —
+///
+/// ```compile_fail
+/// # use moira_common::errors::MrResult;
+/// # use moira_core::registry::ReadHandler;
+/// # use moira_core::state::{Caller, MoiraState};
+/// # use moira_db::Pred;
+/// fn retrieve(state: &MoiraState, _c: &Caller, _a: &[String]) -> MrResult<Vec<Vec<String>>> {
+///     let _ = state.db.delete_where("users", &Pred::True);
+///     Ok(Vec::new())
+/// }
+/// let _: ReadHandler = retrieve;
+/// ```
+///
+/// — and neither does cloning the database out from under the tiers (E0599):
+///
+/// ```compile_fail
+/// # use moira_common::errors::MrResult;
+/// # use moira_core::registry::ReadHandler;
+/// # use moira_core::state::{Caller, MoiraState};
+/// # use moira_db::Pred;
+/// fn retrieve(state: &MoiraState, _c: &Caller, _a: &[String]) -> MrResult<Vec<Vec<String>>> {
+///     let _ = state.db.clone().select("users", &Pred::True);
+///     Ok(Vec::new())
+/// }
+/// let _: ReadHandler = retrieve;
+/// ```
 pub type ReadHandler = fn(&MoiraState, &Caller, &[String]) -> MrResult<Vec<Vec<String>>>;
 
 /// Write-tier handler signature: exclusive state access for the
@@ -137,8 +180,9 @@ impl Registry {
     ///
     /// # Panics
     ///
-    /// Panics on duplicate names — the catalog is static, so duplicates are
-    /// build-time bugs.
+    /// Panics on duplicate names, a mutation class on the read tier (or the
+    /// reverse), or a `QueryAclOrSelf` index past the declared arguments —
+    /// the catalog is static, so all three are build-time bugs.
     pub fn register(&mut self, handle: QueryHandle) {
         assert_eq!(
             handle.kind.is_mutation(),
@@ -147,6 +191,16 @@ impl Registry {
             handle.name,
             handle.kind,
         );
+        if let AccessRule::QueryAclOrSelf(i) = handle.access {
+            // `access::enforce` reads `args.get(i)`: out of range, the owner
+            // would be answered MR_PERM forever.
+            assert!(
+                i < handle.args.len(),
+                "query {}: QueryAclOrSelf({i}) indexes past its {} argument(s)",
+                handle.name,
+                handle.args.len()
+            );
+        }
         let idx = self.handles.len();
         assert!(
             self.by_name.insert(handle.name, idx).is_none(),
@@ -467,6 +521,56 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s.journal.len(), before + 1);
+    }
+
+    fn noop_read(_s: &MoiraState, _c: &Caller, _a: &[String]) -> MrResult<Vec<Vec<String>>> {
+        Ok(Vec::new())
+    }
+
+    const PROBE: QueryHandle = QueryHandle {
+        name: "probe_query",
+        shortname: "prbq",
+        kind: QueryKind::Retrieve,
+        access: AccessRule::Public,
+        args: &["login"],
+        returns: &[],
+        handler: Handler::Read(noop_read),
+    };
+
+    #[test]
+    #[should_panic(expected = "duplicate query get_user_by_login")]
+    fn duplicate_name_is_refused() {
+        Registry::standard().register(QueryHandle {
+            name: "get_user_by_login",
+            ..PROBE
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate tag gubl")]
+    fn duplicate_tag_is_refused() {
+        Registry::standard().register(QueryHandle {
+            shortname: "gubl",
+            ..PROBE
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "on the wrong tier")]
+    fn mutation_class_on_the_read_tier_is_refused() {
+        Registry::empty().register(QueryHandle {
+            kind: QueryKind::Update,
+            ..PROBE
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "QueryAclOrSelf(1) indexes past its 1 argument(s)")]
+    fn self_access_index_past_the_arguments_is_refused() {
+        Registry::empty().register(QueryHandle {
+            access: AccessRule::QueryAclOrSelf(1),
+            ..PROBE
+        });
     }
 
     #[test]

@@ -344,6 +344,7 @@ mod tests {
         }
         // 20 stored relations + virtual TBLSTATS = the 21 of §6.
         assert_eq!(RELATIONS.len(), 20);
+        assert_eq!(db.table_names().len(), 20, "a table RELATIONS omits");
     }
 
     #[test]

@@ -37,6 +37,10 @@
 //!
 //! [`MrError::Busy`]: moira_common::errors::MrError::Busy
 
+// A panic here kills the daemon every workstation depends on; covers every
+// submodule of `server/`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 mod classify;
 mod collect;
 mod reply;

@@ -10,6 +10,10 @@
 //! [`MediaRotation`] reproduces the `nightly.sh` rotation that keeps the last
 //! three backups on line.
 
+// Decodes backup and snapshot rows from disk: malformed input is an error,
+// never a panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::collections::BTreeMap;
 
 use moira_common::errors::{MrError, MrResult};

@@ -61,14 +61,17 @@ impl GenCursor {
 }
 
 /// A named-table database with a shared virtual clock for modtimes.
-#[derive(Debug, Clone)]
+///
+/// Deliberately not `Clone`: the live database has exactly one copy, so a
+/// handler can neither read a detached image nor mutate one the journal
+/// never sees.
+#[derive(Debug)]
 pub struct Database {
     tables: BTreeMap<&'static str, Table>,
     clock: VClock,
     epoch: u64,
     /// The shared string interner every table of this database dedupes
-    /// `Value::Str` payloads through. Clones of the database share it (a
-    /// clone carries the same content, so sharing symbols is free).
+    /// `Value::Str` payloads through.
     symbols: Symbols,
     /// Obs registry handed to tables as they are created.
     obs: Option<moira_obs::Registry>,
@@ -107,8 +110,7 @@ impl Database {
         }
     }
 
-    /// This database's epoch. Distinct per `Database::new`; preserved by
-    /// `Clone` (a clone carries the same content and history).
+    /// This database's epoch. Distinct per `Database::new`.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -342,11 +344,10 @@ mod tests {
     }
 
     #[test]
-    fn epochs_distinct_per_database_but_shared_by_clones() {
+    fn epochs_distinct_per_database() {
         let a = db();
         let b = db();
         assert_ne!(a.epoch(), b.epoch());
-        assert_eq!(a.clone().epoch(), a.epoch());
     }
 
     #[test]

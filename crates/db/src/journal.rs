@@ -9,6 +9,10 @@
 //! The serialized form reuses the backup escaping so journal lines survive
 //! arbitrary argument bytes.
 
+// Decodes journal lines from disk: malformed input is an error, never a
+// panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use moira_common::errors::{MrError, MrResult};
 
 use crate::backup::{escape_field, split_unescaped_colons, unescape_field};

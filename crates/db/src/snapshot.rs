@@ -13,6 +13,10 @@
 //! a torn file (impossible under the temp-file + rename + dir-fsync write
 //! protocol, but disks lie) is detected rather than half-applied.
 
+// Snapshot decode runs on whatever bytes a crash left behind; a panic here
+// makes the database unbootable.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use moira_common::errors::{MrError, MrResult};
 
 use crate::backup::{column_types, decode_row, encode_row, split_unescaped_colons};

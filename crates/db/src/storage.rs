@@ -24,6 +24,10 @@
 //! and media failure surface as `MR_DURABILITY`, and a torn WAL tail is
 //! truncated, never trusted.
 
+// Recovery runs on whatever bytes a crash left behind; a panic here makes
+// the database unbootable.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write;

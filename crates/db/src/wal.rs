@@ -20,6 +20,10 @@
 //! first bad frame onward is discarded — after a torn append there is no
 //! trustworthy framing to resynchronize on.
 
+// The WAL scan runs on whatever bytes a crash left behind; a panic here
+// makes the database unbootable.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use moira_common::crc::crc32;
 
 use crate::journal::JournalEntry;

@@ -24,6 +24,10 @@
 //! and the whole-archive checksum still guards the reconstruction either
 //! way, so a bad patch can never install.
 
+// The update leg talks to hosts that may be down or hostile: errors surface
+// as `UpdateError`, never as a panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::collections::HashMap;
 
 use moira_krb::ticket::{Authenticator, Ticket};

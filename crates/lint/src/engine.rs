@@ -15,8 +15,7 @@
 //! 2. **Primitive effects** — each function body is scanned for the
 //!    effect primitives the discipline passes care about: acquiring a
 //!    SharedState read/write guard, blocking (sleep / blocking receive /
-//!    fsync / park / `std::fs` / `std::net`), mutating the database
-//!    through the journaled APIs, entering a reactor wait, and
+//!    fsync / park / `std::fs` / `std::net`), entering a reactor wait, and
 //!    full-table scans.
 //! 3. **Fixpoint propagation** — effects flow from callee to caller over
 //!    the call graph until nothing changes. The iteration is monotone
@@ -52,27 +51,24 @@ pub enum Effect {
     /// Performs a blocking call: sleep, blocking receive, park, fsync,
     /// `std::fs` / `std::net`, connect/bind/accept.
     Blocks = 2,
-    /// Mutates MoiraState / the database through the journaled APIs.
-    Mutates = 3,
     /// Enters a reactor wait (directly or via a loop entry point).
-    Waits = 4,
+    Waits = 3,
     /// Enumerates a whole table (`.table(..).iter()`, `Pred::True`).
-    Scans = 5,
+    Scans = 4,
     /// Performs socket-level network I/O (`connect`/`bind`/`accept`,
     /// `std::net`). Kept distinct from `Blocks`: the reactor loop's
     /// sockets are all non-blocking, so these are legal on the wait path
     /// but still denied under a SharedState guard.
-    BlocksNet = 6,
+    BlocksNet = 5,
 }
 
-pub const EFFECT_COUNT: usize = 7;
+pub const EFFECT_COUNT: usize = 6;
 
 impl Effect {
     pub const ALL: [Effect; EFFECT_COUNT] = [
         Effect::AcquiresRead,
         Effect::AcquiresWrite,
         Effect::Blocks,
-        Effect::Mutates,
         Effect::Waits,
         Effect::Scans,
         Effect::BlocksNet,
@@ -84,7 +80,6 @@ impl Effect {
             Effect::AcquiresRead => "acquires a state read guard",
             Effect::AcquiresWrite => "acquires a state write guard",
             Effect::Blocks => "performs a blocking call",
-            Effect::Mutates => "mutates the database",
             Effect::Waits => "enters a reactor wait",
             Effect::Scans => "enumerates a whole table",
             Effect::BlocksNet => "performs network I/O",
@@ -101,10 +96,6 @@ pub struct EffectSet {
 impl EffectSet {
     pub fn has(self, e: Effect) -> bool {
         self.bits & (1 << e as u8) != 0
-    }
-
-    pub fn is_empty(self) -> bool {
-        self.bits == 0
     }
 
     /// True when either guard-acquisition bit is set.
@@ -299,7 +290,7 @@ const ACQUIRE_WRITE: &[&str] = &["write", "try_write"];
 
 /// Receiver chains whose last identifier is one of these are the shared
 /// state handle.
-pub const STATE_RECV: &[&str] = &["state", "shared"];
+const STATE_RECV: &[&str] = &["state", "shared"];
 
 /// Hard-blocking calls (method or free form): the thread parks or sleeps.
 const BLOCKING: &[&str] = &[
@@ -319,21 +310,6 @@ const BLOCKING_PATHS: &[&[&str]] = &[&["std", "fs"]];
 
 /// Path prefixes that are network I/O wherever they appear.
 const NET_PATHS: &[&[&str]] = &[&["std", "net"]];
-
-/// Mutating Database / Table / MoiraState APIs (the journaling surface).
-pub const MUTATING: &[&str] = &[
-    "append",
-    "update",
-    "delete",
-    "delete_where",
-    "table_mut",
-    "create_table",
-    "set_value",
-];
-
-/// Types whose `MUTATING`-named methods are mutation primitives by
-/// definition.
-const MUTATING_OWNERS: &[&str] = &["Database", "Table", "MoiraState"];
 
 /// Receivers whose `.wait(..)` is the reactor's blocking point.
 const WAIT_RECV: &[&str] = &["reactor", "poller"];
@@ -496,7 +472,7 @@ impl<'a> Engine<'a> {
                 id,
                 &markers[node.file],
             );
-            for (e, line, what) in prim_effects(node, &local_types, &sf.rel) {
+            for (e, line, what) in prim_effects(node, &sf.rel) {
                 if effects[id].insert(e) {
                     origins[id][e as usize] = Some(Origin::Prim { line, what });
                 }
@@ -564,11 +540,6 @@ impl<'a> Engine<'a> {
     /// FnIds defined in the file at `file_idx`.
     pub fn fns_in_file(&self, file_idx: usize) -> &[FnId] {
         &self.by_file[file_idx]
-    }
-
-    /// The workspace-relative path of the file containing `id`.
-    pub fn rel(&self, id: FnId) -> &str {
-        &self.rels[self.fns[id].file]
     }
 
     /// Finds the non-test fn named `name` in the file at `file_idx`
@@ -1437,124 +1408,41 @@ impl<'e> Resolver<'e> {
 }
 
 /// Primitive effect sites in one function body.
-fn prim_effects(
-    node: &FnNode<'_>,
-    local_types: &HashMap<String, String>,
-    rel: &str,
-) -> Vec<(Effect, u32, String)> {
+fn prim_effects(node: &FnNode<'_>, rel: &str) -> Vec<(Effect, u32, String)> {
     let body = &node.func.body;
     let mut out = Vec::new();
 
     // Guard acquisitions.
     for mc in scan::method_calls(body) {
-        let is_read = ACQUIRE_READ.contains(&mc.name);
-        let is_write = ACQUIRE_WRITE.contains(&mc.name);
-        if is_read || is_write {
+        if is_state_acquire(body, mc.idx, mc.name) {
             let recv = scan::receiver_idents(body, mc.idx);
             let last = recv.last().map(String::as_str).unwrap_or("");
-            if STATE_RECV.contains(&last) {
-                let e = if is_read {
-                    Effect::AcquiresRead
-                } else {
-                    Effect::AcquiresWrite
-                };
-                out.push((e, mc.line, format!("{last}.{}()", mc.name)));
-            }
-        }
-        // Blocking methods.
-        if BLOCKING.contains(&mc.name) {
-            out.push((Effect::Blocks, mc.line, format!(".{}()", mc.name)));
-        }
-        if BLOCKING_NET.contains(&mc.name) {
-            out.push((Effect::BlocksNet, mc.line, format!(".{}()", mc.name)));
-        }
-        // Blocking receive: `.recv()` on anything (try_recv is distinct).
-        if mc.name == "recv" {
-            out.push((Effect::Blocks, mc.line, ".recv()".to_string()));
-        }
-        // Reactor waits.
-        if mc.name == "wait" {
-            let recv = scan::receiver_idents(body, mc.idx);
-            let last = recv.last().map(String::as_str).unwrap_or("");
-            if WAIT_RECV.contains(&last) {
-                out.push((Effect::Waits, mc.line, format!("{last}.wait()")));
-            }
-        } else if LOOP_WAITS.contains(&mc.name) {
-            out.push((Effect::Waits, mc.line, format!(".{}()", mc.name)));
-        }
-        // Mutations through the journaled surface: receiver rooted at the
-        // state / a db- or table-typed local / `self` inside the db types.
-        if MUTATING.contains(&mc.name) {
-            let recv = scan::receiver_idents(body, mc.idx);
-            let root = recv.first().map(String::as_str).unwrap_or("");
-            let root_ty = local_types.get(root).map(String::as_str);
-            let rooted = root == "state"
-                || root == "db"
-                || recv.iter().any(|r| r == "db" || r == "table")
-                || matches!(root_ty, Some("Database" | "Table" | "MoiraState"))
-                || (root == "self"
-                    && node
-                        .owner
-                        .as_deref()
-                        .is_some_and(|o| MUTATING_OWNERS.contains(&o)));
-            if rooted {
-                out.push((Effect::Mutates, mc.line, format!(".{}()", mc.name)));
-            }
+            let e = if ACQUIRE_READ.contains(&mc.name) {
+                Effect::AcquiresRead
+            } else {
+                Effect::AcquiresWrite
+            };
+            out.push((e, mc.line, format!("{last}.{}()", mc.name)));
         }
     }
-    for fc in scan::free_calls(body) {
-        if BLOCKING.contains(&fc.name) {
-            out.push((Effect::Blocks, fc.line, format!("{}(...)", fc.name)));
-        }
-        if BLOCKING_NET.contains(&fc.name) {
-            out.push((Effect::BlocksNet, fc.line, format!("{}(...)", fc.name)));
-        }
-    }
-    // Blocking path prefixes (`std::fs::...`, `std::net::...`).
-    for i in 0..body.len() {
-        for (paths, effect) in [
-            (BLOCKING_PATHS, Effect::Blocks),
-            (NET_PATHS, Effect::BlocksNet),
-        ] {
-            for path in paths {
-                if scan::path_starts(body, i, path)
-                    && (i == 0 || !body[i - 1].is_punct(':'))
-                    && body.get(i + 1).is_some_and(|t| t.is_punct(':'))
-                {
-                    out.push((effect, body[i].line, format!("{}::{}", path[0], path[1])));
-                }
-            }
-        }
-    }
-    // The db-layer mutation primitives themselves.
-    if MUTATING.contains(&node.func.name.as_str())
-        && node
-            .owner
-            .as_deref()
-            .is_some_and(|o| MUTATING_OWNERS.contains(&o))
-    {
-        out.push((
-            Effect::Mutates,
-            node.func.line,
-            format!(
-                "{}::{}",
-                node.owner.as_deref().unwrap_or(""),
-                node.func.name
-            ),
-        ));
+    for (sites, effect) in [
+        (hard_blocking_prim_sites(body), Effect::Blocks),
+        (net_prim_sites(body), Effect::BlocksNet),
+        (wait_prim_sites(body), Effect::Waits),
+    ] {
+        out.extend(
+            sites
+                .into_iter()
+                .map(|(_, line, what)| (effect, line, what)),
+        );
     }
     // Whole-table scans — outside crates/db (the planner's own Scan arm is
     // the legitimate implementation of scanning, not a discipline breach).
     if !rel.starts_with("crates/db/src/") {
         let locals = table_locals(body);
         for mc in scan::method_calls(body) {
-            if mc.name == "iter" {
-                let recv = scan::receiver_idents(body, mc.idx);
-                if recv.iter().any(|r| r == "table")
-                    || recv.first().is_some_and(|r| locals.contains(r.as_str()))
-                {
-                    out.push((Effect::Scans, mc.line, ".table(..).iter()".to_string()));
-                }
+            if mc.name == "iter" && is_table_iter(body, mc.idx, &locals) {
+                out.push((Effect::Scans, mc.line, ".table(..).iter()".to_string()));
             }
         }
         for i in 0..body.len() {
@@ -1576,23 +1464,29 @@ pub fn is_state_acquire(body: &[Token], dot_idx: usize, name: &str) -> bool {
             .is_some_and(|l| STATE_RECV.contains(&l.as_str()))
 }
 
-/// Direct blocking-primitive sites in a body, both hard-blocking and
-/// network classes: (token index, line, description). Used by the passes
-/// to point diagnostics at the exact in-body token.
-pub fn blocking_prim_sites(body: &[Token]) -> Vec<(usize, u32, String)> {
+/// Primitive sites of one blocking class in a body — `names` as method or
+/// free calls, `methods` as method calls only, `paths` as path prefixes:
+/// (token index, line, description). The passes use these to point
+/// diagnostics at the exact in-body token.
+fn class_sites(
+    body: &[Token],
+    names: &[&str],
+    methods: &[&str],
+    paths: &[&[&str]],
+) -> Vec<(usize, u32, String)> {
     let mut out = Vec::new();
     for mc in scan::method_calls(body) {
-        if BLOCKING.contains(&mc.name) || BLOCKING_NET.contains(&mc.name) || mc.name == "recv" {
+        if names.contains(&mc.name) || methods.contains(&mc.name) {
             out.push((mc.idx, mc.line, format!(".{}()", mc.name)));
         }
     }
     for fc in scan::free_calls(body) {
-        if BLOCKING.contains(&fc.name) || BLOCKING_NET.contains(&fc.name) {
+        if names.contains(&fc.name) {
             out.push((fc.idx, fc.line, format!("{}(...)", fc.name)));
         }
     }
     for i in 0..body.len() {
-        for path in BLOCKING_PATHS.iter().chain(NET_PATHS) {
+        for path in paths {
             if scan::path_starts(body, i, path)
                 && (i == 0 || !body[i - 1].is_punct(':'))
                 && body.get(i + 1).is_some_and(|t| t.is_punct(':'))
@@ -1604,30 +1498,22 @@ pub fn blocking_prim_sites(body: &[Token]) -> Vec<(usize, u32, String)> {
     out
 }
 
-/// Hard-blocking (non-network) primitive sites only — the reactor wait
-/// path tolerates non-blocking socket calls but nothing that sleeps.
+/// Hard-blocking (non-network) primitive sites — the reactor wait path
+/// tolerates non-blocking socket calls but nothing that sleeps. `.recv()`
+/// on anything is a blocking receive (`try_recv` is distinct).
 pub fn hard_blocking_prim_sites(body: &[Token]) -> Vec<(usize, u32, String)> {
-    let mut out = Vec::new();
-    for mc in scan::method_calls(body) {
-        if BLOCKING.contains(&mc.name) || mc.name == "recv" {
-            out.push((mc.idx, mc.line, format!(".{}()", mc.name)));
-        }
-    }
-    for fc in scan::free_calls(body) {
-        if BLOCKING.contains(&fc.name) {
-            out.push((fc.idx, fc.line, format!("{}(...)", fc.name)));
-        }
-    }
-    for i in 0..body.len() {
-        for path in BLOCKING_PATHS {
-            if scan::path_starts(body, i, path)
-                && (i == 0 || !body[i - 1].is_punct(':'))
-                && body.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            {
-                out.push((i, body[i].line, format!("{}::{}", path[0], path[1])));
-            }
-        }
-    }
+    class_sites(body, BLOCKING, &["recv"], BLOCKING_PATHS)
+}
+
+/// Socket-level primitive sites (`connect`/`bind`/`accept`, `std::net`).
+fn net_prim_sites(body: &[Token]) -> Vec<(usize, u32, String)> {
+    class_sites(body, BLOCKING_NET, &[], NET_PATHS)
+}
+
+/// Both blocking classes: what must not happen under a SharedState guard.
+pub fn blocking_prim_sites(body: &[Token]) -> Vec<(usize, u32, String)> {
+    let mut out = hard_blocking_prim_sites(body);
+    out.extend(net_prim_sites(body));
     out
 }
 
@@ -1649,8 +1535,9 @@ pub fn wait_prim_sites(body: &[Token]) -> Vec<(usize, u32, String)> {
     out
 }
 
-/// Local names bound from `..table(..)` calls.
-fn table_locals(body: &[Token]) -> HashSet<String> {
+/// Local names bound from `..table(..)` calls, e.g.
+/// `let t = state.db.table("users");`.
+pub fn table_locals(body: &[Token]) -> HashSet<String> {
     let mut out = HashSet::new();
     for i in 0..body.len() {
         if !body[i].is_ident("let") {
@@ -1675,6 +1562,16 @@ fn table_locals(body: &[Token]) -> HashSet<String> {
         }
     }
     out
+}
+
+/// True when the `.iter()` at `dot_idx` enumerates a table: its receiver
+/// chain passes through `.table(..)` or starts at one of `table_locals`.
+pub fn is_table_iter(toks: &[Token], dot_idx: usize, table_locals: &HashSet<String>) -> bool {
+    let recv = scan::receiver_idents(toks, dot_idx);
+    recv.iter().any(|r| r == "table")
+        || recv
+            .first()
+            .is_some_and(|r| table_locals.contains(r.as_str()))
 }
 
 #[cfg(test)]
@@ -1752,7 +1649,6 @@ mod tests {
             .find(|c| c.name == "append")
             .expect("call site");
         assert_eq!(call.targets, vec![append], "typed receiver must resolve");
-        assert!(e.effects(add).has(Effect::Mutates));
     }
 
     #[test]

@@ -1,23 +1,19 @@
-//! `moira-lint`: a workspace static analyzer enforcing the invariants the
-//! paper's architecture depends on — the closed query surface with uniform
-//! access control, the read/write tier split, the `state.db` journaling
-//! contract, lock discipline around the shared state, the DCM delta-path
-//! scan ban, panic-free daemon request loops, reactor discipline (no
-//! guard held across the reactor wait, no blocking calls on the wait
-//! path), and planner discipline (no `Table::iter()` where an index
-//! could serve the lookup).
+//! `moira-lint`: a workspace static analyzer for the invariants no other
+//! tool in the build can see — lock discipline around the shared state, the
+//! reactor's single blocking point, the DCM delta-path scan ban (three
+//! interprocedural passes over a workspace call graph), and the table and
+//! column names the query path spells as string literals.
 //!
-//! It replaces the regex grep gates that used to live in CI: each pass
-//! parses the source (via the in-tree `syn` shim) instead of pattern
-//! matching lines, so trivial rewrites (`let s = &state; s.clone()`) no
-//! longer slip through.
+//! It checks only what rustc, clippy and `Registry::register` cannot: the
+//! read tier is a handler signature, the single live database is a missing
+//! `Clone`, panic-free loops and planner discipline are clippy attributes,
+//! and registry coherence is asserted at registration (DESIGN.md "Static
+//! invariants" has the table).
 //!
 //! Diagnostics are deny-by-default. A `// lint:allow(<pass>)` comment on
 //! the flagged line or the line above suppresses one finding; allows are
-//! reviewed in PRs like any other code (see DESIGN.md "Static
-//! invariants").
+//! reviewed in PRs like any other code.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -120,13 +116,6 @@ pub struct PassInfo {
 /// All passes, in the order they run.
 pub const PASSES: &[PassInfo] = &[
     PassInfo {
-        name: passes::tier::NAME,
-        description: "read handlers take &MoiraState and never transitively reach a mutating \
-                      Database/Table API (any file, any depth); write handlers mutate only \
-                      through state.db (journaling contract); MoiraState is never Clone",
-        run: passes::tier::run,
-    },
-    PassInfo {
         name: passes::locks::NAME,
         description: "no blocking I/O and no second guard acquisition while a SharedState \
                       RwLock guard is live — including transitively through calls into any \
@@ -134,11 +123,10 @@ pub const PASSES: &[PassInfo] = &[
         run: passes::locks::run,
     },
     PassInfo {
-        name: passes::registry_schema::NAME,
-        description: "every registered query resolves to a handler on the right tier, its \
-                      access rule is well-formed, and it references only tables/columns \
-                      declared in schema.rs",
-        run: passes::registry_schema::run,
+        name: passes::reactor::NAME,
+        description: "no SharedState guard held across the reactor wait, and no blocking \
+                      syscalls reachable from functions on the reactor wait path",
+        run: passes::reactor::run,
     },
     PassInfo {
         name: passes::delta::NAME,
@@ -148,23 +136,10 @@ pub const PASSES: &[PassInfo] = &[
         run: passes::delta::run,
     },
     PassInfo {
-        name: passes::panics::NAME,
-        description: "no unwrap()/expect()/panic! in the server request loop, client \
-                      connection glue, or DCM update leg",
-        run: passes::panics::run,
-    },
-    PassInfo {
-        name: passes::reactor::NAME,
-        description: "no SharedState guard held across the reactor wait, and no blocking \
-                      syscalls reachable from functions on the reactor wait path",
-        run: passes::reactor::run,
-    },
-    PassInfo {
-        name: passes::plan::NAME,
-        description: "query handlers never Table::iter() a table with indexed columns — \
-                      lookups route through select() and the predicate planner; genuine \
-                      dumps carry a reviewed lint:allow",
-        run: passes::plan::run,
+        name: passes::schema_refs::NAME,
+        description: "every table and column string literal on the query path names a \
+                      table or column declared in schema.rs",
+        run: passes::schema_refs::run,
     },
 ];
 
@@ -204,18 +179,6 @@ impl SourceFile {
             ast,
             allows,
         })
-    }
-
-    /// All non-test functions with bodies, by name. On duplicate names the
-    /// first definition wins.
-    pub fn fn_map(&self) -> HashMap<&str, &syn::ItemFn> {
-        let mut map = HashMap::new();
-        for f in self.ast.functions() {
-            if !f.in_test && f.func.has_body {
-                map.entry(f.func.name.as_str()).or_insert(f.func);
-            }
-        }
-        map
     }
 }
 
@@ -288,11 +251,6 @@ impl Workspace {
         let pass = PASSES.iter().find(|p| p.name == name)?;
         let eng = engine::Engine::build(self);
         Some(self.suppress((pass.run)(self, &eng)))
-    }
-
-    /// Runs every pass and applies `lint:allow` suppressions.
-    pub fn run_all(&self) -> Vec<Diagnostic> {
-        self.run_full().diagnostics
     }
 
     /// Runs every pass, applies `lint:allow` suppressions, and reports the

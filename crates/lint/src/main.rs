@@ -3,10 +3,9 @@
 //! ```text
 //! cargo run -p moira-lint                  # run all passes on the workspace
 //! cargo run -p moira-lint -- --deny-all    # CI mode: stale allows also fail the run
-//! cargo run -p moira-lint -- --json        # machine-readable diagnostics on stdout
 //! cargo run -p moira-lint -- --github      # GitHub Actions ::error annotations
 //! cargo run -p moira-lint -- --list        # print pass names and descriptions
-//! cargo run -p moira-lint -- --pass panic-path
+//! cargo run -p moira-lint -- --pass lock-discipline
 //! cargo run -p moira-lint -- --root /path/to/workspace
 //! ```
 
@@ -14,7 +13,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use moira_lint::{Diagnostic, StaleAllow, Workspace, PASSES};
+use moira_lint::{Workspace, PASSES};
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -22,13 +21,11 @@ fn main() -> ExitCode {
     let mut pass: Option<String> = None;
     let mut list = false;
     let mut deny_all = false;
-    let mut json = false;
     let mut github = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--list" => list = true,
             "--deny-all" => deny_all = true,
-            "--json" => json = true,
             "--github" => github = true,
             "--root" => root = args.next().map(PathBuf::from),
             "--pass" => pass = args.next(),
@@ -44,7 +41,7 @@ fn main() -> ExitCode {
     }
     if list {
         for p in PASSES {
-            println!("{:<16} {}", p.name, p.description);
+            println!("{:<18} {}", p.name, p.description);
         }
         return ExitCode::SUCCESS;
     }
@@ -82,9 +79,8 @@ fn main() -> ExitCode {
     };
     let wall_ms = started.elapsed().as_millis();
 
-    if json {
-        println!("{}", render_json(&diags, &stale, ws.files.len(), wall_ms));
-    } else if github {
+    let failed = !diags.is_empty() || (deny_all && !stale.is_empty());
+    if github {
         for d in &diags {
             // ::error file=...,line=...::message — one annotation per
             // finding, with the witness chain folded into the message.
@@ -113,10 +109,6 @@ fn main() -> ExitCode {
         for s in &stale {
             println!("{s}");
         }
-    }
-
-    let failed = !diags.is_empty() || (deny_all && !stale.is_empty());
-    if !json && !github {
         if failed {
             println!(
                 "moira-lint: {} violation(s), {} stale allow(s)",
@@ -144,63 +136,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// Hand-rolled JSON (the workspace carries no serializer dependency): one
-/// object with `diagnostics`, `stale_allows`, `files`, and `wall_ms`.
-fn render_json(diags: &[Diagnostic], stale: &[StaleAllow], files: usize, wall_ms: u128) -> String {
-    let mut out = String::from("{\"diagnostics\":[");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"pass\":{},\"file\":{},\"line\":{},\"message\":{},\"chain\":[",
-            json_str(d.pass),
-            json_str(&d.file),
-            d.line,
-            json_str(&d.message)
-        ));
-        for (j, (f, l)) in d.chain.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"file\":{},\"line\":{l}}}", json_str(f)));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("],\"stale_allows\":[");
-    for (i, s) in stale.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"pass\":{},\"file\":{},\"line\":{}}}",
-            json_str(&s.pass),
-            json_str(&s.file),
-            s.line
-        ));
-    }
-    out.push_str(&format!("],\"files\":{files},\"wall_ms\":{wall_ms}}}"));
-    out
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// GitHub annotation messages: `%`, `\r`, `\n` are the only escapes.
 fn gh_escape(s: &str) -> String {
     s.replace('%', "%25")
@@ -211,11 +146,10 @@ fn gh_escape(s: &str) -> String {
 fn print_help() {
     println!(
         "moira-lint — static analyzer for the Moira workspace invariants\n\n\
-         USAGE: moira-lint [--deny-all] [--json] [--github] [--list] [--pass <name>] \
+         USAGE: moira-lint [--deny-all] [--github] [--list] [--pass <name>] \
          [--root <dir>]\n\n\
          OPTIONS:\n\
          \x20 --deny-all     CI mode: stale lint:allow comments also fail the run\n\
-         \x20 --json         machine-readable diagnostics (file/line/pass/chain) on stdout\n\
          \x20 --github       GitHub Actions ::error / ::warning annotations\n\
          \x20 --list         print pass names and descriptions\n\
          \x20 --pass <name>  run a single pass (skips stale-allow detection)\n\

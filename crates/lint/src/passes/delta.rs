@@ -1,4 +1,4 @@
-//! Pass 4 — delta-path scan ban.
+//! Pass 3 — delta-path scan ban.
 //!
 //! PR 3's incremental DCM claims (EXPERIMENTS.md E14) hold only if the
 //! delta path never enumerates whole driver tables:
@@ -22,10 +22,10 @@
 
 use std::collections::HashSet;
 
-use crate::engine::{Effect, Engine, FnId};
+use crate::engine::{is_table_iter, table_locals, Effect, Engine, FnId};
 use crate::scan;
 use crate::{Diagnostic, SourceFile, Workspace};
-use syn::{Token, TokenKind};
+use syn::TokenKind;
 
 pub const NAME: &str = "delta-scan";
 
@@ -42,46 +42,6 @@ pub fn run(ws: &Workspace, eng: &Engine<'_>) -> Vec<Diagnostic> {
             check_incremental(sf, eng, fi, &mut out);
         } else {
             check_generator(sf, eng, fi, &mut out);
-        }
-    }
-    out
-}
-
-/// True when the `.iter()` at `mc_idx` enumerates a table: its receiver
-/// chain passes through `.table(..)` or is a local bound from
-/// `state.db.table(..)`.
-fn is_table_iter(toks: &[Token], mc_idx: usize, table_locals: &HashSet<String>) -> bool {
-    let recv = scan::receiver_idents(toks, mc_idx);
-    recv.iter().any(|r| r == "table")
-        || recv
-            .first()
-            .is_some_and(|r| table_locals.contains(r.as_str()))
-}
-
-/// Local names bound from `..table(..)`, e.g.
-/// `let t = state.db.table("users");`.
-fn table_locals(body: &[Token]) -> HashSet<String> {
-    let mut out = HashSet::new();
-    for i in 0..body.len() {
-        if !body[i].is_ident("let") {
-            continue;
-        }
-        let mut k = i + 1;
-        if k < body.len() && body[k].is_ident("mut") {
-            k += 1;
-        }
-        if k + 1 >= body.len() || body[k].kind != TokenKind::Ident || !body[k + 1].is_punct('=') {
-            continue;
-        }
-        let end = scan::statement_end(body, k + 1);
-        let rhs = &body[k + 2..end.min(body.len())];
-        let is_table_call = rhs
-            .iter()
-            .zip(rhs.iter().skip(1))
-            .any(|(a, b)| a.is_punct('.') && b.is_ident("table"))
-            || rhs.first().is_some_and(|t| t.is_ident("table"));
-        if is_table_call {
-            out.insert(body[k].text.clone());
         }
     }
     out

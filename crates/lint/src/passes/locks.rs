@@ -1,4 +1,4 @@
-//! Pass 2 — lock-discipline.
+//! Pass 1 — lock-discipline.
 //!
 //! While a `SharedState` RwLock guard is live in a function body, the code
 //! must not (a) acquire a second state guard — an instant self-deadlock
@@ -108,7 +108,7 @@ fn check_fn(eng: &Engine<'_>, id: FnId, rel: &str, out: &mut Vec<Diagnostic>) {
     if acqs.is_empty() {
         return;
     }
-    let blocking = direct_blocking_sites(body);
+    let blocking = crate::engine::blocking_prim_sites(body);
 
     for acq in &acqs {
         let scope_end = guard_scope_end(body, acq);
@@ -195,12 +195,6 @@ fn check_fn(eng: &Engine<'_>, id: FnId, rel: &str, out: &mut Vec<Diagnostic>) {
         }
     }
     out.dedup_by(|a, b| a.line == b.line && a.message == b.message && a.file == b.file);
-}
-
-/// Direct blocking sites in a body (the engine's primitive classes,
-/// re-derived here so the diagnostic can point at the exact token).
-fn direct_blocking_sites(body: &[Token]) -> Vec<(usize, u32, String)> {
-    crate::engine::blocking_prim_sites(body)
 }
 
 /// Where the guard from `acq` stops being live.

@@ -1,10 +1,7 @@
-//! The seven lint passes. Each exposes `NAME` (the `lint:allow` key) and
-//! `run(&Workspace) -> Vec<Diagnostic>`.
+//! The four lint passes. Each exposes `NAME` (the `lint:allow` key) and
+//! `run(&Workspace, &Engine) -> Vec<Diagnostic>`.
 
 pub mod delta;
 pub mod locks;
-pub mod panics;
-pub mod plan;
 pub mod reactor;
-pub mod registry_schema;
-pub mod tier;
+pub mod schema_refs;

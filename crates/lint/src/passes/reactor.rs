@@ -1,4 +1,4 @@
-//! Pass 6 — reactor-discipline.
+//! Pass 2 — reactor-discipline.
 //!
 //! The connection tier has exactly one blocking point: the reactor wait in
 //! `MoiraServer::poll_with_timeout`. Two invariants keep it honest:

@@ -244,17 +244,6 @@ pub fn str_args(toks: &[Token], open: usize) -> Vec<(usize, String, u32)> {
     out
 }
 
-/// All string literals anywhere inside the delimiter group opening at
-/// `open`.
-pub fn strs_in_group(toks: &[Token], open: usize) -> Vec<(String, u32)> {
-    let close = close_of(toks, open);
-    toks[open + 1..close]
-        .iter()
-        .filter(|t| t.kind == TokenKind::Str)
-        .map(|t| (t.text.clone(), t.line))
-        .collect()
-}
-
 /// Walks back from `idx` to the start of the enclosing statement and
 /// returns the name bound by a leading `let`, if the statement is a `let`
 /// binding. Handles `let x =`, `let mut x =`, `let Some(x) =`,

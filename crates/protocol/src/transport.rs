@@ -37,6 +37,10 @@
 //! connection — this bounds the *inbox* the same way the server's cap
 //! bounds the outbox.
 
+// Frames bytes from an untrusted socket: malformed input is an error,
+// never a panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -103,6 +107,9 @@ pub type InProcChannel = StreamChannel<UnixStream>;
 
 /// Creates a connected pair of in-process channels: the two ends of one
 /// non-blocking Unix socketpair.
+// Construction time, before any peer byte exists: failing here means the
+// process is out of fds, and no caller can run without its pair.
+#[allow(clippy::expect_used)]
 pub fn pair() -> (InProcChannel, InProcChannel) {
     let (a, b) = UnixStream::pair().expect("socketpair");
     for s in [&a, &b] {
@@ -156,10 +163,10 @@ impl<S: Read + Write> StreamChannel<S> {
 
     /// Pops the inbox's first frame if all of it has arrived.
     fn take_frame(&mut self) -> io::Result<Option<Bytes>> {
-        if self.inbox.len() < 4 {
+        let [a, b, c, d, ..] = self.inbox[..] else {
             return Ok(None);
-        }
-        let len = u32::from_be_bytes(self.inbox[..4].try_into().expect("4 bytes")) as usize;
+        };
+        let len = u32::from_be_bytes([a, b, c, d]) as usize;
         if len > MAX_FRAME_LEN {
             self.closed = true;
             return Err(io::Error::new(

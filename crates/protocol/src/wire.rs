@@ -1,6 +1,10 @@
 //! Request/reply encoding: versioned major requests with counted byte
 //! strings, and streamed tuple replies.
 
+// Decodes bytes from an untrusted socket: malformed input is an error,
+// never a panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use moira_common::errors::MrError;
 
