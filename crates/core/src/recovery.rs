@@ -51,8 +51,10 @@ pub struct BootReport {
 ///
 /// First boot (no snapshot, no WAL) seeds a fresh state and immediately
 /// seals an initial snapshot so the epoch is on disk from the start. A
-/// recovering boot loads the snapshot, replays the surviving WAL tail
-/// through `registry`, re-seals, and reports what happened.
+/// recovering boot loads the snapshot (the base with its delta chain
+/// already folded in by [`DurableEngine::open`]), replays the surviving WAL
+/// tail through `registry`, seals what the replay added as one more delta,
+/// and reports what happened.
 pub fn boot_durable(
     clock: VClock,
     registry: &Registry,
@@ -95,7 +97,8 @@ pub fn boot_durable(
     };
     engine.set_obs(&state.obs);
     // Seal what we have — on first boot this writes the epoch to disk; on
-    // recovery it compacts the replayed tail into the snapshot.
+    // recovery it moves the replayed tail out of the WAL into a delta
+    // (nothing at all when there was no tail).
     engine.snapshot(&state.db, &state.journal)?;
     report.epoch = state.db.epoch();
     state.storage = Box::new(engine);
@@ -163,6 +166,28 @@ mod tests {
             .execute_read(&state, &root, "get_machine", &["KIWI.MIT.EDU".into()])
             .expect("machine recovered");
         assert_eq!(rows[0][0], "KIWI.MIT.EDU");
+    }
+
+    #[test]
+    fn hostile_row_ids_on_disk_are_a_durability_error_not_a_panic() {
+        let media = SimMedia::new();
+        let registry = Registry::standard();
+        drop(boot(&media, &registry));
+        let good = String::from_utf8(media.durable_bytes("snapshot.moira").expect("sealed"))
+            .expect("text");
+        let (head, tail) = good.split_once("\nrow:0:").expect("a first row");
+        // `usize::MAX + 1` wraps; 4e15 slots would be a 96 PB slab.
+        for hostile in ["18446744073709551615", "4000000000000000"] {
+            let mut m = media.clone();
+            m.write_new(
+                "snapshot.moira",
+                format!("{head}\nrow:{hostile}:{tail}").as_bytes(),
+            )
+            .expect("write");
+            m.fsync("snapshot.moira").expect("fsync");
+            let booted = boot_durable(VClock::new(), &registry, Box::new(media.clone()), cfg());
+            assert_eq!(booted.map(|_| ()).unwrap_err(), MrError::Durability);
+        }
     }
 
     #[test]

@@ -13,9 +13,11 @@
 // panic.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use std::fmt::Write;
+
 use moira_common::errors::{MrError, MrResult};
 
-use crate::backup::{escape_field, split_unescaped_colons, unescape_field};
+use crate::backup::{escape_into, split_unescaped_colons, unescape_field};
 
 /// One successful, side-effecting operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,14 +37,21 @@ pub struct JournalEntry {
 impl JournalEntry {
     /// Serializes the entry to one line.
     pub fn to_line(&self) -> String {
-        let mut fields = vec![
-            self.time.to_string(),
-            escape_field(&self.who),
-            escape_field(&self.with),
-            escape_field(&self.query),
-        ];
-        fields.extend(self.args.iter().map(|a| escape_field(a)));
-        fields.join(":")
+        let mut out = String::new();
+        self.write_line(&mut out);
+        out
+    }
+
+    /// [`JournalEntry::to_line`] appended to `out`, no newline.
+    pub(crate) fn write_line(&self, out: &mut String) {
+        let _ = write!(out, "{}", self.time);
+        for field in [&self.who, &self.with, &self.query]
+            .into_iter()
+            .chain(&self.args)
+        {
+            out.push(':');
+            escape_into(out, field);
+        }
     }
 
     /// Parses one journal line.
@@ -81,6 +90,11 @@ impl Journal {
         self.entries.push(entry);
     }
 
+    /// Appends every entry of `tail`, in order.
+    pub fn append(&mut self, tail: Journal) {
+        self.entries.extend(tail.entries);
+    }
+
     /// All entries in commit order.
     pub fn entries(&self) -> &[JournalEntry] {
         &self.entries
@@ -106,7 +120,7 @@ impl Journal {
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         for e in &self.entries {
-            out.push_str(&e.to_line());
+            e.write_line(&mut out);
             out.push('\n');
         }
         out

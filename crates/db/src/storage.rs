@@ -5,8 +5,12 @@
 //! "no more than a day's transactions" and "no committed transaction":
 //! every committed mutation is framed into a write-ahead log
 //! ([`crate::wal`]), group-committed with one fsync per batch, and
-//! periodically compacted into an atomic snapshot document
-//! ([`crate::snapshot`]).
+//! periodically sealed into an atomic checkpoint document
+//! ([`crate::snapshot`]): a delta carrying the rows that changed since the
+//! last one, or — first time, and whenever the deltas have cost as much as
+//! it did — the base image they all extend. DESIGN.md "Durability" has the
+//! file layout, the chain rule and the crash argument for each gap between
+//! media calls.
 //!
 //! Two seams keep the engine testable:
 //!
@@ -38,17 +42,30 @@ use moira_common::errors::{MrError, MrResult};
 use moira_obs::{Counter, Histo, Registry};
 use parking_lot::Mutex;
 
-use crate::database::Database;
+use crate::database::{Database, GenCursor};
 use crate::journal::{Journal, JournalEntry};
-use crate::snapshot::{decode_snapshot, encode_snapshot, SnapshotImage};
+use crate::snapshot::{
+    decode_delta, decode_snapshot, encode_delta, encode_snapshot, SnapshotImage,
+};
 use crate::wal::{encode_frame, scan_frames, WalScan};
 
 /// WAL file name inside the storage root.
 pub const WAL_FILE: &str = "wal.log";
-/// Sealed snapshot file name.
+/// Sealed base snapshot file name.
 pub const SNAPSHOT_FILE: &str = "snapshot.moira";
 /// Temporary snapshot name; only ever visible after a crash mid-write.
 pub const SNAPSHOT_TMP: &str = "snapshot.tmp";
+
+/// File name of the `k`-th delta (`k` from 1) of the chain over
+/// [`SNAPSHOT_FILE`]. [`Media`] cannot list a directory, so recovery probes
+/// `k = 1, 2, …` until a file is missing.
+pub fn delta_file(k: u64) -> String {
+    format!("snapshot.delta.{k}")
+}
+
+fn utf8(bytes: &[u8]) -> MrResult<&str> {
+    std::str::from_utf8(bytes).map_err(|_| MrError::Durability)
+}
 
 // ---------------------------------------------------------------------------
 // Media
@@ -393,8 +410,9 @@ pub trait Storage: Send + Sync {
     /// snapshot.
     fn wants_snapshot(&self) -> bool;
 
-    /// Writes an atomic snapshot of `db` + `journal` and truncates the
-    /// sealed WAL prefix.
+    /// Seals `db` + `journal` into an atomic checkpoint — what changed
+    /// since the last one, when the backend can tell; otherwise the whole
+    /// image — and truncates the sealed WAL prefix.
     fn snapshot(&mut self, db: &Database, journal: &Journal) -> MrResult<()>;
 
     /// Appends buffered (not yet fsynced) — 0 means everything committed
@@ -477,10 +495,114 @@ struct EngineObs {
     appends: Counter,
     fsyncs: Counter,
     group_commit_size: Histo,
+    deltas: Counter,
+    compactions: Counter,
+    snapshot_bytes: Histo,
+}
+
+/// The checkpoint chain as the engine last made it durable: what the next
+/// delta is cut against, and what the chain has cost since its base.
+#[derive(Debug)]
+struct Seal {
+    /// Epoch of the database the chain describes.
+    epoch: u64,
+    /// WAL sequence the chain's last document seals: the next delta's
+    /// `prev`.
+    seq: u64,
+    /// `table -> generation` at that document. Owned names, because `open`
+    /// rebuilds the seal from disk bytes and those cannot mint the
+    /// `&'static str` keys of a [`GenCursor`]; [`Seal::cursor`] resolves
+    /// them against the live database at each cut.
+    gens: BTreeMap<String, u64>,
+    /// Journal length at that document.
+    journal_len: usize,
+    /// Delta files in the chain; the next is `delta_file(deltas + 1)`.
+    deltas: u64,
+    /// Size of the base document.
+    base_bytes: usize,
+    /// Summed sizes of the chain's deltas.
+    delta_bytes: usize,
+}
+
+/// What [`Seal::plan`] decided the next checkpoint is.
+enum Checkpoint {
+    /// Nothing was committed since the seal: there is nothing to write.
+    Nothing,
+    /// The rows that moved past this cursor.
+    Delta(GenCursor),
+    /// The whole image.
+    Base,
+}
+
+impl Seal {
+    /// The seal after a document of `bytes` bytes sealing `seq` was made
+    /// durable: the chain's next delta when `chain` names the seal it
+    /// extends, otherwise a fresh base.
+    fn after(
+        db: &Database,
+        journal: &Journal,
+        seq: u64,
+        bytes: usize,
+        chain: Option<&Seal>,
+    ) -> Seal {
+        Seal {
+            epoch: db.epoch(),
+            seq,
+            gens: db
+                .table_names()
+                .into_iter()
+                .map(|name| (name.to_owned(), db.table(name).generation()))
+                .collect(),
+            journal_len: journal.len(),
+            deltas: chain.map_or(0, |c| c.deltas + 1),
+            base_bytes: chain.map_or(bytes, |c| c.base_bytes),
+            delta_bytes: chain.map_or(0, |c| c.delta_bytes + bytes),
+        }
+    }
+
+    /// The seal as a cursor over `db`, when a delta against it means
+    /// anything: the same tables, the same epoch, no generation moved
+    /// backwards ([`GenCursor::valid_for`]) and a journal that only grew.
+    fn cursor(&self, db: &Database, journal: &Journal) -> Option<GenCursor> {
+        let names = db.table_names();
+        if names.len() != self.gens.len() || journal.len() < self.journal_len {
+            return None;
+        }
+        let gens = names
+            .into_iter()
+            .map(|name| self.gens.get(name).map(|&gen| (name, gen)))
+            .collect::<Option<BTreeMap<_, _>>>()?;
+        let cursor = GenCursor {
+            epoch: self.epoch,
+            gens,
+        };
+        cursor.valid_for(db).then_some(cursor)
+    }
+
+    /// Chooses the checkpoint that seals `seq`. A delta must move the
+    /// sequence forward: links are matched by sequence number, so a chain
+    /// whose numbers strictly increase can never pick up a stale file left
+    /// over from the chain before the last compaction. The base is
+    /// rewritten once the deltas since it have cost as much as it did,
+    /// which bounds both the write amplification (2x, amortised) and what
+    /// recovery folds, without a setting.
+    fn plan(&self, db: &Database, journal: &Journal, seq: u64) -> Checkpoint {
+        let Some(cursor) = self.cursor(db, journal) else {
+            return Checkpoint::Base;
+        };
+        if seq == self.seq && cursor.unchanged_in(db) && journal.len() == self.journal_len {
+            Checkpoint::Nothing
+        } else if seq > self.seq && self.delta_bytes < self.base_bytes {
+            Checkpoint::Delta(cursor)
+        } else {
+            Checkpoint::Base
+        }
+    }
 }
 
 /// The durable backend: CRC-framed WAL with group commit plus atomic
-/// snapshots (temp file + rename + directory fsync), built on a [`Media`].
+/// checkpoints (temp file + rename + directory fsync) — a base image and
+/// the chain of deltas over it — built on a [`Media`].
 pub struct DurableEngine {
     media: Box<dyn Media>,
     config: GroupCommitConfig,
@@ -494,6 +616,9 @@ pub struct DurableEngine {
     last_flush: i64,
     /// Appends since the last snapshot seal.
     since_snapshot: u64,
+    /// The chain on disk, when the engine knows it: recovered by `open`,
+    /// replaced by every checkpoint, forgotten when one fails part-way.
+    sealed: Option<Seal>,
     /// What `open` recovered (telemetry only; the image itself is handed
     /// to the caller).
     scan: WalScan,
@@ -504,18 +629,43 @@ impl DurableEngine {
     /// Opens the engine on a media, recovering any previous state.
     ///
     /// Recovery order: discard a leftover `snapshot.tmp` (a crash before
-    /// the rename), decode the sealed snapshot if present, scan the WAL
-    /// tolerating a torn tail (the file is truncated to its clean
-    /// prefix), and keep only frames the snapshot does not already cover.
+    /// the rename), decode the base if present and fold in its delta chain
+    /// (`snapshot.delta.1`, `.2`, … while each file's `prev:` is the
+    /// sequence the image has reached; the first that does not continue
+    /// the chain is a leftover of an earlier one and ends it), scan the WAL
+    /// tolerating a torn tail (the file is truncated to its clean prefix),
+    /// and keep only frames the chain does not already cover.
     pub fn open(
         mut media: Box<dyn Media>,
         config: GroupCommitConfig,
     ) -> MrResult<(DurableEngine, Option<RecoveredImage>)> {
         media.remove(SNAPSHOT_TMP)?;
+        let mut sealed = None;
         let snapshot = match media.read(SNAPSHOT_FILE)? {
             Some(bytes) => {
-                let text = String::from_utf8(bytes).map_err(|_| MrError::Durability)?;
-                Some(decode_snapshot(&text)?)
+                let mut image = decode_snapshot(utf8(&bytes)?)?;
+                let (mut deltas, mut delta_bytes) = (0, 0);
+                while let Some(bytes) = media.read(&delta_file(deltas + 1))? {
+                    // A delta that does not decode may be in the chain, and
+                    // skipping it would drop commits the WAL no longer has.
+                    let (prev, delta) = decode_delta(utf8(&bytes)?)?;
+                    if prev != image.seq {
+                        break;
+                    }
+                    image.fold(delta)?;
+                    deltas += 1;
+                    delta_bytes += bytes.len();
+                }
+                sealed = Some(Seal {
+                    epoch: image.epoch,
+                    seq: image.seq,
+                    gens: image.generations(),
+                    journal_len: image.journal.len(),
+                    deltas,
+                    base_bytes: bytes.len(),
+                    delta_bytes,
+                });
+                Some(image)
             }
             None => None,
         };
@@ -543,6 +693,7 @@ impl DurableEngine {
             pending_bytes: 0,
             last_flush: 0,
             since_snapshot: 0,
+            sealed,
             scan,
             obs: None,
         };
@@ -562,6 +713,9 @@ impl DurableEngine {
             appends: registry.counter("db.wal.appends"),
             fsyncs: registry.counter("db.wal.fsyncs"),
             group_commit_size: registry.histogram("db.wal.group_commit_size"),
+            deltas: registry.counter("db.snapshot.deltas"),
+            compactions: registry.counter("db.snapshot.compactions"),
+            snapshot_bytes: registry.histogram("db.snapshot.bytes"),
         };
         registry
             .counter("db.wal.recovered_frames")
@@ -639,19 +793,66 @@ impl Storage for DurableEngine {
         // asserts "everything up to here is in the snapshot", and a sealed
         // WAL must never be ahead of the durable one.
         self.flush()?;
-        let seal = self.next_seq.saturating_sub(1);
-        let text = encode_snapshot(db, journal, seal);
-        self.media.write_new(SNAPSHOT_TMP, text.as_bytes())?;
+        let seq = self.next_seq.saturating_sub(1);
+        // Forgotten until the new document is durable: if a call below
+        // fails the disk may hold either chain, and the base the next
+        // checkpoint then writes is right whichever it is.
+        let old = self.sealed.take();
+        let plan = old
+            .as_ref()
+            .map_or(Checkpoint::Base, |seal| seal.plan(db, journal, seq));
+        if matches!(plan, Checkpoint::Nothing) {
+            self.sealed = old;
+            self.since_snapshot = 0;
+            return Ok(());
+        }
+        // `chain` is the seal a delta extends, `None` for a base.
+        let (chain, file, doc) = match (&plan, &old) {
+            (Checkpoint::Delta(cursor), Some(seal)) => (
+                Some(seal),
+                delta_file(seal.deltas + 1),
+                encode_delta(db, journal, cursor, seal.journal_len, seal.seq, seq),
+            ),
+            _ => (
+                None,
+                SNAPSHOT_FILE.to_owned(),
+                encode_snapshot(db, journal, seq),
+            ),
+        };
+        self.media.write_new(SNAPSHOT_TMP, doc.as_bytes())?;
         self.media.fsync(SNAPSHOT_TMP)?;
-        self.media.rename(SNAPSHOT_TMP, SNAPSHOT_FILE)?;
+        self.media.rename(SNAPSHOT_TMP, &file)?;
         self.media.fsync_dir()?;
+        self.sealed = Some(Seal::after(db, journal, seq, doc.len(), chain));
         // A crash from here on is harmless: stale WAL frames carry seqs
-        // the sealed snapshot already covers, so recovery filters them.
+        // the chain already covers, so recovery filters them.
         self.media.truncate(WAL_FILE, 0)?;
         self.media.fsync(WAL_FILE)?;
         self.since_snapshot = 0;
         self.pending = 0;
         self.pending_bytes = 0;
+        // A new base orphans the deltas of the chain it replaces. They are
+        // harmless — each names a `prev:` below the new base's sequence, so
+        // recovery stops at the first — and go last, off the crash-critical
+        // part of the sequence.
+        let replaced = match chain {
+            Some(_) => 0,
+            None => old.as_ref().map_or(0, |seal| seal.deltas),
+        };
+        for k in 1..=replaced {
+            self.media.remove(&delta_file(k))?;
+        }
+        if replaced > 0 {
+            self.media.fsync_dir()?;
+        }
+        if let Some(obs) = &self.obs {
+            obs.snapshot_bytes.record(doc.len() as u64);
+            if chain.is_some() {
+                obs.deltas.inc();
+            } else if replaced > 0 {
+                obs.compactions.inc();
+            }
+        }
         if let Some(span) = span {
             span.finish();
         }
@@ -915,6 +1116,293 @@ mod tests {
         let h = snap.histogram("db.wal.group_commit_size").expect("histo");
         assert_eq!(h.count, 1);
         assert_eq!(h.max, 5, "five entries in one group commit");
+    }
+
+    /// A live database, its journal and the engine under them, committing
+    /// the way `Registry::execute` does: mutate, journal, WAL-append.
+    struct Live {
+        db: Database,
+        journal: Journal,
+        engine: DurableEngine,
+        media: SimMedia,
+        commits: i64,
+    }
+
+    fn t_schema() -> TableSchema {
+        TableSchema::new(
+            "t",
+            vec![ColumnDef::str("name").unique(), ColumnDef::int("v")],
+        )
+    }
+
+    impl Live {
+        fn on(db: Database, media: &SimMedia) -> Live {
+            let (engine, _) = open_sim(media, config());
+            Live {
+                db,
+                journal: Journal::new(),
+                engine,
+                media: media.clone(),
+                commits: 0,
+            }
+        }
+
+        fn new() -> Live {
+            let mut db = Database::new(VClock::new());
+            db.create_table(t_schema());
+            Live::on(db, &SimMedia::new())
+        }
+
+        fn commit(&mut self, query: &str, mutate: impl FnOnce(&mut Database)) {
+            mutate(&mut self.db);
+            self.commits += 1;
+            let e = entry(self.commits, query, &[]);
+            self.journal.log(e.clone());
+            self.engine.append(&e, self.commits).unwrap();
+        }
+
+        fn add(&mut self, name: &str) {
+            self.commit("add", |db| {
+                db.append("t", vec![name.into(), 0.into()]).unwrap();
+            });
+        }
+
+        fn seal(&mut self) {
+            self.engine.snapshot(&self.db, &self.journal).unwrap();
+        }
+
+        fn chain(&self) -> &Seal {
+            self.engine.sealed.as_ref().expect("sealed")
+        }
+
+        fn text(&self) -> String {
+            encode_snapshot(&self.db, &self.journal, 0)
+        }
+
+        /// Commits and seals until the next seal would rewrite the base,
+        /// with at least two deltas in the chain.
+        fn fill_chain(&mut self) {
+            for i in 0..32 {
+                self.add(&format!("base{i}"));
+            }
+            self.seal();
+            assert_eq!(self.chain().deltas, 0);
+            let mut i = 0;
+            while self.chain().delta_bytes < self.chain().base_bytes {
+                self.add(&format!("d{i}"));
+                self.seal();
+                i += 1;
+            }
+            assert!(self.chain().deltas >= 2, "{:?}", self.chain());
+        }
+    }
+
+    /// Power-cycles, reopens, and re-encodes what recovery hands back (the
+    /// WAL tail is not replayed: callers seal first or expect it empty).
+    fn recovered_text(media: &SimMedia) -> (String, RecoveredImage) {
+        media.power_cycle();
+        let (_, recovered) = open_sim(media, config());
+        let recovered = recovered.expect("state");
+        let snap = recovered.snapshot.clone().expect("snapshot");
+        let mut back = Database::recovered(VClock::starting_at(snap.now), snap.epoch);
+        back.create_table(t_schema());
+        snap.apply(&mut back).unwrap();
+        (encode_snapshot(&back, &snap.journal, 0), recovered)
+    }
+
+    fn durable_text(media: &SimMedia, file: &str) -> Option<String> {
+        media
+            .durable_bytes(file)
+            .map(|b| String::from_utf8(b).unwrap())
+    }
+
+    fn overwrite(media: &SimMedia, file: &str, bytes: &[u8]) {
+        let mut m = media.clone();
+        m.write_new(file, bytes).unwrap();
+        m.fsync(file).unwrap();
+    }
+
+    #[test]
+    fn deltas_carry_only_what_moved_and_fold_back_exactly() {
+        let mut live = Live::new();
+        for name in ["a", "b", "c"] {
+            live.add(name);
+        }
+        live.seal();
+        let base = durable_text(&live.media, SNAPSHOT_FILE).unwrap();
+        // Slot reuse, an in-place update and a fresh tombstone.
+        live.commit("del", |db| db.delete("t", 0).unwrap());
+        live.add("d");
+        live.commit("upd", |db| db.update("t", 1, &[("v", 7.into())]).unwrap());
+        live.commit("del", |db| db.delete("t", 2).unwrap());
+        live.seal();
+        assert_eq!(
+            durable_text(&live.media, SNAPSHOT_FILE).unwrap(),
+            base,
+            "the base is not rewritten"
+        );
+        let delta = durable_text(&live.media, &delta_file(1)).unwrap();
+        assert!(delta.contains("\nprev:3\nseq:7\n"), "{delta}");
+        assert!(delta.contains("\nrow:0:5:d:0\nrow:1:6:b:7\ndead:2:7\nfree:2\n"));
+        assert_eq!(delta.matches("journal:").count(), 4);
+        let (text, recovered) = recovered_text(&live.media);
+        assert_eq!(text, live.text());
+        assert_eq!(recovered.snapshot.unwrap().seq, 7);
+        assert!(recovered.wal.is_empty());
+    }
+
+    #[test]
+    fn an_unchanged_database_seals_without_rewriting_rows() {
+        let mut live = Live::new();
+        live.add("a");
+        live.seal();
+        // Nothing committed: nothing to write.
+        live.seal();
+        assert_eq!(durable_text(&live.media, &delta_file(1)), None);
+        // A commit that left the tables alone: the journal line, no table.
+        live.commit("noop", |_| {});
+        live.seal();
+        let delta = durable_text(&live.media, &delta_file(1)).unwrap();
+        assert!(
+            !delta.contains("table:") && !delta.contains("row:"),
+            "{delta}"
+        );
+        assert_eq!(delta.matches("journal:").count(), 1);
+        assert_eq!(recovered_text(&live.media).0, live.text());
+    }
+
+    #[test]
+    fn chain_compacts_once_deltas_cost_as_much_as_the_base() {
+        let mut live = Live::new();
+        live.fill_chain();
+        let deltas = live.chain().deltas;
+        live.add("tip");
+        live.seal();
+        assert_eq!(live.chain().deltas, 0, "the base was rewritten");
+        assert_eq!(live.chain().delta_bytes, 0);
+        for k in 1..=deltas {
+            assert_eq!(durable_text(&live.media, &delta_file(k)), None, "delta {k}");
+        }
+        let (text, recovered) = recovered_text(&live.media);
+        assert_eq!(text, live.text());
+        assert_eq!(
+            recovered.snapshot.unwrap().journal.len(),
+            live.journal.len()
+        );
+    }
+
+    #[test]
+    fn stale_deltas_after_a_crashed_cleanup_are_ignored_then_overwritten() {
+        let mut live = Live::new();
+        live.fill_chain();
+        let deltas = live.chain().deltas;
+        live.add("tip");
+        // [wal flush, tmp fsync, wal-truncation fsync]: the new base is
+        // renamed and directory-synced, the old chain's files still there.
+        live.media.arm_crash(OpKind::Fsync, 2);
+        assert_eq!(
+            live.engine.snapshot(&live.db, &live.journal),
+            Err(MrError::Durability)
+        );
+        let (text, recovered) = recovered_text(&live.media);
+        for k in 1..=deltas {
+            assert!(live.media.durable_bytes(&delta_file(k)).is_some(), "{k}");
+        }
+        assert_eq!(text, live.text(), "the stale chain was not folded in");
+        assert!(recovered.wal.is_empty(), "stale frames are filtered");
+
+        // The replacement engine's first delta takes the first stale
+        // file's name; the second stale file stays ignored.
+        let (engine, _) = open_sim(&live.media, config());
+        live.engine = engine;
+        assert_eq!(live.chain().deltas, 0);
+        live.add("after");
+        live.seal();
+        assert_eq!(live.chain().deltas, 1);
+        assert!(live.media.durable_bytes(&delta_file(2)).is_some());
+        assert_eq!(recovered_text(&live.media).0, live.text());
+    }
+
+    #[test]
+    fn a_database_the_seal_does_not_describe_gets_a_base() {
+        let mut live = Live::new();
+        live.add("a");
+        live.seal();
+        live.add("b");
+        live.seal();
+        assert_eq!(live.chain().deltas, 1);
+
+        // Another epoch (a restore built a new database) with every
+        // generation ahead of the seal: only the epoch gives it away.
+        let mut other = Database::new(VClock::new());
+        other.create_table(t_schema());
+        for name in ["x", "y", "z"] {
+            other.append("t", vec![name.into(), 1.into()]).unwrap();
+        }
+        let e = entry(9, "restore", &[]);
+        live.journal.log(e.clone());
+        live.engine.append(&e, 9).unwrap();
+        live.engine.snapshot(&other, &live.journal).unwrap();
+        assert_eq!(live.chain().deltas, 0);
+        assert_eq!(live.chain().epoch, other.epoch());
+        assert_eq!(durable_text(&live.media, &delta_file(1)), None);
+        let base = durable_text(&live.media, SNAPSHOT_FILE).unwrap();
+        assert!(base.contains(&format!("\nepoch:{}\n", other.epoch())));
+
+        // The sealed epoch, but a table behind the seal (rebuilt under us).
+        live.db = other;
+        live.add("w");
+        live.seal();
+        assert_eq!(live.chain().deltas, 1);
+        let mut behind = Database::recovered(VClock::new(), live.db.epoch());
+        behind.create_table(t_schema());
+        behind.append("t", vec!["only".into(), 1.into()]).unwrap();
+        live.db = behind;
+        live.commit("rebuilt", |_| {});
+        live.seal();
+        assert_eq!(live.chain().deltas, 0, "a base, never a delta");
+        assert_eq!(recovered_text(&live.media).0, live.text());
+    }
+
+    #[test]
+    fn a_damaged_delta_in_the_chain_is_a_durability_error() {
+        let mut live = Live::new();
+        live.add("a");
+        live.seal();
+        live.add("b");
+        live.seal();
+        let good = live.media.durable_bytes(&delta_file(1)).unwrap();
+        drop(live.engine);
+        let open = |bytes: &[u8]| {
+            overwrite(&live.media, &delta_file(1), bytes);
+            DurableEngine::open(Box::new(live.media.clone()), config()).map(|_| ())
+        };
+        for at in 0..good.len() {
+            let mut flipped = good.clone();
+            flipped[at] ^= 1;
+            assert_eq!(open(&flipped), Err(MrError::Durability), "byte {at}");
+        }
+        for len in 0..good.len() {
+            assert_eq!(open(&good[..len]), Err(MrError::Durability), "cut at {len}");
+        }
+        assert_eq!(open(&good), Ok(()));
+    }
+
+    #[test]
+    fn obs_counters_tell_deltas_from_compactions() {
+        let registry = Registry::new();
+        let mut live = Live::new();
+        live.engine.set_obs(&registry);
+        live.fill_chain();
+        let deltas = live.chain().deltas;
+        live.add("tip");
+        live.seal();
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("db.snapshot.deltas"), deltas);
+        assert_eq!(snap.counter("db.snapshot.compactions"), 1);
+        let h = snap.histogram("db.snapshot.bytes").expect("histo");
+        assert_eq!(h.count, deltas + 2, "first base, deltas, compaction");
+        assert_eq!(h.max, live.chain().base_bytes as u64);
     }
 
     #[test]

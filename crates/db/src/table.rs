@@ -214,20 +214,39 @@ impl Table {
     /// tombstones, and `changed_since(self.generation())` is empty.
     pub fn changed_since(&self, gen: u64) -> Vec<RowChange> {
         let mut changes: Vec<RowChange> = self
-            .rows
-            .iter()
-            .enumerate()
-            .filter(|(id, row)| row.is_some() && self.row_gens[*id] > gen)
-            .map(|(id, _)| RowChange::Upserted(id))
+            .rows_since(gen)
+            .map(|(id, _, _)| RowChange::Upserted(id))
             .collect();
-        changes.extend(
-            self.dead
-                .iter()
-                .filter(|&(_, &g)| g > gen)
-                .map(|(&id, _)| RowChange::Deleted(id)),
-        );
+        changes.extend(self.dead_since(gen).map(|(id, _)| RowChange::Deleted(id)));
         changes.sort_unstable_by_key(|c| c.id());
         changes
+    }
+
+    /// Live rows stamped after `gen`, in id order, borrowed from the slab
+    /// with their stamps — what a checkpoint writes. `rows_since(0)` is
+    /// every live row.
+    pub(crate) fn rows_since(&self, gen: u64) -> impl Iterator<Item = (RowId, u64, &[Value])> {
+        self.rows
+            .iter()
+            .zip(&self.row_gens)
+            .enumerate()
+            .filter_map(move |(id, (row, &g))| {
+                row.as_deref().filter(|_| g > gen).map(|row| (id, g, row))
+            })
+    }
+
+    /// Tombstones newer than `gen`: `(slot id, generation of the delete)`,
+    /// in id order.
+    pub(crate) fn dead_since(&self, gen: u64) -> impl Iterator<Item = (RowId, u64)> + '_ {
+        self.dead
+            .iter()
+            .filter(move |&(_, &g)| g > gen)
+            .map(|(&id, &g)| (id, g))
+    }
+
+    /// The free list, bottom of the stack first (appends pop from the end).
+    pub(crate) fn free_list(&self) -> &[RowId] {
+        &self.free
     }
 
     /// Index of a column; panics on unknown names (schema bugs, not runtime
@@ -580,12 +599,10 @@ impl Table {
     pub fn export_image(&self) -> TableImage {
         TableImage {
             rows: self
-                .rows
-                .iter()
-                .enumerate()
-                .filter_map(|(id, r)| r.as_ref().map(|row| (id, self.row_gens[id], row.clone())))
+                .rows_since(0)
+                .map(|(id, gen, row)| (id, gen, row.to_vec()))
                 .collect(),
-            dead: self.dead.iter().map(|(&id, &g)| (id, g)).collect(),
+            dead: self.dead_since(0).collect(),
             free: self.free.clone(),
             stats: self.stats,
         }
@@ -597,8 +614,10 @@ impl Table {
     /// and the statistics resume where they left off.
     ///
     /// Fails with `MR_EXISTS` if the table has ever been mutated, and
-    /// `MR_INTERNAL` on arity/type mismatches or ids that overlap between
-    /// the live and free sets — a corrupt image must not half-apply.
+    /// `MR_INTERNAL` on arity/type mismatches, on ids that are out of range
+    /// or claimed twice, and on stamps outside `1..=generation` — a corrupt
+    /// image must not half-apply, and an id read off disk must not size an
+    /// allocation.
     pub fn import_image(&mut self, image: &TableImage) -> MrResult<()> {
         if self.stats.generation != 0 || !self.is_empty() {
             return Err(MrError::Exists);
@@ -606,17 +625,19 @@ impl Table {
         for (_, _, row) in &image.rows {
             self.check_row(row)?;
         }
+        // Every slab slot is live or free, so the slab's length is the
+        // number of entries the image carries, whatever ids they claim; the
+        // checks below then force the ids to be exactly `0..slab_len`.
         let slab_len = image
             .rows
-            .iter()
-            .map(|&(id, _, _)| id + 1)
-            .chain(image.free.iter().map(|&id| id + 1))
-            .max()
-            .unwrap_or(0);
+            .len()
+            .checked_add(image.free.len())
+            .ok_or(MrError::Internal)?;
+        let stamp_ok = |gen: u64| (1..=image.stats.generation).contains(&gen);
         let mut rows: Vec<Option<Vec<Value>>> = vec![None; slab_len];
         let mut row_gens = vec![0u64; slab_len];
         for &(id, gen, ref values) in &image.rows {
-            if rows[id].is_some() {
+            if id >= slab_len || rows[id].is_some() || !stamp_ok(gen) {
                 return Err(MrError::Internal);
             }
             let mut row = values.clone();
@@ -626,16 +647,17 @@ impl Table {
             rows[id] = Some(row);
             row_gens[id] = gen;
         }
+        let mut is_free = vec![false; slab_len];
+        for &id in &image.free {
+            if id >= slab_len || rows[id].is_some() || std::mem::replace(&mut is_free[id], true) {
+                return Err(MrError::Internal);
+            }
+        }
         for &(id, gen) in &image.dead {
-            if id >= slab_len || rows[id].is_some() {
+            if id >= slab_len || rows[id].is_some() || !stamp_ok(gen) {
                 return Err(MrError::Internal);
             }
             row_gens[id] = gen;
-        }
-        for &id in &image.free {
-            if id >= slab_len || rows[id].is_some() {
-                return Err(MrError::Internal);
-            }
         }
         self.rows = rows;
         self.row_gens = row_gens;
@@ -1226,6 +1248,38 @@ mod tests {
         wrong_arity.rows[0].2.pop();
         let mut fresh = users_table();
         assert_eq!(fresh.import_image(&wrong_arity), Err(MrError::Internal));
+    }
+
+    #[test]
+    fn import_image_bounds_ids_before_allocating() {
+        let mut t = users_table();
+        let a = t.append(row("a", 1, true), 0).unwrap();
+        t.append(row("b", 2, true), 0).unwrap();
+        t.append(row("c", 3, true), 0).unwrap();
+        t.delete(a, 1).unwrap();
+        let image = t.export_image();
+        assert_eq!(users_table().import_image(&image), Ok(()));
+
+        // `usize::MAX + 1` wraps; 4e15 slots would be a 96 PB slab.
+        for hostile in [usize::MAX, 4_000_000_000_000_000] {
+            let mut bad = image.clone();
+            bad.rows[0].0 = hostile;
+            assert_eq!(users_table().import_image(&bad), Err(MrError::Internal));
+            let mut bad = image.clone();
+            bad.free[0] = hostile;
+            assert_eq!(users_table().import_image(&bad), Err(MrError::Internal));
+            let mut bad = image.clone();
+            bad.dead[0].0 = hostile;
+            assert_eq!(users_table().import_image(&bad), Err(MrError::Internal));
+        }
+        // The same free slot listed twice would be handed out twice.
+        let mut bad = image.clone();
+        bad.free.push(a);
+        assert_eq!(users_table().import_image(&bad), Err(MrError::Internal));
+        // A stamp the table's generation has not reached yet.
+        let mut bad = image.clone();
+        bad.rows[0].1 = bad.stats.generation + 1;
+        assert_eq!(users_table().import_image(&bad), Err(MrError::Internal));
     }
 
     #[test]
