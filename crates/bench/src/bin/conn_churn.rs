@@ -25,6 +25,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use moira_bench::{write_json, Table};
+use moira_core::schema::members;
 use moira_core::server::{standard_server, MoiraServer};
 use moira_core::state::Caller;
 use moira_protocol::wire::{MajorRequest, Reply, Request};
@@ -281,7 +282,7 @@ fn main() {
         // A reply-heavy retrieve corpus for the never-draining phase.
         let mut s = state.write();
         let uid = moira_core::queries::testutil::add_test_user(&mut s, "ops", 1);
-        s.db.append("members", vec![2.into(), "USER".into(), uid.into()])
+        s.db.append(members::T, vec![2.into(), "USER".into(), uid.into()])
             .unwrap();
         let root = Caller::root("conn-churn");
         for i in 0..100 {

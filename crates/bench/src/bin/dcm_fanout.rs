@@ -26,6 +26,7 @@ use std::time::{Duration, Instant};
 use moira_bench::{write_json, Table};
 use moira_core::queries::testutil::{add_test_machine, state_with_admin};
 use moira_core::registry::Registry;
+use moira_core::schema::serverhosts;
 use moira_core::state::{Caller, MoiraState, SharedState};
 use moira_dcm::dcm::Dcm;
 use moira_dcm::host::SimHost;
@@ -161,10 +162,10 @@ fn build(n_hosts: usize, faulty: bool) -> World {
 /// Every enabled serverhost reports success.
 fn converged(state: &SharedState) -> bool {
     let s = state.read();
-    let t = s.db.table("serverhosts");
-    let all_ok = t
-        .iter()
-        .all(|(row, _)| !t.cell(row, "enable").as_bool() || t.cell(row, "success").as_bool());
+    let t = s.db.table(serverhosts::T);
+    let all_ok = t.iter().all(|(row, _)| {
+        !t.cell(row, serverhosts::ENABLE).as_bool() || t.cell(row, serverhosts::SUCCESS).as_bool()
+    });
     all_ok
 }
 

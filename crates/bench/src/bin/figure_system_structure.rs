@@ -7,6 +7,7 @@
 //! printed.
 
 use moira_client::{MoiraConn, ServerThread};
+use moira_core::schema::members;
 use moira_core::server::standard_server;
 use moira_sim::{Deployment, PopulationSpec};
 
@@ -22,7 +23,7 @@ fn main() {
     {
         let mut s = state.write();
         let uid = moira_core::queries::testutil::add_test_user(&mut s, "admin", 1);
-        s.db.append("members", vec![2.into(), "USER".into(), uid.into()])
+        s.db.append(members::T, vec![2.into(), "USER".into(), uid.into()])
             .unwrap();
     }
     let thread = ServerThread::spawn(server);

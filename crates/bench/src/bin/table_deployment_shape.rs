@@ -8,7 +8,7 @@
 
 use moira_bench::{write_json, Table};
 use moira_core::registry::Registry;
-use moira_core::schema::RELATIONS;
+use moira_core::schema::{machine, servers, RELATIONS};
 use moira_db::Pred;
 use moira_sim::{Deployment, PopulationSpec};
 
@@ -25,8 +25,8 @@ fn main() {
         ["HESIOD", "NFS", "MAIL", "ZEPHYR"]
             .iter()
             .filter(|n| {
-                s.db.table("servers")
-                    .select_one(&Pred::Eq("name", (**n).into()))
+                s.db.table(servers::T)
+                    .select_one(&Pred::Eq(servers::NAME, (**n).into()))
                     .is_some()
             })
             .count()
@@ -37,10 +37,10 @@ fn main() {
             let s = d.state.read();
             let mach = s
                 .db
-                .table("machine")
-                .select_one(&Pred::Eq("name", d.population.nfs_servers[0].as_str().into()))
+                .table(machine::T)
+                .select_one(&Pred::Eq(machine::NAME, d.population.nfs_servers[0].as_str().into()))
                 .unwrap();
-            let mach_id = s.db.cell("machine", mach, "mach_id").as_int();
+            let mach_id = s.db.cell(mach, machine::MACH_ID).as_int();
             let shared = d.dcm.prepared("NFS").expect("NFS generated");
             moira_dcm::generators::nfs::NfsGenerator::for_host(&s, mach_id, "", shared)
                 .expect("distinct partition stems")

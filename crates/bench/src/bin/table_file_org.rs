@@ -8,6 +8,7 @@
 
 use moira_bench::{write_json, Table};
 use moira_core::registry::Registry;
+use moira_core::schema::machine;
 use moira_core::seed::seed_capacls;
 use moira_core::state::MoiraState;
 use moira_db::Pred;
@@ -69,10 +70,10 @@ fn main() {
         .map(|name| {
             let row = state
                 .db
-                .table("machine")
-                .select_one(&Pred::Eq("name", name.as_str().into()))
+                .table(machine::T)
+                .select_one(&Pred::Eq(machine::NAME, name.as_str().into()))
                 .expect("nfs server machine");
-            state.db.cell("machine", row, "mach_id").as_int()
+            state.db.cell(row, machine::MACH_ID).as_int()
         })
         .collect();
     let nfs_shared = NfsGenerator.generate(&state, "").expect("nfs generation");

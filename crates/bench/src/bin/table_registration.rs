@@ -8,6 +8,7 @@
 //! including login-collision retries.
 
 use moira_bench::{write_json, Table};
+use moira_core::schema::{nfsquota, users};
 use moira_core::userreg::{make_authenticator, RegReply, RegRequest};
 use moira_sim::{Deployment, PopulationSpec};
 
@@ -83,15 +84,16 @@ fn main() {
     // End-state invariants.
     let (half_registered, poboxes, lockers, principals) = {
         let s = d.state.read();
-        let t = s.db.table("users");
-        let half = t.select(&moira_db::Pred::Eq("status", 2.into())).len();
+        let t = s.db.table(users::T);
+        let half = t.select(&moira_db::Pred::Eq(users::STATUS, 2.into())).len();
         let po = t
             .iter()
             .filter(|(row, _)| {
-                t.cell(*row, "status").as_int() == 2 && t.cell(*row, "potype").as_str() == "POP"
+                t.cell(*row, users::STATUS).as_int() == 2
+                    && t.cell(*row, users::POTYPE).as_str() == "POP"
             })
             .count();
-        let lockers = s.db.table("nfsquota").len();
+        let lockers = s.db.table(nfsquota::T).len();
         let principals = (0..students.len())
             .filter(|i| d.kdc.principal_exists(&format!("f{i:05}")))
             .count();

@@ -27,6 +27,7 @@ use std::time::Instant;
 
 use moira_bench::{write_json, Table};
 use moira_core::registry::Registry;
+use moira_core::schema::members;
 use moira_core::seed::seed_capacls;
 use moira_core::state::{Caller, MoiraState};
 use moira_db::{Database, Pred, Value};
@@ -111,13 +112,14 @@ fn measure(users: usize) -> Row {
     // Hot conjunction on the members relation: both columns indexed, so
     // the planner serves it from buckets; the baseline is the forced
     // slab scan every lookup paid before the planner existed.
-    let members = state.db.table("members");
+    let members = state.db.table(members::T);
     let (_, first) = members.iter().next().expect("members populated");
-    let member_col = members.col("member_id");
-    let list_col = members.col("list_id");
     let conj = Pred::And(vec![
-        Pred::Eq("list_id", first[list_col].clone()),
-        Pred::Eq("member_id", first[member_col].clone()),
+        Pred::Eq(members::LIST_ID, first[members::LIST_ID.index()].clone()),
+        Pred::Eq(
+            members::MEMBER_ID,
+            first[members::MEMBER_ID.index()].clone(),
+        ),
     ]);
     let conj_plan = members.plan(&conj).describe();
     let expected = members.select_scan(&conj);
@@ -185,8 +187,8 @@ fn measure(users: usize) -> Row {
 fn string_bytes(db: &Database) -> (u64, u64) {
     let mut seen: HashSet<*const u8> = HashSet::new();
     let (mut interned, mut raw) = (0u64, 0u64);
-    for name in db.table_names() {
-        for (_, row) in db.table(name).iter() {
+    for id in db.table_ids() {
+        for (_, row) in db.at(id).iter() {
             for v in row.iter() {
                 if let Value::Str(s) = v {
                     raw += 24 + s.len() as u64;

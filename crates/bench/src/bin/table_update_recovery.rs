@@ -8,6 +8,7 @@
 
 use moira_bench::{write_json, Table};
 use moira_client::{MoiraConn, ServerThread};
+use moira_core::schema::{machine, members, serverhosts, servers};
 use moira_core::state::Caller;
 use moira_dcm::retry::RetryPolicy;
 use moira_sim::{Deployment, PopulationSpec};
@@ -36,12 +37,12 @@ fn no_torn_files(d: &Deployment) -> bool {
 /// files.
 fn converged(d: &Deployment) -> bool {
     let s = d.state.read();
-    let t = s.db.table("serverhosts");
+    let t = s.db.table(serverhosts::T);
     let rows: Vec<_> = t.iter().map(|(row, _)| row).collect();
     rows.into_iter().all(|row| {
-        !t.cell(row, "enable").as_bool()
-            || t.cell(row, "service").as_str() == "POP"
-            || t.cell(row, "success").as_bool()
+        !t.cell(row, serverhosts::ENABLE).as_bool()
+            || t.cell(row, serverhosts::SERVICE).as_str() == "POP"
+            || t.cell(row, serverhosts::SUCCESS).as_bool()
     })
 }
 
@@ -89,9 +90,9 @@ fn run_scenario(
 fn reset_errors(d: &mut Deployment) {
     let services: Vec<String> = {
         let s = d.state.read();
-        let t = s.db.table("servers");
+        let t = s.db.table(servers::T);
         t.iter()
-            .map(|(row, _)| t.cell(row, "name").render())
+            .map(|(row, _)| t.cell(row, servers::NAME).render())
             .collect()
     };
     let mut s = d.state.write();
@@ -103,18 +104,21 @@ fn reset_errors(d: &mut Deployment) {
             std::slice::from_ref(&svc),
         );
         let hosts: Vec<String> = {
-            let t = s.db.table("serverhosts");
-            t.select(&moira_db::Pred::Eq("service", svc.clone().into()))
-                .into_iter()
-                .map(|r| {
-                    let mach_id = t.cell(r, "mach_id").as_int();
-                    let m = s.db.table("machine");
-                    m.select(&moira_db::Pred::Eq("mach_id", mach_id.into()))
-                        .first()
-                        .map(|&mr| m.cell(mr, "name").render())
-                        .unwrap_or_default()
-                })
-                .collect()
+            let t = s.db.table(serverhosts::T);
+            t.select(&moira_db::Pred::Eq(
+                serverhosts::SERVICE,
+                svc.clone().into(),
+            ))
+            .into_iter()
+            .map(|r| {
+                let mach_id = t.cell(r, serverhosts::MACH_ID).as_int();
+                let m = s.db.table(machine::T);
+                m.select(&moira_db::Pred::Eq(machine::MACH_ID, mach_id.into()))
+                    .first()
+                    .map(|&mr| m.cell(mr, machine::NAME).render())
+                    .unwrap_or_default()
+            })
+            .collect()
         };
         for host in hosts {
             let _ = d.registry.execute(
@@ -149,7 +153,7 @@ fn overload_shed_run() -> (usize, usize, u64) {
     {
         let mut s = state.write();
         let uid = moira_core::queries::testutil::add_test_user(&mut s, "ops", 1);
-        s.db.append("members", vec![2.into(), "USER".into(), uid.into()])
+        s.db.append(members::T, vec![2.into(), "USER".into(), uid.into()])
             .unwrap();
     }
     server.set_overload_limit(Some(1));
@@ -173,8 +177,8 @@ fn overload_shed_run() -> (usize, usize, u64) {
     let resends: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
     let landed = {
         let s = state.read();
-        s.db.table("machine")
-            .select(&moira_db::Pred::Like("name", "E8-*".into()))
+        s.db.table(machine::T)
+            .select(&moira_db::Pred::Like(machine::NAME, "E8-*".into()))
             .len()
     };
     (landed, 12, resends)

@@ -262,6 +262,7 @@ impl MoiraConn for RpcClient {
 mod tests {
     use super::*;
     use crate::server_thread::ServerThread;
+    use moira_core::schema::members;
     use moira_core::server::standard_server;
 
     fn harness() -> (ServerThread, RpcClient) {
@@ -269,7 +270,7 @@ mod tests {
         {
             let mut s = state.write();
             let uid = moira_core::queries::testutil::add_test_user(&mut s, "ops", 1);
-            s.db.append("members", vec![2.into(), "USER".into(), uid.into()])
+            s.db.append(members::T, vec![2.into(), "USER".into(), uid.into()])
                 .unwrap();
         }
         let thread = ServerThread::spawn(server);

@@ -102,6 +102,7 @@ impl Drop for ServerThread {
 mod tests {
     use super::*;
     use crate::conn::MoiraConn;
+    use moira_core::schema::{machine, members};
     use moira_core::server::standard_server;
 
     #[test]
@@ -110,7 +111,7 @@ mod tests {
         {
             let mut s = state.write();
             let uid = moira_core::queries::testutil::add_test_user(&mut s, "ops", 1);
-            s.db.append("members", vec![2.into(), "USER".into(), uid.into()])
+            s.db.append(members::T, vec![2.into(), "USER".into(), uid.into()])
                 .unwrap();
         }
         let thread = ServerThread::spawn(server);
@@ -130,7 +131,7 @@ mod tests {
         }
         let server = thread.shutdown();
         let s = server.state();
-        let count = s.read().db.table("machine").len();
+        let count = s.read().db.table(machine::T).len();
         assert_eq!(count, 8);
     }
 

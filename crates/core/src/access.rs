@@ -18,10 +18,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use moira_common::errors::{MrError, MrResult};
 use moira_common::hashtab::HashTable;
-use moira_db::Pred;
+use moira_db::{Pred, Relation};
 use parking_lot::Mutex;
 
 use crate::ace::{user_in_list, users_id_of};
+use crate::schema::{capacls, list, members, users};
 use crate::state::{Caller, MoiraState};
 
 /// The §5.5 access cache with hit/miss accounting.
@@ -115,9 +116,9 @@ impl Default for AccessCache {
 /// The membership-defining generation: any append/update/delete to the
 /// relations that feed ACL decisions invalidates cached results.
 fn acl_generation(state: &MoiraState) -> u64 {
-    ["list", "members", "capacls", "users"]
+    [list::R::ID, members::R::ID, capacls::R::ID, users::R::ID]
         .iter()
-        .map(|t| state.db.table(t).generation())
+        .map(|&t| state.db.at(t).generation())
         .sum()
 }
 
@@ -147,8 +148,8 @@ pub fn caller_has_capability(state: &MoiraState, caller: &Caller, capability: &s
 }
 
 fn compute_capability(state: &MoiraState, principal: &str, capability: &str) -> bool {
-    let caps = state.db.table("capacls");
-    let rows = caps.select(&Pred::Eq("capability", capability.into()));
+    let caps = state.db.table(capacls::T);
+    let rows = caps.select(&Pred::Eq(capacls::CAPABILITY, capability.into()));
     if rows.is_empty() {
         return false;
     }
@@ -156,14 +157,14 @@ fn compute_capability(state: &MoiraState, principal: &str, capability: &str) -> 
         return false;
     };
     for row in rows {
-        let list_id = caps.cell(row, "list_id").as_int();
+        let list_id = caps.cell(row, capacls::LIST_ID).as_int();
         // The "list containing everybody" admits any authenticated user.
         if let Some(lr) = state
             .db
-            .table("list")
-            .select_one(&Pred::Eq("list_id", list_id.into()))
+            .table(list::T)
+            .select_one(&Pred::Eq(list::LIST_ID, list_id.into()))
         {
-            if state.db.cell("list", lr, "name").as_str() == "everybody" {
+            if state.db.cell(lr, list::NAME).as_str() == "everybody" {
                 return true;
             }
         }
@@ -275,7 +276,7 @@ mod tests {
         // Mutating membership invalidates.
         let uid = add_test_user(&mut s, "newbie", 7878);
         s.db.append(
-            "members",
+            members::T,
             vec![admin_list.into(), "USER".into(), uid.into()],
         )
         .unwrap();
@@ -317,10 +318,10 @@ mod tests {
         let (mut s, admin_list) = state_with_admin("ops");
         let sub = add_test_list(&mut s, "sub-ops", false);
         let uid = add_test_user(&mut s, "deputy", 7900);
-        s.db.append("members", vec![sub.into(), "USER".into(), uid.into()])
+        s.db.append(members::T, vec![sub.into(), "USER".into(), uid.into()])
             .unwrap();
         s.db.append(
-            "members",
+            members::T,
             vec![admin_list.into(), "LIST".into(), sub.into()],
         )
         .unwrap();

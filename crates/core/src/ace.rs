@@ -7,8 +7,9 @@
 //! of `get_ace_use`).
 
 use moira_common::errors::{MrError, MrResult};
-use moira_db::{Database, Pred};
+use moira_db::{Col, Database, Pred, Relation};
 
+use crate::schema::{list, members, users};
 use crate::state::MoiraState;
 
 /// Maximum recursion depth through nested lists (cycles are legal in the
@@ -52,17 +53,17 @@ pub fn resolve_ace(db: &Database, ace_type: &str, ace_name: &str) -> MrResult<Ac
         "NONE" => Ok(Ace::None),
         "USER" => {
             let id = db
-                .table("users")
-                .select_one(&Pred::Eq("login", ace_name.into()))
+                .table(users::T)
+                .select_one(&Pred::Eq(users::LOGIN, ace_name.into()))
                 .ok_or(MrError::Ace)?;
-            Ok(Ace::User(db.cell("users", id, "users_id").as_int()))
+            Ok(Ace::User(db.cell(id, users::USERS_ID).as_int()))
         }
         "LIST" => {
             let id = db
-                .table("list")
-                .select_one(&Pred::Eq("name", ace_name.into()))
+                .table(list::T)
+                .select_one(&Pred::Eq(list::NAME, ace_name.into()))
                 .ok_or(MrError::Ace)?;
-            Ok(Ace::List(db.cell("list", id, "list_id").as_int()))
+            Ok(Ace::List(db.cell(id, list::LIST_ID).as_int()))
         }
         _ => Err(MrError::Ace),
     }
@@ -74,17 +75,17 @@ pub fn render_ace(db: &Database, ace_type: &str, ace_id: i64) -> (String, String
     match ace_type.to_ascii_uppercase().as_str() {
         "USER" => {
             let name = db
-                .table("users")
-                .select_one(&Pred::Eq("users_id", ace_id.into()))
-                .map(|r| db.cell("users", r, "login").as_str().to_owned())
+                .table(users::T)
+                .select_one(&Pred::Eq(users::USERS_ID, ace_id.into()))
+                .map(|r| db.cell(r, users::LOGIN).as_str().to_owned())
                 .unwrap_or_else(|| format!("#{ace_id}"));
             ("USER".to_owned(), name)
         }
         "LIST" => {
             let name = db
-                .table("list")
-                .select_one(&Pred::Eq("list_id", ace_id.into()))
-                .map(|r| db.cell("list", r, "name").as_str().to_owned())
+                .table(list::T)
+                .select_one(&Pred::Eq(list::LIST_ID, ace_id.into()))
+                .map(|r| db.cell(r, list::NAME).as_str().to_owned())
                 .unwrap_or_else(|| format!("#{ace_id}"));
             ("LIST".to_owned(), name)
         }
@@ -95,19 +96,19 @@ pub fn render_ace(db: &Database, ace_type: &str, ace_id: i64) -> (String, String
 /// The `users_id` of a login, or `MR_USER`.
 pub fn users_id_of(db: &Database, login: &str) -> MrResult<i64> {
     let id = db
-        .table("users")
-        .select_one(&Pred::Eq("login", login.into()))
+        .table(users::T)
+        .select_one(&Pred::Eq(users::LOGIN, login.into()))
         .ok_or(MrError::User)?;
-    Ok(db.cell("users", id, "users_id").as_int())
+    Ok(db.cell(id, users::USERS_ID).as_int())
 }
 
 /// The `list_id` of a list name, or `MR_LIST`.
 pub fn list_id_of(db: &Database, name: &str) -> MrResult<i64> {
     let id = db
-        .table("list")
-        .select_one(&Pred::Eq("name", name.into()))
+        .table(list::T)
+        .select_one(&Pred::Eq(list::NAME, name.into()))
         .ok_or(MrError::List)?;
-    Ok(db.cell("list", id, "list_id").as_int())
+    Ok(db.cell(id, list::LIST_ID).as_int())
 }
 
 /// True if user `users_id` is a direct or recursive (through sub-lists)
@@ -118,10 +119,10 @@ pub fn user_in_list(db: &Database, users_id: i64, list_id: i64) -> bool {
             return false;
         }
         seen.push(list_id);
-        let members = db.table("members");
-        for row in db.select("members", &Pred::Eq("list_id", list_id.into())) {
-            let mtype = members.cell(row, "member_type").as_str().to_owned();
-            let mid = members.cell(row, "member_id").as_int();
+        let members = db.table(members::T);
+        for row in db.select(&Pred::Eq(members::LIST_ID, list_id.into())) {
+            let mtype = members.cell(row, members::MEMBER_TYPE).as_str().to_owned();
+            let mid = members.cell(row, members::MEMBER_ID).as_int();
             match mtype.as_str() {
                 "USER" if mid == users_id => return true,
                 "LIST" if walk(db, users_id, mid, depth + 1, seen) => {
@@ -147,18 +148,17 @@ pub fn caller_satisfies_ace(state: &MoiraState, principal: Option<&str>, ace: Ac
     }
 }
 
-/// True if the caller is on the ACE stored in columns `acl_type`/`acl_id`
-/// of row `row` in `table` — the pervasive "someone on the ACE of the
-/// target" permission.
-pub fn caller_on_row_ace(
+/// True if the caller is on the ACE stored in columns `type_col`/`id_col`
+/// of row `row` of their relation — the pervasive "someone on the ACE of
+/// the target" permission.
+pub fn caller_on_row_ace<R: Relation>(
     state: &MoiraState,
     principal: Option<&str>,
-    table: &str,
     row: moira_db::RowId,
-    type_col: &str,
-    id_col: &str,
+    type_col: Col<R>,
+    id_col: Col<R>,
 ) -> bool {
-    let t = state.db.table(table);
+    let t = state.db.table(R::default());
     let ace_type = t.cell(row, type_col).as_str().to_owned();
     let ace_id = t.cell(row, id_col).as_int();
     let ace = match ace_type.to_ascii_uppercase().as_str() {
@@ -214,11 +214,11 @@ mod tests {
                 "t".into(),
                 "t".into(),
             ]);
-            s.db.append("users", row).unwrap();
+            s.db.append(users::T, row).unwrap();
         }
         for (name, list_id) in [("inner", 201i64), ("outer", 202)] {
             s.db.append(
-                "list",
+                list::T,
                 vec![
                     name.into(),
                     list_id.into(),
@@ -238,11 +238,11 @@ mod tests {
             )
             .unwrap();
         }
-        s.db.append("members", vec![201.into(), "USER".into(), 101.into()])
+        s.db.append(members::T, vec![201.into(), "USER".into(), 101.into()])
             .unwrap();
-        s.db.append("members", vec![202.into(), "LIST".into(), 201.into()])
+        s.db.append(members::T, vec![202.into(), "LIST".into(), 201.into()])
             .unwrap();
-        s.db.append("members", vec![202.into(), "USER".into(), 102.into()])
+        s.db.append(members::T, vec![202.into(), "USER".into(), 102.into()])
             .unwrap();
         s
     }
@@ -282,7 +282,7 @@ mod tests {
     fn cyclic_lists_terminate() {
         let mut s = setup();
         // outer -> inner -> outer.
-        s.db.append("members", vec![201.into(), "LIST".into(), 202.into()])
+        s.db.append(members::T, vec![201.into(), "LIST".into(), 202.into()])
             .unwrap();
         assert!(user_in_list(&s.db, 101, 202));
         assert!(!user_in_list(&s.db, 999, 202));

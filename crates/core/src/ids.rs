@@ -6,72 +6,68 @@
 //! the next hint back.
 
 use moira_common::errors::{MrError, MrResult};
-use moira_db::Pred;
+use moira_db::{Col, Database, Pred, Relation};
 
+use crate::schema::{cluster, filesys, list, machine, nfsphys, strings, users};
 use crate::state::MoiraState;
 
-/// Where a given ID space is consumed, for collision checking.
+/// One id space: its hint in VALUES and where its ids are consumed, for
+/// collision checking.
 struct IdSpace {
     value_name: &'static str,
-    table: &'static str,
-    column: &'static str,
     first: i64,
+    in_use: fn(&Database, i64) -> bool,
+}
+
+fn taken<R: Relation>(db: &Database, col: Col<R>, id: i64) -> bool {
+    !db.select(&Pred::Eq(col, id.into())).is_empty()
 }
 
 const SPACES: &[IdSpace] = &[
     IdSpace {
         value_name: "users_id",
-        table: "users",
-        column: "users_id",
         first: 1,
+        in_use: |db, id| taken(db, users::USERS_ID, id),
     },
     IdSpace {
         value_name: "uid",
-        table: "users",
-        column: "uid",
         first: 6500,
+        in_use: |db, id| taken(db, users::UID, id),
     },
     IdSpace {
         value_name: "list_id",
-        table: "list",
-        column: "list_id",
         first: 1,
+        in_use: |db, id| taken(db, list::LIST_ID, id),
     },
     IdSpace {
         value_name: "gid",
-        table: "list",
-        column: "gid",
         first: 10_900,
+        in_use: |db, id| taken(db, list::GID, id),
     },
     IdSpace {
         value_name: "mach_id",
-        table: "machine",
-        column: "mach_id",
         first: 1,
+        in_use: |db, id| taken(db, machine::MACH_ID, id),
     },
     IdSpace {
         value_name: "clu_id",
-        table: "cluster",
-        column: "clu_id",
         first: 1,
+        in_use: |db, id| taken(db, cluster::CLU_ID, id),
     },
     IdSpace {
         value_name: "filsys_id",
-        table: "filesys",
-        column: "filsys_id",
         first: 1,
+        in_use: |db, id| taken(db, filesys::FILSYS_ID, id),
     },
     IdSpace {
         value_name: "nfsphys_id",
-        table: "nfsphys",
-        column: "nfsphys_id",
         first: 1,
+        in_use: |db, id| taken(db, nfsphys::NFSPHYS_ID, id),
     },
     IdSpace {
         value_name: "string_id",
-        table: "strings",
-        column: "string_id",
         first: 1,
+        in_use: |db, id| taken(db, strings::STRING_ID, id),
     },
 ];
 
@@ -88,12 +84,7 @@ pub fn alloc_id(state: &mut MoiraState, space: &str) -> MrResult<i64> {
         .ok_or(MrError::NoId)?;
     let hint = state.get_value(sp.value_name).unwrap_or(sp.first);
     for candidate in hint..hint + 100_000 {
-        let in_use = !state
-            .db
-            .table(sp.table)
-            .select(&Pred::Eq(sp.column, candidate.into()))
-            .is_empty();
-        if !in_use {
+        if !(sp.in_use)(&state.db, candidate) {
             state.set_value(sp.value_name, candidate + 1);
             return Ok(candidate);
         }
@@ -121,7 +112,7 @@ mod tests {
         // Occupy the next two hints directly.
         for (i, n) in [(next, "A"), (next + 1, "B")] {
             s.db.append(
-                "machine",
+                machine::T,
                 vec![
                     n.into(),
                     i.into(),

@@ -6,6 +6,7 @@ use moira_db::{Pred, RowId, Value};
 use crate::ace::{list_id_of, user_in_list, users_id_of};
 use crate::ids::alloc_id;
 use crate::registry::{AccessRule, Handler, QueryHandle, QueryKind, Registry};
+use crate::schema::{filesys, machine, nfsphys, nfsquota};
 use crate::state::{Caller, MoiraState};
 
 use super::helpers::*;
@@ -261,22 +262,22 @@ pub fn register(r: &mut Registry) {
 }
 
 fn render_filesys(state: &MoiraState, row: RowId) -> Vec<String> {
-    let t = state.db.table("filesys");
+    let t = state.db.table(filesys::T);
     vec![
-        t.cell(row, "label").render(),
-        t.cell(row, "type").render(),
-        machine_name(state, t.cell(row, "mach_id").as_int()),
-        t.cell(row, "name").render(),
-        t.cell(row, "mount").render(),
-        t.cell(row, "access").render(),
-        t.cell(row, "comments").render(),
-        user_login(state, t.cell(row, "owner").as_int()),
-        list_name(state, t.cell(row, "owners").as_int()),
-        t.cell(row, "createflg").render(),
-        t.cell(row, "lockertype").render(),
-        t.cell(row, "modtime").render(),
-        t.cell(row, "modby").render(),
-        t.cell(row, "modwith").render(),
+        t.cell(row, filesys::LABEL).render(),
+        t.cell(row, filesys::TYPE).render(),
+        machine_name(state, t.cell(row, filesys::MACH_ID).as_int()),
+        t.cell(row, filesys::NAME).render(),
+        t.cell(row, filesys::MOUNT).render(),
+        t.cell(row, filesys::ACCESS).render(),
+        t.cell(row, filesys::COMMENTS).render(),
+        user_login(state, t.cell(row, filesys::OWNER).as_int()),
+        list_name(state, t.cell(row, filesys::OWNERS).as_int()),
+        t.cell(row, filesys::CREATEFLG).render(),
+        t.cell(row, filesys::LOCKERTYPE).render(),
+        t.cell(row, filesys::MODTIME).render(),
+        t.cell(row, filesys::MODBY).render(),
+        t.cell(row, filesys::MODWITH).render(),
     ]
 }
 
@@ -285,9 +286,7 @@ fn get_filesys_by_label(
     _c: &Caller,
     a: &[String],
 ) -> MrResult<Vec<Vec<String>>> {
-    let ids = state
-        .db
-        .select("filesys", &Pred::name_match("label", &a[0]));
+    let ids = state.db.select(&Pred::name_match(filesys::LABEL, &a[0]));
     if ids.is_empty() {
         return Err(MrError::NoMatch);
     }
@@ -303,10 +302,8 @@ fn get_filesys_by_machine(
     a: &[String],
 ) -> MrResult<Vec<Vec<String>>> {
     let mrow = one_machine(state, &a[0])?;
-    let mach_id = state.db.cell("machine", mrow, "mach_id").as_int();
-    let ids = state
-        .db
-        .select("filesys", &Pred::Eq("mach_id", mach_id.into()));
+    let mach_id = state.db.cell(mrow, machine::MACH_ID).as_int();
+    let ids = state.db.select(&Pred::Eq(filesys::MACH_ID, mach_id.into()));
     if ids.is_empty() {
         return Err(MrError::NoMatch);
     }
@@ -322,15 +319,12 @@ fn get_filesys_by_nfsphys(
     a: &[String],
 ) -> MrResult<Vec<Vec<String>>> {
     let mrow = one_machine(state, &a[0])?;
-    let mach_id = state.db.cell("machine", mrow, "mach_id").as_int();
+    let mach_id = state.db.cell(mrow, machine::MACH_ID).as_int();
     let mut phys_ids = Vec::new();
-    for prow in state
-        .db
-        .select("nfsphys", &Pred::Eq("mach_id", mach_id.into()))
-    {
-        let dir = state.db.cell("nfsphys", prow, "dir").render();
+    for prow in state.db.select(&Pred::Eq(nfsphys::MACH_ID, mach_id.into())) {
+        let dir = state.db.cell(prow, nfsphys::DIR).render();
         if moira_common::wildcard::matches(&a[1], &dir) {
-            phys_ids.push(state.db.cell("nfsphys", prow, "nfsphys_id").as_int());
+            phys_ids.push(state.db.cell(prow, nfsphys::NFSPHYS_ID).as_int());
         }
     }
     if phys_ids.is_empty() {
@@ -338,7 +332,7 @@ fn get_filesys_by_nfsphys(
     }
     let mut out = Vec::new();
     for pid in phys_ids {
-        for row in state.db.select("filesys", &Pred::Eq("phys_id", pid.into())) {
+        for row in state.db.select(&Pred::Eq(filesys::PHYS_ID, pid.into())) {
             out.push(render_filesys(state, row));
         }
     }
@@ -363,9 +357,7 @@ fn get_filesys_by_group(
     if !allowed {
         return Err(MrError::Perm);
     }
-    let ids = state
-        .db
-        .select("filesys", &Pred::Eq("owners", list_id.into()));
+    let ids = state.db.select(&Pred::Eq(filesys::OWNERS, list_id.into()));
     if ids.is_empty() {
         return Err(MrError::NoMatch);
     }
@@ -379,13 +371,10 @@ fn get_filesys_by_group(
 /// under an existing nfsphys directory on the same machine (`MR_NFS`
 /// "Specified directory not exported"). Returns the `nfsphys_id`.
 fn nfs_pack_check(state: &MoiraState, mach_id: i64, packname: &str) -> MrResult<i64> {
-    for prow in state
-        .db
-        .select("nfsphys", &Pred::Eq("mach_id", mach_id.into()))
-    {
-        let dir = state.db.cell("nfsphys", prow, "dir").render();
+    for prow in state.db.select(&Pred::Eq(nfsphys::MACH_ID, mach_id.into())) {
+        let dir = state.db.cell(prow, nfsphys::DIR).render();
         if packname == dir || packname.starts_with(&format!("{}/", dir.trim_end_matches('/'))) {
-            return Ok(state.db.cell("nfsphys", prow, "nfsphys_id").as_int());
+            return Ok(state.db.cell(prow, nfsphys::NFSPHYS_ID).as_int());
         }
     }
     Err(MrError::Nfs)
@@ -415,7 +404,7 @@ fn validate_fs_args(
     check_type_alias(state, "filesys", fstype, MrError::Fstype)?;
     check_type_alias(state, "lockertype", lockertype, MrError::Type)?;
     let mrow = one_machine(state, machine)?;
-    let mach_id = state.db.cell("machine", mrow, "mach_id").as_int();
+    let mach_id = state.db.cell(mrow, machine::MACH_ID).as_int();
     let owner = users_id_of(&state.db, owner)?;
     let owners = list_id_of(&state.db, owners)?;
     let create = parse_bool(create)?;
@@ -443,8 +432,8 @@ fn add_filesys(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec
     no_wildcards(&a[0])?;
     if state
         .db
-        .table("filesys")
-        .select_one(&Pred::Eq("label", a[0].as_str().into()))
+        .table(filesys::T)
+        .select_one(&Pred::Eq(filesys::LABEL, a[0].as_str().into()))
         .is_some()
     {
         return Err(MrError::FilesysExists);
@@ -455,7 +444,7 @@ fn add_filesys(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec
     let filsys_id = alloc_id(state, "filsys_id")?;
     let (now, who, with) = mod_fields(state, c);
     state.db.append(
-        "filesys",
+        filesys::T,
         vec![
             a[0].as_str().into(),
             0.into(),
@@ -483,12 +472,12 @@ fn update_filesys(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<
     let row = one_filesys(state, &a[0])?;
     check_chars(&a[1])?;
     no_wildcards(&a[1])?;
-    let current = state.db.cell("filesys", row, "label").as_str().to_owned();
+    let current = state.db.cell(row, filesys::LABEL).as_str().to_owned();
     if a[1] != current
         && state
             .db
-            .table("filesys")
-            .select_one(&Pred::Eq("label", a[1].as_str().into()))
+            .table(filesys::T)
+            .select_one(&Pred::Eq(filesys::LABEL, a[1].as_str().into()))
             .is_some()
     {
         return Err(MrError::NotUnique);
@@ -498,24 +487,23 @@ fn update_filesys(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<
     )?;
     let (now, who, with) = mod_fields(state, c);
     state.db.update(
-        "filesys",
         row,
         &[
-            ("label", a[1].as_str().into()),
-            ("type", v.fstype.into()),
-            ("mach_id", v.mach_id.into()),
-            ("phys_id", v.phys_id.into()),
-            ("name", a[4].as_str().into()),
-            ("mount", a[5].as_str().into()),
-            ("access", a[6].as_str().into()),
-            ("comments", a[7].as_str().into()),
-            ("owner", v.owner.into()),
-            ("owners", v.owners.into()),
-            ("createflg", Value::Bool(v.create)),
-            ("lockertype", a[11].to_ascii_uppercase().into()),
-            ("modtime", now.into()),
-            ("modby", who.into()),
-            ("modwith", with.into()),
+            (filesys::LABEL, a[1].as_str().into()),
+            (filesys::TYPE, v.fstype.into()),
+            (filesys::MACH_ID, v.mach_id.into()),
+            (filesys::PHYS_ID, v.phys_id.into()),
+            (filesys::NAME, a[4].as_str().into()),
+            (filesys::MOUNT, a[5].as_str().into()),
+            (filesys::ACCESS, a[6].as_str().into()),
+            (filesys::COMMENTS, a[7].as_str().into()),
+            (filesys::OWNER, v.owner.into()),
+            (filesys::OWNERS, v.owners.into()),
+            (filesys::CREATEFLG, Value::Bool(v.create)),
+            (filesys::LOCKERTYPE, a[11].to_ascii_uppercase().into()),
+            (filesys::MODTIME, now.into()),
+            (filesys::MODBY, who.into()),
+            (filesys::MODWITH, with.into()),
         ],
     )?;
     Ok(Vec::new())
@@ -523,55 +511,54 @@ fn update_filesys(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<
 
 fn delete_filesys(state: &mut MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
     let row = one_filesys(state, &a[0])?;
-    let filsys_id = state.db.cell("filesys", row, "filsys_id").as_int();
+    let filsys_id = state.db.cell(row, filesys::FILSYS_ID).as_int();
     // "Any quotas assigned to that filesystem will be deleted, and the
     // allocation count on the nfs physical partition will be decremented."
     let mut reclaimed = 0i64;
     for qrow in state
         .db
-        .select("nfsquota", &Pred::Eq("filsys_id", filsys_id.into()))
+        .select(&Pred::Eq(nfsquota::FILSYS_ID, filsys_id.into()))
     {
-        reclaimed += state.db.cell("nfsquota", qrow, "quota").as_int();
+        reclaimed += state.db.cell(qrow, nfsquota::QUOTA).as_int();
     }
     state
         .db
-        .delete_where("nfsquota", &Pred::Eq("filsys_id", filsys_id.into()));
-    let phys_id = state.db.cell("filesys", row, "phys_id").as_int();
+        .delete_where(&Pred::Eq(nfsquota::FILSYS_ID, filsys_id.into()));
+    let phys_id = state.db.cell(row, filesys::PHYS_ID).as_int();
     if reclaimed > 0 {
         if let Some(prow) = state
             .db
-            .table("nfsphys")
-            .select_one(&Pred::Eq("nfsphys_id", phys_id.into()))
+            .table(nfsphys::T)
+            .select_one(&Pred::Eq(nfsphys::NFSPHYS_ID, phys_id.into()))
         {
-            let allocated = state.db.cell("nfsphys", prow, "allocated").as_int();
+            let allocated = state.db.cell(prow, nfsphys::ALLOCATED).as_int();
             state.db.update(
-                "nfsphys",
                 prow,
-                &[("allocated", (allocated - reclaimed).into())],
+                &[(nfsphys::ALLOCATED, (allocated - reclaimed).into())],
             )?;
         }
     }
-    state.db.delete("filesys", row)?;
+    state.db.delete(filesys::T, row)?;
     Ok(Vec::new())
 }
 
 fn render_nfsphys(state: &MoiraState, row: RowId) -> Vec<String> {
-    let t = state.db.table("nfsphys");
+    let t = state.db.table(nfsphys::T);
     vec![
-        machine_name(state, t.cell(row, "mach_id").as_int()),
-        t.cell(row, "dir").render(),
-        t.cell(row, "device").render(),
-        t.cell(row, "status").render(),
-        t.cell(row, "allocated").render(),
-        t.cell(row, "size").render(),
-        t.cell(row, "modtime").render(),
-        t.cell(row, "modby").render(),
-        t.cell(row, "modwith").render(),
+        machine_name(state, t.cell(row, nfsphys::MACH_ID).as_int()),
+        t.cell(row, nfsphys::DIR).render(),
+        t.cell(row, nfsphys::DEVICE).render(),
+        t.cell(row, nfsphys::STATUS).render(),
+        t.cell(row, nfsphys::ALLOCATED).render(),
+        t.cell(row, nfsphys::SIZE).render(),
+        t.cell(row, nfsphys::MODTIME).render(),
+        t.cell(row, nfsphys::MODBY).render(),
+        t.cell(row, nfsphys::MODWITH).render(),
     ]
 }
 
 fn get_all_nfsphys(state: &MoiraState, _c: &Caller, _a: &[String]) -> MrResult<Vec<Vec<String>>> {
-    let ids = state.db.select("nfsphys", &Pred::True);
+    let ids = state.db.table(nfsphys::T).select(&Pred::True);
     if ids.is_empty() {
         return Err(MrError::NoMatch);
     }
@@ -583,13 +570,10 @@ fn get_all_nfsphys(state: &MoiraState, _c: &Caller, _a: &[String]) -> MrResult<V
 
 fn get_nfsphys(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
     let mrow = one_machine(state, &a[0])?;
-    let mach_id = state.db.cell("machine", mrow, "mach_id").as_int();
+    let mach_id = state.db.cell(mrow, machine::MACH_ID).as_int();
     let mut out = Vec::new();
-    for row in state
-        .db
-        .select("nfsphys", &Pred::Eq("mach_id", mach_id.into()))
-    {
-        let dir = state.db.cell("nfsphys", row, "dir").render();
+    for row in state.db.select(&Pred::Eq(nfsphys::MACH_ID, mach_id.into())) {
+        let dir = state.db.cell(row, nfsphys::DIR).render();
         if moira_common::wildcard::matches(&a[1], &dir) {
             out.push(render_nfsphys(state, row));
         }
@@ -603,25 +587,24 @@ fn get_nfsphys(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Ve
 /// Finds an nfsphys row by machine + exact directory.
 fn one_nfsphys(state: &MoiraState, machine: &str, dir: &str) -> MrResult<RowId> {
     let mrow = one_machine(state, machine)?;
-    let mach_id = state.db.cell("machine", mrow, "mach_id").as_int();
+    let mach_id = state.db.cell(mrow, machine::MACH_ID).as_int();
     state.db.select_exactly_one(
-        "nfsphys",
-        &Pred::Eq("mach_id", mach_id.into()).and(Pred::Eq("dir", dir.into())),
+        &Pred::Eq(nfsphys::MACH_ID, mach_id.into()).and(Pred::Eq(nfsphys::DIR, dir.into())),
         MrError::Nfsphys,
     )
 }
 
 fn add_nfsphys(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
     let mrow = one_machine(state, &a[0])?;
-    let mach_id = state.db.cell("machine", mrow, "mach_id").as_int();
+    let mach_id = state.db.cell(mrow, machine::MACH_ID).as_int();
     let status = parse_int(&a[3])?;
     let allocated = parse_int(&a[4])?;
     let size = parse_int(&a[5])?;
     let dup = !state
         .db
         .select(
-            "nfsphys",
-            &Pred::Eq("mach_id", mach_id.into()).and(Pred::Eq("dir", a[1].as_str().into())),
+            &Pred::Eq(nfsphys::MACH_ID, mach_id.into())
+                .and(Pred::Eq(nfsphys::DIR, a[1].as_str().into())),
         )
         .is_empty();
     if dup {
@@ -630,7 +613,7 @@ fn add_nfsphys(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec
     let nfsphys_id = alloc_id(state, "nfsphys_id")?;
     let (now, who, with) = mod_fields(state, c);
     state.db.append(
-        "nfsphys",
+        nfsphys::T,
         vec![
             nfsphys_id.into(),
             mach_id.into(),
@@ -654,16 +637,15 @@ fn update_nfsphys(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<
     let size = parse_int(&a[5])?;
     let (now, who, with) = mod_fields(state, c);
     state.db.update(
-        "nfsphys",
         row,
         &[
-            ("device", a[2].as_str().into()),
-            ("status", status.into()),
-            ("allocated", allocated.into()),
-            ("size", size.into()),
-            ("modtime", now.into()),
-            ("modby", who.into()),
-            ("modwith", with.into()),
+            (nfsphys::DEVICE, a[2].as_str().into()),
+            (nfsphys::STATUS, status.into()),
+            (nfsphys::ALLOCATED, allocated.into()),
+            (nfsphys::SIZE, size.into()),
+            (nfsphys::MODTIME, now.into()),
+            (nfsphys::MODBY, who.into()),
+            (nfsphys::MODWITH, with.into()),
         ],
     )?;
     Ok(Vec::new())
@@ -676,16 +658,15 @@ fn adjust_nfsphys_allocation(
 ) -> MrResult<Vec<Vec<String>>> {
     let row = one_nfsphys(state, &a[0], &a[1])?;
     let delta = parse_int(&a[2])?;
-    let allocated = state.db.cell("nfsphys", row, "allocated").as_int();
+    let allocated = state.db.cell(row, nfsphys::ALLOCATED).as_int();
     let (now, who, with) = mod_fields(state, c);
     state.db.update(
-        "nfsphys",
         row,
         &[
-            ("allocated", (allocated + delta).into()),
-            ("modtime", now.into()),
-            ("modby", who.into()),
-            ("modwith", with.into()),
+            (nfsphys::ALLOCATED, (allocated + delta).into()),
+            (nfsphys::MODTIME, now.into()),
+            (nfsphys::MODBY, who.into()),
+            (nfsphys::MODWITH, with.into()),
         ],
     )?;
     Ok(Vec::new())
@@ -693,45 +674,45 @@ fn adjust_nfsphys_allocation(
 
 fn delete_nfsphys(state: &mut MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
     let row = one_nfsphys(state, &a[0], &a[1])?;
-    let phys_id = state.db.cell("nfsphys", row, "nfsphys_id").as_int();
+    let phys_id = state.db.cell(row, nfsphys::NFSPHYS_ID).as_int();
     if !state
         .db
-        .select("filesys", &Pred::Eq("phys_id", phys_id.into()))
+        .select(&Pred::Eq(filesys::PHYS_ID, phys_id.into()))
         .is_empty()
     {
         return Err(MrError::InUse);
     }
-    state.db.delete("nfsphys", row)?;
+    state.db.delete(nfsphys::T, row)?;
     Ok(Vec::new())
 }
 
 fn quota_tuple(state: &MoiraState, qrow: RowId, with_mod: bool) -> Vec<String> {
-    let t = state.db.table("nfsquota");
-    let filsys_id = t.cell(qrow, "filsys_id").as_int();
+    let t = state.db.table(nfsquota::T);
+    let filsys_id = t.cell(qrow, nfsquota::FILSYS_ID).as_int();
     let (label, dir, machine) = state
         .db
-        .table("filesys")
-        .select_one(&Pred::Eq("filsys_id", filsys_id.into()))
+        .table(filesys::T)
+        .select_one(&Pred::Eq(filesys::FILSYS_ID, filsys_id.into()))
         .map(|fr| {
-            let ft = state.db.table("filesys");
+            let ft = state.db.table(filesys::T);
             (
-                ft.cell(fr, "label").render(),
-                ft.cell(fr, "name").render(),
-                machine_name(state, ft.cell(fr, "mach_id").as_int()),
+                ft.cell(fr, filesys::LABEL).render(),
+                ft.cell(fr, filesys::NAME).render(),
+                machine_name(state, ft.cell(fr, filesys::MACH_ID).as_int()),
             )
         })
         .unwrap_or_else(|| (format!("#{filsys_id}"), String::new(), String::new()));
     let mut out = vec![
         label,
-        user_login(state, t.cell(qrow, "users_id").as_int()),
-        t.cell(qrow, "quota").render(),
+        user_login(state, t.cell(qrow, nfsquota::USERS_ID).as_int()),
+        t.cell(qrow, nfsquota::QUOTA).render(),
         dir,
         machine,
     ];
     if with_mod {
-        out.push(t.cell(qrow, "modtime").render());
-        out.push(t.cell(qrow, "modby").render());
-        out.push(t.cell(qrow, "modwith").render());
+        out.push(t.cell(qrow, nfsquota::MODTIME).render());
+        out.push(t.cell(qrow, nfsquota::MODBY).render());
+        out.push(t.cell(qrow, nfsquota::MODWITH).render());
     }
     out
 }
@@ -748,22 +729,19 @@ fn get_nfs_quota(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<V
             .is_some_and(|caller_id| {
                 state
                     .db
-                    .select("filesys", &Pred::name_match("label", &a[0]))
+                    .select(&Pred::name_match(filesys::LABEL, &a[0]))
                     .iter()
-                    .all(|&fr| state.db.cell("filesys", fr, "owner").as_int() == caller_id)
+                    .all(|&fr| state.db.cell(fr, filesys::OWNER).as_int() == caller_id)
             });
     if !allowed {
         return Err(MrError::Perm);
     }
     let mut out = Vec::new();
-    for frow in state
-        .db
-        .select("filesys", &Pred::name_match("label", &a[0]))
-    {
-        let filsys_id = state.db.cell("filesys", frow, "filsys_id").as_int();
+    for frow in state.db.select(&Pred::name_match(filesys::LABEL, &a[0])) {
+        let filsys_id = state.db.cell(frow, filesys::FILSYS_ID).as_int();
         for qrow in state.db.select(
-            "nfsquota",
-            &Pred::Eq("filsys_id", filsys_id.into()).and(Pred::Eq("users_id", users_id.into())),
+            &Pred::Eq(nfsquota::FILSYS_ID, filsys_id.into())
+                .and(Pred::Eq(nfsquota::USERS_ID, users_id.into())),
         ) {
             out.push(quota_tuple(state, qrow, true));
         }
@@ -780,20 +758,17 @@ fn get_nfs_quotas_by_partition(
     a: &[String],
 ) -> MrResult<Vec<Vec<String>>> {
     let mrow = one_machine(state, &a[0])?;
-    let mach_id = state.db.cell("machine", mrow, "mach_id").as_int();
+    let mach_id = state.db.cell(mrow, machine::MACH_ID).as_int();
     let mut out = Vec::new();
-    for prow in state
-        .db
-        .select("nfsphys", &Pred::Eq("mach_id", mach_id.into()))
-    {
-        let dir = state.db.cell("nfsphys", prow, "dir").render();
+    for prow in state.db.select(&Pred::Eq(nfsphys::MACH_ID, mach_id.into())) {
+        let dir = state.db.cell(prow, nfsphys::DIR).render();
         if !moira_common::wildcard::matches(&a[1], &dir) {
             continue;
         }
-        let phys_id = state.db.cell("nfsphys", prow, "nfsphys_id").as_int();
+        let phys_id = state.db.cell(prow, nfsphys::NFSPHYS_ID).as_int();
         for qrow in state
             .db
-            .select("nfsquota", &Pred::Eq("phys_id", phys_id.into()))
+            .select(&Pred::Eq(nfsquota::PHYS_ID, phys_id.into()))
         {
             out.push(quota_tuple(state, qrow, false));
         }
@@ -807,15 +782,13 @@ fn get_nfs_quotas_by_partition(
 fn charge_allocation(state: &mut MoiraState, phys_id: i64, delta: i64) -> MrResult<()> {
     if let Some(prow) = state
         .db
-        .table("nfsphys")
-        .select_one(&Pred::Eq("nfsphys_id", phys_id.into()))
+        .table(nfsphys::T)
+        .select_one(&Pred::Eq(nfsphys::NFSPHYS_ID, phys_id.into()))
     {
-        let allocated = state.db.cell("nfsphys", prow, "allocated").as_int();
-        state.db.update(
-            "nfsphys",
-            prow,
-            &[("allocated", (allocated + delta).into())],
-        )?;
+        let allocated = state.db.cell(prow, nfsphys::ALLOCATED).as_int();
+        state
+            .db
+            .update(prow, &[(nfsphys::ALLOCATED, (allocated + delta).into())])?;
     }
     Ok(())
 }
@@ -827,13 +800,13 @@ fn add_nfs_quota(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<V
     if quota < 0 {
         return Err(MrError::Integer);
     }
-    let filsys_id = state.db.cell("filesys", frow, "filsys_id").as_int();
-    let phys_id = state.db.cell("filesys", frow, "phys_id").as_int();
+    let filsys_id = state.db.cell(frow, filesys::FILSYS_ID).as_int();
+    let phys_id = state.db.cell(frow, filesys::PHYS_ID).as_int();
     let dup = !state
         .db
         .select(
-            "nfsquota",
-            &Pred::Eq("filsys_id", filsys_id.into()).and(Pred::Eq("users_id", users_id.into())),
+            &Pred::Eq(nfsquota::FILSYS_ID, filsys_id.into())
+                .and(Pred::Eq(nfsquota::USERS_ID, users_id.into())),
         )
         .is_empty();
     if dup {
@@ -841,7 +814,7 @@ fn add_nfs_quota(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<V
     }
     let (now, who, with) = mod_fields(state, c);
     state.db.append(
-        "nfsquota",
+        nfsquota::T,
         vec![
             users_id.into(),
             filsys_id.into(),
@@ -859,14 +832,14 @@ fn add_nfs_quota(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<V
 fn find_quota(state: &MoiraState, filesys: &str, login: &str) -> MrResult<(RowId, i64, i64)> {
     let frow = one_filesys(state, filesys)?;
     let users_id = users_id_of(&state.db, login)?;
-    let filsys_id = state.db.cell("filesys", frow, "filsys_id").as_int();
+    let filsys_id = state.db.cell(frow, filesys::FILSYS_ID).as_int();
     let qrow = state.db.select_exactly_one(
-        "nfsquota",
-        &Pred::Eq("filsys_id", filsys_id.into()).and(Pred::Eq("users_id", users_id.into())),
+        &Pred::Eq(nfsquota::FILSYS_ID, filsys_id.into())
+            .and(Pred::Eq(nfsquota::USERS_ID, users_id.into())),
         MrError::NoQuota,
     )?;
-    let phys_id = state.db.cell("nfsquota", qrow, "phys_id").as_int();
-    let old = state.db.cell("nfsquota", qrow, "quota").as_int();
+    let phys_id = state.db.cell(qrow, nfsquota::PHYS_ID).as_int();
+    let old = state.db.cell(qrow, nfsquota::QUOTA).as_int();
     Ok((qrow, phys_id, old))
 }
 
@@ -882,13 +855,12 @@ fn update_nfs_quota(
     let (qrow, phys_id, old) = find_quota(state, &a[0], &a[1])?;
     let (now, who, with) = mod_fields(state, c);
     state.db.update(
-        "nfsquota",
         qrow,
         &[
-            ("quota", quota.into()),
-            ("modtime", now.into()),
-            ("modby", who.into()),
-            ("modwith", with.into()),
+            (nfsquota::QUOTA, quota.into()),
+            (nfsquota::MODTIME, now.into()),
+            (nfsquota::MODBY, who.into()),
+            (nfsquota::MODWITH, with.into()),
         ],
     )?;
     charge_allocation(state, phys_id, quota - old)?;
@@ -901,7 +873,7 @@ fn delete_nfs_quota(
     a: &[String],
 ) -> MrResult<Vec<Vec<String>>> {
     let (qrow, phys_id, old) = find_quota(state, &a[0], &a[1])?;
-    state.db.delete("nfsquota", qrow)?;
+    state.db.delete(nfsquota::T, qrow)?;
     charge_allocation(state, phys_id, -old)?;
     Ok(Vec::new())
 }

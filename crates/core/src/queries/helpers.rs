@@ -4,8 +4,9 @@
 use moira_common::errors::{MrError, MrResult};
 use moira_common::strutil;
 use moira_common::wildcard;
-use moira_db::{Pred, RowId, Value};
+use moira_db::{Col, Pred, Relation, RowId, Value};
 
+use crate::schema::{alias, cluster, filesys, list, machine, servers, strings, users};
 use crate::state::{Caller, MoiraState};
 
 /// Parses an integer argument (`MR_INTEGER` on failure).
@@ -56,11 +57,10 @@ pub fn check_type_alias(
 ) -> MrResult<()> {
     let found = !state
         .db
-        .table("alias")
         .select(
-            &Pred::Eq("name", type_name.into())
-                .and(Pred::Eq("type", "TYPE".into()))
-                .and(Pred::EqCi("trans", value.to_owned())),
+            &Pred::Eq(alias::NAME, type_name.into())
+                .and(Pred::Eq(alias::TYPE, "TYPE".into()))
+                .and(Pred::EqCi(alias::TRANS, value.to_owned())),
         )
         .is_empty();
     if found {
@@ -82,75 +82,73 @@ pub fn mod_fields(state: &MoiraState, caller: &Caller) -> (i64, String, String) 
 /// Finds exactly one row by a possibly-wildcarded name; `not_found` when
 /// nothing matches, `MR_NOT_UNIQUE` when several do (§7's pervasive "must
 /// match exactly one" rule).
-pub fn exactly_one(
+pub fn exactly_one<R: Relation>(
     state: &MoiraState,
-    table: &str,
-    col: &'static str,
+    col: Col<R>,
     name: &str,
     not_found: MrError,
 ) -> MrResult<RowId> {
     state
         .db
-        .select_exactly_one(table, &Pred::name_match(col, name), not_found)
+        .select_exactly_one(&Pred::name_match(col, name), not_found)
 }
 
 /// Like [`exactly_one`] for case-insensitive, uppercase-stored names
 /// (machines, services).
-pub fn exactly_one_ci(
+pub fn exactly_one_ci<R: Relation>(
     state: &MoiraState,
-    table: &str,
-    col: &'static str,
+    col: Col<R>,
     name: &str,
     not_found: MrError,
 ) -> MrResult<RowId> {
     state
         .db
-        .select_exactly_one(table, &Pred::name_match_ci(col, name), not_found)
+        .select_exactly_one(&Pred::name_match_ci(col, name), not_found)
 }
 
 /// Exactly one user by login.
 pub fn one_user(state: &MoiraState, login: &str) -> MrResult<RowId> {
-    exactly_one(state, "users", "login", login, MrError::User)
+    exactly_one(state, users::LOGIN, login, MrError::User)
 }
 
 /// Exactly one machine by (canonicalized) name.
 pub fn one_machine(state: &MoiraState, name: &str) -> MrResult<RowId> {
-    exactly_one_ci(state, "machine", "name", name, MrError::Machine)
+    exactly_one_ci(state, machine::NAME, name, MrError::Machine)
 }
 
 /// Exactly one cluster by name (case sensitive, §7.0.2).
 pub fn one_cluster(state: &MoiraState, name: &str) -> MrResult<RowId> {
-    exactly_one(state, "cluster", "name", name, MrError::Cluster)
+    exactly_one(state, cluster::NAME, name, MrError::Cluster)
 }
 
 /// Exactly one list by name.
 pub fn one_list(state: &MoiraState, name: &str) -> MrResult<RowId> {
-    exactly_one(state, "list", "name", name, MrError::List)
+    exactly_one(state, list::NAME, name, MrError::List)
 }
 
 /// Exactly one service by (uppercased) name.
 pub fn one_service(state: &MoiraState, name: &str) -> MrResult<RowId> {
-    exactly_one_ci(state, "servers", "name", name, MrError::Service)
+    exactly_one_ci(state, servers::NAME, name, MrError::Service)
 }
 
 /// Exactly one filesystem by label.
 pub fn one_filesys(state: &MoiraState, label: &str) -> MrResult<RowId> {
-    exactly_one(state, "filesys", "label", label, MrError::Filesys)
+    exactly_one(state, filesys::LABEL, label, MrError::Filesys)
 }
 
-/// Projects named columns of a row into protocol strings.
-pub fn project(state: &MoiraState, table: &str, id: RowId, cols: &[&str]) -> Vec<String> {
-    let t = state.db.table(table);
-    cols.iter().map(|c| t.cell(id, c).render()).collect()
+/// Projects columns of a row into protocol strings.
+pub fn project<R: Relation>(state: &MoiraState, id: RowId, cols: &[Col<R>]) -> Vec<String> {
+    let t = state.db.table(R::default());
+    cols.iter().map(|&c| t.cell(id, c).render()).collect()
 }
 
 /// The machine name for a `mach_id` (dangling ids render as `#id`).
 pub fn machine_name(state: &MoiraState, mach_id: i64) -> String {
     state
         .db
-        .table("machine")
-        .select_one(&Pred::Eq("mach_id", mach_id.into()))
-        .map(|r| state.db.cell("machine", r, "name").as_str().to_owned())
+        .table(machine::T)
+        .select_one(&Pred::Eq(machine::MACH_ID, mach_id.into()))
+        .map(|r| state.db.cell(r, machine::NAME).as_str().to_owned())
         .unwrap_or_else(|| format!("#{mach_id}"))
 }
 
@@ -158,9 +156,9 @@ pub fn machine_name(state: &MoiraState, mach_id: i64) -> String {
 pub fn user_login(state: &MoiraState, users_id: i64) -> String {
     state
         .db
-        .table("users")
-        .select_one(&Pred::Eq("users_id", users_id.into()))
-        .map(|r| state.db.cell("users", r, "login").as_str().to_owned())
+        .table(users::T)
+        .select_one(&Pred::Eq(users::USERS_ID, users_id.into()))
+        .map(|r| state.db.cell(r, users::LOGIN).as_str().to_owned())
         .unwrap_or_else(|| format!("#{users_id}"))
 }
 
@@ -168,9 +166,9 @@ pub fn user_login(state: &MoiraState, users_id: i64) -> String {
 pub fn list_name(state: &MoiraState, list_id: i64) -> String {
     state
         .db
-        .table("list")
-        .select_one(&Pred::Eq("list_id", list_id.into()))
-        .map(|r| state.db.cell("list", r, "name").as_str().to_owned())
+        .table(list::T)
+        .select_one(&Pred::Eq(list::LIST_ID, list_id.into()))
+        .map(|r| state.db.cell(r, list::NAME).as_str().to_owned())
         .unwrap_or_else(|| format!("#{list_id}"))
 }
 
@@ -178,9 +176,9 @@ pub fn list_name(state: &MoiraState, list_id: i64) -> String {
 pub fn string_of(state: &MoiraState, string_id: i64) -> String {
     state
         .db
-        .table("strings")
-        .select_one(&Pred::Eq("string_id", string_id.into()))
-        .map(|r| state.db.cell("strings", r, "string").as_str().to_owned())
+        .table(strings::T)
+        .select_one(&Pred::Eq(strings::STRING_ID, string_id.into()))
+        .map(|r| state.db.cell(r, strings::STRING).as_str().to_owned())
         .unwrap_or_else(|| format!("#{string_id}"))
 }
 
@@ -190,13 +188,13 @@ pub fn string_of(state: &MoiraState, string_id: i64) -> String {
 pub fn intern_string(state: &mut MoiraState, s: &str) -> MrResult<i64> {
     if let Some(row) = state
         .db
-        .table("strings")
-        .select_one(&Pred::Eq("string", s.into()))
+        .table(strings::T)
+        .select_one(&Pred::Eq(strings::STRING, s.into()))
     {
-        return Ok(state.db.cell("strings", row, "string_id").as_int());
+        return Ok(state.db.cell(row, strings::STRING_ID).as_int());
     }
     let id = crate::ids::alloc_id(state, "string_id")?;
-    state.db.append("strings", vec![id.into(), s.into()])?;
+    state.db.append(strings::T, vec![id.into(), s.into()])?;
     Ok(id)
 }
 

@@ -6,15 +6,18 @@
 //! self-service membership, and hidden lists.
 
 use moira_common::errors::{MrError, MrResult};
-use moira_db::{Pred, RowId, Value};
+use moira_db::{Col, Pred, Relation, RowId, Value};
 
 use crate::ace::{list_id_of, resolve_ace, user_in_list, users_id_of, Ace};
 use crate::ids::alloc_id;
 use crate::registry::{AccessRule, Handler, QueryHandle, QueryKind, Registry};
-use crate::schema::UNIQUE_GID;
+use crate::schema::{
+    capacls, filesys, hostaccess, list, members, servers, strings, zephyr, UNIQUE_GID,
+};
 use crate::state::{Caller, MoiraState};
 
 use super::helpers::*;
+use super::zephyr::ACES as ZEPHYR_ACES;
 
 const LIST_INFO: &[&str] = &[
     "list",
@@ -176,26 +179,26 @@ pub fn register(r: &mut Registry) {
 
 /// Renders one list row into the `get_list_info` tuple.
 fn render_list_info(state: &MoiraState, row: RowId) -> Vec<String> {
-    let t = state.db.table("list");
+    let t = state.db.table(list::T);
     let (ace_type, ace_name) = crate::ace::render_ace(
         &state.db,
-        t.cell(row, "acl_type").as_str(),
-        t.cell(row, "acl_id").as_int(),
+        t.cell(row, list::ACL_TYPE).as_str(),
+        t.cell(row, list::ACL_ID).as_int(),
     );
     vec![
-        t.cell(row, "name").render(),
-        t.cell(row, "active").render(),
-        t.cell(row, "public").render(),
-        t.cell(row, "hidden").render(),
-        t.cell(row, "maillist").render(),
-        t.cell(row, "grouplist").render(),
-        t.cell(row, "gid").render(),
+        t.cell(row, list::NAME).render(),
+        t.cell(row, list::ACTIVE).render(),
+        t.cell(row, list::PUBLIC).render(),
+        t.cell(row, list::HIDDEN).render(),
+        t.cell(row, list::MAILLIST).render(),
+        t.cell(row, list::GROUPLIST).render(),
+        t.cell(row, list::GID).render(),
         ace_type,
         ace_name,
-        t.cell(row, "desc").render(),
-        t.cell(row, "modtime").render(),
-        t.cell(row, "modby").render(),
-        t.cell(row, "modwith").render(),
+        t.cell(row, list::DESC).render(),
+        t.cell(row, list::MODTIME).render(),
+        t.cell(row, list::MODBY).render(),
+        t.cell(row, list::MODWITH).render(),
     ]
 }
 
@@ -204,10 +207,9 @@ fn caller_on_list_ace(state: &MoiraState, c: &Caller, row: RowId) -> bool {
     crate::ace::caller_on_row_ace(
         state,
         c.principal.as_deref(),
-        "list",
         row,
-        "acl_type",
-        "acl_id",
+        list::ACL_TYPE,
+        list::ACL_ID,
     )
 }
 
@@ -217,13 +219,13 @@ fn get_list_info(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<V
         // Wildcards only for privileged callers.
         no_wildcards(&a[0]).map_err(|_| MrError::Perm)?;
     }
-    let ids = state.db.select("list", &Pred::name_match("name", &a[0]));
+    let ids = state.db.select(&Pred::name_match(list::NAME, &a[0]));
     if ids.is_empty() {
         return Err(MrError::NoMatch);
     }
     let mut out = Vec::new();
     for id in ids {
-        let hidden = state.db.cell("list", id, "hidden").as_bool();
+        let hidden = state.db.cell(id, list::HIDDEN).as_bool();
         if hidden && !on_acl && !caller_on_list_ace(state, c, id) {
             return Err(MrError::Perm);
         }
@@ -234,14 +236,14 @@ fn get_list_info(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<V
 
 fn expand_list_names(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
     let on_acl = on_query_acl(state, c, "expand_list_names");
-    let ids = state.db.select("list", &Pred::name_match("name", &a[0]));
+    let ids = state.db.select(&Pred::name_match(list::NAME, &a[0]));
     let mut out = Vec::new();
     for id in ids {
-        let hidden = state.db.cell("list", id, "hidden").as_bool();
+        let hidden = state.db.cell(id, list::HIDDEN).as_bool();
         if hidden && !on_acl && !caller_on_list_ace(state, c, id) {
             continue;
         }
-        out.push(vec![state.db.cell("list", id, "name").render()]);
+        out.push(vec![state.db.cell(id, list::NAME).render()]);
     }
     if out.is_empty() {
         return Err(MrError::NoMatch);
@@ -271,8 +273,8 @@ fn add_list(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<Ve
     }
     if state
         .db
-        .table("list")
-        .select_one(&Pred::Eq("name", name.as_str().into()))
+        .table(list::T)
+        .select_one(&Pred::Eq(list::NAME, name.as_str().into()))
         .is_some()
     {
         return Err(MrError::Exists);
@@ -293,7 +295,7 @@ fn add_list(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<Ve
     };
     let (now, who, with) = mod_fields(state, c);
     state.db.append(
-        "list",
+        list::T,
         vec![
             name.as_str().into(),
             list_id.into(),
@@ -322,19 +324,19 @@ fn update_list(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec
     let newname = &a[1];
     check_chars(newname)?;
     no_wildcards(newname)?;
-    let current = state.db.cell("list", row, "name").as_str().to_owned();
+    let current = state.db.cell(row, list::NAME).as_str().to_owned();
     if newname != &current
         && state
             .db
-            .table("list")
-            .select_one(&Pred::Eq("name", newname.as_str().into()))
+            .table(list::T)
+            .select_one(&Pred::Eq(list::NAME, newname.as_str().into()))
             .is_some()
     {
         return Err(MrError::NotUnique);
     }
     let group = parse_bool(&a[6])?;
     let gid = parse_gid(state, group, &a[7])?;
-    let list_id = state.db.cell("list", row, "list_id").as_int();
+    let list_id = state.db.cell(row, list::LIST_ID).as_int();
     let ace = if a[8].eq_ignore_ascii_case("LIST") && (&a[9] == newname || a[9] == current) {
         Ace::List(list_id)
     } else {
@@ -342,22 +344,21 @@ fn update_list(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec
     };
     let (now, who, with) = mod_fields(state, c);
     state.db.update(
-        "list",
         row,
         &[
-            ("name", newname.as_str().into()),
-            ("active", Value::Bool(parse_bool(&a[2])?)),
-            ("public", Value::Bool(parse_bool(&a[3])?)),
-            ("hidden", Value::Bool(parse_bool(&a[4])?)),
-            ("maillist", Value::Bool(parse_bool(&a[5])?)),
-            ("grouplist", Value::Bool(group)),
-            ("gid", gid.into()),
-            ("acl_type", ace.type_str().into()),
-            ("acl_id", ace.id().into()),
-            ("desc", a[10].as_str().into()),
-            ("modtime", now.into()),
-            ("modby", who.into()),
-            ("modwith", with.into()),
+            (list::NAME, newname.as_str().into()),
+            (list::ACTIVE, Value::Bool(parse_bool(&a[2])?)),
+            (list::PUBLIC, Value::Bool(parse_bool(&a[3])?)),
+            (list::HIDDEN, Value::Bool(parse_bool(&a[4])?)),
+            (list::MAILLIST, Value::Bool(parse_bool(&a[5])?)),
+            (list::GROUPLIST, Value::Bool(group)),
+            (list::GID, gid.into()),
+            (list::ACL_TYPE, ace.type_str().into()),
+            (list::ACL_ID, ace.id().into()),
+            (list::DESC, a[10].as_str().into()),
+            (list::MODTIME, now.into()),
+            (list::MODBY, who.into()),
+            (list::MODWITH, with.into()),
         ],
     )?;
     Ok(Vec::new())
@@ -366,46 +367,39 @@ fn update_list(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec
 /// Is this list referenced anywhere (member of another list, ACE of an
 /// object, owner of a filesystem, capability holder)?
 fn list_referenced(state: &MoiraState, list_id: i64) -> bool {
-    let ace_pred = Pred::Eq("acl_type", "LIST".into()).and(Pred::Eq("acl_id", list_id.into()));
     !state
         .db
         .select(
-            "members",
-            &Pred::Eq("member_type", "LIST".into()).and(Pred::Eq("member_id", list_id.into())),
+            &Pred::Eq(members::MEMBER_TYPE, "LIST".into())
+                .and(Pred::Eq(members::MEMBER_ID, list_id.into())),
         )
         .is_empty()
-        || !state.db.select("list", &ace_pred).is_empty()
-        || !state.db.select("servers", &ace_pred).is_empty()
-        || !state.db.select("hostaccess", &ace_pred).is_empty()
+        || !rows_with_list_ace(state, list::ACL_TYPE, list::ACL_ID, list_id).is_empty()
+        || !rows_with_list_ace(state, servers::ACL_TYPE, servers::ACL_ID, list_id).is_empty()
+        || !rows_with_list_ace(state, hostaccess::ACL_TYPE, hostaccess::ACL_ID, list_id).is_empty()
         || !state
             .db
-            .select("filesys", &Pred::Eq("owners", list_id.into()))
+            .select(&Pred::Eq(filesys::OWNERS, list_id.into()))
             .is_empty()
         || !state
             .db
-            .select("capacls", &Pred::Eq("list_id", list_id.into()))
+            .select(&Pred::Eq(capacls::LIST_ID, list_id.into()))
             .is_empty()
-        || ["xmt", "sub", "iws", "iui"].iter().any(|p| {
-            let type_col: &'static str = match *p {
-                "xmt" => "xmt_type",
-                "sub" => "sub_type",
-                "iws" => "iws_type",
-                _ => "iui_type",
-            };
-            let id_col: &'static str = match *p {
-                "xmt" => "xmt_id",
-                "sub" => "sub_id",
-                "iws" => "iws_id",
-                _ => "iui_id",
-            };
-            !state
-                .db
-                .select(
-                    "zephyr",
-                    &Pred::Eq(type_col, "LIST".into()).and(Pred::Eq(id_col, list_id.into())),
-                )
-                .is_empty()
+        || ZEPHYR_ACES.iter().any(|&(type_col, id_col)| {
+            !rows_with_list_ace(state, type_col, id_col, list_id).is_empty()
         })
+}
+
+/// The rows of `R` whose ACE, held in `type_col`/`id_col`, is list `list_id`.
+fn rows_with_list_ace<R: Relation>(
+    state: &MoiraState,
+    type_col: Col<R>,
+    id_col: Col<R>,
+    list_id: i64,
+) -> Vec<RowId> {
+    state
+        .db
+        .select(&Pred::Eq(type_col, "LIST".into()).and(Pred::Eq(id_col, list_id.into())))
 }
 
 fn delete_list(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
@@ -413,50 +407,47 @@ fn delete_list(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec
     if !caller_on_list_ace(state, c, row) && !on_query_acl(state, c, "delete_list") {
         return Err(MrError::Perm);
     }
-    let list_id = state.db.cell("list", row, "list_id").as_int();
+    let list_id = state.db.cell(row, list::LIST_ID).as_int();
     let has_members = !state
         .db
-        .select("members", &Pred::Eq("list_id", list_id.into()))
+        .select(&Pred::Eq(members::LIST_ID, list_id.into()))
         .is_empty();
     // A self-referential ACE does not count as a reference.
-    let self_ace = state.db.cell("list", row, "acl_type").as_str() == "LIST"
-        && state.db.cell("list", row, "acl_id").as_int() == list_id;
+    let self_ace = state.db.cell(row, list::ACL_TYPE).as_str() == "LIST"
+        && state.db.cell(row, list::ACL_ID).as_int() == list_id;
     if has_members || (list_referenced(state, list_id) && !self_ace) {
         return Err(MrError::InUse);
     }
     if self_ace && list_referenced_excluding_self(state, list_id) {
         return Err(MrError::InUse);
     }
-    state.db.delete("list", row)?;
+    state.db.delete(list::T, row)?;
     Ok(Vec::new())
 }
 
 fn list_referenced_excluding_self(state: &MoiraState, list_id: i64) -> bool {
-    let ace_pred = Pred::Eq("acl_type", "LIST".into()).and(Pred::Eq("acl_id", list_id.into()));
     let self_row = state
         .db
-        .table("list")
-        .select_one(&Pred::Eq("list_id", list_id.into()));
-    state
-        .db
-        .select("list", &ace_pred)
+        .table(list::T)
+        .select_one(&Pred::Eq(list::LIST_ID, list_id.into()));
+    rows_with_list_ace(state, list::ACL_TYPE, list::ACL_ID, list_id)
         .into_iter()
         .any(|r| Some(r) != self_row)
-        || !state.db.select("servers", &ace_pred).is_empty()
-        || !state.db.select("hostaccess", &ace_pred).is_empty()
+        || !rows_with_list_ace(state, servers::ACL_TYPE, servers::ACL_ID, list_id).is_empty()
+        || !rows_with_list_ace(state, hostaccess::ACL_TYPE, hostaccess::ACL_ID, list_id).is_empty()
         || !state
             .db
-            .select("filesys", &Pred::Eq("owners", list_id.into()))
+            .select(&Pred::Eq(filesys::OWNERS, list_id.into()))
             .is_empty()
         || !state
             .db
-            .select("capacls", &Pred::Eq("list_id", list_id.into()))
+            .select(&Pred::Eq(capacls::LIST_ID, list_id.into()))
             .is_empty()
         || !state
             .db
             .select(
-                "members",
-                &Pred::Eq("member_type", "LIST".into()).and(Pred::Eq("member_id", list_id.into())),
+                &Pred::Eq(members::MEMBER_TYPE, "LIST".into())
+                    .and(Pred::Eq(members::MEMBER_ID, list_id.into())),
             )
             .is_empty()
 }
@@ -488,7 +479,7 @@ fn may_edit_members(
     member: &str,
     query: &str,
 ) -> bool {
-    let public = state.db.cell("list", row, "public").as_bool();
+    let public = state.db.cell(row, list::PUBLIC).as_bool();
     if public && mtype.eq_ignore_ascii_case("USER") && c.principal.as_deref() == Some(member) {
         return true;
     }
@@ -498,12 +489,11 @@ fn may_edit_members(
 fn touch_list(state: &mut MoiraState, c: &Caller, row: RowId) -> MrResult<()> {
     let (now, who, with) = mod_fields(state, c);
     state.db.update(
-        "list",
         row,
         &[
-            ("modtime", now.into()),
-            ("modby", who.into()),
-            ("modwith", with.into()),
+            (list::MODTIME, now.into()),
+            (list::MODBY, who.into()),
+            (list::MODWITH, with.into()),
         ],
     )?;
     Ok(())
@@ -519,14 +509,13 @@ fn add_member_to_list(
         return Err(MrError::Perm);
     }
     let (mtype, mid) = resolve_member(state, &a[1], &a[2])?;
-    let list_id = state.db.cell("list", row, "list_id").as_int();
+    let list_id = state.db.cell(row, list::LIST_ID).as_int();
     let dup = !state
         .db
         .select(
-            "members",
-            &Pred::Eq("list_id", list_id.into())
-                .and(Pred::Eq("member_type", mtype.as_str().into()))
-                .and(Pred::Eq("member_id", mid.into())),
+            &Pred::Eq(members::LIST_ID, list_id.into())
+                .and(Pred::Eq(members::MEMBER_TYPE, mtype.as_str().into()))
+                .and(Pred::Eq(members::MEMBER_ID, mid.into())),
         )
         .is_empty();
     if dup {
@@ -534,7 +523,7 @@ fn add_member_to_list(
     }
     state
         .db
-        .append("members", vec![list_id.into(), mtype.into(), mid.into()])?;
+        .append(members::T, vec![list_id.into(), mtype.into(), mid.into()])?;
     touch_list(state, c, row)?;
     Ok(Vec::new())
 }
@@ -549,12 +538,11 @@ fn delete_member_from_list(
         return Err(MrError::Perm);
     }
     let (mtype, mid) = resolve_member(state, &a[1], &a[2])?;
-    let list_id = state.db.cell("list", row, "list_id").as_int();
+    let list_id = state.db.cell(row, list::LIST_ID).as_int();
     let gone = state.db.delete_where(
-        "members",
-        &Pred::Eq("list_id", list_id.into())
-            .and(Pred::Eq("member_type", mtype.as_str().into()))
-            .and(Pred::Eq("member_id", mid.into())),
+        &Pred::Eq(members::LIST_ID, list_id.into())
+            .and(Pred::Eq(members::MEMBER_TYPE, mtype.as_str().into()))
+            .and(Pred::Eq(members::MEMBER_ID, mid.into())),
     );
     if gone == 0 {
         return Err(MrError::NoMatch);
@@ -602,12 +590,12 @@ fn list_in_list(db: &moira_db::Database, inner: i64, outer: i64) -> bool {
             return false;
         }
         seen.push(outer);
-        for row in db.select("members", &Pred::Eq("list_id", outer.into())) {
-            let t = db.table("members");
-            if t.cell(row, "member_type").as_str() != "LIST" {
+        for row in db.select(&Pred::Eq(members::LIST_ID, outer.into())) {
+            let t = db.table(members::T);
+            if t.cell(row, members::MEMBER_TYPE).as_str() != "LIST" {
                 continue;
             }
-            let mid = t.cell(row, "member_id").as_int();
+            let mid = t.cell(row, members::MEMBER_ID).as_int();
             if mid == inner || walk(db, inner, mid, depth + 1, seen) {
                 return true;
             }
@@ -638,8 +626,8 @@ fn get_ace_use(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<Vec
             AceTarget::List { list_id, .. } => {
                 let row = state
                     .db
-                    .table("list")
-                    .select_one(&Pred::Eq("list_id", (*list_id).into()));
+                    .table(list::T)
+                    .select_one(&Pred::Eq(list::LIST_ID, (*list_id).into()));
                 row.is_some_and(|r| caller_on_list_ace(state, c, r))
             }
         };
@@ -649,66 +637,63 @@ fn get_ace_use(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<Vec
 
     let mut out: Vec<Vec<String>> = Vec::new();
     let db = &state.db;
-    for row in db.select("list", &Pred::True) {
-        let t = db.table("list");
+    for row in db.table(list::T).select(&Pred::True) {
+        let t = db.table(list::T);
         if target.matches(
             db,
-            t.cell(row, "acl_type").as_str(),
-            t.cell(row, "acl_id").as_int(),
+            t.cell(row, list::ACL_TYPE).as_str(),
+            t.cell(row, list::ACL_ID).as_int(),
         ) {
-            out.push(vec!["LIST".into(), t.cell(row, "name").render()]);
+            out.push(vec!["LIST".into(), t.cell(row, list::NAME).render()]);
         }
     }
-    for row in db.select("servers", &Pred::True) {
-        let t = db.table("servers");
+    for row in db.table(servers::T).select(&Pred::True) {
+        let t = db.table(servers::T);
         if target.matches(
             db,
-            t.cell(row, "acl_type").as_str(),
-            t.cell(row, "acl_id").as_int(),
+            t.cell(row, servers::ACL_TYPE).as_str(),
+            t.cell(row, servers::ACL_ID).as_int(),
         ) {
-            out.push(vec!["SERVICE".into(), t.cell(row, "name").render()]);
+            out.push(vec!["SERVICE".into(), t.cell(row, servers::NAME).render()]);
         }
     }
-    for row in db.select("filesys", &Pred::True) {
-        let t = db.table("filesys");
-        let owner_matches = target.matches(db, "USER", t.cell(row, "owner").as_int());
-        let owners_matches = target.matches(db, "LIST", t.cell(row, "owners").as_int());
+    for row in db.table(filesys::T).select(&Pred::True) {
+        let t = db.table(filesys::T);
+        let owner_matches = target.matches(db, "USER", t.cell(row, filesys::OWNER).as_int());
+        let owners_matches = target.matches(db, "LIST", t.cell(row, filesys::OWNERS).as_int());
         if owner_matches || owners_matches {
-            out.push(vec!["FILESYS".into(), t.cell(row, "label").render()]);
+            out.push(vec!["FILESYS".into(), t.cell(row, filesys::LABEL).render()]);
         }
     }
-    for row in db.select("capacls", &Pred::True) {
-        let t = db.table("capacls");
-        if target.matches(db, "LIST", t.cell(row, "list_id").as_int()) {
-            out.push(vec!["QUERY".into(), t.cell(row, "capability").render()]);
-        }
-    }
-    for row in db.select("hostaccess", &Pred::True) {
-        let t = db.table("hostaccess");
-        if target.matches(
-            db,
-            t.cell(row, "acl_type").as_str(),
-            t.cell(row, "acl_id").as_int(),
-        ) {
+    for row in db.table(capacls::T).select(&Pred::True) {
+        let t = db.table(capacls::T);
+        if target.matches(db, "LIST", t.cell(row, capacls::LIST_ID).as_int()) {
             out.push(vec![
-                "HOSTACCESS".into(),
-                machine_name(state, t.cell(row, "mach_id").as_int()),
+                "QUERY".into(),
+                t.cell(row, capacls::CAPABILITY).render(),
             ]);
         }
     }
-    for row in db.select("zephyr", &Pred::True) {
-        let t = db.table("zephyr");
-        let pairs = [
-            ("xmt_type", "xmt_id"),
-            ("sub_type", "sub_id"),
-            ("iws_type", "iws_id"),
-            ("iui_type", "iui_id"),
-        ];
-        if pairs
+    for row in db.table(hostaccess::T).select(&Pred::True) {
+        let t = db.table(hostaccess::T);
+        if target.matches(
+            db,
+            t.cell(row, hostaccess::ACL_TYPE).as_str(),
+            t.cell(row, hostaccess::ACL_ID).as_int(),
+        ) {
+            out.push(vec![
+                "HOSTACCESS".into(),
+                machine_name(state, t.cell(row, hostaccess::MACH_ID).as_int()),
+            ]);
+        }
+    }
+    for row in db.table(zephyr::T).select(&Pred::True) {
+        let t = db.table(zephyr::T);
+        if ZEPHYR_ACES
             .iter()
-            .any(|(tc, ic)| target.matches(db, t.cell(row, tc).as_str(), t.cell(row, ic).as_int()))
+            .any(|&(tc, ic)| target.matches(db, t.cell(row, tc).as_str(), t.cell(row, ic).as_int()))
         {
-            out.push(vec!["ZEPHYR".into(), t.cell(row, "class").render()]);
+            out.push(vec!["ZEPHYR".into(), t.cell(row, zephyr::CLASS).render()]);
         }
     }
     out.sort();
@@ -733,16 +718,16 @@ fn qualified_get_lists(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult
     if !benign && !on_query_acl(state, c, "qualified_get_lists") {
         return Err(MrError::Perm);
     }
-    let t = state.db.table("list");
+    let t = state.db.table(list::T);
     let mut out = Vec::new();
     for (row, _) in t.iter() {
-        if matches_tristate(t.cell(row, "active"), active)
-            && matches_tristate(t.cell(row, "public"), public)
-            && matches_tristate(t.cell(row, "hidden"), hidden)
-            && matches_tristate(t.cell(row, "maillist"), maillist)
-            && matches_tristate(t.cell(row, "grouplist"), group)
+        if matches_tristate(t.cell(row, list::ACTIVE), active)
+            && matches_tristate(t.cell(row, list::PUBLIC), public)
+            && matches_tristate(t.cell(row, list::HIDDEN), hidden)
+            && matches_tristate(t.cell(row, list::MAILLIST), maillist)
+            && matches_tristate(t.cell(row, list::GROUPLIST), group)
         {
-            out.push(vec![t.cell(row, "name").render()]);
+            out.push(vec![t.cell(row, list::NAME).render()]);
         }
     }
     if out.is_empty() {
@@ -752,7 +737,7 @@ fn qualified_get_lists(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult
 }
 
 fn may_see_members(state: &MoiraState, c: &Caller, row: RowId, query: &str) -> bool {
-    let hidden = state.db.cell("list", row, "hidden").as_bool();
+    let hidden = state.db.cell(row, list::HIDDEN).as_bool();
     !hidden || caller_on_list_ace(state, c, row) || on_query_acl(state, c, query)
 }
 
@@ -761,15 +746,12 @@ fn get_members_of_list(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult
     if !may_see_members(state, c, row, "get_members_of_list") {
         return Err(MrError::Perm);
     }
-    let list_id = state.db.cell("list", row, "list_id").as_int();
+    let list_id = state.db.cell(row, list::LIST_ID).as_int();
     let mut out = Vec::new();
-    for mrow in state
-        .db
-        .select("members", &Pred::Eq("list_id", list_id.into()))
-    {
-        let t = state.db.table("members");
-        let mtype = t.cell(mrow, "member_type").as_str().to_owned();
-        let mid = t.cell(mrow, "member_id").as_int();
+    for mrow in state.db.select(&Pred::Eq(members::LIST_ID, list_id.into())) {
+        let t = state.db.table(members::T);
+        let mtype = t.cell(mrow, members::MEMBER_TYPE).as_str().to_owned();
+        let mid = t.cell(mrow, members::MEMBER_ID).as_int();
         let value = match mtype.as_str() {
             "USER" => user_login(state, mid),
             "LIST" => list_name(state, mid),
@@ -798,9 +780,9 @@ fn get_lists_of_member(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult
             "STRING",
             state
                 .db
-                .table("strings")
-                .select_one(&Pred::Eq("string", a[1].as_str().into()))
-                .map(|r| state.db.cell("strings", r, "string_id").as_int())
+                .table(strings::T)
+                .select_one(&Pred::Eq(strings::STRING, a[1].as_str().into()))
+                .map(|r| state.db.cell(r, strings::STRING_ID).as_int())
                 .ok_or(MrError::NoMatch)?,
         ),
         _ => return Err(MrError::Type),
@@ -815,20 +797,20 @@ fn get_lists_of_member(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult
     let mut list_ids: Vec<i64> = state
         .db
         .select(
-            "members",
-            &Pred::Eq("member_type", mtype.into()).and(Pred::Eq("member_id", mid.into())),
+            &Pred::Eq(members::MEMBER_TYPE, mtype.into())
+                .and(Pred::Eq(members::MEMBER_ID, mid.into())),
         )
         .into_iter()
-        .map(|r| state.db.cell("members", r, "list_id").as_int())
+        .map(|r| state.db.cell(r, members::LIST_ID).as_int())
         .collect();
     if recursive {
         let mut frontier = list_ids.clone();
         while let Some(lid) = frontier.pop() {
             for r in state.db.select(
-                "members",
-                &Pred::Eq("member_type", "LIST".into()).and(Pred::Eq("member_id", lid.into())),
+                &Pred::Eq(members::MEMBER_TYPE, "LIST".into())
+                    .and(Pred::Eq(members::MEMBER_ID, lid.into())),
             ) {
-                let parent = state.db.cell("members", r, "list_id").as_int();
+                let parent = state.db.cell(r, members::LIST_ID).as_int();
                 if !list_ids.contains(&parent) {
                     list_ids.push(parent);
                     frontier.push(parent);
@@ -842,17 +824,17 @@ fn get_lists_of_member(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult
     for lid in list_ids {
         if let Some(row) = state
             .db
-            .table("list")
-            .select_one(&Pred::Eq("list_id", lid.into()))
+            .table(list::T)
+            .select_one(&Pred::Eq(list::LIST_ID, lid.into()))
         {
-            let t = state.db.table("list");
+            let t = state.db.table(list::T);
             out.push(vec![
-                t.cell(row, "name").render(),
-                t.cell(row, "active").render(),
-                t.cell(row, "public").render(),
-                t.cell(row, "hidden").render(),
-                t.cell(row, "maillist").render(),
-                t.cell(row, "grouplist").render(),
+                t.cell(row, list::NAME).render(),
+                t.cell(row, list::ACTIVE).render(),
+                t.cell(row, list::PUBLIC).render(),
+                t.cell(row, list::HIDDEN).render(),
+                t.cell(row, list::MAILLIST).render(),
+                t.cell(row, list::GROUPLIST).render(),
             ]);
         }
     }
@@ -871,10 +853,10 @@ fn count_members_of_list(
     if !may_see_members(state, c, row, "count_members_of_list") {
         return Err(MrError::Perm);
     }
-    let list_id = state.db.cell("list", row, "list_id").as_int();
+    let list_id = state.db.cell(row, list::LIST_ID).as_int();
     let n = state
         .db
-        .select("members", &Pred::Eq("list_id", list_id.into()))
+        .select(&Pred::Eq(members::LIST_ID, list_id.into()))
         .len();
     Ok(vec![vec![n.to_string()]])
 }
@@ -888,10 +870,10 @@ pub fn expand_member_ids_recursive(state: &MoiraState, list_id: i64) -> (Vec<i64
     let mut seen = vec![list_id];
     let mut frontier = vec![list_id];
     while let Some(lid) = frontier.pop() {
-        for row in state.db.select("members", &Pred::Eq("list_id", lid.into())) {
-            let t = state.db.table("members");
-            let mid = t.cell(row, "member_id").as_int();
-            match t.cell(row, "member_type").as_str() {
+        for row in state.db.select(&Pred::Eq(members::LIST_ID, lid.into())) {
+            let t = state.db.table(members::T);
+            let mid = t.cell(row, members::MEMBER_ID).as_int();
+            match t.cell(row, members::MEMBER_TYPE).as_str() {
                 "USER" => users.push(mid),
                 "STRING" => strings.push(mid),
                 "LIST" if !seen.contains(&mid) => {
@@ -918,10 +900,10 @@ pub fn expand_members_recursive(state: &MoiraState, list_id: i64) -> (Vec<String
     let mut seen = vec![list_id];
     let mut frontier = vec![list_id];
     while let Some(lid) = frontier.pop() {
-        for row in state.db.select("members", &Pred::Eq("list_id", lid.into())) {
-            let t = state.db.table("members");
-            let mtype = t.cell(row, "member_type").as_str().to_owned();
-            let mid = t.cell(row, "member_id").as_int();
+        for row in state.db.select(&Pred::Eq(members::LIST_ID, lid.into())) {
+            let t = state.db.table(members::T);
+            let mtype = t.cell(row, members::MEMBER_TYPE).as_str().to_owned();
+            let mid = t.cell(row, members::MEMBER_ID).as_int();
             match mtype.as_str() {
                 "USER" => users.push(user_login(state, mid)),
                 "STRING" => strings.push(string_of(state, mid)),

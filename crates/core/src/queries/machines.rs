@@ -2,16 +2,34 @@
 
 use moira_common::errors::{MrError, MrResult};
 use moira_common::strutil::canonicalize_hostname;
-use moira_db::Pred;
+use moira_db::{Col, Pred};
 
 use crate::ids::alloc_id;
 use crate::registry::{AccessRule, Handler, QueryHandle, QueryKind, Registry};
+use crate::schema::{
+    cluster, filesys, hostaccess, machine, mcmap, nfsphys, printcap, serverhosts, svc, users,
+};
 use crate::state::{Caller, MoiraState};
 
 use super::helpers::*;
 
-const MACHINE_FIELDS: &[&str] = &["name", "type", "modtime", "modby", "modwith"];
-const CLUSTER_FIELDS: &[&str] = &["name", "desc", "location", "modtime", "modby", "modwith"];
+const MACHINE_FIELDS: [Col<machine::R>; 5] = [
+    machine::NAME,
+    machine::TYPE,
+    machine::MODTIME,
+    machine::MODBY,
+    machine::MODWITH,
+];
+const MACHINE_NAMES: [&str; 5] = Col::names(&MACHINE_FIELDS);
+const CLUSTER_FIELDS: [Col<cluster::R>; 6] = [
+    cluster::NAME,
+    cluster::DESC,
+    cluster::LOCATION,
+    cluster::MODTIME,
+    cluster::MODBY,
+    cluster::MODWITH,
+];
+const CLUSTER_NAMES: [&str; 6] = Col::names(&CLUSTER_FIELDS);
 
 /// Registers the machine and cluster queries.
 pub fn register(r: &mut Registry) {
@@ -24,7 +42,7 @@ pub fn register(r: &mut Registry) {
             kind: Retrieve,
             access: Public,
             args: &["name"],
-            returns: MACHINE_FIELDS,
+            returns: &MACHINE_NAMES,
             handler: Handler::Read(get_machine),
         },
         QueryHandle {
@@ -60,7 +78,7 @@ pub fn register(r: &mut Registry) {
             kind: Retrieve,
             access: Public,
             args: &["name"],
-            returns: CLUSTER_FIELDS,
+            returns: &CLUSTER_NAMES,
             handler: Handler::Read(get_cluster),
         },
         QueryHandle {
@@ -153,13 +171,13 @@ pub fn register(r: &mut Registry) {
 fn get_machine(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
     let ids = state
         .db
-        .select("machine", &Pred::name_match_ci("name", a[0].trim()));
+        .select(&Pred::name_match_ci(machine::NAME, a[0].trim()));
     if ids.is_empty() {
         return Err(MrError::NoMatch);
     }
     Ok(ids
         .into_iter()
-        .map(|id| project(state, "machine", id, MACHINE_FIELDS))
+        .map(|id| project(state, id, &MACHINE_FIELDS))
         .collect())
 }
 
@@ -173,8 +191,8 @@ fn add_machine(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec
     check_type_alias(state, "mach_type", &a[1], MrError::Type)?;
     if state
         .db
-        .table("machine")
-        .select_one(&Pred::Eq("name", name.clone().into()))
+        .table(machine::T)
+        .select_one(&Pred::Eq(machine::NAME, name.clone().into()))
         .is_some()
     {
         return Err(MrError::NotUnique);
@@ -182,7 +200,7 @@ fn add_machine(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec
     let mach_id = alloc_id(state, "mach_id")?;
     let (now, who, with) = mod_fields(state, c);
     state.db.append(
-        "machine",
+        machine::T,
         vec![
             name.into(),
             mach_id.into(),
@@ -201,26 +219,25 @@ fn update_machine(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<
     check_chars(&newname)?;
     no_wildcards(&newname)?;
     check_type_alias(state, "mach_type", &a[2], MrError::Type)?;
-    let current = state.db.cell("machine", row, "name").as_str().to_owned();
+    let current = state.db.cell(row, machine::NAME).as_str().to_owned();
     if newname != current
         && state
             .db
-            .table("machine")
-            .select_one(&Pred::Eq("name", newname.clone().into()))
+            .table(machine::T)
+            .select_one(&Pred::Eq(machine::NAME, newname.clone().into()))
             .is_some()
     {
         return Err(MrError::NotUnique);
     }
     let (now, who, with) = mod_fields(state, c);
     state.db.update(
-        "machine",
         row,
         &[
-            ("name", newname.into()),
-            ("type", a[2].to_ascii_uppercase().into()),
-            ("modtime", now.into()),
-            ("modby", who.into()),
-            ("modwith", with.into()),
+            (machine::NAME, newname.into()),
+            (machine::TYPE, a[2].to_ascii_uppercase().into()),
+            (machine::MODTIME, now.into()),
+            (machine::MODBY, who.into()),
+            (machine::MODWITH, with.into()),
         ],
     )?;
     Ok(Vec::new())
@@ -228,54 +245,51 @@ fn update_machine(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<
 
 fn delete_machine(state: &mut MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
     let row = one_machine(state, &a[0])?;
-    let mach_id = state.db.cell("machine", row, "mach_id").as_int();
+    let mach_id = state.db.cell(row, machine::MACH_ID).as_int();
     // "A machine that is in use (post office, file system, printer spooling
     // host, server_host_access, or DCM service update) cannot be deleted."
     let referenced = !state
         .db
-        .select(
-            "users",
-            &Pred::Eq("pop_id", mach_id.into()).and(Pred::Eq("potype", "POP".into())),
-        )
+        .select(&Pred::Eq(users::POP_ID, mach_id.into()).and(Pred::Eq(users::POTYPE, "POP".into())))
         .is_empty()
         || !state
             .db
-            .select("filesys", &Pred::Eq("mach_id", mach_id.into()))
+            .select(&Pred::Eq(filesys::MACH_ID, mach_id.into()))
             .is_empty()
         || !state
             .db
-            .select("printcap", &Pred::Eq("mach_id", mach_id.into()))
+            .select(&Pred::Eq(printcap::MACH_ID, mach_id.into()))
             .is_empty()
         || !state
             .db
-            .select("hostaccess", &Pred::Eq("mach_id", mach_id.into()))
+            .select(&Pred::Eq(hostaccess::MACH_ID, mach_id.into()))
             .is_empty()
         || !state
             .db
-            .select("serverhosts", &Pred::Eq("mach_id", mach_id.into()))
+            .select(&Pred::Eq(serverhosts::MACH_ID, mach_id.into()))
             .is_empty()
         || !state
             .db
-            .select("nfsphys", &Pred::Eq("mach_id", mach_id.into()))
+            .select(&Pred::Eq(nfsphys::MACH_ID, mach_id.into()))
             .is_empty();
     if referenced {
         return Err(MrError::InUse);
     }
     state
         .db
-        .delete_where("mcmap", &Pred::Eq("mach_id", mach_id.into()));
-    state.db.delete("machine", row)?;
+        .delete_where(&Pred::Eq(mcmap::MACH_ID, mach_id.into()));
+    state.db.delete(machine::T, row)?;
     Ok(Vec::new())
 }
 
 fn get_cluster(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
-    let ids = state.db.select("cluster", &Pred::name_match("name", &a[0]));
+    let ids = state.db.select(&Pred::name_match(cluster::NAME, &a[0]));
     if ids.is_empty() {
         return Err(MrError::NoMatch);
     }
     Ok(ids
         .into_iter()
-        .map(|id| project(state, "cluster", id, CLUSTER_FIELDS))
+        .map(|id| project(state, id, &CLUSTER_FIELDS))
         .collect())
 }
 
@@ -287,8 +301,8 @@ fn add_cluster(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec
     }
     if state
         .db
-        .table("cluster")
-        .select_one(&Pred::Eq("name", a[0].as_str().into()))
+        .table(cluster::T)
+        .select_one(&Pred::Eq(cluster::NAME, a[0].as_str().into()))
         .is_some()
     {
         return Err(MrError::NotUnique);
@@ -296,7 +310,7 @@ fn add_cluster(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec
     let clu_id = alloc_id(state, "clu_id")?;
     let (now, who, with) = mod_fields(state, c);
     state.db.append(
-        "cluster",
+        cluster::T,
         vec![
             a[0].as_str().into(),
             clu_id.into(),
@@ -314,27 +328,26 @@ fn update_cluster(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<
     let row = one_cluster(state, &a[0])?;
     check_chars(&a[1])?;
     no_wildcards(&a[1])?;
-    let current = state.db.cell("cluster", row, "name").as_str().to_owned();
+    let current = state.db.cell(row, cluster::NAME).as_str().to_owned();
     if a[1] != current
         && state
             .db
-            .table("cluster")
-            .select_one(&Pred::Eq("name", a[1].as_str().into()))
+            .table(cluster::T)
+            .select_one(&Pred::Eq(cluster::NAME, a[1].as_str().into()))
             .is_some()
     {
         return Err(MrError::NotUnique);
     }
     let (now, who, with) = mod_fields(state, c);
     state.db.update(
-        "cluster",
         row,
         &[
-            ("name", a[1].as_str().into()),
-            ("desc", a[2].as_str().into()),
-            ("location", a[3].as_str().into()),
-            ("modtime", now.into()),
-            ("modby", who.into()),
-            ("modwith", with.into()),
+            (cluster::NAME, a[1].as_str().into()),
+            (cluster::DESC, a[2].as_str().into()),
+            (cluster::LOCATION, a[3].as_str().into()),
+            (cluster::MODTIME, now.into()),
+            (cluster::MODBY, who.into()),
+            (cluster::MODWITH, with.into()),
         ],
     )?;
     Ok(Vec::new())
@@ -342,20 +355,18 @@ fn update_cluster(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<
 
 fn delete_cluster(state: &mut MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
     let row = one_cluster(state, &a[0])?;
-    let clu_id = state.db.cell("cluster", row, "clu_id").as_int();
+    let clu_id = state.db.cell(row, cluster::CLU_ID).as_int();
     if !state
         .db
-        .select("mcmap", &Pred::Eq("clu_id", clu_id.into()))
+        .select(&Pred::Eq(mcmap::CLU_ID, clu_id.into()))
         .is_empty()
     {
         return Err(MrError::InUse);
     }
     // "Any service cluster information assigned to the cluster will be
     // deleted."
-    state
-        .db
-        .delete_where("svc", &Pred::Eq("clu_id", clu_id.into()));
-    state.db.delete("cluster", row)?;
+    state.db.delete_where(&Pred::Eq(svc::CLU_ID, clu_id.into()));
+    state.db.delete(cluster::T, row)?;
     Ok(Vec::new())
 }
 
@@ -368,22 +379,16 @@ fn get_machine_to_cluster_map(
     // (point or prefix range), and each machine's memberships come from the
     // indexed mcmap bucket — no pass over the full map.
     let mut out = Vec::new();
-    for mrow in state
-        .db
-        .select("machine", &Pred::name_match_ci("name", &a[0]))
-    {
-        let mach_id = state.db.cell("machine", mrow, "mach_id").as_int();
-        let mname = state.db.cell("machine", mrow, "name").render();
-        for row in state
-            .db
-            .select("mcmap", &Pred::Eq("mach_id", mach_id.into()))
-        {
-            let clu_id = state.db.cell("mcmap", row, "clu_id").as_int();
+    for mrow in state.db.select(&Pred::name_match_ci(machine::NAME, &a[0])) {
+        let mach_id = state.db.cell(mrow, machine::MACH_ID).as_int();
+        let mname = state.db.cell(mrow, machine::NAME).render();
+        for row in state.db.select(&Pred::Eq(mcmap::MACH_ID, mach_id.into())) {
+            let clu_id = state.db.cell(row, mcmap::CLU_ID).as_int();
             let cname = state
                 .db
-                .table("cluster")
-                .select_one(&Pred::Eq("clu_id", clu_id.into()))
-                .map(|r| state.db.cell("cluster", r, "name").render())
+                .table(cluster::T)
+                .select_one(&Pred::Eq(cluster::CLU_ID, clu_id.into()))
+                .map(|r| state.db.cell(r, cluster::NAME).render())
                 .unwrap_or_default();
             if moira_common::wildcard::matches(&a[1], &cname) {
                 out.push(vec![mname.clone(), cname]);
@@ -400,25 +405,23 @@ fn mach_and_cluster_ids(state: &MoiraState, machine: &str, cluster: &str) -> MrR
     let mrow = one_machine(state, machine)?;
     let crow = one_cluster(state, cluster)?;
     Ok((
-        state.db.cell("machine", mrow, "mach_id").as_int(),
-        state.db.cell("cluster", crow, "clu_id").as_int(),
+        state.db.cell(mrow, machine::MACH_ID).as_int(),
+        state.db.cell(crow, cluster::CLU_ID).as_int(),
     ))
 }
 
 fn touch_machine(state: &mut MoiraState, c: &Caller, mach_id: i64) -> MrResult<()> {
     let row = state.db.select_exactly_one(
-        "machine",
-        &Pred::Eq("mach_id", mach_id.into()),
+        &Pred::Eq(machine::MACH_ID, mach_id.into()),
         MrError::Machine,
     )?;
     let (now, who, with) = mod_fields(state, c);
     state.db.update(
-        "machine",
         row,
         &[
-            ("modtime", now.into()),
-            ("modby", who.into()),
-            ("modwith", with.into()),
+            (machine::MODTIME, now.into()),
+            (machine::MODBY, who.into()),
+            (machine::MODWITH, with.into()),
         ],
     )?;
     Ok(())
@@ -433,8 +436,7 @@ fn add_machine_to_cluster(
     let dup = !state
         .db
         .select(
-            "mcmap",
-            &Pred::Eq("mach_id", mach_id.into()).and(Pred::Eq("clu_id", clu_id.into())),
+            &Pred::Eq(mcmap::MACH_ID, mach_id.into()).and(Pred::Eq(mcmap::CLU_ID, clu_id.into())),
         )
         .is_empty();
     if dup {
@@ -442,7 +444,7 @@ fn add_machine_to_cluster(
     }
     state
         .db
-        .append("mcmap", vec![mach_id.into(), clu_id.into()])?;
+        .append(mcmap::T, vec![mach_id.into(), clu_id.into()])?;
     touch_machine(state, c, mach_id)?;
     Ok(Vec::new())
 }
@@ -454,8 +456,7 @@ fn delete_machine_from_cluster(
 ) -> MrResult<Vec<Vec<String>>> {
     let (mach_id, clu_id) = mach_and_cluster_ids(state, &a[0], &a[1])?;
     let gone = state.db.delete_where(
-        "mcmap",
-        &Pred::Eq("mach_id", mach_id.into()).and(Pred::Eq("clu_id", clu_id.into())),
+        &Pred::Eq(mcmap::MACH_ID, mach_id.into()).and(Pred::Eq(mcmap::CLU_ID, clu_id.into())),
     );
     if gone == 0 {
         return Err(MrError::NoMatch);
@@ -468,13 +469,13 @@ fn get_cluster_data(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<V
     // Cluster-major: the cluster pattern resolves through the cluster name
     // index, and each cluster's data rows come from the indexed svc bucket.
     let mut out = Vec::new();
-    for crow in state.db.select("cluster", &Pred::name_match("name", &a[0])) {
-        let clu_id = state.db.cell("cluster", crow, "clu_id").as_int();
-        let cname = state.db.cell("cluster", crow, "name").render();
-        for row in state.db.select("svc", &Pred::Eq("clu_id", clu_id.into())) {
-            let label = state.db.cell("svc", row, "serv_label").render();
+    for crow in state.db.select(&Pred::name_match(cluster::NAME, &a[0])) {
+        let clu_id = state.db.cell(crow, cluster::CLU_ID).as_int();
+        let cname = state.db.cell(crow, cluster::NAME).render();
+        for row in state.db.select(&Pred::Eq(svc::CLU_ID, clu_id.into())) {
+            let label = state.db.cell(row, svc::SERV_LABEL).render();
             if moira_common::wildcard::matches(&a[1], &label) {
-                let data = state.db.cell("svc", row, "serv_cluster").render();
+                let data = state.db.cell(row, svc::SERV_CLUSTER).render();
                 out.push(vec![cname.clone(), label, data]);
             }
         }
@@ -491,20 +492,19 @@ fn add_cluster_data(
     a: &[String],
 ) -> MrResult<Vec<Vec<String>>> {
     let row = one_cluster(state, &a[0])?;
-    let clu_id = state.db.cell("cluster", row, "clu_id").as_int();
+    let clu_id = state.db.cell(row, cluster::CLU_ID).as_int();
     check_type_alias(state, "slabel", &a[1], MrError::Type)?;
     state.db.append(
-        "svc",
+        svc::T,
         vec![clu_id.into(), a[1].as_str().into(), a[2].as_str().into()],
     )?;
     let (now, who, with) = mod_fields(state, c);
     state.db.update(
-        "cluster",
         row,
         &[
-            ("modtime", now.into()),
-            ("modby", who.into()),
-            ("modwith", with.into()),
+            (cluster::MODTIME, now.into()),
+            (cluster::MODBY, who.into()),
+            (cluster::MODWITH, with.into()),
         ],
     )?;
     Ok(Vec::new())
@@ -516,23 +516,22 @@ fn delete_cluster_data(
     a: &[String],
 ) -> MrResult<Vec<Vec<String>>> {
     let row = one_cluster(state, &a[0])?;
-    let clu_id = state.db.cell("cluster", row, "clu_id").as_int();
-    let pred = Pred::Eq("clu_id", clu_id.into())
-        .and(Pred::Eq("serv_label", a[1].as_str().into()))
-        .and(Pred::Eq("serv_cluster", a[2].as_str().into()));
-    let matches = state.db.select("svc", &pred);
+    let clu_id = state.db.cell(row, cluster::CLU_ID).as_int();
+    let pred = Pred::Eq(svc::CLU_ID, clu_id.into())
+        .and(Pred::Eq(svc::SERV_LABEL, a[1].as_str().into()))
+        .and(Pred::Eq(svc::SERV_CLUSTER, a[2].as_str().into()));
+    let matches = state.db.select(&pred);
     if matches.len() != 1 {
         return Err(MrError::NotUnique);
     }
-    state.db.delete("svc", matches[0])?;
+    state.db.delete(svc::T, matches[0])?;
     let (now, who, with) = mod_fields(state, c);
     state.db.update(
-        "cluster",
         row,
         &[
-            ("modtime", now.into()),
-            ("modby", who.into()),
-            ("modwith", with.into()),
+            (cluster::MODTIME, now.into()),
+            (cluster::MODBY, who.into()),
+            (cluster::MODWITH, with.into()),
         ],
     )?;
     Ok(Vec::new())
@@ -543,15 +542,12 @@ fn delete_cluster_data(
 /// their data. Used by the Hesiod cluster.db generator.
 pub fn cluster_data_for_machine(state: &MoiraState, mach_id: i64) -> Vec<(String, String)> {
     let mut out = Vec::new();
-    for mrow in state
-        .db
-        .select("mcmap", &Pred::Eq("mach_id", mach_id.into()))
-    {
-        let clu_id = state.db.cell("mcmap", mrow, "clu_id").as_int();
-        for srow in state.db.select("svc", &Pred::Eq("clu_id", clu_id.into())) {
+    for mrow in state.db.select(&Pred::Eq(mcmap::MACH_ID, mach_id.into())) {
+        let clu_id = state.db.cell(mrow, mcmap::CLU_ID).as_int();
+        for srow in state.db.select(&Pred::Eq(svc::CLU_ID, clu_id.into())) {
             out.push((
-                state.db.cell("svc", srow, "serv_label").render(),
-                state.db.cell("svc", srow, "serv_cluster").render(),
+                state.db.cell(srow, svc::SERV_LABEL).render(),
+                state.db.cell(srow, svc::SERV_CLUSTER).render(),
             ));
         }
     }
@@ -811,7 +807,7 @@ mod tests {
         )
         .unwrap();
         let mrow = one_machine(&s, "SCARECROW").unwrap();
-        let mach_id = s.db.cell("machine", mrow, "mach_id").as_int();
+        let mach_id = s.db.cell(mrow, machine::MACH_ID).as_int();
         let data = cluster_data_for_machine(&s, mach_id);
         assert_eq!(data.len(), 2);
         assert!(data.contains(&("zephyr".to_owned(), "z1".to_owned())));

@@ -6,6 +6,7 @@ use moira_db::{Pred, RowId};
 
 use crate::ace::{render_ace, resolve_ace};
 use crate::registry::{AccessRule, Handler, QueryHandle, QueryKind, Registry};
+use crate::schema::{alias, hostaccess, machine, printcap, services, values};
 use crate::state::{Caller, MoiraState};
 
 use super::helpers::*;
@@ -219,26 +220,23 @@ fn get_server_host_access(
     // index (a point lookup for the common exact-host call, a prefix range
     // for "BITSY*"), then each machine probes the unique hostaccess index.
     let mut out = Vec::new();
-    for mrow in state
-        .db
-        .select("machine", &Pred::name_match_ci("name", &a[0]))
-    {
-        let mach_id = state.db.cell("machine", mrow, "mach_id").as_int();
-        let mach = state.db.cell("machine", mrow, "name").render();
-        let t = state.db.table("hostaccess");
-        for row in t.select(&Pred::Eq("mach_id", mach_id.into())) {
+    for mrow in state.db.select(&Pred::name_match_ci(machine::NAME, &a[0])) {
+        let mach_id = state.db.cell(mrow, machine::MACH_ID).as_int();
+        let mach = state.db.cell(mrow, machine::NAME).render();
+        let t = state.db.table(hostaccess::T);
+        for row in t.select(&Pred::Eq(hostaccess::MACH_ID, mach_id.into())) {
             let (ty, name) = render_ace(
                 &state.db,
-                t.cell(row, "acl_type").as_str(),
-                t.cell(row, "acl_id").as_int(),
+                t.cell(row, hostaccess::ACL_TYPE).as_str(),
+                t.cell(row, hostaccess::ACL_ID).as_int(),
             );
             out.push(vec![
                 mach.clone(),
                 ty,
                 name,
-                t.cell(row, "modtime").render(),
-                t.cell(row, "modby").render(),
-                t.cell(row, "modwith").render(),
+                t.cell(row, hostaccess::MODTIME).render(),
+                t.cell(row, hostaccess::MODBY).render(),
+                t.cell(row, hostaccess::MODWITH).render(),
             ]);
         }
     }
@@ -254,19 +252,19 @@ fn add_server_host_access(
     a: &[String],
 ) -> MrResult<Vec<Vec<String>>> {
     let mrow = one_machine(state, &a[0])?;
-    let mach_id = state.db.cell("machine", mrow, "mach_id").as_int();
+    let mach_id = state.db.cell(mrow, machine::MACH_ID).as_int();
     let ace = resolve_ace(&state.db, &a[1], &a[2])?;
     if state
         .db
-        .table("hostaccess")
-        .select_one(&Pred::Eq("mach_id", mach_id.into()))
+        .table(hostaccess::T)
+        .select_one(&Pred::Eq(hostaccess::MACH_ID, mach_id.into()))
         .is_some()
     {
         return Err(MrError::Exists);
     }
     let (now, who, with) = mod_fields(state, c);
     state.db.append(
-        "hostaccess",
+        hostaccess::T,
         vec![
             mach_id.into(),
             ace.type_str().into(),
@@ -281,10 +279,9 @@ fn add_server_host_access(
 
 fn one_hostaccess(state: &MoiraState, machine: &str) -> MrResult<RowId> {
     let mrow = one_machine(state, machine)?;
-    let mach_id = state.db.cell("machine", mrow, "mach_id").as_int();
+    let mach_id = state.db.cell(mrow, machine::MACH_ID).as_int();
     state.db.select_exactly_one(
-        "hostaccess",
-        &Pred::Eq("mach_id", mach_id.into()),
+        &Pred::Eq(hostaccess::MACH_ID, mach_id.into()),
         MrError::NoMatch,
     )
 }
@@ -298,14 +295,13 @@ fn update_server_host_access(
     let ace = resolve_ace(&state.db, &a[1], &a[2])?;
     let (now, who, with) = mod_fields(state, c);
     state.db.update(
-        "hostaccess",
         row,
         &[
-            ("acl_type", ace.type_str().into()),
-            ("acl_id", ace.id().into()),
-            ("modtime", now.into()),
-            ("modby", who.into()),
-            ("modwith", with.into()),
+            (hostaccess::ACL_TYPE, ace.type_str().into()),
+            (hostaccess::ACL_ID, ace.id().into()),
+            (hostaccess::MODTIME, now.into()),
+            (hostaccess::MODBY, who.into()),
+            (hostaccess::MODWITH, with.into()),
         ],
     )?;
     Ok(Vec::new())
@@ -317,14 +313,12 @@ fn delete_server_host_access(
     a: &[String],
 ) -> MrResult<Vec<Vec<String>>> {
     let row = one_hostaccess(state, &a[0])?;
-    state.db.delete("hostaccess", row)?;
+    state.db.delete(hostaccess::T, row)?;
     Ok(Vec::new())
 }
 
 fn get_service(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
-    let ids = state
-        .db
-        .select("services", &Pred::name_match("name", &a[0]));
+    let ids = state.db.select(&Pred::name_match(services::NAME, &a[0]));
     if ids.is_empty() {
         return Err(MrError::NoMatch);
     }
@@ -333,10 +327,15 @@ fn get_service(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Ve
         .map(|id| {
             project(
                 state,
-                "services",
                 id,
                 &[
-                    "name", "protocol", "port", "desc", "modtime", "modby", "modwith",
+                    services::NAME,
+                    services::PROTOCOL,
+                    services::PORT,
+                    services::DESC,
+                    services::MODTIME,
+                    services::MODBY,
+                    services::MODWITH,
                 ],
             )
         })
@@ -350,15 +349,15 @@ fn add_service(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec
     let port = parse_int(&a[2])?;
     if state
         .db
-        .table("services")
-        .select_one(&Pred::Eq("name", a[0].as_str().into()))
+        .table(services::T)
+        .select_one(&Pred::Eq(services::NAME, a[0].as_str().into()))
         .is_some()
     {
         return Err(MrError::Exists);
     }
     let (now, who, with) = mod_fields(state, c);
     state.db.append(
-        "services",
+        services::T,
         vec![
             a[0].as_str().into(),
             a[1].to_ascii_uppercase().into(),
@@ -373,31 +372,29 @@ fn add_service(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec
 }
 
 fn delete_service(state: &mut MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
-    let row = exactly_one(state, "services", "name", &a[0], MrError::Service)?;
-    state.db.delete("services", row)?;
+    let row = exactly_one(state, services::NAME, &a[0], MrError::Service)?;
+    state.db.delete(services::T, row)?;
     Ok(Vec::new())
 }
 
 fn get_printcap(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
-    let ids = state
-        .db
-        .select("printcap", &Pred::name_match("name", &a[0]));
+    let ids = state.db.select(&Pred::name_match(printcap::NAME, &a[0]));
     if ids.is_empty() {
         return Err(MrError::NoMatch);
     }
     Ok(ids
         .into_iter()
         .map(|id| {
-            let t = state.db.table("printcap");
+            let t = state.db.table(printcap::T);
             vec![
-                t.cell(id, "name").render(),
-                machine_name(state, t.cell(id, "mach_id").as_int()),
-                t.cell(id, "dir").render(),
-                t.cell(id, "rp").render(),
-                t.cell(id, "comments").render(),
-                t.cell(id, "modtime").render(),
-                t.cell(id, "modby").render(),
-                t.cell(id, "modwith").render(),
+                t.cell(id, printcap::NAME).render(),
+                machine_name(state, t.cell(id, printcap::MACH_ID).as_int()),
+                t.cell(id, printcap::DIR).render(),
+                t.cell(id, printcap::RP).render(),
+                t.cell(id, printcap::COMMENTS).render(),
+                t.cell(id, printcap::MODTIME).render(),
+                t.cell(id, printcap::MODBY).render(),
+                t.cell(id, printcap::MODWITH).render(),
             ]
         })
         .collect())
@@ -408,17 +405,17 @@ fn add_printcap(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Ve
     no_wildcards(&a[0])?;
     if state
         .db
-        .table("printcap")
-        .select_one(&Pred::Eq("name", a[0].as_str().into()))
+        .table(printcap::T)
+        .select_one(&Pred::Eq(printcap::NAME, a[0].as_str().into()))
         .is_some()
     {
         return Err(MrError::Exists);
     }
     let mrow = one_machine(state, &a[1])?;
-    let mach_id = state.db.cell("machine", mrow, "mach_id").as_int();
+    let mach_id = state.db.cell(mrow, machine::MACH_ID).as_int();
     let (now, who, with) = mod_fields(state, c);
     state.db.append(
-        "printcap",
+        printcap::T,
         vec![
             a[0].as_str().into(),
             mach_id.into(),
@@ -438,22 +435,22 @@ fn delete_printcap(
     _c: &Caller,
     a: &[String],
 ) -> MrResult<Vec<Vec<String>>> {
-    let row = exactly_one(state, "printcap", "name", &a[0], MrError::NoMatch)?;
-    state.db.delete("printcap", row)?;
+    let row = exactly_one(state, printcap::NAME, &a[0], MrError::NoMatch)?;
+    state.db.delete(printcap::T, row)?;
     Ok(Vec::new())
 }
 
 fn get_alias(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
-    let pred = Pred::name_match("name", &a[0])
-        .and(Pred::name_match_ci("type", &a[1]))
-        .and(Pred::name_match("trans", &a[2]));
-    let ids = state.db.select("alias", &pred);
+    let pred = Pred::name_match(alias::NAME, &a[0])
+        .and(Pred::name_match_ci(alias::TYPE, &a[1]))
+        .and(Pred::name_match(alias::TRANS, &a[2]));
+    let ids = state.db.select(&pred);
     if ids.is_empty() {
         return Err(MrError::NoMatch);
     }
     Ok(ids
         .into_iter()
-        .map(|id| project(state, "alias", id, &["name", "type", "trans"]))
+        .map(|id| project(state, id, &[alias::NAME, alias::TYPE, alias::TRANS]))
         .collect())
 }
 
@@ -462,14 +459,14 @@ fn add_alias(state: &mut MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<
     // "The type must be a known type as recorded under alias in the alias
     // database."
     check_type_alias(state, "alias", &a[1], MrError::Type)?;
-    let exact = Pred::Eq("name", a[0].as_str().into())
-        .and(Pred::Eq("type", a[1].to_ascii_uppercase().into()))
-        .and(Pred::Eq("trans", a[2].as_str().into()));
-    if !state.db.select("alias", &exact).is_empty() {
+    let exact = Pred::Eq(alias::NAME, a[0].as_str().into())
+        .and(Pred::Eq(alias::TYPE, a[1].to_ascii_uppercase().into()))
+        .and(Pred::Eq(alias::TRANS, a[2].as_str().into()));
+    if !state.db.select(&exact).is_empty() {
         return Err(MrError::Exists);
     }
     state.db.append(
-        "alias",
+        alias::T,
         vec![
             a[0].as_str().into(),
             a[1].to_ascii_uppercase().into(),
@@ -480,13 +477,11 @@ fn add_alias(state: &mut MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<
 }
 
 fn delete_alias(state: &mut MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
-    let exact = Pred::Eq("name", a[0].as_str().into())
-        .and(Pred::EqCi("type", a[1].clone()))
-        .and(Pred::Eq("trans", a[2].as_str().into()));
-    let row = state
-        .db
-        .select_exactly_one("alias", &exact, MrError::NoMatch)?;
-    state.db.delete("alias", row)?;
+    let exact = Pred::Eq(alias::NAME, a[0].as_str().into())
+        .and(Pred::EqCi(alias::TYPE, a[1].clone()))
+        .and(Pred::Eq(alias::TRANS, a[2].as_str().into()));
+    let row = state.db.select_exactly_one(&exact, MrError::NoMatch)?;
+    state.db.delete(alias::T, row)?;
     Ok(Vec::new())
 }
 
@@ -518,10 +513,10 @@ fn update_value(state: &mut MoiraState, _c: &Caller, a: &[String]) -> MrResult<V
 fn delete_value(state: &mut MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
     let row = state
         .db
-        .table("values")
-        .select_one(&Pred::Eq("name", a[0].as_str().into()))
+        .table(values::T)
+        .select_one(&Pred::Eq(values::NAME, a[0].as_str().into()))
         .ok_or(MrError::NoMatch)?;
-    state.db.delete("values", row)?;
+    state.db.delete(values::T, row)?;
     Ok(Vec::new())
 }
 
@@ -531,10 +526,10 @@ fn get_all_table_stats(
     _a: &[String],
 ) -> MrResult<Vec<Vec<String>>> {
     let mut out = Vec::new();
-    for name in crate::schema::RELATIONS {
-        let stats = state.db.table(name).stats();
+    for &id in crate::schema::RELATIONS {
+        let stats = state.db.at(id).stats();
         out.push(vec![
-            name.to_string(),
+            id.name().to_owned(),
             // "retrieves … unused now for performance reasons."
             "0".to_owned(),
             stats.appends.to_string(),

@@ -1,9 +1,10 @@
 //! Post office box queries (§7.0.1, pobox subset).
 
 use moira_common::errors::{MrError, MrResult};
-use moira_db::Pred;
+use moira_db::{Col, Pred};
 
 use crate::registry::{AccessRule, Handler, QueryHandle, QueryKind, Registry};
+use crate::schema::{machine, users};
 use crate::state::{Caller, MoiraState};
 
 use super::helpers::*;
@@ -86,11 +87,11 @@ pub fn register(r: &mut Registry) {
 /// Renders the `box` field: POP → machine name, SMTP → stored string,
 /// NONE → `NONE`.
 fn render_box(state: &MoiraState, row: moira_db::RowId) -> (String, String) {
-    let t = state.db.table("users");
-    let potype = t.cell(row, "potype").as_str().to_owned();
+    let t = state.db.table(users::T);
+    let potype = t.cell(row, users::POTYPE).as_str().to_owned();
     let boxval = match potype.as_str() {
-        "POP" => machine_name(state, t.cell(row, "pop_id").as_int()),
-        "SMTP" => string_of(state, t.cell(row, "box_id").as_int()),
+        "POP" => machine_name(state, t.cell(row, users::POP_ID).as_int()),
+        "SMTP" => string_of(state, t.cell(row, users::BOX_ID).as_int()),
         _ => "NONE".to_owned(),
     };
     (potype, boxval)
@@ -98,9 +99,13 @@ fn render_box(state: &MoiraState, row: moira_db::RowId) -> (String, String) {
 
 fn get_pobox(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
     let (row, _) = user_row_and_id(state, &a[0])?;
-    let login = state.db.cell("users", row, "login").render();
+    let login = state.db.cell(row, users::LOGIN).render();
     let (potype, boxval) = render_box(state, row);
-    let rest = project(state, "users", row, &["pmodtime", "pmodby", "pmodwith"]);
+    let rest = project(
+        state,
+        row,
+        &[users::PMODTIME, users::PMODBY, users::PMODWITH],
+    );
     Ok(vec![vec![
         login,
         potype,
@@ -117,17 +122,17 @@ fn get_pobox(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<
 fn poboxes_where(state: &MoiraState, want: Option<&str>) -> Vec<Vec<String>> {
     state
         .db
-        .table("users")
+        .table(users::T)
         .iter()
         .filter(|(_, r)| {
-            let t = r[state.db.table("users").col("potype")].as_str();
+            let t = r[users::POTYPE.index()].as_str();
             match want {
                 Some(w) => t == w,
                 None => t != "NONE",
             }
         })
         .map(|(id, _)| {
-            let login = state.db.cell("users", id, "login").render();
+            let login = state.db.cell(id, users::LOGIN).render();
             let (potype, boxval) = render_box(state, id);
             vec![login, potype, boxval]
         })
@@ -150,13 +155,13 @@ fn stamp_pobox(
     state: &mut MoiraState,
     c: &Caller,
     row: moira_db::RowId,
-    changes: &mut Vec<(&'static str, moira_db::Value)>,
+    changes: &mut Vec<(Col<users::R>, moira_db::Value)>,
 ) -> MrResult<()> {
     let (now, who, with) = mod_fields(state, c);
-    changes.push(("pmodtime", now.into()));
-    changes.push(("pmodby", who.into()));
-    changes.push(("pmodwith", with.into()));
-    state.db.update("users", row, changes)?;
+    changes.push((users::PMODTIME, now.into()));
+    changes.push((users::PMODBY, who.into()));
+    changes.push((users::PMODWITH, with.into()));
+    state.db.update(row, changes)?;
     Ok(())
 }
 
@@ -164,22 +169,23 @@ fn set_pobox(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<V
     let (row, _) = user_row_and_id(state, &a[0])?;
     let potype = a[1].to_ascii_uppercase();
     check_type_alias(state, "pobox", &potype, MrError::Type)?;
-    let mut changes: Vec<(&'static str, moira_db::Value)> = vec![("potype", potype.clone().into())];
+    let mut changes: Vec<(Col<users::R>, moira_db::Value)> =
+        vec![(users::POTYPE, potype.clone().into())];
     match potype.as_str() {
         "POP" => {
             let mach_row = state
                 .db
-                .table("machine")
-                .select_one(&Pred::EqCi("name", a[2].clone()))
+                .table(machine::T)
+                .select_one(&Pred::EqCi(machine::NAME, a[2].clone()))
                 .ok_or(MrError::Machine)?;
-            let mach_id = state.db.cell("machine", mach_row, "mach_id").as_int();
-            let mach_name = state.db.cell("machine", mach_row, "name").render();
-            changes.push(("pop_id", mach_id.into()));
-            changes.push(("saved_pop", mach_name.into()));
+            let mach_id = state.db.cell(mach_row, machine::MACH_ID).as_int();
+            let mach_name = state.db.cell(mach_row, machine::NAME).render();
+            changes.push((users::POP_ID, mach_id.into()));
+            changes.push((users::SAVED_POP, mach_name.into()));
         }
         "SMTP" => {
             let sid = intern_string(state, &a[2])?;
-            changes.push(("box_id", sid.into()));
+            changes.push((users::BOX_ID, sid.into()));
         }
         "NONE" => {}
         _ => return Err(MrError::Type),
@@ -190,11 +196,11 @@ fn set_pobox(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<V
 
 fn set_pobox_pop(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
     let (row, _) = user_row_and_id(state, &a[0])?;
-    let t = state.db.table("users");
-    if t.cell(row, "potype").as_str() == "POP" {
+    let t = state.db.table(users::T);
+    if t.cell(row, users::POTYPE).as_str() == "POP" {
         return Ok(Vec::new());
     }
-    let saved = t.cell(row, "saved_pop").as_str().to_owned();
+    let saved = t.cell(row, users::SAVED_POP).as_str().to_owned();
     if saved.is_empty() {
         // "If there was no previous post office assignment, the query will
         // fail with MR_MACHINE since it will be unable to choose a post
@@ -203,19 +209,21 @@ fn set_pobox_pop(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<V
     }
     let mach_row = state
         .db
-        .table("machine")
-        .select_one(&Pred::EqCi("name", saved))
+        .table(machine::T)
+        .select_one(&Pred::EqCi(machine::NAME, saved))
         .ok_or(MrError::Machine)?;
-    let mach_id = state.db.cell("machine", mach_row, "mach_id").as_int();
-    let mut changes: Vec<(&'static str, moira_db::Value)> =
-        vec![("potype", "POP".into()), ("pop_id", mach_id.into())];
+    let mach_id = state.db.cell(mach_row, machine::MACH_ID).as_int();
+    let mut changes: Vec<(Col<users::R>, moira_db::Value)> = vec![
+        (users::POTYPE, "POP".into()),
+        (users::POP_ID, mach_id.into()),
+    ];
     stamp_pobox(state, c, row, &mut changes)?;
     Ok(Vec::new())
 }
 
 fn delete_pobox(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
     let (row, _) = user_row_and_id(state, &a[0])?;
-    let mut changes: Vec<(&'static str, moira_db::Value)> = vec![("potype", "NONE".into())];
+    let mut changes: Vec<(Col<users::R>, moira_db::Value)> = vec![(users::POTYPE, "NONE".into())];
     stamp_pobox(state, c, row, &mut changes)?;
     Ok(Vec::new())
 }

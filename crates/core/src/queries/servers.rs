@@ -1,10 +1,11 @@
 //! Server and server-host queries (§7.0.4) — the DCM's control surface.
 
 use moira_common::errors::{MrError, MrResult};
-use moira_db::{Pred, RowId, Value};
+use moira_db::{Col, Pred, RowId, Value};
 
 use crate::ace::{render_ace, resolve_ace};
 use crate::registry::{AccessRule, Handler, QueryHandle, QueryKind, Registry};
+use crate::schema::{machine, serverhosts, servers};
 use crate::state::{Caller, MoiraState};
 
 use super::helpers::*;
@@ -230,10 +231,9 @@ fn caller_on_service_ace(state: &MoiraState, c: &Caller, row: RowId) -> bool {
     crate::ace::caller_on_row_ace(
         state,
         c.principal.as_deref(),
-        "servers",
         row,
-        "acl_type",
-        "acl_id",
+        servers::ACL_TYPE,
+        servers::ACL_ID,
     )
 }
 
@@ -242,43 +242,41 @@ fn caller_on_service_ace(state: &MoiraState, c: &Caller, row: RowId) -> bool {
 fn caller_on_named_service_ace(state: &MoiraState, c: &Caller, service: &str) -> bool {
     state
         .db
-        .table("servers")
-        .select_one(&Pred::EqCi("name", service.to_owned()))
+        .table(servers::T)
+        .select_one(&Pred::EqCi(servers::NAME, service.to_owned()))
         .is_some_and(|row| caller_on_service_ace(state, c, row))
 }
 
 fn render_server(state: &MoiraState, row: RowId) -> Vec<String> {
-    let t = state.db.table("servers");
+    let t = state.db.table(servers::T);
     let (ace_type, ace_name) = render_ace(
         &state.db,
-        t.cell(row, "acl_type").as_str(),
-        t.cell(row, "acl_id").as_int(),
+        t.cell(row, servers::ACL_TYPE).as_str(),
+        t.cell(row, servers::ACL_ID).as_int(),
     );
     vec![
-        t.cell(row, "name").render(),
-        t.cell(row, "update_int").render(),
-        t.cell(row, "target_file").render(),
-        t.cell(row, "script").render(),
-        t.cell(row, "dfgen").render(),
-        t.cell(row, "dfcheck").render(),
-        t.cell(row, "type").render(),
-        t.cell(row, "enable").render(),
-        t.cell(row, "inprogress").render(),
-        t.cell(row, "harderror").render(),
-        t.cell(row, "errmsg").render(),
+        t.cell(row, servers::NAME).render(),
+        t.cell(row, servers::UPDATE_INT).render(),
+        t.cell(row, servers::TARGET_FILE).render(),
+        t.cell(row, servers::SCRIPT).render(),
+        t.cell(row, servers::DFGEN).render(),
+        t.cell(row, servers::DFCHECK).render(),
+        t.cell(row, servers::TYPE).render(),
+        t.cell(row, servers::ENABLE).render(),
+        t.cell(row, servers::INPROGRESS).render(),
+        t.cell(row, servers::HARDERROR).render(),
+        t.cell(row, servers::ERRMSG).render(),
         ace_type,
         ace_name,
-        t.cell(row, "modtime").render(),
-        t.cell(row, "modby").render(),
-        t.cell(row, "modwith").render(),
+        t.cell(row, servers::MODTIME).render(),
+        t.cell(row, servers::MODBY).render(),
+        t.cell(row, servers::MODWITH).render(),
     ]
 }
 
 fn get_server_info(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
     let name = a[0].to_ascii_uppercase();
-    let ids = state
-        .db
-        .select("servers", &Pred::name_match_ci("name", &name));
+    let ids = state.db.select(&Pred::name_match_ci(servers::NAME, &name));
     if ids.is_empty() {
         return Err(MrError::NoMatch);
     }
@@ -303,15 +301,15 @@ fn qualified_get_server(
     let enable = parse_tristate(&a[0])?;
     let inprogress = parse_tristate(&a[1])?;
     let harderror = parse_tristate(&a[2])?;
-    let t = state.db.table("servers");
+    let t = state.db.table(servers::T);
     let mut out = Vec::new();
     for (row, _) in t.iter() {
-        let he = t.cell(row, "harderror").as_int() != 0;
-        if matches_tristate(t.cell(row, "enable"), enable)
-            && matches_tristate(t.cell(row, "inprogress"), inprogress)
+        let he = t.cell(row, servers::HARDERROR).as_int() != 0;
+        if matches_tristate(t.cell(row, servers::ENABLE), enable)
+            && matches_tristate(t.cell(row, servers::INPROGRESS), inprogress)
             && harderror.is_none_or(|w| he == w)
         {
-            out.push(vec![t.cell(row, "name").render()]);
+            out.push(vec![t.cell(row, servers::NAME).render()]);
         }
     }
     if out.is_empty() {
@@ -330,15 +328,15 @@ fn add_server_info(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult
     let ace = resolve_ace(&state.db, &a[6], &a[7])?;
     if state
         .db
-        .table("servers")
-        .select_one(&Pred::Eq("name", name.clone().into()))
+        .table(servers::T)
+        .select_one(&Pred::Eq(servers::NAME, name.clone().into()))
         .is_some()
     {
         return Err(MrError::Exists);
     }
     let (now, who, with) = mod_fields(state, c);
     state.db.append(
-        "servers",
+        servers::T,
         vec![
             name.into(),
             interval.into(),
@@ -376,19 +374,18 @@ fn update_server_info(
     let ace = resolve_ace(&state.db, &a[6], &a[7])?;
     let (now, who, with) = mod_fields(state, c);
     state.db.update(
-        "servers",
         row,
         &[
-            ("update_int", interval.into()),
-            ("target_file", a[2].as_str().into()),
-            ("script", a[3].as_str().into()),
-            ("type", a[4].to_ascii_uppercase().into()),
-            ("enable", Value::Bool(enable)),
-            ("acl_type", ace.type_str().into()),
-            ("acl_id", ace.id().into()),
-            ("modtime", now.into()),
-            ("modby", who.into()),
-            ("modwith", with.into()),
+            (servers::UPDATE_INT, interval.into()),
+            (servers::TARGET_FILE, a[2].as_str().into()),
+            (servers::SCRIPT, a[3].as_str().into()),
+            (servers::TYPE, a[4].to_ascii_uppercase().into()),
+            (servers::ENABLE, Value::Bool(enable)),
+            (servers::ACL_TYPE, ace.type_str().into()),
+            (servers::ACL_ID, ace.id().into()),
+            (servers::MODTIME, now.into()),
+            (servers::MODBY, who.into()),
+            (servers::MODWITH, with.into()),
         ],
     )?;
     Ok(Vec::new())
@@ -403,18 +400,17 @@ fn reset_server_error(
     if !caller_on_service_ace(state, c, row) && !on_query_acl(state, c, "reset_server_error") {
         return Err(MrError::Perm);
     }
-    let dfgen = state.db.cell("servers", row, "dfgen").as_int();
+    let dfgen = state.db.cell(row, servers::DFGEN).as_int();
     let (now, who, with) = mod_fields(state, c);
     state.db.update(
-        "servers",
         row,
         &[
-            ("harderror", 0.into()),
-            ("errmsg", "".into()),
-            ("dfcheck", dfgen.into()),
-            ("modtime", now.into()),
-            ("modby", who.into()),
-            ("modwith", with.into()),
+            (servers::HARDERROR, 0.into()),
+            (servers::ERRMSG, "".into()),
+            (servers::DFCHECK, dfgen.into()),
+            (servers::MODTIME, now.into()),
+            (servers::MODBY, who.into()),
+            (servers::MODWITH, with.into()),
         ],
     )?;
     Ok(Vec::new())
@@ -432,14 +428,13 @@ fn set_server_internal_flags(
     let harderror = parse_int(&a[4])?;
     // "The service modtime will NOT be set."
     state.db.update(
-        "servers",
         row,
         &[
-            ("dfgen", dfgen.into()),
-            ("dfcheck", dfcheck.into()),
-            ("inprogress", Value::Bool(inprogress)),
-            ("harderror", harderror.into()),
-            ("errmsg", a[5].as_str().into()),
+            (servers::DFGEN, dfgen.into()),
+            (servers::DFCHECK, dfcheck.into()),
+            (servers::INPROGRESS, Value::Bool(inprogress)),
+            (servers::HARDERROR, harderror.into()),
+            (servers::ERRMSG, a[5].as_str().into()),
         ],
     )?;
     Ok(Vec::new())
@@ -451,45 +446,45 @@ fn delete_server_info(
     a: &[String],
 ) -> MrResult<Vec<Vec<String>>> {
     let row = one_service(state, &a[0])?;
-    let name = state.db.cell("servers", row, "name").render();
-    if state.db.cell("servers", row, "inprogress").as_bool() {
+    let name = state.db.cell(row, servers::NAME).render();
+    if state.db.cell(row, servers::INPROGRESS).as_bool() {
         return Err(MrError::InUse);
     }
     if !state
         .db
-        .select("serverhosts", &Pred::EqCi("service", name))
+        .select(&Pred::EqCi(serverhosts::SERVICE, name))
         .is_empty()
     {
         return Err(MrError::InUse);
     }
-    state.db.delete("servers", row)?;
+    state.db.delete(servers::T, row)?;
     Ok(Vec::new())
 }
 
-const HOST_FIELDS: &[&str] = &[
-    "enable",
-    "override",
-    "success",
-    "inprogress",
-    "hosterror",
-    "hosterrmsg",
-    "ltt",
-    "lts",
-    "value1",
-    "value2",
-    "value3",
-    "modtime",
-    "modby",
-    "modwith",
+const HOST_FIELDS: &[Col<serverhosts::R>] = &[
+    serverhosts::ENABLE,
+    serverhosts::OVERRIDE,
+    serverhosts::SUCCESS,
+    serverhosts::INPROGRESS,
+    serverhosts::HOSTERROR,
+    serverhosts::HOSTERRMSG,
+    serverhosts::LTT,
+    serverhosts::LTS,
+    serverhosts::VALUE1,
+    serverhosts::VALUE2,
+    serverhosts::VALUE3,
+    serverhosts::MODTIME,
+    serverhosts::MODBY,
+    serverhosts::MODWITH,
 ];
 
 fn render_server_host(state: &MoiraState, row: RowId) -> Vec<String> {
-    let t = state.db.table("serverhosts");
+    let t = state.db.table(serverhosts::T);
     let mut out = vec![
-        t.cell(row, "service").render(),
-        machine_name(state, t.cell(row, "mach_id").as_int()),
+        t.cell(row, serverhosts::SERVICE).render(),
+        machine_name(state, t.cell(row, serverhosts::MACH_ID).as_int()),
     ];
-    out.extend(HOST_FIELDS.iter().map(|c| t.cell(row, c).render()));
+    out.extend(project(state, row, HOST_FIELDS));
     out
 }
 
@@ -507,9 +502,9 @@ fn get_server_host_info(
     let mut out = Vec::new();
     for row in state
         .db
-        .select("serverhosts", &Pred::name_match_ci("service", &svc_pat))
+        .select(&Pred::name_match_ci(serverhosts::SERVICE, &svc_pat))
     {
-        let mach = machine_name(state, state.db.cell("serverhosts", row, "mach_id").as_int());
+        let mach = machine_name(state, state.db.cell(row, serverhosts::MACH_ID).as_int());
         if moira_common::wildcard::matches_ci(&a[1], &mach) {
             out.push(render_server_host(state, row));
         }
@@ -531,19 +526,19 @@ fn qualified_get_server_host(
     let inprogress = parse_tristate(&a[4])?;
     let hosterror = parse_tristate(&a[5])?;
     let svc_pat = a[0].to_ascii_uppercase();
-    let t = state.db.table("serverhosts");
+    let t = state.db.table(serverhosts::T);
     let mut out = Vec::new();
-    for row in t.select(&Pred::name_match_ci("service", &svc_pat)) {
-        let he = t.cell(row, "hosterror").as_int() != 0;
-        if matches_tristate(t.cell(row, "enable"), enable)
-            && matches_tristate(t.cell(row, "override"), override_)
-            && matches_tristate(t.cell(row, "success"), success)
-            && matches_tristate(t.cell(row, "inprogress"), inprogress)
+    for row in t.select(&Pred::name_match_ci(serverhosts::SERVICE, &svc_pat)) {
+        let he = t.cell(row, serverhosts::HOSTERROR).as_int() != 0;
+        if matches_tristate(t.cell(row, serverhosts::ENABLE), enable)
+            && matches_tristate(t.cell(row, serverhosts::OVERRIDE), override_)
+            && matches_tristate(t.cell(row, serverhosts::SUCCESS), success)
+            && matches_tristate(t.cell(row, serverhosts::INPROGRESS), inprogress)
             && hosterror.is_none_or(|w| he == w)
         {
             out.push(vec![
-                t.cell(row, "service").render(),
-                machine_name(state, t.cell(row, "mach_id").as_int()),
+                t.cell(row, serverhosts::SERVICE).render(),
+                machine_name(state, t.cell(row, serverhosts::MACH_ID).as_int()),
             ]);
         }
     }
@@ -556,12 +551,12 @@ fn qualified_get_server_host(
 /// Finds a serverhost row by exact service + machine.
 fn one_server_host(state: &MoiraState, service: &str, machine: &str) -> MrResult<RowId> {
     let svc_row = one_service(state, service)?;
-    let svc = state.db.cell("servers", svc_row, "name").render();
+    let svc = state.db.cell(svc_row, servers::NAME).render();
     let mach_row = one_machine(state, machine)?;
-    let mach_id = state.db.cell("machine", mach_row, "mach_id").as_int();
+    let mach_id = state.db.cell(mach_row, machine::MACH_ID).as_int();
     state.db.select_exactly_one(
-        "serverhosts",
-        &Pred::Eq("service", svc.into()).and(Pred::Eq("mach_id", mach_id.into())),
+        &Pred::Eq(serverhosts::SERVICE, svc.into())
+            .and(Pred::Eq(serverhosts::MACH_ID, mach_id.into())),
         MrError::Machine,
     )
 }
@@ -577,17 +572,17 @@ fn add_server_host_info(
         return Err(MrError::Perm);
     }
     let svc_row = one_service(state, &a[0])?;
-    let svc = state.db.cell("servers", svc_row, "name").render();
+    let svc = state.db.cell(svc_row, servers::NAME).render();
     let mach_row = one_machine(state, &a[1])?;
-    let mach_id = state.db.cell("machine", mach_row, "mach_id").as_int();
+    let mach_id = state.db.cell(mach_row, machine::MACH_ID).as_int();
     let enable = parse_bool(&a[2])?;
     let v1 = parse_int(&a[3])?;
     let v2 = parse_int(&a[4])?;
     let dup = !state
         .db
         .select(
-            "serverhosts",
-            &Pred::Eq("service", svc.clone().into()).and(Pred::Eq("mach_id", mach_id.into())),
+            &Pred::Eq(serverhosts::SERVICE, svc.clone().into())
+                .and(Pred::Eq(serverhosts::MACH_ID, mach_id.into())),
         )
         .is_empty();
     if dup {
@@ -595,7 +590,7 @@ fn add_server_host_info(
     }
     let (now, who, with) = mod_fields(state, c);
     state.db.append(
-        "serverhosts",
+        serverhosts::T,
         vec![
             svc.into(),
             mach_id.into(),
@@ -631,7 +626,7 @@ fn update_server_host_info(
     let row = one_server_host(state, &a[0], &a[1])?;
     // "This query may only be executed when the inprogress bit is not
     // currently set."
-    if state.db.cell("serverhosts", row, "inprogress").as_bool() {
+    if state.db.cell(row, serverhosts::INPROGRESS).as_bool() {
         return Err(MrError::InProgress);
     }
     let enable = parse_bool(&a[2])?;
@@ -639,16 +634,15 @@ fn update_server_host_info(
     let v2 = parse_int(&a[4])?;
     let (now, who, with) = mod_fields(state, c);
     state.db.update(
-        "serverhosts",
         row,
         &[
-            ("enable", Value::Bool(enable)),
-            ("value1", v1.into()),
-            ("value2", v2.into()),
-            ("value3", a[5].as_str().into()),
-            ("modtime", now.into()),
-            ("modby", who.into()),
-            ("modwith", with.into()),
+            (serverhosts::ENABLE, Value::Bool(enable)),
+            (serverhosts::VALUE1, v1.into()),
+            (serverhosts::VALUE2, v2.into()),
+            (serverhosts::VALUE3, a[5].as_str().into()),
+            (serverhosts::MODTIME, now.into()),
+            (serverhosts::MODBY, who.into()),
+            (serverhosts::MODWITH, with.into()),
         ],
     )?;
     Ok(Vec::new())
@@ -667,14 +661,13 @@ fn reset_server_host_error(
     let row = one_server_host(state, &a[0], &a[1])?;
     let (now, who, with) = mod_fields(state, c);
     state.db.update(
-        "serverhosts",
         row,
         &[
-            ("hosterror", 0.into()),
-            ("hosterrmsg", "".into()),
-            ("modtime", now.into()),
-            ("modby", who.into()),
-            ("modwith", with.into()),
+            (serverhosts::HOSTERROR, 0.into()),
+            (serverhosts::HOSTERRMSG, "".into()),
+            (serverhosts::MODTIME, now.into()),
+            (serverhosts::MODBY, who.into()),
+            (serverhosts::MODWITH, with.into()),
         ],
     )?;
     Ok(Vec::new())
@@ -693,13 +686,12 @@ fn set_server_host_override(
     let row = one_server_host(state, &a[0], &a[1])?;
     let (now, who, with) = mod_fields(state, c);
     state.db.update(
-        "serverhosts",
         row,
         &[
-            ("override", true.into()),
-            ("modtime", now.into()),
-            ("modby", who.into()),
-            ("modwith", with.into()),
+            (serverhosts::OVERRIDE, true.into()),
+            (serverhosts::MODTIME, now.into()),
+            (serverhosts::MODBY, who.into()),
+            (serverhosts::MODWITH, with.into()),
         ],
     )?;
     // "… and start a new DCM running."
@@ -721,16 +713,15 @@ fn set_server_host_internal(
     let lts = parse_int(&a[8])?;
     // Modtime is NOT set — this is the DCM writing its own bookkeeping.
     state.db.update(
-        "serverhosts",
         row,
         &[
-            ("override", Value::Bool(override_)),
-            ("success", Value::Bool(success)),
-            ("inprogress", Value::Bool(inprogress)),
-            ("hosterror", hosterror.into()),
-            ("hosterrmsg", a[6].as_str().into()),
-            ("ltt", ltt.into()),
-            ("lts", lts.into()),
+            (serverhosts::OVERRIDE, Value::Bool(override_)),
+            (serverhosts::SUCCESS, Value::Bool(success)),
+            (serverhosts::INPROGRESS, Value::Bool(inprogress)),
+            (serverhosts::HOSTERROR, hosterror.into()),
+            (serverhosts::HOSTERRMSG, a[6].as_str().into()),
+            (serverhosts::LTT, ltt.into()),
+            (serverhosts::LTS, lts.into()),
         ],
     )?;
     Ok(Vec::new())
@@ -747,10 +738,10 @@ fn delete_server_host_info(
         return Err(MrError::Perm);
     }
     let row = one_server_host(state, &a[0], &a[1])?;
-    if state.db.cell("serverhosts", row, "inprogress").as_bool() {
+    if state.db.cell(row, serverhosts::INPROGRESS).as_bool() {
         return Err(MrError::InUse);
     }
-    state.db.delete("serverhosts", row)?;
+    state.db.delete(serverhosts::T, row)?;
     Ok(Vec::new())
 }
 
@@ -760,12 +751,12 @@ fn get_server_locations(
     a: &[String],
 ) -> MrResult<Vec<Vec<String>>> {
     let pat = a[0].to_ascii_uppercase();
-    let t = state.db.table("serverhosts");
+    let t = state.db.table(serverhosts::T);
     let mut out = Vec::new();
-    for row in t.select(&Pred::name_match_ci("service", &pat)) {
+    for row in t.select(&Pred::name_match_ci(serverhosts::SERVICE, &pat)) {
         out.push(vec![
-            t.cell(row, "service").render(),
-            machine_name(state, t.cell(row, "mach_id").as_int()),
+            t.cell(row, serverhosts::SERVICE).render(),
+            machine_name(state, t.cell(row, serverhosts::MACH_ID).as_int()),
         ]);
     }
     if out.is_empty() {

@@ -7,6 +7,7 @@ use moira_db::Value;
 
 use crate::ids::alloc_id;
 use crate::registry::Registry;
+use crate::schema::{list, machine, members, users};
 use crate::seed::seed_capacls;
 use crate::state::MoiraState;
 
@@ -19,7 +20,7 @@ pub fn state_with_admin(admin_login: &str) -> (MoiraState, i64) {
     seed_capacls(&mut s, &registry);
     let uid = add_test_user(&mut s, admin_login, 1);
     let admins = 2i64; // seeded list_id of moira-admins
-    s.db.append("members", vec![admins.into(), "USER".into(), uid.into()])
+    s.db.append(members::T, vec![admins.into(), "USER".into(), uid.into()])
         .expect("admin membership");
     (s, admins)
 }
@@ -60,7 +61,7 @@ pub fn add_test_user(state: &mut MoiraState, login: &str, users_id: i64) -> i64 
         "test".into(),
         "test".into(),
     ];
-    state.db.append("users", row).expect("test user");
+    state.db.append(users::T, row).expect("test user");
     users_id
 }
 
@@ -71,7 +72,7 @@ pub fn add_test_list(state: &mut MoiraState, name: &str, public: bool) -> i64 {
     state
         .db
         .append(
-            "list",
+            list::T,
             vec![
                 name.into(),
                 list_id.into(),
@@ -100,7 +101,7 @@ pub fn add_test_machine(state: &mut MoiraState, name: &str) -> i64 {
     state
         .db
         .append(
-            "machine",
+            machine::T,
             vec![
                 name.to_ascii_uppercase().into(),
                 mach_id.into(),

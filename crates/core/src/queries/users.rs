@@ -1,39 +1,62 @@
 //! Users, finger, and registration queries (§7.0.1).
 
 use moira_common::errors::{MrError, MrResult};
-use moira_db::{Pred, RowId, Value};
+use moira_db::{Col, Pred, RowId, Value};
 
 use crate::ids::alloc_id;
 use crate::registry::{AccessRule, Handler, QueryHandle, QueryKind, Registry};
-use crate::schema::{user_status, MAX_LOGIN_LEN, UNIQUE_LOGIN, UNIQUE_UID};
+use crate::schema::{
+    filesys, hostaccess, list, members, nfsphys, nfsquota, serverhosts, servers, user_status,
+    users, MAX_LOGIN_LEN, UNIQUE_LOGIN, UNIQUE_UID,
+};
 use crate::state::{Caller, MoiraState};
 
 use super::helpers::*;
 
 /// Summary fields for the `get_all_*logins` queries.
-const SUMMARY: &[&str] = &["login", "uid", "shell", "last", "first", "middle"];
+const SUMMARY: [Col<users::R>; 6] = [
+    users::LOGIN,
+    users::UID,
+    users::SHELL,
+    users::LAST,
+    users::FIRST,
+    users::MIDDLE,
+];
+const SUMMARY_NAMES: [&str; 6] = Col::names(&SUMMARY);
 
 /// Full account fields for the `get_user_by_*` queries.
-const FULL: &[&str] = &[
-    "login", "uid", "shell", "last", "first", "middle", "status", "mit_id", "mit_year", "modtime",
-    "modby", "modwith",
+const FULL: [Col<users::R>; 12] = [
+    users::LOGIN,
+    users::UID,
+    users::SHELL,
+    users::LAST,
+    users::FIRST,
+    users::MIDDLE,
+    users::STATUS,
+    users::MIT_ID,
+    users::MIT_YEAR,
+    users::MODTIME,
+    users::MODBY,
+    users::MODWITH,
 ];
+const FULL_NAMES: [&str; 12] = Col::names(&FULL);
 
 /// Finger fields for `get_finger_by_login`.
-const FINGER: &[&str] = &[
-    "login",
-    "fullname",
-    "nickname",
-    "home_addr",
-    "home_phone",
-    "office_addr",
-    "office_phone",
-    "mit_dept",
-    "mit_affil",
-    "fmodtime",
-    "fmodby",
-    "fmodwith",
+const FINGER: [Col<users::R>; 12] = [
+    users::LOGIN,
+    users::FULLNAME,
+    users::NICKNAME,
+    users::HOME_ADDR,
+    users::HOME_PHONE,
+    users::OFFICE_ADDR,
+    users::OFFICE_PHONE,
+    users::MIT_DEPT,
+    users::MIT_AFFIL,
+    users::FMODTIME,
+    users::FMODBY,
+    users::FMODWITH,
 ];
+const FINGER_NAMES: [&str; 12] = Col::names(&FINGER);
 
 /// Registers the user queries.
 pub fn register(r: &mut Registry) {
@@ -46,7 +69,7 @@ pub fn register(r: &mut Registry) {
             kind: Retrieve,
             access: QueryAcl,
             args: &[],
-            returns: SUMMARY,
+            returns: &SUMMARY_NAMES,
             handler: Handler::Read(get_all_logins),
         },
         QueryHandle {
@@ -55,7 +78,7 @@ pub fn register(r: &mut Registry) {
             kind: Retrieve,
             access: QueryAcl,
             args: &[],
-            returns: SUMMARY,
+            returns: &SUMMARY_NAMES,
             handler: Handler::Read(get_all_active_logins),
         },
         QueryHandle {
@@ -64,7 +87,7 @@ pub fn register(r: &mut Registry) {
             kind: Retrieve,
             access: QueryAclOrSelf(0),
             args: &["login"],
-            returns: FULL,
+            returns: &FULL_NAMES,
             handler: Handler::Read(get_user_by_login),
         },
         QueryHandle {
@@ -73,7 +96,7 @@ pub fn register(r: &mut Registry) {
             kind: Retrieve,
             access: Custom,
             args: &["uid"],
-            returns: FULL,
+            returns: &FULL_NAMES,
             handler: Handler::Read(get_user_by_uid),
         },
         QueryHandle {
@@ -82,7 +105,7 @@ pub fn register(r: &mut Registry) {
             kind: Retrieve,
             access: QueryAcl,
             args: &["first", "last"],
-            returns: FULL,
+            returns: &FULL_NAMES,
             handler: Handler::Read(get_user_by_name),
         },
         QueryHandle {
@@ -91,7 +114,7 @@ pub fn register(r: &mut Registry) {
             kind: Retrieve,
             access: QueryAcl,
             args: &["class"],
-            returns: FULL,
+            returns: &FULL_NAMES,
             handler: Handler::Read(get_user_by_class),
         },
         QueryHandle {
@@ -100,7 +123,7 @@ pub fn register(r: &mut Registry) {
             kind: Retrieve,
             access: QueryAcl,
             args: &["mitid"],
-            returns: FULL,
+            returns: &FULL_NAMES,
             handler: Handler::Read(get_user_by_mitid),
         },
         QueryHandle {
@@ -177,7 +200,7 @@ pub fn register(r: &mut Registry) {
             kind: Retrieve,
             access: QueryAclOrSelf(0),
             args: &["login"],
-            returns: FINGER,
+            returns: &FINGER_NAMES,
             handler: Handler::Read(get_finger_by_login),
         },
         QueryHandle {
@@ -206,10 +229,10 @@ pub fn register(r: &mut Registry) {
 }
 
 fn get_all_logins(state: &MoiraState, _c: &Caller, _a: &[String]) -> MrResult<Vec<Vec<String>>> {
-    let ids = state.db.select("users", &Pred::True);
+    let ids = state.db.table(users::T).select(&Pred::True);
     Ok(ids
         .into_iter()
-        .map(|id| project(state, "users", id, SUMMARY))
+        .map(|id| project(state, id, &SUMMARY))
         .collect())
 }
 
@@ -221,31 +244,31 @@ fn get_all_active_logins(
     // "every account for which the status field is non-zero".
     let ids = state
         .db
-        .select("users", &Pred::Not(Box::new(Pred::Eq("status", 0.into()))));
+        .select(&Pred::Not(Pred::Eq(users::STATUS, 0.into())));
     Ok(ids
         .into_iter()
-        .map(|id| project(state, "users", id, SUMMARY))
+        .map(|id| project(state, id, &SUMMARY))
         .collect())
 }
 
-fn retrieve_users(state: &MoiraState, pred: &Pred) -> MrResult<Vec<Vec<String>>> {
-    let ids = state.db.select("users", pred);
+fn retrieve_users(state: &MoiraState, pred: &Pred<users::R>) -> MrResult<Vec<Vec<String>>> {
+    let ids = state.db.select(pred);
     if ids.is_empty() {
         return Err(MrError::NoMatch);
     }
     Ok(ids
         .into_iter()
-        .map(|id| project(state, "users", id, FULL))
+        .map(|id| project(state, id, &FULL))
         .collect())
 }
 
 fn get_user_by_login(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
-    retrieve_users(state, &Pred::name_match("login", &a[0]))
+    retrieve_users(state, &Pred::name_match(users::LOGIN, &a[0]))
 }
 
 fn get_user_by_uid(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
     let uid = parse_int(&a[0])?;
-    let rows = retrieve_users(state, &Pred::Eq("uid", uid.into()))?;
+    let rows = retrieve_users(state, &Pred::Eq(users::UID, uid.into()))?;
     // "If the person executing the query is not on the query ACL, then the
     // query only succeeds if the only retrieved information is about the
     // user making the request."
@@ -261,16 +284,16 @@ fn get_user_by_uid(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec
 fn get_user_by_name(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
     retrieve_users(
         state,
-        &Pred::name_match("first", &a[0]).and(Pred::name_match("last", &a[1])),
+        &Pred::name_match(users::FIRST, &a[0]).and(Pred::name_match(users::LAST, &a[1])),
     )
 }
 
 fn get_user_by_class(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
-    retrieve_users(state, &Pred::name_match("mit_year", &a[0]))
+    retrieve_users(state, &Pred::name_match(users::MIT_YEAR, &a[0]))
 }
 
 fn get_user_by_mitid(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
-    retrieve_users(state, &Pred::name_match("mit_id", &a[0]))
+    retrieve_users(state, &Pred::name_match(users::MIT_ID, &a[0]))
 }
 
 fn add_user(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
@@ -303,8 +326,8 @@ fn add_user(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<Ve
     check_type_alias(state, "class", class, MrError::BadClass)?;
     if state
         .db
-        .table("users")
-        .select_one(&Pred::Eq("login", login.clone().into()))
+        .table(users::T)
+        .select_one(&Pred::Eq(users::LOGIN, login.clone().into()))
         .is_some()
     {
         return Err(MrError::NotUnique);
@@ -345,26 +368,26 @@ fn add_user(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<Ve
         who.into(),
         with.into(),
     ];
-    state.db.append("users", row)?;
+    state.db.append(users::T, row)?;
     Ok(Vec::new())
 }
 
 /// Picks the least-loaded enabled POP server (`value1` = boxes assigned,
 /// `value2` = capacity), returning its `mach_id`.
 fn least_loaded_pop(state: &MoiraState) -> MrResult<(RowId, i64)> {
-    let sh = state.db.table("serverhosts");
+    let sh = state.db.table(serverhosts::T);
     let mut best: Option<(RowId, i64, i64)> = None;
-    for row in sh.select(&Pred::EqCi("service", "POP".to_owned())) {
-        if !sh.cell(row, "enable").as_bool() {
+    for row in sh.select(&Pred::EqCi(serverhosts::SERVICE, "POP".to_owned())) {
+        if !sh.cell(row, serverhosts::ENABLE).as_bool() {
             continue;
         }
-        let used = sh.cell(row, "value1").as_int();
-        let cap = sh.cell(row, "value2").as_int();
+        let used = sh.cell(row, serverhosts::VALUE1).as_int();
+        let cap = sh.cell(row, serverhosts::VALUE2).as_int();
         if cap > 0 && used >= cap {
             continue;
         }
         if best.is_none_or(|(_, b, _)| used < b) {
-            best = Some((row, used, sh.cell(row, "mach_id").as_int()));
+            best = Some((row, used, sh.cell(row, serverhosts::MACH_ID).as_int()));
         }
     }
     best.map(|(row, _, mach)| (row, mach))
@@ -374,14 +397,14 @@ fn least_loaded_pop(state: &MoiraState) -> MrResult<(RowId, i64)> {
 /// Picks the least-loaded NFS partition matching `fstype` bits with room
 /// for `quota` more units.
 fn least_loaded_nfsphys(state: &MoiraState, fstype: i64, quota: i64) -> MrResult<RowId> {
-    let np = state.db.table("nfsphys");
+    let np = state.db.table(nfsphys::T);
     let mut best: Option<(RowId, f64)> = None;
     for row in np.select(&Pred::True) {
-        if np.cell(row, "status").as_int() & fstype == 0 {
+        if np.cell(row, nfsphys::STATUS).as_int() & fstype == 0 {
             continue;
         }
-        let allocated = np.cell(row, "allocated").as_int();
-        let size = np.cell(row, "size").as_int();
+        let allocated = np.cell(row, nfsphys::ALLOCATED).as_int();
+        let size = np.cell(row, nfsphys::SIZE).as_int();
         if size <= 0 || allocated + quota > size {
             continue;
         }
@@ -402,47 +425,41 @@ fn register_user(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<V
     if login.is_empty() || login.len() > MAX_LOGIN_LEN {
         return Err(MrError::ArgTooLong);
     }
-    let user_row =
-        state
-            .db
-            .select_exactly_one("users", &Pred::Eq("uid", uid.into()), MrError::NoMatch)?;
-    if state.db.cell("users", user_row, "status").as_int() != user_status::REGISTERABLE {
+    let user_row = state
+        .db
+        .select_exactly_one(&Pred::Eq(users::UID, uid.into()), MrError::NoMatch)?;
+    if state.db.cell(user_row, users::STATUS).as_int() != user_status::REGISTERABLE {
         return Err(MrError::NotRegisterable);
     }
     if state
         .db
-        .table("users")
-        .select_one(&Pred::Eq("login", login.clone().into()))
+        .table(users::T)
+        .select_one(&Pred::Eq(users::LOGIN, login.clone().into()))
         .is_some()
     {
         return Err(MrError::InUse);
     }
-    let users_id = state.db.cell("users", user_row, "users_id").as_int();
+    let users_id = state.db.cell(user_row, users::USERS_ID).as_int();
     let quota = state
         .get_value("def_quota")
         .unwrap_or(crate::seed::DEFAULT_QUOTA);
 
     // Pobox: least-loaded POP server.
     let (pop_row, pop_mach) = least_loaded_pop(state)?;
-    let pop_used = state.db.cell("serverhosts", pop_row, "value1").as_int();
+    let pop_used = state.db.cell(pop_row, serverhosts::VALUE1).as_int();
     state
         .db
-        .update("serverhosts", pop_row, &[("value1", (pop_used + 1).into())])?;
+        .update(pop_row, &[(serverhosts::VALUE1, (pop_used + 1).into())])?;
 
     // Home filesystem on the least-loaded matching partition.
     let phys_row = least_loaded_nfsphys(state, fstype, quota)?;
-    let phys_id = state.db.cell("nfsphys", phys_row, "nfsphys_id").as_int();
-    let phys_mach = state.db.cell("nfsphys", phys_row, "mach_id").as_int();
-    let phys_dir = state
-        .db
-        .cell("nfsphys", phys_row, "dir")
-        .as_str()
-        .to_owned();
-    let allocated = state.db.cell("nfsphys", phys_row, "allocated").as_int();
+    let phys_id = state.db.cell(phys_row, nfsphys::NFSPHYS_ID).as_int();
+    let phys_mach = state.db.cell(phys_row, nfsphys::MACH_ID).as_int();
+    let phys_dir = state.db.cell(phys_row, nfsphys::DIR).as_str().to_owned();
+    let allocated = state.db.cell(phys_row, nfsphys::ALLOCATED).as_int();
     state.db.update(
-        "nfsphys",
         phys_row,
-        &[("allocated", (allocated + quota).into())],
+        &[(nfsphys::ALLOCATED, (allocated + quota).into())],
     )?;
 
     let (now, who, with) = mod_fields(state, c);
@@ -451,7 +468,7 @@ fn register_user(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<V
     let list_id = alloc_id(state, "list_id")?;
     let gid = alloc_id(state, "gid")?;
     state.db.append(
-        "list",
+        list::T,
         vec![
             login.clone().into(),
             list_id.into(),
@@ -470,7 +487,7 @@ fn register_user(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<V
         ],
     )?;
     state.db.append(
-        "members",
+        members::T,
         vec![list_id.into(), "USER".into(), users_id.into()],
     )?;
 
@@ -478,7 +495,7 @@ fn register_user(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<V
     let filsys_id = alloc_id(state, "filsys_id")?;
     let machine = machine_name(state, phys_mach);
     state.db.append(
-        "filesys",
+        filesys::T,
         vec![
             login.clone().into(),
             0.into(),
@@ -500,7 +517,7 @@ fn register_user(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<V
         ],
     )?;
     state.db.append(
-        "nfsquota",
+        nfsquota::T,
         vec![
             users_id.into(),
             filsys_id.into(),
@@ -515,20 +532,19 @@ fn register_user(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<V
     // Finally flip the user record: login name, POP pobox, half-registered.
     let pop_name = machine_name(state, pop_mach);
     state.db.update(
-        "users",
         user_row,
         &[
-            ("login", login.into()),
-            ("status", user_status::HALF_REGISTERED.into()),
-            ("potype", "POP".into()),
-            ("pop_id", pop_mach.into()),
-            ("saved_pop", pop_name.into()),
-            ("pmodtime", now.into()),
-            ("pmodby", who.clone().into()),
-            ("pmodwith", with.clone().into()),
-            ("modtime", now.into()),
-            ("modby", who.into()),
-            ("modwith", with.into()),
+            (users::LOGIN, login.into()),
+            (users::STATUS, user_status::HALF_REGISTERED.into()),
+            (users::POTYPE, "POP".into()),
+            (users::POP_ID, pop_mach.into()),
+            (users::SAVED_POP, pop_name.into()),
+            (users::PMODTIME, now.into()),
+            (users::PMODBY, who.clone().into()),
+            (users::PMODWITH, with.clone().into()),
+            (users::MODTIME, now.into()),
+            (users::MODBY, who.into()),
+            (users::MODWITH, with.into()),
         ],
     )?;
     Ok(Vec::new())
@@ -545,33 +561,32 @@ fn update_user(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec
     let uid = parse_int(&a[2])?;
     let status = parse_int(&a[7])?;
     check_type_alias(state, "class", &a[9], MrError::BadClass)?;
-    let current = state.db.cell("users", row, "login").as_str().to_owned();
+    let current = state.db.cell(row, users::LOGIN).as_str().to_owned();
     if newlogin != &current
         && state
             .db
-            .table("users")
-            .select_one(&Pred::Eq("login", newlogin.as_str().into()))
+            .table(users::T)
+            .select_one(&Pred::Eq(users::LOGIN, newlogin.as_str().into()))
             .is_some()
     {
         return Err(MrError::NotUnique);
     }
     let (now, who, with) = mod_fields(state, c);
     state.db.update(
-        "users",
         row,
         &[
-            ("login", newlogin.as_str().into()),
-            ("uid", uid.into()),
-            ("shell", a[3].as_str().into()),
-            ("last", a[4].as_str().into()),
-            ("first", a[5].as_str().into()),
-            ("middle", a[6].as_str().into()),
-            ("status", status.into()),
-            ("mit_id", a[8].as_str().into()),
-            ("mit_year", a[9].as_str().into()),
-            ("modtime", now.into()),
-            ("modby", who.into()),
-            ("modwith", with.into()),
+            (users::LOGIN, newlogin.as_str().into()),
+            (users::UID, uid.into()),
+            (users::SHELL, a[3].as_str().into()),
+            (users::LAST, a[4].as_str().into()),
+            (users::FIRST, a[5].as_str().into()),
+            (users::MIDDLE, a[6].as_str().into()),
+            (users::STATUS, status.into()),
+            (users::MIT_ID, a[8].as_str().into()),
+            (users::MIT_YEAR, a[9].as_str().into()),
+            (users::MODTIME, now.into()),
+            (users::MODBY, who.into()),
+            (users::MODWITH, with.into()),
         ],
     )?;
     Ok(Vec::new())
@@ -585,13 +600,12 @@ fn update_user_shell(
     let row = one_user(state, &a[0])?;
     let (now, who, with) = mod_fields(state, c);
     state.db.update(
-        "users",
         row,
         &[
-            ("shell", a[1].as_str().into()),
-            ("modtime", now.into()),
-            ("modby", who.into()),
-            ("modwith", with.into()),
+            (users::SHELL, a[1].as_str().into()),
+            (users::MODTIME, now.into()),
+            (users::MODBY, who.into()),
+            (users::MODWITH, with.into()),
         ],
     )?;
     Ok(Vec::new())
@@ -606,13 +620,12 @@ fn update_user_status(
     let status = parse_int(&a[1])?;
     let (now, who, with) = mod_fields(state, c);
     state.db.update(
-        "users",
         row,
         &[
-            ("status", status.into()),
-            ("modtime", now.into()),
-            ("modby", who.into()),
-            ("modwith", with.into()),
+            (users::STATUS, status.into()),
+            (users::MODTIME, now.into()),
+            (users::MODBY, who.into()),
+            (users::MODWITH, with.into()),
         ],
     )?;
     Ok(Vec::new())
@@ -625,37 +638,36 @@ fn check_user_unreferenced(state: &MoiraState, users_id: i64) -> MrResult<()> {
     let member_of = !state
         .db
         .select(
-            "members",
-            &Pred::Eq("member_id", users_id.into()).and(Pred::Eq("member_type", "USER".into())),
+            &Pred::Eq(members::MEMBER_ID, users_id.into())
+                .and(Pred::Eq(members::MEMBER_TYPE, "USER".into())),
         )
         .is_empty();
     let has_quota = !state
         .db
-        .select("nfsquota", &Pred::Eq("users_id", users_id.into()))
+        .select(&Pred::Eq(nfsquota::USERS_ID, users_id.into()))
         .is_empty();
     let owns_filesys = !state
         .db
-        .select("filesys", &Pred::Eq("owner", users_id.into()))
+        .select(&Pred::Eq(filesys::OWNER, users_id.into()))
         .is_empty();
     let is_ace = !state
         .db
         .select(
-            "list",
-            &Pred::Eq("acl_type", "USER".into()).and(Pred::Eq("acl_id", users_id.into())),
+            &Pred::Eq(list::ACL_TYPE, "USER".into()).and(Pred::Eq(list::ACL_ID, users_id.into())),
         )
         .is_empty()
         || !state
             .db
             .select(
-                "servers",
-                &Pred::Eq("acl_type", "USER".into()).and(Pred::Eq("acl_id", users_id.into())),
+                &Pred::Eq(servers::ACL_TYPE, "USER".into())
+                    .and(Pred::Eq(servers::ACL_ID, users_id.into())),
             )
             .is_empty()
         || !state
             .db
             .select(
-                "hostaccess",
-                &Pred::Eq("acl_type", "USER".into()).and(Pred::Eq("acl_id", users_id.into())),
+                &Pred::Eq(hostaccess::ACL_TYPE, "USER".into())
+                    .and(Pred::Eq(hostaccess::ACL_ID, users_id.into())),
             )
             .is_empty();
     if member_of || has_quota || owns_filesys || is_ace {
@@ -666,13 +678,13 @@ fn check_user_unreferenced(state: &MoiraState, users_id: i64) -> MrResult<()> {
 }
 
 fn delete_user_row(state: &mut MoiraState, row: RowId) -> MrResult<Vec<Vec<String>>> {
-    if state.db.cell("users", row, "status").as_int() != user_status::REGISTERABLE {
+    if state.db.cell(row, users::STATUS).as_int() != user_status::REGISTERABLE {
         return Err(MrError::InUse);
     }
-    let users_id = state.db.cell("users", row, "users_id").as_int();
+    let users_id = state.db.cell(row, users::USERS_ID).as_int();
     check_user_unreferenced(state, users_id)?;
     // Finger and pobox information live in the same record and die with it.
-    state.db.delete("users", row)?;
+    state.db.delete(users::T, row)?;
     Ok(Vec::new())
 }
 
@@ -689,7 +701,7 @@ fn delete_user_by_uid(
     let uid = parse_int(&a[0])?;
     let row = state
         .db
-        .select_exactly_one("users", &Pred::Eq("uid", uid.into()), MrError::User)?;
+        .select_exactly_one(&Pred::Eq(users::UID, uid.into()), MrError::User)?;
     delete_user_row(state, row)
 }
 
@@ -699,7 +711,7 @@ fn get_finger_by_login(
     a: &[String],
 ) -> MrResult<Vec<Vec<String>>> {
     let row = one_user(state, &a[0])?;
-    Ok(vec![project(state, "users", row, FINGER)])
+    Ok(vec![project(state, row, &FINGER)])
 }
 
 fn update_finger_by_login(
@@ -710,20 +722,19 @@ fn update_finger_by_login(
     let row = one_user(state, &a[0])?;
     let (now, who, with) = mod_fields(state, c);
     state.db.update(
-        "users",
         row,
         &[
-            ("fullname", a[1].as_str().into()),
-            ("nickname", a[2].as_str().into()),
-            ("home_addr", a[3].as_str().into()),
-            ("home_phone", a[4].as_str().into()),
-            ("office_addr", a[5].as_str().into()),
-            ("office_phone", a[6].as_str().into()),
-            ("mit_dept", a[7].as_str().into()),
-            ("mit_affil", a[8].as_str().into()),
-            ("fmodtime", now.into()),
-            ("fmodby", who.into()),
-            ("fmodwith", with.into()),
+            (users::FULLNAME, a[1].as_str().into()),
+            (users::NICKNAME, a[2].as_str().into()),
+            (users::HOME_ADDR, a[3].as_str().into()),
+            (users::HOME_PHONE, a[4].as_str().into()),
+            (users::OFFICE_ADDR, a[5].as_str().into()),
+            (users::OFFICE_PHONE, a[6].as_str().into()),
+            (users::MIT_DEPT, a[7].as_str().into()),
+            (users::MIT_AFFIL, a[8].as_str().into()),
+            (users::FMODTIME, now.into()),
+            (users::FMODBY, who.into()),
+            (users::FMODWITH, with.into()),
         ],
     )?;
     Ok(Vec::new())
@@ -732,7 +743,7 @@ fn update_finger_by_login(
 /// Shared by the pobox module: the ACE checks there need user row lookup.
 pub(crate) fn user_row_and_id(state: &MoiraState, login: &str) -> MrResult<(RowId, i64)> {
     let row = one_user(state, login)?;
-    Ok((row, state.db.cell("users", row, "users_id").as_int()))
+    Ok((row, state.db.cell(row, users::USERS_ID).as_int()))
 }
 
 #[cfg(test)]
@@ -1108,7 +1119,7 @@ mod tests {
         let pop_mach = add_test_machine(&mut s, "E40-PO");
         let nfs_mach = add_test_machine(&mut s, "CHARON");
         s.db.append(
-            "serverhosts",
+            serverhosts::T,
             vec![
                 "POP".into(),
                 pop_mach.into(),
@@ -1130,7 +1141,7 @@ mod tests {
         )
         .unwrap();
         s.db.append(
-            "nfsphys",
+            nfsphys::T,
             vec![
                 1.into(),
                 nfs_mach.into(),

@@ -1,10 +1,11 @@
 //! Zephyr class ACL queries (§7.0.6).
 
 use moira_common::errors::{MrError, MrResult};
-use moira_db::{Pred, RowId};
+use moira_db::{Col, Pred, RowId};
 
 use crate::ace::{render_ace, resolve_ace, Ace};
 use crate::registry::{AccessRule, Handler, QueryHandle, QueryKind, Registry};
+use crate::schema::zephyr;
 use crate::state::{Caller, MoiraState};
 
 use super::helpers::*;
@@ -67,15 +68,19 @@ pub fn register(r: &mut Registry) {
     }
 }
 
+/// The four `(type, id)` ACE column pairs of a ZEPHYR row: transmit,
+/// subscribe, instance-wildcard, instance-uid.
+pub const ACES: [(Col<zephyr::R>, Col<zephyr::R>); 4] = [
+    (zephyr::XMT_TYPE, zephyr::XMT_ID),
+    (zephyr::SUB_TYPE, zephyr::SUB_ID),
+    (zephyr::IWS_TYPE, zephyr::IWS_ID),
+    (zephyr::IUI_TYPE, zephyr::IUI_ID),
+];
+
 fn render_class(state: &MoiraState, row: RowId) -> Vec<String> {
-    let t = state.db.table("zephyr");
-    let mut out = vec![t.cell(row, "class").render()];
-    for (tc, ic) in [
-        ("xmt_type", "xmt_id"),
-        ("sub_type", "sub_id"),
-        ("iws_type", "iws_id"),
-        ("iui_type", "iui_id"),
-    ] {
+    let t = state.db.table(zephyr::T);
+    let mut out = vec![t.cell(row, zephyr::CLASS).render()];
+    for (tc, ic) in ACES {
         let (ty, name) = render_ace(
             &state.db,
             t.cell(row, tc).as_str(),
@@ -84,14 +89,14 @@ fn render_class(state: &MoiraState, row: RowId) -> Vec<String> {
         out.push(ty);
         out.push(name);
     }
-    out.push(t.cell(row, "modtime").render());
-    out.push(t.cell(row, "modby").render());
-    out.push(t.cell(row, "modwith").render());
+    out.push(t.cell(row, zephyr::MODTIME).render());
+    out.push(t.cell(row, zephyr::MODBY).render());
+    out.push(t.cell(row, zephyr::MODWITH).render());
     out
 }
 
 fn get_zephyr_class(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
-    let ids = state.db.select("zephyr", &Pred::name_match("class", &a[0]));
+    let ids = state.db.select(&Pred::name_match(zephyr::CLASS, &a[0]));
     if ids.is_empty() {
         return Err(MrError::NoMatch);
     }
@@ -116,8 +121,8 @@ fn add_zephyr_class(
     no_wildcards(&a[0])?;
     if state
         .db
-        .table("zephyr")
-        .select_one(&Pred::Eq("class", a[0].as_str().into()))
+        .table(zephyr::T)
+        .select_one(&Pred::Eq(zephyr::CLASS, a[0].as_str().into()))
         .is_some()
     {
         return Err(MrError::Exists);
@@ -125,7 +130,7 @@ fn add_zephyr_class(
     let aces = resolve_four_aces(state, a, 1)?;
     let (now, who, with) = mod_fields(state, c);
     state.db.append(
-        "zephyr",
+        zephyr::T,
         vec![
             a[0].as_str().into(),
             aces[0].type_str().into(),
@@ -149,15 +154,15 @@ fn update_zephyr_class(
     c: &Caller,
     a: &[String],
 ) -> MrResult<Vec<Vec<String>>> {
-    let row = exactly_one(state, "zephyr", "class", &a[0], MrError::NoMatch)?;
+    let row = exactly_one(state, zephyr::CLASS, &a[0], MrError::NoMatch)?;
     check_chars(&a[1])?;
     no_wildcards(&a[1])?;
-    let current = state.db.cell("zephyr", row, "class").as_str().to_owned();
+    let current = state.db.cell(row, zephyr::CLASS).as_str().to_owned();
     if a[1] != current
         && state
             .db
-            .table("zephyr")
-            .select_one(&Pred::Eq("class", a[1].as_str().into()))
+            .table(zephyr::T)
+            .select_one(&Pred::Eq(zephyr::CLASS, a[1].as_str().into()))
             .is_some()
     {
         return Err(MrError::NotUnique);
@@ -165,21 +170,20 @@ fn update_zephyr_class(
     let aces = resolve_four_aces(state, a, 2)?;
     let (now, who, with) = mod_fields(state, c);
     state.db.update(
-        "zephyr",
         row,
         &[
-            ("class", a[1].as_str().into()),
-            ("xmt_type", aces[0].type_str().into()),
-            ("xmt_id", aces[0].id().into()),
-            ("sub_type", aces[1].type_str().into()),
-            ("sub_id", aces[1].id().into()),
-            ("iws_type", aces[2].type_str().into()),
-            ("iws_id", aces[2].id().into()),
-            ("iui_type", aces[3].type_str().into()),
-            ("iui_id", aces[3].id().into()),
-            ("modtime", now.into()),
-            ("modby", who.into()),
-            ("modwith", with.into()),
+            (zephyr::CLASS, a[1].as_str().into()),
+            (zephyr::XMT_TYPE, aces[0].type_str().into()),
+            (zephyr::XMT_ID, aces[0].id().into()),
+            (zephyr::SUB_TYPE, aces[1].type_str().into()),
+            (zephyr::SUB_ID, aces[1].id().into()),
+            (zephyr::IWS_TYPE, aces[2].type_str().into()),
+            (zephyr::IWS_ID, aces[2].id().into()),
+            (zephyr::IUI_TYPE, aces[3].type_str().into()),
+            (zephyr::IUI_ID, aces[3].id().into()),
+            (zephyr::MODTIME, now.into()),
+            (zephyr::MODBY, who.into()),
+            (zephyr::MODWITH, with.into()),
         ],
     )?;
     Ok(Vec::new())
@@ -190,8 +194,8 @@ fn delete_zephyr_class(
     _c: &Caller,
     a: &[String],
 ) -> MrResult<Vec<Vec<String>>> {
-    let row = exactly_one(state, "zephyr", "class", &a[0], MrError::NoMatch)?;
-    state.db.delete("zephyr", row)?;
+    let row = exactly_one(state, zephyr::CLASS, &a[0], MrError::NoMatch)?;
+    state.db.delete(zephyr::T, row)?;
     Ok(Vec::new())
 }
 

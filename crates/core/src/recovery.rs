@@ -110,6 +110,7 @@ mod tests {
     use super::*;
     use crate::state::Caller;
     use moira_db::storage::SimMedia;
+    use moira_db::Relation;
 
     fn cfg() -> GroupCommitConfig {
         GroupCommitConfig {
@@ -243,7 +244,7 @@ mod tests {
                 &["CURSOR.MIT.EDU".into(), "VAX".into()],
             )
             .expect("mutation");
-        let cursor = state.generation_cursor(&["machine"]);
+        let cursor = state.generation_cursor(&[schema::machine::R::ID]);
         state.storage.flush().expect("flush");
         drop(state);
         media.power_cycle();

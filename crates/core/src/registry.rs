@@ -67,9 +67,10 @@ pub enum AccessRule {
 /// # use moira_common::errors::MrResult;
 /// # use moira_core::registry::ReadHandler;
 /// # use moira_core::state::{Caller, MoiraState};
+/// # use moira_core::schema::users;
 /// # use moira_db::Pred;
 /// fn retrieve(state: &MoiraState, _c: &Caller, _a: &[String]) -> MrResult<Vec<Vec<String>>> {
-///     let _ = state.db.select("users", &Pred::True);
+///     let _ = state.db.table(users::T).select(&Pred::True);
 ///     Ok(Vec::new())
 /// }
 /// let _: ReadHandler = retrieve;
@@ -81,9 +82,10 @@ pub enum AccessRule {
 /// # use moira_common::errors::MrResult;
 /// # use moira_core::registry::ReadHandler;
 /// # use moira_core::state::{Caller, MoiraState};
+/// # use moira_core::schema::users;
 /// # use moira_db::Pred;
 /// fn retrieve(state: &MoiraState, _c: &Caller, _a: &[String]) -> MrResult<Vec<Vec<String>>> {
-///     let _ = state.db.delete_where("users", &Pred::True);
+///     let _ = state.db.delete_where(&Pred::<users::R>::True);
 ///     Ok(Vec::new())
 /// }
 /// let _: ReadHandler = retrieve;
@@ -95,9 +97,10 @@ pub enum AccessRule {
 /// # use moira_common::errors::MrResult;
 /// # use moira_core::registry::ReadHandler;
 /// # use moira_core::state::{Caller, MoiraState};
+/// # use moira_core::schema::users;
 /// # use moira_db::Pred;
 /// fn retrieve(state: &MoiraState, _c: &Caller, _a: &[String]) -> MrResult<Vec<Vec<String>>> {
-///     let _ = state.db.clone().select("users", &Pred::True);
+///     let _ = state.db.clone().table(users::T).select(&Pred::True);
 ///     Ok(Vec::new())
 /// }
 /// let _: ReadHandler = retrieve;

@@ -4,6 +4,7 @@
 use moira_db::Value;
 
 use crate::registry::{AccessRule, Registry};
+use crate::schema::{alias, capacls, list};
 use crate::state::MoiraState;
 
 /// Default new-user quota in quota units (`def_quota` in VALUES).
@@ -67,13 +68,13 @@ pub fn seed(state: &mut MoiraState) {
     for &(name, trans) in TYPE_ALIASES {
         state
             .db
-            .append("alias", vec![name.into(), "TYPE".into(), trans.into()])
+            .append(alias::T, vec![name.into(), "TYPE".into(), trans.into()])
             .expect("seed alias");
     }
     for &(name, trans) in TYPEDATA_ALIASES {
         state
             .db
-            .append("alias", vec![name.into(), "TYPEDATA".into(), trans.into()])
+            .append(alias::T, vec![name.into(), "TYPEDATA".into(), trans.into()])
             .expect("seed typedata");
     }
     state.set_value("dcm_enable", 1);
@@ -87,7 +88,7 @@ pub fn seed(state: &mut MoiraState) {
         state
             .db
             .append(
-                "list",
+                list::T,
                 vec![
                     name.into(),
                     list_id.into(),
@@ -124,7 +125,7 @@ pub fn seed_capacls(state: &mut MoiraState, registry: &Registry) {
         state
             .db
             .append(
-                "capacls",
+                capacls::T,
                 vec![handle.name.into(), handle.shortname.into(), list_id.into()],
             )
             .expect("seed capacl");
@@ -132,7 +133,7 @@ pub fn seed_capacls(state: &mut MoiraState, registry: &Registry) {
     state
         .db
         .append(
-            "capacls",
+            capacls::T,
             vec!["trigger_dcm".into(), "tdcm".into(), admins.into()],
         )
         .expect("seed tdcm capacl");
@@ -147,12 +148,16 @@ mod tests {
     #[test]
     fn seeded_aliases_present() {
         let s = MoiraState::new(VClock::new());
-        let t = s.db.table("alias");
+        let t = s.db.table(alias::T);
         assert!(!t
-            .select(&Pred::Eq("name", "pobox".into()).and(Pred::Eq("trans", "POP".into())))
+            .select(
+                &Pred::Eq(alias::NAME, "pobox".into()).and(Pred::Eq(alias::TRANS, "POP".into()))
+            )
             .is_empty());
         assert!(!t
-            .select(&Pred::Eq("name", "POP".into()).and(Pred::Eq("type", "TYPEDATA".into())))
+            .select(
+                &Pred::Eq(alias::NAME, "POP".into()).and(Pred::Eq(alias::TYPE, "TYPEDATA".into()))
+            )
             .is_empty());
     }
 
@@ -161,8 +166,8 @@ mod tests {
         let s = MoiraState::new(VClock::new());
         for name in ["everybody", "moira-admins", "dbadmin"] {
             assert!(
-                s.db.table("list")
-                    .select_one(&Pred::Eq("name", name.into()))
+                s.db.table(list::T)
+                    .select_one(&Pred::Eq(list::NAME, name.into()))
                     .is_some(),
                 "{name}"
             );
@@ -175,11 +180,11 @@ mod tests {
         let r = Registry::standard();
         seed_capacls(&mut s, &r);
         // One row per handle plus trigger_dcm.
-        assert_eq!(s.db.table("capacls").len(), r.len() + 1);
+        assert_eq!(s.db.table(capacls::T).len(), r.len() + 1);
         assert!(s
             .db
-            .table("capacls")
-            .select_one(&Pred::Eq("capability", "trigger_dcm".into()))
+            .table(capacls::T)
+            .select_one(&Pred::Eq(capacls::CAPABILITY, "trigger_dcm".into()))
             .is_some());
     }
 }

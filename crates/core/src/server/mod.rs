@@ -395,6 +395,7 @@ pub fn standard_server(clock: moira_common::VClock) -> (MoiraServer, SharedState
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::{machine, members};
     use moira_common::errors::MrError;
     use moira_protocol::transport::{pair, recv_blocking, TcpChannel};
     use moira_protocol::wire::{MajorRequest, Reply, Request};
@@ -420,7 +421,7 @@ mod tests {
         {
             let mut s = state.write();
             let uid = crate::queries::testutil::add_test_user(&mut s, "ops", 1);
-            s.db.append("members", vec![2.into(), "USER".into(), uid.into()])
+            s.db.append(members::T, vec![2.into(), "USER".into(), uid.into()])
                 .unwrap();
         }
         let (client, server_end) = pair();
@@ -661,7 +662,7 @@ mod tests {
         {
             let mut s = state.write();
             let uid = crate::queries::testutil::add_test_user(&mut s, "ops", 1);
-            s.db.append("members", vec![2.into(), "USER".into(), uid.into()])
+            s.db.append(members::T, vec![2.into(), "USER".into(), uid.into()])
                 .unwrap();
         }
         let addr = server.listen_tcp("127.0.0.1:0").unwrap();
@@ -686,7 +687,7 @@ mod tests {
         let s = state.read();
         assert!(!s
             .db
-            .select("machine", &moira_db::Pred::Eq("name", "TCPBOX".into()))
+            .select(&moira_db::Pred::Eq(machine::NAME, "TCPBOX".into()))
             .is_empty());
     }
 
@@ -859,7 +860,7 @@ mod tests {
         {
             let mut s = state.write();
             let uid = crate::queries::testutil::add_test_user(&mut s, "ops", 1);
-            s.db.append("members", vec![2.into(), "USER".into(), uid.into()])
+            s.db.append(members::T, vec![2.into(), "USER".into(), uid.into()])
                 .unwrap();
         }
         server.set_read_workers(4);

@@ -14,7 +14,7 @@ use moira_db::Database;
 use parking_lot::RwLock;
 
 use crate::access::AccessCache;
-use crate::schema;
+use crate::schema::{self, values};
 use crate::seed;
 
 /// The shared handle every component holds on the server state.
@@ -311,7 +311,7 @@ impl MoiraState {
     /// PR-2 shared read lock get a consistent snapshot: the cursor and any
     /// `changed_since` reads taken under the same guard describe the same
     /// database version, since writers need the exclusive lock to mutate.
-    pub fn generation_cursor(&self, tables: &[&'static str]) -> moira_db::GenCursor {
+    pub fn generation_cursor(&self, tables: &[moira_db::TableId]) -> moira_db::GenCursor {
         self.db.cursor(tables)
     }
 
@@ -323,25 +323,25 @@ impl MoiraState {
 
     /// Reads an integer from the `values` relation (§6 VALUES).
     pub fn get_value(&self, name: &str) -> Option<i64> {
-        let t = self.db.table("values");
-        t.select_one(&moira_db::Pred::Eq("name", name.into()))
-            .map(|id| t.cell(id, "value").as_int())
+        let t = self.db.table(values::T);
+        t.select_one(&moira_db::Pred::Eq(values::NAME, name.into()))
+            .map(|id| t.cell(id, values::VALUE).as_int())
     }
 
     /// Writes an integer into the `values` relation, creating it if absent.
     pub fn set_value(&mut self, name: &str, value: i64) {
         let existing = self
             .db
-            .table("values")
-            .select_one(&moira_db::Pred::Eq("name", name.into()));
+            .table(values::T)
+            .select_one(&moira_db::Pred::Eq(values::NAME, name.into()));
         match existing {
             Some(id) => self
                 .db
-                .update("values", id, &[("value", value.into())])
+                .update(id, &[(values::VALUE, value.into())])
                 .expect("values update"),
             None => {
                 self.db
-                    .append("values", vec![name.into(), value.into()])
+                    .append(values::T, vec![name.into(), value.into()])
                     .expect("values append");
             }
         }
@@ -359,12 +359,13 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::alias;
 
     #[test]
     fn fresh_state_is_seeded() {
         let s = MoiraState::new(VClock::new());
         assert!(s.get_value("dcm_enable").is_some());
-        assert!(s.db.table("alias").len() > 10);
+        assert!(s.db.table(alias::T).len() > 10);
     }
 
     #[test]

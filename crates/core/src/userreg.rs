@@ -17,7 +17,7 @@ use moira_krb::crypt::hash_mit_id;
 use moira_krb::realm::Kdc;
 
 use crate::registry::Registry;
-use crate::schema::user_status;
+use crate::schema::{user_status, users};
 use crate::state::{Caller, MoiraState, SharedState};
 
 /// The student filesystem-type bit (`MR_FS_STUDENT`).
@@ -127,17 +127,16 @@ impl RegistrationServer {
         last: &str,
         authenticator: &[u8],
     ) -> Result<(moira_db::RowId, Option<String>), RegReply> {
-        let rows = state.db.select(
-            "users",
-            &Pred::Eq("first", first.into()).and(Pred::Eq("last", last.into())),
-        );
+        let rows = state
+            .db
+            .select(&Pred::Eq(users::FIRST, first.into()).and(Pred::Eq(users::LAST, last.into())));
         if rows.is_empty() {
             return Err(RegReply::NotFound);
         }
         // Several students may share a name; the authenticator (keyed by
         // each one's hashed ID) disambiguates.
         for &row in &rows {
-            let stored_hash = state.db.cell("users", row, "mit_id").as_str().to_owned();
+            let stored_hash = state.db.cell(row, users::MIT_ID).as_str().to_owned();
             if stored_hash.is_empty() {
                 continue;
             }
@@ -176,7 +175,7 @@ impl RegistrationServer {
             } => {
                 let state = self.state.read();
                 match self.verify(&state, first, last, authenticator) {
-                    Ok((row, _)) => RegReply::Ok(state.db.cell("users", row, "status").as_int()),
+                    Ok((row, _)) => RegReply::Ok(state.db.cell(row, users::STATUS).as_int()),
                     Err(e) => e,
                 }
             }
@@ -202,7 +201,7 @@ impl RegistrationServer {
         let Some(login) = extra else {
             return RegReply::BadAuthenticator;
         };
-        let status = state.db.cell("users", row, "status").as_int();
+        let status = state.db.cell(row, users::STATUS).as_int();
         if status != user_status::REGISTERABLE {
             return RegReply::AlreadyRegistered;
         }
@@ -211,7 +210,7 @@ impl RegistrationServer {
         if self.kdc.principal_exists(&login) {
             return RegReply::LoginTaken;
         }
-        let uid = state.db.cell("users", row, "uid").as_int();
+        let uid = state.db.cell(row, users::UID).as_int();
         let caller = Caller::new("register", "userreg");
         let result = self.registry.execute(
             &mut state,
@@ -240,11 +239,11 @@ impl RegistrationServer {
         let Some(password) = extra else {
             return RegReply::BadAuthenticator;
         };
-        let status = state.db.cell("users", row, "status").as_int();
+        let status = state.db.cell(row, users::STATUS).as_int();
         if status != user_status::HALF_REGISTERED {
             return RegReply::Error(MrError::NotRegisterable.code());
         }
-        let login = state.db.cell("users", row, "login").as_str().to_owned();
+        let login = state.db.cell(row, users::LOGIN).as_str().to_owned();
         match self.kdc.set_password(&login, &password) {
             Ok(()) => RegReply::Ok(status),
             Err(_) => RegReply::Error(MrError::AuthFailure.code()),
@@ -256,6 +255,7 @@ impl RegistrationServer {
 mod tests {
     use super::*;
     use crate::queries::testutil::{add_test_machine, state_with_admin};
+    use crate::schema::{filesys, nfsphys, serverhosts};
 
     /// Builds a state with registration infrastructure (POP server, NFS
     /// partition) and one registerable student.
@@ -265,7 +265,7 @@ mod tests {
         let pop = add_test_machine(&mut s, "E40-PO");
         let nfs = add_test_machine(&mut s, "CHARON");
         s.db.append(
-            "serverhosts",
+            serverhosts::T,
             vec![
                 "POP".into(),
                 pop.into(),
@@ -287,7 +287,7 @@ mod tests {
         )
         .unwrap();
         s.db.append(
-            "nfsphys",
+            nfsphys::T,
             vec![
                 1.into(),
                 nfs.into(),
@@ -365,17 +365,17 @@ mod tests {
         // Moira shows the account half-registered with resources allocated.
         let s = state.read();
         let row =
-            s.db.table("users")
-                .select_one(&Pred::Eq("login", "kazimi".into()))
+            s.db.table(users::T)
+                .select_one(&Pred::Eq(users::LOGIN, "kazimi".into()))
                 .unwrap();
         assert_eq!(
-            s.db.cell("users", row, "status").as_int(),
+            s.db.cell(row, users::STATUS).as_int(),
             user_status::HALF_REGISTERED
         );
         assert!(s
             .db
-            .table("filesys")
-            .select_one(&Pred::Eq("label", "kazimi".into()))
+            .table(filesys::T)
+            .select_one(&Pred::Eq(filesys::LABEL, "kazimi".into()))
             .is_some());
     }
 
@@ -429,10 +429,10 @@ mod tests {
         {
             let s = state.read();
             let row =
-                s.db.table("users")
-                    .select_one(&Pred::Eq("last", "Zimmermann".into()))
+                s.db.table(users::T)
+                    .select_one(&Pred::Eq(users::LAST, "Zimmermann".into()))
                     .unwrap();
-            assert_eq!(s.db.cell("users", row, "status").as_int(), 0);
+            assert_eq!(s.db.cell(row, users::STATUS).as_int(), 0);
         }
         let reply = server.handle(&RegRequest::GrabLogin {
             first: "Martin".into(),
@@ -505,10 +505,10 @@ mod tests {
         assert_eq!(reply, RegReply::Ok(user_status::HALF_REGISTERED));
         let s = state.read();
         let row =
-            s.db.table("users")
-                .select_one(&Pred::Eq("login", "mzim2".into()))
+            s.db.table(users::T)
+                .select_one(&Pred::Eq(users::LOGIN, "mzim2".into()))
                 .unwrap();
-        assert_eq!(s.db.cell("users", row, "mit_year").as_str(), "1991");
+        assert_eq!(s.db.cell(row, users::MIT_YEAR).as_str(), "1991");
     }
 }
 
@@ -703,6 +703,7 @@ mod wire_tests {
     use super::wire::*;
     use super::*;
     use crate::queries::testutil::{add_test_machine, state_with_admin};
+    use crate::schema::{nfsphys, serverhosts};
 
     fn request_samples() -> Vec<RegRequest> {
         let auth = make_authenticator("123-45-6789", "A", "B", Some("extra"));
@@ -773,7 +774,7 @@ mod wire_tests {
         let pop = add_test_machine(&mut s, "E40-PO");
         let nfs = add_test_machine(&mut s, "CHARON");
         s.db.append(
-            "serverhosts",
+            serverhosts::T,
             vec![
                 "POP".into(),
                 pop.into(),
@@ -795,7 +796,7 @@ mod wire_tests {
         )
         .unwrap();
         s.db.append(
-            "nfsphys",
+            nfsphys::T,
             vec![
                 1.into(),
                 nfs.into(),
@@ -885,7 +886,7 @@ mod wire_tests {
         let pop = add_test_machine(&mut s, "E40-PO");
         let nfs = add_test_machine(&mut s, "CHARON");
         s.db.append(
-            "serverhosts",
+            serverhosts::T,
             vec![
                 "POP".into(),
                 pop.into(),
@@ -907,7 +908,7 @@ mod wire_tests {
         )
         .unwrap();
         s.db.append(
-            "nfsphys",
+            nfsphys::T,
             vec![
                 1.into(),
                 nfs.into(),

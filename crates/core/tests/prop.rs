@@ -8,8 +8,11 @@
 
 use moira_core::queries::testutil::state_with_admin;
 use moira_core::registry::Registry;
+use moira_core::schema::{
+    filesys, list, machine, members, nfsphys, nfsquota, serverhosts, servers, users,
+};
 use moira_core::state::{Caller, MoiraState};
-use moira_db::Pred;
+use moira_db::{Pred, Relation};
 use proptest::prelude::*;
 
 /// The global invariants Moira's referential rules are supposed to
@@ -18,20 +21,20 @@ fn check_invariants(state: &MoiraState) {
     let db = &state.db;
 
     // 1. Every members row references an existing list.
-    for (row, _) in db.table("members").iter() {
-        let list_id = db.cell("members", row, "list_id").as_int();
+    for (row, _) in db.table(members::T).iter() {
+        let list_id = db.cell(row, members::LIST_ID).as_int();
         assert!(
-            db.table("list")
-                .select_one(&Pred::Eq("list_id", list_id.into()))
+            db.table(list::T)
+                .select_one(&Pred::Eq(list::LIST_ID, list_id.into()))
                 .is_some(),
             "dangling members.list_id {list_id}"
         );
         // USER members reference existing users.
-        if db.cell("members", row, "member_type").as_str() == "USER" {
-            let uid = db.cell("members", row, "member_id").as_int();
+        if db.cell(row, members::MEMBER_TYPE).as_str() == "USER" {
+            let uid = db.cell(row, members::MEMBER_ID).as_int();
             assert!(
-                db.table("users")
-                    .select_one(&Pred::Eq("users_id", uid.into()))
+                db.table(users::T)
+                    .select_one(&Pred::Eq(users::USERS_ID, uid.into()))
                     .is_some(),
                 "dangling USER member {uid}"
             );
@@ -41,42 +44,42 @@ fn check_invariants(state: &MoiraState) {
     // 2. Per-partition allocation equals the sum of its quotas plus any
     //    manual adjustments — here no manual adjustments are generated, so
     //    equality must hold exactly.
-    for (prow, _) in db.table("nfsphys").iter() {
-        let phys_id = db.cell("nfsphys", prow, "nfsphys_id").as_int();
-        let allocated = db.cell("nfsphys", prow, "allocated").as_int();
+    for (prow, _) in db.table(nfsphys::T).iter() {
+        let phys_id = db.cell(prow, nfsphys::NFSPHYS_ID).as_int();
+        let allocated = db.cell(prow, nfsphys::ALLOCATED).as_int();
         let sum: i64 = db
-            .select("nfsquota", &Pred::Eq("phys_id", phys_id.into()))
+            .select(&Pred::Eq(nfsquota::PHYS_ID, phys_id.into()))
             .into_iter()
-            .map(|q| db.cell("nfsquota", q, "quota").as_int())
+            .map(|q| db.cell(q, nfsquota::QUOTA).as_int())
             .sum();
         assert_eq!(allocated, sum, "allocation drift on partition {phys_id}");
     }
 
     // 3. Every quota references an existing filesystem and user.
-    for (qrow, _) in db.table("nfsquota").iter() {
-        let fid = db.cell("nfsquota", qrow, "filsys_id").as_int();
-        let uid = db.cell("nfsquota", qrow, "users_id").as_int();
+    for (qrow, _) in db.table(nfsquota::T).iter() {
+        let fid = db.cell(qrow, nfsquota::FILSYS_ID).as_int();
+        let uid = db.cell(qrow, nfsquota::USERS_ID).as_int();
         assert!(
-            db.table("filesys")
-                .select_one(&Pred::Eq("filsys_id", fid.into()))
+            db.table(filesys::T)
+                .select_one(&Pred::Eq(filesys::FILSYS_ID, fid.into()))
                 .is_some(),
             "dangling quota filesys {fid}"
         );
         assert!(
-            db.table("users")
-                .select_one(&Pred::Eq("users_id", uid.into()))
+            db.table(users::T)
+                .select_one(&Pred::Eq(users::USERS_ID, uid.into()))
                 .is_some(),
             "dangling quota user {uid}"
         );
     }
 
     // 4. POP poboxes point at existing machines.
-    for (urow, _) in db.table("users").iter() {
-        if db.cell("users", urow, "potype").as_str() == "POP" {
-            let mid = db.cell("users", urow, "pop_id").as_int();
+    for (urow, _) in db.table(users::T).iter() {
+        if db.cell(urow, users::POTYPE).as_str() == "POP" {
+            let mid = db.cell(urow, users::POP_ID).as_int();
             assert!(
-                db.table("machine")
-                    .select_one(&Pred::Eq("mach_id", mid.into()))
+                db.table(machine::T)
+                    .select_one(&Pred::Eq(machine::MACH_ID, mid.into()))
                     .is_some(),
                 "pobox on unknown machine {mid}"
             );
@@ -84,18 +87,18 @@ fn check_invariants(state: &MoiraState) {
     }
 
     // 5. Serverhosts reference existing services and machines.
-    for (srow, _) in db.table("serverhosts").iter() {
-        let svc = db.cell("serverhosts", srow, "service").render();
-        let mid = db.cell("serverhosts", srow, "mach_id").as_int();
+    for (srow, _) in db.table(serverhosts::T).iter() {
+        let svc = db.cell(srow, serverhosts::SERVICE).render();
+        let mid = db.cell(srow, serverhosts::MACH_ID).as_int();
         assert!(
-            db.table("servers")
-                .select_one(&Pred::Eq("name", svc.clone().into()))
+            db.table(servers::T)
+                .select_one(&Pred::Eq(servers::NAME, svc.clone().into()))
                 .is_some(),
             "dangling serverhost service {svc}"
         );
         assert!(
-            db.table("machine")
-                .select_one(&Pred::Eq("mach_id", mid.into()))
+            db.table(machine::T)
+                .select_one(&Pred::Eq(machine::MACH_ID, mid.into()))
                 .is_some(),
             "serverhost on unknown machine {mid}"
         );
@@ -258,10 +261,13 @@ proptest! {
             let result = registry.execute(&mut replayed, &caller, &entry.query, &entry.args);
             prop_assert!(result.is_ok(), "journaled {} must replay: {:?}", entry.query, result);
         }
-        for table in ["users", "machine", "list", "members", "filesys", "nfsquota", "nfsphys"] {
-            let a: Vec<_> = state.db.table(table).iter().map(|(_, r)| r.to_vec()).collect();
-            let b: Vec<_> = replayed.db.table(table).iter().map(|(_, r)| r.to_vec()).collect();
-            prop_assert_eq!(a.len(), b.len(), "{} diverged after replay", table);
+        for table in [
+            users::R::ID, machine::R::ID, list::R::ID, members::R::ID, filesys::R::ID,
+            nfsquota::R::ID, nfsphys::R::ID,
+        ] {
+            let a: Vec<_> = state.db.at(table).iter().map(|(_, r)| r.to_vec()).collect();
+            let b: Vec<_> = replayed.db.at(table).iter().map(|(_, r)| r.to_vec()).collect();
+            prop_assert_eq!(a.len(), b.len(), "{} diverged after replay", table.name());
         }
     }
 

@@ -11,6 +11,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use moira_core::schema::members;
 use moira_core::server::{standard_server, MoiraServer};
 use moira_core::state::{Caller, SharedState};
 use moira_protocol::wire::{MajorRequest, Reply, Request};
@@ -116,7 +117,7 @@ fn server_with_admin() -> (MoiraServer, SharedState, String) {
     {
         let mut s = state.write();
         let uid = moira_core::queries::testutil::add_test_user(&mut s, "ops", 1);
-        s.db.append("members", vec![2.into(), "USER".into(), uid.into()])
+        s.db.append(members::T, vec![2.into(), "USER".into(), uid.into()])
             .unwrap();
         let root = Caller::root("reactor-test");
         for i in 0..100 {

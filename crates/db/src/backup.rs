@@ -20,7 +20,9 @@ use std::fmt::Write;
 use moira_common::errors::{MrError, MrResult};
 
 use crate::database::Database;
+use crate::schema::TableId;
 use crate::storage::Media;
+use crate::table::Table;
 use crate::value::{ColType, Value};
 
 /// Escapes one field: `\:`, `\\`, and `\nnn` octal for non-printing bytes.
@@ -127,15 +129,14 @@ pub(crate) fn decode_row<S: AsRef<str>>(raw: &[S], types: &[ColType]) -> MrResul
 
 /// A table's column types, in schema order — what [`decode_row`] parses
 /// against.
-pub(crate) fn column_types(db: &Database, table: &str) -> Vec<ColType> {
-    let columns = &db.table(table).schema().columns;
-    columns.iter().map(|c| c.ty).collect()
+pub(crate) fn column_types(table: &Table) -> Vec<ColType> {
+    table.schema().columns.iter().map(|c| c.ty).collect()
 }
 
 /// Dumps one table to its ASCII representation.
-pub fn dump_table(db: &Database, table: &str) -> String {
+pub fn dump_table(table: &Table) -> String {
     let mut out = String::new();
-    for (_, row) in db.table(table).iter() {
+    for (_, row) in table.iter() {
         encode_row(&mut out, row);
         out.push('\n');
     }
@@ -144,9 +145,9 @@ pub fn dump_table(db: &Database, table: &str) -> String {
 
 /// Dumps every table; returns `relation name -> ASCII contents`.
 pub fn mrbackup(db: &Database) -> BTreeMap<String, String> {
-    db.table_names()
+    db.table_ids()
         .into_iter()
-        .map(|name| (name.to_owned(), dump_table(db, name)))
+        .map(|id| (id.name().to_owned(), dump_table(db.at(id))))
         .collect()
 }
 
@@ -159,15 +160,17 @@ pub fn backup_size(backup: &BTreeMap<String, String>) -> usize {
 /// Restores one table's rows from its ASCII dump into an *empty* table of
 /// the same schema (the `mrrestore` precondition: "Have you initialized an
 /// empty database?").
-pub fn restore_table(db: &mut Database, table: &str, dump: &str) -> MrResult<usize> {
-    if !db.table(table).is_empty() {
+pub fn restore_table(db: &mut Database, table: TableId, dump: &str) -> MrResult<usize> {
+    let now = db.now();
+    let table = db.at_mut(table);
+    if !table.is_empty() {
         return Err(MrError::Exists);
     }
-    let types = column_types(db, table);
+    let types = column_types(table);
     let mut count = 0;
     for line in dump.lines().filter(|l| !l.is_empty()) {
         let row = decode_row(&split_unescaped_colons(line), &types)?;
-        db.append(table, row)?;
+        table.append(row, now)?;
         count += 1;
     }
     Ok(count)
@@ -177,10 +180,8 @@ pub fn restore_table(db: &mut Database, table: &str, dump: &str) -> MrResult<usi
 /// created.
 pub fn mrrestore(db: &mut Database, backup: &BTreeMap<String, String>) -> MrResult<usize> {
     let mut total = 0;
-    for (table, dump) in backup {
-        if !db.has_table(table) {
-            return Err(MrError::Internal);
-        }
+    for (name, dump) in backup {
+        let table = db.lookup(name).ok_or(MrError::Internal)?;
         total += restore_table(db, table, dump)?;
     }
     Ok(total)
@@ -324,21 +325,22 @@ impl<M: Media> MediaRotation<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{ColumnDef, TableSchema};
+    use crate::schema::Relation;
     use crate::storage::{OpKind, SimMedia};
     use moira_common::clock::VClock;
 
+    crate::relations! {
+        users {
+            LOGIN: str "login" unique,
+            UID: int "uid",
+            ACTIVE: boolean "active",
+            FULLNAME: str "fullname",
+        }
+    }
+
     fn sample_db() -> Database {
         let mut db = Database::new(VClock::new());
-        db.create_table(TableSchema::new(
-            "users",
-            vec![
-                ColumnDef::str("login").unique(),
-                ColumnDef::int("uid"),
-                ColumnDef::boolean("active"),
-                ColumnDef::str("fullname"),
-            ],
-        ));
+        create_all_tables(&mut db);
         db
     }
 
@@ -378,7 +380,7 @@ mod tests {
     fn dump_and_restore_round_trip() {
         let mut db = sample_db();
         db.append(
-            "users",
+            users::T,
             vec![
                 "babette".into(),
                 6530.into(),
@@ -388,7 +390,7 @@ mod tests {
         )
         .unwrap();
         db.append(
-            "users",
+            users::T,
             vec![
                 "co:lon".into(),
                 6531.into(),
@@ -403,7 +405,7 @@ mod tests {
         let mut fresh = sample_db();
         let restored = mrrestore(&mut fresh, &backup).unwrap();
         assert_eq!(restored, 2);
-        let t = fresh.table("users");
+        let t = fresh.table(users::T);
         let rows: Vec<_> = t.iter().map(|(_, r)| r.to_vec()).collect();
         assert_eq!(rows.len(), 2);
         assert!(rows.iter().any(|r| r[0] == Value::Str("co:lon".into())
@@ -414,8 +416,11 @@ mod tests {
     #[test]
     fn restore_requires_empty_table() {
         let mut db = sample_db();
-        db.append("users", vec!["x".into(), 1.into(), true.into(), "X".into()])
-            .unwrap();
+        db.append(
+            users::T,
+            vec!["x".into(), 1.into(), true.into(), "X".into()],
+        )
+        .unwrap();
         let backup = mrbackup(&db);
         assert_eq!(mrrestore(&mut db, &backup), Err(MrError::Exists));
     }
@@ -424,7 +429,7 @@ mod tests {
     fn restore_rejects_wrong_arity() {
         let mut db = sample_db();
         assert_eq!(
-            restore_table(&mut db, "users", "only:two\n"),
+            restore_table(&mut db, users::R::ID, "only:two\n"),
             Err(MrError::Internal)
         );
     }
@@ -433,7 +438,7 @@ mod tests {
     fn backup_document_round_trip_and_rejects_torn() {
         let mut db = sample_db();
         db.append(
-            "users",
+            users::T,
             vec!["co:lon".into(), 1.into(), true.into(), "A\\B".into()],
         )
         .unwrap();
@@ -453,7 +458,7 @@ mod tests {
         let mut rot = MediaRotation::new(SimMedia::new());
         for i in 0..5 {
             db.append(
-                "users",
+                users::T,
                 vec![format!("u{i}").into(), i.into(), true.into(), "U".into()],
             )
             .unwrap();
@@ -472,7 +477,7 @@ mod tests {
         let mut rot = MediaRotation::new(media.clone());
         for i in 0..3 {
             db.append(
-                "users",
+                users::T,
                 vec![format!("u{i}").into(), i.into(), true.into(), "U".into()],
             )
             .unwrap();
@@ -485,7 +490,7 @@ mod tests {
         for nth in 0..3 {
             media.arm_crash(OpKind::Rename, nth);
             db.append(
-                "users",
+                users::T,
                 vec![
                     format!("crash{nth}").into(),
                     (100 + nth as i64).into(),

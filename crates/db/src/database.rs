@@ -1,4 +1,13 @@
-//! The database: a collection of named tables sharing one virtual clock.
+//! The database: the relations of one schema set, sharing one virtual clock.
+//!
+//! Tables live in creation order and are reached by slot: through a typed
+//! handle (`db.table(users::T)`, or implied by a column —
+//! `db.cell(id, users::LOGIN)`, `db.select(&Pred::Eq(users::LOGIN, v))`) or,
+//! where relations are handled as data, through a [`TableId`]. A *name* is
+//! resolved in exactly one place, [`Database::lookup`], for the readers of
+//! on-disk documents.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -7,8 +16,8 @@ use moira_common::clock::VClock;
 use moira_common::errors::{MrError, MrResult};
 
 use crate::query::Pred;
-use crate::schema::TableSchema;
-use crate::table::{RowId, Table};
+use crate::schema::{Col, Relation, TableId, TableSchema};
+use crate::table::{RowId, Table, TableRef};
 use crate::value::{Symbols, Value};
 
 /// Process-wide source of database epochs. Every `Database::new` gets a
@@ -25,8 +34,8 @@ static NEXT_EPOCH: AtomicU64 = AtomicU64::new(1);
 pub struct GenCursor {
     /// Epoch of the database the cursor was cut from.
     pub epoch: u64,
-    /// `table name -> generation` at cut time.
-    pub gens: BTreeMap<&'static str, u64>,
+    /// `table -> generation` at cut time, in table-name order.
+    pub gens: BTreeMap<TableId, u64>,
 }
 
 impl GenCursor {
@@ -38,15 +47,16 @@ impl GenCursor {
             && self
                 .gens
                 .iter()
-                .all(|(name, &g)| db.table(name).generation() >= g)
+                .all(|(&id, &g)| db.at(id).generation() >= g)
     }
 
-    /// The cursor's tables whose generation has advanced past the cursor.
-    pub fn advanced_tables(&self, db: &Database) -> Vec<&'static str> {
+    /// The cursor's tables whose generation has advanced past the cursor,
+    /// in name order.
+    pub fn advanced_tables(&self, db: &Database) -> Vec<TableId> {
         self.gens
             .iter()
-            .filter(|&(name, &g)| db.table(name).generation() > g)
-            .map(|(&name, _)| name)
+            .filter(|&(&id, &g)| db.at(id).generation() > g)
+            .map(|(&id, _)| id)
             .collect()
     }
 
@@ -56,18 +66,19 @@ impl GenCursor {
             && self
                 .gens
                 .iter()
-                .all(|(name, &g)| db.table(name).generation() == g)
+                .all(|(&id, &g)| db.at(id).generation() == g)
     }
 }
 
-/// A named-table database with a shared virtual clock for modtimes.
+/// The tables of one schema set, with a shared virtual clock for modtimes.
 ///
 /// Deliberately not `Clone`: the live database has exactly one copy, so a
 /// handler can neither read a detached image nor mutate one the journal
 /// never sees.
 #[derive(Debug)]
 pub struct Database {
-    tables: BTreeMap<&'static str, Table>,
+    /// In creation order; a [`TableId`]'s slot indexes here.
+    tables: Vec<Table>,
     clock: VClock,
     epoch: u64,
     /// The shared string interner every table of this database dedupes
@@ -80,13 +91,7 @@ pub struct Database {
 impl Database {
     /// Creates an empty database on the given clock.
     pub fn new(clock: VClock) -> Self {
-        Database {
-            tables: BTreeMap::new(),
-            clock,
-            epoch: NEXT_EPOCH.fetch_add(1, Ordering::Relaxed),
-            symbols: Symbols::new(),
-            obs: None,
-        }
+        Self::recovered(clock, NEXT_EPOCH.fetch_add(1, Ordering::Relaxed))
     }
 
     /// Creates an empty database carrying an *explicit* epoch — the
@@ -102,7 +107,7 @@ impl Database {
     pub fn recovered(clock: VClock, epoch: u64) -> Self {
         NEXT_EPOCH.fetch_max(epoch.saturating_add(1), Ordering::Relaxed);
         Database {
-            tables: BTreeMap::new(),
+            tables: Vec::new(),
             clock,
             epoch,
             symbols: Symbols::new(),
@@ -115,17 +120,13 @@ impl Database {
         self.epoch
     }
 
-    /// Cuts a generation cursor over the named tables.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown table names, like [`Database::table`].
-    pub fn cursor(&self, tables: &[&'static str]) -> GenCursor {
+    /// Cuts a generation cursor over the given tables.
+    pub fn cursor(&self, tables: &[TableId]) -> GenCursor {
         GenCursor {
             epoch: self.epoch,
             gens: tables
                 .iter()
-                .map(|&name| (name, self.table(name).generation()))
+                .map(|&id| (id, self.at(id).generation()))
                 .collect(),
         }
     }
@@ -140,21 +141,26 @@ impl Database {
         self.clock.now()
     }
 
-    /// Creates a table; replaces any previous table of the same name. The
-    /// new table shares the database's string interner and obs registry.
-    pub fn create_table(&mut self, schema: TableSchema) {
+    /// Creates a table in the next slot and returns its id. The new table
+    /// shares the database's string interner and obs registry. A relation
+    /// is created once: a second table of the same name is a boot-sequence
+    /// bug (checked in debug builds).
+    pub fn create_table(&mut self, schema: TableSchema) -> TableId {
+        debug_assert!(self.lookup(schema.name).is_none(), "{} exists", schema.name);
+        let id = TableId::new(schema.name, self.tables.len());
         let mut table = Table::new(schema);
         table.set_symbols(self.symbols.clone());
         if let Some(reg) = &self.obs {
             table.set_obs(reg);
         }
-        self.tables.insert(table.schema().name, table);
+        self.tables.push(table);
+        id
     }
 
     /// Attaches an obs registry: every table (current and future) records
     /// its plan choices (`db.plan.*`) and `db.select.rows_examined` there.
     pub fn set_obs(&mut self, reg: &moira_obs::Registry) {
-        for table in self.tables.values_mut() {
+        for table in &mut self.tables {
             table.set_obs(reg);
         }
         self.obs = Some(reg.clone());
@@ -165,75 +171,82 @@ impl Database {
         &self.symbols
     }
 
-    /// EXPLAIN: the plan description `pred` would run under on `table`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown table names, like [`Database::table`].
-    pub fn explain(&self, table: &str, pred: &Pred) -> String {
-        self.table(table).explain(pred)
+    /// The one by-name lookup: the id of the table called `name`, for the
+    /// readers of documents that carry relation names as data (checkpoints,
+    /// `mrbackup` dumps). Query paths never come here — they hold handles.
+    pub fn lookup(&self, name: &str) -> Option<TableId> {
+        self.ids().find(|id| id.name() == name)
     }
 
-    /// Borrows a table.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown table names — the schema is fixed at startup, so an
-    /// unknown name is a programming error.
-    pub fn table(&self, name: &str) -> &Table {
+    /// Every table's id, in name order — the order the on-disk documents
+    /// list tables in.
+    pub fn table_ids(&self) -> Vec<TableId> {
+        let mut ids: Vec<TableId> = self.ids().collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Every table's id, in slot order.
+    fn ids(&self) -> impl Iterator<Item = TableId> + '_ {
         self.tables
-            .get(name)
-            .unwrap_or_else(|| panic!("no table {name}"))
+            .iter()
+            .enumerate()
+            .map(|(slot, t)| TableId::new(t.schema().name, slot))
     }
 
-    /// Mutably borrows a table.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown table names.
-    pub fn table_mut(&mut self, name: &str) -> &mut Table {
-        self.tables
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("no table {name}"))
+    /// The table `id` names, relation erased — for code that handles
+    /// relations as data. An id comes from this database's schema set
+    /// (`R::ID`, [`Database::lookup`], [`Database::table_ids`]); one from
+    /// another set is a construction bug, caught in debug builds.
+    pub fn at(&self, id: TableId) -> &Table {
+        let table = &self.tables[id.slot()];
+        debug_assert_eq!(table.schema().name, id.name(), "id of another schema set");
+        table
     }
 
-    /// Table names in sorted order.
-    pub fn table_names(&self) -> Vec<&'static str> {
-        self.tables.keys().copied().collect()
+    /// Mutable [`Database::at`], for the engine's own writers and document
+    /// readers.
+    pub(crate) fn at_mut(&mut self, id: TableId) -> &mut Table {
+        let table = &mut self.tables[id.slot()];
+        debug_assert_eq!(table.schema().name, id.name(), "id of another schema set");
+        table
     }
 
-    /// True if the table exists.
-    pub fn has_table(&self, name: &str) -> bool {
-        self.tables.contains_key(name)
+    /// Relation `R`'s table, typed: it selects by `R`'s predicates and
+    /// hands out `R`'s cells only.
+    pub fn table<R: Relation>(&self, rel: R) -> TableRef<'_, R> {
+        self.at(R::ID).rel(rel)
     }
 
-    /// Appends a row, stamping the table's modtime with the current time.
-    pub fn append(&mut self, table: &str, row: Vec<Value>) -> MrResult<RowId> {
+    /// Appends a row to `R`, stamping the table's modtime with the current
+    /// time.
+    pub fn append<R: Relation>(&mut self, _rel: R, row: Vec<Value>) -> MrResult<RowId> {
         let now = self.now();
-        self.table_mut(table).append(row, now)
+        self.at_mut(R::ID).append(row, now)
     }
 
-    /// Updates columns of a row, stamping the modtime.
-    pub fn update(&mut self, table: &str, id: RowId, changes: &[(&str, Value)]) -> MrResult<()> {
+    /// Updates columns of a row of `R`, stamping the modtime.
+    pub fn update<R: Relation>(&mut self, id: RowId, changes: &[(Col<R>, Value)]) -> MrResult<()> {
         let now = self.now();
-        self.table_mut(table).update(id, changes, now)
+        self.at_mut(R::ID).update(id, changes, now)
     }
 
-    /// Deletes a row, stamping the modtime.
-    pub fn delete(&mut self, table: &str, id: RowId) -> MrResult<()> {
+    /// Deletes a row of `R`, stamping the modtime.
+    pub fn delete<R: Relation>(&mut self, _rel: R, id: RowId) -> MrResult<()> {
         let now = self.now();
-        self.table_mut(table).delete(id, now)
+        self.at_mut(R::ID).delete(id, now)
     }
 
-    /// Selects matching row ids.
-    pub fn select(&self, table: &str, pred: &Pred) -> Vec<RowId> {
-        self.table(table).select(pred)
+    /// Selects the matching row ids of `R`.
+    pub fn select<R: Relation>(&self, pred: &Pred<R>) -> Vec<RowId> {
+        self.at(R::ID).select(pred.raw())
     }
 
-    /// Deletes every matching row, stamping the modtime; returns the count.
-    pub fn delete_where(&mut self, table: &str, pred: &Pred) -> usize {
+    /// Deletes every matching row of `R`, stamping the modtime; returns the
+    /// count.
+    pub fn delete_where<R: Relation>(&mut self, pred: &Pred<R>) -> usize {
         let now = self.now();
-        self.table_mut(table).delete_where(pred, now)
+        self.at_mut(R::ID).delete_where(pred, now)
     }
 
     /// Selects, requiring the result to identify *exactly one* row — the
@@ -241,13 +254,12 @@ impl Database {
     ///
     /// Returns `not_found` when nothing matches and `MR_NOT_UNIQUE` when
     /// more than one row matches.
-    pub fn select_exactly_one(
+    pub fn select_exactly_one<R: Relation>(
         &self,
-        table: &str,
-        pred: &Pred,
+        pred: &Pred<R>,
         not_found: MrError,
     ) -> MrResult<RowId> {
-        let ids = self.select(table, pred);
+        let ids = self.select(pred);
         match ids.len() {
             0 => Err(not_found),
             1 => Ok(ids[0]),
@@ -255,9 +267,9 @@ impl Database {
         }
     }
 
-    /// The value of `col` in row `id` of `table`.
-    pub fn cell(&self, table: &str, id: RowId, col: &str) -> Value {
-        self.table(table).cell(id, col).clone()
+    /// The value of `col` in row `id` of `col`'s relation.
+    pub fn cell<R: Relation>(&self, id: RowId, col: Col<R>) -> Value {
+        self.at(R::ID).cell_at(id, col.index()).clone()
     }
 
     /// Total mutations (appends + updates + deletes) ever applied across all
@@ -265,7 +277,7 @@ impl Database {
     /// handler invocation, the handler did not touch the database.
     pub fn mutation_count(&self) -> u64 {
         self.tables
-            .values()
+            .iter()
             .map(|t| {
                 let s = t.stats();
                 s.appends + s.updates + s.deletes
@@ -277,14 +289,15 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::ColumnDef;
+
+    crate::relations! {
+        machine { NAME: str "name" unique, TYPE: str "type" }
+        alias { NAME: str "name" }
+    }
 
     fn db() -> Database {
         let mut db = Database::new(VClock::new());
-        db.create_table(TableSchema::new(
-            "machine",
-            vec![ColumnDef::str("name").unique(), ColumnDef::str("type")],
-        ));
+        db.create_table(machine::R::schema());
         db
     }
 
@@ -292,55 +305,53 @@ mod tests {
     fn crud_through_database() {
         let mut d = db();
         let id = d
-            .append("machine", vec!["KIWI.MIT.EDU".into(), "VAX".into()])
+            .append(machine::T, vec!["KIWI.MIT.EDU".into(), "VAX".into()])
             .unwrap();
-        assert_eq!(d.cell("machine", id, "type"), Value::Str("VAX".into()));
-        d.update("machine", id, &[("type", "RT".into())]).unwrap();
-        assert_eq!(d.cell("machine", id, "type"), Value::Str("RT".into()));
-        d.delete("machine", id).unwrap();
-        assert!(d.select("machine", &Pred::True).is_empty());
+        assert_eq!(d.cell(id, machine::TYPE), Value::Str("VAX".into()));
+        d.update(id, &[(machine::TYPE, "RT".into())]).unwrap();
+        assert_eq!(d.cell(id, machine::TYPE), Value::Str("RT".into()));
+        d.delete(machine::T, id).unwrap();
+        assert!(d.table(machine::T).select(&Pred::True).is_empty());
     }
 
     #[test]
     fn modtime_tracks_clock() {
         let mut d = db();
         d.clock().set(777);
-        d.append("machine", vec!["A".into(), "VAX".into()]).unwrap();
-        assert_eq!(d.table("machine").stats().modtime, 777);
+        d.append(machine::T, vec!["A".into(), "VAX".into()])
+            .unwrap();
+        assert_eq!(d.table(machine::T).stats().modtime, 777);
     }
 
     #[test]
     fn exactly_one_semantics() {
         let mut d = db();
         assert_eq!(
-            d.select_exactly_one("machine", &Pred::True, MrError::Machine),
+            d.select_exactly_one(&Pred::<machine::R>::True, MrError::Machine),
             Err(MrError::Machine)
         );
-        let id = d.append("machine", vec!["A".into(), "VAX".into()]).unwrap();
+        let id = d
+            .append(machine::T, vec!["A".into(), "VAX".into()])
+            .unwrap();
         assert_eq!(
-            d.select_exactly_one("machine", &Pred::True, MrError::Machine),
+            d.select_exactly_one(&Pred::<machine::R>::True, MrError::Machine),
             Ok(id)
         );
-        d.append("machine", vec!["B".into(), "VAX".into()]).unwrap();
+        d.append(machine::T, vec!["B".into(), "VAX".into()])
+            .unwrap();
         assert_eq!(
-            d.select_exactly_one("machine", &Pred::True, MrError::Machine),
+            d.select_exactly_one(&Pred::<machine::R>::True, MrError::Machine),
             Err(MrError::NotUnique)
         );
     }
 
     #[test]
-    fn table_names_sorted() {
+    fn table_ids_sort_by_name_and_lookup_is_total() {
         let mut d = db();
-        d.create_table(TableSchema::new("alias", vec![ColumnDef::str("name")]));
-        assert_eq!(d.table_names(), vec!["alias", "machine"]);
-        assert!(d.has_table("alias"));
-        assert!(!d.has_table("bogus"));
-    }
-
-    #[test]
-    #[should_panic(expected = "no table")]
-    fn unknown_table_panics() {
-        db().table("users");
+        assert_eq!(d.create_table(alias::R::schema()), alias::R::ID);
+        assert_eq!(d.table_ids(), vec![alias::R::ID, machine::R::ID]);
+        assert_eq!(d.lookup("alias"), Some(alias::R::ID));
+        assert_eq!(d.lookup("bogus"), None);
     }
 
     #[test]
@@ -365,23 +376,24 @@ mod tests {
     #[test]
     fn cursor_survives_recovered_database_with_same_epoch() {
         let mut d = db();
-        d.append("machine", vec!["A".into(), "VAX".into()]).unwrap();
-        let cur = d.cursor(&["machine"]);
+        d.append(machine::T, vec!["A".into(), "VAX".into()])
+            .unwrap();
+        let cur = d.cursor(&[machine::R::ID]);
 
         // Recovery path: same epoch, table state imported, then one more
         // mutation replayed on top.
         let mut back = Database::recovered(VClock::new(), d.epoch());
-        back.create_table(d.table("machine").schema().clone());
-        back.table_mut("machine")
-            .import_image(&d.table("machine").export_image())
+        back.create_table(machine::R::schema());
+        back.at_mut(machine::R::ID)
+            .import_image(&d.table(machine::T).export_image())
             .unwrap();
         assert!(cur.valid_for(&back));
         assert!(cur.unchanged_in(&back));
 
-        back.append("machine", vec!["B".into(), "VAX".into()])
+        back.append(machine::T, vec!["B".into(), "VAX".into()])
             .unwrap();
         assert!(cur.valid_for(&back));
-        assert_eq!(cur.advanced_tables(&back), vec!["machine"]);
+        assert_eq!(cur.advanced_tables(&back), vec![machine::R::ID]);
 
         // Contrast: a restore into a *fresh* database invalidates it.
         assert!(!cur.valid_for(&db()));
@@ -390,25 +402,27 @@ mod tests {
     #[test]
     fn cursor_tracks_advancement_and_epoch() {
         let mut d = db();
-        d.append("machine", vec!["A".into(), "VAX".into()]).unwrap();
-        let cur = d.cursor(&["machine"]);
+        d.append(machine::T, vec!["A".into(), "VAX".into()])
+            .unwrap();
+        let cur = d.cursor(&[machine::R::ID]);
         assert!(cur.valid_for(&d));
         assert!(cur.unchanged_in(&d));
         assert!(cur.advanced_tables(&d).is_empty());
 
-        d.append("machine", vec!["B".into(), "VAX".into()]).unwrap();
+        d.append(machine::T, vec!["B".into(), "VAX".into()])
+            .unwrap();
         assert!(cur.valid_for(&d));
         assert!(!cur.unchanged_in(&d));
-        assert_eq!(cur.advanced_tables(&d), vec!["machine"]);
+        assert_eq!(cur.advanced_tables(&d), vec![machine::R::ID]);
 
         // A freshly built database (restore/replay) has a new epoch: the
         // cursor is invalid even if the generation counters line up.
         let mut fresh = db();
         fresh
-            .append("machine", vec!["A".into(), "VAX".into()])
+            .append(machine::T, vec!["A".into(), "VAX".into()])
             .unwrap();
         fresh
-            .append("machine", vec!["B".into(), "VAX".into()])
+            .append(machine::T, vec!["B".into(), "VAX".into()])
             .unwrap();
         assert!(!cur.valid_for(&fresh));
         assert!(!cur.unchanged_in(&fresh));

@@ -8,7 +8,9 @@
 //! retrieve/append/update/delete operations. This crate supplies exactly that
 //! operation set:
 //!
-//! - [`value`] / [`schema`] — typed columns and table schemas.
+//! - [`value`] / [`schema`] — typed columns, table schemas, and the
+//!   [`relations!`] declaration that yields a relation's schema and its typed
+//!   table and column handles from one entry per column.
 //! - [`table`] — slab-stored rows, secondary indexes, predicate selection,
 //!   and per-table statistics (the TBLSTATS relation's raw material).
 //! - [`query`] — the predicate language (equality, wildcard `Like`,
@@ -16,7 +18,8 @@
 //! - [`plan`] — the predicate planner: point/intersect/range index access
 //!   chosen by a cost model over live bucket cardinalities, with the scan
 //!   fallback and EXPLAIN descriptions.
-//! - [`database`] — the named-table container with a shared virtual clock.
+//! - [`database`] — the tables of one schema set, reached by handle, with a
+//!   shared virtual clock.
 //! - [`lock`] — the shared/exclusive named lock manager with deadlock
 //!   detection (`MR_DEADLOCK`), used by the DCM's service/host locking.
 //! - [`backup`] — `mrbackup`/`mrrestore`: the colon-separated ASCII dump
@@ -45,10 +48,10 @@ pub mod wal;
 pub use database::{Database, GenCursor};
 pub use plan::Plan;
 pub use query::Pred;
-pub use schema::{ColumnDef, TableSchema};
+pub use schema::{Col, ColId, ColumnDef, Relation, TableId, TableSchema};
 pub use storage::{
     DiskMedia, DurableEngine, GroupCommitConfig, Media, NullStorage, OpKind, RecoveredImage,
     SimMedia, Storage,
 };
-pub use table::{RowChange, RowId, Table};
+pub use table::{RowChange, RowId, Table, TableRef};
 pub use value::{ColType, Symbols, Value};

@@ -1,8 +1,10 @@
 //! The predicate planner.
 //!
-//! Given a [`Pred`] and the index statistics of one table, the planner picks
-//! an access path: a single index bucket, a linear merge of two buckets, a
-//! prefix walk over the ordered index, or the full-scan fallback. The chosen
+//! Given a [`Pred`](crate::Pred) and the index statistics of one table, the
+//! planner picks an access path: a single index bucket, a linear merge of two
+//! buckets, a prefix walk over the ordered index, or the full-scan fallback.
+//! Columns arrive as positions ([`ColId`]) — the relation tag of the typed
+//! predicate is already erased, so one planner serves every relation. The chosen
 //! [`Plan`] only narrows the *candidate* set — execution re-evaluates the
 //! whole predicate against every candidate row, so a plan can never change
 //! results, only cost (the property the proptest oracle pins down).
@@ -16,7 +18,10 @@
 //! scan cost: pathological prefixes ("a*" over a million logins) price
 //! themselves out without the planner itself going linear.
 
-use crate::query::Pred;
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+use crate::query::RawPred;
+use crate::schema::ColId;
 use crate::value::Value;
 
 /// Work units to fetch a candidate row and evaluate the predicate on it,
@@ -33,7 +38,7 @@ pub enum Plan {
     /// case-folded index; the value then holds the folded key.
     IndexPoint {
         /// Indexed column.
-        col: &'static str,
+        col: ColId,
         /// Bucket key (folded lowercase when `ci`).
         value: Value,
         /// Use the case-folded index.
@@ -43,14 +48,14 @@ pub enum Plan {
     /// ids present in both.
     IndexIntersect {
         /// The two `(column, key)` buckets, smallest first.
-        terms: Vec<(&'static str, Value)>,
+        terms: Vec<(ColId, Value)>,
     },
     /// All buckets whose string key starts with a literal prefix — the
     /// `name_match("ab*")` shape — walked in key order over the `BTreeMap`
     /// index. `ci` walks the case-folded index with a folded prefix.
     IndexRange {
         /// Indexed string column.
-        col: &'static str,
+        col: ColId,
         /// Literal prefix (folded lowercase when `ci`).
         prefix: String,
         /// Use the case-folded index.
@@ -78,38 +83,40 @@ impl Plan {
         match self {
             Plan::IndexPoint { col, value, ci } => {
                 let fold = if *ci { " ci" } else { "" };
-                format!("IndexPoint({col}{fold}={value})")
+                format!("IndexPoint({}{fold}={value})", col.name)
             }
             Plan::IndexIntersect { terms } => {
-                let parts: Vec<String> = terms.iter().map(|(c, v)| format!("{c}={v}")).collect();
+                let parts: Vec<String> = terms
+                    .iter()
+                    .map(|(c, v)| format!("{}={v}", c.name))
+                    .collect();
                 format!("IndexIntersect({})", parts.join(" & "))
             }
             Plan::IndexRange { col, prefix, ci } => {
                 let fold = if *ci { " ci" } else { "" };
-                format!("IndexRange({col}{fold} \"{prefix}*\")")
+                format!("IndexRange({}{fold} \"{prefix}*\")", col.name)
             }
             Plan::Scan => "Scan".to_owned(),
         }
     }
 }
 
-/// Live index statistics the cost model reads. Implemented by `Table`; the
-/// planner itself stays free of storage details so the proptest oracle can
-/// drive it through the public API.
-pub trait PlanStats {
+/// Live index statistics the cost model reads. Implemented by `Table`, so
+/// the planner itself stays free of storage details.
+pub(crate) trait PlanStats {
     /// True when `col` carries a secondary index.
-    fn is_indexed(&self, col: &str) -> bool;
+    fn is_indexed(&self, col: ColId) -> bool;
     /// True when `col` carries the case-folded companion index (indexed
     /// string columns only).
-    fn has_folded_index(&self, col: &str) -> bool;
+    fn has_folded_index(&self, col: ColId) -> bool;
     /// Exact bucket length for `col = value` (0 when the key is absent).
-    fn bucket_len(&self, col: &str, value: &Value) -> usize;
+    fn bucket_len(&self, col: ColId, value: &Value) -> usize;
     /// Exact bucket length in the folded index for a folded key.
-    fn folded_bucket_len(&self, col: &str, folded: &str) -> usize;
+    fn folded_bucket_len(&self, col: ColId, folded: &str) -> usize;
     /// Total ids under the keys starting with `prefix`, walking the index in
     /// order and giving up once the running total reaches `budget`
     /// (returns at least `budget` in that case).
-    fn range_len(&self, col: &str, prefix: &str, ci: bool, budget: usize) -> usize;
+    fn range_len(&self, col: ColId, prefix: &str, ci: bool, budget: usize) -> usize;
     /// Slab length — live rows plus free slots, the cost of a full scan.
     fn slab_len(&self) -> usize;
     /// Live row count, for intersection selectivity.
@@ -119,11 +126,11 @@ pub trait PlanStats {
 /// One indexable conjunct found in the predicate.
 enum Cand {
     /// `Eq` on an indexed column: bucket key, candidate count.
-    Point(&'static str, Value, usize),
+    Point(ColId, Value, usize),
     /// `EqCi` on a folded-indexed column: folded key, candidate count.
-    PointCi(&'static str, String, usize),
+    PointCi(ColId, String, usize),
     /// `Like`/`LikeCi` with a literal prefix: folded flag, candidate count.
-    Range(&'static str, String, bool, usize),
+    Range(ColId, String, bool, usize),
 }
 
 impl Cand {
@@ -146,9 +153,9 @@ pub(crate) fn literal_prefix(pat: &str) -> Option<&str> {
 }
 
 /// Appends the top-level conjuncts of `pred` (flattening nested `And`s).
-fn conjuncts<'p>(pred: &'p Pred, out: &mut Vec<&'p Pred>) {
+fn conjuncts<'p>(pred: &'p RawPred, out: &mut Vec<&'p RawPred>) {
     match pred {
-        Pred::And(ps) => {
+        RawPred::And(ps) => {
             for p in ps {
                 conjuncts(p, out);
             }
@@ -158,7 +165,7 @@ fn conjuncts<'p>(pred: &'p Pred, out: &mut Vec<&'p Pred>) {
 }
 
 /// Chooses an access path for `pred` over the table described by `stats`.
-pub fn choose(pred: &Pred, stats: &dyn PlanStats) -> Plan {
+pub(crate) fn choose(pred: &RawPred, stats: &dyn PlanStats) -> Plan {
     let scan_cost = stats.slab_len().saturating_mul(EVAL_COST);
     let mut flat = Vec::new();
     conjuncts(pred, &mut flat);
@@ -166,25 +173,25 @@ pub fn choose(pred: &Pred, stats: &dyn PlanStats) -> Plan {
     let mut cands: Vec<Cand> = Vec::new();
     for p in &flat {
         match p {
-            Pred::Eq(col, v) if stats.is_indexed(col) => {
-                cands.push(Cand::Point(col, v.clone(), stats.bucket_len(col, v)));
+            RawPred::Eq(col, v) if stats.is_indexed(*col) => {
+                cands.push(Cand::Point(*col, v.clone(), stats.bucket_len(*col, v)));
             }
-            Pred::EqCi(col, s) if stats.has_folded_index(col) => {
+            RawPred::EqCi(col, s) if stats.has_folded_index(*col) => {
                 let folded = s.to_ascii_lowercase();
-                let n = stats.folded_bucket_len(col, &folded);
-                cands.push(Cand::PointCi(col, folded, n));
+                let n = stats.folded_bucket_len(*col, &folded);
+                cands.push(Cand::PointCi(*col, folded, n));
             }
-            Pred::Like(col, pat) if stats.is_indexed(col) => {
+            RawPred::Like(col, pat) if stats.is_indexed(*col) => {
                 if let Some(prefix) = literal_prefix(pat) {
-                    let n = stats.range_len(col, prefix, false, stats.slab_len());
-                    cands.push(Cand::Range(col, prefix.to_owned(), false, n));
+                    let n = stats.range_len(*col, prefix, false, stats.slab_len());
+                    cands.push(Cand::Range(*col, prefix.to_owned(), false, n));
                 }
             }
-            Pred::LikeCi(col, pat) if stats.has_folded_index(col) => {
+            RawPred::LikeCi(col, pat) if stats.has_folded_index(*col) => {
                 if let Some(prefix) = literal_prefix(pat) {
                     let folded = prefix.to_ascii_lowercase();
-                    let n = stats.range_len(col, &folded, true, stats.slab_len());
-                    cands.push(Cand::Range(col, folded, true, n));
+                    let n = stats.range_len(*col, &folded, true, stats.slab_len());
+                    cands.push(Cand::Range(*col, folded, true, n));
                 }
             }
             _ => {}
@@ -200,7 +207,7 @@ pub fn choose(pred: &Pred, stats: &dyn PlanStats) -> Plan {
     // A merge of the two smallest exact buckets beats filtering the single
     // best bucket when both buckets are substantial and the expected
     // intersection is tiny (independent-selectivity estimate).
-    let mut points: Vec<(&'static str, &Value, usize)> = cands
+    let mut points: Vec<(ColId, &Value, usize)> = cands
         .iter()
         .filter_map(|c| match c {
             Cand::Point(col, v, n) => Some((*col, v, *n)),
@@ -231,17 +238,17 @@ pub fn choose(pred: &Pred, stats: &dyn PlanStats) -> Plan {
     }
     match &cands[0] {
         Cand::Point(col, v, _) => Plan::IndexPoint {
-            col,
+            col: *col,
             value: v.clone(),
             ci: false,
         },
         Cand::PointCi(col, folded, _) => Plan::IndexPoint {
-            col,
+            col: *col,
             value: Value::Str(folded.as_str().into()),
             ci: true,
         },
         Cand::Range(col, prefix, ci, _) => Plan::IndexRange {
-            col,
+            col: *col,
             prefix: prefix.clone(),
             ci: *ci,
         },
@@ -254,12 +261,11 @@ pub fn choose(pred: &Pred, stats: &dyn PlanStats) -> Plan {
 /// char bounds every continuation of the prefix.
 pub(crate) fn prefix_upper_bound(prefix: &str) -> Option<String> {
     let mut chars: Vec<char> = prefix.chars().collect();
-    while let Some(&last) = chars.last() {
+    while let Some(last) = chars.pop() {
         if let Some(next) = next_char(last) {
-            *chars.last_mut().expect("nonempty") = next;
+            chars.push(next);
             return Some(chars.into_iter().collect());
         }
-        chars.pop();
     }
     None
 }
@@ -300,15 +306,16 @@ mod tests {
 
     #[test]
     fn describe_shapes() {
+        let col = |idx, name| ColId { idx, name };
         let p = Plan::IndexPoint {
-            col: "login",
+            col: col(0, "login"),
             value: "kit".into(),
             ci: false,
         };
         assert_eq!(p.describe(), "IndexPoint(login=kit)");
         assert_eq!(p.kind(), "point");
         let r = Plan::IndexRange {
-            col: "name",
+            col: col(3, "name"),
             prefix: "w".into(),
             ci: true,
         };

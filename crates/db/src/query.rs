@@ -7,30 +7,52 @@
 //! to "maximize local processing in applications": the server never
 //! evaluates complex requests.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+use std::fmt;
+use std::marker::PhantomData;
+
+use crate::schema::{Col, ColId};
 use crate::value::Value;
 use moira_common::wildcard;
 
-/// A row predicate over named columns.
+/// A row predicate over column positions, relation erased: the one form the
+/// planner and the executor work on. Built only through [`Pred`].
 #[derive(Debug, Clone)]
-pub enum Pred {
-    /// Matches every row.
+pub(crate) enum RawPred {
     True,
-    /// Column equals value exactly.
-    Eq(&'static str, Value),
-    /// String column equals, ASCII case-insensitively.
-    EqCi(&'static str, String),
-    /// String column matches a `*`/`?` wildcard pattern.
-    Like(&'static str, String),
-    /// String column matches a wildcard pattern case-insensitively.
-    LikeCi(&'static str, String),
-    /// Integer column compares `< / <= / > / >=` against a bound.
-    Cmp(&'static str, CmpOp, i64),
-    /// All sub-predicates hold.
-    And(Vec<Pred>),
-    /// Any sub-predicate holds.
-    Or(Vec<Pred>),
-    /// Sub-predicate does not hold.
-    Not(Box<Pred>),
+    Eq(ColId, Value),
+    EqCi(ColId, String),
+    Like(ColId, String),
+    LikeCi(ColId, String),
+    Cmp(ColId, CmpOp, i64),
+    And(Vec<RawPred>),
+    Or(Vec<RawPred>),
+    Not(Box<RawPred>),
+}
+
+/// A row predicate over the columns of relation `R`.
+///
+/// A thin tag over the engine's index-based predicate: the constructors are
+/// spelled like the enum variants they stand for (`Pred::Eq(users::LOGIN,
+/// v)`, `Pred::True`) and take [`Col<R>`], so a predicate can only combine
+/// columns of one relation and selects only from that relation's table,
+/// while one untagged copy of the planner serves every relation.
+pub struct Pred<R> {
+    raw: RawPred,
+    _rel: PhantomData<fn() -> R>,
+}
+
+impl<R> Clone for Pred<R> {
+    fn clone(&self) -> Self {
+        Pred::tag(self.raw.clone())
+    }
+}
+
+impl<R> fmt::Debug for Pred<R> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.raw.fmt(f)
+    }
 }
 
 /// Comparison operators for [`Pred::Cmp`].
@@ -43,22 +65,77 @@ pub enum CmpOp {
     Ge,
 }
 
-impl Pred {
-    /// Convenience: conjunction of two predicates.
-    pub fn and(self, other: Pred) -> Pred {
-        match self {
-            Pred::And(mut v) => {
-                v.push(other);
-                Pred::And(v)
-            }
-            p => Pred::And(vec![p, other]),
+#[allow(non_snake_case, non_upper_case_globals)]
+impl<R> Pred<R> {
+    const fn tag(raw: RawPred) -> Self {
+        Pred {
+            raw,
+            _rel: PhantomData,
         }
+    }
+
+    pub(crate) fn raw(&self) -> &RawPred {
+        &self.raw
+    }
+
+    /// Matches every row.
+    pub const True: Self = Pred::tag(RawPred::True);
+
+    /// Column equals value exactly.
+    pub fn Eq(col: Col<R>, value: Value) -> Self {
+        Pred::tag(RawPred::Eq(col.id(), value))
+    }
+
+    /// String column equals, ASCII case-insensitively.
+    pub fn EqCi(col: Col<R>, value: String) -> Self {
+        Pred::tag(RawPred::EqCi(col.id(), value))
+    }
+
+    /// String column matches a `*`/`?` wildcard pattern.
+    pub fn Like(col: Col<R>, pattern: String) -> Self {
+        Pred::tag(RawPred::Like(col.id(), pattern))
+    }
+
+    /// String column matches a wildcard pattern case-insensitively.
+    pub fn LikeCi(col: Col<R>, pattern: String) -> Self {
+        Pred::tag(RawPred::LikeCi(col.id(), pattern))
+    }
+
+    /// Integer column compares `< / <= / > / >=` against a bound.
+    pub fn Cmp(col: Col<R>, op: CmpOp, bound: i64) -> Self {
+        Pred::tag(RawPred::Cmp(col.id(), op, bound))
+    }
+
+    /// All sub-predicates hold.
+    pub fn And(preds: Vec<Pred<R>>) -> Self {
+        Pred::tag(RawPred::And(preds.into_iter().map(|p| p.raw).collect()))
+    }
+
+    /// Any sub-predicate holds.
+    pub fn Or(preds: Vec<Pred<R>>) -> Self {
+        Pred::tag(RawPred::Or(preds.into_iter().map(|p| p.raw).collect()))
+    }
+
+    /// Sub-predicate does not hold.
+    pub fn Not(pred: Pred<R>) -> Self {
+        Pred::tag(RawPred::Not(Box::new(pred.raw)))
+    }
+
+    /// Convenience: conjunction of two predicates.
+    pub fn and(self, other: Pred<R>) -> Pred<R> {
+        Pred::tag(match self.raw {
+            RawPred::And(mut v) => {
+                v.push(other.raw);
+                RawPred::And(v)
+            }
+            p => RawPred::And(vec![p, other.raw]),
+        })
     }
 
     /// Builds an `Eq` or `Like` predicate depending on whether the argument
     /// contains wildcards — the standard treatment of "may contain
     /// wildcards" query arguments.
-    pub fn name_match(col: &'static str, arg: &str) -> Pred {
+    pub fn name_match(col: Col<R>, arg: &str) -> Pred<R> {
         if wildcard::has_wildcards(arg) {
             Pred::Like(col, arg.to_owned())
         } else {
@@ -68,33 +145,35 @@ impl Pred {
 
     /// Case-insensitive variant of [`Pred::name_match`] (machines,
     /// services).
-    pub fn name_match_ci(col: &'static str, arg: &str) -> Pred {
+    pub fn name_match_ci(col: Col<R>, arg: &str) -> Pred<R> {
         if wildcard::has_wildcards(arg) {
             Pred::LikeCi(col, arg.to_owned())
         } else {
             Pred::EqCi(col, arg.to_owned())
         }
     }
+}
 
-    /// Evaluates the predicate against a row, resolving column names through
-    /// `col_of`.
-    pub fn eval(&self, row: &[Value], col_of: &dyn Fn(&str) -> usize) -> bool {
+impl RawPred {
+    /// Evaluates the predicate against a row of the relation it was built
+    /// for.
+    pub(crate) fn eval(&self, row: &[Value]) -> bool {
         match self {
-            Pred::True => true,
-            Pred::Eq(col, v) => &row[col_of(col)] == v,
-            Pred::EqCi(col, s) => match &row[col_of(col)] {
+            RawPred::True => true,
+            RawPred::Eq(col, v) => &row[col.idx] == v,
+            RawPred::EqCi(col, s) => match &row[col.idx] {
                 Value::Str(t) => t.eq_ignore_ascii_case(s),
                 _ => false,
             },
-            Pred::Like(col, pat) => match &row[col_of(col)] {
+            RawPred::Like(col, pat) => match &row[col.idx] {
                 Value::Str(t) => wildcard::matches(pat, t),
                 _ => false,
             },
-            Pred::LikeCi(col, pat) => match &row[col_of(col)] {
+            RawPred::LikeCi(col, pat) => match &row[col.idx] {
                 Value::Str(t) => wildcard::matches_ci(pat, t),
                 _ => false,
             },
-            Pred::Cmp(col, op, bound) => match &row[col_of(col)] {
+            RawPred::Cmp(col, op, bound) => match &row[col.idx] {
                 Value::Int(i) => match op {
                     CmpOp::Lt => i < bound,
                     CmpOp::Le => i <= bound,
@@ -103,9 +182,9 @@ impl Pred {
                 },
                 _ => false,
             },
-            Pred::And(ps) => ps.iter().all(|p| p.eval(row, col_of)),
-            Pred::Or(ps) => ps.iter().any(|p| p.eval(row, col_of)),
-            Pred::Not(p) => !p.eval(row, col_of),
+            RawPred::And(ps) => ps.iter().all(|p| p.eval(row)),
+            RawPred::Or(ps) => ps.iter().any(|p| p.eval(row)),
+            RawPred::Not(p) => !p.eval(row),
         }
     }
 }
@@ -113,6 +192,11 @@ impl Pred {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    crate::relations! {
+        t { LOGIN: str "login", UID: int "uid", ACTIVE: boolean "active" }
+    }
+    use t::{ACTIVE, LOGIN, UID};
 
     fn row() -> Vec<Value> {
         vec![
@@ -122,51 +206,52 @@ mod tests {
         ]
     }
 
-    fn cols(name: &str) -> usize {
-        match name {
-            "login" => 0,
-            "uid" => 1,
-            "active" => 2,
-            _ => panic!("bad col {name}"),
-        }
+    fn holds(pred: Pred<t::R>) -> bool {
+        pred.raw().eval(&row())
     }
 
     #[test]
     fn eq_and_like() {
-        assert!(Pred::Eq("login", "babette".into()).eval(&row(), &cols));
-        assert!(Pred::Like("login", "bab*".into()).eval(&row(), &cols));
-        assert!(!Pred::Like("login", "z*".into()).eval(&row(), &cols));
+        assert!(holds(Pred::Eq(LOGIN, "babette".into())));
+        assert!(holds(Pred::Like(LOGIN, "bab*".into())));
+        assert!(!holds(Pred::Like(LOGIN, "z*".into())));
     }
 
     #[test]
     fn case_insensitive() {
-        assert!(Pred::EqCi("login", "BABETTE".into()).eval(&row(), &cols));
-        assert!(Pred::LikeCi("login", "BAB*".into()).eval(&row(), &cols));
+        assert!(holds(Pred::EqCi(LOGIN, "BABETTE".into())));
+        assert!(holds(Pred::LikeCi(LOGIN, "BAB*".into())));
     }
 
     #[test]
     fn comparisons() {
-        assert!(Pred::Cmp("uid", CmpOp::Gt, 6000).eval(&row(), &cols));
-        assert!(!Pred::Cmp("uid", CmpOp::Lt, 6000).eval(&row(), &cols));
-        assert!(Pred::Cmp("uid", CmpOp::Ge, 6530).eval(&row(), &cols));
-        assert!(Pred::Cmp("uid", CmpOp::Le, 6530).eval(&row(), &cols));
+        assert!(holds(Pred::Cmp(UID, CmpOp::Gt, 6000)));
+        assert!(!holds(Pred::Cmp(UID, CmpOp::Lt, 6000)));
+        assert!(holds(Pred::Cmp(UID, CmpOp::Ge, 6530)));
+        assert!(holds(Pred::Cmp(UID, CmpOp::Le, 6530)));
     }
 
     #[test]
     fn boolean_combinators() {
-        let p = Pred::Eq("active", true.into()).and(Pred::Like("login", "b*".into()));
-        assert!(p.eval(&row(), &cols));
-        let q = Pred::Or(vec![
-            Pred::Eq("uid", 1.into()),
-            Pred::Eq("uid", 6530.into()),
-        ]);
-        assert!(q.eval(&row(), &cols));
-        assert!(!Pred::Not(Box::new(Pred::True)).eval(&row(), &cols));
+        assert!(holds(
+            Pred::Eq(ACTIVE, true.into()).and(Pred::Like(LOGIN, "b*".into()))
+        ));
+        assert!(holds(Pred::Or(vec![
+            Pred::Eq(UID, 1.into()),
+            Pred::Eq(UID, 6530.into()),
+        ])));
+        assert!(!holds(Pred::Not(Pred::True)));
     }
 
     #[test]
     fn name_match_chooses_representation() {
-        assert!(matches!(Pred::name_match("login", "bab*"), Pred::Like(..)));
-        assert!(matches!(Pred::name_match("login", "babette"), Pred::Eq(..)));
+        assert!(matches!(
+            Pred::name_match(LOGIN, "bab*").raw(),
+            RawPred::Like(..)
+        ));
+        assert!(matches!(
+            Pred::name_match(LOGIN, "babette").raw(),
+            RawPred::Eq(..)
+        ));
     }
 }

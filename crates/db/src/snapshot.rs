@@ -116,11 +116,11 @@ fn encode_journal(out: &mut String, entries: &[JournalEntry]) {
 /// Serializes the database (plus journal) into a base document sealing
 /// every WAL frame up to and including `seq`.
 pub fn encode_snapshot(db: &Database, journal: &Journal, seq: u64) -> String {
-    let names = db.table_names();
+    let ids = db.table_ids();
     // About 96 bytes to a row and to a journal line on the paper's
     // population; close enough that the document is written into one
     // allocation instead of doubling its way up.
-    let lines = names.iter().map(|n| db.table(n).len()).sum::<usize>() + journal.len();
+    let lines = ids.iter().map(|&id| db.at(id).len()).sum::<usize>() + journal.len();
     let mut out = String::with_capacity(lines * 96 + 1024);
     let _ = write!(
         out,
@@ -128,8 +128,8 @@ pub fn encode_snapshot(db: &Database, journal: &Journal, seq: u64) -> String {
         db.epoch(),
         db.now()
     );
-    for name in names {
-        encode_table(&mut out, name, db.table(name), 0);
+    for id in ids {
+        encode_table(&mut out, id.name(), db.at(id), 0);
     }
     encode_journal(&mut out, journal.entries());
     out.push_str("end\n");
@@ -155,9 +155,9 @@ pub(crate) fn encode_delta(
         db.epoch(),
         db.now()
     );
-    for name in cursor.advanced_tables(db) {
-        let since = cursor.gens.get(name).copied().unwrap_or(0);
-        encode_table(&mut out, name, db.table(name), since);
+    for id in cursor.advanced_tables(db) {
+        let since = cursor.gens.get(&id).copied().unwrap_or(0);
+        encode_table(&mut out, id.name(), db.at(id), since);
     }
     encode_journal(&mut out, journal.entries().get(sealed_len..).unwrap_or(&[]));
     let crc = crc32(out.as_bytes());
@@ -347,10 +347,8 @@ impl SnapshotImage {
     /// stay escaped text until here, where the types are known.
     pub fn apply(&self, db: &mut Database) -> MrResult<()> {
         for (name, raw) in &self.tables {
-            if !db.has_table(name) {
-                return Err(MrError::Durability);
-            }
-            let types = column_types(db, name);
+            let table = db.lookup(name).ok_or(MrError::Durability)?;
+            let types = column_types(db.at(table));
             let mut rows = Vec::with_capacity(raw.rows.len());
             for (id, (gen, fields)) in &raw.rows {
                 let values = decode_row(fields, &types).map_err(|_| MrError::Durability)?;
@@ -362,7 +360,7 @@ impl SnapshotImage {
                 free: raw.free.clone(),
                 stats: raw.stats,
             };
-            db.table_mut(name)
+            db.at_mut(table)
                 .import_image(&image)
                 .map_err(|_| MrError::Durability)?;
         }
@@ -373,38 +371,27 @@ impl SnapshotImage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{ColumnDef, TableSchema};
+    use crate::schema::Relation;
     use moira_common::clock::VClock;
 
-    fn schema() -> Vec<TableSchema> {
-        vec![
-            TableSchema::new(
-                "users",
-                vec![
-                    ColumnDef::str("login").unique(),
-                    ColumnDef::int("uid").indexed(),
-                    ColumnDef::boolean("active"),
-                ],
-            ),
-            TableSchema::new("values", vec![ColumnDef::str("name"), ColumnDef::int("v")]),
-        ]
+    crate::relations! {
+        users { LOGIN: str "login" unique, UID: int "uid" indexed, ACTIVE: boolean "active" }
+        values { NAME: str "name", V: int "v" }
     }
 
     fn build_db() -> (Database, Journal) {
         let clock = VClock::new();
         let mut db = Database::new(clock.clone());
-        for s in schema() {
-            db.create_table(s);
-        }
+        create_all_tables(&mut db);
         let a = db
-            .append("users", vec!["co:lon".into(), 1.into(), true.into()])
+            .append(users::T, vec!["co:lon".into(), 1.into(), true.into()])
             .unwrap();
-        db.append("users", vec!["b\\ck".into(), 2.into(), false.into()])
+        db.append(users::T, vec!["b\\ck".into(), 2.into(), false.into()])
             .unwrap();
         clock.advance(60);
-        db.update("users", a, &[("uid", 9.into())]).unwrap();
-        db.delete("users", a).unwrap();
-        db.append("values", vec!["dcm\nenable".into(), 1.into()])
+        db.update(a, &[(users::UID, 9.into())]).unwrap();
+        db.delete(users::T, a).unwrap();
+        db.append(values::T, vec!["dcm\nenable".into(), 1.into()])
             .unwrap();
         let mut journal = Journal::new();
         journal.log(JournalEntry {
@@ -419,9 +406,7 @@ mod tests {
 
     fn rebuild(image: &SnapshotImage) -> Database {
         let mut back = Database::recovered(VClock::starting_at(image.now), image.epoch);
-        for s in schema() {
-            back.create_table(s);
-        }
+        create_all_tables(&mut back);
         image.apply(&mut back).unwrap();
         back
     }
@@ -438,11 +423,12 @@ mod tests {
 
         let back = rebuild(&image);
         assert_eq!(back.epoch(), db.epoch());
-        for name in db.table_names() {
+        for id in db.table_ids() {
             assert_eq!(
-                back.table(name).export_image(),
-                db.table(name).export_image(),
-                "table {name}"
+                back.at(id).export_image(),
+                db.at(id).export_image(),
+                "table {}",
+                id.name()
             );
         }
         // Re-encoding the rebuilt database is byte-identical.
@@ -475,9 +461,7 @@ mod tests {
             let bad = text.replace("\nrow:1:2:", &format!("\nrow:{hostile}:2:"));
             let image = decode_snapshot(&bad).unwrap();
             let mut back = Database::recovered(VClock::new(), image.epoch);
-            for s in schema() {
-                back.create_table(s);
-            }
+            create_all_tables(&mut back);
             assert_eq!(
                 image.apply(&mut back),
                 Err(MrError::Durability),
@@ -492,9 +476,7 @@ mod tests {
         // One free slot listed twice; one row id listed twice.
         let bad = text.replace("\nfree:0\n", "\nfree:0,0\n");
         let mut back = Database::recovered(VClock::new(), db.epoch());
-        for s in schema() {
-            back.create_table(s);
-        }
+        create_all_tables(&mut back);
         assert_eq!(
             decode_snapshot(&bad).unwrap().apply(&mut back),
             Err(MrError::Durability)
@@ -507,14 +489,14 @@ mod tests {
     fn delta_folds_onto_its_base_and_neither_decodes_as_the_other() {
         let (mut db, mut journal) = build_db();
         let base = encode_snapshot(&db, &journal, 3);
-        let cursor = db.cursor(&db.table_names());
+        let cursor = db.cursor(&db.table_ids());
         let sealed_len = journal.len();
         // Reuse the freed slot, touch a row, tombstone another; `values`
         // stays put and must not appear in the delta.
-        db.append("users", vec!["new".into(), 5.into(), true.into()])
+        db.append(users::T, vec!["new".into(), 5.into(), true.into()])
             .unwrap();
-        db.update("users", 1, &[("uid", 8.into())]).unwrap();
-        db.delete("users", 1).unwrap();
+        db.update(1, &[(users::UID, 8.into())]).unwrap();
+        db.delete(users::T, 1).unwrap();
         journal.log(JournalEntry {
             time: db.now(),
             who: "ops".into(),
@@ -548,15 +530,13 @@ mod tests {
         let image = decode_snapshot(&encode_snapshot(&db, &journal, 0)).unwrap();
         // Missing table.
         let mut missing = Database::recovered(VClock::new(), image.epoch);
-        missing.create_table(schema().remove(0));
+        missing.create_table(users::R::schema());
         assert_eq!(image.apply(&mut missing), Err(MrError::Durability));
         // Non-pristine table.
         let mut dirty = Database::recovered(VClock::new(), image.epoch);
-        for s in schema() {
-            dirty.create_table(s);
-        }
+        create_all_tables(&mut dirty);
         dirty
-            .append("users", vec!["z".into(), 99.into(), true.into()])
+            .append(users::T, vec!["z".into(), 99.into(), true.into()])
             .unwrap();
         assert_eq!(image.apply(&mut dirty), Err(MrError::Durability));
     }

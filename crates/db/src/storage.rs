@@ -549,9 +549,9 @@ impl Seal {
             epoch: db.epoch(),
             seq,
             gens: db
-                .table_names()
+                .table_ids()
                 .into_iter()
-                .map(|name| (name.to_owned(), db.table(name).generation()))
+                .map(|id| (id.name().to_owned(), db.at(id).generation()))
                 .collect(),
             journal_len: journal.len(),
             deltas: chain.map_or(0, |c| c.deltas + 1),
@@ -564,13 +564,13 @@ impl Seal {
     /// anything: the same tables, the same epoch, no generation moved
     /// backwards ([`GenCursor::valid_for`]) and a journal that only grew.
     fn cursor(&self, db: &Database, journal: &Journal) -> Option<GenCursor> {
-        let names = db.table_names();
-        if names.len() != self.gens.len() || journal.len() < self.journal_len {
+        let ids = db.table_ids();
+        if ids.len() != self.gens.len() || journal.len() < self.journal_len {
             return None;
         }
-        let gens = names
+        let gens = ids
             .into_iter()
-            .map(|name| self.gens.get(name).map(|&gen| (name, gen)))
+            .map(|id| self.gens.get(id.name()).map(|&gen| (id, gen)))
             .collect::<Option<BTreeMap<_, _>>>()?;
         let cursor = GenCursor {
             epoch: self.epoch,
@@ -867,8 +867,16 @@ impl Storage for DurableEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{ColumnDef, TableSchema};
+    use crate::schema::{Relation, TableSchema};
     use moira_common::clock::VClock;
+
+    crate::relations! {
+        t { NAME: str "name" unique, V: int "v" }
+    }
+
+    fn t_schema() -> TableSchema {
+        t::R::schema()
+    }
 
     fn entry(t: i64, q: &str, args: &[&str]) -> JournalEntry {
         JournalEntry {
@@ -957,14 +965,15 @@ mod tests {
     fn snapshot_seals_wal_and_recovery_filters_stale_frames() {
         let clock = VClock::new();
         let mut db = Database::new(clock.clone());
-        db.create_table(TableSchema::new("t", vec![ColumnDef::str("name")]));
+        db.create_table(t_schema());
         let mut journal = Journal::new();
 
         let media = SimMedia::new();
         let (mut engine, _) = open_sim(&media, config());
         for i in 0..3 {
             let e = entry(i, "add", &[&format!("n{i}")]);
-            db.append("t", vec![format!("n{i}").into()]).unwrap();
+            db.append(t::T, vec![format!("n{i}").into(), 0.into()])
+                .unwrap();
             journal.log(e.clone());
             engine.append(&e, i).unwrap();
         }
@@ -986,9 +995,9 @@ mod tests {
 
         // Rebuild and check the table contents arrived via the snapshot.
         let mut back = Database::recovered(VClock::starting_at(snap.now), snap.epoch);
-        back.create_table(TableSchema::new("t", vec![ColumnDef::str("name")]));
+        back.create_table(t_schema());
         snap.apply(&mut back).unwrap();
-        assert_eq!(back.table("t").len(), 3);
+        assert_eq!(back.table(t::T).len(), 3);
     }
 
     #[test]
@@ -1041,12 +1050,12 @@ mod tests {
     fn crash_between_rename_and_truncate_is_harmless() {
         let clock = VClock::new();
         let mut db = Database::new(clock.clone());
-        db.create_table(TableSchema::new("t", vec![ColumnDef::str("name")]));
+        db.create_table(t_schema());
         let mut journal = Journal::new();
         let media = SimMedia::new();
         let (mut engine, _) = open_sim(&media, config());
         let e = entry(1, "add", &["a"]);
-        db.append("t", vec!["a".into()]).unwrap();
+        db.append(t::T, vec!["a".into(), 0.into()]).unwrap();
         journal.log(e.clone());
         engine.append(&e, 1).unwrap();
 
@@ -1070,8 +1079,8 @@ mod tests {
         let e = entry(1, "add", &["a"]);
         let clock = VClock::new();
         let mut db = Database::new(clock);
-        db.create_table(TableSchema::new("t", vec![ColumnDef::str("name")]));
-        db.append("t", vec!["a".into()]).unwrap();
+        db.create_table(t_schema());
+        db.append(t::T, vec!["a".into(), 0.into()]).unwrap();
         let mut journal = Journal::new();
         journal.log(e.clone());
         engine.append(&e, 1).unwrap();
@@ -1128,13 +1137,6 @@ mod tests {
         commits: i64,
     }
 
-    fn t_schema() -> TableSchema {
-        TableSchema::new(
-            "t",
-            vec![ColumnDef::str("name").unique(), ColumnDef::int("v")],
-        )
-    }
-
     impl Live {
         fn on(db: Database, media: &SimMedia) -> Live {
             let (engine, _) = open_sim(media, config());
@@ -1163,7 +1165,7 @@ mod tests {
 
         fn add(&mut self, name: &str) {
             self.commit("add", |db| {
-                db.append("t", vec![name.into(), 0.into()]).unwrap();
+                db.append(t::T, vec![name.into(), 0.into()]).unwrap();
             });
         }
 
@@ -1231,10 +1233,10 @@ mod tests {
         live.seal();
         let base = durable_text(&live.media, SNAPSHOT_FILE).unwrap();
         // Slot reuse, an in-place update and a fresh tombstone.
-        live.commit("del", |db| db.delete("t", 0).unwrap());
+        live.commit("del", |db| db.delete(t::T, 0).unwrap());
         live.add("d");
-        live.commit("upd", |db| db.update("t", 1, &[("v", 7.into())]).unwrap());
-        live.commit("del", |db| db.delete("t", 2).unwrap());
+        live.commit("upd", |db| db.update(1, &[(t::V, 7.into())]).unwrap());
+        live.commit("del", |db| db.delete(t::T, 2).unwrap());
         live.seal();
         assert_eq!(
             durable_text(&live.media, SNAPSHOT_FILE).unwrap(),
@@ -1337,7 +1339,7 @@ mod tests {
         let mut other = Database::new(VClock::new());
         other.create_table(t_schema());
         for name in ["x", "y", "z"] {
-            other.append("t", vec![name.into(), 1.into()]).unwrap();
+            other.append(t::T, vec![name.into(), 1.into()]).unwrap();
         }
         let e = entry(9, "restore", &[]);
         live.journal.log(e.clone());
@@ -1356,7 +1358,7 @@ mod tests {
         assert_eq!(live.chain().deltas, 1);
         let mut behind = Database::recovered(VClock::new(), live.db.epoch());
         behind.create_table(t_schema());
-        behind.append("t", vec!["only".into(), 1.into()]).unwrap();
+        behind.append(t::T, vec!["only".into(), 1.into()]).unwrap();
         live.db = behind;
         live.commit("rebuilt", |_| {});
         live.seal();

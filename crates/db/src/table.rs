@@ -1,15 +1,18 @@
 //! Tables: slab-stored rows, secondary indexes, planner-driven predicate
 //! selection, and the per-table statistics behind the TBLSTATS relation (§6).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::Bound;
+use std::marker::PhantomData;
+use std::ops::{Bound, Deref};
 
 use moira_common::errors::{MrError, MrResult};
 
 use crate::plan::{self, Plan, PlanStats};
-use crate::query::Pred;
-use crate::schema::TableSchema;
+use crate::query::{Pred, RawPred};
+use crate::schema::{Col, ColId, Relation, TableSchema};
 use crate::value::{ColType, Symbols, Value};
 
 /// Identifier of a row within one table (stable across updates, reused only
@@ -249,18 +252,6 @@ impl Table {
         &self.free
     }
 
-    /// Index of a column; panics on unknown names (schema bugs, not runtime
-    /// conditions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column does not exist in this table.
-    pub fn col(&self, name: &str) -> usize {
-        self.schema
-            .col(name)
-            .unwrap_or_else(|| panic!("no column {name} in table {}", self.schema.name))
-    }
-
     fn check_row(&self, row: &[Value]) -> MrResult<()> {
         if row.len() != self.schema.arity() {
             return Err(MrError::Internal);
@@ -373,15 +364,20 @@ impl Table {
         self.rows.get(id).and_then(|r| r.as_deref())
     }
 
-    /// Chooses an access path for `pred` — see [`crate::plan`].
-    pub fn plan(&self, pred: &Pred) -> Plan {
-        plan::choose(pred, self)
+    /// This table seen as relation `R`: the typed handle selects, cells and
+    /// plans go through. `Database::table` is the usual way here; on a
+    /// table reached by [`TableId`](crate::TableId) the caller vouches for
+    /// the relation (checked in debug builds).
+    pub fn rel<R: Relation>(&self, _rel: R) -> TableRef<'_, R> {
+        self.check_rel::<R>();
+        TableRef {
+            table: self,
+            _rel: PhantomData,
+        }
     }
 
-    /// EXPLAIN: the one-line description of the plan `pred` would run
-    /// under, e.g. `IndexPoint(login=kit)` or `Scan`.
-    pub fn explain(&self, pred: &Pred) -> String {
-        self.plan(pred).describe()
+    fn check_rel<R: Relation>(&self) {
+        debug_assert_eq!(self.schema.name, R::ID.name(), "handle of another relation");
     }
 
     /// The candidate row ids a plan narrows to, sorted ascending, or `None`
@@ -390,7 +386,7 @@ impl Table {
     fn plan_candidates(&self, plan: &Plan) -> Option<Vec<RowId>> {
         match plan {
             Plan::IndexPoint { col, value, ci } => {
-                let c = self.col(col);
+                let c = col.idx;
                 let bucket = if *ci {
                     self.indexes_ci
                         .get(&c)
@@ -403,7 +399,7 @@ impl Table {
             Plan::IndexIntersect { terms } => {
                 let mut merged: Option<Vec<RowId>> = None;
                 for (col, value) in terms {
-                    let c = self.col(col);
+                    let c = col.idx;
                     let bucket = self
                         .indexes
                         .get(&c)
@@ -418,7 +414,7 @@ impl Table {
                 Some(merged.unwrap_or_default())
             }
             Plan::IndexRange { col, prefix, ci } => {
-                let c = self.col(col);
+                let c = col.idx;
                 let mut ids: Vec<RowId> = Vec::new();
                 if *ci {
                     if let Some(ix) = self.indexes_ci.get(&c) {
@@ -452,18 +448,15 @@ impl Table {
         }
     }
 
-    /// Returns the ids of rows matching a predicate, in id order, through
-    /// the planner: an index bucket, a bucket merge, a prefix walk, or the
-    /// scan fallback — whichever the cost model picks.
-    pub fn select(&self, pred: &Pred) -> Vec<RowId> {
-        let col_of = |name: &str| self.col(name);
-        let plan = self.plan(pred);
+    /// [`TableRef::select`] under the relation tag.
+    pub(crate) fn select(&self, pred: &RawPred) -> Vec<RowId> {
+        let plan = plan::choose(pred, self);
         match self.plan_candidates(&plan) {
             Some(cands) => {
                 self.note_plan(&plan, cands.len());
                 cands
                     .into_iter()
-                    .filter(|&id| self.get(id).is_some_and(|row| pred.eval(row, &col_of)))
+                    .filter(|&id| self.get(id).is_some_and(|row| pred.eval(row)))
                     .collect()
             }
             None => {
@@ -473,35 +466,31 @@ impl Table {
         }
     }
 
-    /// Forced full-scan evaluation, bypassing the planner — the oracle the
-    /// property tests and the bench baseline compare plans against.
-    pub fn select_scan(&self, pred: &Pred) -> Vec<RowId> {
-        let col_of = |name: &str| self.col(name);
+    /// [`TableRef::select_scan`] under the relation tag.
+    pub(crate) fn select_scan(&self, pred: &RawPred) -> Vec<RowId> {
         self.rows
             .iter()
             .enumerate()
-            .filter_map(|(id, row)| row.as_ref().filter(|r| pred.eval(r, &col_of)).map(|_| id))
+            .filter_map(|(id, row)| row.as_ref().filter(|r| pred.eval(r)).map(|_| id))
             .collect()
     }
 
-    /// Returns the lowest matching row id, if any, without materializing
-    /// the full match set: candidates come sorted from the plan (buckets
-    /// are kept sorted), so the first survivor is the minimum; the scan
-    /// path stops at the first hit.
-    pub fn select_one(&self, pred: &Pred) -> Option<RowId> {
-        let col_of = |name: &str| self.col(name);
-        let plan = self.plan(pred);
+    /// [`TableRef::select_one`] under the relation tag: candidates come
+    /// sorted from the plan (buckets are kept sorted), so the first survivor
+    /// is the minimum; the scan path stops at the first hit.
+    pub(crate) fn select_one(&self, pred: &RawPred) -> Option<RowId> {
+        let plan = plan::choose(pred, self);
         let mut examined = 0usize;
         let hit = match self.plan_candidates(&plan) {
             Some(cands) => cands.into_iter().find(|&id| {
                 examined += 1;
-                self.get(id).is_some_and(|row| pred.eval(row, &col_of))
+                self.get(id).is_some_and(|row| pred.eval(row))
             }),
             None => self.rows.iter().enumerate().find_map(|(id, row)| {
                 row.as_ref()
                     .filter(|r| {
                         examined += 1;
-                        pred.eval(r, &col_of)
+                        pred.eval(r)
                     })
                     .map(|_| id)
             }),
@@ -510,41 +499,55 @@ impl Table {
         hit
     }
 
-    /// Counts matching rows without materializing ids.
-    pub fn count(&self, pred: &Pred) -> usize {
-        let col_of = |name: &str| self.col(name);
-        let plan = self.plan(pred);
+    /// [`TableRef::count`] under the relation tag.
+    pub(crate) fn count(&self, pred: &RawPred) -> usize {
+        let plan = plan::choose(pred, self);
         match self.plan_candidates(&plan) {
             Some(cands) => {
                 self.note_plan(&plan, cands.len());
                 cands
                     .iter()
-                    .filter(|&&id| self.get(id).is_some_and(|row| pred.eval(row, &col_of)))
+                    .filter(|&&id| self.get(id).is_some_and(|row| pred.eval(row)))
                     .count()
             }
             None => {
                 self.note_plan(&plan, self.live);
                 self.rows
                     .iter()
-                    .filter(|row| row.as_ref().is_some_and(|r| pred.eval(r, &col_of)))
+                    .filter(|row| row.as_ref().is_some_and(|r| pred.eval(r)))
                     .count()
             }
         }
     }
 
-    /// Updates named columns of a row in place.
-    pub fn update(&mut self, id: RowId, changes: &[(&str, Value)], now: i64) -> MrResult<()> {
+    /// Updates columns of a row in place.
+    pub fn update<R: Relation>(
+        &mut self,
+        id: RowId,
+        changes: &[(Col<R>, Value)],
+        now: i64,
+    ) -> MrResult<()> {
+        self.check_rel::<R>();
+        self.update_at(id, &mut changes.iter().map(|(c, v)| (c.index(), v)), now)
+    }
+
+    /// [`Table::update`] under the relation tag: `(column index, value)`.
+    fn update_at(
+        &mut self,
+        id: RowId,
+        changes: &mut dyn Iterator<Item = (usize, &Value)>,
+        now: i64,
+    ) -> MrResult<()> {
         let old = self
             .rows
             .get(id)
             .and_then(|r| r.clone())
             .ok_or(MrError::NoMatch)?;
         let mut new = old.clone();
-        for (name, value) in changes {
-            let col = self.schema.col(name).ok_or(MrError::Internal)?;
+        for (col, value) in changes {
             let mut v = value.clone();
             self.symbols.intern_value(&mut v);
-            new[col] = v;
+            *new.get_mut(col).ok_or(MrError::Internal)? = v;
         }
         self.check_row(&new)?;
         self.check_unique(&new, Some(id))?;
@@ -578,8 +581,9 @@ impl Table {
     }
 
     /// Deletes every row matching the predicate, returning how many went.
-    pub fn delete_where(&mut self, pred: &Pred, now: i64) -> usize {
-        let ids = self.select(pred);
+    pub fn delete_where<R: Relation>(&mut self, pred: &Pred<R>, now: i64) -> usize {
+        self.check_rel::<R>();
+        let ids = self.select(pred.raw());
         let n = ids.len();
         for id in ids {
             let _ = self.delete(id, now);
@@ -678,50 +682,107 @@ impl Table {
         Ok(())
     }
 
-    /// Convenience: the value of `col` in row `id`.
+    /// The value at column index `col` of row `id`.
     ///
     /// # Panics
     ///
-    /// Panics if the row is dead or the column unknown.
-    pub fn cell(&self, id: RowId, col: &str) -> &Value {
-        let c = self.col(col);
-        &self.get(id).expect("live row")[c]
+    /// Panics if the row is dead — row liveness, not naming: every caller
+    /// holds an id a select just returned under the same guard. Making
+    /// this an `Option` is ROADMAP item 1's business (it changes what a
+    /// handler does with a row that vanished), not this file's.
+    #[allow(clippy::expect_used)]
+    pub(crate) fn cell_at(&self, id: RowId, col: usize) -> &Value {
+        &self.get(id).expect("live row")[col]
+    }
+}
+
+/// A table seen as relation `R`: selects, plans and cells take `R`'s
+/// predicates and columns only. Everything that involves no column (`len`,
+/// `iter`, `get`, `stats`, `changed_since`, …) is reached through `Deref`.
+pub struct TableRef<'a, R> {
+    table: &'a Table,
+    _rel: PhantomData<fn() -> R>,
+}
+
+impl<R> Deref for TableRef<'_, R> {
+    type Target = Table;
+
+    fn deref(&self) -> &Table {
+        self.table
+    }
+}
+
+impl<'a, R> TableRef<'a, R> {
+    /// Chooses an access path for `pred` — see [`crate::plan`].
+    pub fn plan(&self, pred: &Pred<R>) -> Plan {
+        plan::choose(pred.raw(), self.table)
+    }
+
+    /// EXPLAIN: the one-line description of the plan `pred` would run
+    /// under, e.g. `IndexPoint(login=kit)` or `Scan`.
+    pub fn explain(&self, pred: &Pred<R>) -> String {
+        self.plan(pred).describe()
+    }
+
+    /// Returns the ids of rows matching a predicate, in id order, through
+    /// the planner: an index bucket, a bucket merge, a prefix walk, or the
+    /// scan fallback — whichever the cost model picks.
+    pub fn select(&self, pred: &Pred<R>) -> Vec<RowId> {
+        self.table.select(pred.raw())
+    }
+
+    /// Forced full-scan evaluation, bypassing the planner — the oracle the
+    /// property tests and the bench baseline compare plans against.
+    pub fn select_scan(&self, pred: &Pred<R>) -> Vec<RowId> {
+        self.table.select_scan(pred.raw())
+    }
+
+    /// Returns the lowest matching row id, if any, without materializing
+    /// the full match set.
+    pub fn select_one(&self, pred: &Pred<R>) -> Option<RowId> {
+        self.table.select_one(pred.raw())
+    }
+
+    /// Counts matching rows without materializing ids.
+    pub fn count(&self, pred: &Pred<R>) -> usize {
+        self.table.count(pred.raw())
+    }
+
+    /// The value of `col` in row `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row is dead.
+    pub fn cell(&self, id: RowId, col: Col<R>) -> &'a Value {
+        self.table.cell_at(id, col.index())
     }
 }
 
 impl PlanStats for Table {
-    fn is_indexed(&self, col: &str) -> bool {
-        self.schema
-            .col(col)
-            .is_some_and(|c| self.indexes.contains_key(&c))
+    fn is_indexed(&self, col: ColId) -> bool {
+        self.indexes.contains_key(&col.idx)
     }
 
-    fn has_folded_index(&self, col: &str) -> bool {
-        self.schema
-            .col(col)
-            .is_some_and(|c| self.indexes_ci.contains_key(&c))
+    fn has_folded_index(&self, col: ColId) -> bool {
+        self.indexes_ci.contains_key(&col.idx)
     }
 
-    fn bucket_len(&self, col: &str, value: &Value) -> usize {
-        self.schema
-            .col(col)
-            .and_then(|c| self.indexes.get(&c))
+    fn bucket_len(&self, col: ColId, value: &Value) -> usize {
+        self.indexes
+            .get(&col.idx)
             .and_then(|ix| ix.get(value))
             .map_or(0, Vec::len)
     }
 
-    fn folded_bucket_len(&self, col: &str, folded: &str) -> usize {
-        self.schema
-            .col(col)
-            .and_then(|c| self.indexes_ci.get(&c))
+    fn folded_bucket_len(&self, col: ColId, folded: &str) -> usize {
+        self.indexes_ci
+            .get(&col.idx)
             .and_then(|ix| ix.get(folded))
             .map_or(0, Vec::len)
     }
 
-    fn range_len(&self, col: &str, prefix: &str, ci: bool, budget: usize) -> usize {
-        let Some(c) = self.schema.col(col) else {
-            return 0;
-        };
+    fn range_len(&self, col: ColId, prefix: &str, ci: bool, budget: usize) -> usize {
+        let c = col.idx;
         let mut total = 0usize;
         if ci {
             if let Some(ix) = self.indexes_ci.get(&c) {
@@ -802,17 +863,25 @@ fn range_ci<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::ColumnDef;
+
+    crate::relations! {
+        users {
+            LOGIN: str "login" unique max_len(8),
+            UID: int "uid" indexed,
+            ACTIVE: boolean "active",
+        }
+        members {
+            LIST_ID: int "list_id" indexed,
+            MEMBER_ID: int "member_id" indexed,
+            TAG: str "tag",
+        }
+        machine { NAME: str "name" unique, TYPE: str "type" }
+    }
+    use members::{LIST_ID, MEMBER_ID};
+    use users::{ACTIVE, LOGIN, UID};
 
     fn users_table() -> Table {
-        Table::new(TableSchema::new(
-            "users",
-            vec![
-                ColumnDef::str("login").unique().max_len(8),
-                ColumnDef::int("uid").indexed(),
-                ColumnDef::boolean("active"),
-            ],
-        ))
+        Table::new(users::R::schema())
     }
 
     fn row(login: &str, uid: i64, active: bool) -> Vec<Value> {
@@ -862,11 +931,14 @@ mod tests {
             t.append(row(&format!("u{i}"), 6000 + i, i % 2 == 0), 0)
                 .unwrap();
         }
-        let hits = t.select(&Pred::Eq("uid", 6042.into()));
+        let hits = t.rel(users::T).select(&Pred::Eq(UID, 6042.into()));
         assert_eq!(hits.len(), 1);
-        assert_eq!(t.cell(hits[0], "login"), &Value::Str("u42".into()));
+        assert_eq!(
+            t.rel(users::T).cell(hits[0], LOGIN),
+            &Value::Str("u42".into())
+        );
         // Wildcard forces a scan.
-        let scans = t.select(&Pred::Like("login", "u4?".into()));
+        let scans = t.rel(users::T).select(&Pred::Like(LOGIN, "u4?".into()));
         assert_eq!(scans.len(), 10);
     }
 
@@ -874,11 +946,17 @@ mod tests {
     fn update_moves_index_entries() {
         let mut t = users_table();
         let id = t.append(row("old", 1, true), 0).unwrap();
-        t.update(id, &[("login", "new".into()), ("uid", Value::Int(2))], 5)
+        t.update(id, &[(LOGIN, "new".into()), (UID, Value::Int(2))], 5)
             .unwrap();
-        assert!(t.select(&Pred::Eq("login", "old".into())).is_empty());
-        assert_eq!(t.select(&Pred::Eq("login", "new".into())), vec![id]);
-        assert_eq!(t.select(&Pred::Eq("uid", 2.into())), vec![id]);
+        assert!(t
+            .rel(users::T)
+            .select(&Pred::Eq(LOGIN, "old".into()))
+            .is_empty());
+        assert_eq!(
+            t.rel(users::T).select(&Pred::Eq(LOGIN, "new".into())),
+            vec![id]
+        );
+        assert_eq!(t.rel(users::T).select(&Pred::Eq(UID, 2.into())), vec![id]);
         assert_eq!(t.stats().updates, 1);
         assert_eq!(t.stats().modtime, 5);
     }
@@ -888,20 +966,17 @@ mod tests {
         let mut t = users_table();
         let a = t.append(row("a", 1, true), 0).unwrap();
         t.append(row("b", 2, true), 0).unwrap();
-        assert_eq!(
-            t.update(a, &[("login", "b".into())], 0),
-            Err(MrError::Exists)
-        );
-        assert_eq!(t.cell(a, "login"), &Value::Str("a".into()));
+        assert_eq!(t.update(a, &[(LOGIN, "b".into())], 0), Err(MrError::Exists));
+        assert_eq!(t.rel(users::T).cell(a, LOGIN), &Value::Str("a".into()));
     }
 
     #[test]
     fn update_to_same_unique_value_allowed() {
         let mut t = users_table();
         let a = t.append(row("a", 1, true), 0).unwrap();
-        t.update(a, &[("login", "a".into()), ("uid", Value::Int(9))], 0)
+        t.update(a, &[(LOGIN, "a".into()), (UID, Value::Int(9))], 0)
             .unwrap();
-        assert_eq!(t.cell(a, "uid"), &Value::Int(9));
+        assert_eq!(t.rel(users::T).cell(a, UID), &Value::Int(9));
     }
 
     #[test]
@@ -924,7 +999,7 @@ mod tests {
         for i in 0..10 {
             t.append(row(&format!("u{i}"), i, i % 2 == 0), 0).unwrap();
         }
-        let gone = t.delete_where(&Pred::Eq("active", false.into()), 9);
+        let gone = t.delete_where(&Pred::Eq(ACTIVE, false.into()), 9);
         assert_eq!(gone, 5);
         assert_eq!(t.len(), 5);
         assert_eq!(t.stats().deletes, 5);
@@ -938,21 +1013,25 @@ mod tests {
                 .unwrap();
         }
         // Delete a few so the slab has holes and the index buckets shrink.
-        for id in t.select(&Pred::Eq("uid", 6003.into())) {
+        for id in t.rel(users::T).select(&Pred::Eq(UID, 6003.into())) {
             t.delete(id, 1).unwrap();
         }
         let preds = [
             Pred::True,
-            Pred::Eq("uid", 6002.into()),      // indexed column
-            Pred::Eq("uid", 9999.into()),      // indexed, no matches
-            Pred::Eq("active", true.into()),   // unindexed scan
-            Pred::Like("login", "u1?".into()), // wildcard scan
-            Pred::Like("login", "zz*".into()), // scan, no matches
+            Pred::Eq(UID, 6002.into()),      // indexed column
+            Pred::Eq(UID, 9999.into()),      // indexed, no matches
+            Pred::Eq(ACTIVE, true.into()),   // unindexed scan
+            Pred::Like(LOGIN, "u1?".into()), // wildcard scan
+            Pred::Like(LOGIN, "zz*".into()), // scan, no matches
         ];
         for pred in &preds {
-            let full = t.select(pred);
-            assert_eq!(t.select_one(pred), full.first().copied(), "{pred:?}");
-            assert_eq!(t.count(pred), full.len(), "{pred:?}");
+            let full = t.rel(users::T).select(pred);
+            assert_eq!(
+                t.rel(users::T).select_one(pred),
+                full.first().copied(),
+                "{pred:?}"
+            );
+            assert_eq!(t.rel(users::T).count(pred), full.len(), "{pred:?}");
         }
     }
 
@@ -969,23 +1048,25 @@ mod tests {
         t.delete(a, 0).unwrap();
         let reused = t.append(row("d", 7000, true), 0).unwrap();
         assert_eq!(reused, a);
-        assert_eq!(t.select(&Pred::Eq("uid", 7000.into())), vec![0, 1, 2]);
-        assert_eq!(t.select_one(&Pred::Eq("uid", 7000.into())), Some(a));
         assert_eq!(
-            t.select_one(&Pred::Eq("uid", 7000.into())),
-            t.select(&Pred::Eq("uid", 7000.into())).first().copied()
+            t.rel(users::T).select(&Pred::Eq(UID, 7000.into())),
+            vec![0, 1, 2]
+        );
+        assert_eq!(
+            t.rel(users::T).select_one(&Pred::Eq(UID, 7000.into())),
+            Some(a)
+        );
+        assert_eq!(
+            t.rel(users::T).select_one(&Pred::Eq(UID, 7000.into())),
+            t.rel(users::T)
+                .select(&Pred::Eq(UID, 7000.into()))
+                .first()
+                .copied()
         );
     }
 
     fn members_table() -> Table {
-        Table::new(TableSchema::new(
-            "members",
-            vec![
-                ColumnDef::int("list_id").indexed(),
-                ColumnDef::int("member_id").indexed(),
-                ColumnDef::str("tag"),
-            ],
-        ))
+        Table::new(members::R::schema())
     }
 
     #[test]
@@ -995,17 +1076,23 @@ mod tests {
             t.append(row(&format!("u{i}"), 6000 + i, true), 0).unwrap();
         }
         assert_eq!(
-            t.explain(&Pred::Eq("uid", 6042.into())),
+            t.rel(users::T).explain(&Pred::Eq(UID, 6042.into())),
             "IndexPoint(uid=6042)"
         );
         assert_eq!(
-            t.explain(&Pred::Like("login", "u4?".into())),
+            t.rel(users::T).explain(&Pred::Like(LOGIN, "u4?".into())),
             "IndexRange(login \"u4*\")"
         );
         // No literal prefix, and no index on `active` — scans.
-        assert_eq!(t.explain(&Pred::Like("login", "*4".into())), "Scan");
-        assert_eq!(t.explain(&Pred::Eq("active", true.into())), "Scan");
-        assert_eq!(t.explain(&Pred::True), "Scan");
+        assert_eq!(
+            t.rel(users::T).explain(&Pred::Like(LOGIN, "*4".into())),
+            "Scan"
+        );
+        assert_eq!(
+            t.rel(users::T).explain(&Pred::Eq(ACTIVE, true.into())),
+            "Scan"
+        );
+        assert_eq!(t.rel(users::T).explain(&Pred::True), "Scan");
     }
 
     #[test]
@@ -1015,44 +1102,53 @@ mod tests {
             t.append(row(&format!("u{i}"), 6000 + i, i % 3 == 0), 0)
                 .unwrap();
         }
-        let pred = Pred::Like("login", "u1*".into());
-        assert!(t.explain(&pred).starts_with("IndexRange"));
-        let via_plan = t.select(&pred);
-        assert_eq!(via_plan, t.select_scan(&pred));
+        let pred = Pred::Like(LOGIN, "u1*".into());
+        assert!(t.rel(users::T).explain(&pred).starts_with("IndexRange"));
+        let via_plan = t.rel(users::T).select(&pred);
+        assert_eq!(via_plan, t.rel(users::T).select_scan(&pred));
         assert_eq!(via_plan.len(), 111); // u1, u10..u19, u100..u199
-        assert_eq!(t.select_one(&pred), via_plan.first().copied());
-        assert_eq!(t.count(&pred), via_plan.len());
+        assert_eq!(t.rel(users::T).select_one(&pred), via_plan.first().copied());
+        assert_eq!(t.rel(users::T).count(&pred), via_plan.len());
     }
 
     #[test]
     fn case_insensitive_predicates_use_folded_index() {
-        let mut t = Table::new(TableSchema::new(
-            "machine",
-            vec![ColumnDef::str("name").unique(), ColumnDef::str("type")],
-        ));
+        let mut t = Table::new(machine::R::schema());
         for i in 0..100 {
             t.append(vec![format!("HOST{i}.MIT.EDU").into(), "VAX".into()], 0)
                 .unwrap();
         }
-        let eq = Pred::EqCi("name", "host42.mit.edu".into());
-        assert_eq!(t.explain(&eq), "IndexPoint(name ci=host42.mit.edu)");
-        assert_eq!(t.select(&eq), t.select_scan(&eq));
-        assert_eq!(t.select(&eq).len(), 1);
+        let eq = Pred::EqCi(machine::NAME, "host42.mit.edu".into());
+        assert_eq!(
+            t.rel(machine::T).explain(&eq),
+            "IndexPoint(name ci=host42.mit.edu)"
+        );
+        assert_eq!(
+            t.rel(machine::T).select(&eq),
+            t.rel(machine::T).select_scan(&eq)
+        );
+        assert_eq!(t.rel(machine::T).select(&eq).len(), 1);
 
-        let like = Pred::LikeCi("name", "host9*".into());
-        assert_eq!(t.explain(&like), "IndexRange(name ci \"host9*\")");
-        assert_eq!(t.select(&like), t.select_scan(&like));
-        assert_eq!(t.select(&like).len(), 11); // HOST9, HOST90..HOST99
+        let like = Pred::LikeCi(machine::NAME, "host9*".into());
+        assert_eq!(
+            t.rel(machine::T).explain(&like),
+            "IndexRange(name ci \"host9*\")"
+        );
+        assert_eq!(
+            t.rel(machine::T).select(&like),
+            t.rel(machine::T).select_scan(&like)
+        );
+        assert_eq!(t.rel(machine::T).select(&like).len(), 11); // HOST9, HOST90..HOST99
 
         // The folded index tracks updates and deletes.
-        let id = t.select_one(&eq).unwrap();
-        t.update(id, &[("name", "RENAMED.MIT.EDU".into())], 1)
+        let id = t.rel(machine::T).select_one(&eq).unwrap();
+        t.update(id, &[(machine::NAME, "RENAMED.MIT.EDU".into())], 1)
             .unwrap();
-        assert!(t.select(&eq).is_empty());
-        let renamed = Pred::EqCi("name", "renamed.mit.edu".into());
-        assert_eq!(t.select(&renamed), vec![id]);
+        assert!(t.rel(machine::T).select(&eq).is_empty());
+        let renamed = Pred::EqCi(machine::NAME, "renamed.mit.edu".into());
+        assert_eq!(t.rel(machine::T).select(&renamed), vec![id]);
         t.delete(id, 2).unwrap();
-        assert!(t.select(&renamed).is_empty());
+        assert!(t.rel(machine::T).select(&renamed).is_empty());
     }
 
     #[test]
@@ -1067,14 +1163,23 @@ mod tests {
             }
         }
         let pred = Pred::And(vec![
-            Pred::Eq("list_id", 7.into()),
-            Pred::Eq("member_id", 44.into()),
+            Pred::Eq(LIST_ID, 7.into()),
+            Pred::Eq(MEMBER_ID, 44.into()),
         ]);
-        assert_eq!(t.explain(&pred), "IndexIntersect(list_id=7 & member_id=44)");
-        assert_eq!(t.select(&pred), t.select_scan(&pred));
-        assert_eq!(t.select(&pred).len(), 1);
-        assert_eq!(t.count(&pred), 1);
-        assert_eq!(t.select_one(&pred), t.select(&pred).first().copied());
+        assert_eq!(
+            t.rel(members::T).explain(&pred),
+            "IndexIntersect(list_id=7 & member_id=44)"
+        );
+        assert_eq!(
+            t.rel(members::T).select(&pred),
+            t.rel(members::T).select_scan(&pred)
+        );
+        assert_eq!(t.rel(members::T).select(&pred).len(), 1);
+        assert_eq!(t.rel(members::T).count(&pred), 1);
+        assert_eq!(
+            t.rel(members::T).select_one(&pred),
+            t.rel(members::T).select(&pred).first().copied()
+        );
     }
 
     #[test]
@@ -1086,11 +1191,14 @@ mod tests {
         }
         // Both buckets are small — a single point lookup wins.
         let pred = Pred::And(vec![
-            Pred::Eq("list_id", 1.into()),
-            Pred::Eq("member_id", 3.into()),
+            Pred::Eq(LIST_ID, 1.into()),
+            Pred::Eq(MEMBER_ID, 3.into()),
         ]);
-        assert!(t.explain(&pred).starts_with("IndexPoint"));
-        assert_eq!(t.select(&pred), t.select_scan(&pred));
+        assert!(t.rel(members::T).explain(&pred).starts_with("IndexPoint"));
+        assert_eq!(
+            t.rel(members::T).select(&pred),
+            t.rel(members::T).select_scan(&pred)
+        );
     }
 
     #[test]
@@ -1100,7 +1208,7 @@ mod tests {
             t.append(row(&format!("u{i}"), 6000 + (i % 11), i % 2 == 0), 0)
                 .unwrap();
         }
-        for id in t.select(&Pred::Eq("uid", 6003.into())) {
+        for id in t.rel(users::T).select(&Pred::Eq(UID, 6003.into())) {
             t.delete(id, 1).unwrap();
         }
         for i in 0..30 {
@@ -1108,24 +1216,30 @@ mod tests {
         }
         let preds = [
             Pred::True,
-            Pred::Eq("uid", 6003.into()),
+            Pred::Eq(UID, 6003.into()),
             Pred::And(vec![
-                Pred::Eq("uid", 6003.into()),
-                Pred::Eq("active", true.into()),
+                Pred::Eq(UID, 6003.into()),
+                Pred::Eq(ACTIVE, true.into()),
             ]),
-            Pred::Like("login", "u1*".into()),
-            Pred::Like("login", "r*".into()),
-            Pred::Or(vec![
-                Pred::Eq("uid", 6001.into()),
-                Pred::Eq("uid", 6002.into()),
-            ]),
-            Pred::Not(Box::new(Pred::Eq("active", true.into()))),
+            Pred::Like(LOGIN, "u1*".into()),
+            Pred::Like(LOGIN, "r*".into()),
+            Pred::Or(vec![Pred::Eq(UID, 6001.into()), Pred::Eq(UID, 6002.into())]),
+            Pred::Not(Pred::Eq(ACTIVE, true.into())),
         ];
         for pred in &preds {
-            let scan = t.select_scan(pred);
-            assert_eq!(t.select(pred), scan, "{pred:?} / {}", t.explain(pred));
-            assert_eq!(t.select_one(pred), scan.first().copied(), "{pred:?}");
-            assert_eq!(t.count(pred), scan.len(), "{pred:?}");
+            let scan = t.rel(users::T).select_scan(pred);
+            assert_eq!(
+                t.rel(users::T).select(pred),
+                scan,
+                "{pred:?} / {}",
+                t.rel(users::T).explain(pred)
+            );
+            assert_eq!(
+                t.rel(users::T).select_one(pred),
+                scan.first().copied(),
+                "{pred:?}"
+            );
+            assert_eq!(t.rel(users::T).count(pred), scan.len(), "{pred:?}");
         }
     }
 
@@ -1134,7 +1248,7 @@ mod tests {
         let mut t = users_table();
         assert_eq!(t.generation(), 0);
         let a = t.append(row("a", 1, true), 0).unwrap();
-        t.update(a, &[("uid", Value::Int(2))], 0).unwrap();
+        t.update(a, &[(UID, Value::Int(2))], 0).unwrap();
         t.delete(a, 0).unwrap();
         assert_eq!(t.generation(), 3);
         let s = t.stats();
@@ -1148,7 +1262,7 @@ mod tests {
         let b = t.append(row("b", 2, true), 0).unwrap();
         let cursor = t.generation();
         assert_eq!(t.changed_since(cursor), vec![]);
-        t.update(b, &[("uid", Value::Int(9))], 1).unwrap();
+        t.update(b, &[(UID, Value::Int(9))], 1).unwrap();
         t.delete(a, 1).unwrap();
         let c = t.append(row("c", 3, true), 1).unwrap();
         assert_eq!(c, a, "slot reused");
@@ -1201,7 +1315,7 @@ mod tests {
         let a = t.append(row("a", 1, true), 10).unwrap();
         let b = t.append(row("b", 2, false), 11).unwrap();
         t.append(row("c", 3, true), 12).unwrap();
-        t.update(b, &[("uid", Value::Int(9))], 13).unwrap();
+        t.update(b, &[(UID, Value::Int(9))], 13).unwrap();
         t.delete(a, 14).unwrap();
         t.delete(b, 15).unwrap();
 
@@ -1215,8 +1329,8 @@ mod tests {
         assert_eq!(back.changed_since(3), t.changed_since(3));
         // Index state survives: lookups and uniqueness behave identically.
         assert_eq!(
-            back.select(&Pred::Eq("uid", 3.into())),
-            t.select(&Pred::Eq("uid", 3.into()))
+            back.rel(users::T).select(&Pred::Eq(UID, 3.into())),
+            t.rel(users::T).select(&Pred::Eq(UID, 3.into()))
         );
         assert_eq!(
             back.append(row("c", 7, true), 16),

@@ -9,7 +9,6 @@
 
 use moira_common::VClock;
 use moira_db::journal::{Journal, JournalEntry};
-use moira_db::schema::{ColumnDef, TableSchema};
 use moira_db::snapshot::encode_snapshot;
 use moira_db::storage::{
     delta_file, DurableEngine, GroupCommitConfig, Media, SimMedia, Storage, SNAPSHOT_FILE,
@@ -22,20 +21,14 @@ const DELTA: &str = include_str!("golden/delta.txt");
 const EPOCH: u64 = 7;
 const T0: i64 = 600_000_000;
 
+moira_db::relations! {
+    users { LOGIN: str "login" unique, UID: int "uid" indexed, ACTIVE: boolean "active" }
+    values { NAME: str "name", V: int "v" }
+}
+
 fn empty_db(clock: &VClock) -> Database {
     let mut db = Database::recovered(clock.clone(), EPOCH);
-    db.create_table(TableSchema::new(
-        "users",
-        vec![
-            ColumnDef::str("login").unique(),
-            ColumnDef::int("uid").indexed(),
-            ColumnDef::boolean("active"),
-        ],
-    ));
-    db.create_table(TableSchema::new(
-        "values",
-        vec![ColumnDef::str("name"), ColumnDef::int("v")],
-    ));
+    create_all_tables(&mut db);
     db
 }
 
@@ -53,18 +46,18 @@ fn entry(db: &Database, query: &str, args: &[&str]) -> JournalEntry {
 /// tombstone and a free slot.
 fn first_commits(db: &mut Database, clock: &VClock) -> Vec<JournalEntry> {
     let a = db
-        .append("users", vec!["co:lon".into(), 1.into(), true.into()])
+        .append(users::T, vec!["co:lon".into(), 1.into(), true.into()])
         .unwrap();
-    db.append("users", vec!["b\\ck".into(), 2.into(), false.into()])
+    db.append(users::T, vec!["b\\ck".into(), 2.into(), false.into()])
         .unwrap();
-    db.append("users", vec!["caf\u{e9}".into(), (-3).into(), true.into()])
+    db.append(users::T, vec!["caf\u{e9}".into(), (-3).into(), true.into()])
         .unwrap();
     let e1 = entry(db, "add_users", &["co:lon", "b\\ck", "caf\u{e9}"]);
     clock.advance(60);
-    db.update("users", a, &[("uid", 9.into())]).unwrap();
-    db.delete("users", a).unwrap();
+    db.update(a, &[(users::UID, 9.into())]).unwrap();
+    db.delete(users::T, a).unwrap();
     let e2 = entry(db, "drop_user", &["co:lon", ""]);
-    db.append("values", vec!["dcm\nenable".into(), 1.into()])
+    db.append(values::T, vec!["dcm\nenable".into(), 1.into()])
         .unwrap();
     let e3 = entry(db, "set_value", &["dcm\nenable", "1"]);
     vec![e1, e2, e3]
@@ -74,11 +67,11 @@ fn first_commits(db: &mut Database, clock: &VClock) -> Vec<JournalEntry> {
 /// update, a fresh tombstone; `values` does not move.
 fn later_commits(db: &mut Database, clock: &VClock) -> Vec<JournalEntry> {
     clock.advance(60);
-    db.append("users", vec!["new:bie".into(), 4.into(), true.into()])
+    db.append(users::T, vec!["new:bie".into(), 4.into(), true.into()])
         .unwrap();
-    db.update("users", 1, &[("active", true.into())]).unwrap();
+    db.update(1, &[(users::ACTIVE, true.into())]).unwrap();
     let e4 = entry(db, "add_user", &["new:bie"]);
-    db.delete("users", 2).unwrap();
+    db.delete(users::T, 2).unwrap();
     let e5 = entry(db, "drop_user", &["caf\u{e9}", "x\ny"]);
     vec![e4, e5]
 }

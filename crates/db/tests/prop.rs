@@ -6,18 +6,17 @@ use moira_db::backup::{decode_backup, escape_field, unescape_field};
 use moira_db::journal::{Journal, JournalEntry};
 use moira_db::schema::{ColumnDef, TableSchema};
 use moira_db::snapshot::decode_snapshot;
-use moira_db::{Database, Pred, Table, Value};
+use moira_db::{Database, Pred, Relation, Table, Value};
 use proptest::prelude::*;
 
+// The one test relation: every schema below is `t`'s three columns, with
+// the index layout varied at run time where a test wants that.
+moira_db::relations! {
+    t { NAME: str "name" unique, NUM: int "num" indexed, FLAG: boolean "flag" }
+}
+
 fn table() -> Table {
-    Table::new(TableSchema::new(
-        "t",
-        vec![
-            ColumnDef::str("name").unique(),
-            ColumnDef::int("num").indexed(),
-            ColumnDef::boolean("flag"),
-        ],
-    ))
+    Table::new(t::R::schema())
 }
 
 #[derive(Debug, Clone)]
@@ -94,13 +93,13 @@ proptest! {
                     }
                 }
                 Op::UpdateNum(name, num) => {
-                    if let Some(id) = t.select_one(&Pred::Eq("name", name.clone().into())) {
-                        t.update(id, &[("num", num.into())], now).unwrap();
+                    if let Some(id) = t.rel(t::T).select_one(&Pred::Eq(t::NAME, name.clone().into())) {
+                        t.update(id, &[(t::NUM, num.into())], now).unwrap();
                         model.iter_mut().find(|(n, _, _)| n == &name).unwrap().1 = num;
                     }
                 }
                 Op::Delete(name) => {
-                    let gone = t.delete_where(&Pred::Eq("name", name.clone().into()), now);
+                    let gone = t.delete_where(&Pred::Eq(t::NAME, name.clone().into()), now);
                     let before = model.len();
                     model.retain(|(n, _, _)| n != &name);
                     prop_assert_eq!(gone, before - model.len());
@@ -118,7 +117,7 @@ proptest! {
             prop_assert_eq!(actual, expected);
             // Indexed lookups agree with scans for a probe value.
             for probe in [-1i64, 0, 1] {
-                let via_index = t.select(&Pred::Eq("num", probe.into())).len();
+                let via_index = t.rel(t::T).select(&Pred::Eq(t::NUM, probe.into())).len();
                 let via_scan =
                     model.iter().filter(|(_, n, _)| *n == probe).count();
                 prop_assert_eq!(via_index, via_scan);
@@ -181,23 +180,22 @@ proptest! {
     #[test]
     fn backup_restore_round_trips(rows in prop::collection::vec(
         ("[a-z:\\\\]{1,8}", any::<i64>(), any::<bool>()), 0..40)) {
-        let mut db = Database::new(VClock::new());
-        db.create_table(TableSchema::new(
+        // No unique column: random names may repeat.
+        let plain = || TableSchema::new(
             "t",
             vec![ColumnDef::str("name"), ColumnDef::int("num"), ColumnDef::boolean("flag")],
-        ));
+        );
+        let mut db = Database::new(VClock::new());
+        db.create_table(plain());
         for (name, num, flag) in &rows {
-            db.append("t", vec![name.as_str().into(), (*num).into(), (*flag).into()]).unwrap();
+            db.append(t::T, vec![name.as_str().into(), (*num).into(), (*flag).into()]).unwrap();
         }
         let backup = moira_db::backup::mrbackup(&db);
         let mut fresh = Database::new(VClock::new());
-        fresh.create_table(TableSchema::new(
-            "t",
-            vec![ColumnDef::str("name"), ColumnDef::int("num"), ColumnDef::boolean("flag")],
-        ));
+        fresh.create_table(plain());
         moira_db::backup::mrrestore(&mut fresh, &backup).unwrap();
-        let original: Vec<Vec<Value>> = db.table("t").iter().map(|(_, r)| r.to_vec()).collect();
-        let restored: Vec<Vec<Value>> = fresh.table("t").iter().map(|(_, r)| r.to_vec()).collect();
+        let original: Vec<Vec<Value>> = db.table(t::T).iter().map(|(_, r)| r.to_vec()).collect();
+        let restored: Vec<Vec<Value>> = fresh.table(t::T).iter().map(|(_, r)| r.to_vec()).collect();
         prop_assert_eq!(original, restored);
     }
 }
@@ -310,9 +308,12 @@ mod wal_props {
 }
 
 mod plan_props {
+    use super::t::{self, FLAG, NAME, NUM};
     use moira_db::schema::{ColumnDef, TableSchema};
-    use moira_db::{Pred, Table, Value};
+    use moira_db::{Table, Value};
     use proptest::prelude::*;
+
+    type Pred = moira_db::Pred<t::R>;
 
     /// Deterministic splitmix-style mixer: the proptest shim has no
     /// recursive strategies, so nested predicate shapes derive from
@@ -347,16 +348,16 @@ mod plan_props {
     fn rand_pred(s: &mut u64, depth: u32) -> Pred {
         let n = if depth == 0 { mix(s) % 7 } else { mix(s) % 10 };
         match n {
-            0 => Pred::Eq("name", Value::from(rand_name(s))),
-            1 => Pred::Eq("num", (((mix(s) % 5) as i64) - 2).into()),
-            2 => Pred::Eq("flag", mix(s).is_multiple_of(2).into()),
-            3 => Pred::EqCi("name", rand_name(s).to_owned()),
-            4 => Pred::Like("name", rand_pattern(s)),
-            5 => Pred::LikeCi("name", rand_pattern(s)),
+            0 => Pred::Eq(NAME, Value::from(rand_name(s))),
+            1 => Pred::Eq(NUM, (((mix(s) % 5) as i64) - 2).into()),
+            2 => Pred::Eq(FLAG, mix(s).is_multiple_of(2).into()),
+            3 => Pred::EqCi(NAME, rand_name(s).to_owned()),
+            4 => Pred::Like(NAME, rand_pattern(s)),
+            5 => Pred::LikeCi(NAME, rand_pattern(s)),
             6 => Pred::True,
             7 => Pred::And(vec![rand_pred(s, depth - 1), rand_pred(s, depth - 1)]),
             8 => Pred::Or(vec![rand_pred(s, depth - 1), rand_pred(s, depth - 1)]),
-            _ => Pred::Not(Box::new(rand_pred(s, depth - 1))),
+            _ => Pred::Not(rand_pred(s, depth - 1)),
         }
     }
 
@@ -397,6 +398,7 @@ mod plan_props {
     /// `select(pred)` must agree with the forced naive scan, however the
     /// planner chose to serve it — and so must `count` and `select_one`.
     fn assert_oracle(t: &Table, pred: &Pred) -> Result<(), TestCaseError> {
+        let t = t.rel(t::T);
         let mut via_plan = t.select(pred);
         let mut via_scan = t.select_scan(pred);
         via_plan.sort_unstable();
@@ -442,13 +444,13 @@ mod plan_props {
                     }
                     Churn::Update(s, num) => {
                         let name = rand_name(&mut { *s });
-                        if let Some(id) = t.select_one(&Pred::Eq("name", name.into())) {
-                            t.update(id, &[("num", (*num).into())], now).unwrap();
+                        if let Some(id) = t.rel(t::T).select_one(&Pred::Eq(NAME, name.into())) {
+                            t.update(id, &[(NUM, (*num).into())], now).unwrap();
                         }
                     }
                     Churn::Delete(s) => {
                         let name = rand_name(&mut { *s });
-                        t.delete_where(&Pred::Eq("name", name.into()), now);
+                        t.delete_where(&Pred::Eq(NAME, name.into()), now);
                     }
                 }
                 // Mid-churn probe: catches index corruption that a final
@@ -458,7 +460,7 @@ mod plan_props {
             for pred in &preds {
                 assert_oracle(&t, pred)?;
                 if indexed == 0 {
-                    prop_assert_eq!(t.plan(pred).kind(), "scan");
+                    prop_assert_eq!(t.rel(t::T).plan(pred).kind(), "scan");
                 }
             }
         }
@@ -471,21 +473,13 @@ mod intern_props {
 
     use moira_common::VClock;
     use moira_db::journal::{Journal, JournalEntry};
-    use moira_db::schema::{ColumnDef, TableSchema};
     use moira_db::snapshot::{decode_snapshot, encode_snapshot};
     use moira_db::wal::{encode_frame, scan_frames};
     use moira_db::{Database, Value};
     use proptest::prelude::*;
 
-    fn schema() -> Vec<TableSchema> {
-        vec![TableSchema::new(
-            "t",
-            vec![
-                ColumnDef::str("name").indexed(),
-                ColumnDef::str("val"),
-                ColumnDef::int("n"),
-            ],
-        )]
+    moira_db::relations! {
+        t { NAME: str "name" indexed, VAL: str "val", N: int "n" }
     }
 
     proptest! {
@@ -502,13 +496,11 @@ mod intern_props {
             picks in prop::collection::vec((any::<u64>(), any::<u64>(), any::<i64>()), 1..40),
         ) {
             let mut db = Database::new(VClock::new());
-            for s in schema() {
-                db.create_table(s);
-            }
+            create_all_tables(&mut db);
             for (a, b, n) in &picks {
                 let name = &pool[(*a as usize) % pool.len()];
                 let val = &pool[(*b as usize) % pool.len()];
-                db.append("t", vec![name.as_str().into(), val.as_str().into(), (*n).into()])
+                db.append(t::T, vec![name.as_str().into(), val.as_str().into(), (*n).into()])
                     .unwrap();
             }
             let mut journal = Journal::new();
@@ -526,16 +518,14 @@ mod intern_props {
             let text = encode_snapshot(&db, &journal, 5);
             let image = decode_snapshot(&text).unwrap();
             let mut back = Database::recovered(VClock::starting_at(image.now), image.epoch);
-            for s in schema() {
-                back.create_table(s);
-            }
+            create_all_tables(&mut back);
             image.apply(&mut back).unwrap();
             prop_assert_eq!(encode_snapshot(&back, &journal, 5), text);
 
             // Pointer-level dedupe: in the rebuilt table, equal strings
             // share one allocation.
             let mut seen: HashMap<String, *const u8> = HashMap::new();
-            for (_, row) in back.table("t").iter() {
+            for (_, row) in back.table(t::T).iter() {
                 for v in row.iter() {
                     if let Value::Str(s) = v {
                         let ptr = Arc::as_ptr(s) as *const u8;
@@ -684,20 +674,45 @@ mod lock_props {
 mod delta_chain_props {
     use moira_common::VClock;
     use moira_db::journal::{Journal, JournalEntry};
-    use moira_db::schema::{ColumnDef, TableSchema};
     use moira_db::snapshot::encode_snapshot;
     use moira_db::storage::{DurableEngine, GroupCommitConfig, SimMedia, Storage, SNAPSHOT_FILE};
-    use moira_db::{Database, Pred};
+    use moira_db::{Col, Database, Pred, Relation};
     use proptest::prelude::*;
 
-    const TABLES: [&str; 2] = ["a", "b"];
+    moira_db::relations! {
+        a { NAME: str "name" indexed, N: int "n" }
+        b { NAME: str "name" indexed, N: int "n" }
+    }
+    use create_all_tables as create_tables;
 
-    fn create_tables(db: &mut Database) {
-        for name in TABLES {
-            db.create_table(TableSchema::new(
-                name,
-                vec![ColumnDef::str("name").indexed(), ColumnDef::int("n")],
-            ));
+    /// One step against relation `R`; `None` when it had no row to pick.
+    fn apply<R: Relation>(
+        db: &mut Database,
+        rel: R,
+        name: Col<R>,
+        step: &Step,
+    ) -> Option<Vec<String>> {
+        let pick = |db: &Database, pick: u64| {
+            let ids = db.table(rel).select(&Pred::True);
+            (!ids.is_empty()).then(|| ids[(pick % ids.len() as u64) as usize])
+        };
+        match step {
+            Step::Append(_, s, n) => {
+                db.append(rel, vec![s.as_str().into(), (*n).into()])
+                    .unwrap();
+                Some(vec![s.clone(), n.to_string()])
+            }
+            Step::Update(_, p, s) => {
+                let id = pick(db, *p)?;
+                db.update(id, &[(name, s.as_str().into())]).unwrap();
+                Some(vec![id.to_string(), s.clone()])
+            }
+            Step::Delete(_, p) => {
+                let id = pick(db, *p)?;
+                db.delete(rel, id).unwrap();
+                Some(vec![id.to_string()])
+            }
+            Step::Seal => None,
         }
     }
 
@@ -739,36 +754,16 @@ mod delta_chain_props {
     impl Live {
         /// One commit the way the server makes it: mutate, journal, WAL.
         fn commit(&mut self, step: &Step) {
-            let table = |t: bool| TABLES[usize::from(t)];
-            let pick = |db: &Database, t: bool, pick: u64| {
-                let ids = db.select(table(t), &Pred::True);
-                (!ids.is_empty()).then(|| ids[(pick % ids.len() as u64) as usize])
-            };
-            let args = match step {
-                Step::Append(t, s, n) => {
-                    self.db
-                        .append(table(*t), vec![s.as_str().into(), (*n).into()])
-                        .unwrap();
-                    vec![s.clone(), n.to_string()]
-                }
-                Step::Update(t, p, s) => match pick(&self.db, *t, *p) {
-                    Some(id) => {
-                        self.db
-                            .update(table(*t), id, &[("name", s.as_str().into())])
-                            .unwrap();
-                        vec![id.to_string(), s.clone()]
-                    }
-                    None => return,
-                },
-                Step::Delete(t, p) => match pick(&self.db, *t, *p) {
-                    Some(id) => {
-                        self.db.delete(table(*t), id).unwrap();
-                        vec![id.to_string()]
-                    }
-                    None => return,
-                },
+            let on_b = match step {
+                Step::Append(t, ..) | Step::Update(t, ..) | Step::Delete(t, ..) => *t,
                 Step::Seal => return,
             };
+            let applied = if on_b {
+                apply(&mut self.db, b::T, b::NAME, step)
+            } else {
+                apply(&mut self.db, a::T, a::NAME, step)
+            };
+            let Some(args) = applied else { return };
             // Time moves with commits only: a seal with nothing to seal
             // writes nothing, so the last document's `now:` stands.
             self.clock.advance(1);

@@ -413,6 +413,7 @@ pub fn install_dir(service: &str) -> String {
 mod tests {
     use super::*;
     use moira_core::queries::testutil::{add_test_machine, state_with_admin};
+    use moira_core::schema::{serverhosts, servers};
     use moira_core::seed::seed_capacls;
     use moira_core::state::{Caller, MoiraState};
     use moira_db::Pred;
@@ -534,11 +535,11 @@ mod tests {
         // dfcheck advanced even though nothing was built.
         let s = state.read();
         let row =
-            s.db.table("servers")
-                .select_one(&Pred::Eq("name", "HESIOD".into()))
+            s.db.table(servers::T)
+                .select_one(&Pred::Eq(servers::NAME, "HESIOD".into()))
                 .unwrap();
-        assert_eq!(s.db.cell("servers", row, "dfcheck").as_int(), s.now());
-        assert!(s.db.cell("servers", row, "dfgen").as_int() < s.now());
+        assert_eq!(s.db.cell(row, servers::DFCHECK).as_int(), s.now());
+        assert!(s.db.cell(row, servers::DFGEN).as_int() < s.now());
     }
 
     /// Regression: a mutation committed in the same second the data files
@@ -639,9 +640,9 @@ mod tests {
         // Soft: hosterror stays 0, so the next run retries.
         {
             let s = state.read();
-            let t = s.db.table("serverhosts");
+            let t = s.db.table(serverhosts::T);
             for (row, _) in t.iter() {
-                assert_eq!(t.cell(row, "hosterror").as_int(), 0);
+                assert_eq!(t.cell(row, serverhosts::HOSTERROR).as_int(), 0);
             }
         }
         hosts[1].lock().reboot();
@@ -676,10 +677,10 @@ mod tests {
         {
             let s = state.read();
             let row =
-                s.db.table("servers")
-                    .select_one(&Pred::Eq("name", "HESIOD".into()))
+                s.db.table(servers::T)
+                    .select_one(&Pred::Eq(servers::NAME, "HESIOD".into()))
                     .unwrap();
-            assert_ne!(s.db.cell("servers", row, "harderror").as_int(), 0);
+            assert_ne!(s.db.cell(row, servers::HARDERROR).as_int(), 0);
         }
         state.write().db.clock().advance(7 * 3600);
         let report = dcm.run_once();
@@ -738,9 +739,9 @@ mod tests {
         assert!(hosts[0].lock().read_file("/var/hesiod/passwd.db").is_some());
         // Override cleared afterwards.
         let s = state.read();
-        let t = s.db.table("serverhosts");
+        let t = s.db.table(serverhosts::T);
         for (row, _) in t.iter() {
-            assert!(!t.cell(row, "override").as_bool());
+            assert!(!t.cell(row, serverhosts::OVERRIDE).as_bool());
         }
     }
 
@@ -860,10 +861,10 @@ mod tests {
         // hosterror now gates the host like any hard failure…
         {
             let s = state.read();
-            let t = s.db.table("serverhosts");
+            let t = s.db.table(serverhosts::T);
             let errs: Vec<i64> = t
                 .iter()
-                .map(|(r, _)| t.cell(r, "hosterror").as_int())
+                .map(|(r, _)| t.cell(r, serverhosts::HOSTERROR).as_int())
                 .collect();
             assert!(errs.contains(&(UpdateError::HostDown.code() as i64)));
         }
@@ -1005,20 +1006,20 @@ mod tests {
             updates.extend(dcm.run_once().updates);
             let rows: Vec<Vec<String>> = {
                 let s = state.read();
-                let t = s.db.table("serverhosts");
+                let t = s.db.table(serverhosts::T);
                 t.iter()
                     .map(|(r, _)| {
                         [
-                            "mach_id",
-                            "override",
-                            "success",
-                            "inprogress",
-                            "hosterror",
-                            "ltt",
-                            "lts",
+                            serverhosts::MACH_ID,
+                            serverhosts::OVERRIDE,
+                            serverhosts::SUCCESS,
+                            serverhosts::INPROGRESS,
+                            serverhosts::HOSTERROR,
+                            serverhosts::LTT,
+                            serverhosts::LTS,
                         ]
                         .iter()
-                        .map(|c| t.cell(r, c).render())
+                        .map(|&c| t.cell(r, c).render())
                         .collect()
                     })
                     .collect()
@@ -1059,10 +1060,10 @@ mod tests {
         let gen = {
             let s = state.read();
             let row =
-                s.db.table("servers")
-                    .select_one(&Pred::Eq("name", "HESIOD".into()))
+                s.db.table(servers::T)
+                    .select_one(&Pred::Eq(servers::NAME, "HESIOD".into()))
                     .unwrap();
-            s.db.cell("servers", row, "dfgen").as_int()
+            s.db.cell(row, servers::DFGEN).as_int()
         };
         for host in ["KIWI.MIT.EDU", "SUOMI.MIT.EDU"] {
             assert_eq!(dcm.cursors().generation("HESIOD", host), Some(gen));

@@ -11,6 +11,7 @@ use moira_db::Pred;
 use super::record::{DcmReport, ServiceFlags};
 use super::{svc_lock, Dcm};
 use crate::generators::incremental;
+use moira_core::schema::{machine, serverhosts, servers};
 
 /// One `servers` row, as read at the start of the run.
 #[derive(Debug, Clone)]
@@ -48,20 +49,20 @@ impl Dcm {
     /// and a generator module.
     pub(super) fn eligible_services(&self) -> Vec<ServiceInfo> {
         let state = self.state.read();
-        let t = state.db.table("servers");
+        let t = state.db.table(servers::T);
         let mut out = Vec::new();
         for (row, _) in t.iter() {
             let info = ServiceInfo {
-                name: t.cell(row, "name").as_str().to_owned(),
-                interval_secs: t.cell(row, "update_int").as_int() * 60,
-                target: t.cell(row, "target_file").as_str().to_owned(),
-                script: t.cell(row, "script").as_str().to_owned(),
-                replicated: t.cell(row, "type").as_str() == "REPLICAT",
-                dfgen: t.cell(row, "dfgen").as_int(),
-                dfcheck: t.cell(row, "dfcheck").as_int(),
+                name: t.cell(row, servers::NAME).as_str().to_owned(),
+                interval_secs: t.cell(row, servers::UPDATE_INT).as_int() * 60,
+                target: t.cell(row, servers::TARGET_FILE).as_str().to_owned(),
+                script: t.cell(row, servers::SCRIPT).as_str().to_owned(),
+                replicated: t.cell(row, servers::TYPE).as_str() == "REPLICAT",
+                dfgen: t.cell(row, servers::DFGEN).as_int(),
+                dfcheck: t.cell(row, servers::DFCHECK).as_int(),
             };
-            if t.cell(row, "enable").as_bool()
-                && t.cell(row, "harderror").as_int() == 0
+            if t.cell(row, servers::ENABLE).as_bool()
+                && t.cell(row, servers::HARDERROR).as_int() == 0
                 && info.interval_secs > 0
                 && self.generators.contains_key(info.name.as_str())
             {
@@ -152,9 +153,9 @@ impl Dcm {
     pub(super) fn pushable_generation(&mut self, svc: &ServiceInfo) -> Option<i64> {
         let dfgen = {
             let state = self.state.read();
-            let t = state.db.table("servers");
-            t.select_one(&Pred::Eq("name", svc.name.clone().into()))
-                .map_or(0, |row| t.cell(row, "dfgen").as_int())
+            let t = state.db.table(servers::T);
+            t.select_one(&Pred::Eq(servers::NAME, svc.name.clone().into()))
+                .map_or(0, |row| t.cell(row, servers::DFGEN).as_int())
         };
         if self.prepared.contains_key(&svc.name) {
             return Some(dfgen);
@@ -186,28 +187,28 @@ impl Dcm {
     pub(super) fn scan_hosts(&mut self, service: &str, dfgen: i64) -> HostScan {
         let state = self.state.read();
         let now = state.now();
-        let t = state.db.table("serverhosts");
-        let machines = state.db.table("machine");
+        let t = state.db.table(serverhosts::T);
+        let machines = state.db.table(machine::T);
         let budget = self.retry.policy().per_run_budget;
         let mut retries_scheduled = 0usize;
         let mut scan = HostScan {
             todo: Vec::new(),
             serving: HashSet::new(),
         };
-        for row in t.select(&Pred::Eq("service", service.into())) {
-            if !t.cell(row, "enable").as_bool() {
+        for row in t.select(&Pred::Eq(serverhosts::SERVICE, service.into())) {
+            if !t.cell(row, serverhosts::ENABLE).as_bool() {
                 continue;
             }
-            let mach_id = t.cell(row, "mach_id").as_int();
+            let mach_id = t.cell(row, serverhosts::MACH_ID).as_int();
             let name = machines
-                .select_one(&Pred::Eq("mach_id", mach_id.into()))
-                .map(|r| machines.cell(r, "name").render());
+                .select_one(&Pred::Eq(machine::MACH_ID, mach_id.into()))
+                .map(|r| machines.cell(r, machine::NAME).render());
             if let Some(name) = &name {
                 scan.serving.insert(name.clone());
             }
-            let override_ = t.cell(row, "override").as_bool();
-            if t.cell(row, "hosterror").as_int() != 0
-                || (t.cell(row, "lts").as_int() >= dfgen && !override_)
+            let override_ = t.cell(row, serverhosts::OVERRIDE).as_bool();
+            if t.cell(row, serverhosts::HOSTERROR).as_int() != 0
+                || (t.cell(row, serverhosts::LTS).as_int() >= dfgen && !override_)
             {
                 continue;
             }
@@ -222,7 +223,7 @@ impl Dcm {
             scan.todo.push(HostTodo {
                 name,
                 mach_id,
-                value3: t.cell(row, "value3").render(),
+                value3: t.cell(row, serverhosts::VALUE3).render(),
             });
         }
         scan

@@ -5,8 +5,12 @@
 //! server receives the same archive; the install script restarts the
 //! nameserver so the new files are read into memory.
 
+use moira_core::schema::{
+    cluster, filesys, list, machine, mcmap, members, nfsphys, printcap, serverhosts, services,
+    strings, svc, users,
+};
 use moira_core::state::MoiraState;
-use moira_db::{Pred, RowId};
+use moira_db::{Pred, Relation, RowId, TableId};
 
 use super::incremental::{DeltaPlan, LineKey, Section, SectionKind};
 use super::{groups_of_user, Generator};
@@ -29,21 +33,21 @@ impl Generator for HesiodGenerator {
         "HESIOD"
     }
 
-    fn depends_on(&self) -> &'static [&'static str] {
+    fn depends_on(&self) -> &'static [TableId] {
         &[
-            "users",
-            "list",
-            "members",
-            "filesys",
-            "machine",
-            "cluster",
-            "mcmap",
-            "svc",
-            "printcap",
-            "services",
-            "serverhosts",
-            "strings",
-            "nfsphys",
+            users::R::ID,
+            list::R::ID,
+            members::R::ID,
+            filesys::R::ID,
+            machine::R::ID,
+            cluster::R::ID,
+            mcmap::R::ID,
+            svc::R::ID,
+            printcap::R::ID,
+            services::R::ID,
+            serverhosts::R::ID,
+            strings::R::ID,
+            nfsphys::R::ID,
         ]
     }
 
@@ -54,84 +58,84 @@ impl Generator for HesiodGenerator {
                 // CNAMEs/pseudo-clusters; two sections, same file.
                 Section {
                     file: "cluster.db",
-                    driver: "cluster",
-                    lookups: &["svc"],
+                    driver: cluster::R::ID,
+                    lookups: &[svc::R::ID],
                     kind: SectionKind::Lines(frag_cluster),
                     affected: None,
                 },
                 Section {
                     file: "cluster.db",
-                    driver: "machine",
-                    lookups: &["mcmap", "cluster", "svc"],
+                    driver: machine::R::ID,
+                    lookups: &[mcmap::R::ID, cluster::R::ID, svc::R::ID],
                     kind: SectionKind::Lines(frag_cluster_machine),
                     affected: None,
                 },
                 Section {
                     file: "filsys.db",
-                    driver: "filesys",
-                    lookups: &["machine"],
+                    driver: filesys::R::ID,
+                    lookups: &[machine::R::ID],
                     kind: SectionKind::Lines(frag_filsys),
                     affected: None,
                 },
                 Section {
                     file: "gid.db",
-                    driver: "list",
+                    driver: list::R::ID,
                     lookups: &[],
                     kind: SectionKind::Lines(frag_gid),
                     affected: None,
                 },
                 Section {
                     file: "group.db",
-                    driver: "list",
+                    driver: list::R::ID,
                     lookups: &[],
                     kind: SectionKind::Lines(frag_group),
                     affected: None,
                 },
                 Section {
                     file: "grplist.db",
-                    driver: "users",
-                    lookups: &["list", "members"],
+                    driver: users::R::ID,
+                    lookups: &[list::R::ID, members::R::ID],
                     kind: SectionKind::Lines(frag_grplist),
                     affected: None,
                 },
                 Section {
                     file: "passwd.db",
-                    driver: "users",
+                    driver: users::R::ID,
                     lookups: &[],
                     kind: SectionKind::Lines(frag_passwd),
                     affected: None,
                 },
                 Section {
                     file: "pobox.db",
-                    driver: "users",
-                    lookups: &["machine"],
+                    driver: users::R::ID,
+                    lookups: &[machine::R::ID],
                     kind: SectionKind::Lines(frag_pobox),
                     affected: None,
                 },
                 Section {
                     file: "printcap.db",
-                    driver: "printcap",
-                    lookups: &["machine"],
+                    driver: printcap::R::ID,
+                    lookups: &[machine::R::ID],
                     kind: SectionKind::Lines(frag_printcap),
                     affected: None,
                 },
                 Section {
                     file: "service.db",
-                    driver: "services",
+                    driver: services::R::ID,
                     lookups: &[],
                     kind: SectionKind::Lines(frag_service),
                     affected: None,
                 },
                 Section {
                     file: "sloc.db",
-                    driver: "serverhosts",
-                    lookups: &["machine"],
+                    driver: serverhosts::R::ID,
+                    lookups: &[machine::R::ID],
                     kind: SectionKind::Lines(frag_sloc),
                     affected: None,
                 },
                 Section {
                     file: "uid.db",
-                    driver: "users",
+                    driver: users::R::ID,
                     lookups: &[],
                     kind: SectionKind::Lines(frag_uid),
                     affected: None,
@@ -143,18 +147,18 @@ impl Generator for HesiodGenerator {
 
 /// True when the users row is an active account.
 fn user_active(state: &MoiraState, row: RowId) -> bool {
-    state.db.table("users").cell(row, "status").as_int() == 1
+    state.db.table(users::T).cell(row, users::STATUS).as_int() == 1
 }
 
 /// `cluster.db`, first half: one cluster's data lines.
 fn frag_cluster(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
-    let clusters = state.db.table("cluster");
-    let name = clusters.cell(row, "name").as_str().to_owned();
-    let clu_id = clusters.cell(row, "clu_id").as_int();
+    let clusters = state.db.table(cluster::T);
+    let name = clusters.cell(row, cluster::NAME).as_str().to_owned();
+    let clu_id = clusters.cell(row, cluster::CLU_ID).as_int();
     let mut text = String::new();
-    for srow in state.db.select("svc", &Pred::Eq("clu_id", clu_id.into())) {
-        let label = state.db.cell("svc", srow, "serv_label").render();
-        let data = state.db.cell("svc", srow, "serv_cluster").render();
+    for srow in state.db.select(&Pred::Eq(svc::CLU_ID, clu_id.into())) {
+        let label = state.db.cell(srow, svc::SERV_LABEL).render();
+        let data = state.db.cell(srow, svc::SERV_CLUSTER).render();
         text.push_str(&unspeca(&name, "cluster", &format!("{label} {data}")));
     }
     Some(((row as i64, String::new()), text))
@@ -163,23 +167,21 @@ fn frag_cluster(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
 /// `cluster.db`, second half: a CNAME per machine; a machine in several
 /// clusters gets a pseudo-cluster holding the union.
 fn frag_cluster_machine(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
-    let machines = state.db.table("machine");
-    let mach = machines.cell(row, "name").as_str().to_owned();
-    let mach_id = machines.cell(row, "mach_id").as_int();
-    let memberships = state
-        .db
-        .select("mcmap", &Pred::Eq("mach_id", mach_id.into()));
+    let machines = state.db.table(machine::T);
+    let mach = machines.cell(row, machine::NAME).as_str().to_owned();
+    let mach_id = machines.cell(row, machine::MACH_ID).as_int();
+    let memberships = state.db.select(&Pred::Eq(mcmap::MACH_ID, mach_id.into()));
     let mut text = String::new();
     match memberships.len() {
         0 => {}
         1 => {
-            let clu_id = state.db.cell("mcmap", memberships[0], "clu_id").as_int();
+            let clu_id = state.db.cell(memberships[0], mcmap::CLU_ID).as_int();
             if let Some(crow) = state
                 .db
-                .table("cluster")
-                .select_one(&Pred::Eq("clu_id", clu_id.into()))
+                .table(cluster::T)
+                .select_one(&Pred::Eq(cluster::CLU_ID, clu_id.into()))
             {
-                let cluster = state.db.cell("cluster", crow, "name").render();
+                let cluster = state.db.cell(crow, cluster::NAME).render();
                 text.push_str(&cname(&mach, "cluster", &format!("{cluster}.cluster")));
             }
         }
@@ -201,18 +203,18 @@ fn frag_cluster_machine(state: &MoiraState, row: RowId) -> Option<(LineKey, Stri
 
 /// `filsys.db`: every filesystem entry needed to find and attach lockers.
 fn frag_filsys(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
-    let t = state.db.table("filesys");
-    let label = t.cell(row, "label").as_str().to_owned();
-    let fstype = t.cell(row, "type").as_str().to_owned();
-    let name = t.cell(row, "name").as_str().to_owned();
-    let machine = machine_name_upper(state, t.cell(row, "mach_id").as_int())
+    let t = state.db.table(filesys::T);
+    let label = t.cell(row, filesys::LABEL).as_str().to_owned();
+    let fstype = t.cell(row, filesys::TYPE).as_str().to_owned();
+    let name = t.cell(row, filesys::NAME).as_str().to_owned();
+    let machine = machine_name_upper(state, t.cell(row, filesys::MACH_ID).as_int())
         .to_ascii_lowercase()
         .split('.')
         .next()
         .unwrap_or_default()
         .to_owned();
-    let access = t.cell(row, "access").as_str().to_owned();
-    let mount = t.cell(row, "mount").as_str().to_owned();
+    let access = t.cell(row, filesys::ACCESS).as_str().to_owned();
+    let mount = t.cell(row, filesys::MOUNT).as_str().to_owned();
     let line = unspeca(
         &label,
         "filsys",
@@ -225,24 +227,24 @@ fn frag_filsys(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
 
 /// `gid.db`: group ID numbers to group entries.
 fn frag_gid(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
-    let t = state.db.table("list");
-    if !(t.cell(row, "active").as_bool() && t.cell(row, "grouplist").as_bool()) {
+    let t = state.db.table(list::T);
+    if !(t.cell(row, list::ACTIVE).as_bool() && t.cell(row, list::GROUPLIST).as_bool()) {
         return None;
     }
-    let name = t.cell(row, "name").as_str().to_owned();
-    let gid = t.cell(row, "gid").as_int();
+    let name = t.cell(row, list::NAME).as_str().to_owned();
+    let gid = t.cell(row, list::GID).as_int();
     let line = cname(&gid.to_string(), "gid", &format!("{name}.group"));
     Some(((0, name), line))
 }
 
 /// `group.db`: `/etc/group`-shaped entries (members never filled in).
 fn frag_group(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
-    let t = state.db.table("list");
-    if !(t.cell(row, "active").as_bool() && t.cell(row, "grouplist").as_bool()) {
+    let t = state.db.table(list::T);
+    if !(t.cell(row, list::ACTIVE).as_bool() && t.cell(row, list::GROUPLIST).as_bool()) {
         return None;
     }
-    let name = t.cell(row, "name").as_str().to_owned();
-    let gid = t.cell(row, "gid").as_int();
+    let name = t.cell(row, list::NAME).as_str().to_owned();
+    let gid = t.cell(row, list::GID).as_int();
     let line = unspeca(&name, "group", &format!("{name}:*:{gid}:"));
     Some(((0, name), line))
 }
@@ -252,9 +254,9 @@ fn frag_grplist(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
     if !user_active(state, row) {
         return None;
     }
-    let t = state.db.table("users");
-    let login = t.cell(row, "login").as_str().to_owned();
-    let users_id = t.cell(row, "users_id").as_int();
+    let t = state.db.table(users::T);
+    let login = t.cell(row, users::LOGIN).as_str().to_owned();
+    let users_id = t.cell(row, users::USERS_ID).as_int();
     let mut entry = login.clone();
     for (gname, gid) in groups_of_user(state, users_id) {
         entry.push_str(&format!(":{gname}:{gid}"));
@@ -268,8 +270,8 @@ fn frag_passwd(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
     if !user_active(state, row) {
         return None;
     }
-    let t = state.db.table("users");
-    let login = t.cell(row, "login").as_str().to_owned();
+    let t = state.db.table(users::T);
+    let login = t.cell(row, users::LOGIN).as_str().to_owned();
     let line = unspeca(&login, "passwd", &passwd_line(state, row));
     Some(((0, login), line))
 }
@@ -279,42 +281,45 @@ fn frag_pobox(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
     if !user_active(state, row) {
         return None;
     }
-    let t = state.db.table("users");
-    if t.cell(row, "potype").as_str() != "POP" {
+    let t = state.db.table(users::T);
+    if t.cell(row, users::POTYPE).as_str() != "POP" {
         return None;
     }
-    let login = t.cell(row, "login").as_str().to_owned();
-    let machine = machine_name_upper(state, t.cell(row, "pop_id").as_int());
+    let login = t.cell(row, users::LOGIN).as_str().to_owned();
+    let machine = machine_name_upper(state, t.cell(row, users::POP_ID).as_int());
     let line = unspeca(&login, "pobox", &format!("POP {machine} {login}"));
     Some(((0, login), line))
 }
 
 /// `printcap.db`: `/etc/printcap` entries.
 fn frag_printcap(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
-    let t = state.db.table("printcap");
-    let name = t.cell(row, "name").as_str().to_owned();
-    let rp = t.cell(row, "rp").as_str().to_owned();
-    let rm = machine_name_upper(state, t.cell(row, "mach_id").as_int());
-    let sd = t.cell(row, "dir").as_str().to_owned();
+    let t = state.db.table(printcap::T);
+    let name = t.cell(row, printcap::NAME).as_str().to_owned();
+    let rp = t.cell(row, printcap::RP).as_str().to_owned();
+    let rm = machine_name_upper(state, t.cell(row, printcap::MACH_ID).as_int());
+    let sd = t.cell(row, printcap::DIR).as_str().to_owned();
     let line = unspeca(&name, "pcap", &format!("{name}:rp={rp}:rm={rm}:sd={sd}"));
     Some(((0, line.clone()), line))
 }
 
 /// `service.db`: `/etc/services` entries.
 fn frag_service(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
-    let t = state.db.table("services");
-    let name = t.cell(row, "name").as_str().to_owned();
-    let proto = t.cell(row, "protocol").as_str().to_ascii_lowercase();
-    let port = t.cell(row, "port").as_int();
+    let t = state.db.table(services::T);
+    let name = t.cell(row, services::NAME).as_str().to_owned();
+    let proto = t
+        .cell(row, services::PROTOCOL)
+        .as_str()
+        .to_ascii_lowercase();
+    let port = t.cell(row, services::PORT).as_int();
     let line = unspeca(&name, "service", &format!("{name} {proto} {port}"));
     Some(((0, line.clone()), line))
 }
 
 /// `sloc.db`: DCM service/host tuples, indexed by service.
 fn frag_sloc(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
-    let t = state.db.table("serverhosts");
-    let service = t.cell(row, "service").as_str().to_owned();
-    let machine = machine_name_upper(state, t.cell(row, "mach_id").as_int());
+    let t = state.db.table(serverhosts::T);
+    let service = t.cell(row, serverhosts::SERVICE).as_str().to_owned();
+    let machine = machine_name_upper(state, t.cell(row, serverhosts::MACH_ID).as_int());
     let line = format!("{service}.sloc\tHS UNSPECA\t{machine}\n");
     Some(((0, line.clone()), line))
 }
@@ -324,31 +329,31 @@ fn frag_uid(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
     if !user_active(state, row) {
         return None;
     }
-    let t = state.db.table("users");
-    let login = t.cell(row, "login").as_str().to_owned();
-    let uid = t.cell(row, "uid").as_int();
+    let t = state.db.table(users::T);
+    let login = t.cell(row, users::LOGIN).as_str().to_owned();
+    let uid = t.cell(row, users::UID).as_int();
     let line = cname(&uid.to_string(), "uid", &format!("{login}.passwd"));
     Some(((uid, login), line))
 }
 
 fn passwd_line(state: &MoiraState, row: RowId) -> String {
-    let t = state.db.table("users");
+    let t = state.db.table(users::T);
     format!(
         "{}:*:{}:101:{},,,,:/mit/{}:{}",
-        t.cell(row, "login").render(),
-        t.cell(row, "uid").render(),
-        t.cell(row, "fullname").render(),
-        t.cell(row, "login").render(),
-        t.cell(row, "shell").render(),
+        t.cell(row, users::LOGIN).render(),
+        t.cell(row, users::UID).render(),
+        t.cell(row, users::FULLNAME).render(),
+        t.cell(row, users::LOGIN).render(),
+        t.cell(row, users::SHELL).render(),
     )
 }
 
 pub(crate) fn machine_name_upper(state: &MoiraState, mach_id: i64) -> String {
     state
         .db
-        .table("machine")
-        .select_one(&Pred::Eq("mach_id", mach_id.into()))
-        .map(|r| state.db.cell("machine", r, "name").render())
+        .table(machine::T)
+        .select_one(&Pred::Eq(machine::MACH_ID, mach_id.into()))
+        .map(|r| state.db.cell(r, machine::NAME).render())
         .unwrap_or_else(|| format!("#{mach_id}"))
 }
 

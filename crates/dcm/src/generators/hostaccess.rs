@@ -14,8 +14,9 @@
 
 use moira_common::errors::{MrError, MrResult};
 use moira_core::queries::lists::expand_member_ids_recursive;
+use moira_core::schema::{hostaccess, list, members, users};
 use moira_core::state::MoiraState;
-use moira_db::Pred;
+use moira_db::{Pred, Relation, TableId};
 
 use crate::archive::Archive;
 
@@ -30,8 +31,8 @@ impl Generator for HostAccessGenerator {
         "PASSWD"
     }
 
-    fn depends_on(&self) -> &'static [&'static str] {
-        &["users", "hostaccess", "list", "members"]
+    fn depends_on(&self) -> &'static [TableId] {
+        &[users::R::ID, hostaccess::R::ID, list::R::ID, members::R::ID]
     }
 
     /// Host-independent form: the unrestricted password file.
@@ -39,7 +40,7 @@ impl Generator for HostAccessGenerator {
         DeltaPlan {
             sections: vec![Section {
                 file: "passwd",
-                driver: "users",
+                driver: users::R::ID,
                 lookups: &[],
                 kind: SectionKind::Lines(frag_passwd),
                 affected: None,
@@ -78,16 +79,16 @@ impl HostAccessGenerator {
 /// One active user's standard-format password line (also the mail hub's
 /// `passwd`).
 pub(crate) fn frag_passwd(state: &MoiraState, row: moira_db::RowId) -> Option<(LineKey, String)> {
-    let users = state.db.table("users");
-    if users.cell(row, "status").as_int() != 1 {
+    let users = state.db.table(users::T);
+    if users.cell(row, users::STATUS).as_int() != 1 {
         return None;
     }
-    let login = users.cell(row, "login").as_str().to_owned();
-    let uid = users.cell(row, "uid").as_int();
+    let login = users.cell(row, users::LOGIN).as_str().to_owned();
+    let uid = users.cell(row, users::UID).as_int();
     let line = format!(
         "{login}:*:{uid}:101:{},,,:/mit/{login}:{}\n",
-        users.cell(row, "fullname").render(),
-        users.cell(row, "shell").render(),
+        users.cell(row, users::FULLNAME).render(),
+        users.cell(row, users::SHELL).render(),
     );
     Some(((0, login), line))
 }
@@ -97,14 +98,10 @@ pub(crate) fn frag_passwd(state: &MoiraState, row: moira_db::RowId) -> Option<(L
 fn hostaccess_users(state: &MoiraState, mach_id: i64) -> Option<Vec<i64>> {
     let row = state
         .db
-        .table("hostaccess")
-        .select_one(&Pred::Eq("mach_id", mach_id.into()))?;
-    let ace_type = state
-        .db
-        .cell("hostaccess", row, "acl_type")
-        .as_str()
-        .to_owned();
-    let ace_id = state.db.cell("hostaccess", row, "acl_id").as_int();
+        .table(hostaccess::T)
+        .select_one(&Pred::Eq(hostaccess::MACH_ID, mach_id.into()))?;
+    let ace_type = state.db.cell(row, hostaccess::ACL_TYPE).as_str().to_owned();
+    let ace_id = state.db.cell(row, hostaccess::ACL_ID).as_int();
     match ace_type.as_str() {
         "USER" => Some(vec![ace_id]),
         "LIST" => {
@@ -124,7 +121,7 @@ pub fn klogin_file(state: &MoiraState, mach_id: i64) -> String {
     };
     let mut logins: Vec<String> = user_rows(state, &users)
         .into_iter()
-        .map(|row| state.db.cell("users", row, "login").render())
+        .map(|row| state.db.cell(row, users::LOGIN).render())
         .collect();
     logins.sort();
     logins

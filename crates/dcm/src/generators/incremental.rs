@@ -31,7 +31,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use moira_common::errors::MrResult;
 use moira_core::state::MoiraState;
-use moira_db::{GenCursor, RowChange, RowId};
+use moira_db::{GenCursor, RowChange, RowId, TableId};
 
 use super::{check_no_change, full_rebuild_rows, Generator};
 use crate::archive::Archive;
@@ -55,7 +55,7 @@ pub type MemberFragmentFn = fn(&MoiraState, RowId) -> Vec<(String, Vec<u8>)>;
 /// section. The returned set must be a superset of the truly affected
 /// driver rows; over-reporting costs time, under-reporting costs
 /// correctness.
-pub type AffectedFn = fn(&MoiraState, &'static str, &[RowChange]) -> Option<Vec<RowId>>;
+pub type AffectedFn = fn(&MoiraState, TableId, &[RowChange]) -> Option<Vec<RowId>>;
 
 /// How a section's fragments combine into the archive.
 pub enum SectionKind {
@@ -73,12 +73,12 @@ pub struct Section {
     /// leave this as a label).
     pub file: &'static str,
     /// The table whose rows drive this section's fragments.
-    pub driver: &'static str,
+    pub driver: TableId,
     /// Tables the fragment function reads besides the driver row. Any
     /// change in a lookup table rebuilds the whole section, since a single
     /// lookup row can influence any fragment — unless [`Section::affected`]
     /// can narrow the change to specific driver rows.
-    pub lookups: &'static [&'static str],
+    pub lookups: &'static [TableId],
     /// Fragment renderer.
     pub kind: SectionKind,
     /// Optional lookup-change narrowing (see [`AffectedFn`]).
@@ -301,8 +301,7 @@ fn delta_refresh(
     cursor: GenCursor,
     plan: &DeltaPlan,
 ) -> MrResult<Refresh> {
-    let advanced: HashSet<&'static str> =
-        prev.cursor.advanced_tables(&state.db).into_iter().collect();
+    let advanced: HashSet<TableId> = prev.cursor.advanced_tables(&state.db).into_iter().collect();
     let CachedBuild {
         cursor: prev_cursor,
         archive: prev_archive,
@@ -310,10 +309,10 @@ fn delta_refresh(
     } = prev;
     let mut dirty = vec![false; plan.sections.len()];
     for ((section, cache), dirty) in plan.sections.iter().zip(&mut sections).zip(&mut dirty) {
-        let since_of = |table: &str| {
+        let since_of = |table: TableId| {
             *prev_cursor
                 .gens
-                .get(table)
+                .get(&table)
                 .expect("section tables are in depends_on")
         };
         // A lookup table changed under the fragments: any fragment may be
@@ -321,9 +320,9 @@ fn delta_refresh(
         // section knows how; otherwise rebuild the whole section.
         let mut rerender: BTreeSet<RowId> = BTreeSet::new();
         let mut rebuild = false;
-        for lookup in section.lookups.iter().filter(|l| advanced.contains(*l)) {
+        for &lookup in section.lookups.iter().filter(|l| advanced.contains(*l)) {
             let narrowed = section.affected.and_then(|affected| {
-                let changes = state.db.table(lookup).changed_since(since_of(lookup));
+                let changes = state.db.at(lookup).changed_since(since_of(lookup));
                 affected(state, lookup, &changes)
             });
             match narrowed {
@@ -340,8 +339,8 @@ fn delta_refresh(
             continue;
         }
         // The driver's own row delta, then the narrowed lookup damage.
-        let mut changes = if advanced.contains(section.driver) {
-            let driver = state.db.table(section.driver);
+        let mut changes = if advanced.contains(&section.driver) {
+            let driver = state.db.at(section.driver);
             driver.changed_since(since_of(section.driver))
         } else {
             Vec::new()

@@ -7,8 +7,9 @@
 //! password file, keeps the mail hub's finger server informed.
 
 use moira_core::queries::lists::expand_members_recursive;
+use moira_core::schema::{list, machine, members, strings, users};
 use moira_core::state::MoiraState;
-use moira_db::Pred;
+use moira_db::{Pred, Relation, TableId};
 
 use super::hostaccess::frag_passwd;
 use super::incremental::{DeltaPlan, LineKey, Section, SectionKind};
@@ -22,8 +23,14 @@ impl Generator for MailGenerator {
         "MAIL"
     }
 
-    fn depends_on(&self) -> &'static [&'static str] {
-        &["users", "list", "members", "strings", "machine"]
+    fn depends_on(&self) -> &'static [TableId] {
+        &[
+            users::R::ID,
+            list::R::ID,
+            members::R::ID,
+            strings::R::ID,
+            machine::R::ID,
+        ]
     }
 
     fn delta_plan(&self) -> DeltaPlan {
@@ -36,8 +43,8 @@ impl Generator for MailGenerator {
                 // rebuilds the whole section rather than replaying rows.
                 Section {
                     file: "aliases",
-                    driver: "list",
-                    lookups: &["list", "members", "users", "strings"],
+                    driver: list::R::ID,
+                    lookups: &[list::R::ID, members::R::ID, users::R::ID, strings::R::ID],
                     kind: SectionKind::Lines(frag_maillist),
                     // A user edit only re-renders the lists that reach that
                     // user (by membership or ACE); list/member/string
@@ -46,8 +53,8 @@ impl Generator for MailGenerator {
                 },
                 Section {
                     file: "aliases",
-                    driver: "users",
-                    lookups: &["machine", "strings"],
+                    driver: users::R::ID,
+                    lookups: &[machine::R::ID, strings::R::ID],
                     kind: SectionKind::Lines(frag_pobox_routing),
                     affected: None,
                 },
@@ -56,7 +63,7 @@ impl Generator for MailGenerator {
                 // Athena" — is the unrestricted PASSWD file, line for line.
                 Section {
                     file: "passwd",
-                    driver: "users",
+                    driver: users::R::ID,
                     lookups: &[],
                     kind: SectionKind::Lines(frag_passwd),
                     affected: None,
@@ -75,19 +82,19 @@ impl Generator for MailGenerator {
 /// on).
 fn lists_affected_by_user_changes(
     state: &MoiraState,
-    table: &'static str,
+    table: TableId,
     changes: &[moira_db::RowChange],
 ) -> Option<Vec<moira_db::RowId>> {
     use std::collections::HashSet;
-    if table != "users" {
+    if table != users::R::ID {
         return None;
     }
-    let users = state.db.table("users");
+    let users = state.db.table(users::T);
     let mut user_ids = Vec::with_capacity(changes.len());
     for change in changes {
         match change {
             moira_db::RowChange::Upserted(id) => {
-                user_ids.push(users.cell(*id, "users_id").as_int())
+                user_ids.push(users.cell(*id, users::USERS_ID).as_int())
             }
             moira_db::RowChange::Deleted(_) => return None,
         }
@@ -95,36 +102,32 @@ fn lists_affected_by_user_changes(
     // Climb the membership graph from each changed user through the
     // indexed `member_id` column: per-entity selects, never a whole-table
     // pass (the delta-scan gate; E14 depends on this staying sublinear).
-    let members = state.db.table("members");
+    let members = state.db.table(members::T);
     let mut affected: HashSet<i64> = HashSet::new();
     let mut frontier: Vec<(&str, i64)> = user_ids.iter().map(|&id| ("USER", id)).collect();
     while let Some((member_type, member_id)) = frontier.pop() {
         for row in state
             .db
-            .select("members", &Pred::Eq("member_id", member_id.into()))
+            .select(&Pred::Eq(members::MEMBER_ID, member_id.into()))
         {
-            if members.cell(row, "member_type").as_str() != member_type {
+            if members.cell(row, members::MEMBER_TYPE).as_str() != member_type {
                 continue;
             }
-            let list_id = members.cell(row, "list_id").as_int();
+            let list_id = members.cell(row, members::LIST_ID).as_int();
             if affected.insert(list_id) {
                 frontier.push(("LIST", list_id));
             }
         }
     }
-    let lists = state.db.table("list");
+    let lists = state.db.table(list::T);
     let mut rows: HashSet<moira_db::RowId> = HashSet::new();
     for &list_id in &affected {
-        rows.extend(
-            state
-                .db
-                .select("list", &Pred::Eq("list_id", list_id.into())),
-        );
+        rows.extend(state.db.select(&Pred::Eq(list::LIST_ID, list_id.into())));
     }
     // Lists whose ACE names a changed user render a different owner line.
     for &uid in &user_ids {
-        for row in state.db.select("list", &Pred::Eq("acl_id", uid.into())) {
-            if lists.cell(row, "acl_type").as_str() == "USER" {
+        for row in state.db.select(&Pred::Eq(list::ACL_ID, uid.into())) {
+            if lists.cell(row, list::ACL_TYPE).as_str() == "USER" {
                 rows.insert(row);
             }
         }
@@ -135,21 +138,21 @@ fn lists_affected_by_user_changes(
 /// One active maillist's aliases block: comment, `owner-` alias from its
 /// ACE, member line.
 fn frag_maillist(state: &MoiraState, row: moira_db::RowId) -> Option<(LineKey, String)> {
-    let lists = state.db.table("list");
-    if !(lists.cell(row, "active").as_bool() && lists.cell(row, "maillist").as_bool()) {
+    let lists = state.db.table(list::T);
+    if !(lists.cell(row, list::ACTIVE).as_bool() && lists.cell(row, list::MAILLIST).as_bool()) {
         return None;
     }
-    let name = lists.cell(row, "name").render();
-    let desc = lists.cell(row, "desc").render();
-    let list_id = lists.cell(row, "list_id").as_int();
+    let name = lists.cell(row, list::NAME).render();
+    let desc = lists.cell(row, list::DESC).render();
+    let list_id = lists.cell(row, list::LIST_ID).as_int();
     let mut text = String::new();
     if !desc.is_empty() {
         text.push_str(&format!("# {desc}\n"));
     }
     let (ace_type, ace_name) = moira_core::ace::render_ace(
         &state.db,
-        lists.cell(row, "acl_type").as_str(),
-        lists.cell(row, "acl_id").as_int(),
+        lists.cell(row, list::ACL_TYPE).as_str(),
+        lists.cell(row, list::ACL_ID).as_int(),
     );
     if ace_type != "NONE" {
         text.push_str(&format!("owner-{name}: {ace_name}\n"));
@@ -167,20 +170,22 @@ fn frag_maillist(state: &MoiraState, row: moira_db::RowId) -> Option<(LineKey, S
 
 /// One active user's pobox routing line.
 fn frag_pobox_routing(state: &MoiraState, row: moira_db::RowId) -> Option<(LineKey, String)> {
-    let users = state.db.table("users");
-    if users.cell(row, "status").as_int() != 1 {
+    let users = state.db.table(users::T);
+    if users.cell(row, users::STATUS).as_int() != 1 {
         return None;
     }
-    let login = users.cell(row, "login").as_str().to_owned();
-    let line = match users.cell(row, "potype").as_str() {
+    let login = users.cell(row, users::LOGIN).as_str().to_owned();
+    let line = match users.cell(row, users::POTYPE).as_str() {
         "POP" => {
-            let po = po_shortname(state, users.cell(row, "pop_id").as_int());
+            let po = po_shortname(state, users.cell(row, users::POP_ID).as_int());
             let short = po.split('.').next().unwrap_or(&po).to_owned();
             format!("{login}: {login}@{short}.LOCAL\n")
         }
         "SMTP" => {
-            let addr =
-                moira_core::queries::helpers::string_of(state, users.cell(row, "box_id").as_int());
+            let addr = moira_core::queries::helpers::string_of(
+                state,
+                users.cell(row, users::BOX_ID).as_int(),
+            );
             format!("{login}: {addr}\n")
         }
         _ => return None,
@@ -192,9 +197,9 @@ fn frag_pobox_routing(state: &MoiraState, row: moira_db::RowId) -> Option<(LineK
 fn po_shortname(state: &MoiraState, mach_id: i64) -> String {
     state
         .db
-        .table("machine")
-        .select_one(&Pred::Eq("mach_id", mach_id.into()))
-        .map(|r| state.db.cell("machine", r, "name").render())
+        .table(machine::T)
+        .select_one(&Pred::Eq(machine::MACH_ID, mach_id.into()))
+        .map(|r| state.db.cell(r, machine::NAME).render())
         .unwrap_or_else(|| format!("#{mach_id}"))
 }
 

@@ -15,8 +15,9 @@ pub mod nfs;
 pub mod zephyr;
 
 use moira_common::errors::{MrError, MrResult};
+use moira_core::schema::{list, members, users};
 use moira_core::state::MoiraState;
-use moira_db::{GenCursor, RowChange, RowId};
+use moira_db::{GenCursor, RowChange, RowId, TableId};
 
 use crate::archive::Archive;
 use incremental::DeltaPlan;
@@ -29,7 +30,7 @@ pub trait Generator: Send + Sync {
     /// The relations whose modification forces regeneration; if none of
     /// them changed since the cached cursor, the cycle reports
     /// `MR_NO_CHANGE`.
-    fn depends_on(&self) -> &'static [&'static str];
+    fn depends_on(&self) -> &'static [TableId];
 
     /// The service's files as delta-maintainable sections — the only
     /// description of their format: [`incremental::refresh`] keeps a build
@@ -92,17 +93,17 @@ pub fn check_no_change(
 /// come along and evict nothing from an empty cache). This is the only
 /// place the incremental path is allowed to touch every row of a dependency
 /// table (CI greps for it).
-pub(crate) fn full_rebuild_rows(state: &MoiraState, table: &str) -> Vec<RowChange> {
-    state.db.table(table).changed_since(0)
+pub(crate) fn full_rebuild_rows(state: &MoiraState, table: TableId) -> Vec<RowChange> {
+    state.db.at(table).changed_since(0)
 }
 
 /// The `users` rows of a `users_id` set (ids naming no user are skipped) —
 /// the admitted rows of a restricted host's credentials or passwd file.
 pub(crate) fn user_rows(state: &MoiraState, users_ids: &[i64]) -> Vec<RowId> {
-    let users = state.db.table("users");
+    let users = state.db.table(users::T);
     users_ids
         .iter()
-        .filter_map(|&id| users.select_one(&moira_db::Pred::Eq("users_id", id.into())))
+        .filter_map(|&id| users.select_one(&moira_db::Pred::Eq(users::USERS_ID, id.into())))
         .collect()
 }
 
@@ -114,35 +115,35 @@ pub(crate) fn user_rows(state: &MoiraState, users_ids: &[i64]) -> Vec<RowId> {
 /// checks it against the top-down expansion of every group.)
 pub fn groups_of_user(state: &MoiraState, users_id: i64) -> Vec<(String, i64)> {
     use moira_db::Pred;
-    let members = state.db.table("members");
+    let members = state.db.table(members::T);
     let mut seen: std::collections::HashSet<i64> = std::collections::HashSet::new();
     let mut frontier: Vec<(&'static str, i64)> = vec![("USER", users_id)];
     while let Some((ty, id)) = frontier.pop() {
         let pred = Pred::And(vec![
-            Pred::Eq("member_id", id.into()),
-            Pred::Eq("member_type", ty.into()),
+            Pred::Eq(members::MEMBER_ID, id.into()),
+            Pred::Eq(members::MEMBER_TYPE, ty.into()),
         ]);
         for row in members.select(&pred) {
-            let list_id = members.cell(row, "list_id").as_int();
+            let list_id = members.cell(row, members::LIST_ID).as_int();
             if seen.insert(list_id) {
                 frontier.push(("LIST", list_id));
             }
         }
     }
-    let lists = state.db.table("list");
-    let mut out: Vec<(String, i64)> =
-        seen.into_iter()
-            .filter_map(|list_id| {
-                let row = lists.select_one(&Pred::Eq("list_id", list_id.into()))?;
-                (lists.cell(row, "active").as_bool() && lists.cell(row, "grouplist").as_bool())
-                    .then(|| {
-                        (
-                            lists.cell(row, "name").as_str().to_owned(),
-                            lists.cell(row, "gid").as_int(),
-                        )
-                    })
-            })
-            .collect();
+    let lists = state.db.table(list::T);
+    let mut out: Vec<(String, i64)> = seen
+        .into_iter()
+        .filter_map(|list_id| {
+            let row = lists.select_one(&Pred::Eq(list::LIST_ID, list_id.into()))?;
+            (lists.cell(row, list::ACTIVE).as_bool() && lists.cell(row, list::GROUPLIST).as_bool())
+                .then(|| {
+                    (
+                        lists.cell(row, list::NAME).as_str().to_owned(),
+                        lists.cell(row, list::GID).as_int(),
+                    )
+                })
+        })
+        .collect();
     out.sort();
     out.dedup();
     out

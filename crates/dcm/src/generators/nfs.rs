@@ -7,8 +7,9 @@
 
 use moira_common::errors::{MrError, MrResult};
 use moira_core::queries::lists::expand_member_ids_recursive;
+use moira_core::schema::{filesys, list, members, nfsphys, nfsquota, users};
 use moira_core::state::MoiraState;
-use moira_db::Pred;
+use moira_db::{Pred, Relation, TableId};
 
 use crate::archive::Archive;
 
@@ -24,16 +25,23 @@ impl Generator for NfsGenerator {
         "NFS"
     }
 
-    fn depends_on(&self) -> &'static [&'static str] {
-        &["users", "nfsquota", "nfsphys", "filesys", "list", "members"]
+    fn depends_on(&self) -> &'static [TableId] {
+        &[
+            users::R::ID,
+            nfsquota::R::ID,
+            nfsphys::R::ID,
+            filesys::R::ID,
+            list::R::ID,
+            members::R::ID,
+        ]
     }
 
     fn delta_plan(&self) -> DeltaPlan {
         DeltaPlan {
             sections: vec![Section {
                 file: "credentials",
-                driver: "users",
-                lookups: &["list", "members"],
+                driver: users::R::ID,
+                lookups: &[list::R::ID, members::R::ID],
                 kind: SectionKind::Lines(frag_credentials),
                 affected: None,
             }],
@@ -58,12 +66,12 @@ impl NfsGenerator {
         value3: &str,
         shared: &Archive,
     ) -> MrResult<Archive> {
-        let lists = state.db.table("list");
+        let lists = state.db.table(list::T);
         let list = value3.trim();
         let restrict = (!list.is_empty())
-            .then(|| lists.select_one(&Pred::Eq("name", list.into())))
+            .then(|| lists.select_one(&Pred::Eq(list::NAME, list.into())))
             .flatten()
-            .map(|row| lists.cell(row, "list_id").as_int());
+            .map(|row| lists.cell(row, list::LIST_ID).as_int());
         let credentials = match restrict {
             Some(list_id) => {
                 let (admitted, _strings) = expand_member_ids_recursive(state, list_id);
@@ -73,12 +81,9 @@ impl NfsGenerator {
         };
         let mut archive = Archive::new();
         archive.add("credentials", credentials)?;
-        for prow in state
-            .db
-            .select("nfsphys", &Pred::Eq("mach_id", mach_id.into()))
-        {
-            let dir = state.db.cell("nfsphys", prow, "dir").render();
-            let phys_id = state.db.cell("nfsphys", prow, "nfsphys_id").as_int();
+        for prow in state.db.select(&Pred::Eq(nfsphys::MACH_ID, mach_id.into())) {
+            let dir = state.db.cell(prow, nfsphys::DIR).render();
+            let phys_id = state.db.cell(prow, nfsphys::NFSPHYS_ID).as_int();
             let stem = dir.trim_matches('/').replace('/', "_");
             archive.add(&format!("{stem}.quotas"), quotas_file(state, phys_id))?;
             archive.add(&format!("{stem}.dirs"), dirs_file(state, phys_id))?;
@@ -89,13 +94,13 @@ impl NfsGenerator {
 
 /// One active user's credentials line: `login:uid:gid:gid…`.
 fn frag_credentials(state: &MoiraState, row: moira_db::RowId) -> Option<(LineKey, String)> {
-    let users = state.db.table("users");
-    if users.cell(row, "status").as_int() != 1 {
+    let users = state.db.table(users::T);
+    if users.cell(row, users::STATUS).as_int() != 1 {
         return None;
     }
-    let login = users.cell(row, "login").as_str().to_owned();
-    let uid = users.cell(row, "uid").as_int();
-    let users_id = users.cell(row, "users_id").as_int();
+    let login = users.cell(row, users::LOGIN).as_str().to_owned();
+    let uid = users.cell(row, users::UID).as_int();
+    let users_id = users.cell(row, users::USERS_ID).as_int();
     let mut line = format!("{login}:{uid}");
     for (_, gid) in groups_of_user(state, users_id) {
         line.push_str(&format!(":{gid}"));
@@ -109,16 +114,16 @@ pub fn quotas_file(state: &MoiraState, phys_id: i64) -> String {
     let mut lines: Vec<(i64, i64)> = Vec::new();
     for qrow in state
         .db
-        .select("nfsquota", &Pred::Eq("phys_id", phys_id.into()))
+        .select(&Pred::Eq(nfsquota::PHYS_ID, phys_id.into()))
     {
-        let users_id = state.db.cell("nfsquota", qrow, "users_id").as_int();
-        let quota = state.db.cell("nfsquota", qrow, "quota").as_int();
+        let users_id = state.db.cell(qrow, nfsquota::USERS_ID).as_int();
+        let quota = state.db.cell(qrow, nfsquota::QUOTA).as_int();
         if let Some(urow) = state
             .db
-            .table("users")
-            .select_one(&Pred::Eq("users_id", users_id.into()))
+            .table(users::T)
+            .select_one(&Pred::Eq(users::USERS_ID, users_id.into()))
         {
-            lines.push((state.db.cell("users", urow, "uid").as_int(), quota));
+            lines.push((state.db.cell(urow, users::UID).as_int(), quota));
         }
     }
     lines.sort_unstable();
@@ -132,29 +137,26 @@ pub fn quotas_file(state: &MoiraState, phys_id: i64) -> String {
 /// partition.
 pub fn dirs_file(state: &MoiraState, phys_id: i64) -> String {
     let mut lines = Vec::new();
-    for frow in state
-        .db
-        .select("filesys", &Pred::Eq("phys_id", phys_id.into()))
-    {
-        let t = state.db.table("filesys");
-        if !t.cell(frow, "createflg").as_bool() {
+    for frow in state.db.select(&Pred::Eq(filesys::PHYS_ID, phys_id.into())) {
+        let t = state.db.table(filesys::T);
+        if !t.cell(frow, filesys::CREATEFLG).as_bool() {
             continue;
         }
-        let name = t.cell(frow, "name").render();
-        let owner = t.cell(frow, "owner").as_int();
-        let owners = t.cell(frow, "owners").as_int();
-        let lockertype = t.cell(frow, "lockertype").render();
+        let name = t.cell(frow, filesys::NAME).render();
+        let owner = t.cell(frow, filesys::OWNER).as_int();
+        let owners = t.cell(frow, filesys::OWNERS).as_int();
+        let lockertype = t.cell(frow, filesys::LOCKERTYPE).render();
         let uid = state
             .db
-            .table("users")
-            .select_one(&Pred::Eq("users_id", owner.into()))
-            .map(|r| state.db.cell("users", r, "uid").as_int())
+            .table(users::T)
+            .select_one(&Pred::Eq(users::USERS_ID, owner.into()))
+            .map(|r| state.db.cell(r, users::UID).as_int())
             .unwrap_or(0);
         let gid = state
             .db
-            .table("list")
-            .select_one(&Pred::Eq("list_id", owners.into()))
-            .map(|r| state.db.cell("list", r, "gid").as_int())
+            .table(list::T)
+            .select_one(&Pred::Eq(list::LIST_ID, owners.into()))
+            .map(|r| state.db.cell(r, list::GID).as_int())
             .unwrap_or(0);
         lines.push(format!("{name} {uid} {gid} {lockertype}\n"));
     }
@@ -168,6 +170,7 @@ mod tests {
     use crate::generators::member_text;
     use moira_core::queries::testutil::state_with_admin;
     use moira_core::registry::Registry;
+    use moira_core::schema::machine;
     use moira_core::state::Caller;
 
     fn setup() -> (MoiraState, i64) {
@@ -258,11 +261,10 @@ mod tests {
         run(&mut s, "add_nfs_quota", &["mtalford", "mtalford", "300"]);
         let mach_id =
             s.db.cell(
-                "machine",
-                s.db.table("machine")
-                    .select_one(&Pred::Eq("name", "CHARON".into()))
+                s.db.table(machine::T)
+                    .select_one(&Pred::Eq(machine::NAME, "CHARON".into()))
                     .unwrap(),
-                "mach_id",
+                machine::MACH_ID,
             )
             .as_int();
         (s, mach_id)

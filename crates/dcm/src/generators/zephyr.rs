@@ -5,8 +5,10 @@
 //! ACE renders as the open wildcard `*.*@*`, matching the paper's example.
 
 use moira_core::queries::lists::expand_members_recursive;
+use moira_core::queries::zephyr::ACES;
+use moira_core::schema::{list, members, strings, users, zephyr};
 use moira_core::state::MoiraState;
-use moira_db::Pred;
+use moira_db::{Pred, Relation, TableId};
 
 use super::incremental::{DeltaPlan, Section, SectionKind};
 use super::Generator;
@@ -14,29 +16,31 @@ use super::Generator;
 /// Generator for the ZEPHYR service.
 pub struct ZephyrGenerator;
 
-/// The four ACL slots of a class, with their file suffixes.
-pub const ACL_SLOTS: &[(&str, &str, &str)] = &[
-    ("xmt_type", "xmt_id", "xmt"),
-    ("sub_type", "sub_id", "sub"),
-    ("iws_type", "iws_id", "iws"),
-    ("iui_type", "iui_id", "iui"),
-];
+/// The file suffix of each of a class's four ACL slots, in the order of
+/// [`ACES`] (the slots' `(type, id)` column pairs).
+const ACL_SUFFIXES: [&str; 4] = ["xmt", "sub", "iws", "iui"];
 
 impl Generator for ZephyrGenerator {
     fn service(&self) -> &'static str {
         "ZEPHYR"
     }
 
-    fn depends_on(&self) -> &'static [&'static str] {
-        &["zephyr", "list", "members", "users", "strings"]
+    fn depends_on(&self) -> &'static [TableId] {
+        &[
+            zephyr::R::ID,
+            list::R::ID,
+            members::R::ID,
+            users::R::ID,
+            strings::R::ID,
+        ]
     }
 
     fn delta_plan(&self) -> DeltaPlan {
         DeltaPlan {
             sections: vec![Section {
                 file: "acls",
-                driver: "zephyr",
-                lookups: &["list", "members", "users", "strings"],
+                driver: zephyr::R::ID,
+                lookups: &[list::R::ID, members::R::ID, users::R::ID, strings::R::ID],
                 kind: SectionKind::Members(frag_class),
                 affected: None,
             }],
@@ -44,12 +48,12 @@ impl Generator for ZephyrGenerator {
     }
 }
 
-/// One class's ACL files, in [`ACL_SLOTS`] order.
+/// One class's ACL files, in [`ACES`] order.
 fn frag_class(state: &MoiraState, row: moira_db::RowId) -> Vec<(String, Vec<u8>)> {
-    let t = state.db.table("zephyr");
-    let class = t.cell(row, "class").render();
+    let t = state.db.table(zephyr::T);
+    let class = t.cell(row, zephyr::CLASS).render();
     let mut out = Vec::new();
-    for (type_col, id_col, suffix) in ACL_SLOTS {
+    for ((type_col, id_col), suffix) in ACES.into_iter().zip(ACL_SUFFIXES) {
         let ace_type = t.cell(row, type_col).as_str().to_owned();
         // "For each existing ACE (even if it is empty), the membership
         // will be output" — NONE slots have no ACE and produce no file
@@ -69,9 +73,9 @@ pub fn acl_file(state: &MoiraState, ace_type: &str, ace_id: i64) -> String {
         "USER" => {
             let login = state
                 .db
-                .table("users")
-                .select_one(&Pred::Eq("users_id", ace_id.into()))
-                .map(|r| state.db.cell("users", r, "login").render())
+                .table(users::T)
+                .select_one(&Pred::Eq(users::USERS_ID, ace_id.into()))
+                .map(|r| state.db.cell(r, users::LOGIN).render())
                 .unwrap_or_else(|| format!("#{ace_id}"));
             format!("{login}@ATHENA.MIT.EDU\n")
         }

@@ -13,6 +13,7 @@ use std::collections::HashMap;
 use moira_core::queries::lists::expand_member_ids_recursive;
 use moira_core::queries::testutil::state_with_admin;
 use moira_core::registry::Registry;
+use moira_core::schema::{list, users};
 use moira_core::state::{Caller, MoiraState};
 use moira_dcm::generators::incremental::{refresh, CachedBuild};
 use moira_dcm::generators::{groups_of_user, standard_generators};
@@ -22,15 +23,16 @@ use proptest::prelude::*;
 /// active unix group (nested lists included) into
 /// `users_id -> [(group name, gid)]`, sorted and deduplicated.
 fn group_map(state: &MoiraState) -> HashMap<i64, Vec<(String, i64)>> {
-    let t = state.db.table("list");
+    let t = state.db.table(list::T);
     let mut map: HashMap<i64, Vec<(String, i64)>> = HashMap::new();
     for (_, row) in t.iter() {
-        if !(row[t.col("active")].as_bool() && row[t.col("grouplist")].as_bool()) {
+        if !(row[list::ACTIVE.index()].as_bool() && row[list::GROUPLIST.index()].as_bool()) {
             continue;
         }
-        let name = row[t.col("name")].as_str().to_owned();
-        let gid = row[t.col("gid")].as_int();
-        let (users, _strings) = expand_member_ids_recursive(state, row[t.col("list_id")].as_int());
+        let name = row[list::NAME.index()].as_str().to_owned();
+        let gid = row[list::GID.index()].as_int();
+        let (users, _strings) =
+            expand_member_ids_recursive(state, row[list::LIST_ID.index()].as_int());
         for users_id in users {
             map.entry(users_id).or_default().push((name.clone(), gid));
         }
@@ -194,17 +196,17 @@ proptest! {
                 caches.fill(None);
             }
             let oracle = group_map(&state);
-            let users = state.db.table("users");
+            let users = state.db.table(users::T);
             for (_, row) in users.iter() {
-                if row[users.col("status")].as_int() != 1 {
+                if row[users::STATUS.index()].as_int() != 1 {
                     continue;
                 }
-                let users_id = row[users.col("users_id")].as_int();
+                let users_id = row[users::USERS_ID.index()].as_int();
                 prop_assert_eq!(
                     groups_of_user(&state, users_id),
                     oracle.get(&users_id).cloned().unwrap_or_default(),
                     "groups of {} after step {} ({:?})",
-                    row[users.col("login")].as_str(),
+                    row[users::LOGIN.index()].as_str(),
                     step,
                     (code, a, b)
                 );

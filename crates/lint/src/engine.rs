@@ -1535,8 +1535,12 @@ pub fn wait_prim_sites(body: &[Token]) -> Vec<(usize, u32, String)> {
     out
 }
 
-/// Local names bound from `..table(..)` calls, e.g.
-/// `let t = state.db.table("users");`.
+/// The `Database` accessors that hand out a table: by typed handle
+/// (`db.table(users::T)`) or by erased id (`db.at(section.driver)`).
+const TABLE_ACCESSORS: &[&str] = &["table", "at"];
+
+/// Local names bound from `..table(..)` / `..at(..)` calls, e.g.
+/// `let t = state.db.table(users::T);`.
 pub fn table_locals(body: &[Token]) -> HashSet<String> {
     let mut out = HashSet::new();
     for i in 0..body.len() {
@@ -1552,11 +1556,12 @@ pub fn table_locals(body: &[Token]) -> HashSet<String> {
         }
         let end = scan::statement_end(body, k + 1);
         let rhs = &body[k + 2..end.min(body.len())];
+        let is_accessor = |t: &Token| TABLE_ACCESSORS.iter().any(|a| t.is_ident(a));
         let is_table_call = rhs
             .iter()
             .zip(rhs.iter().skip(1))
-            .any(|(a, b)| a.is_punct('.') && b.is_ident("table"))
-            || rhs.first().is_some_and(|t| t.is_ident("table"));
+            .any(|(a, b)| a.is_punct('.') && is_accessor(b))
+            || rhs.first().is_some_and(is_accessor);
         if is_table_call {
             out.insert(body[k].text.clone());
         }
@@ -1565,10 +1570,11 @@ pub fn table_locals(body: &[Token]) -> HashSet<String> {
 }
 
 /// True when the `.iter()` at `dot_idx` enumerates a table: its receiver
-/// chain passes through `.table(..)` or starts at one of `table_locals`.
+/// chain passes through `.table(..)` / `.at(..)` or starts at one of
+/// `table_locals`.
 pub fn is_table_iter(toks: &[Token], dot_idx: usize, table_locals: &HashSet<String>) -> bool {
     let recv = scan::receiver_idents(toks, dot_idx);
-    recv.iter().any(|r| r == "table")
+    recv.iter().any(|r| TABLE_ACCESSORS.contains(&r.as_str()))
         || recv
             .first()
             .is_some_and(|r| table_locals.contains(r.as_str()))

@@ -1,14 +1,15 @@
 //! `moira-lint`: a workspace static analyzer for the invariants no other
 //! tool in the build can see — lock discipline around the shared state, the
-//! reactor's single blocking point, the DCM delta-path scan ban (three
-//! interprocedural passes over a workspace call graph), and the table and
-//! column names the query path spells as string literals.
+//! reactor's single blocking point, and the DCM delta-path scan ban: three
+//! interprocedural effect passes over a workspace call graph.
 //!
 //! It checks only what rustc, clippy and `Registry::register` cannot: the
 //! read tier is a handler signature, the single live database is a missing
-//! `Clone`, panic-free loops and planner discipline are clippy attributes,
-//! and registry coherence is asserted at registration (DESIGN.md "Static
-//! invariants" has the table).
+//! `Clone`, table and column references are typed handles (`users::LOGIN`:
+//! a misspelt one, or one of another relation, does not compile), panic-free
+//! loops and planner discipline are clippy attributes, and registry
+//! coherence is asserted at registration (DESIGN.md "Static invariants" has
+//! the table).
 //!
 //! Diagnostics are deny-by-default. A `// lint:allow(<pass>)` comment on
 //! the flagged line or the line above suppresses one finding; allows are
@@ -134,12 +135,6 @@ pub const PASSES: &[PassInfo] = &[
                       full-scan driver tables, directly or through helpers in any file; \
                       full rebuilds only via the marked fallback",
         run: passes::delta::run,
-    },
-    PassInfo {
-        name: passes::schema_refs::NAME,
-        description: "every table and column string literal on the query path names a \
-                      table or column declared in schema.rs",
-        run: passes::schema_refs::run,
     },
 ];
 

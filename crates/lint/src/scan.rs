@@ -124,7 +124,7 @@ pub fn close_of(toks: &[Token], open: usize) -> usize {
 }
 
 /// The identifier chain to the left of the `.` at `dot_idx`, leftmost
-/// first: for `state.db.table("x").iter()` at `.iter` this returns
+/// first: for `state.db.table(users::T).iter()` at `.iter` this returns
 /// `["state", "db", "table"]`. Stops at anything that is not a `.`/`::`
 /// chain of identifiers, calls, or index expressions.
 pub fn receiver_idents(toks: &[Token], dot_idx: usize) -> Vec<String> {

@@ -103,34 +103,25 @@ fn good_fixtures_stay_clean() {
 
 #[test]
 fn lint_allow_suppresses_a_finding() {
-    // Two unknown columns, with an allow comment on the line above the
-    // first: that finding must disappear — and only that one.
-    let schema = "\
-fn create_all_tables(db: &mut Database) {
-    db.create_table(TableSchema::new(\"users\", vec![C::str(\"login\")]));
+    // Two blocking calls under the guard, with an allow comment on the line
+    // above the first: that finding must disappear — and only that one.
+    let src = "\
+fn persist(state: &SharedState) {
+    let mut guard = state.write();
+    // lint:allow(lock-discipline)
+    std::fs::write(\"/var/moira/dump\", guard.render()).ok();
+    std::thread::sleep(std::time::Duration::from_millis(50));
 }
 ";
-    let queries = "\
-fn get_user(state: &MoiraState, id: RowId) -> (Value, Value) {
-    // lint:allow(schema-refs)
-    let a = state.db.cell(\"users\", id, \"loginn\");
-    let b = state.db.cell(\"users\", id, \"uid\");
-    (a, b)
-}
-";
-    let ws = Workspace::from_sources(&[
-        ("crates/core/src/schema.rs", schema),
-        ("crates/core/src/queries/users.rs", queries),
-    ])
-    .unwrap();
-    let diags = ws.run_pass("schema-refs").unwrap();
+    let ws = Workspace::from_sources(&[("crates/dcm/src/dcm/mod.rs", src)]).unwrap();
+    let diags = ws.run_pass("lock-discipline").unwrap();
     assert_eq!(
         diags.len(),
         1,
-        "allow should suppress `loginn` but keep `uid`: {:?}",
+        "allow should suppress the write but keep the sleep: {:?}",
         diags.iter().map(|d| d.to_string()).collect::<Vec<_>>()
     );
-    assert!(diags[0].message.contains("uid"));
+    assert_eq!(diags[0].line, 5);
 }
 
 #[test]

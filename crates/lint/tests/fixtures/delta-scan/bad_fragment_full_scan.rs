@@ -7,7 +7,7 @@ fn delta_plan(&self) -> DeltaPlan {
     DeltaPlan {
         sections: vec![Section {
             file: "aliases",
-            driver: "users",
+            driver: users::R::ID,
             lookups: &[],
             kind: SectionKind::Lines(frag_bad),
             affected: None,
@@ -16,11 +16,11 @@ fn delta_plan(&self) -> DeltaPlan {
 }
 
 fn frag_bad(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
-    for (r, _) in state.db.table("users").iter() {
+    for (r, _) in state.db.table(users::T).iter() {
         let _ = r;
     }
-    let all = state.db.select("users", &Pred::True);
-    let lists = state.db.table("list");
+    let all = state.db.table(users::T).select(&Pred::True);
+    let lists = state.db.table(list::T);
     let actives = lists.iter().count();
     Some((LineKey::Row(row), format!("{}:{}", all.len(), actives)))
 }

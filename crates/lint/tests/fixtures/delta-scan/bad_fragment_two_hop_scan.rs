@@ -7,7 +7,7 @@ fn delta_plan(&self) -> DeltaPlan {
     DeltaPlan {
         sections: vec![Section {
             file: "aliases",
-            driver: "users",
+            driver: users::R::ID,
             lookups: &[],
             kind: SectionKind::Lines(frag_aliases),
             affected: None,
@@ -28,7 +28,7 @@ pub fn alias_counts(state: &MoiraState, row: RowId) -> usize {
 //@ file: crates/dcm/src/census.rs
 pub fn population(state: &MoiraState) -> usize {
     let mut n = 0;
-    for (_, _) in state.db.table("users").iter() {
+    for (_, _) in state.db.table(users::T).iter() {
         n += 1;
     }
     n

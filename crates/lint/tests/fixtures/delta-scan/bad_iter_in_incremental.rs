@@ -5,10 +5,10 @@
 
 fn rebuild_section(state: &MoiraState, section: &Section) -> Vec<String> {
     let mut out = Vec::new();
-    for (row, _) in state.db.table(section.driver).iter() {
+    for (row, _) in state.db.at(section.driver).iter() {
         out.push(format!("{row:?}"));
     }
-    let t = state.db.table("users");
+    let t = state.db.table(users::T);
     for (row, _) in t.iter() {
         out.push(format!("{row:?}"));
     }

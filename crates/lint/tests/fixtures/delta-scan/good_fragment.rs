@@ -6,8 +6,8 @@ fn delta_plan(&self) -> DeltaPlan {
     DeltaPlan {
         sections: vec![Section {
             file: "aliases",
-            driver: "users",
-            lookups: &["list"],
+            driver: users::R::ID,
+            lookups: &[list::R::ID],
             kind: SectionKind::Lines(frag_pobox),
             affected: None,
         }],
@@ -15,15 +15,15 @@ fn delta_plan(&self) -> DeltaPlan {
 }
 
 fn frag_pobox(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
-    let users = state.db.table("users");
-    let login = users.cell(row, "login").render();
-    let lists = groups_of_user(state, users.cell(row, "uid").as_int());
+    let users = state.db.table(users::T);
+    let login = users.cell(row, users::LOGIN).render();
+    let lists = groups_of_user(state, users.cell(row, users::UID).as_int());
     Some((LineKey::Row(row), format!("{login}:{}", lists.len())))
 }
 
 fn full_builder(state: &MoiraState) -> String {
     let mut out = String::new();
-    for (row, _) in state.db.table("users").iter() {
+    for (row, _) in state.db.table(users::T).iter() {
         out.push_str(&format!("{row:?}\n"));
     }
     out

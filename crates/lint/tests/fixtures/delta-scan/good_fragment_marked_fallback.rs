@@ -8,7 +8,7 @@ fn delta_plan(&self) -> DeltaPlan {
     DeltaPlan {
         sections: vec![Section {
             file: "aliases",
-            driver: "users",
+            driver: users::R::ID,
             lookups: &[],
             kind: SectionKind::Lines(frag_aliases),
             affected: None,
@@ -24,7 +24,7 @@ fn frag_aliases(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
 //@ file: crates/dcm/src/rollup.rs
 pub fn rebuild_all_aliases(state: &MoiraState) -> usize {
     let mut n = 0;
-    for (_, _) in state.db.table("aliases").iter() {
+    for (_, _) in state.db.table(aliases::T).iter() {
         n += 1;
     }
     n

@@ -412,6 +412,7 @@ fn make_host(name: &str, handler: moira_dcm::host::CommandHandler) -> Arc<Mutex<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moira_core::schema::users;
 
     #[test]
     fn full_stack_first_propagation() {
@@ -641,10 +642,10 @@ mod tests {
         let uid: i64 = {
             let s = d.state.read();
             let row =
-                s.db.table("users")
-                    .select_one(&moira_db::Pred::Eq("login", login.clone().into()))
+                s.db.table(users::T)
+                    .select_one(&moira_db::Pred::Eq(users::LOGIN, login.clone().into()))
                     .unwrap();
-            s.db.cell("users", row, "uid").as_int()
+            s.db.cell(row, users::UID).as_int()
         };
         let holders = d
             .nfs

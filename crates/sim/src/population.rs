@@ -625,6 +625,7 @@ pub fn populate(
 mod tests {
     use super::*;
     use moira_core::queries::testutil::state_with_admin;
+    use moira_core::schema::{filesys, nfsphys, nfsquota, users};
 
     fn build_small() -> (MoiraState, Registry, PopulationReport) {
         let (mut state, _) = state_with_admin("ops");
@@ -640,10 +641,10 @@ mod tests {
         assert_eq!(report.unregistered.len(), 20);
         assert_eq!(report.nfs_servers.len(), 3);
         // users = 100 active + 20 unregistered + 1 admin.
-        assert_eq!(state.db.table("users").len(), 121);
+        assert_eq!(state.db.table(users::T).len(), 121);
         // Every active user has a personal group, a locker, and a quota.
-        assert_eq!(state.db.table("nfsquota").len(), 100);
-        assert_eq!(state.db.table("filesys").len(), 100);
+        assert_eq!(state.db.table(nfsquota::T).len(), 100);
+        assert_eq!(state.db.table(filesys::T).len(), 100);
         assert!(report.queries_run > 500);
     }
 
@@ -673,10 +674,10 @@ mod tests {
     #[test]
     fn quota_allocation_charged() {
         let (state, _, _) = build_small();
-        let t = state.db.table("nfsphys");
+        let t = state.db.table(nfsphys::T);
         let total: i64 = t
             .iter()
-            .map(|(id, _)| t.cell(id, "allocated").as_int())
+            .map(|(id, _)| t.cell(id, nfsphys::ALLOCATED).as_int())
             .sum();
         assert_eq!(total, 100 * 300);
     }
@@ -731,6 +732,6 @@ mod tests {
         };
         let report = populate(&mut state, &registry, &spec).unwrap();
         assert_eq!(report.active_logins.len(), 200);
-        assert_eq!(state.db.table("filesys").len(), 200);
+        assert_eq!(state.db.table(filesys::T).len(), 200);
     }
 }

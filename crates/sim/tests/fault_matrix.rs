@@ -6,6 +6,7 @@
 //! run produces, with no torn files and no unbounded retry storm.
 
 use moira_client::MoiraConn;
+use moira_core::schema::{machine, members, serverhosts};
 use moira_dcm::retry::RetryPolicy;
 use moira_dcm::update::UpdateError;
 use moira_sim::{Deployment, PopulationSpec};
@@ -21,11 +22,11 @@ fn hesiod_passwd(d: &Deployment, host: &str) -> Option<Vec<u8>> {
 /// Every enabled serverhost reports success.
 fn converged(d: &Deployment) -> bool {
     let s = d.state.read();
-    let t = s.db.table("serverhosts");
+    let t = s.db.table(serverhosts::T);
     let all_ok = t.iter().all(|(row, _)| {
-        !t.cell(row, "enable").as_bool()
-            || t.cell(row, "service").as_str() == "POP"
-            || t.cell(row, "success").as_bool()
+        !t.cell(row, serverhosts::ENABLE).as_bool()
+            || t.cell(row, serverhosts::SERVICE).as_str() == "POP"
+            || t.cell(row, serverhosts::SUCCESS).as_bool()
     });
     all_ok
 }
@@ -206,7 +207,7 @@ fn overloaded_server_is_client_visible_and_recoverable() {
     {
         let mut s = state.write();
         let uid = moira_core::queries::testutil::add_test_user(&mut s, "ops", 1);
-        s.db.append("members", vec![2.into(), "USER".into(), uid.into()])
+        s.db.append(members::T, vec![2.into(), "USER".into(), uid.into()])
             .unwrap();
     }
     server.set_overload_limit(Some(1));
@@ -234,8 +235,8 @@ fn overloaded_server_is_client_visible_and_recoverable() {
     let resends: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
     let machines = {
         let s = state.read();
-        s.db.table("machine")
-            .select(&moira_db::Pred::Like("name", "BOX-*".into()))
+        s.db.table(machine::T)
+            .select(&moira_db::Pred::Like(machine::NAME, "BOX-*".into()))
             .len()
     };
     assert_eq!(machines, 12, "every shed request eventually landed");

@@ -7,6 +7,7 @@
 //! post-restart cycle ships incremental patches — not full rebuilds, not
 //! full member transfers.
 
+use moira_core::schema::users;
 use moira_core::state::Caller;
 use moira_db::storage::GroupCommitConfig;
 use moira_sim::{Deployment, PopulationSpec};
@@ -134,11 +135,11 @@ fn unflushed_commits_die_with_the_crash_but_recovery_is_consistent() {
     assert_eq!(report.replayed, 1, "only the fsynced change survived");
     let s = d.state.read();
     let row =
-        s.db.table("users")
-            .select_one(&moira_db::Pred::Eq("login", login.into()))
+        s.db.table(users::T)
+            .select_one(&moira_db::Pred::Eq(users::LOGIN, login.into()))
             .expect("user recovered");
     assert_eq!(
-        s.db.cell("users", row, "shell").render(),
+        s.db.cell(row, users::SHELL).render(),
         "/bin/durable",
         "the durable prefix, exactly"
     );

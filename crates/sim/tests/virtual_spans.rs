@@ -3,8 +3,9 @@
 
 use moira_common::VClock;
 use moira_core::queries::testutil::add_test_user;
+use moira_core::schema::users;
 use moira_core::state::MoiraState;
-use moira_db::RowId;
+use moira_db::{Relation, RowId, TableId};
 use moira_dcm::generators::incremental::{self, DeltaPlan, LineKey, Section, SectionKind};
 use moira_dcm::generators::Generator;
 use moira_sim::deployment::Deployment;
@@ -24,15 +25,15 @@ impl Generator for SlowGenerator {
         "SLOW"
     }
 
-    fn depends_on(&self) -> &'static [&'static str] {
-        &["users"]
+    fn depends_on(&self) -> &'static [TableId] {
+        &[users::R::ID]
     }
 
     fn delta_plan(&self) -> DeltaPlan {
         DeltaPlan {
             sections: vec![Section {
                 file: "slow.db",
-                driver: "users",
+                driver: users::R::ID,
                 lookups: &[],
                 kind: SectionKind::Lines(frag_slow),
                 affected: None,

@@ -12,6 +12,7 @@ use moira::client::apps::{
     chfn, chpobox, chsh, usermaint_menu, DcmMaint, ListFlags, ListMaint, MailMaint, UserMaint,
 };
 use moira::client::{DirectClient, MoiraConn};
+use moira::core::schema::users;
 use moira::sim::{Deployment, PopulationSpec};
 
 fn main() {
@@ -99,10 +100,10 @@ fn main() {
     let uid: i64 = {
         let s = athena.state.read();
         let row =
-            s.db.table("users")
-                .select_one(&moira::db::Pred::Eq("login", user.clone().into()))
+            s.db.table(users::T)
+                .select_one(&moira::db::Pred::Eq(users::LOGIN, user.clone().into()))
                 .unwrap();
-        s.db.cell("users", row, "uid").as_int()
+        s.db.cell(row, users::UID).as_int()
     };
     let served = athena
         .nfs

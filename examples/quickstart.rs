@@ -4,6 +4,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use moira::client::{MoiraConn, ServerThread};
+use moira::core::schema::members;
 use moira::core::server::standard_server;
 use moira::sim::{Deployment, PopulationSpec};
 
@@ -14,7 +15,7 @@ fn main() {
         // Bootstrap one administrator onto the moira-admins list (id 2).
         let mut s = state.write();
         let uid = moira::core::queries::testutil::add_test_user(&mut s, "admin", 1);
-        s.db.append("members", vec![2.into(), "USER".into(), uid.into()])
+        s.db.append(members::T, vec![2.into(), "USER".into(), uid.into()])
             .unwrap();
     }
     let thread = ServerThread::spawn(server);

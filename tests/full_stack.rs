@@ -3,6 +3,7 @@
 
 use moira::client::{MoiraConn, ServerThread};
 use moira::common::errors::MrError;
+use moira::core::schema::{cluster, machine, members};
 use moira::core::server::standard_server;
 use moira::core::state::Caller;
 use moira::sim::cron::run_cron;
@@ -13,7 +14,7 @@ fn server_with_admin() -> (ServerThread, moira::client::RpcClient) {
     {
         let mut s = state.write();
         let uid = moira::core::queries::testutil::add_test_user(&mut s, "ops", 1);
-        s.db.append("members", vec![2.into(), "USER".into(), uid.into()])
+        s.db.append(members::T, vec![2.into(), "USER".into(), uid.into()])
             .unwrap();
     }
     let thread = ServerThread::spawn(server);
@@ -165,7 +166,7 @@ fn journal_replays_onto_restored_backup() {
     {
         let mut s = state.write();
         let uid = moira::core::queries::testutil::add_test_user(&mut s, "ops", 1);
-        s.db.append("members", vec![2.into(), "USER".into(), uid.into()])
+        s.db.append(members::T, vec![2.into(), "USER".into(), uid.into()])
             .unwrap();
     }
     drop(server);
@@ -234,16 +235,16 @@ fn journal_replays_onto_restored_backup() {
         assert!(
             recovered
                 .db
-                .table("machine")
-                .select_one(&moira::db::Pred::Eq("name", name.into()))
+                .table(machine::T)
+                .select_one(&moira::db::Pred::Eq(machine::NAME, name.into()))
                 .is_some(),
             "{name}"
         );
     }
     assert!(recovered
         .db
-        .table("cluster")
-        .select_one(&moira::db::Pred::Eq("name", "late-cluster".into()))
+        .table(cluster::T)
+        .select_one(&moira::db::Pred::Eq(cluster::NAME, "late-cluster".into()))
         .is_some());
 }
 
@@ -255,7 +256,7 @@ fn access_precheck_agrees_with_execution_across_catalog() {
     {
         let mut s = state.write();
         let uid = moira::core::queries::testutil::add_test_user(&mut s, "ops", 1);
-        s.db.append("members", vec![2.into(), "USER".into(), uid.into()])
+        s.db.append(members::T, vec![2.into(), "USER".into(), uid.into()])
             .unwrap();
         moira::core::queries::testutil::add_test_user(&mut s, "plain", 2);
     }
@@ -294,7 +295,7 @@ fn concurrent_admin_sessions_are_serialized_safely() {
     {
         let mut s = state.write();
         let uid = moira::core::queries::testutil::add_test_user(&mut s, "ops", 1);
-        s.db.append("members", vec![2.into(), "USER".into(), uid.into()])
+        s.db.append(members::T, vec![2.into(), "USER".into(), uid.into()])
             .unwrap();
     }
     let thread = ServerThread::spawn(server);
@@ -317,7 +318,7 @@ fn concurrent_admin_sessions_are_serialized_safely() {
     for h in handles {
         h.join().unwrap();
     }
-    let total = state.read().db.table("machine").len();
+    let total = state.read().db.table(machine::T).len();
     assert_eq!(total, 100);
 }
 
@@ -327,7 +328,7 @@ fn tcp_client_full_round_trip() {
     {
         let mut s = state.write();
         let uid = moira::core::queries::testutil::add_test_user(&mut s, "ops", 1);
-        s.db.append("members", vec![2.into(), "USER".into(), uid.into()])
+        s.db.append(members::T, vec![2.into(), "USER".into(), uid.into()])
             .unwrap();
     }
     let addr = server.listen_tcp("127.0.0.1:0").unwrap();
@@ -358,7 +359,7 @@ fn server_statistics_over_tcp_report_real_latencies() {
     {
         let mut s = state.write();
         let uid = moira::core::queries::testutil::add_test_user(&mut s, "ops", 1);
-        s.db.append("members", vec![2.into(), "USER".into(), uid.into()])
+        s.db.append(members::T, vec![2.into(), "USER".into(), uid.into()])
             .unwrap();
         // Enough machines that the planner prefers the name-index range
         // over a scan for the wildcard lookups below (on a near-empty
@@ -456,7 +457,7 @@ fn wal_statistics_surface_over_tcp_after_durable_boot() {
         moira::core::seed::seed_capacls(&mut st, &registry);
         let uid = moira::core::queries::testutil::add_test_user(&mut st, "ops", 1);
         st.db
-            .append("members", vec![2.into(), "USER".into(), uid.into()])
+            .append(members::T, vec![2.into(), "USER".into(), uid.into()])
             .unwrap();
         // The seeding above went straight to the database; seal it into the
         // snapshot so only client traffic rides the WAL.

@@ -3,6 +3,7 @@
 use moira::client::apps::{MailMaint, UserMaint};
 use moira::client::{DirectClient, MoiraConn};
 use moira::common::errors::MrError;
+use moira::core::schema::users;
 use moira::core::state::Caller;
 use moira::core::userreg::{make_authenticator, RegReply, RegRequest};
 use moira::sim::{Deployment, PopulationSpec};
@@ -31,10 +32,10 @@ fn quota_change_example() {
     let uid: i64 = {
         let s = athena.state.read();
         let row =
-            s.db.table("users")
-                .select_one(&moira::db::Pred::Eq("login", user.clone().into()))
+            s.db.table(users::T)
+                .select_one(&moira::db::Pred::Eq(users::LOGIN, user.clone().into()))
                 .unwrap();
-        s.db.cell("users", row, "uid").as_int()
+        s.db.cell(row, users::UID).as_int()
     };
     // Exactly the proper server has the new quota.
     let holders = athena
