@@ -12,8 +12,8 @@
 //!   retrieval queries.
 //! - [`strutil`] — string utilities (trim, hostname canonicalization,
 //!   flag conversion) listed in §5.6.3.
-//! - [`hashtab`] / [`queue`] — the hash-table and queue abstractions the
-//!   application library ships (§5.6.3).
+//! - [`hashtab`] — the hash-table abstraction the application library
+//!   ships (§5.6.3).
 //! - [`menu`] — the menu package used by the administrative clients.
 //! - [`clock`] — a virtual clock so DCM intervals and modtimes are
 //!   deterministic under test and in the deployment simulator.
@@ -25,7 +25,6 @@ pub mod errors;
 pub mod hashtab;
 pub mod lockorder;
 pub mod menu;
-pub mod queue;
 pub mod rng;
 pub mod strutil;
 pub mod wildcard;

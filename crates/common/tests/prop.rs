@@ -1,7 +1,6 @@
 //! Property-based tests for moira-common data structures.
 
 use moira_common::hashtab::HashTable;
-use moira_common::queue::Queue;
 use moira_common::strutil;
 use moira_common::wildcard;
 use proptest::prelude::*;
@@ -73,15 +72,5 @@ proptest! {
             }
             prop_assert_eq!(table.len(), model.len());
         }
-    }
-
-    #[test]
-    fn queue_preserves_fifo(items in prop::collection::vec(any::<u32>(), 0..100)) {
-        let mut q = Queue::new();
-        for &i in &items {
-            q.enqueue(i);
-        }
-        let drained: Vec<u32> = q.drain().collect();
-        prop_assert_eq!(drained, items);
     }
 }

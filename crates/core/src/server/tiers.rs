@@ -100,16 +100,6 @@ impl Tiers {
         self.obs_sheds.add(n);
     }
 
-    /// Nanoseconds since the reactor reported readiness — the wait a
-    /// tier's batch is about to be charged — or 0 with obs switched off.
-    fn ready_wait_ns(&self, ready_at: Instant) -> u64 {
-        if self.obs.enabled() {
-            ready_at.elapsed().as_nanos() as u64
-        } else {
-            0
-        }
-    }
-
     /// The shared tier: every `Read` slot runs under a read guard,
     /// round-robined over `read_workers` scoped threads when there is more
     /// than one of each. Each worker holds one guard for its whole chunk.
@@ -126,11 +116,12 @@ impl Tiers {
             return;
         }
         let (registry, state) = (&*self.registry, &self.state);
-        let (patience, timed) = (self.lock_patience, self.obs.enabled());
-        let wait_ns = self.ready_wait_ns(ready_at);
+        let patience = self.lock_patience;
+        // The wait this batch is charged: reactor readiness to dispatch.
+        let wait_ns = ready_at.elapsed().as_nanos() as u64;
         let workers = self.read_workers.min(ids.len());
         let outcomes: Vec<ReadOutcome> = if workers <= 1 {
-            run_chunk(registry, state, patience, timed, sessions, tasks, &ids)
+            run_chunk(registry, state, patience, sessions, tasks, &ids)
         } else {
             let chunks: Vec<Vec<usize>> = (0..workers)
                 .map(|w| ids.iter().copied().skip(w).step_by(workers).collect())
@@ -141,7 +132,7 @@ impl Tiers {
                     .iter()
                     .map(|chunk| {
                         scope.spawn(move || {
-                            run_chunk(registry, state, patience, timed, sessions, tasks, chunk)
+                            run_chunk(registry, state, patience, sessions, tasks, chunk)
                         })
                     })
                     .collect();
@@ -203,11 +194,10 @@ impl Tiers {
         };
         self.writes_dispatched += ids.len() as u64;
         self.obs_writes.add(ids.len() as u64);
-        let timed = self.obs.enabled();
-        let wait_ns = self.ready_wait_ns(ready_at);
+        let wait_ns = ready_at.elapsed().as_nanos() as u64;
         for id in ids {
             let session = &mut sessions[tasks[id].conn];
-            let t0 = timed.then(Instant::now);
+            let t0 = Instant::now();
             let replies = match &tasks[id].work {
                 Work::Auth(args) => match authenticate(self.verifier.as_ref(), args) {
                     Ok(caller) => {
@@ -229,11 +219,9 @@ impl Tiers {
                 Work::TriggerDcm => vec![trigger_dcm(&session.caller, &mut guard)],
                 _ => continue,
             };
-            if let Some(t0) = t0 {
-                self.obs_write_latency
-                    .record(t0.elapsed().as_nanos() as u64);
-                self.obs_ready_latency.record(wait_ns);
-            }
+            self.obs_write_latency
+                .record(t0.elapsed().as_nanos() as u64);
+            self.obs_ready_latency.record(wait_ns);
             tasks[id].work = Work::Done(replies);
         }
         // Group commit: one fsync (at most — the flush interval can defer
@@ -255,7 +243,6 @@ fn run_chunk(
     registry: &Registry,
     state: &SharedState,
     patience: u32,
-    timed: bool,
     sessions: &[Session],
     tasks: &[TaskSlot],
     chunk: &[usize],
@@ -268,11 +255,10 @@ fn run_chunk(
             let (Some(guard), Work::Read(call)) = (&guard, &slot.work) else {
                 return (id, busy(), None);
             };
-            let t0 = timed.then(Instant::now);
+            let t0 = Instant::now();
             let caller = &sessions[slot.conn].caller;
             let replies = answer(registry, Tier::Shared(guard), caller, call);
-            let nanos = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-            (id, replies, Some(nanos))
+            (id, replies, Some(t0.elapsed().as_nanos() as u64))
         })
         .collect()
 }

@@ -1,6 +1,7 @@
 //! Adversarial connection-tier tests over real TCP: a slow-loris client
 //! dribbling one byte per readiness event, a reader that never drains its
-//! replies, mid-frame disconnects, and hostile frame headers.
+//! replies, mid-frame disconnects, hostile frame headers, and hundreds of
+//! simultaneous connections followed by connect/disconnect churn.
 //!
 //! Every scenario must leave the server spotless: no lingering connection,
 //! no registered client, an idle lock manager, and a connection gauge back
@@ -233,6 +234,74 @@ fn hostile_frame_header_poisons_only_that_connection() {
     drop(good);
     drop(evil);
     assert_spotless(&mut server, &state);
+}
+
+/// Hundreds of simultaneous connections, each answered through the read
+/// tier while all are open, then sequential connect → noop → close churn.
+/// 400 clients plus their server ends fit a 1024-fd soft limit. CI runs
+/// this under both reactor backends (`MOIRA_POLL_BACKEND=poll`).
+#[test]
+fn concurrent_connections_then_churn_leave_no_residue() {
+    const CONNS: usize = 400;
+    const CHURN: usize = 200;
+    let (mut server, state, addr) = server_with_admin();
+
+    // Connect in chunks the listener backlog (128) can always hold.
+    let mut clients: Vec<RawClient> = Vec::with_capacity(CONNS);
+    while clients.len() < CONNS {
+        for _ in 0..100 {
+            clients.push(RawClient::connect(&addr));
+        }
+        for _ in 0..10_000 {
+            if server.connection_count() == clients.len() {
+                break;
+            }
+            server.poll_with_timeout(Some(TICK));
+        }
+        assert_eq!(server.connection_count(), clients.len(), "all accepted");
+    }
+
+    // One retrieve per connection, all in flight together.
+    let query = Request::new(MajorRequest::Query, &["get_machine", "ADV1.MIT.EDU"]);
+    for c in &mut clients {
+        c.send(&query);
+    }
+    let mut answered = vec![false; CONNS];
+    for _ in 0..10_000 {
+        server.poll_with_timeout(Some(TICK));
+        for (c, done) in clients.iter_mut().zip(&mut answered) {
+            while let Some(reply) = c.try_frame() {
+                if !reply.is_more_data() {
+                    assert_eq!(reply.code, 0, "retrieve answered");
+                    *done = true;
+                }
+            }
+        }
+        if answered.iter().all(|&d| d) {
+            break;
+        }
+    }
+    assert!(answered.iter().all(|&d| d), "every connection answered");
+    assert_eq!(server.connection_count(), CONNS, "all held while answered");
+    let snap = server.obs().snapshot();
+    assert_eq!(snap.counter("server.reads_dispatched"), CONNS as u64);
+    let dispatch = snap
+        .histogram("server.latency.readiness_to_dispatch")
+        .expect("dispatch histogram");
+    assert_eq!(dispatch.count, CONNS as u64, "one sample per retrieve");
+    drop(clients);
+    assert_spotless(&mut server, &state);
+
+    for _ in 0..CHURN {
+        let mut client = RawClient::connect(&addr);
+        client.send(&Request::new(MajorRequest::Noop, &[]));
+        assert_eq!(client.pump_frame(&mut server).code, 0, "noop");
+    }
+    assert_spotless(&mut server, &state);
+    let snap = server.obs().snapshot();
+    let total = (CONNS + CHURN) as u64;
+    assert_eq!(snap.counter("server.connections.accepted"), total);
+    assert_eq!(snap.counter("server.connections.closed"), total);
 }
 
 #[test]

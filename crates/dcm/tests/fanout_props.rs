@@ -301,8 +301,10 @@ proptest! {
         oracle.advance(60);
         prop_assert!(subject.dcm.run_once().updates.is_empty());
         prop_assert!(oracle.dcm.run_once().updates.is_empty());
-        // …and every host is byte-identical to the fault-free oracle.
+        // …and every host installed files byte-identical to the fault-free
+        // oracle's.
         for (idx, name) in names.iter().enumerate() {
+            prop_assert!(!subject.files_of(idx).is_empty(), "{} installed nothing", name);
             prop_assert_eq!(
                 subject.files_of(idx),
                 oracle.files_of(idx),

@@ -25,18 +25,9 @@ use syn::Token;
 
 pub const NAME: &str = "lock-discipline";
 
-/// The measurement harness is exempt: benches hold guards deliberately to
-/// time lock contention itself.
-fn in_scope(rel: &str) -> bool {
-    !rel.starts_with("crates/bench/")
-}
-
 pub fn run(ws: &Workspace, eng: &Engine<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (fi, sf) in ws.files.iter().enumerate() {
-        if !in_scope(&sf.rel) {
-            continue;
-        }
         for &id in eng.fns_in_file(fi) {
             let node = &eng.fns[id];
             if node.in_test || !node.func.has_body {

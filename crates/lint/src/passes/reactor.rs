@@ -30,18 +30,9 @@ use super::locks::{acquisition_sites, guard_scope_end};
 
 pub const NAME: &str = "reactor-discipline";
 
-/// Benches drive the loop synchronously and pace themselves however the
-/// measurement requires.
-fn in_scope(rel: &str) -> bool {
-    !rel.starts_with("crates/bench/")
-}
-
 pub fn run(ws: &Workspace, eng: &Engine<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (fi, sf) in ws.files.iter().enumerate() {
-        if !in_scope(&sf.rel) {
-            continue;
-        }
         for &id in eng.fns_in_file(fi) {
             let node = &eng.fns[id];
             if node.in_test || !node.func.has_body {

@@ -14,10 +14,8 @@
 //!   handful of relaxed atomic RMWs. The registry's name maps are behind a
 //!   `Mutex`, but only instrument *creation* and *snapshotting* touch them
 //!   — callers cache handles at construction time.
-//! - **One global off switch.** Every handle shares the registry's
-//!   `enabled` flag; a disabled registry turns recording into a single
-//!   relaxed load, so the `results/obs_overhead.json` bench can price the
-//!   instrumentation itself.
+//! - **No off switch.** Every instrument always records; there is no
+//!   unmeasured configuration for a reading to come from.
 //! - **A clock seam.** Spans and wait timers read nanoseconds through the
 //!   registry's [`ClockSource`]; the deployment simulator swaps in the
 //!   shared [`VClock`] so stage durations report *simulated* time.
@@ -32,7 +30,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -230,7 +228,6 @@ impl fmt::Debug for HistSnapshot {
 #[derive(Clone)]
 pub struct Counter {
     cell: Arc<AtomicU64>,
-    on: Arc<AtomicBool>,
 }
 
 impl Counter {
@@ -241,9 +238,7 @@ impl Counter {
 
     /// Adds `n`.
     pub fn add(&self, n: u64) {
-        if self.on.load(Ordering::Relaxed) {
-            self.cell.fetch_add(n, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -256,22 +251,17 @@ impl Counter {
 #[derive(Clone)]
 pub struct Gauge {
     cell: Arc<AtomicI64>,
-    on: Arc<AtomicBool>,
 }
 
 impl Gauge {
     /// Sets the gauge.
     pub fn set(&self, v: i64) {
-        if self.on.load(Ordering::Relaxed) {
-            self.cell.store(v, Ordering::Relaxed);
-        }
+        self.cell.store(v, Ordering::Relaxed);
     }
 
     /// Adds `d` (may be negative).
     pub fn add(&self, d: i64) {
-        if self.on.load(Ordering::Relaxed) {
-            self.cell.fetch_add(d, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(d, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -284,15 +274,12 @@ impl Gauge {
 #[derive(Clone)]
 pub struct Histo {
     core: Arc<HistCore>,
-    on: Arc<AtomicBool>,
 }
 
 impl Histo {
     /// Records one value.
     pub fn record(&self, v: u64) {
-        if self.on.load(Ordering::Relaxed) {
-            self.core.record(v);
-        }
+        self.core.record(v);
     }
 
     /// An immutable copy of the current state.
@@ -341,7 +328,6 @@ struct Inner {
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<String, Arc<AtomicI64>>>,
     histograms: Mutex<BTreeMap<String, Arc<HistCore>>>,
-    enabled: Arc<AtomicBool>,
     clock: Mutex<ClockSource>,
 }
 
@@ -354,14 +340,13 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// An enabled registry on the wall clock.
+    /// An empty registry on the wall clock.
     pub fn new() -> Registry {
         Registry {
             inner: Arc::new(Inner {
                 counters: Mutex::new(BTreeMap::new()),
                 gauges: Mutex::new(BTreeMap::new()),
                 histograms: Mutex::new(BTreeMap::new()),
-                enabled: Arc::new(AtomicBool::new(true)),
                 clock: Mutex::new(ClockSource::Wall {
                     epoch: Instant::now(),
                 }),
@@ -376,10 +361,7 @@ impl Registry {
             .entry(name.to_owned())
             .or_insert_with(|| Arc::new(AtomicU64::new(0)))
             .clone();
-        Counter {
-            cell,
-            on: self.inner.enabled.clone(),
-        }
+        Counter { cell }
     }
 
     /// The gauge named `name`, created on first use.
@@ -389,10 +371,7 @@ impl Registry {
             .entry(name.to_owned())
             .or_insert_with(|| Arc::new(AtomicI64::new(0)))
             .clone();
-        Gauge {
-            cell,
-            on: self.inner.enabled.clone(),
-        }
+        Gauge { cell }
     }
 
     /// The histogram named `name`, created on first use.
@@ -402,10 +381,7 @@ impl Registry {
             .entry(name.to_owned())
             .or_insert_with(|| Arc::new(HistCore::new()))
             .clone();
-        Histo {
-            core,
-            on: self.inner.enabled.clone(),
-        }
+        Histo { core }
     }
 
     /// Starts a stage span recording into the histogram named `name`.
@@ -433,17 +409,6 @@ impl Registry {
     /// Routes spans and wait timers through the shared simulation clock.
     pub fn set_virtual_clock(&self, vclock: VClock) {
         *self.inner.clock.lock() = ClockSource::Virtual(vclock);
-    }
-
-    /// Master switch: a disabled registry turns every handle's recording
-    /// into a single relaxed load. Existing values are kept.
-    pub fn set_enabled(&self, on: bool) {
-        self.inner.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// True when recording is on.
-    pub fn enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
     }
 
     /// A point-in-time copy of every instrument.
@@ -475,20 +440,6 @@ impl Registry {
             histograms,
         }
     }
-
-    /// Text exposition of the full snapshot, one `name value` line per
-    /// statistic, histogram names suffixed with the derived statistic —
-    /// the bench harness's dump format (and the wire query's row source).
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        for (name, value) in self.snapshot().rows() {
-            out.push_str(&name);
-            out.push(' ');
-            out.push_str(&value);
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl Default for Registry {
@@ -501,7 +452,7 @@ impl fmt::Debug for Registry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Deliberately lock-free: Debug-printing a LockManager mid-poll
         // must never contend with instrument creation.
-        write!(f, "Registry {{ enabled: {} }}", self.enabled())
+        f.debug_struct("Registry").finish_non_exhaustive()
     }
 }
 
@@ -594,23 +545,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_records_nothing() {
-        let r = Registry::new();
-        let c = r.counter("c");
-        let h = r.histogram("h");
-        r.set_enabled(false);
-        c.inc();
-        h.record(9);
-        assert_eq!(c.get(), 0);
-        assert_eq!(h.snapshot().count, 0);
-        r.set_enabled(true);
-        c.inc();
-        h.record(9);
-        assert_eq!(c.get(), 1);
-        assert_eq!(h.snapshot().count, 1);
-    }
-
-    #[test]
     fn quantiles_on_known_data() {
         let r = Registry::new();
         let h = r.histogram("h");
@@ -677,26 +611,10 @@ mod tests {
     }
 
     #[test]
-    fn render_text_lists_all_instruments() {
-        let r = Registry::new();
-        r.counter("requests").add(3);
-        r.gauge("depth").set(-1);
-        r.histogram("lat").record(5);
-        let text = r.render_text();
-        assert!(text.contains("requests 3\n"), "{text}");
-        assert!(text.contains("depth -1\n"), "{text}");
-        assert!(text.contains("lat.count 1\n"), "{text}");
-        assert!(text.contains("lat.p99_ns "), "{text}");
-        assert!(text.contains("lat.max_ns 5\n"), "{text}");
-    }
-
-    #[test]
     fn registry_clones_share_instruments() {
         let r = Registry::new();
         let r2 = r.clone();
         r.counter("x").inc();
         assert_eq!(r2.counter("x").get(), 1);
-        r2.set_enabled(false);
-        assert!(!r.enabled());
     }
 }
