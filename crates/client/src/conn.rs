@@ -6,6 +6,7 @@
 
 use bytes::Bytes;
 use moira_common::errors::{MrError, MrResult};
+use moira_common::lockorder;
 use moira_krb::ticket::{Authenticator, Ticket};
 use moira_protocol::transport::{recv_blocking, Channel, TcpChannel};
 use moira_protocol::wire::{MajorRequest, Reply, Request};
@@ -99,6 +100,9 @@ impl RpcClient {
                 Ok(chan) => return Ok(RpcClient::connect(Box::new(chan))),
                 Err(_) if attempt + 1 < attempts.max(1) => {
                     if wait > 0 {
+                        lockorder::assert_may_block("RpcClient::connect_tcp_retry");
+                        // The retry backoff, at an asserted seam.
+                        #[allow(clippy::disallowed_methods)]
                         std::thread::sleep(std::time::Duration::from_millis(wait));
                         wait = wait.saturating_mul(2);
                     }
@@ -172,6 +176,9 @@ impl RpcClient {
             attempt += 1;
             self.busy_resends += 1;
             if wait_ms > 0 {
+                lockorder::assert_may_block("RpcClient::round_trip");
+                // The busy backoff, at an asserted seam.
+                #[allow(clippy::disallowed_methods)]
                 std::thread::sleep(std::time::Duration::from_millis(wait_ms));
                 wait_ms = wait_ms.saturating_mul(2);
             }

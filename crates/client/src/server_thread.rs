@@ -141,6 +141,8 @@ mod tests {
         // must bring it down in far less time than a sleep-loop would.
         let (server, _state, _) = standard_server(moira_common::VClock::new());
         let thread = ServerThread::spawn(server);
+        // Test thread, no guard held: lets the loop reach its wait.
+        #[allow(clippy::disallowed_methods)]
         std::thread::sleep(Duration::from_millis(20));
         let t0 = std::time::Instant::now();
         let _server = thread.shutdown();

@@ -18,6 +18,8 @@
 //! - [`clock`] — a virtual clock so DCM intervals and modtimes are
 //!   deterministic under test and in the deployment simulator.
 //! - [`rng`] — a small deterministic PRNG for reproducible workloads.
+//! - [`lockorder`] — the per-thread held-set and server-pass flag that the
+//!   blocking seams assert against in debug builds.
 
 pub mod clock;
 pub mod crc;

@@ -21,9 +21,10 @@
 //!   that `listen_tcp`, instead of carrying it unwatched.
 //!
 //! The reactor wait is the loop's only blocking point, and it blocks with
-//! a timeout while holding **no** locks; `moira-lint`'s
-//! reactor-discipline pass enforces that no `SharedState` guard is live
-//! across it.
+//! a timeout while holding **no** locks: in debug builds [`Reactor::wait`]
+//! panics if the calling thread holds a `SharedState` guard
+//! ([`moira_common::lockorder::assert_may_block`]), so every pass of every
+//! debug-build server test checks it.
 
 use std::io;
 use std::sync::Arc;
@@ -119,6 +120,10 @@ impl Reactor {
     /// fires; returns the observed readiness (empty when the wait itself
     /// failed — the next pass waits again).
     pub fn wait(&mut self, timeout: Option<Duration>) -> ReadySet {
+        // No guard may be held across the wait. Only that half of the check
+        // applies here: the pass begins after the wait and ends before the
+        // next one.
+        moira_common::lockorder::assert_may_block("Reactor::wait");
         let mut ready = ReadySet::default();
         if self.poller.wait(&mut self.events, timeout).is_err() {
             return ready;

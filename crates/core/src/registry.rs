@@ -348,12 +348,12 @@ impl Registry {
             // failed append is surfaced to the caller — the in-memory
             // change stands, but its durability cannot be promised.
             //
-            // Durability is the one sanctioned blocking step on the write
-            // path: the group-commit fsync is bounded, and the journal
-            // order must match the guard order, so the append cannot move
-            // outside the write lock (DESIGN.md "Durable storage").
+            // The one reviewed exception to "nothing blocks under a state
+            // guard": the append (and the group-commit fsync behind it) is
+            // bounded, and the journal order must match the guard order,
+            // so it cannot move outside the write lock (DESIGN.md
+            // "Durability"). It therefore carries no `assert_may_block`.
             let now = state.db.now();
-            // lint:allow(lock-discipline, reactor-discipline)
             if let Err(e) = state.storage.append(&entry, now) {
                 state.obs.counter("db.wal.append_errors").inc();
                 return Err(e);

@@ -53,6 +53,7 @@ use std::os::unix::io::AsRawFd;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use moira_common::lockorder;
 use moira_krb::ticket::Verifier;
 use moira_protocol::transport::Channel;
 
@@ -331,9 +332,11 @@ impl MoiraServer {
     /// tear down dead connections. Returns how many requests were
     /// received.
     pub fn poll_with_timeout(&mut self, timeout: Option<Duration>) -> usize {
-        // The loop's single blocking point. No state guard is held here —
-        // moira-lint's reactor-discipline pass enforces that.
+        // The loop's single blocking point; `Reactor::wait` asserts that no
+        // state guard is held across it. From here to teardown is the
+        // pass, inside which the blocking seams assert they are not called.
         let ready = self.reactor.wait(timeout);
+        let _pass = lockorder::enter_pass();
         let ready_at = Instant::now();
 
         let mut pass = Pass::default();
@@ -399,6 +402,7 @@ mod tests {
     use moira_common::errors::MrError;
     use moira_protocol::transport::{pair, recv_blocking, TcpChannel};
     use moira_protocol::wire::{MajorRequest, Reply, Request};
+    use std::sync::Barrier;
 
     fn send_request(chan: &mut dyn Channel, server: &mut MoiraServer, req: Request) -> Vec<Reply> {
         chan.send(req.encode()).unwrap();
@@ -1002,16 +1006,29 @@ mod tests {
         server.set_lock_patience(4);
         let obs_before = server.obs().snapshot();
         let dispatched_before = server.dispatch_counts();
-        let state = server.state();
         // An outside writer (e.g. a DCM cycle) holds the exclusive lock for
         // the whole pass: the read tier cannot acquire a shared guard and
-        // sheds with Busy instead of hanging the loop.
-        let guard = state.write();
+        // sheds with Busy instead of hanging the loop. The writer lives on
+        // its own thread: the loop's thread holding a guard across its own
+        // pass is the self-deadlock `Reactor::wait` rejects.
+        let state = server.state();
+        let (locked, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+        let writer = {
+            let (locked, release) = (locked.clone(), release.clone());
+            std::thread::spawn(move || {
+                let guard = state.write();
+                locked.wait();
+                release.wait();
+                drop(guard);
+            })
+        };
+        locked.wait();
         client
             .send(Request::new(MajorRequest::Query, &["get_user_by_login", "ops"]).encode())
             .unwrap();
         server.poll_once();
-        drop(guard);
+        release.wait();
+        writer.join().unwrap();
         let r = Reply::decode(recv_blocking(&mut client, 100).unwrap()).unwrap();
         assert_eq!(r.code, MrError::Busy.code());
         assert_eq!(server.shed_requests(), 1);
@@ -1038,5 +1055,15 @@ mod tests {
         server.run_until_idle(2);
         let r = Reply::decode(recv_blocking(&mut client, 100).unwrap()).unwrap();
         assert!(r.is_more_data());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "Reactor::wait would block while this thread holds 1 state guard")]
+    fn poll_under_a_held_guard_panics() {
+        let (mut server, _client) = setup();
+        let state = server.state();
+        let _guard = state.read();
+        server.poll_once();
     }
 }

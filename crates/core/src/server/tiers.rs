@@ -229,7 +229,8 @@ impl Tiers {
         // any reply is sent, so an acknowledged commit is as durable as
         // the configured policy promises. A failed flush is counted, not
         // fatal: the WAL append already carried the error to the owning
-        // request if the media is truly dead.
+        // request if the media is truly dead. Like that append, the flush
+        // blocks under the write guard by design: the guard orders commits.
         let now = guard.db.now();
         if guard.storage.maybe_flush(now).is_err() {
             guard.obs.counter("db.wal.flush_errors").inc();

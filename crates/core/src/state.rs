@@ -1,12 +1,14 @@
 //! Server state: database, journal, locks, access cache, connected clients.
+//!
+//! [`SharedState`] records each guard it hands out in the thread's
+//! held-set ([`moira_common::lockorder`]); in debug builds the blocking
+//! seams refuse to run while one is live.
 
-use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use moira_common::clock::VClock;
-use moira_common::lockorder::{order_mode, OrderMode};
+use moira_common::lockorder::{self, Held};
 use moira_db::journal::Journal;
 use moira_db::lock::LockManager;
 use moira_db::storage::{NullStorage, Storage};
@@ -23,49 +25,22 @@ use crate::seed;
 /// dispatches retrieves concurrently under shared guards while mutations
 /// serialize under the exclusive guard.
 ///
-/// The handle is a struct (not a bare `Arc<RwLock<..>>`) so acquisition
-/// can feed the runtime lock-order witness: under `MOIRA_LOCK_ORDER`
-/// (default `observe` in debug builds) every `read()`/`write()` checks a
-/// thread-local held-set, and a same-thread re-acquisition — a guaranteed
-/// self-deadlock under parking_lot's non-reentrant lock — is counted
-/// (observe) or panics at the acquisition site (strict) instead of
-/// hanging the test run. The static lint proves this for calls it can
-/// resolve; the witness covers dynamic dispatch and closures.
+/// The handle is a struct (not a bare `Arc<RwLock<..>>`) so every guard it
+/// hands out is recorded in the thread's held-set
+/// ([`moira_common::lockorder`]). In debug builds a same-thread blocking
+/// re-acquisition — a guaranteed self-deadlock under parking_lot's
+/// non-reentrant lock — panics at the acquisition site instead of hanging,
+/// and the blocking seams (reactor wait, `recv_blocking`, DCM update legs,
+/// client retry sleeps) panic while a guard is live.
 #[derive(Clone)]
 pub struct SharedState {
     inner: Arc<RwLock<MoiraState>>,
 }
 
-/// Same-thread re-acquisitions observed process-wide (observe mode).
-static STATE_REENTRIES: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// `Arc` addresses of the state locks this thread currently holds.
-    static HELD_STATES: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Removes one held-set entry when its guard drops.
-struct HeldEntry {
-    key: Option<usize>,
-}
-
-impl Drop for HeldEntry {
-    fn drop(&mut self) {
-        if let Some(key) = self.key {
-            HELD_STATES.with(|h| {
-                let mut held = h.borrow_mut();
-                if let Some(pos) = held.iter().rposition(|&k| k == key) {
-                    held.swap_remove(pos);
-                }
-            });
-        }
-    }
-}
-
 /// A shared guard on the state; derefs to [`MoiraState`].
 pub struct StateReadGuard<'a> {
     guard: parking_lot::RwLockReadGuard<'a, MoiraState>,
-    _held: HeldEntry,
+    _held: Held,
 }
 
 impl Deref for StateReadGuard<'_> {
@@ -78,7 +53,7 @@ impl Deref for StateReadGuard<'_> {
 /// An exclusive guard on the state; derefs to [`MoiraState`].
 pub struct StateWriteGuard<'a> {
     guard: parking_lot::RwLockWriteGuard<'a, MoiraState>,
-    _held: HeldEntry,
+    _held: Held,
 }
 
 impl Deref for StateWriteGuard<'_> {
@@ -97,7 +72,7 @@ impl DerefMut for StateWriteGuard<'_> {
 impl SharedState {
     /// Acquires the shared (read) guard, blocking until granted.
     pub fn read(&self) -> StateReadGuard<'_> {
-        let held = self.note_acquire(true);
+        let held = self.hold(true);
         StateReadGuard {
             guard: self.inner.read(),
             _held: held,
@@ -106,7 +81,7 @@ impl SharedState {
 
     /// Acquires the exclusive (write) guard, blocking until granted.
     pub fn write(&self) -> StateWriteGuard<'_> {
-        let held = self.note_acquire(true);
+        let held = self.hold(true);
         StateWriteGuard {
             guard: self.inner.write(),
             _held: held,
@@ -115,7 +90,7 @@ impl SharedState {
 
     /// Non-blocking shared acquisition.
     pub fn try_read(&self) -> Option<StateReadGuard<'_>> {
-        let held = self.note_acquire(false);
+        let held = self.hold(false);
         Some(StateReadGuard {
             guard: self.inner.try_read()?,
             _held: held,
@@ -124,47 +99,18 @@ impl SharedState {
 
     /// Non-blocking exclusive acquisition.
     pub fn try_write(&self) -> Option<StateWriteGuard<'_>> {
-        let held = self.note_acquire(false);
+        let held = self.hold(false);
         Some(StateWriteGuard {
             guard: self.inner.try_write()?,
             _held: held,
         })
     }
 
-    /// Witness hook, called BEFORE the lock operation so strict mode can
-    /// panic at the re-acquisition site rather than hang in it.
-    ///
-    /// Only *blocking* acquisitions are checked for same-thread reentry:
-    /// a `try_*` while the lock is held on this thread cannot deadlock —
-    /// it fails and the caller sheds (the read-tier Busy path), so, as
-    /// with lockdep and trylocks, it establishes nothing.
-    fn note_acquire(&self, blocking: bool) -> HeldEntry {
-        let mode = order_mode();
-        if mode == OrderMode::Off {
-            return HeldEntry { key: None };
-        }
-        let key = Arc::as_ptr(&self.inner) as usize;
-        if blocking {
-            let reentrant = HELD_STATES.with(|h| h.borrow().contains(&key));
-            if reentrant {
-                STATE_REENTRIES.fetch_add(1, Ordering::Relaxed);
-                if mode == OrderMode::Strict {
-                    panic!(
-                        "lock-order violation: same-thread re-acquisition of the state lock — \
-                         a guaranteed self-deadlock under the non-reentrant RwLock"
-                    );
-                }
-            }
-        }
-        HELD_STATES.with(|h| h.borrow_mut().push(key));
-        HeldEntry { key: Some(key) }
+    /// Records the acquisition in the thread's held-set before the lock
+    /// operation, so a blocking re-acquisition panics rather than hangs.
+    fn hold(&self, blocking: bool) -> Held {
+        lockorder::hold(Arc::as_ptr(&self.inner) as usize, blocking)
     }
-}
-
-/// Same-thread state re-acquisitions the witness has observed process-wide
-/// (always 0 when the witness is off or strict — strict panics instead).
-pub fn state_reentries() -> u64 {
-    STATE_REENTRIES.load(Ordering::Relaxed)
 }
 
 /// Wraps a state in the [`SharedState`] handle.
@@ -394,25 +340,23 @@ mod tests {
     }
 
     #[test]
-    fn witness_counts_same_thread_reentry_in_observe_mode() {
-        // The mode is process-wide (read once from MOIRA_LOCK_ORDER), so
-        // this test only has something to say in observe mode: strict
-        // would panic on the nested read and off records nothing.
-        if order_mode() != OrderMode::Observe {
-            return;
-        }
+    fn same_thread_try_acquisition_is_exempt() {
         let s = shared(MoiraState::new(VClock::new()));
-        let before = state_reentries();
-        let outer = s.read();
-        let inner = s.read();
-        drop(inner);
-        drop(outer);
-        assert_eq!(state_reentries() - before, 1);
-        // try_* acquisitions under a held guard shed instead of deadlock,
-        // so they are exempt from the reentry count (trylock rule).
+        // try_* under a held guard sheds instead of deadlocking, so the
+        // witness lets it through (trylock rule).
         let held = s.write();
         assert!(s.try_write().is_none());
+        assert!(s.try_read().is_none());
         drop(held);
-        assert_eq!(state_reentries() - before, 1);
+        assert!(s.try_write().is_some());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "same-thread re-acquisition")]
+    fn same_thread_reacquisition_panics() {
+        let s = shared(MoiraState::new(VClock::new()));
+        let _outer = s.read();
+        let _inner = s.read();
     }
 }

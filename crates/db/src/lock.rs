@@ -8,11 +8,15 @@
 //! that comes from: acquisition conflicts register a wait-for edge, and a
 //! cycle in the wait-for graph is reported as deadlock rather than ever
 //! blocking.
+//!
+//! No acquisition ever blocks — a conflict answers `MR_IN_USE` and the
+//! caller retries later — so the order in which an owner takes its locks
+//! cannot hang it. The one production owner, `"dcm"`, takes a service lock
+//! and then its host locks.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 use moira_common::errors::{MrError, MrResult};
-use moira_common::lockorder::{order_mode, OrderMode};
 
 /// Locking mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,90 +56,6 @@ impl LockState {
     }
 }
 
-/// The lockdep-style runtime order witness. `record(a, b)` notes that `b`
-/// was granted while `a` was held; if a path `b ⇒* a` already exists, the
-/// two resources have been taken in both orders across the process
-/// lifetime — a latent deadlock even when no single run interleaves them.
-/// The wait-for detector above catches deadlocks that *happen*; this
-/// catches orderings that merely *could* deadlock, on the first run that
-/// exercises both sides.
-#[derive(Debug)]
-pub struct OrderGraph {
-    mode: OrderMode,
-    /// `held -> {granted while it was held}`. BTree so dumps are sorted
-    /// and deterministic.
-    edges: BTreeMap<String, BTreeSet<String>>,
-    /// First inversion observed (observe mode keeps it; strict panics).
-    violation: Option<String>,
-}
-
-impl Default for OrderGraph {
-    fn default() -> Self {
-        OrderGraph {
-            mode: order_mode(),
-            edges: BTreeMap::new(),
-            violation: None,
-        }
-    }
-}
-
-impl OrderGraph {
-    fn record(&mut self, held: &str, granted: &str) {
-        if held == granted {
-            // Re-grant / upgrade of the same resource, not an ordering.
-            return;
-        }
-        let new_edge = self
-            .edges
-            .entry(held.to_owned())
-            .or_default()
-            .insert(granted.to_owned());
-        if !new_edge || self.violation.is_some() {
-            return;
-        }
-        if self.path_exists(granted, held) {
-            let msg = format!(
-                "lock-order cycle: `{granted}` granted while `{held}` was held, but the \
-                 recorded order already reaches `{held}` from `{granted}` — these resources \
-                 have been taken in both orders\n  acquired-while-held edges:\n{}",
-                self.dump()
-            );
-            if self.mode == OrderMode::Strict {
-                panic!("{msg}");
-            }
-            self.violation = Some(msg);
-        }
-    }
-
-    /// True when `edges` already contain a path `from ⇒* to`.
-    fn path_exists(&self, from: &str, to: &str) -> bool {
-        let mut frontier = vec![from];
-        let mut seen: BTreeSet<&str> = BTreeSet::new();
-        while let Some(cur) = frontier.pop() {
-            if cur == to {
-                return true;
-            }
-            let Some(nexts) = self.edges.get(cur) else {
-                continue;
-            };
-            for n in nexts {
-                if seen.insert(n) {
-                    frontier.push(n);
-                }
-            }
-        }
-        false
-    }
-
-    fn dump(&self) -> String {
-        self.edges
-            .iter()
-            .flat_map(|(a, bs)| bs.iter().map(move |b| format!("    {a} -> {b}")))
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-}
-
 /// The lock manager.
 #[derive(Debug, Default)]
 pub struct LockManager {
@@ -147,8 +67,6 @@ pub struct LockManager {
     wait_since: HashMap<String, u64>,
     /// Instrumentation sink; `None` on unwired managers (tests, tools).
     obs: Option<moira_obs::Registry>,
-    /// Runtime order witness (mode from `MOIRA_LOCK_ORDER`).
-    order: OrderGraph,
 }
 
 impl LockManager {
@@ -172,19 +90,6 @@ impl LockManager {
         if let Some(state) = self.locks.get(resource) {
             if !state.is_free_for(owner, mode) {
                 return false;
-            }
-        }
-        // Order witness: only SUCCESSFUL grants order resources — a denied
-        // attempt (the wait-for detector's territory) establishes nothing.
-        if self.order.mode != OrderMode::Off {
-            let held: Vec<String> = self
-                .locks
-                .iter()
-                .filter(|(r, s)| r.as_str() != resource && s.held_by(owner))
-                .map(|(r, _)| r.clone())
-                .collect();
-            for h in held {
-                self.order.record(&h, resource);
             }
         }
         let state = self.locks.entry(resource.to_owned()).or_default();
@@ -292,30 +197,7 @@ impl LockManager {
 
     /// True if `owner` currently holds `resource` in any mode.
     pub fn holds(&self, owner: &str, resource: &str) -> bool {
-        self.locks
-            .get(resource)
-            .is_some_and(|s| s.exclusive.as_deref() == Some(owner) || s.shared.contains(owner))
-    }
-
-    /// Overrides the witness mode for this manager (tests and tools; the
-    /// process default comes from `MOIRA_LOCK_ORDER`).
-    pub fn set_order_mode(&mut self, mode: OrderMode) {
-        self.order.mode = mode;
-    }
-
-    /// Every acquired-while-held edge the witness has recorded, sorted.
-    pub fn order_edges(&self) -> Vec<(String, String)> {
-        self.order
-            .edges
-            .iter()
-            .flat_map(|(a, bs)| bs.iter().map(move |b| (a.clone(), b.clone())))
-            .collect()
-    }
-
-    /// The first lock-order inversion observed, if any. Strict mode panics
-    /// at the violation site instead of recording it here.
-    pub fn order_violation(&self) -> Option<&str> {
-        self.order.violation.as_deref()
+        self.locks.get(resource).is_some_and(|s| s.held_by(owner))
     }
 
     /// True when nothing is held and nobody is waiting — the clean state
@@ -462,94 +344,6 @@ mod tests {
         // b's grant waited the 3 virtual seconds between its conflicted
         // attempt and the release.
         assert_eq!(waits.max, 3_000_000_000);
-    }
-
-    #[test]
-    fn order_witness_records_acquired_while_held_edges() {
-        let mut lm = LockManager::new();
-        lm.set_order_mode(OrderMode::Observe);
-        lm.acquire("dcm", "svc:NFS", LockMode::Exclusive).unwrap();
-        lm.acquire("dcm", "host:CHARON", LockMode::Exclusive)
-            .unwrap();
-        assert_eq!(
-            lm.order_edges(),
-            vec![("svc:NFS".to_owned(), "host:CHARON".to_owned())]
-        );
-        assert!(lm.order_violation().is_none());
-    }
-
-    #[test]
-    fn order_witness_detects_inversion_across_runs() {
-        // Neither run deadlocks by itself — the two owners never overlap —
-        // but together they take r1 and r2 in both orders. The wait-for
-        // detector can never see this; the order witness must.
-        let mut lm = LockManager::new();
-        lm.set_order_mode(OrderMode::Observe);
-        lm.acquire("a", "r1", LockMode::Exclusive).unwrap();
-        lm.acquire("a", "r2", LockMode::Exclusive).unwrap();
-        lm.release_all("a");
-        lm.acquire("b", "r2", LockMode::Exclusive).unwrap();
-        lm.acquire("b", "r1", LockMode::Exclusive).unwrap();
-        let v = lm.order_violation().expect("inversion recorded");
-        assert!(v.contains("r1") && v.contains("r2"), "{v}");
-        assert!(v.contains("r1 -> r2"), "edge dump missing: {v}");
-    }
-
-    #[test]
-    fn order_witness_detects_transitive_inversion() {
-        // r1 -> r2 and r2 -> r3 are each fine; r3 -> r1 closes the loop
-        // only through the transitive path.
-        let mut lm = LockManager::new();
-        lm.set_order_mode(OrderMode::Observe);
-        lm.acquire("a", "r1", LockMode::Exclusive).unwrap();
-        lm.acquire("a", "r2", LockMode::Shared).unwrap();
-        lm.release_all("a");
-        lm.acquire("b", "r2", LockMode::Exclusive).unwrap();
-        lm.acquire("b", "r3", LockMode::Exclusive).unwrap();
-        lm.release_all("b");
-        lm.acquire("c", "r3", LockMode::Exclusive).unwrap();
-        assert!(lm.order_violation().is_none());
-        lm.acquire("c", "r1", LockMode::Exclusive).unwrap();
-        assert!(lm.order_violation().is_some());
-    }
-
-    #[test]
-    #[should_panic(expected = "lock-order cycle")]
-    fn strict_mode_panics_on_seeded_inversion() {
-        let mut lm = LockManager::new();
-        lm.set_order_mode(OrderMode::Strict);
-        lm.acquire("a", "r1", LockMode::Exclusive).unwrap();
-        lm.acquire("a", "r2", LockMode::Exclusive).unwrap();
-        lm.release_all("a");
-        lm.acquire("b", "r2", LockMode::Exclusive).unwrap();
-        lm.acquire("b", "r1", LockMode::Exclusive).unwrap();
-    }
-
-    #[test]
-    fn off_mode_records_nothing() {
-        let mut lm = LockManager::new();
-        lm.set_order_mode(OrderMode::Off);
-        lm.acquire("a", "r1", LockMode::Exclusive).unwrap();
-        lm.acquire("a", "r2", LockMode::Exclusive).unwrap();
-        assert!(lm.order_edges().is_empty());
-    }
-
-    #[test]
-    fn failed_acquire_establishes_no_order() {
-        let mut lm = LockManager::new();
-        lm.set_order_mode(OrderMode::Observe);
-        lm.acquire("a", "r1", LockMode::Exclusive).unwrap();
-        lm.acquire("b", "r2", LockMode::Exclusive).unwrap();
-        // Denied: r1 is a's. The witness must not record r2 -> r1.
-        assert_eq!(
-            lm.acquire("b", "r1", LockMode::Exclusive),
-            Err(MrError::InUse)
-        );
-        assert_eq!(
-            lm.order_edges(),
-            Vec::<(String, String)>::new(),
-            "denied grant must not order resources"
-        );
     }
 
     #[test]

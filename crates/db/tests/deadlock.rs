@@ -1,6 +1,6 @@
-//! Runtime complement of moira-lint's lock-discipline pass: two sessions
-//! taking table locks in opposite order must terminate with exactly one
-//! of them receiving `MrError::Deadlock` — never by hanging.
+//! The `LockManager`'s wait-for deadlock detector: two sessions taking
+//! table locks in opposite order must terminate with exactly one of them
+//! receiving `MrError::Deadlock` — never by hanging.
 
 use std::sync::{mpsc, Arc, Barrier};
 use std::thread;
@@ -74,6 +74,7 @@ fn concurrent_sessions_never_hang() {
                     }
                     // Back off off-mutex: a bare yield can starve the
                     // other session of the manager mutex entirely.
+                    #[allow(clippy::disallowed_methods)]
                     Err(_) => thread::sleep(Duration::from_millis(1)),
                 }
             };

@@ -596,10 +596,6 @@ mod lock_props {
         #[test]
         fn exclusion_invariant(ops in prop::collection::vec(lock_op(), 0..200)) {
             let mut lm = LockManager::new();
-            // The generated schedules have no ordering discipline — the
-            // property under test is exclusion, so the order witness is
-            // explicitly off regardless of MOIRA_LOCK_ORDER.
-            lm.set_order_mode(moira_common::lockorder::OrderMode::Off);
             // Model: resource -> (exclusive holder, shared holders).
             let mut model: std::collections::HashMap<String, (Option<String>, std::collections::HashSet<String>)> =
                 std::collections::HashMap::new();

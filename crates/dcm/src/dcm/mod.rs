@@ -410,6 +410,9 @@ pub fn install_dir(service: &str) -> String {
 }
 
 #[cfg(test)]
+// The tests check every host's `serverhosts` flags by reading the whole
+// relation, on purpose.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use moira_core::queries::testutil::{add_test_machine, state_with_admin};

@@ -47,6 +47,9 @@ pub(super) struct HostScan {
 impl Dcm {
     /// Services that are enabled, have no hard errors, a non-zero interval,
     /// and a generator module.
+    // §5.7.1's `servers` scan reads every service row by design; the
+    // relation holds one row per service, and no index narrows it.
+    #[allow(clippy::disallowed_methods)]
     pub(super) fn eligible_services(&self) -> Vec<ServiceInfo> {
         let state = self.state.read();
         let t = state.db.table(servers::T);

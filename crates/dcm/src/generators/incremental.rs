@@ -23,9 +23,12 @@
 //! rebuilt whole (its fragments may depend on any row of those tables),
 //! while a section whose *driver* advanced replays only the changed rows.
 //!
-//! This module must never enumerate a dependency table outside the
-//! explicit full-rebuild fallback (`full_rebuild_rows`, defined in the
-//! parent module) — CI greps this file to keep it that way.
+//! The engine reads a table whole in one place only, `SectionCache::full`,
+//! and never through `Table::iter` (`crates/dcm/clippy.toml` bans it).
+//! `tests/incremental.rs::delta_refresh_never_scans` pins the rest: a
+//! one-row change refreshes every standard generator without a single
+//! `Scan` plan, so a fragment that selects with `Pred::True` or on an
+//! unindexed predicate fails it.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
@@ -33,7 +36,7 @@ use moira_common::errors::MrResult;
 use moira_core::state::MoiraState;
 use moira_db::{GenCursor, RowChange, RowId, TableId};
 
-use super::{check_no_change, full_rebuild_rows, Generator};
+use super::{check_no_change, Generator};
 use crate::archive::Archive;
 
 /// Ordering key of a line fragment within its section. Fragments render in
@@ -120,11 +123,12 @@ impl SectionCache {
     }
 
     /// A section built from scratch: every live driver row replayed into
-    /// an empty cache.
+    /// an empty cache — what the delta path sees from a zero cursor, every
+    /// live row as an upsert (outstanding tombstones come along and evict
+    /// nothing from an empty cache).
     fn full(state: &MoiraState, section: &Section) -> SectionCache {
         let mut cache = SectionCache::empty(&section.kind);
-        // full-rebuild fallback
-        let rows = full_rebuild_rows(state, section.driver);
+        let rows = state.db.at(section.driver).changed_since(0);
         cache.apply(state, &section.kind, &rows);
         cache
     }
@@ -250,7 +254,7 @@ pub fn refresh(
 }
 
 /// Builds a plan's archive from scratch: every section from
-/// `full_rebuild_rows`, assembled in plan order.
+/// `SectionCache::full`, assembled in plan order.
 pub(crate) fn build(
     state: &MoiraState,
     plan: &DeltaPlan,

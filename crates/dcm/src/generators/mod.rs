@@ -17,7 +17,7 @@ pub mod zephyr;
 use moira_common::errors::{MrError, MrResult};
 use moira_core::schema::{list, members, users};
 use moira_core::state::MoiraState;
-use moira_db::{GenCursor, RowChange, RowId, TableId};
+use moira_db::{GenCursor, RowId, TableId};
 
 use crate::archive::Archive;
 use incremental::DeltaPlan;
@@ -40,7 +40,7 @@ pub trait Generator: Send + Sync {
     fn delta_plan(&self) -> DeltaPlan;
 
     /// Builds the shared archive from scratch: every section of
-    /// [`Generator::delta_plan`] from `full_rebuild_rows`, assembled. The
+    /// [`Generator::delta_plan`] replayed from a zero cursor, assembled. The
     /// second argument is unused (no serverhost is in scope here; per-host
     /// archives come from [`Generator::per_host`]).
     fn generate(&self, state: &MoiraState, _value3: &str) -> MrResult<Archive> {
@@ -85,16 +85,6 @@ pub fn check_no_change(
     } else {
         Ok(())
     }
-}
-
-/// The explicit full-rebuild fallback of the incremental engine: the change
-/// list a from-scratch section build replays — what the delta path sees
-/// from a zero cursor, every live row as an upsert (outstanding tombstones
-/// come along and evict nothing from an empty cache). This is the only
-/// place the incremental path is allowed to touch every row of a dependency
-/// table (CI greps for it).
-pub(crate) fn full_rebuild_rows(state: &MoiraState, table: TableId) -> Vec<RowChange> {
-    state.db.at(table).changed_since(0)
 }
 
 /// The `users` rows of a `users_id` set (ids naming no user are skipped) —

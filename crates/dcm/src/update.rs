@@ -575,6 +575,7 @@ fn update_legs(
     script: &Script,
     stats: &mut TransferStats,
 ) -> Result<(), UpdateError> {
+    moira_common::lockorder::assert_may_block("update_legs");
     // A. Transfer phase.
     // A.1 Connect and authenticate.
     stats.failed_leg = Some("connect");

@@ -6,7 +6,12 @@
 //! caches). Both sides render through the same fragment functions, so the
 //! one fragment helper with real logic of its own — the bottom-up
 //! `groups_of_user` climb — is also checked against an independent
-//! top-down expansion of every group.
+//! top-down expansion of every group. A second test pins that the delta
+//! path never asks the planner for a whole-table scan.
+
+// The oracles enumerate whole tables on purpose, independently of the
+// delta path under test.
+#![allow(clippy::disallowed_methods)]
 
 use std::collections::HashMap;
 
@@ -240,6 +245,174 @@ proptest! {
                 }
                 *cache = Some(refreshed.build);
             }
+        }
+    }
+}
+
+/// The delta path never scans. At a population where the planner has an
+/// index to prefer (on tiny tables `Scan` is the honest choice), each
+/// one-row change refreshes every standard generator on the delta path
+/// without a single `Scan` plan. The planner's own `db.plan.scan` counter
+/// sees a fragment that selects with `Pred::True` or on an unindexed
+/// column, however many calls down it hides.
+#[test]
+fn delta_refresh_never_scans() {
+    let (mut state, _) = state_with_admin("ops");
+    let registry = Registry::standard();
+    let root = Caller::root("scan");
+    let run = |state: &mut MoiraState, q: &str, args: &[&str]| {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        registry
+            .execute(state, &root, q, &args)
+            .unwrap_or_else(|e| panic!("{q} {args:?}: {e}"));
+    };
+    for g in 0..20 {
+        let (name, gid) = (format!("grp{g}"), format!("{}", 6000 + g));
+        let list = [
+            &name, "1", "0", "0", "0", "1", &gid, "NONE", "NONE", "group",
+        ];
+        run(&mut state, "add_list", &list);
+    }
+    for i in 0..2000 {
+        let (login, uid, id) = (format!("s{i}"), format!("{}", 10_000 + i), format!("x{i}"));
+        let user = [
+            &login, &uid, "/bin/csh", "Last", "First", "", "1", &id, "1990",
+        ];
+        run(&mut state, "add_user", &user);
+        let group = format!("grp{}", i % 20);
+        run(&mut state, "add_member_to_list", &[&group, "USER", &login]);
+    }
+    // Every other driver table, a few rows wide with spread keys, so each
+    // fragment has rows to render and each per-row lookup an index worth
+    // taking.
+    run(
+        &mut state,
+        "add_server_info",
+        &[
+            "HESIOD",
+            "360",
+            "/tmp/hesiod.out",
+            "hes.sh",
+            "REPLICAT",
+            "1",
+            "NONE",
+            "NONE",
+        ],
+    );
+    for c in 0..4 {
+        let (cluster, data) = (format!("c{c}"), format!("p{c}"));
+        run(&mut state, "add_cluster", &[&cluster, "", "E40"]);
+        run(&mut state, "add_cluster_data", &[&cluster, "lpr", &data]);
+    }
+    for m in 0..20 {
+        let (host, cluster) = (format!("H{m}.MIT.EDU"), format!("c{}", m % 4));
+        run(&mut state, "add_machine", &[&host, "VAX"]);
+        run(&mut state, "add_machine_to_cluster", &[&host, &cluster]);
+        run(&mut state, "set_pobox", &[&format!("s{m}"), "POP", &host]);
+    }
+    // One machine in two clusters renders a pseudo-cluster.
+    run(&mut state, "add_machine_to_cluster", &["H0.MIT.EDU", "c1"]);
+    for m in 0..4 {
+        let (host, dir, locker) = (
+            format!("H{m}.MIT.EDU"),
+            format!("/u{m}"),
+            format!("/u{m}/lk"),
+        );
+        let (label, mount) = (format!("fs{m}"), format!("/mit/fs{m}"));
+        let (login, grp) = (format!("s{m}"), format!("grp{m}"));
+        run(
+            &mut state,
+            "add_nfsphys",
+            &[&host, &dir, "ra0c", "1", "0", "99999"],
+        );
+        run(
+            &mut state,
+            "add_filesys",
+            &[
+                &label, "NFS", &host, &locker, &mount, "w", "", &login, &grp, "1", "HOMEDIR",
+            ],
+        );
+        let (printer, spool) = (format!("pr{m}"), format!("/usr/spool/pr{m}"));
+        run(
+            &mut state,
+            "add_printcap",
+            &[&printer, &host, &spool, &printer, ""],
+        );
+        let (service, port) = (format!("svc{m}"), format!("{}", 9000 + m));
+        run(&mut state, "add_service", &[&service, "TCP", &port, "x"]);
+        run(
+            &mut state,
+            "add_server_host_info",
+            &["HESIOD", &host, "1", "0", "0", ""],
+        );
+        let class = format!("class{m}");
+        run(
+            &mut state,
+            "add_zephyr_class",
+            &[
+                &class, "LIST", &grp, "NONE", "NONE", "USER", &login, "NONE", "NONE",
+            ],
+        );
+    }
+
+    let generators = standard_generators();
+    let mut caches: Vec<Option<CachedBuild>> = generators
+        .iter()
+        .map(|g| Some(refresh(g.as_ref(), &state, None).unwrap().build))
+        .collect();
+    let scans = |state: &MoiraState| state.obs.snapshot().counter("db.plan.scan");
+    // One change per driver and lookup table. A change to a lookup table
+    // rebuilds each section reading it, so every fragment of every standard
+    // generator runs at least once below.
+    let changes: [(&str, &[&str]); 12] = [
+        ("update_user_shell", &["s5", "/bin/sh"]),
+        ("add_member_to_list", &["grp3", "USER", "s7"]),
+        ("update_user_status", &["s9", "0"]),
+        ("add_machine", &["NEW.MIT.EDU", "VAX"]),
+        ("add_cluster", &["c4", "", "E40"]),
+        ("add_cluster_data", &["c2", "zephyr", "z2"]),
+        ("add_machine_to_cluster", &["H7.MIT.EDU", "c0"]),
+        (
+            "add_filesys",
+            &[
+                "fs9",
+                "NFS",
+                "H1.MIT.EDU",
+                "/u1/lk9",
+                "/mit/fs9",
+                "w",
+                "",
+                "s9",
+                "grp9",
+                "1",
+                "HOMEDIR",
+            ],
+        ),
+        (
+            "add_printcap",
+            &["pr9", "H2.MIT.EDU", "/usr/spool/pr9", "pr9", ""],
+        ),
+        ("add_service", &["svc9", "UDP", "9009", "x"]),
+        (
+            "add_server_host_info",
+            &["HESIOD", "H9.MIT.EDU", "1", "0", "0", ""],
+        ),
+        (
+            "add_zephyr_class",
+            &[
+                "class9", "LIST", "grp9", "USER", "s9", "NONE", "NONE", "NONE", "NONE",
+            ],
+        ),
+    ];
+    for (q, args) in changes {
+        run(&mut state, q, args);
+        for (generator, cache) in generators.iter().zip(&mut caches) {
+            let before = scans(&state);
+            let refreshed = refresh(generator.as_ref(), &state, cache.take()).unwrap();
+            let service = generator.service();
+            assert!(!refreshed.full, "{service} rebuilt in full after {q}");
+            assert_eq!(scans(&state), before, "{service} scanned a table after {q}");
+            *cache = Some(refreshed.build);
         }
     }
 }

@@ -251,6 +251,7 @@ impl<S: Read + Write + AsRawFd + Send> Channel for StreamChannel<S> {
 /// request queued by a non-blocking `send` actually reaches the wire
 /// while we wait for the reply.
 pub fn recv_blocking(chan: &mut dyn Channel, tries: u32) -> io::Result<Bytes> {
+    moira_common::lockorder::assert_may_block("recv_blocking");
     for i in 0..tries {
         if chan.queued_bytes() > 0 {
             chan.flush()?;
@@ -259,6 +260,8 @@ pub fn recv_blocking(chan: &mut dyn Channel, tries: u32) -> io::Result<Bytes> {
             return Ok(frame);
         }
         if i > 10 {
+            // The poll interval; the seam is asserted on entry.
+            #[allow(clippy::disallowed_methods)]
             std::thread::sleep(std::time::Duration::from_micros(200));
         }
     }

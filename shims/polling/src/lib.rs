@@ -732,6 +732,8 @@ mod tests {
         let poller = Arc::new(Poller::new().unwrap());
         let waker = poller.clone();
         let t = std::thread::spawn(move || {
+            // A helper thread holding nothing: the wake arrives late.
+            #[allow(clippy::disallowed_methods)]
             std::thread::sleep(Duration::from_millis(50));
             waker.notify().unwrap();
         });
