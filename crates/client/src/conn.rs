@@ -47,8 +47,8 @@ pub trait MoiraConn {
     }
 }
 
-/// How long `recv` polls before giving up (spin iterations) — the default
-/// per-request deadline.
+/// How long the client waits for each reply frame, in `recv_blocking`'s
+/// 200 µs quanta (5 000 000 is 1 000 s) — the default deadline.
 const RECV_TRIES: u32 = 5_000_000;
 
 /// Default resend attempts when the server sheds a request with `MR_BUSY`.
@@ -61,7 +61,7 @@ const BUSY_BACKOFF_BASE_MS: u64 = 1;
 /// The RPC client over a framed channel.
 pub struct RpcClient {
     chan: Option<Box<dyn Channel>>,
-    /// Per-request deadline, in receive-poll iterations.
+    /// Deadline for each reply frame, in 200 µs quanta.
     recv_tries: u32,
     /// How many times a `MR_BUSY` shed is retried before surfacing.
     busy_retries: u32,
@@ -113,9 +113,9 @@ impl RpcClient {
         Err(MrError::Aborted)
     }
 
-    /// Overrides the per-request deadline (receive-poll iterations). Short
-    /// deadlines make lost replies surface as [`MrError::Aborted`] quickly
-    /// instead of hanging the caller.
+    /// Overrides the deadline for each reply frame, in quanta of 200 µs
+    /// (50 is 10 ms). Short deadlines make lost replies surface as
+    /// [`MrError::Aborted`] quickly instead of hanging the caller.
     pub fn set_deadline_tries(&mut self, tries: u32) {
         self.recv_tries = tries;
     }
@@ -354,8 +354,9 @@ mod tests {
 
     #[test]
     fn short_deadline_aborts_lost_reply() {
-        // A channel nobody answers: the configured deadline turns a lost
-        // reply into a prompt Aborted instead of a five-million-spin hang.
+        // A channel nobody answers: the configured 10 ms deadline turns a
+        // lost reply into a prompt Aborted instead of the default 1 000 s
+        // wait.
         let (client_end, _server_end) = moira_protocol::transport::pair();
         let mut client = RpcClient::connect(Box::new(client_end));
         client.set_deadline_tries(50);

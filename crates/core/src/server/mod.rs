@@ -929,8 +929,8 @@ mod tests {
     struct BadFd(moira_protocol::transport::InProcChannel);
 
     impl Channel for BadFd {
-        fn send(&mut self, frame: bytes::Bytes) -> io::Result<()> {
-            self.0.send(frame)
+        fn queue(&mut self, frame: bytes::Bytes) -> io::Result<()> {
+            self.0.queue(frame)
         }
         fn try_recv(&mut self) -> io::Result<Option<bytes::Bytes>> {
             self.0.try_recv()

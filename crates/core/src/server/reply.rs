@@ -11,14 +11,14 @@ use super::{MoiraServer, Pass};
 
 impl MoiraServer {
     /// Queues every slot's replies on its connection. Slots are in drain
-    /// order, which is per-connection FIFO. `send` queues into the
-    /// connection's outbox and flushes opportunistically — a slow peer
-    /// cannot stall this loop.
+    /// order, which is per-connection FIFO. Nothing is written here:
+    /// `resync` flushes each touched connection once, so a pass's replies
+    /// to one peer leave in one write.
     pub(super) fn send_replies(&mut self, tasks: Vec<TaskSlot>, pass: &mut Pass) {
         for task in tasks {
             let conn = &mut self.connections[task.conn];
             for reply in task.work.into_replies() {
-                if conn.chan.send(reply.encode()).is_err() {
+                if conn.chan.queue(reply.encode()).is_err() {
                     pass.dead.push(task.conn);
                     break;
                 }
@@ -26,7 +26,8 @@ impl MoiraServer {
         }
     }
 
-    /// Re-syncs reactor interest for every connection this pass touched:
+    /// Flushes every connection this pass touched — every connection it
+    /// queued a reply on is one — and re-syncs its reactor interest:
     /// write interest while the OS would not take the whole outbox, and
     /// the backpressure pause/resume transitions. A paused connection is
     /// touched exactly when its resume check is due: it holds write
@@ -48,7 +49,8 @@ impl MoiraServer {
     /// changed. False if the connection's channel is dead.
     fn resync_interest(&mut self, idx: usize) -> bool {
         let conn = &mut self.connections[idx];
-        // Opportunistic flush so interest reflects the post-pass outbox.
+        // The pass's write to this peer; interest then reflects what the
+        // OS did not take.
         let Ok(flushed_clean) = conn.chan.flush() else {
             return false;
         };

@@ -101,8 +101,10 @@ impl Tiers {
     }
 
     /// The shared tier: every `Read` slot runs under a read guard,
-    /// round-robined over `read_workers` scoped threads when there is more
-    /// than one of each. Each worker holds one guard for its whole chunk.
+    /// round-robined over `read_workers` chunks when there is more than
+    /// one of each. The calling thread runs the first chunk itself and
+    /// scoped threads the rest, so a width-`w` pass spawns `w − 1`. Each
+    /// worker holds one guard for its whole chunk.
     pub fn run_read_tier(
         &mut self,
         sessions: &[Session],
@@ -119,36 +121,32 @@ impl Tiers {
         let patience = self.lock_patience;
         // The wait this batch is charged: reactor readiness to dispatch.
         let wait_ns = ready_at.elapsed().as_nanos() as u64;
-        let workers = self.read_workers.min(ids.len());
-        let outcomes: Vec<ReadOutcome> = if workers <= 1 {
-            run_chunk(registry, state, patience, sessions, tasks, &ids)
-        } else {
-            let chunks: Vec<Vec<usize>> = (0..workers)
-                .map(|w| ids.iter().copied().skip(w).step_by(workers).collect())
+        let workers = self.read_workers.clamp(1, ids.len());
+        let chunks: Vec<Vec<usize>> = (0..workers)
+            .map(|w| ids.iter().copied().skip(w).step_by(workers).collect())
+            .collect();
+        let (own, spawned) = chunks.split_at(1);
+        let slots = &*tasks;
+        let outcomes: Vec<ReadOutcome> = std::thread::scope(|scope| {
+            let handles: Vec<_> = spawned
+                .iter()
+                .map(|chunk| {
+                    scope
+                        .spawn(move || run_chunk(registry, state, patience, sessions, slots, chunk))
+                })
                 .collect();
-            let tasks = &*tasks;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .iter()
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            run_chunk(registry, state, patience, sessions, tasks, chunk)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .zip(&chunks)
-                    .flat_map(|(handle, chunk)| {
-                        // A worker that panicked sheds its chunk as Busy
-                        // rather than taking the daemon down.
-                        handle.join().unwrap_or_else(|_| {
-                            chunk.iter().map(|&id| (id, busy(), None)).collect()
-                        })
-                    })
-                    .collect()
-            })
-        };
+            let mut outcomes = run_chunk(registry, state, patience, sessions, slots, &own[0]);
+            for (handle, chunk) in handles.into_iter().zip(spawned) {
+                // A spawned worker that panicked sheds its chunk as Busy
+                // rather than taking the daemon down.
+                outcomes.extend(
+                    handle
+                        .join()
+                        .unwrap_or_else(|_| chunk.iter().map(|&id| (id, busy(), None)).collect()),
+                );
+            }
+            outcomes
+        });
         for (id, replies, nanos) in outcomes {
             match nanos {
                 // Sheds are excluded from the counters and histograms so

@@ -6,8 +6,13 @@
 //! process server which handles multiple simultaneous TCP connections"
 //! (§5.4). The [`Channel`] trait exposes exactly the non-blocking
 //! operations a readiness-driven server loop needs: `try_recv` never
-//! blocks, `send` queues a frame into an elastic outbox, and `flush`
-//! opportunistically drains that outbox without ever blocking.
+//! blocks and reads only when no complete frame is already buffered,
+//! `queue` appends a frame to an elastic outbox without writing, and
+//! `flush` — the one write path — drains that outbox as far as the OS
+//! takes it without blocking. `send` is `queue` then `flush`. The server
+//! queues every reply of a pass and flushes each connection once, so a
+//! batch of replies costs one write, not one per frame; a client that
+//! sends one request and waits for the answer calls `send`.
 //!
 //! There is one implementation, [`StreamChannel`], generic over the byte
 //! stream under it: [`TcpChannel`] for the wire, and the two ends of one
@@ -20,16 +25,22 @@
 //! and a peer that closes is seen as EOF or a reset, after the frames it
 //! sent.
 //!
-//! Backpressure contract: `send` never blocks and never drops — it queues.
+//! [`recv_blocking`] is the client side's one blocking call: it flushes,
+//! takes a frame if one is there, and otherwise blocks in `poll(2)` on
+//! the channel's fd until it is readable (or writable, while bytes are
+//! queued) or the deadline passes — it never sleeps a fixed interval.
+//!
+//! Backpressure contract: `queue` and `send` never block and never drop.
 //! The *server* bounds memory by watching [`Channel::queued_bytes`]
 //! against its outbox cap and pausing read interest for connections whose
 //! peers stop draining replies (see `moira-core::server`, which owns the
 //! cap). Slow consumers therefore experience latency, not disconnection.
 //!
 //! Reactor visibility: a channel's readiness fd, [`Channel::raw_fd`], is
-//! its stream. The trait has no provided methods: a wrapper that forgets
-//! to forward the fd, the flush or the outbox depth does not compile. Unix
-//! only, like the reactor it feeds.
+//! its stream. The trait's one provided method is `send`, built from two
+//! required ones: a wrapper that forgets to forward the queue, the fd, the
+//! flush or the outbox depth does not compile. Unix only, like the reactor
+//! it feeds.
 //!
 //! Frames are length-prefixed: `u32` big-endian payload length, then the
 //! payload (a [`crate::wire`] encoding). Headers announcing more than
@@ -46,8 +57,10 @@ use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use polling::Event;
 
 /// Raw readiness fd.
 pub type RawFd = std::os::unix::io::RawFd;
@@ -57,17 +70,29 @@ pub type RawFd = std::os::unix::io::RawFd;
 /// rather than letting one peer balloon the server's reassembly buffer.
 pub const MAX_FRAME_LEN: usize = 1 << 20;
 
+/// One quantum of [`recv_blocking`]'s deadline.
+const TRY_QUANTUM: Duration = Duration::from_micros(200);
+
 /// A bidirectional, non-blocking framed byte channel.
 pub trait Channel: Send {
-    /// Queues one frame for the peer and opportunistically flushes. An
-    /// error means the peer is gone (`MR_ABORTED` territory); a full OS
-    /// buffer is *not* an error — the bytes wait in the outbox.
-    fn send(&mut self, frame: Bytes) -> io::Result<()>;
+    /// Appends one frame to the outbox without writing; the next
+    /// [`Channel::flush`] writes it with everything queued before it. An
+    /// error means the peer is already known gone (`MR_ABORTED`
+    /// territory).
+    fn queue(&mut self, frame: Bytes) -> io::Result<()>;
+
+    /// Queues one frame and flushes. A full OS buffer is *not* an error —
+    /// the bytes wait in the outbox for the next flush.
+    fn send(&mut self, frame: Bytes) -> io::Result<()> {
+        self.queue(frame)?;
+        self.flush().map(drop)
+    }
 
     /// Receives one frame if available: `Ok(Some)` frame, `Ok(None)`
     /// nothing yet on a live connection, `Err` connection dead — reported
     /// only after every complete frame that arrived before the peer died
-    /// has come out.
+    /// has come out. Reads from the OS only when no complete frame is
+    /// already buffered.
     fn try_recv(&mut self) -> io::Result<Option<Bytes>>;
 
     /// True once the peer has closed.
@@ -78,9 +103,10 @@ pub trait Channel: Send {
     /// writable whenever `flush` can make progress.
     fn raw_fd(&self) -> RawFd;
 
-    /// Drains as much queued output as the OS will take without blocking.
-    /// `Ok(true)` when the outbox is empty, `Ok(false)` when bytes remain
-    /// (write interest should stay registered), `Err` when the peer died.
+    /// The write path: drains as much queued output as the OS will take
+    /// without blocking. `Ok(true)` when the outbox is empty, `Ok(false)`
+    /// when bytes remain (write interest should stay registered), `Err`
+    /// when the peer died.
     fn flush(&mut self) -> io::Result<bool>;
 
     /// Bytes queued toward the peer and not yet taken by the OS. The
@@ -184,18 +210,19 @@ impl<S: Read + Write> StreamChannel<S> {
 }
 
 impl<S: Read + Write + AsRawFd + Send> Channel for StreamChannel<S> {
-    fn send(&mut self, frame: Bytes) -> io::Result<()> {
+    fn queue(&mut self, frame: Bytes) -> io::Result<()> {
         if self.closed {
             return Err(io::Error::new(io::ErrorKind::BrokenPipe, "peer closed"));
         }
-        self.outbox
-            .extend((frame.len() as u32).to_be_bytes().iter().copied());
-        self.outbox.extend(frame.iter().copied());
-        // Opportunistic drain; leftovers wait for write readiness.
-        self.flush().map(|_| ())
+        self.outbox.extend(&(frame.len() as u32).to_be_bytes());
+        self.outbox.extend(&frame[..]);
+        Ok(())
     }
 
     fn try_recv(&mut self) -> io::Result<Option<Bytes>> {
+        if let Some(frame) = self.take_frame()? {
+            return Ok(Some(frame));
+        }
         // One pump can read a complete frame and then hit the peer's reset
         // (what Linux hands a reader whose peer closed with input unread):
         // the frame comes out first, the dead peer is reported after it.
@@ -220,8 +247,8 @@ impl<S: Read + Write + AsRawFd + Send> Channel for StreamChannel<S> {
 
     fn flush(&mut self) -> io::Result<bool> {
         while !self.outbox.is_empty() {
-            let (front, _) = self.outbox.as_slices();
-            match self.stream.write(front) {
+            // Contiguous, so a flush is one write while the OS keeps up.
+            match self.stream.write(self.outbox.make_contiguous()) {
                 Ok(0) => {
                     self.closed = true;
                     return Err(io::Error::new(io::ErrorKind::WriteZero, "peer closed"));
@@ -245,27 +272,38 @@ impl<S: Read + Write + AsRawFd + Send> Channel for StreamChannel<S> {
     }
 }
 
-/// Blocks (with spinning politeness) until a frame arrives or `tries`
-/// polls have elapsed — the client-side convenience for request/response
-/// exchanges and for tests. Also keeps flushing the channel's outbox so a
-/// request queued by a non-blocking `send` actually reaches the wire
-/// while we wait for the reply.
+/// Receives one frame, waiting up to `tries` quanta of 200 µs (one
+/// deadline, fixed on entry) — the client-side convenience for
+/// request/response exchanges and for tests. Flushes the outbox first, so
+/// queued requests reach the wire, then blocks in `poll(2)` on the
+/// channel's fd (readable, and writable while bytes stay queued) between
+/// attempts. A fd `poll(2)` cannot watch, or one with an error pending,
+/// ends the wait at once with an error — after any frame that arrived
+/// ahead of it.
 pub fn recv_blocking(chan: &mut dyn Channel, tries: u32) -> io::Result<Bytes> {
     moira_common::lockorder::assert_may_block("recv_blocking");
-    for i in 0..tries {
+    let deadline = Instant::now() + TRY_QUANTUM * tries;
+    loop {
         if chan.queued_bytes() > 0 {
             chan.flush()?;
         }
         if let Some(frame) = chan.try_recv()? {
             return Ok(frame);
         }
-        if i > 10 {
-            // The poll interval; the seam is asserted on entry.
-            #[allow(clippy::disallowed_methods)]
-            std::thread::sleep(std::time::Duration::from_micros(200));
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::new(io::ErrorKind::TimedOut, "no frame"));
+        }
+        let interest = Event {
+            key: 0,
+            readable: true,
+            writable: chan.queued_bytes() > 0,
+        };
+        if let Err(e) = polling::wait_fd(chan.raw_fd(), interest, Some(left)) {
+            // A frame that arrived ahead of the error still comes out.
+            return chan.try_recv()?.ok_or(e);
         }
     }
-    Err(io::Error::new(io::ErrorKind::TimedOut, "no frame"))
 }
 
 #[cfg(test)]
@@ -341,6 +379,13 @@ mod tests {
         assert_eq!(b.try_recv().unwrap(), None);
         b.send(Bytes::from_static(b"back")).unwrap();
         assert_eq!(recv_blocking(&mut a, TRIES).unwrap(), &b"back"[..]);
+        // A reader blocked in poll(2) wakes on the peer's send; frames
+        // queued on its own side leave when it starts waiting.
+        b.queue(Bytes::from_static(b"queued")).unwrap();
+        let echo = std::thread::spawn(move || recv_blocking(&mut b, TRIES).unwrap());
+        assert_eq!(recv_blocking(&mut a, TRIES).unwrap(), &b"queued"[..]);
+        a.send(Bytes::from_static(b"again")).unwrap();
+        assert_eq!(echo.join().unwrap(), &b"again"[..]);
     }
 
     fn many_frames_arrive_in_one_read<K: Kind>() {
@@ -456,5 +501,120 @@ mod tests {
         assert_eq!(recv_blocking(&mut a, TRIES).unwrap(), &b"last words"[..]);
         recv_until_dead(&mut a);
         assert!(a.is_closed());
+    }
+
+    /// A socketpair end that counts the `read` and `write` calls made on it.
+    struct Counted {
+        inner: UnixStream,
+        reads: usize,
+        writes: usize,
+    }
+
+    impl Read for Counted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            self.inner.read(buf)
+        }
+    }
+
+    impl Write for Counted {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.inner.write(buf)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    impl AsRawFd for Counted {
+        fn as_raw_fd(&self) -> RawFd {
+            self.inner.as_raw_fd()
+        }
+    }
+
+    /// A counted channel and the raw, blocking stream of its peer.
+    fn counted_pair() -> (StreamChannel<Counted>, UnixStream) {
+        let (a, b) = UnixStream::pair().unwrap();
+        a.set_nonblocking(true).unwrap();
+        let counted = Counted {
+            inner: a,
+            reads: 0,
+            writes: 0,
+        };
+        (StreamChannel::over(counted), b)
+    }
+
+    #[test]
+    fn queue_never_writes_and_one_flush_is_one_write() {
+        let (mut chan, mut peer) = counted_pair();
+        chan.queue(Bytes::from_static(b"one")).unwrap();
+        assert_eq!(chan.stream.writes, 0, "queue must not write");
+        assert_eq!(chan.queued_bytes(), 4 + 3);
+        for _ in 1..10 {
+            chan.queue(Bytes::from_static(b"one")).unwrap();
+        }
+        assert!(chan.flush().unwrap());
+        assert_eq!(chan.stream.writes, 1, "ten queued frames, one write");
+        chan.send(Bytes::from_static(b"two")).unwrap();
+        assert_eq!(chan.stream.writes, 2, "send is queue, then one write");
+        assert_eq!(chan.queued_bytes(), 0);
+        let mut wire = [0u8; 77];
+        peer.read_exact(&mut wire).unwrap();
+        assert_eq!(wire[..7], [0, 0, 0, 3, b'o', b'n', b'e']);
+        assert_eq!(wire[70..], [0, 0, 0, 3, b't', b'w', b'o']);
+    }
+
+    #[test]
+    fn draining_frames_from_one_peer_write_reads_at_most_twice() {
+        let (mut chan, mut peer) = counted_pair();
+        let mut wire = Vec::new();
+        for i in 0..10u8 {
+            wire.extend_from_slice(&1u32.to_be_bytes());
+            wire.push(i);
+        }
+        peer.write_all(&wire).unwrap();
+        for i in 0..10u8 {
+            assert_eq!(chan.try_recv().unwrap().unwrap(), &[i][..]);
+        }
+        // One read takes all ten frames, a second finds the socket empty;
+        // the other nine come out of the inbox.
+        assert!(chan.stream.reads <= 2, "{} reads", chan.stream.reads);
+    }
+
+    /// A channel whose readiness fd no `poll(2)` can watch.
+    struct BadFd(InProcChannel);
+
+    impl Channel for BadFd {
+        fn queue(&mut self, frame: Bytes) -> io::Result<()> {
+            self.0.queue(frame)
+        }
+        fn try_recv(&mut self) -> io::Result<Option<Bytes>> {
+            self.0.try_recv()
+        }
+        fn is_closed(&self) -> bool {
+            self.0.is_closed()
+        }
+        fn raw_fd(&self) -> RawFd {
+            -1
+        }
+        fn flush(&mut self) -> io::Result<bool> {
+            self.0.flush()
+        }
+        fn queued_bytes(&self) -> usize {
+            self.0.queued_bytes()
+        }
+    }
+
+    #[test]
+    fn a_bad_fd_is_an_error_not_a_wait() {
+        let (chan, _peer) = pair();
+        // A one-second deadline: waiting it out is the failure.
+        let err = recv_blocking(&mut BadFd(chan), 5_000).unwrap_err();
+        assert_ne!(
+            err.kind(),
+            io::ErrorKind::TimedOut,
+            "waited out the deadline"
+        );
     }
 }

@@ -250,9 +250,9 @@ impl FaultyChannel {
 }
 
 impl Channel for FaultyChannel {
-    fn send(&mut self, frame: bytes::Bytes) -> std::io::Result<()> {
+    fn queue(&mut self, frame: bytes::Bytes) -> std::io::Result<()> {
         match self.fabric.roll(&self.link, false) {
-            Ok(()) => self.inner.send(frame),
+            Ok(()) => self.inner.queue(frame),
             Err(NetFault::Partitioned) => Err(std::io::Error::new(
                 std::io::ErrorKind::ConnectionReset,
                 "link partitioned",
@@ -402,12 +402,36 @@ mod tests {
         assert!(chan.send(bytes::Bytes::from_static(b"four")).is_err());
     }
 
+    #[test]
+    fn lost_request_aborts_on_the_client_deadline() {
+        use moira_client::{MoiraConn, RpcClient};
+        use moira_common::errors::MrError;
+        use std::time::{Duration, Instant};
+        // Every frame on the link is lost, so the live peer never answers
+        // and the client's fd never turns readable: only the deadline, 50
+        // quanta of 200 µs, ends the call.
+        let fabric = Arc::new(NetFabric::new(VClock::new(), 3));
+        fabric.set_drop_prob("LINK", 1.0);
+        let (client_end, _server_end) = moira_protocol::transport::pair();
+        let chan = FaultyChannel::new(Box::new(client_end), fabric, "LINK");
+        let mut client = RpcClient::connect(Box::new(chan));
+        client.set_deadline_tries(50);
+        let t0 = Instant::now();
+        assert_eq!(client.noop(), Err(MrError::Aborted));
+        let took = t0.elapsed();
+        assert!(took >= Duration::from_millis(10), "gave up early: {took:?}");
+        assert!(
+            took < Duration::from_secs(1),
+            "overran the deadline: {took:?}"
+        );
+    }
+
     /// An inner channel whose every answer is distinguishable from what a
     /// wrapper could make up on its own.
     struct Marked;
 
     impl Channel for Marked {
-        fn send(&mut self, _frame: bytes::Bytes) -> std::io::Result<()> {
+        fn queue(&mut self, _frame: bytes::Bytes) -> std::io::Result<()> {
             Ok(())
         }
         fn try_recv(&mut self) -> std::io::Result<Option<bytes::Bytes>> {

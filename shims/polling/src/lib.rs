@@ -21,13 +21,17 @@
 //!
 //! The waker is a non-blocking `UnixStream` pair registered under a
 //! reserved key; `notify` writes one byte, `wait` drains and swallows it.
+//!
+//! A caller that owns no `Poller` and waits on one fd of its own (a client
+//! blocked on its connection) uses [`wait_fd`]: one `poll(2)` through the
+//! same declaration the fallback backend uses.
 
 #![warn(missing_docs)]
 
 #[cfg(not(target_family = "unix"))]
 compile_error!("the connection tier needs a Unix readiness selector (epoll, kqueue or poll(2))");
 
-pub use unix_impl::Poller;
+pub use unix_impl::{wait_fd, Poller};
 
 /// Raw file descriptor type (`std::os::unix::io::RawFd`).
 pub type RawFd = std::os::unix::io::RawFd;
@@ -127,6 +131,11 @@ mod sys {
     pub const POLLOUT: i16 = 0x004;
     pub const POLLERR: i16 = 0x008;
     pub const POLLHUP: i16 = 0x010;
+    pub const POLLNVAL: i16 = 0x020;
+
+    /// `errno` for a descriptor that is not open (the same on every Unix
+    /// the shim builds for).
+    pub const EBADF: i32 = 9;
 
     #[repr(C)]
     #[derive(Clone, Copy)]
@@ -614,6 +623,50 @@ mod unix_impl {
         }
     }
 
+    /// Blocks until `fd` is ready for `interest` or `timeout` elapses: one
+    /// `poll(2)` on one fd. Returns the readiness seen under
+    /// `interest.key` — [`Event::none`] when the timeout elapsed or a
+    /// signal interrupted the wait — with a hangup reported as readable,
+    /// so the owner reads and sees the EOF. A fd poll(2) cannot watch
+    /// (negative, or not open: `POLLNVAL`) and one with an error pending
+    /// (`POLLERR`) are errors, not readiness: waiting on them again would
+    /// return at once, forever.
+    pub fn wait_fd(fd: RawFd, interest: Event, timeout: Option<Duration>) -> io::Result<Event> {
+        // poll(2) skips a negative fd silently, which would turn a bad
+        // channel into a full-length wait.
+        if fd < 0 {
+            return Err(io::Error::from_raw_os_error(sys::EBADF));
+        }
+        let mut pfd = sys::PollFd {
+            fd,
+            events: (if interest.readable { sys::POLLIN } else { 0 })
+                | (if interest.writable { sys::POLLOUT } else { 0 }),
+            revents: 0,
+        };
+        // SAFETY: `pfd` is one initialised `pollfd` that outlives the call,
+        // and `nfds` is 1.
+        if unsafe { sys::poll(&mut pfd, 1, millis(timeout)) } < 0 {
+            let e = io::Error::last_os_error();
+            if e.kind() == io::ErrorKind::Interrupted {
+                return Ok(Event::none(interest.key));
+            }
+            return Err(e);
+        }
+        if pfd.revents & sys::POLLNVAL != 0 {
+            return Err(io::Error::from_raw_os_error(sys::EBADF));
+        }
+        if pfd.revents & sys::POLLERR != 0 {
+            return Err(io::Error::other(
+                "poll(2) reported an error pending on the fd",
+            ));
+        }
+        Ok(Event {
+            key: interest.key,
+            readable: pfd.revents & (sys::POLLIN | sys::POLLHUP) != 0,
+            writable: pfd.revents & sys::POLLOUT != 0,
+        })
+    }
+
     #[cfg(any(
         target_os = "macos",
         target_os = "freebsd",
@@ -760,6 +813,34 @@ mod tests {
             .unwrap();
         assert_eq!(n, 0);
         assert!(t0.elapsed() >= Duration::from_millis(25));
+    }
+
+    #[test]
+    fn wait_fd_reports_one_fds_readiness() {
+        let (mut a, b) = pair_nonblocking();
+        let fd = b.as_raw_fd();
+        let quiet = wait_fd(fd, Event::readable(5), Some(Duration::ZERO)).unwrap();
+        assert_eq!(quiet, Event::none(5), "nothing to read yet");
+        assert!(wait_fd(fd, Event::all(5), None).unwrap().writable);
+        a.write_all(b"x").unwrap();
+        assert!(wait_fd(fd, Event::readable(5), None).unwrap().readable);
+        drop(a);
+        let mut buf = [0u8; 8];
+        assert_eq!((&b).read(&mut buf).unwrap(), 1);
+        assert!(
+            wait_fd(fd, Event::readable(5), None).unwrap().readable,
+            "a hangup reads as readable"
+        );
+    }
+
+    #[test]
+    fn wait_fd_refuses_a_fd_it_cannot_watch() {
+        // Negative (which poll(2) would skip, waiting out the timeout) and
+        // never opened (POLLNVAL): both fail at once.
+        for fd in [-1, RawFd::MAX] {
+            let err = wait_fd(fd, Event::readable(0), None).unwrap_err();
+            assert_eq!(err.raw_os_error(), Some(sys::EBADF), "fd {fd}");
+        }
     }
 
     #[test]
