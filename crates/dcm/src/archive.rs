@@ -10,7 +10,7 @@
 //! extraction-dataflow refactor) while still verifying the whole-archive
 //! checksum before installing.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use moira_common::errors::{MrError, MrResult};
 
@@ -103,15 +103,18 @@ impl Archive {
         out
     }
 
-    /// The per-member CRC manifest plus the whole-archive CRC.
+    /// The per-member CRC manifest plus the whole-archive CRC. The full
+    /// CRC is taken over the serialized form without building it.
     pub fn manifest(&self) -> Manifest {
+        let mut full = Crc32::new();
+        self.write_to(|bytes| full.update(bytes));
         Manifest {
             entries: self
                 .members
                 .iter()
                 .map(|(n, d)| (n.clone(), crc32(d)))
                 .collect(),
-            full_crc: crc32(&self.to_bytes()),
+            full_crc: full.finish(),
         }
     }
 
@@ -119,14 +122,20 @@ impl Archive {
     /// u32 data len | data`.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.payload_size() + 16);
-        out.extend_from_slice(&(self.members.len() as u32).to_be_bytes());
-        for (name, data) in &self.members {
-            out.extend_from_slice(&(name.len() as u32).to_be_bytes());
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(&(data.len() as u32).to_be_bytes());
-            out.extend_from_slice(data);
-        }
+        self.write_to(|bytes| out.extend_from_slice(bytes));
         out
+    }
+
+    /// Hands the [`to_bytes`](Archive::to_bytes) encoding to `put`, piece by
+    /// piece — the one place the framing is written.
+    fn write_to(&self, mut put: impl FnMut(&[u8])) {
+        put(&(self.members.len() as u32).to_be_bytes());
+        for (name, data) in &self.members {
+            put(&(name.len() as u32).to_be_bytes());
+            put(name.as_bytes());
+            put(&(data.len() as u32).to_be_bytes());
+            put(data);
+        }
     }
 
     /// Parses serialized bytes; `None` on any framing violation or a
@@ -208,15 +217,16 @@ impl Manifest {
             return None;
         }
         let mut entries = Vec::with_capacity(count.min(64));
+        let mut seen: HashSet<&str> = HashSet::with_capacity(count.min(64));
         for _ in 0..count {
             let name_len = take_u32(&mut pos)? as usize;
-            let name = String::from_utf8(body.get(pos..pos + name_len)?.to_vec()).ok()?;
+            let name = std::str::from_utf8(body.get(pos..pos + name_len)?).ok()?;
             pos += name_len;
-            if entries.iter().any(|(n, _)| *n == name) {
+            if !seen.insert(name) {
                 return None;
             }
             let crc = take_u32(&mut pos)?;
-            entries.push((name, crc));
+            entries.push((name.to_owned(), crc));
         }
         let full_crc = take_u32(&mut pos)?;
         if pos != body.len() {
@@ -230,6 +240,7 @@ impl Manifest {
 /// `moira_common`, re-exported here because the update protocol's manifest
 /// checksums predate the common module.
 pub use moira_common::crc::crc32;
+use moira_common::crc::Crc32;
 
 #[cfg(test)]
 mod tests {
@@ -333,6 +344,32 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(Manifest::from_bytes(&bytes[..cut]).is_none(), "cut {cut}");
         }
+    }
+
+    #[test]
+    fn streamed_full_crc_equals_crc_of_serialized_archive() {
+        let empty = Archive::new();
+        assert_eq!(empty.manifest().full_crc, crc32(&empty.to_bytes()));
+        let a = Archive::from_members(
+            (0..50)
+                .map(|i| (format!("m{i}.db"), vec![i as u8; i * 7]))
+                .collect(),
+        )
+        .unwrap();
+        assert_eq!(a.manifest().full_crc, crc32(&a.to_bytes()));
+    }
+
+    #[test]
+    fn large_manifest_decodes_and_duplicates_are_rejected() {
+        let entries: Vec<(String, u32)> = (0..200_000u32).map(|i| (format!("m{i}"), i)).collect();
+        let m = Manifest {
+            entries,
+            full_crc: 7,
+        };
+        assert_eq!(Manifest::from_bytes(&m.to_bytes()), Some(m.clone()));
+        let mut dup = m;
+        dup.entries[199_999].0 = "m0".to_owned();
+        assert!(Manifest::from_bytes(&dup.to_bytes()).is_none());
     }
 
     #[test]

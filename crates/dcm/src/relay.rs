@@ -11,8 +11,7 @@
 //!
 //! For each `(service, host)` pair the [`CursorStore`] remembers the archive the host last
 //! confirmed installing — the *base* the update protocol patches against
-//! — together with the service generation it belongs to and a base-CRC
-//! [`Manifest`]. The invariants:
+//! — together with the service generation it belongs to. The invariants:
 //!
 //! - **Monotone.** [`CursorStore::record`] never moves a cursor to an
 //!   older generation; a delayed recording from a slow leg cannot clobber
@@ -27,27 +26,21 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
-use crate::archive::{Archive, Manifest};
+use crate::archive::Archive;
 
 /// What the DCM knows one host last installed for one service: the patch
-/// base, the generation it belongs to, and its member-CRC manifest.
+/// base and the generation it belongs to.
 #[derive(Debug, Clone)]
 pub struct Cursor {
     /// The service generation (`dfgen`) whose archive the host confirmed.
     pub generation: i64,
     base: Arc<Archive>,
-    manifest: Manifest,
 }
 
 impl Cursor {
     /// The confirmed archive — the base for line-level patches.
     pub fn base(&self) -> &Arc<Archive> {
         &self.base
-    }
-
-    /// Member CRCs of the base, precomputed at record time.
-    pub fn manifest(&self) -> &Manifest {
-        &self.manifest
     }
 }
 
@@ -80,29 +73,16 @@ impl CursorStore {
                 return false;
             }
         }
-        let manifest = base.manifest();
-        self.entries.insert(
-            key,
-            Cursor {
-                generation,
-                base,
-                manifest,
-            },
-        );
+        self.entries.insert(key, Cursor { generation, base });
         true
     }
 
     /// Unconditional overwrite — the operator-reset escape hatch (and the
     /// fault-matrix tests' way of planting a stale cursor).
     pub fn force(&mut self, service: &str, host: &str, generation: i64, base: Arc<Archive>) {
-        let manifest = base.manifest();
         self.entries.insert(
             (service.to_owned(), host.to_owned()),
-            Cursor {
-                generation,
-                base,
-                manifest,
-            },
+            Cursor { generation, base },
         );
     }
 
@@ -275,13 +255,13 @@ mod tests {
     }
 
     #[test]
-    fn cursor_manifest_matches_base() {
+    fn cursor_holds_recorded_base_and_generation() {
         let mut store = CursorStore::new();
         let base = arc(&[("passwd.db", b"root:0"), ("uid.db", b"0:root")]);
         store.record("HESIOD", "H1", 3, base.clone());
         let cursor = store.cursor("HESIOD", "H1").unwrap();
-        assert_eq!(cursor.manifest(), &base.manifest());
-        assert_eq!(cursor.manifest().entries.len(), 2);
+        assert!(Arc::ptr_eq(cursor.base(), &base));
+        assert_eq!(cursor.generation, 3);
     }
 
     #[test]
