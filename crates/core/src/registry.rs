@@ -119,8 +119,8 @@ pub type WriteHandler = fn(&mut MoiraState, &Caller, &[String]) -> MrResult<Vec<
 
 /// A query implementation, split by tier.
 ///
-/// `Read` handlers run under the server's shared lock, concurrently with
-/// each other; `Write` handlers serialize under the exclusive lock. The
+/// `Read` handlers run under a shared lock, beside other threads' readers;
+/// `Write` handlers serialize under the exclusive lock. The
 /// split is enforced by the compiler: a `Read` handler cannot obtain
 /// `&mut MoiraState` no matter what its body does.
 #[derive(Clone, Copy)]

@@ -8,20 +8,22 @@
 //! replies), which is what let the original stay a single process while
 //! "reading new RPC requests and sending old replies simultaneously".
 //!
-//! This reproduction goes one step further than the paper's single process:
-//! the state sits behind a reader-writer lock, and each poll pass classifies
-//! ready requests before dispatch. Retrieve-class queries (and `Access`
-//! pre-checks) run **concurrently** on a small worker pool under shared
-//! guards; mutations, `Authenticate`, and `Trigger_DCM` drain **serially**
-//! under the exclusive guard. Per connection, FIFO order is preserved: a
-//! connection's leading run of reads joins the concurrent tier, and from its
-//! first write onward the remainder of its batch executes in order on the
-//! serial tier, so a read that follows a write always observes it. Lock
-//! acquisition is bounded — a tier that cannot get its guard within the
-//! configured patience sheds its requests with [`MrError::Busy`] instead of
-//! blocking the loop, mirroring the database `LockManager`'s policy of
-//! reporting contention (`MR_BUSY`/`MR_DEADLOCK`) rather than waiting
-//! forever.
+//! Execution is single-threaded, as in the paper: every request of a pass
+//! runs on the loop's own thread. The state still sits behind a
+//! reader-writer lock because other threads (the DCM, the registration
+//! server) share it, so each poll pass classifies ready requests before
+//! dispatch. Retrieve-class queries (and `Access` pre-checks) run first,
+//! under one shared guard, so a DCM generation reading the state does not
+//! hold them up; mutations, `Authenticate`, and `Trigger_DCM` then drain
+//! **serially** under the exclusive guard. Per connection, FIFO order is
+//! preserved: a connection's leading run of reads joins the shared tier,
+//! and from its first write onward the remainder of its batch executes in
+//! order on the exclusive tier, so a read that follows a write always
+//! observes it. Lock acquisition is bounded — a tier that cannot get its
+//! guard within the configured patience sheds its requests with
+//! [`MrError::Busy`] instead of blocking the loop, mirroring the database
+//! `LockManager`'s policy of reporting contention (`MR_BUSY`/`MR_DEADLOCK`)
+//! rather than waiting forever.
 //!
 //! One pass is one call of each stage, one file each: `collect` (readiness
 //! events → drained frames), `classify` (frames → task slots), `tiers`
@@ -215,15 +217,10 @@ impl MoiraServer {
         self.tiers.shed_requests
     }
 
-    /// Sets the shared tier's pool width (clamped to ≥ 1): a pass's reads
-    /// fan out over up to this many scoped threads.
-    pub fn set_read_workers(&mut self, workers: usize) {
-        self.tiers.read_workers = workers.max(1);
-    }
-
-    /// The configured shared-tier pool width.
+    /// Threads that run a pass's reads: always `1`, the loop's own. Kept
+    /// only because the `moira-bench` harness still reads it.
     pub fn read_workers(&self) -> usize {
-        self.tiers.read_workers
+        1
     }
 
     /// Bounds how many try-lock attempts a tier makes before shedding its
@@ -327,7 +324,7 @@ impl MoiraServer {
     /// One pass of the loop, blocking in the reactor wait for up to
     /// `timeout` (`None` = until an event or a [`Waker`]), then one call
     /// of each stage: collect the ready frames, classify them, run the
-    /// shared tier concurrently and the exclusive tier serially, send
+    /// shared tier and then the exclusive tier, send
     /// replies in per-connection FIFO order, re-sync reactor interest and
     /// tear down dead connections. Returns how many requests were
     /// received.
@@ -857,9 +854,9 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_readers_on_worker_pool() {
-        // Four connections each send a retrieve; with a multi-worker read
-        // tier all four dispatch in one pass and answer correctly.
+    fn four_connections_reads_dispatch_in_one_pass() {
+        // Four connections each send a retrieve; all four dispatch on the
+        // shared tier in one pass and answer correctly.
         let (mut server, state, _) = standard_server(moira_common::VClock::new());
         {
             let mut s = state.write();
@@ -867,7 +864,6 @@ mod tests {
             s.db.append(members::T, vec![2.into(), "USER".into(), uid.into()])
                 .unwrap();
         }
-        server.set_read_workers(4);
         let mut clients = Vec::new();
         for _ in 0..4 {
             let (client, server_end) = pair();

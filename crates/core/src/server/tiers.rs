@@ -1,11 +1,12 @@
 //! Stages 3 and 4 of a poll pass: the two dispatch tiers.
 //!
-//! The shared tier runs every [`Work::Read`] slot under read guards, on a
-//! worker pool whose width-1 case is the calling thread. The exclusive
-//! tier drains every serial slot in arrival order under one write guard
-//! and ends with the group-commit flush. Both take classified slots and
-//! the connections' [`Session`]s and leave [`Work::Done`] behind; neither
-//! sees a channel. Guard acquisition
+//! Both run on the thread that runs the pass and take one guard each per
+//! pass. The shared tier answers every [`Work::Read`] slot in slot order
+//! under a read guard, so a DCM generation holding its own read guard does
+//! not block it. The exclusive tier then drains every serial slot in
+//! arrival order under the write guard and ends with the group-commit
+//! flush. Both take classified slots and the connections' [`Session`]s and
+//! leave [`Work::Done`] behind; neither sees a channel. Guard acquisition
 //! is bounded — a tier that cannot get its guard within the configured
 //! patience sheds its slots with `MR_BUSY` instead of blocking the loop.
 
@@ -27,25 +28,18 @@ use crate::state::{Caller, MoiraState, SharedState};
 /// gives up on its guard and sheds the batch with `MR_BUSY`.
 const DEFAULT_LOCK_PATIENCE: u32 = 512;
 
-/// One shared-tier result: slot index, replies, and the handler's service
-/// time — `None` when the request was shed with `Busy` instead of executed.
-type ReadOutcome = (usize, Vec<Reply>, Option<u64>);
-
 /// The state a tier holds while it answers a call.
 enum Tier<'a> {
     Shared(&'a MoiraState),
     Exclusive(&'a mut MoiraState),
 }
 
-/// The dispatch half of the server: what the tiers run against, how wide
-/// and how patiently, and what they have executed so far.
+/// The dispatch half of the server: what the tiers run against, how
+/// patiently, and what they have executed so far.
 pub(super) struct Tiers {
     pub state: SharedState,
     pub registry: Arc<Registry>,
     verifier: Option<Verifier>,
-    /// Shared-tier pool width, ≥ 1. At 1, or for a single read, the pool
-    /// is the calling thread.
-    pub read_workers: usize,
     /// Bounded lock-acquisition budget before shedding with `Busy`.
     pub lock_patience: u32,
     /// Requests executed on the shared tier (sheds are not counted).
@@ -71,9 +65,6 @@ pub(super) struct Tiers {
 
 impl Tiers {
     pub fn new(state: SharedState, registry: Arc<Registry>, verifier: Option<Verifier>) -> Tiers {
-        let read_workers = std::thread::available_parallelism()
-            .map(|n| n.get().min(8))
-            .unwrap_or(1);
         let obs = state.read().obs.clone();
         Tiers {
             obs_reads: obs.counter("server.reads_dispatched"),
@@ -86,7 +77,6 @@ impl Tiers {
             state,
             registry,
             verifier,
-            read_workers,
             lock_patience: DEFAULT_LOCK_PATIENCE,
             reads_dispatched: 0,
             writes_dispatched: 0,
@@ -100,11 +90,17 @@ impl Tiers {
         self.obs_sheds.add(n);
     }
 
-    /// The shared tier: every `Read` slot runs under a read guard,
-    /// round-robined over `read_workers` chunks when there is more than
-    /// one of each. The calling thread runs the first chunk itself and
-    /// scoped threads the rest, so a width-`w` pass spawns `w − 1`. Each
-    /// worker holds one guard for its whole chunk.
+    /// Answers the slots `ids` with `Busy`: their tier never got its guard.
+    fn shed(&mut self, tasks: &mut [TaskSlot], ids: Vec<usize>) {
+        self.count_sheds(ids.len() as u64);
+        for id in ids {
+            tasks[id].work = Work::Done(busy());
+        }
+    }
+
+    /// The shared tier: every `Read` slot, in slot order, under one read
+    /// guard held by the thread running the pass. The whole batch is shed
+    /// with `Busy` if the guard never comes.
     pub fn run_read_tier(
         &mut self,
         sessions: &[Session],
@@ -117,48 +113,22 @@ impl Tiers {
         if ids.is_empty() {
             return;
         }
-        let (registry, state) = (&*self.registry, &self.state);
-        let patience = self.lock_patience;
-        // The wait this batch is charged: reactor readiness to dispatch.
-        let wait_ns = ready_at.elapsed().as_nanos() as u64;
-        let workers = self.read_workers.clamp(1, ids.len());
-        let chunks: Vec<Vec<usize>> = (0..workers)
-            .map(|w| ids.iter().copied().skip(w).step_by(workers).collect())
-            .collect();
-        let (own, spawned) = chunks.split_at(1);
-        let slots = &*tasks;
-        let outcomes: Vec<ReadOutcome> = std::thread::scope(|scope| {
-            let handles: Vec<_> = spawned
-                .iter()
-                .map(|chunk| {
-                    scope
-                        .spawn(move || run_chunk(registry, state, patience, sessions, slots, chunk))
-                })
-                .collect();
-            let mut outcomes = run_chunk(registry, state, patience, sessions, slots, &own[0]);
-            for (handle, chunk) in handles.into_iter().zip(spawned) {
-                // A spawned worker that panicked sheds its chunk as Busy
-                // rather than taking the daemon down.
-                outcomes.extend(
-                    handle
-                        .join()
-                        .unwrap_or_else(|_| chunk.iter().map(|&id| (id, busy(), None)).collect()),
-                );
-            }
-            outcomes
-        });
-        for (id, replies, nanos) in outcomes {
-            match nanos {
-                // Sheds are excluded from the counters and histograms so
-                // the service-time distribution reflects real executions.
-                Some(nanos) => {
-                    self.reads_dispatched += 1;
-                    self.obs_reads.inc();
-                    self.obs_read_latency.record(nanos);
-                    self.obs_ready_latency.record(wait_ns);
-                }
-                None => self.count_sheds(1),
-            }
+        let state = self.state.clone();
+        let Some(guard) = patiently(self.lock_patience, || state.try_read()) else {
+            return self.shed(tasks, ids);
+        };
+        self.reads_dispatched += ids.len() as u64;
+        self.obs_reads.add(ids.len() as u64);
+        for id in ids {
+            let Work::Read(call) = &tasks[id].work else {
+                continue;
+            };
+            let t0 = Instant::now();
+            let caller = &sessions[tasks[id].conn].caller;
+            let replies = answer(&self.registry, Tier::Shared(&guard), caller, call);
+            self.obs_read_latency.record(t0.elapsed().as_nanos() as u64);
+            self.obs_ready_latency
+                .record(t0.duration_since(ready_at).as_nanos() as u64);
             tasks[id].work = Work::Done(replies);
         }
     }
@@ -184,15 +154,10 @@ impl Tiers {
         }
         let state = self.state.clone();
         let Some(mut guard) = patiently(self.lock_patience, || state.try_write()) else {
-            self.count_sheds(ids.len() as u64);
-            for id in ids {
-                tasks[id].work = Work::Done(busy());
-            }
-            return;
+            return self.shed(tasks, ids);
         };
         self.writes_dispatched += ids.len() as u64;
         self.obs_writes.add(ids.len() as u64);
-        let wait_ns = ready_at.elapsed().as_nanos() as u64;
         for id in ids {
             let session = &mut sessions[tasks[id].conn];
             let t0 = Instant::now();
@@ -219,7 +184,8 @@ impl Tiers {
             };
             self.obs_write_latency
                 .record(t0.elapsed().as_nanos() as u64);
-            self.obs_ready_latency.record(wait_ns);
+            self.obs_ready_latency
+                .record(t0.duration_since(ready_at).as_nanos() as u64);
             tasks[id].work = Work::Done(replies);
         }
         // Group commit: one fsync (at most — the flush interval can defer
@@ -234,32 +200,6 @@ impl Tiers {
             guard.obs.counter("db.wal.flush_errors").inc();
         }
     }
-}
-
-/// One pool worker: takes a shared guard, answers its chunk of `Read`
-/// slots, and sheds the whole chunk if the guard never came.
-fn run_chunk(
-    registry: &Registry,
-    state: &SharedState,
-    patience: u32,
-    sessions: &[Session],
-    tasks: &[TaskSlot],
-    chunk: &[usize],
-) -> Vec<ReadOutcome> {
-    let guard = patiently(patience, || state.try_read());
-    chunk
-        .iter()
-        .map(|&id| {
-            let slot = &tasks[id];
-            let (Some(guard), Work::Read(call)) = (&guard, &slot.work) else {
-                return (id, busy(), None);
-            };
-            let t0 = Instant::now();
-            let caller = &sessions[slot.conn].caller;
-            let replies = answer(registry, Tier::Shared(guard), caller, call);
-            (id, replies, Some(t0.elapsed().as_nanos() as u64))
-        })
-        .collect()
 }
 
 /// Arguments in, replies out — the one place either tier runs a call: an
@@ -349,7 +289,7 @@ mod tests {
     use moira_protocol::wire::{MajorRequest, MajorRequest::*, Request};
 
     /// One batch through classify and both tiers as plain data — no
-    /// channel anywhere — at pool widths 1 and 4.
+    /// channel anywhere.
     #[test]
     fn one_batch_through_both_tiers_on_plain_slots() {
         let batch: [(usize, MajorRequest, &[&str]); 6] = [
@@ -372,25 +312,21 @@ mod tests {
             vec![perm],
             vec![perm],
         ];
-        for workers in [1, 4] {
-            let (s, _) = crate::queries::testutil::state_with_admin("ops");
-            let registry = Arc::new(Registry::standard());
-            let mut tiers = Tiers::new(crate::state::shared(s), registry, None);
-            tiers.read_workers = workers;
-            let mut sessions: Vec<Session> = (0..3).map(Session::new).collect();
-            let frames =
-                batch.map(|(conn, major, args)| (conn, Request::new(major, args).encode()));
-            let (mut tasks, _) = classify(&tiers.registry, frames.to_vec(), None);
-            let ready_at = Instant::now();
-            tiers.run_read_tier(&sessions, &mut tasks, ready_at);
-            tiers.run_write_tier(&mut sessions, &mut tasks, ready_at);
-            let who: Vec<&str> = sessions.iter().map(|s| s.caller.who()).collect();
-            assert_eq!(who, ["ops", "???", "???"], "only conn 0 authenticated");
-            let codes = tasks.into_iter().map(|t| t.work.into_replies());
-            let codes: Vec<Vec<i32>> = codes.map(|r| r.iter().map(|r| r.code).collect()).collect();
-            assert_eq!(codes, want, "pool width {workers}");
-            assert_eq!((tiers.reads_dispatched, tiers.writes_dispatched), (2, 4));
-            assert_eq!(tiers.shed_requests, 0);
-        }
+        let (s, _) = crate::queries::testutil::state_with_admin("ops");
+        let registry = Arc::new(Registry::standard());
+        let mut tiers = Tiers::new(crate::state::shared(s), registry, None);
+        let mut sessions: Vec<Session> = (0..3).map(Session::new).collect();
+        let frames = batch.map(|(conn, major, args)| (conn, Request::new(major, args).encode()));
+        let (mut tasks, _) = classify(&tiers.registry, frames.to_vec(), None);
+        let ready_at = Instant::now();
+        tiers.run_read_tier(&sessions, &mut tasks, ready_at);
+        tiers.run_write_tier(&mut sessions, &mut tasks, ready_at);
+        let who: Vec<&str> = sessions.iter().map(|s| s.caller.who()).collect();
+        assert_eq!(who, ["ops", "???", "???"], "only conn 0 authenticated");
+        let codes = tasks.into_iter().map(|t| t.work.into_replies());
+        let codes: Vec<Vec<i32>> = codes.map(|r| r.iter().map(|r| r.code).collect()).collect();
+        assert_eq!(codes, want);
+        assert_eq!((tiers.reads_dispatched, tiers.writes_dispatched), (2, 4));
+        assert_eq!(tiers.shed_requests, 0);
     }
 }

@@ -21,9 +21,9 @@ use crate::seed;
 
 /// The shared handle every component holds on the server state.
 ///
-/// A reader-writer lock, not a mutex: the read tier of the query path
-/// dispatches retrieves concurrently under shared guards while mutations
-/// serialize under the exclusive guard.
+/// A reader-writer lock, not a mutex: the server loop's read tier, the
+/// DCM and the registration server read under shared guards side by side,
+/// while mutations serialize under the exclusive guard.
 ///
 /// The handle is a struct (not a bare `Arc<RwLock<..>>`) so every guard it
 /// hands out is recorded in the thread's held-set

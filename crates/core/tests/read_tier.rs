@@ -1,17 +1,26 @@
-//! Concurrency tests for the read/write tier split.
+//! Tests for the read/write tier split.
 //!
-//! The read tier's contract: any number of concurrent retrieves under
-//! shared guards return exactly what the same retrieves would return run
-//! serially — byte for byte — and a slow scan on one connection does not
-//! delay a point lookup on another beyond the poll pass they share.
+//! The server loop runs a pass's reads on its own thread, one after
+//! another, but other threads (the DCM, the registration server) hold
+//! shared guards on the same state at the same time. So the engine's
+//! contract is still checked under concurrency: retrieves run under shared
+//! guards on several threads at once return exactly what the same
+//! retrieves return run serially — byte for byte. The loop's contract: a
+//! slow scan on one connection does not delay a point lookup on another
+//! beyond the poll pass they share, no read pass spawns a thread, and the
+//! readiness-to-dispatch wait is stamped per request.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 
+use moira_common::errors::MrResult;
 use moira_core::queries::testutil::{add_test_machine, add_test_user, state_with_admin};
-use moira_core::registry::Registry;
+use moira_core::registry::{AccessRule, Handler, QueryHandle, QueryKind, Registry};
 use moira_core::seed::seed_capacls;
 use moira_core::server::MoiraServer;
 use moira_core::state::{shared, Caller, MoiraState, SharedState};
+use moira_protocol::transport::{pair, recv_blocking, Channel, InProcChannel};
+use moira_protocol::wire::{MajorRequest, Reply, Request};
 use proptest::prelude::*;
 
 /// A seeded state with enough rows for wildcard scans to do real work.
@@ -111,16 +120,13 @@ proptest! {
     }
 }
 
-/// The obs counters are exact under concurrency: with the 4-worker read
-/// pool dispatching retrieves in parallel, interleaved with write batches
-/// and an overload burst that sheds, `server.reads_dispatched`,
-/// `server.writes_dispatched`, and `server.shed_requests` in the registry
-/// equal the server's own ledgers to the unit — no lost updates.
+/// The obs counters are exact: with retrieves dispatched on the shared
+/// tier, interleaved with write batches and an overload burst that sheds,
+/// `server.reads_dispatched`, `server.writes_dispatched`, and
+/// `server.shed_requests` in the registry equal the server's own ledgers
+/// to the unit — no lost updates.
 #[test]
-fn obs_counters_exact_under_worker_pool() {
-    use moira_protocol::transport::{pair, recv_blocking, Channel};
-    use moira_protocol::wire::{MajorRequest, Reply, Request};
-
+fn obs_counters_exact_across_both_tiers() {
     let registry = Arc::new(Registry::standard());
     let (mut s, _) = state_with_admin("ops");
     seed_capacls(&mut s, &registry);
@@ -129,7 +135,6 @@ fn obs_counters_exact_under_worker_pool() {
     }
     let state = shared(s);
     let mut server = MoiraServer::new(state, registry, None);
-    server.set_read_workers(4);
 
     let mut clients = Vec::new();
     for _ in 0..6 {
@@ -147,7 +152,7 @@ fn obs_counters_exact_under_worker_pool() {
         assert_eq!(r.code, 0);
     }
 
-    // Interleaved rounds: even clients scan on the read pool while odd
+    // Interleaved rounds: even clients scan on the shared tier while odd
     // clients append machines on the serial tier, all within one pass.
     for round in 0..5 {
         for (i, c) in clients.iter_mut().enumerate() {
@@ -205,16 +210,17 @@ fn obs_counters_exact_under_worker_pool() {
             .map_or(0, |h| h.count),
         writes
     );
+    // One readiness stamp per executed request, on either tier.
+    assert_eq!(
+        snap.histogram("server.latency.readiness_to_dispatch")
+            .map_or(0, |h| h.count),
+        reads + writes
+    );
 }
 
-/// A long wildcard scan on one connection must not delay a point lookup on
-/// another beyond the poll pass they share: both replies are ready after a
-/// single `poll_once`, and both ran on the shared tier.
-#[test]
-fn slow_scan_does_not_delay_point_query() {
-    use moira_protocol::transport::{pair, recv_blocking, Channel};
-    use moira_protocol::wire::{MajorRequest, Reply, Request};
-
+/// A server over 300 `FARM` machines and the user `pointy`, with two
+/// authenticated connections: (server, scanner, pointer).
+fn farm_server() -> (MoiraServer, InProcChannel, InProcChannel) {
     let registry = Arc::new(Registry::standard());
     let (mut s, _) = state_with_admin("ops");
     seed_capacls(&mut s, &registry);
@@ -222,9 +228,7 @@ fn slow_scan_does_not_delay_point_query() {
         add_test_machine(&mut s, &format!("FARM{i:04}"));
     }
     add_test_user(&mut s, "pointy", 9001);
-    let state = shared(s);
-    let mut server = MoiraServer::new(state, registry, None);
-    server.set_read_workers(2);
+    let mut server = MoiraServer::new(shared(s), registry, None);
 
     let (mut scanner, scan_end) = pair();
     let (mut pointer, point_end) = pair();
@@ -241,6 +245,32 @@ fn slow_scan_does_not_delay_point_query() {
         let r = Reply::decode(recv_blocking(c, 100).unwrap()).unwrap();
         assert_eq!(r.code, 0);
     }
+    (server, scanner, pointer)
+}
+
+/// Sends a 300-row Like scan, then a point lookup from the second
+/// connection, so both land before the next pass; returns how many
+/// requests that pass received.
+fn scan_then_point(
+    server: &mut MoiraServer,
+    scanner: &mut InProcChannel,
+    pointer: &mut InProcChannel,
+) -> usize {
+    scanner
+        .send(Request::new(MajorRequest::Query, &["get_machine", "FARM*"]).encode())
+        .unwrap();
+    pointer
+        .send(Request::new(MajorRequest::Query, &["get_user_by_login", "pointy"]).encode())
+        .unwrap();
+    server.poll_once()
+}
+
+/// A long wildcard scan on one connection must not delay a point lookup on
+/// another beyond the poll pass they share: both replies are ready after a
+/// single `poll_once`, and both ran on the shared tier.
+#[test]
+fn slow_scan_does_not_delay_point_query() {
+    let (mut server, mut scanner, mut pointer) = farm_server();
     let read_samples = |server: &MoiraServer| {
         let snap = server.obs().snapshot();
         snap.histogram("server.latency.read").map_or(0, |h| h.count)
@@ -248,15 +278,7 @@ fn slow_scan_does_not_delay_point_query() {
     let reads_before = read_samples(&server);
     let (_, writes_before) = server.dispatch_counts();
 
-    // Both requests land before the next pass: a 300-row Like scan and a
-    // point lookup.
-    scanner
-        .send(Request::new(MajorRequest::Query, &["get_machine", "FARM*"]).encode())
-        .unwrap();
-    pointer
-        .send(Request::new(MajorRequest::Query, &["get_user_by_login", "pointy"]).encode())
-        .unwrap();
-    let processed = server.poll_once();
+    let processed = scan_then_point(&mut server, &mut scanner, &mut pointer);
     assert_eq!(processed, 2);
 
     // The point query's reply is available NOW — one pass, no waiting for
@@ -286,4 +308,72 @@ fn slow_scan_does_not_delay_point_query() {
     // nothing on the exclusive tier.
     assert_eq!(read_samples(&server) - reads_before, 2);
     assert_eq!(server.dispatch_counts().1, writes_before);
+}
+
+/// The readiness-to-dispatch wait is stamped when each request begins, not
+/// once per batch: the point lookup began after the scan ahead of it in
+/// the same pass ended, so the largest readiness stamp is at least the
+/// longest read's service time.
+#[test]
+fn readiness_stamped_per_request() {
+    let (mut server, mut scanner, mut pointer) = farm_server();
+    assert_eq!(scan_then_point(&mut server, &mut scanner, &mut pointer), 2);
+    let snap = server.obs().snapshot();
+    let max = |name: &str| snap.histogram(name).map_or(0, |h| h.max);
+    let (ready, read) = (
+        max("server.latency.readiness_to_dispatch"),
+        max("server.latency.read"),
+    );
+    assert!(
+        ready >= read,
+        "readiness max {ready} ns < read max {read} ns: the lookup's wait omits the scan"
+    );
+}
+
+/// Thread ids the `whoami` retrieve ran on.
+static RAN_ON: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
+
+fn whoami(_: &MoiraState, _: &Caller, _: &[String]) -> MrResult<Vec<Vec<String>>> {
+    RAN_ON.lock().unwrap().push(std::thread::current().id());
+    Ok(Vec::new())
+}
+
+/// A read pass spawns no thread: 32 retrieves from 4 connections, all
+/// dispatched in one pass, every one on the thread that called `poll_once`.
+#[test]
+fn read_pass_spawns_no_thread() {
+    let mut registry = Registry::standard();
+    registry.register(QueryHandle {
+        name: "whoami_thread",
+        shortname: "whot",
+        kind: QueryKind::Retrieve,
+        access: AccessRule::Public,
+        args: &[],
+        returns: &[],
+        handler: Handler::Read(whoami),
+    });
+    let (s, _) = state_with_admin("ops");
+    let mut server = MoiraServer::new(shared(s), Arc::new(registry), None);
+    let mut clients: Vec<InProcChannel> = (0..4)
+        .map(|_| {
+            let (client, end) = pair();
+            server.attach(Box::new(end), "local", 0);
+            client
+        })
+        .collect();
+    for c in &mut clients {
+        for _ in 0..8 {
+            c.send(Request::new(MajorRequest::Query, &["whoami_thread"]).encode())
+                .unwrap();
+        }
+    }
+    assert_eq!(server.poll_once(), 32);
+    assert_eq!(server.dispatch_counts(), (32, 0));
+    let me = std::thread::current().id();
+    let ran_on = RAN_ON.lock().unwrap();
+    assert_eq!(ran_on.len(), 32);
+    assert!(
+        ran_on.iter().all(|&id| id == me),
+        "a read ran off the loop's thread"
+    );
 }
