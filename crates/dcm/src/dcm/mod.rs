@@ -9,15 +9,11 @@
 //! the paper.
 //!
 //! [`Dcm::run_once`] is the stage sequence, one file per stage: `scan`
-//! (the `servers` scan with generation, the `serverhosts` scan), then per
-//! wave of hosts `prepare` (locks, DB writes, archive, credentials —
-//! serial), `transfer` (network only — on a bounded worker pool of
-//! `fanout_width`), `record` (stats, cursor, retry ledger, DB — serial, in
-//! todo order). A [`RackTopology`] splits a service's hosts into an
-//! *origin* wave (rack relays and direct hosts) followed by a *leaf* wave
-//! gated on each rack's relay — see [`crate::relay`]. The paper's ~20-host
-//! scan is the degenerate instance: width 1, no racks, so one origin wave
-//! whose pool is the DCM thread itself.
+//! (the `servers` scan with generation, the `serverhosts` scan), then for
+//! each host to update, one at a time in `serverhosts` row order,
+//! `prepare` (locks, DB writes, archive, credentials), `transfer` (the
+//! update protocol over the network), `record` (stats, cursor, retry
+//! ledger, DB). A replicated service stops after its first hard failure.
 
 mod prepare;
 mod record;
@@ -26,7 +22,6 @@ mod transfer;
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 use moira_core::registry::Registry;
 use moira_core::state::SharedState;
@@ -36,12 +31,13 @@ use parking_lot::Mutex;
 use self::prepare::Prepared;
 pub use self::record::{DcmReport, DcmStats, Notice};
 use self::scan::{HostTodo, ServiceInfo};
+use self::transfer::run_transfer;
 use crate::archive::Archive;
+use crate::cursor::CursorStore;
 use crate::generators::incremental::CachedBuild;
 use crate::generators::Generator;
 use crate::host::SimHost;
 use crate::net::{Network, PerfectNetwork};
-use crate::relay::{CursorStore, FanoutPlan, RackTopology};
 use crate::retry::{RetryBook, RetryPolicy};
 use crate::update::{TransferStats, UpdateError};
 
@@ -56,9 +52,9 @@ pub struct Dcm {
     prepared: HashMap<String, CachedBuild>,
     /// Per-`(service, host)` delta cursors: the archive each host last
     /// confirmed installing — the patch base for the update protocol's
-    /// line-level partial transfer — with its generation and base-CRC
-    /// manifest. Dropping an entry only costs bytes (the next push ships
-    /// whole members), never correctness.
+    /// line-level partial transfer — with its generation. Dropping an
+    /// entry only costs bytes (the next push ships whole members), never
+    /// correctness.
     cursors: CursorStore,
     /// Reachable server hosts by canonical machine name.
     pub hosts: HashMap<String, Arc<Mutex<SimHost>>>,
@@ -77,10 +73,6 @@ pub struct Dcm {
     net: Arc<dyn Network>,
     /// Soft-failure streak ledger driving the backoff gate.
     retry: RetryBook,
-    /// Bounded concurrency of the host fan-out, ≥ 1.
-    fanout_width: usize,
-    /// Rack grouping driving relay election (empty = every host direct).
-    topology: RackTopology,
 }
 
 impl Dcm {
@@ -104,13 +96,11 @@ impl Dcm {
             auth_nonce: 0,
             net: Arc::new(PerfectNetwork),
             retry: RetryBook::default(),
-            fanout_width: 1,
-            topology: RackTopology::new(),
         }
     }
 
     /// Routes every update connection through `net` — the simulator's hook
-    /// for partition/drop/latency injection.
+    /// for partition and drop injection.
     pub fn set_network(&mut self, net: Arc<dyn Network>) {
         self.net = net;
     }
@@ -126,25 +116,11 @@ impl Dcm {
         &mut self.retry
     }
 
-    /// Sets the bounded concurrency of the host fan-out (clamped to ≥ 1):
-    /// how many transfer legs of a wave may be in flight at once.
-    pub fn set_fanout_width(&mut self, width: usize) {
-        self.fanout_width = width.max(1);
-    }
-
-    /// The configured fan-out width.
+    /// Always 1: the host scan updates one host at a time. `moira-bench`
+    /// still reports it; the accessor goes once the harness stops reading
+    /// it.
     pub fn fanout_width(&self) -> usize {
-        self.fanout_width
-    }
-
-    /// Installs the rack topology driving relay election.
-    pub fn set_topology(&mut self, topology: RackTopology) {
-        self.topology = topology;
-    }
-
-    /// The installed rack topology.
-    pub fn topology(&self) -> &RackTopology {
-        &self.topology
+        1
     }
 
     /// The per-host delta cursor store.
@@ -187,8 +163,8 @@ impl Dcm {
     }
 
     /// One DCM invocation (normally fired by cron): the `servers` scan
-    /// with generation, then per service the `serverhosts` scan and its
-    /// waves of prepare → transfer → record.
+    /// with generation, then per service the `serverhosts` scan and, host
+    /// by host, prepare → transfer → record.
     pub fn run_once(&mut self) -> DcmReport {
         let mut report = DcmReport::default();
         // "On startup, the DCM first checks for the existance of the
@@ -239,128 +215,53 @@ impl Dcm {
         if locked.is_err() {
             return;
         }
-        let scan = self.scan_hosts(&svc.name, dfgen);
-        if !scan.todo.is_empty() {
-            let names: Vec<String> = scan.todo.iter().map(|h| h.name.clone()).collect();
-            let plan = self.topology.plan(&names, &scan.serving);
-            let mut push = Push {
-                svc,
-                dfgen,
-                todo: &scan.todo,
-                // The shared archive, cloned once per cycle into an Arc
-                // every leg of the fan-out reads (a per-host service's
-                // legs cut theirs from it).
-                shared: Arc::new(self.prepared[&svc.name].archive().clone()),
-                stopped: false,
-            };
-            self.fanout_phase(&mut push, &plan, report);
+        let todo = self.scan_hosts(&svc.name, dfgen);
+        if !todo.is_empty() {
+            // The shared archive, cloned once per cycle (a per-host
+            // service's archives are cut from it).
+            let shared = Arc::new(self.prepared[&svc.name].archive().clone());
+            for host in &todo {
+                let result = self.update_host(svc, dfgen, host, &shared);
+                report
+                    .updates
+                    .push((svc.name.clone(), host.name.clone(), result));
+                if let Err(e) = result {
+                    if e.is_hard() && svc.replicated {
+                        self.record_service_stop(svc, dfgen, e);
+                        break;
+                    }
+                }
+            }
         }
         self.state.write().locks.release("dcm", &lock);
     }
 
-    /// The push: run the origin wave (relays and direct hosts), then the
-    /// leaf wave for every rack whose relay succeeded. With no racks every
-    /// host is an origin leg. Racks whose relay leg failed are deferred
-    /// whole — their leaves are not attempted, not charged a retry streak,
-    /// and stay in the next cycle's todo list.
-    fn fanout_phase(&mut self, push: &mut Push<'_>, plan: &FanoutPlan, report: &mut DcmReport) {
-        let wall = Instant::now();
-        let obs = self.state.read().obs.clone();
-        obs.gauge("dcm.fanout.width").set(self.fanout_width as i64);
-        obs.gauge("dcm.fanout.racks").set(plan.racks as i64);
-
-        let origin_legs: Vec<Leg> = plan.origin.iter().map(|&i| (i, None)).collect();
-        let wave1 = self.fanout_wave(push, &origin_legs, report);
-        obs.counter("dcm.fanout.origin_legs").add(wave1.legs_run);
-
-        let mut leaf_legs: Vec<Leg> = Vec::new();
-        for (i, relay_name) in &plan.leaves {
-            if wave1.outcomes.get(relay_name) == Some(&false) {
-                // The relay's own update failed this cycle, so nothing
-                // correct could flow through it: defer the whole rack. The
-                // failure is the relay's, not the leaves' — no retry
-                // streak is charged and the leaves stay lts < dfgen.
-                self.stats.relay_deferrals += 1;
-                obs.counter("dcm.fanout.relay_deferred").inc();
-                continue;
-            }
-            leaf_legs.push((*i, Some(relay_name.clone())));
-        }
-        let wave2 = self.fanout_wave(push, &leaf_legs, report);
-        obs.counter("dcm.fanout.relay_leaf_legs")
-            .add(wave2.legs_run);
-        // Wall versus summed leg time: wall < sum is the overlap proof the
-        // black-hole test pins (one stuck host cannot serialize a cycle).
-        obs.counter("dcm.fanout.legs_ns_total")
-            .add(wave1.legs_ns + wave2.legs_ns);
-        obs.counter("dcm.fanout.wall_ns")
-            .add(wall.elapsed().as_nanos() as u64);
-    }
-
-    /// One wave of legs: prepares each serially (DB writes, host locks,
-    /// credentials — in todo order), transfers on the worker pool, records
-    /// each outcome serially back in todo order. Returns per-host success
-    /// for the caller's relay gating.
-    fn fanout_wave(
+    /// One host's update: prepare, transfer on this thread, record.
+    fn update_host(
         &mut self,
-        push: &mut Push<'_>,
-        legs: &[Leg],
-        report: &mut DcmReport,
-    ) -> WaveResult {
-        let mut wave = WaveResult::default();
-        let (svc, todo) = (push.svc, push.todo);
-        let mut entries: Vec<(usize, Result<(), UpdateError>)> = Vec::new();
-        let mut jobs = Vec::new();
-        for (i, relay_name) in legs {
-            if push.stopped {
-                break;
+        svc: &ServiceInfo,
+        dfgen: i64,
+        host: &HostTodo,
+        shared: &Arc<Archive>,
+    ) -> Result<(), UpdateError> {
+        match self.prepare_update(svc, host, shared) {
+            Prepared::Busy => Err(UpdateError::Busy),
+            Prepared::Failed(e) => {
+                let no_bytes = TransferStats::default();
+                self.record_update(svc, dfgen, &host.name, None, Err(e), &no_bytes)
             }
-            let host = &todo[*i];
-            let relay = relay_name.as_ref().and_then(|r| self.hosts.get(r).cloned());
-            match self.prepare_update(svc, host, &push.shared, relay) {
-                Prepared::Busy => entries.push((*i, Err(UpdateError::Busy))),
-                Prepared::Failed(e) => {
-                    let via_relay = relay_name.is_some();
-                    let no_bytes = TransferStats::default();
-                    let result =
-                        self.record_update(push, &host.name, None, via_relay, Err(e), &no_bytes);
-                    wave.outcomes.insert(host.name.clone(), result.is_ok());
-                    entries.push((*i, result));
-                }
-                Prepared::Job(job) => jobs.push((*i, *job)),
+            Prepared::Job(job) => {
+                let (result, tstats) = run_transfer(self.net.as_ref(), &job);
+                self.record_update(
+                    svc,
+                    dfgen,
+                    &job.mach_name,
+                    Some(&job.archive),
+                    result,
+                    &tstats,
+                )
             }
         }
-        let mut results = self.run_wave(&jobs, svc.replicated);
-        for (i, job) in jobs {
-            let Some((result, tstats, leg_ns)) = results.remove(&i) else {
-                // The replicated stop flag tripped before any worker
-                // claimed this leg. Undo the prepare (inprogress bit, host
-                // lock) and leave the host for the next cycle, unreported:
-                // it was never attempted.
-                self.abort_prepared(svc, &job.mach_name);
-                continue;
-            };
-            wave.legs_run += 1;
-            wave.legs_ns += leg_ns;
-            let via_relay = job.relay.is_some();
-            let recorded = self.record_update(
-                push,
-                &job.mach_name,
-                Some(&job.archive),
-                via_relay,
-                result,
-                &tstats,
-            );
-            wave.outcomes.insert(job.mach_name, recorded.is_ok());
-            entries.push((i, recorded));
-        }
-        entries.sort_by_key(|&(i, _)| i);
-        for (i, result) in entries {
-            report
-                .updates
-                .push((svc.name.clone(), todo[i].name.clone(), result));
-        }
-        wave
     }
 }
 
@@ -372,34 +273,6 @@ fn svc_lock(service: &str) -> String {
 /// Lock-manager name of one server-host's update lock.
 fn host_lock(service: &str, mach: &str) -> String {
     format!("host:{service}:{mach}")
-}
-
-/// One service's host scan in flight: what every wave and leg of it shares.
-struct Push<'a> {
-    svc: &'a ServiceInfo,
-    /// The generation being pushed.
-    dfgen: i64,
-    todo: &'a [HostTodo],
-    shared: Arc<Archive>,
-    /// Raised by a replicated service's first hard failure: "no more
-    /// updates will be attempted".
-    stopped: bool,
-}
-
-/// One leg of a wave: an index into the todo list, and for a leaf leg the
-/// rack relay it is gated on.
-type Leg = (usize, Option<String>);
-
-/// What one fan-out wave reports back to `fanout_phase`.
-#[derive(Default)]
-struct WaveResult {
-    /// Host → whether its update succeeded (hosts attempted this wave).
-    outcomes: HashMap<String, bool>,
-    /// Legs actually transferred.
-    legs_run: u64,
-    /// Summed per-leg wall time — against the wave's own wall clock, the
-    /// overlap proof.
-    legs_ns: u64,
 }
 
 /// Where a service's files are installed on its hosts (the `target` is the
@@ -476,6 +349,23 @@ mod tests {
             dcm.add_host(h.clone());
         }
         (dcm, state, hosts)
+    }
+
+    /// One column of the HESIOD `serverhosts` row of machine `mach`, as the
+    /// protocol renders it.
+    fn host_cell(state: &SharedState, mach: &str, col: moira_db::Col<serverhosts::R>) -> String {
+        use moira_core::schema::machine;
+        let s = state.read();
+        let m = s.db.table(machine::T);
+        let mach_id = m
+            .select_one(&Pred::Eq(machine::NAME, mach.into()))
+            .map(|r| m.cell(r, machine::MACH_ID).as_int())
+            .unwrap();
+        let t = s.db.table(serverhosts::T);
+        let row = t
+            .select_one(&Pred::Eq(serverhosts::MACH_ID, mach_id.into()))
+            .unwrap();
+        t.cell(row, col).render()
     }
 
     #[test]
@@ -662,14 +552,26 @@ mod tests {
     fn hard_failure_on_replicated_stops_remaining_hosts() {
         let (mut dcm, state, hosts) = setup();
         hosts[0].lock().fail.fail_exec_with = Some(13);
+        let suomi_ltt = host_cell(&state, "SUOMI.MIT.EDU", serverhosts::LTT);
         let report = dcm.run_once();
-        // First host hard-fails; the second is never attempted.
+        // First host hard-fails; the second is never attempted: not
+        // counted, not prepared, its row untouched, and no lock left held.
         assert_eq!(report.updates.len(), 1);
         assert!(matches!(
             report.updates[0].2,
             Err(UpdateError::ExecFailed(13))
         ));
         assert_eq!(dcm.stats.hard_failures, 1);
+        assert_eq!(dcm.stats.updates_attempted, 1);
+        assert_eq!(
+            host_cell(&state, "SUOMI.MIT.EDU", serverhosts::INPROGRESS),
+            "0"
+        );
+        assert_eq!(
+            host_cell(&state, "SUOMI.MIT.EDU", serverhosts::LTT),
+            suomi_ltt
+        );
+        assert!(state.read().locks.is_idle());
         // Zephyr + mail sent.
         assert!(dcm
             .notices
@@ -943,117 +845,114 @@ mod tests {
         assert!(kiwi.2.is_ok());
     }
 
-    /// The byte-for-byte pin: a pool of eight is equivalent to the pool of
-    /// one — the paper's one-host-at-a-time scan, the serial oracle —
-    /// across a whole scripted run: reports in serverhosts row order,
-    /// notices (retry/Zephyr escalation included), stats, serverhosts
-    /// rows, and host filesystems.
+    /// A scripted history, one host at a time: a down host soft-fails,
+    /// fails again and escalates to a hard error with Zephyr + mail, gets
+    /// reset by an operator, converges; then a mutation cycle pushes
+    /// again. Every cycle reports its hosts in `serverhosts` row order.
     #[test]
-    fn fanout_pool_matches_serial_oracle_exactly() {
-        type Trace = (
-            Vec<(String, String, Result<(), UpdateError>)>,
-            Vec<Notice>,
-            DcmStats,
-            Vec<Vec<String>>,
-            Vec<std::collections::BTreeMap<String, Vec<u8>>>,
-        );
-        let run = |width: usize| -> Trace {
-            let (mut dcm, state, hosts) = setup();
-            dcm.set_retry_policy(quick_retry(2, usize::MAX));
-            dcm.set_fanout_width(width);
-            assert!(dcm.topology().is_empty());
-            let mut updates = Vec::new();
-            // Scripted history: a down host soft-fails, fails again and
-            // escalates to a hard error with Zephyr + mail, gets reset by
-            // an operator, converges; then a mutation cycle pushes again.
-            hosts[1].lock().up = false;
-            updates.extend(dcm.run_once().updates);
-            state.write().db.clock().advance(60);
-            updates.extend(dcm.run_once().updates); // escalates after 2
-            hosts[1].lock().reboot();
-            {
-                let mut s = state.write();
-                Registry::standard()
-                    .execute(
-                        &mut s,
-                        &Caller::root("ops"),
-                        "reset_server_host_error",
-                        &["HESIOD".into(), "SUOMI.MIT.EDU".into()],
-                    )
-                    .unwrap();
-            }
-            state.write().db.clock().advance(60);
-            updates.extend(dcm.run_once().updates);
-            {
-                let mut s = state.write();
-                s.db.clock().advance(7 * 3600);
-                Registry::standard()
-                    .execute(
-                        &mut s,
-                        &Caller::new("ops", "t"),
-                        "add_user",
-                        &[
-                            "parity".into(),
-                            "7300".into(),
-                            "/bin/csh".into(),
-                            "P".into(),
-                            "T".into(),
-                            "".into(),
-                            "1".into(),
-                            "x".into(),
-                            "1990".into(),
-                        ],
-                    )
-                    .unwrap();
-            }
-            updates.extend(dcm.run_once().updates);
-            let rows: Vec<Vec<String>> = {
-                let s = state.read();
-                let t = s.db.table(serverhosts::T);
-                t.iter()
-                    .map(|(r, _)| {
-                        [
-                            serverhosts::MACH_ID,
-                            serverhosts::OVERRIDE,
-                            serverhosts::SUCCESS,
-                            serverhosts::INPROGRESS,
-                            serverhosts::HOSTERROR,
-                            serverhosts::LTT,
-                            serverhosts::LTS,
-                        ]
-                        .iter()
-                        .map(|&c| t.cell(r, c).render())
-                        .collect()
-                    })
-                    .collect()
-            };
-            let files = hosts.iter().map(|h| h.lock().files_mut().clone()).collect();
-            (updates, dcm.notices.clone(), dcm.stats, rows, files)
+    fn scripted_history_reports_in_row_order_and_escalates() {
+        let (mut dcm, state, hosts) = setup();
+        dcm.set_retry_policy(quick_retry(2, usize::MAX));
+        let order = |report: &DcmReport| -> Vec<(String, Result<(), UpdateError>)> {
+            report
+                .updates
+                .iter()
+                .map(|(_, h, r)| (h.clone(), *r))
+                .collect()
         };
-        let serial = run(1);
-        let pooled = run(8);
-        let first_cycle: Vec<&str> = serial.0[..2].iter().map(|(_, h, _)| h.as_str()).collect();
+        let (kiwi, suomi) = ("KIWI.MIT.EDU".to_owned(), "SUOMI.MIT.EDU".to_owned());
+
+        hosts[1].lock().up = false;
         assert_eq!(
-            first_cycle,
-            vec!["KIWI.MIT.EDU", "SUOMI.MIT.EDU"],
+            order(&dcm.run_once()),
+            vec![
+                (kiwi.clone(), Ok(())),
+                (suomi.clone(), Err(UpdateError::HostDown))
+            ],
             "serverhosts row order preserved"
         );
-        assert_eq!(serial.0, pooled.0, "update reports");
-        assert_eq!(serial.1, pooled.1, "notices incl. escalation");
-        assert_eq!(serial.2, pooled.2, "whole stats struct");
-        assert_eq!(serial.3, pooled.3, "serverhosts rows");
-        assert_eq!(serial.4, pooled.4, "host filesystems");
+        state.write().db.clock().advance(60);
+        assert_eq!(
+            order(&dcm.run_once()),
+            vec![(suomi.clone(), Err(UpdateError::HostDown))]
+        );
+        assert_eq!(dcm.stats.escalations, 1);
+        for kind in ["zephyr", "mail"] {
+            assert!(
+                dcm.notices
+                    .iter()
+                    .any(|n| n.kind == kind && n.message.contains("escalated after 2")),
+                "{kind} escalation notice"
+            );
+        }
+
+        hosts[1].lock().reboot();
+        {
+            let mut s = state.write();
+            Registry::standard()
+                .execute(
+                    &mut s,
+                    &Caller::root("ops"),
+                    "reset_server_host_error",
+                    &["HESIOD".into(), "SUOMI.MIT.EDU".into()],
+                )
+                .unwrap();
+        }
+        state.write().db.clock().advance(60);
+        assert_eq!(order(&dcm.run_once()), vec![(suomi.clone(), Ok(()))]);
+
+        {
+            let mut s = state.write();
+            s.db.clock().advance(7 * 3600);
+            Registry::standard()
+                .execute(
+                    &mut s,
+                    &Caller::new("ops", "t"),
+                    "add_user",
+                    &[
+                        "parity".into(),
+                        "7300".into(),
+                        "/bin/csh".into(),
+                        "P".into(),
+                        "T".into(),
+                        "".into(),
+                        "1".into(),
+                        "x".into(),
+                        "1990".into(),
+                    ],
+                )
+                .unwrap();
+        }
+        assert_eq!(
+            order(&dcm.run_once()),
+            vec![(kiwi.clone(), Ok(())), (suomi.clone(), Ok(()))],
+            "serverhosts row order preserved"
+        );
+        assert_eq!(dcm.stats.updates_attempted, 6);
+        assert_eq!(dcm.stats.soft_failures, 2);
+        for mach in [&kiwi, &suomi] {
+            assert_eq!(host_cell(&state, mach, serverhosts::SUCCESS), "1", "{mach}");
+            assert_eq!(
+                host_cell(&state, mach, serverhosts::INPROGRESS),
+                "0",
+                "{mach}"
+            );
+            assert_eq!(
+                host_cell(&state, mach, serverhosts::HOSTERROR),
+                "0",
+                "{mach}"
+            );
+        }
+        let files: Vec<_> = hosts.iter().map(|h| h.lock().files_mut().clone()).collect();
+        assert_eq!(files[0], files[1], "both hosts hold the same files");
+        assert!(state.read().locks.is_idle());
     }
 
-    /// Racked hosts converge through a relay; the cursor store records
-    /// every confirmed install at the pushed generation.
+    /// Every confirmed install is recorded in the cursor store at the
+    /// pushed generation.
     #[test]
-    fn racked_fanout_converges_and_records_cursors() {
+    fn confirmed_installs_record_cursors_at_dfgen() {
         let (mut dcm, state, hosts) = setup();
-        let mut topo = RackTopology::new();
-        topo.add_rack("r0", ["KIWI.MIT.EDU", "SUOMI.MIT.EDU"].map(String::from));
-        dcm.set_topology(topo);
-        dcm.set_fanout_width(4);
         let report = dcm.run_once();
         assert_eq!(report.updates.len(), 2);
         assert!(report.updates.iter().all(|(_, _, r)| r.is_ok()));
@@ -1071,12 +970,8 @@ mod tests {
         for host in ["KIWI.MIT.EDU", "SUOMI.MIT.EDU"] {
             assert_eq!(dcm.cursors().generation("HESIOD", host), Some(gen));
         }
-        let obs = state.read().obs.clone();
-        let snap = obs.snapshot();
-        assert_eq!(snap.counter("dcm.fanout.origin_legs"), 1, "the relay");
-        assert_eq!(snap.counter("dcm.fanout.relay_leaf_legs"), 1, "the leaf");
-        assert!(snap.counter("dcm.transfer.relay.full_members") > 0);
-        assert!(snap.counter("dcm.transfer.origin.full_members") > 0);
+        let snap = state.read().obs.snapshot();
+        assert!(snap.counter("dcm.transfer.full_members") > 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Stage 2 of a leg — everything that must stay serial on the DCM thread
-//! before the network: the attempt counter, the exclusive host lock and
-//! inprogress bit, the archive (shared, or this host's cut of it), and
-//! fresh credentials (the authenticator nonce is a sequence).
+//! Stage 2 of a host's update — everything before the network: the
+//! attempt counter, the exclusive host lock and inprogress bit, the
+//! archive (shared, or this host's cut of it), and fresh credentials (the
+//! authenticator nonce is a sequence).
 
 use std::sync::Arc;
 
@@ -15,7 +15,7 @@ use crate::archive::Archive;
 use crate::host::SimHost;
 use crate::update::{Script, UpdateCredentials, UpdateError};
 
-/// What `prepare_update` produced for one leg.
+/// What `prepare_update` produced for one host.
 pub(super) enum Prepared {
     /// Locked, prepared, and ready for its network legs.
     Job(Box<UpdateJob>),
@@ -26,8 +26,8 @@ pub(super) enum Prepared {
     Failed(UpdateError),
 }
 
-/// Everything one transfer leg needs, self-contained so it can cross onto
-/// a pool worker: no `&Dcm`, no database guard, no shared mutable state.
+/// Everything one host's transfer needs, and nothing more: no `&Dcm`, no
+/// database guard.
 pub(super) struct UpdateJob {
     pub mach_name: String,
     /// The archive to install.
@@ -36,8 +36,6 @@ pub(super) struct UpdateJob {
     pub prev: Option<Arc<Archive>>,
     pub credentials: Option<UpdateCredentials>,
     pub host: Option<Arc<Mutex<SimHost>>>,
-    /// The rack relay this leaf leg is gated on, if any.
-    pub relay: Option<Arc<Mutex<SimHost>>>,
     pub target: String,
     pub script: Script,
 }
@@ -61,13 +59,12 @@ impl Dcm {
         })
     }
 
-    /// Prepares one leg: host lock, inprogress bit, archive, credentials.
+    /// Prepares one host: host lock, inprogress bit, archive, credentials.
     pub(super) fn prepare_update(
         &mut self,
         svc: &ServiceInfo,
         host: &HostTodo,
         shared: &Arc<Archive>,
-        relay: Option<Arc<Mutex<SimHost>>>,
     ) -> Prepared {
         self.stats.updates_attempted += 1;
         {
@@ -113,22 +110,10 @@ impl Dcm {
             mach_name: host.name.clone(),
             prev: self.cursors.base(&svc.name, &host.name),
             host: self.hosts.get(&host.name).cloned(),
-            relay,
             target: svc.target.clone(),
             script,
             credentials,
             archive,
         }))
-    }
-
-    /// Reverses `prepare_update` for a leg that never ran: clears the
-    /// inprogress bit (leaving `lts` at 0, so the host stays in the next
-    /// cycle's todo list with no error recorded) and releases the host
-    /// lock: "no more updates will be attempted" after a replicated
-    /// service's hard failure (§5.7.1).
-    pub(super) fn abort_prepared(&mut self, svc: &ServiceInfo, mach_name: &str) {
-        let mut state = self.state.write();
-        self.set_host_flags(&mut state, &svc.name, mach_name, HostFlags::default());
-        state.locks.release("dcm", &host_lock(&svc.name, mach_name));
     }
 }

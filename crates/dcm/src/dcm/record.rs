@@ -1,7 +1,7 @@
-//! Stage 4 of a leg — everything after the network returns, serial on the
-//! DCM thread and in todo order: obs counters, the cursor advance, the
-//! retry ledger and operator notices, the final server-host row write, the
-//! host lock release, and a replicated service's stop-on-hard-failure.
+//! Stage 4 of a host's update — everything after the network returns: obs
+//! counters, the cursor advance, the retry ledger and operator notices,
+//! the final server-host row write and the host lock release; and a
+//! replicated service's stop-on-hard-failure.
 //!
 //! Also everything else the DCM writes down, for every stage: its columns
 //! of the `servers` and `serverhosts` rows (two typed writers over the
@@ -12,7 +12,8 @@ use std::sync::Arc;
 
 use moira_core::state::{Caller, MoiraState};
 
-use super::{host_lock, Dcm, Push};
+use super::scan::ServiceInfo;
+use super::{host_lock, Dcm};
 use crate::archive::Archive;
 use crate::retry::SoftOutcome;
 use crate::update::{TransferStats, UpdateError};
@@ -61,9 +62,6 @@ pub struct DcmStats {
     pub escalations: u64,
     /// Updates refused because another update of the host was in progress.
     pub busy_conflicts: u64,
-    /// Leaf legs deferred because their rack's relay failed or was
-    /// unreachable — the rack retries next cycle; no streak is charged.
-    pub relay_deferrals: u64,
 }
 
 /// What one `run_once` did.
@@ -176,25 +174,24 @@ impl Dcm {
         });
     }
 
-    /// Records one leg's outcome and hands it back. `archive` is what the
-    /// leg tried to install (`None` when it never got that far).
+    /// Records one host's outcome and hands it back. `archive` is what the
+    /// update tried to install (`None` when it never got that far).
     pub(super) fn record_update(
         &mut self,
-        push: &mut Push<'_>,
+        svc: &ServiceInfo,
+        dfgen: i64,
         mach_name: &str,
         archive: Option<&Arc<Archive>>,
-        via_relay: bool,
         result: Result<(), UpdateError>,
         tstats: &TransferStats,
     ) -> Result<(), UpdateError> {
-        let svc = push.svc;
-        self.count_transfer(tstats, via_relay);
+        self.count_transfer(tstats);
         // Only a confirmed install advances the patch cursor: on any
         // failure the host may hold the old archive, the new one, or a
         // torn mix — the base CRCs in its next stale reply sort that out.
         if let (Ok(()), Some(archive)) = (&result, archive) {
             self.cursors
-                .record(&svc.name, mach_name, push.dfgen, archive.clone());
+                .record(&svc.name, mach_name, dfgen, archive.clone());
         }
 
         let now = self.state.read().now();
@@ -242,35 +239,30 @@ impl Dcm {
             self.set_host_flags(&mut state, &svc.name, mach_name, flags);
             state.locks.release("dcm", &host_lock(&svc.name, mach_name));
         }
-        // "If there is a hard failure and the service is replicated, then
-        // the error code & message are also set in the service record so
-        // that no more updates will be attempted."
-        if let Err(e) = &result {
-            if e.is_hard() && svc.replicated && !push.stopped {
-                push.stopped = true;
-                let failed = ServiceFlags {
-                    dfgen: push.dfgen,
-                    dfcheck: push.dfgen,
-                    inprogress: false,
-                    harderror: e.code(),
-                    errmsg: e.message(),
-                };
-                self.set_service_flags(&mut self.state.write(), &svc.name, failed);
-            }
-        }
         result
     }
 
-    /// Patch-versus-whole byte split (the §5.7 partial-transfer savings),
-    /// overall and keyed by tier — relay-gated leaf legs versus direct
-    /// origin legs — so a scaled deployment sees where its bytes flow; and,
-    /// when a leg broke, a per-leg retry count: the attempt that follows
-    /// the failure is charged to the leg that caused it.
-    fn count_transfer(&mut self, tstats: &TransferStats, via_relay: bool) {
+    /// A replicated service's hard failure: "the error code & message are
+    /// also set in the service record so that no more updates will be
+    /// attempted."
+    pub(super) fn record_service_stop(&self, svc: &ServiceInfo, dfgen: i64, e: UpdateError) {
+        let failed = ServiceFlags {
+            dfgen,
+            dfcheck: dfgen,
+            inprogress: false,
+            harderror: e.code(),
+            errmsg: e.message(),
+        };
+        self.set_service_flags(&mut self.state.write(), &svc.name, failed);
+    }
+
+    /// Patch-versus-whole byte split (the §5.7 partial-transfer savings);
+    /// and, when a leg broke, a per-leg retry count: the attempt that
+    /// follows the failure is charged to the leg that caused it.
+    fn count_transfer(&self, tstats: &TransferStats) {
         // The registry handle is an Arc clone taken under a statement-scoped
         // guard; the recording itself happens lock-free.
         let obs = self.state.read().obs.clone();
-        let tier = if via_relay { "relay" } else { "origin" };
         for (what, n) in [
             ("patch_members", tstats.patch_members),
             ("patch_bytes", tstats.patch_bytes),
@@ -278,17 +270,9 @@ impl Dcm {
             ("full_bytes", tstats.full_bytes),
         ] {
             obs.counter(&format!("dcm.transfer.{what}")).add(n);
-            obs.counter(&format!("dcm.transfer.{tier}.{what}")).add(n);
         }
         if let Some(leg) = tstats.failed_leg {
             obs.counter(&format!("dcm.retry.leg.{leg}")).inc();
-            if leg == "relay" {
-                // The leaf's rack relay was unreachable at transfer time:
-                // the rack is effectively deferred, same as a plan-time
-                // deferral.
-                self.stats.relay_deferrals += 1;
-                obs.counter("dcm.fanout.relay_deferred").inc();
-            }
         }
     }
 }

@@ -1,9 +1,6 @@
 //! Stage 1 of a DCM run — the two table scans of §5.7.1: the `servers`
 //! scan (which services are due, and their data-file generation) and the
-//! `serverhosts` scan (which hosts of a service need a push, and which
-//! could relay one).
-
-use std::collections::HashSet;
+//! `serverhosts` scan (which hosts of a service need a push).
 
 use moira_db::lock::LockMode;
 use moira_db::Pred;
@@ -33,15 +30,6 @@ pub(super) struct HostTodo {
     pub mach_id: i64,
     /// The server-host row's `value3` (per-host generator argument).
     pub value3: String,
-}
-
-/// What one pass over a service's `serverhosts` rows found.
-pub(super) struct HostScan {
-    /// Hosts to update, in row order.
-    pub todo: Vec<HostTodo>,
-    /// Every enabled host of the service — the relay candidate pool for
-    /// `RackTopology::plan`.
-    pub serving: HashSet<String>,
 }
 
 impl Dcm {
@@ -186,36 +174,31 @@ impl Dcm {
     /// successfully updated since the data files were generated (or has
     /// override set), and its retry backoff gate — if a soft-failure
     /// streak is open — has reopened. `override` bypasses the gate: an
-    /// operator demanding an immediate push gets one.
-    pub(super) fn scan_hosts(&mut self, service: &str, dfgen: i64) -> HostScan {
+    /// operator demanding an immediate push gets one. Returns the hosts to
+    /// update, in row order.
+    pub(super) fn scan_hosts(&mut self, service: &str, dfgen: i64) -> Vec<HostTodo> {
         let state = self.state.read();
         let now = state.now();
         let t = state.db.table(serverhosts::T);
         let machines = state.db.table(machine::T);
         let budget = self.retry.policy().per_run_budget;
         let mut retries_scheduled = 0usize;
-        let mut scan = HostScan {
-            todo: Vec::new(),
-            serving: HashSet::new(),
-        };
+        let mut todo = Vec::new();
         for row in t.select(&Pred::Eq(serverhosts::SERVICE, service.into())) {
             if !t.cell(row, serverhosts::ENABLE).as_bool() {
                 continue;
             }
             let mach_id = t.cell(row, serverhosts::MACH_ID).as_int();
-            let name = machines
-                .select_one(&Pred::Eq(machine::MACH_ID, mach_id.into()))
-                .map(|r| machines.cell(r, machine::NAME).render());
-            if let Some(name) = &name {
-                scan.serving.insert(name.clone());
-            }
             let override_ = t.cell(row, serverhosts::OVERRIDE).as_bool();
             if t.cell(row, serverhosts::HOSTERROR).as_int() != 0
                 || (t.cell(row, serverhosts::LTS).as_int() >= dfgen && !override_)
             {
                 continue;
             }
-            let name = name.unwrap_or_default();
+            let name = machines
+                .select_one(&Pred::Eq(machine::MACH_ID, mach_id.into()))
+                .map(|r| machines.cell(r, machine::NAME).render())
+                .unwrap_or_default();
             if !override_ && self.retry.is_retry(service, &name) {
                 if !self.retry.ready(service, &name, now) || retries_scheduled >= budget {
                     self.stats.retries_deferred += 1;
@@ -223,12 +206,12 @@ impl Dcm {
                 }
                 retries_scheduled += 1;
             }
-            scan.todo.push(HostTodo {
+            todo.push(HostTodo {
                 name,
                 mach_id,
                 value3: t.cell(row, serverhosts::VALUE3).render(),
             });
         }
-        scan
+        todo
     }
 }

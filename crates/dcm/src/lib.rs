@@ -21,28 +21,28 @@
 //!   files, `/usr/lib/aliases` + the mail-hub passwd file, and the Zephyr
 //!   ACL files — each with `MR_NO_CHANGE` incremental logic.
 //! - [`dcm`] — the scan algorithm of §5.7.1 over the SERVERS and
-//!   SERVERHOSTS relations.
+//!   SERVERHOSTS relations: one host at a time, prepare → transfer →
+//!   record.
 //! - [`net`] — the network between Moira and its hosts, as the update
 //!   protocol sees it; the simulator plugs a deterministic fault-injecting
 //!   fabric in here.
 //! - [`retry`] — the unified soft-failure retry policy: immediate first
 //!   retry, exponential backoff with deterministic jitter, escalation of
 //!   long streaks to operator-visible hard errors.
-//! - [`relay`] — the hierarchical fan-out tier: rack topology with relay
-//!   election, and the [`CursorStore`] of per-host patch bases.
+//! - [`cursor`] — the [`CursorStore`] of per-host patch bases.
 
 pub mod archive;
+pub mod cursor;
 pub mod dcm;
 pub mod generators;
 pub mod host;
 pub mod net;
-pub mod relay;
 pub mod retry;
 pub mod update;
 
 pub use archive::Archive;
+pub use cursor::CursorStore;
 pub use dcm::{Dcm, DcmReport};
 pub use host::SimHost;
 pub use net::{NetFault, Network, PerfectNetwork};
-pub use relay::{CursorStore, FanoutPlan, RackTopology};
 pub use retry::{RetryBook, RetryPolicy, SoftOutcome};

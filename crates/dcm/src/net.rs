@@ -9,11 +9,10 @@
 //! deterministic fault-injecting fabric (`moira_sim::net::NetFabric`) to
 //! reproduce the §5.9 failure matrix end to end.
 //!
-//! Implementations must be `Send + Sync`: the hierarchical fan-out runs
-//! transfer legs concurrently on a worker pool, so every leg crosses the
-//! same network value from multiple threads. The fabric additionally
-//! models per-rack fault domains (partition a rack's uplink, not just one
-//! host's link), matching the relay tier's failure unit.
+//! Implementations are `Send + Sync` so that a `Dcm`, which holds its
+//! network as an `Arc<dyn Network>`, stays `Send`, and one fabric value
+//! can also serve links on other threads. The DCM itself runs every
+//! update on its own thread, one host at a time.
 
 use crate::update::UpdateError;
 
@@ -44,8 +43,8 @@ impl NetFault {
 /// The network between Moira and a named host.
 ///
 /// `connect` models connection set-up (one round trip); `transmit` models
-/// one data-bearing leg of `len` bytes. Implementations may advance a
-/// virtual clock to model latency, and may fail any leg deterministically.
+/// one data-bearing leg of `len` bytes. Implementations may fail any leg
+/// deterministically.
 pub trait Network: Send + Sync {
     /// Attempts to establish a connection to `host`.
     fn connect(&self, host: &str) -> Result<(), NetFault>;

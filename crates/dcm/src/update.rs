@@ -499,8 +499,7 @@ pub struct TransferStats {
     pub full_bytes: u64,
     /// The protocol leg in flight when the attempt failed; `None` on
     /// success. One of `connect`, `manifest`, `stale`, `delta`, `script`,
-    /// `execute`, `confirm` — or `relay`, set by the fan-out tier when a
-    /// leaf leg was refused because its rack relay was unreachable.
+    /// `execute`, `confirm`.
     pub failed_leg: Option<&'static str>,
 }
 

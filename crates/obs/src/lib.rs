@@ -21,12 +21,10 @@
 //!   shared [`VClock`] so stage durations report *simulated* time.
 //!
 //! Instrument names are dotted families, lowest-cardinality prefix first
-//! (`server.*`, `db.lock.*`, `db.plan.*`, `dcm.*`). The DCM's hierarchical
-//! push adds two: `dcm.fanout.*` (pool width/rack gauges, origin versus
-//! relay-leaf leg counts, relay deferrals, wall-versus-summed-leg
-//! nanoseconds) and the `dcm.transfer.{origin,relay}.*` tier split of the
-//! patch/full byte counters — the standing evidence that stragglers
-//! converge by line patch, not whole archive.
+//! (`server.*`, `db.lock.*`, `db.plan.*`, `dcm.*`). The DCM's push
+//! records the `dcm.transfer.{patch,full}_{members,bytes}` split — the
+//! standing evidence that stragglers converge by line patch, not whole
+//! archive.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -338,15 +338,13 @@ impl Deployment {
     /// crash: every in-memory cache is gone — prepared builds and their
     /// generation cursors, per-host delta cursors, retry streaks — but
     /// the on-disk identity survives, so the srvtab key, the network
-    /// fabric, and the fan-out configuration (rack topology and width
-    /// live in configuration, not state) are rewired exactly as at first
-    /// start.
+    /// fabric, and the retry policy (configuration, not state) are rewired
+    /// exactly as at first start.
     pub fn restart_dcm(&mut self) {
         let mut fresh = Dcm::new(self.state.clone(), self.registry.clone());
         fresh.enable_kerberos(self.kdc.clone(), "rcmd.moira", self.dcm_key);
         fresh.set_network(self.net.clone());
-        fresh.set_fanout_width(self.dcm.fanout_width());
-        fresh.set_topology(self.dcm.topology().clone());
+        fresh.set_retry_policy(*self.dcm.retry_book().policy());
         for host in self.dcm.hosts.values() {
             fresh.add_host(host.clone());
         }

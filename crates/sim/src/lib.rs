@@ -17,7 +17,7 @@
 //!   cron at intervals which become the minimum update time for any
 //!   service").
 //! - [`net`] — the deterministic fault-injecting network fabric every
-//!   update connection crosses (partitions, drops, latency).
+//!   update connection crosses (partitions and drops).
 
 pub mod cron;
 pub mod deployment;

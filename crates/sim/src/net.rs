@@ -2,11 +2,11 @@
 //!
 //! Every DCM→host update connection (and, via [`FaultyChannel`], any
 //! client→server channel) can be routed through a [`NetFabric`]: a
-//! per-link table of partitions, drop probabilities, and latency, driven
-//! by a seeded RNG and the shared virtual clock. The same seed and the
-//! same schedule of operations produce the same faults, which is what lets
-//! the E8 convergence matrix assert exact end states under partition,
-//! packet loss, and healing.
+//! per-link table of partitions and drop probabilities, driven by a
+//! seeded RNG and the shared virtual clock (which times partitions). The
+//! same seed and the same schedule of operations produce the same faults,
+//! which is what lets the E8 convergence matrix assert exact end states
+//! under partition, packet loss, and healing.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -24,8 +24,12 @@ struct LinkState {
     partitioned_until: Option<i64>,
     /// Probability each leg is lost in transit.
     drop_prob: f64,
-    /// Virtual seconds each data-bearing leg takes.
-    latency_secs: i64,
+}
+
+impl LinkState {
+    fn partitioned_at(&self, now: i64) -> bool {
+        self.partitioned_until.is_some_and(|until| now < until)
+    }
 }
 
 /// Counters the fabric keeps per run.
@@ -44,10 +48,6 @@ pub struct FabricStats {
 struct Inner {
     rng: Mt,
     links: HashMap<String, LinkState>,
-    /// Per-rack fault domains: a rack's state applies to every host
-    /// assigned to it, on top of the host's own link state.
-    racks: HashMap<String, LinkState>,
-    host_rack: HashMap<String, String>,
     stats: FabricStats,
 }
 
@@ -66,8 +66,6 @@ impl NetFabric {
             inner: Mutex::new(Inner {
                 rng: Mt::new(seed),
                 links: HashMap::new(),
-                racks: HashMap::new(),
-                host_rack: HashMap::new(),
                 stats: FabricStats::default(),
             }),
         }
@@ -103,69 +101,11 @@ impl NetFabric {
         inner.links.entry(host.to_owned()).or_default().drop_prob = p.clamp(0.0, 1.0);
     }
 
-    /// Sets the virtual seconds each data-bearing leg to `host` takes (the
-    /// clock advances by this much per transmit).
-    pub fn set_latency(&self, host: &str, secs: i64) {
-        let mut inner = self.inner.lock();
-        inner.links.entry(host.to_owned()).or_default().latency_secs = secs.max(0);
-    }
-
-    /// True if the link to `host` is partitioned right now (its own link
-    /// or its rack's uplink).
+    /// True if the link to `host` is partitioned right now.
     pub fn is_partitioned(&self, host: &str) -> bool {
         let now = self.clock.now();
         let inner = self.inner.lock();
-        let gone = |l: &LinkState| l.partitioned_until.is_some_and(|until| now < until);
-        inner.links.get(host).is_some_and(gone)
-            || inner
-                .host_rack
-                .get(host)
-                .and_then(|r| inner.racks.get(r))
-                .is_some_and(gone)
-    }
-
-    /// Assigns `host` to rack `rack`'s fault domain (replacing any prior
-    /// assignment). Rack faults stack on top of the host's own link.
-    pub fn assign_rack(&self, host: &str, rack: &str) {
-        let mut inner = self.inner.lock();
-        inner.host_rack.insert(host.to_owned(), rack.to_owned());
-        inner.racks.entry(rack.to_owned()).or_default();
-    }
-
-    /// Partitions a whole rack's uplink until [`NetFabric::heal_rack`].
-    pub fn partition_rack(&self, rack: &str) {
-        let mut inner = self.inner.lock();
-        inner
-            .racks
-            .entry(rack.to_owned())
-            .or_default()
-            .partitioned_until = Some(i64::MAX);
-    }
-
-    /// Heals a rack's uplink.
-    pub fn heal_rack(&self, rack: &str) {
-        let mut inner = self.inner.lock();
-        if let Some(rack) = inner.racks.get_mut(rack) {
-            rack.partitioned_until = None;
-        }
-    }
-
-    /// Sets the probability that any leg into `rack` is lost on the rack
-    /// uplink — rolled independently of the per-host drop dice.
-    pub fn set_rack_drop_prob(&self, rack: &str, p: f64) {
-        let mut inner = self.inner.lock();
-        inner.racks.entry(rack.to_owned()).or_default().drop_prob = p.clamp(0.0, 1.0);
-    }
-
-    /// True if `rack`'s uplink is partitioned right now.
-    pub fn is_rack_partitioned(&self, rack: &str) -> bool {
-        let now = self.clock.now();
-        let inner = self.inner.lock();
-        inner
-            .racks
-            .get(rack)
-            .and_then(|l| l.partitioned_until)
-            .is_some_and(|until| now < until)
+        inner.links.get(host).is_some_and(|l| l.partitioned_at(now))
     }
 
     /// The fabric's counters so far.
@@ -173,8 +113,7 @@ impl NetFabric {
         self.inner.lock().stats
     }
 
-    /// One fault roll for one leg to `host`; advances the clock by the
-    /// link's latency when the leg goes through.
+    /// One fault roll for one leg to `host`.
     fn roll(&self, host: &str, connecting: bool) -> Result<(), NetFault> {
         let now = self.clock.now();
         let mut inner = self.inner.lock();
@@ -184,34 +123,17 @@ impl NetFabric {
             inner.stats.transmits += 1;
         }
         let link = inner.links.get(host).copied().unwrap_or_default();
-        // The rack domain stacks on the host's own link. Hosts with no
-        // rack (or a fault-free rack) roll exactly the dice they always
-        // did, preserving seed determinism for existing schedules.
-        let rack = inner
-            .host_rack
-            .get(host)
-            .and_then(|r| inner.racks.get(r))
-            .copied()
-            .unwrap_or_default();
-        let gone = |l: &LinkState| l.partitioned_until.is_some_and(|until| now < until);
-        if gone(&link) || gone(&rack) {
+        if link.partitioned_at(now) {
             inner.stats.partitions_hit += 1;
             return Err(NetFault::Partitioned);
         }
-        for prob in [link.drop_prob, rack.drop_prob] {
-            if prob > 0.0 && inner.rng.chance(prob) {
-                inner.stats.drops += 1;
-                return Err(if connecting {
-                    NetFault::TimedOut
-                } else {
-                    NetFault::Dropped
-                });
-            }
-        }
-        drop(inner);
-        let latency = link.latency_secs + rack.latency_secs;
-        if !connecting && latency > 0 {
-            self.clock.advance(latency);
+        if link.drop_prob > 0.0 && inner.rng.chance(link.drop_prob) {
+            inner.stats.drops += 1;
+            return Err(if connecting {
+                NetFault::TimedOut
+            } else {
+                NetFault::Dropped
+            });
         }
         Ok(())
     }
@@ -327,58 +249,6 @@ mod tests {
         assert_ne!(faults(7), faults(8), "different seed, different faults");
         let hit = faults(7).iter().filter(|&&f| f).count();
         assert!((4..=28).contains(&hit), "roughly half drop: {hit}/32");
-    }
-
-    #[test]
-    fn rack_fault_domain_stacks_on_host_links() {
-        let clock = VClock::new();
-        let net = NetFabric::new(clock.clone(), 1);
-        net.assign_rack("A", "r1");
-        net.assign_rack("B", "r1");
-        net.assign_rack("C", "r2");
-        net.partition_rack("r1");
-        assert!(net.is_rack_partitioned("r1"));
-        assert!(net.is_partitioned("A"), "rack partition covers members");
-        assert_eq!(net.connect("A"), Err(NetFault::Partitioned));
-        assert_eq!(net.connect("B"), Err(NetFault::Partitioned));
-        assert_eq!(net.connect("C"), Ok(()), "other rack unaffected");
-        net.heal_rack("r1");
-        assert_eq!(net.connect("A"), Ok(()));
-        // A host's own partition still applies inside a healthy rack.
-        net.partition("B");
-        assert_eq!(net.connect("B"), Err(NetFault::Partitioned));
-        // Rack drop dice roll on the uplink, independent of host links.
-        net.set_rack_drop_prob("r2", 1.0);
-        assert!(net.transmit("C", 1).is_err());
-    }
-
-    #[test]
-    fn fault_free_rack_preserves_seed_determinism() {
-        // Assigning hosts to racks with no configured rack faults must not
-        // consume RNG rolls: existing seeded schedules stay byte-stable.
-        let faults = |racked: bool| -> Vec<bool> {
-            let net = NetFabric::new(VClock::new(), 7);
-            if racked {
-                net.assign_rack("A", "r1");
-            }
-            net.set_drop_prob("A", 0.5);
-            (0..32).map(|_| net.transmit("A", 1).is_err()).collect()
-        };
-        assert_eq!(faults(false), faults(true));
-    }
-
-    #[test]
-    fn latency_advances_the_virtual_clock() {
-        let clock = VClock::new();
-        let start = clock.now();
-        let net = NetFabric::new(clock.clone(), 1);
-        net.set_latency("A", 5);
-        net.transmit("A", 100).unwrap();
-        net.transmit("A", 100).unwrap();
-        assert_eq!(clock.now(), start + 10);
-        // Connection set-up carries no payload and takes no modelled time.
-        net.connect("A").unwrap();
-        assert_eq!(clock.now(), start + 10);
     }
 
     #[test]

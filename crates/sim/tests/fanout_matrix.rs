@@ -1,28 +1,22 @@
-//! The adversarial fault matrix for the hierarchical fan-out tier: relay
-//! crash mid-fan-out, a relay with a poisoned stale cursor, a whole rack
-//! partitioned and healing after the cycle, a straggler three generations
-//! behind, and a black-holed host that must not stall the pool.
+//! The adversarial fault matrix for DCM convergence: a host with a
+//! poisoned stale cursor, a straggler three generations behind, and a
+//! black-holed host that costs one failed update and nothing more.
 //!
-//! Every scenario asserts *how* convergence happened — plan-time versus
-//! transfer-time deferrals through `dcm.fanout.*`, and the patch/full
-//! byte split through the tiered `dcm.transfer.{origin,relay}.*`
-//! counters — not just that it happened.
+//! Every scenario asserts *how* convergence happened — the patch/full byte
+//! split through the `dcm.transfer.*` counters — not just that it
+//! happened.
 
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use moira_dcm::host::SimHost;
 use moira_dcm::net::{NetFault, Network};
-use moira_dcm::relay::RackTopology;
 use moira_dcm::retry::RetryPolicy;
 use moira_dcm::update::UpdateError;
 use moira_sim::{Deployment, PopulationSpec};
 use parking_lot::Mutex;
 
 /// Fast deterministic retries with escalation out of the way: the matrix
-/// is about the fan-out tier, not the backoff/escalation ladder.
+/// is about convergence, not the backoff/escalation ladder.
 fn quick_retry() -> RetryPolicy {
     RetryPolicy {
         base_secs: 1,
@@ -33,21 +27,10 @@ fn quick_retry() -> RetryPolicy {
     }
 }
 
-/// One rack holding every Hesiod server, wired into the DCM (and, when
-/// `fabric` is set, into the net fabric's fault domains). Returns the
-/// sorted member names: index 0 is the relay the election will pick.
-fn rack_the_hesiods(d: &mut Deployment, width: usize, fabric: bool) -> Vec<String> {
+/// Every Hesiod server's name, sorted, with quick retries installed.
+fn quick_hesiods(d: &mut Deployment) -> Vec<String> {
     let mut names = d.population.hesiod_servers.clone();
     names.sort();
-    let mut topo = RackTopology::new();
-    topo.add_rack("r0", names.iter().cloned());
-    if fabric {
-        for n in &names {
-            d.net.assign_rack(n, "r0");
-        }
-    }
-    d.dcm.set_topology(topo);
-    d.dcm.set_fanout_width(width);
     d.dcm.set_retry_policy(quick_retry());
     names
 }
@@ -91,27 +74,44 @@ fn hesiod_updates(report: &moira_dcm::dcm::DcmReport) -> Vec<(String, Result<(),
         .collect()
 }
 
-/// A fabric wrapper that downs the rack relay the moment the fan-out
-/// reaches its second leaf — the relay dies *mid*-fan-out, after its own
-/// wave-1 update and one leaf have already succeeded.
-struct RelayKiller {
+/// Forwards to the fabric and notes the transfer counters at every
+/// connection. The scan updates one host at a time, so what the counters
+/// gain between one host's connect and the next is that host's.
+struct PerHostTransfers {
     inner: Arc<moira_sim::NetFabric>,
-    relay: Arc<Mutex<SimHost>>,
-    leaves: HashSet<String>,
-    armed: AtomicBool,
-    seen: Mutex<HashSet<String>>,
+    obs: moira_obs::Registry,
+    marks: Mutex<Vec<(String, [u64; 2])>>,
 }
 
-impl Network for RelayKiller {
+impl PerHostTransfers {
+    fn counters(&self) -> [u64; 2] {
+        let snap = self.obs.snapshot();
+        [
+            snap.counter("dcm.transfer.patch_members"),
+            snap.counter("dcm.transfer.full_members"),
+        ]
+    }
+
+    /// Per host, the `[patch_members, full_members]` its update shipped.
+    fn split(&self) -> Vec<(String, [u64; 2])> {
+        let marks = self.marks.lock();
+        let ends = marks
+            .iter()
+            .skip(1)
+            .map(|(_, c)| *c)
+            .chain([self.counters()]);
+        marks
+            .iter()
+            .zip(ends)
+            .map(|((host, from), to)| (host.clone(), [to[0] - from[0], to[1] - from[1]]))
+            .collect()
+    }
+}
+
+impl Network for PerHostTransfers {
     fn connect(&self, host: &str) -> Result<(), NetFault> {
-        if self.armed.load(Ordering::SeqCst) && self.leaves.contains(host) {
-            let mut seen = self.seen.lock();
-            seen.insert(host.to_owned());
-            if seen.len() == 2 {
-                self.relay.lock().up = false;
-                self.armed.store(false, Ordering::SeqCst);
-            }
-        }
+        let mark = (host.to_owned(), self.counters());
+        self.marks.lock().push(mark);
         self.inner.connect(host)
     }
 
@@ -121,160 +121,61 @@ impl Network for RelayKiller {
 }
 
 #[test]
-fn relay_crash_mid_fanout_defers_remaining_leaves_then_patches() {
-    let mut d = Deployment::build(&PopulationSpec {
-        hesiod_servers: 4,
-        ..PopulationSpec::small()
-    });
-    // Width 1 makes the leg order deterministic: relay wave, then leaves
-    // one at a time.
-    let names = rack_the_hesiods(&mut d, 1, false);
-    let relay = names[0].clone();
-    d.run_dcm_once();
-    assert!(hesiod_updates(&d.dcm.run_once()).is_empty(), "converged");
-
-    let killer = Arc::new(RelayKiller {
-        inner: d.net.clone(),
-        relay: d.hosts[&relay].clone(),
-        leaves: names[1..].iter().cloned().collect(),
-        armed: AtomicBool::new(true),
-        seen: Mutex::new(HashSet::new()),
-    });
-    d.dcm.set_network(killer);
-
-    let login = d.population.active_logins[0].clone();
-    set_shell(&d, &login, "/bin/crash-cycle");
-    d.advance(25 * 3600);
-    let deferrals = d.dcm.stats.relay_deferrals;
-    let leg_relay = counter(&d, "dcm.retry.leg.relay");
-    let deferred = counter(&d, "dcm.fanout.relay_deferred");
-    let report = d.run_dcm_once();
-
-    // Relay + two leaves landed before the crash; the last leaf was
-    // refused at its relay gate and charged to the "relay" leg.
-    let updates = hesiod_updates(&report);
-    assert_eq!(updates.len(), 4, "{updates:?}");
-    let failed: Vec<_> = updates.iter().filter(|(_, r)| r.is_err()).collect();
-    assert_eq!(failed.len(), 1, "{updates:?}");
-    assert_eq!(failed[0].1, Err(UpdateError::HostDown), "soft, retried");
-    assert_ne!(failed[0].0, relay, "the relay itself finished first");
-    assert_eq!(d.dcm.stats.relay_deferrals, deferrals + 1);
-    assert_eq!(counter(&d, "dcm.retry.leg.relay"), leg_relay + 1);
-    assert_eq!(counter(&d, "dcm.fanout.relay_deferred"), deferred + 1);
-
-    // The relay reboots with its files intact; the deferred leaf recovers
-    // by patch — its cursor base still matches what it holds.
-    d.hosts[&relay].lock().reboot();
-    d.advance(60);
-    let patch = counter(&d, "dcm.transfer.relay.patch_members");
-    let full = counter(&d, "dcm.transfer.relay.full_members");
-    let report = d.run_dcm_once();
-    assert!(
-        hesiod_updates(&report).iter().all(|(_, r)| r.is_ok()),
-        "{report:?}"
-    );
-    assert!(counter(&d, "dcm.transfer.relay.patch_members") > patch);
-    assert_eq!(counter(&d, "dcm.transfer.relay.full_members"), full);
-    for n in &names[1..] {
-        assert_eq!(files_of(&d, n), files_of(&d, &relay), "{n} diverged");
-    }
-}
-
-#[test]
-fn stale_relay_cursor_falls_back_to_full_and_repairs_itself() {
+fn stale_cursor_falls_back_to_full_and_repairs_itself() {
     let mut d = Deployment::build(&PopulationSpec {
         hesiod_servers: 2,
         ..PopulationSpec::small()
     });
-    let names = rack_the_hesiods(&mut d, 2, false);
-    let (relay, leaf) = (names[0].clone(), names[1].clone());
+    let names = quick_hesiods(&mut d);
+    let (honest, poisoned) = (names[0].clone(), names[1].clone());
     d.run_dcm_once();
     let base0 = d
         .dcm
         .cursors()
-        .base("HESIOD", &leaf)
+        .base("HESIOD", &poisoned)
         .expect("cursor cut on first converge");
 
     let login = d.population.active_logins[0].clone();
     set_shell(&d, &login, "/bin/gen-one");
     d.advance(25 * 3600);
     d.run_dcm_once();
-    let gen1 = d.dcm.cursors().generation("HESIOD", &leaf).unwrap();
+    let gen1 = d.dcm.cursors().generation("HESIOD", &poisoned).unwrap();
 
-    // Poison the leaf's cursor: right generation, wrong base archive —
-    // the store believes the leaf still holds generation-zero bytes.
-    d.dcm.cursors_mut().force("HESIOD", &leaf, gen1, base0);
+    // Poison one host's cursor: right generation, wrong base archive —
+    // the store believes the host still holds generation-zero bytes.
+    d.dcm.cursors_mut().force("HESIOD", &poisoned, gen1, base0);
 
     set_shell(&d, &login, "/bin/gen-two");
     d.advance(25 * 3600);
-    let origin_patch = counter(&d, "dcm.transfer.origin.patch_members");
-    let relay_patch = counter(&d, "dcm.transfer.relay.patch_members");
-    let relay_full = counter(&d, "dcm.transfer.relay.full_members");
-    let report = d.run_dcm_once();
-    assert!(
-        hesiod_updates(&report).iter().all(|(_, r)| r.is_ok()),
-        "{report:?}"
-    );
-
-    // The relay's own cursor was honest: it patched. The leaf's base CRC
-    // no longer matched the poisoned base, so the protocol shipped the
-    // member whole — wrong cursor costs bytes, never correctness.
-    assert!(counter(&d, "dcm.transfer.origin.patch_members") > origin_patch);
-    assert_eq!(counter(&d, "dcm.transfer.relay.patch_members"), relay_patch);
-    assert!(counter(&d, "dcm.transfer.relay.full_members") > relay_full);
-    assert_eq!(files_of(&d, &leaf), files_of(&d, &relay));
-    let gen2 = d.dcm.cursors().generation("HESIOD", &leaf).unwrap();
-    assert!(gen2 > gen1, "the confirmed install repaired the cursor");
-}
-
-#[test]
-fn partitioned_rack_defers_leaves_at_plan_time_and_heals_by_patch() {
-    let mut d = Deployment::build(&PopulationSpec {
-        hesiod_servers: 5,
-        ..PopulationSpec::small()
+    let per_host = Arc::new(PerHostTransfers {
+        inner: d.net.clone(),
+        obs: d.state.read().obs.clone(),
+        marks: Mutex::new(Vec::new()),
     });
-    let names = rack_the_hesiods(&mut d, 4, true);
-    d.run_dcm_once();
-
-    let login = d.population.active_logins[0].clone();
-    set_shell(&d, &login, "/bin/partitioned");
-    d.advance(25 * 3600);
-    d.net.partition_rack("r0");
-    let deferrals = d.dcm.stats.relay_deferrals;
-    let deferred = counter(&d, "dcm.fanout.relay_deferred");
-    let report = d.run_dcm_once();
-
-    // The relay's origin leg failed against the rack's dead uplink, so
-    // every leaf was deferred at plan time: no prepare, no report entry,
-    // no retry charge — one failed leg stands for the whole rack.
-    let updates = hesiod_updates(&report);
-    assert_eq!(
-        updates.len(),
-        1,
-        "only the relay was attempted: {updates:?}"
-    );
-    assert_eq!(updates[0].1, Err(UpdateError::HostDown));
-    assert_eq!(d.dcm.stats.relay_deferrals, deferrals + 4);
-    assert_eq!(counter(&d, "dcm.fanout.relay_deferred"), deferred + 4);
-
-    // The rack heals after the cycle; everything converges by patch.
-    d.net.heal_rack("r0");
-    d.advance(60);
-    let origin_patch = counter(&d, "dcm.transfer.origin.patch_members");
-    let relay_patch = counter(&d, "dcm.transfer.relay.patch_members");
-    let origin_full = counter(&d, "dcm.transfer.origin.full_members");
-    let relay_full = counter(&d, "dcm.transfer.relay.full_members");
+    d.dcm.set_network(per_host.clone());
     let report = d.run_dcm_once();
     let updates = hesiod_updates(&report);
-    assert_eq!(updates.len(), 5, "{updates:?}");
+    assert_eq!(updates.len(), 2, "{updates:?}");
     assert!(updates.iter().all(|(_, r)| r.is_ok()), "{updates:?}");
-    assert!(counter(&d, "dcm.transfer.origin.patch_members") > origin_patch);
-    assert!(counter(&d, "dcm.transfer.relay.patch_members") > relay_patch);
-    assert_eq!(counter(&d, "dcm.transfer.origin.full_members"), origin_full);
-    assert_eq!(counter(&d, "dcm.transfer.relay.full_members"), relay_full);
-    for n in &names[1..] {
-        assert_eq!(files_of(&d, n), files_of(&d, &names[0]), "{n} diverged");
-    }
+
+    // The honest host's cursor matched what it held: it patched. The
+    // poisoned host's base CRCs no longer matched, so the protocol shipped
+    // the member whole — a wrong cursor costs bytes, never correctness.
+    let split: Vec<(String, [u64; 2])> = per_host
+        .split()
+        .into_iter()
+        .filter(|(host, _)| names.contains(host))
+        .collect();
+    assert_eq!(split.len(), 2, "one connection per host: {split:?}");
+    let of = |host: &str| split.iter().find(|(h, _)| h == host).map(|(_, c)| *c);
+    let [honest_patch, _] = of(&honest).unwrap();
+    let [poisoned_patch, poisoned_full] = of(&poisoned).unwrap();
+    assert!(honest_patch > 0, "{split:?}");
+    assert_eq!(poisoned_patch, 0, "{split:?}");
+    assert!(poisoned_full > 0, "{split:?}");
+    assert_eq!(files_of(&d, &poisoned), files_of(&d, &honest));
+    let gen2 = d.dcm.cursors().generation("HESIOD", &poisoned).unwrap();
+    assert!(gen2 > gen1, "the confirmed install repaired the cursor");
 }
 
 #[test]
@@ -283,13 +184,13 @@ fn straggler_three_generations_behind_catches_up_with_one_patch() {
         hesiod_servers: 4,
         ..PopulationSpec::small()
     });
-    let names = rack_the_hesiods(&mut d, 4, false);
+    let names = quick_hesiods(&mut d);
     let straggler = names.last().unwrap().clone();
     d.run_dcm_once();
     let gen0 = d.dcm.cursors().generation("HESIOD", &straggler).unwrap();
 
-    // Three generations pass while the straggler's own link is dead; the
-    // rest of the rack tracks every one of them.
+    // Three generations pass while the straggler's link is dead; every
+    // other host tracks each one of them.
     d.net.partition(&straggler);
     for (i, login) in d.population.active_logins[..3].to_vec().iter().enumerate() {
         set_shell(&d, login, &format!("/bin/gen-{i}"));
@@ -327,34 +228,27 @@ fn straggler_three_generations_behind_catches_up_with_one_patch() {
     assert!(d.dcm.cursors().generation("HESIOD", &straggler).unwrap() > gen0);
 }
 
-/// A network where one host swallows connections for a long real-world
-/// beat while every healthy leg takes a short one — the shape of a
-/// black-holed host stalling a serial scan.
+/// A network where one host swallows every connection until the
+/// protocol timeout: the shape of a black-holed host in a serial scan.
 struct BlackHole {
     victim: String,
 }
 
-// The sleeps model wire latency on the DCM's update legs, which are
-// themselves an asserted seam.
-#[allow(clippy::disallowed_methods)]
 impl Network for BlackHole {
     fn connect(&self, host: &str) -> Result<(), NetFault> {
         if host == self.victim {
-            std::thread::sleep(Duration::from_millis(200));
             return Err(NetFault::TimedOut);
         }
-        std::thread::sleep(Duration::from_millis(4));
         Ok(())
     }
 
     fn transmit(&self, _host: &str, _len: usize) -> Result<(), NetFault> {
-        std::thread::sleep(Duration::from_millis(4));
         Ok(())
     }
 }
 
 #[test]
-fn black_holed_host_cannot_stall_the_cycle_past_one_budget() {
+fn black_holed_host_costs_one_budget() {
     use moira_core::queries::testutil::{add_test_machine, state_with_admin};
     use moira_core::registry::Registry;
     use moira_core::state::Caller;
@@ -404,7 +298,6 @@ fn black_holed_host_cannot_stall_the_cycle_past_one_budget() {
     dcm.set_network(Arc::new(BlackHole {
         victim: victim.clone(),
     }));
-    dcm.set_fanout_width(8);
     let hosts: Vec<Arc<Mutex<SimHost>>> = names
         .iter()
         .map(|n| Arc::new(Mutex::new(SimHost::new(n))))
@@ -413,24 +306,12 @@ fn black_holed_host_cannot_stall_the_cycle_past_one_budget() {
         dcm.add_host(h.clone());
     }
 
-    // Serially this cycle costs 16 healthy hosts × 7 × 4 ms plus the
-    // victim's 200 ms timeout ≈ 650 ms. With an 8-wide pool the victim's
-    // budget overlaps the healthy legs instead of adding to them.
-    let start = Instant::now();
+    // The victim fails once, with a soft timeout, and the scan moves on
+    // to every host after it.
     let report = dcm.run_once();
-    let wall = start.elapsed();
-
     let (ok, failed): (Vec<_>, Vec<_>) = report.updates.iter().partition(|(_, _, r)| r.is_ok());
     assert_eq!(ok.len(), 16, "every healthy host updated: {report:?}");
     assert_eq!(failed.len(), 1);
     assert_eq!(failed[0].1, victim);
     assert_eq!(failed[0].2, Err(UpdateError::Timeout), "one budget, shed");
-    assert!(
-        wall < Duration::from_millis(480),
-        "one black hole must not serialize the cycle: {wall:?}"
-    );
-    // The overlap is also visible in the instruments: wall-clock spent in
-    // the fan-out is strictly less than the sum of its legs.
-    let snap = state.read().obs.snapshot();
-    assert!(snap.counter("dcm.fanout.wall_ns") < snap.counter("dcm.fanout.legs_ns_total"));
 }

@@ -10,6 +10,7 @@
 use moira_core::schema::users;
 use moira_core::state::Caller;
 use moira_db::storage::GroupCommitConfig;
+use moira_dcm::retry::RetryPolicy;
 use moira_sim::{Deployment, PopulationSpec};
 
 /// Every append fsyncs; no automatic snapshots (the initial seal is
@@ -143,4 +144,22 @@ fn unflushed_commits_die_with_the_crash_but_recovery_is_consistent() {
         "/bin/durable",
         "the durable prefix, exactly"
     );
+}
+
+/// A restarted DCM loses its caches and streaks but keeps its retry
+/// policy: configuration, not state.
+#[test]
+fn restart_dcm_keeps_the_configured_retry_policy() {
+    let mut d = Deployment::build(&PopulationSpec::small());
+    let policy = RetryPolicy {
+        base_secs: 7,
+        max_secs: 70,
+        jitter_frac: 0.0,
+        escalate_after: 3,
+        per_run_budget: 5,
+    };
+    assert_ne!(policy, RetryPolicy::default());
+    d.dcm.set_retry_policy(policy);
+    d.restart_dcm();
+    assert_eq!(*d.dcm.retry_book().policy(), policy);
 }
