@@ -9,8 +9,8 @@
 //! - [`schema`] — the 21 relations of §6 (USERS through TBLSTATS).
 //! - [`seed`] — the initial aliases, values, capability ACLs and bootstrap
 //!   lists a fresh database needs.
-//! - [`state`] — [`state::MoiraState`]: database, journal, lock manager,
-//!   access cache, connected-client registry.
+//! - [`state`] — [`state::MoiraState`]: database, journal, access cache,
+//!   connected-client registry.
 //! - [`ids`] — ID allocation from the `values` relation's hints.
 //! - [`ace`] — access control entities (USER / LIST / NONE) and recursive
 //!   list-membership resolution.

@@ -2,8 +2,8 @@
 //!
 //! The paper's server "logs all transactions which modify the database";
 //! this query exposes the live measurement substrate over the same RPC
-//! surface as every other retrieve: dispatch counters per tier, shed and
-//! deadlock counts, latency/wait histograms as derived quantile rows, and
+//! surface as every other retrieve: dispatch counters per tier, shed
+//! counts, latency histograms as derived quantile rows, WAL counters, and
 //! the DCM's transfer byte counters — whatever the registry currently
 //! holds, flattened to `(statistic, value)` tuples.
 

@@ -20,10 +20,9 @@
 //! and from its first write onward the remainder of its batch executes in
 //! order on the exclusive tier, so a read that follows a write always
 //! observes it. Lock acquisition is bounded — a tier that cannot get its
-//! guard within the configured patience sheds its requests with
-//! [`MrError::Busy`] instead of blocking the loop, mirroring the database
-//! `LockManager`'s policy of reporting contention (`MR_BUSY`/`MR_DEADLOCK`)
-//! rather than waiting forever.
+//! guard within a fixed number of attempts sheds its requests with
+//! [`MrError::Busy`] instead of blocking the loop: contention is reported,
+//! never waited out.
 //!
 //! One pass is one call of each stage, one file each: `collect` (readiness
 //! events → drained frames), `classify` (frames → task slots), `tiers`
@@ -221,12 +220,6 @@ impl MoiraServer {
     /// only because the `moira-bench` harness still reads it.
     pub fn read_workers(&self) -> usize {
         1
-    }
-
-    /// Bounds how many try-lock attempts a tier makes before shedding its
-    /// batch with `Busy`.
-    pub fn set_lock_patience(&mut self, attempts: u32) {
-        self.tiers.lock_patience = attempts;
     }
 
     /// Requests executed on the (shared, exclusive) tiers so far. Requests
@@ -999,7 +992,6 @@ mod tests {
             &mut server,
             Request::new(MajorRequest::Auth, &["ops", "test"]),
         );
-        server.set_lock_patience(4);
         let obs_before = server.obs().snapshot();
         let dispatched_before = server.dispatch_counts();
         // An outside writer (e.g. a DCM cycle) holds the exclusive lock for

@@ -7,8 +7,8 @@
 //! arrival order under the write guard and ends with the group-commit
 //! flush. Both take classified slots and the connections' [`Session`]s and
 //! leave [`Work::Done`] behind; neither sees a channel. Guard acquisition
-//! is bounded — a tier that cannot get its guard within the configured
-//! patience sheds its slots with `MR_BUSY` instead of blocking the loop.
+//! is bounded — a tier that cannot get its guard within [`LOCK_PATIENCE`]
+//! attempts sheds its slots with `MR_BUSY` instead of blocking the loop.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -26,7 +26,7 @@ use crate::state::{Caller, MoiraState, SharedState};
 
 /// Try-lock attempts (with a scheduler yield between each) before a tier
 /// gives up on its guard and sheds the batch with `MR_BUSY`.
-const DEFAULT_LOCK_PATIENCE: u32 = 512;
+const LOCK_PATIENCE: u32 = 512;
 
 /// The state a tier holds while it answers a call.
 enum Tier<'a> {
@@ -34,14 +34,12 @@ enum Tier<'a> {
     Exclusive(&'a mut MoiraState),
 }
 
-/// The dispatch half of the server: what the tiers run against, how
-/// patiently, and what they have executed so far.
+/// The dispatch half of the server: what the tiers run against and what
+/// they have executed so far.
 pub(super) struct Tiers {
     pub state: SharedState,
     pub registry: Arc<Registry>,
     verifier: Option<Verifier>,
-    /// Bounded lock-acquisition budget before shedding with `Busy`.
-    pub lock_patience: u32,
     /// Requests executed on the shared tier (sheds are not counted).
     pub reads_dispatched: u64,
     /// Requests executed on the exclusive tier (sheds are not counted).
@@ -77,7 +75,6 @@ impl Tiers {
             state,
             registry,
             verifier,
-            lock_patience: DEFAULT_LOCK_PATIENCE,
             reads_dispatched: 0,
             writes_dispatched: 0,
             shed_requests: 0,
@@ -114,7 +111,7 @@ impl Tiers {
             return;
         }
         let state = self.state.clone();
-        let Some(guard) = patiently(self.lock_patience, || state.try_read()) else {
+        let Some(guard) = patiently(|| state.try_read()) else {
             return self.shed(tasks, ids);
         };
         self.reads_dispatched += ids.len() as u64;
@@ -153,11 +150,14 @@ impl Tiers {
             return;
         }
         let state = self.state.clone();
-        let Some(mut guard) = patiently(self.lock_patience, || state.try_write()) else {
+        let Some(mut guard) = patiently(|| state.try_write()) else {
             return self.shed(tasks, ids);
         };
         self.writes_dispatched += ids.len() as u64;
         self.obs_writes.add(ids.len() as u64);
+        // The write slots whose call journaled a commit: the flush below
+        // decides whether they may be acknowledged.
+        let mut journaled = Vec::new();
         for id in ids {
             let session = &mut sessions[tasks[id].conn];
             let t0 = Instant::now();
@@ -176,8 +176,13 @@ impl Tiers {
                     Err(e) => vec![Reply::status(e.code())],
                 },
                 Work::Write(call) => {
+                    let before = guard.journal.len();
                     let tier = Tier::Exclusive(&mut guard);
-                    answer(&self.registry, tier, &session.caller, call)
+                    let replies = answer(&self.registry, tier, &session.caller, call);
+                    if guard.journal.len() != before {
+                        journaled.push(id);
+                    }
+                    replies
                 }
                 Work::TriggerDcm => vec![trigger_dcm(&session.caller, &mut guard)],
                 _ => continue,
@@ -191,13 +196,22 @@ impl Tiers {
         // Group commit: one fsync (at most — the flush interval can defer
         // it) covers every mutation in this batch, and it happens before
         // any reply is sent, so an acknowledged commit is as durable as
-        // the configured policy promises. A failed flush is counted, not
-        // fatal: the WAL append already carried the error to the owning
-        // request if the media is truly dead. Like that append, the flush
-        // blocks under the write guard by design: the guard orders commits.
+        // the configured policy promises. A failed flush is counted, and
+        // every write it covered answers `MR_DURABILITY` — the rule
+        // `Registry::execute` applies to a failed append: the in-memory
+        // change stands, but its durability cannot be promised. Like that
+        // append, the flush blocks under the write guard by design: the
+        // guard orders commits.
         let now = guard.db.now();
         if guard.storage.maybe_flush(now).is_err() {
             guard.obs.counter("db.wal.flush_errors").inc();
+            for id in journaled {
+                if let Work::Done(replies) = &mut tasks[id].work {
+                    if let Some(last) = replies.last_mut() {
+                        *last = Reply::status(MrError::Durability.code());
+                    }
+                }
+            }
         }
     }
 }
@@ -270,10 +284,10 @@ fn trigger_dcm(caller: &Caller, state: &mut MoiraState) -> Reply {
     Reply::status(0)
 }
 
-/// Bounded lock acquisition: yields between attempts, gives up after the
-/// configured patience so contention surfaces as `Busy`.
-fn patiently<G>(patience: u32, try_lock: impl Fn() -> Option<G>) -> Option<G> {
-    for _ in 0..patience {
+/// Bounded lock acquisition: yields between attempts, gives up after
+/// [`LOCK_PATIENCE`] so contention surfaces as `Busy`.
+fn patiently<G>(try_lock: impl Fn() -> Option<G>) -> Option<G> {
+    for _ in 0..LOCK_PATIENCE {
         if let Some(guard) = try_lock() {
             return Some(guard);
         }

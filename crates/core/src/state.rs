@@ -1,4 +1,4 @@
-//! Server state: database, journal, locks, access cache, connected clients.
+//! Server state: database, journal, access cache, connected clients.
 //!
 //! [`SharedState`] records each guard it hands out in the thread's
 //! held-set ([`moira_common::lockorder`]); in debug builds the blocking
@@ -10,7 +10,6 @@ use std::sync::Arc;
 use moira_common::clock::VClock;
 use moira_common::lockorder::{self, Held};
 use moira_db::journal::Journal;
-use moira_db::lock::LockManager;
 use moira_db::storage::{NullStorage, Storage};
 use moira_db::Database;
 use parking_lot::RwLock;
@@ -194,8 +193,6 @@ pub struct MoiraState {
     pub db: Database,
     /// Journal of successful side-effecting queries (§5.2.2).
     pub journal: Journal,
-    /// Service/host lock manager used by the DCM (§5.7.1).
-    pub locks: LockManager,
     /// The §5.5 access cache.
     pub access_cache: AccessCache,
     /// Connected clients (maintained by the server loop).
@@ -203,7 +200,7 @@ pub struct MoiraState {
     /// Set by a `Trigger_DCM` request; drained by whoever runs DCM cycles.
     pub dcm_trigger: bool,
     /// The instrument registry every layer records into (server dispatch,
-    /// lock manager, DCM stages) and `get_server_statistics` snapshots.
+    /// planner, WAL, DCM stages) and `get_server_statistics` snapshots.
     pub obs: moira_obs::Registry,
     /// The durable backend committed mutations are appended to. Defaults
     /// to [`NullStorage`] (the historical in-memory server); the durable
@@ -238,7 +235,6 @@ impl MoiraState {
         MoiraState {
             db,
             journal: Journal::new(),
-            locks: LockManager::with_obs(obs.clone()),
             access_cache: AccessCache::new(),
             clients: Vec::new(),
             dcm_trigger: false,

@@ -16,11 +16,18 @@ use std::sync::{Arc, Mutex};
 
 use moira_common::clock::{VClock, ATHENA_EPOCH};
 use moira_common::errors::{MrError, MrResult};
+use moira_core::queries::testutil::add_test_user;
 use moira_core::recovery::boot_durable;
 use moira_core::registry::Registry;
-use moira_core::state::{Caller, MoiraState};
+use moira_core::schema::{machine, members};
+use moira_core::seed::seed_capacls;
+use moira_core::state::{shared, Caller, MoiraState};
+use moira_core::MoiraServer;
 use moira_db::snapshot::encode_snapshot;
 use moira_db::storage::{GroupCommitConfig, Media, OpKind, SimMedia, SNAPSHOT_FILE, SNAPSHOT_TMP};
+use moira_db::Pred;
+use moira_protocol::transport::{pair, recv_blocking};
+use moira_protocol::wire::{MajorRequest, Reply, Request};
 
 /// Deterministic workload: appends, updates, and deletes touching users
 /// and machines, exercising tombstones and slot reuse.
@@ -330,4 +337,64 @@ fn crash_during_recovery_snapshot_recovers_again() {
         apply_from(&registry, &mut recovered, &clock, committed),
         STEPS - committed
     );
+}
+
+/// Sends one request through `server` and returns its final status.
+fn call(
+    client: &mut dyn moira_protocol::transport::Channel,
+    server: &mut MoiraServer,
+    major: MajorRequest,
+    args: &[&str],
+) -> i32 {
+    client.send(Request::new(major, args).encode()).unwrap();
+    server.run_until_idle(2);
+    loop {
+        let reply = Reply::decode(recv_blocking(client, 100).expect("reply")).unwrap();
+        if !reply.is_more_data() {
+            return reply.code;
+        }
+    }
+}
+
+/// A group-commit flush that fails answers every write it covered with
+/// `MR_DURABILITY`: no write a crash then loses was acknowledged.
+#[test]
+fn failed_group_commit_flush_acknowledges_no_write() {
+    let lazy = GroupCommitConfig {
+        flush_interval_secs: 0,
+        flush_bytes: usize::MAX, // no eager fsync: the batch flush is the only one
+        snapshot_every: 0,
+    };
+    let registry = Arc::new(Registry::standard());
+    let media = SimMedia::new();
+    let (mut state, _) =
+        boot_durable(VClock::new(), &registry, Box::new(media.clone()), lazy).expect("boot");
+    seed_capacls(&mut state, &registry);
+    let uid = add_test_user(&mut state, "ops", 1);
+    state
+        .db
+        .append(members::T, vec![2.into(), "USER".into(), uid.into()])
+        .unwrap();
+    state
+        .storage
+        .snapshot(&state.db, &state.journal)
+        .expect("seal seed");
+    let obs = state.obs.clone();
+    let mut server = MoiraServer::new(shared(state), registry.clone(), None);
+    let (mut client, end) = pair();
+    server.attach(Box::new(end), "local", 0);
+    let auth = ["ops", "ack"];
+    assert_eq!(call(&mut client, &mut server, MajorRequest::Auth, &auth), 0);
+
+    media.arm_crash(OpKind::Fsync, 0);
+    let args = ["add_machine", "UNACKED.MIT.EDU", "VAX"];
+    let code = call(&mut client, &mut server, MajorRequest::Query, &args);
+    assert_eq!(code, MrError::Durability.code(), "a write the flush lost");
+    assert_eq!(obs.snapshot().counter("db.wal.flush_errors"), 1);
+
+    drop(server);
+    media.power_cycle();
+    let (back, _) = boot_durable(VClock::new(), &registry, Box::new(media), lazy).expect("reboot");
+    let name = Pred::Eq(machine::NAME, "UNACKED.MIT.EDU".into());
+    assert!(back.db.table(machine::T).select_one(&name).is_none());
 }

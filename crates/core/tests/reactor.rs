@@ -4,9 +4,9 @@
 //! simultaneous connections followed by connect/disconnect churn.
 //!
 //! Every scenario must leave the server spotless: no lingering connection,
-//! no registered client, an idle lock manager, and a connection gauge back
-//! at zero — a hostile peer costs the server a bounded amount of memory
-//! and nothing after it leaves.
+//! no registered client, and a connection gauge back at zero — a hostile
+//! peer costs the server a bounded amount of memory and nothing after it
+//! leaves.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -137,7 +137,7 @@ fn server_with_admin() -> (MoiraServer, SharedState, String) {
 }
 
 /// Polls until the server has torn the connection down, then asserts the
-/// client registry and the lock manager hold nothing.
+/// client registry holds nothing.
 fn assert_spotless(server: &mut MoiraServer, state: &SharedState) {
     for _ in 0..10_000 {
         server.poll_with_timeout(Some(TICK));
@@ -150,7 +150,6 @@ fn assert_spotless(server: &mut MoiraServer, state: &SharedState) {
     assert_eq!(snap.gauge("server.connections.open"), 0);
     let s = state.read();
     assert!(s.clients.is_empty(), "client registry not cleaned");
-    assert!(s.locks.is_idle(), "lock manager left non-idle");
 }
 
 #[test]

@@ -20,8 +20,6 @@
 //!   fallback and EXPLAIN descriptions.
 //! - [`database`] — the tables of one schema set, reached by handle, with a
 //!   shared virtual clock.
-//! - [`lock`] — the shared/exclusive named lock manager with deadlock
-//!   detection (`MR_DEADLOCK`), used by the DCM's service/host locking.
 //! - [`backup`] — `mrbackup`/`mrrestore`: the colon-separated ASCII dump
 //!   format with `\:`, `\\` and `\nnn` escapes, plus three-generation
 //!   rotation (§5.2.2).
@@ -35,7 +33,6 @@
 pub mod backup;
 pub mod database;
 pub mod journal;
-pub mod lock;
 pub mod plan;
 pub mod query;
 pub mod schema;

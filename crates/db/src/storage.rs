@@ -471,7 +471,7 @@ pub struct GroupCommitConfig {
 impl Default for GroupCommitConfig {
     fn default() -> Self {
         GroupCommitConfig {
-            flush_interval_secs: 1,
+            flush_interval_secs: 0,
             flush_bytes: 256 * 1024,
             snapshot_every: 1024,
         }

@@ -570,103 +570,6 @@ mod intern_props {
     }
 }
 
-mod lock_props {
-    use moira_db::lock::{LockManager, LockMode};
-    use proptest::prelude::*;
-
-    #[derive(Debug, Clone)]
-    enum LockOp {
-        Acquire(u8, u8, bool),
-        Release(u8, u8),
-        ReleaseAll(u8),
-    }
-
-    fn lock_op() -> impl Strategy<Value = LockOp> {
-        prop_oneof![
-            (0u8..4, 0u8..3, any::<bool>()).prop_map(|(o, r, x)| LockOp::Acquire(o, r, x)),
-            (0u8..4, 0u8..3).prop_map(|(o, r)| LockOp::Release(o, r)),
-            (0u8..4).prop_map(LockOp::ReleaseAll),
-        ]
-    }
-
-    proptest! {
-        /// Under arbitrary acquire/release sequences: an exclusive holder
-        /// is always alone, and the manager never deadlocks itself (every
-        /// call returns).
-        #[test]
-        fn exclusion_invariant(ops in prop::collection::vec(lock_op(), 0..200)) {
-            let mut lm = LockManager::new();
-            // Model: resource -> (exclusive holder, shared holders).
-            let mut model: std::collections::HashMap<String, (Option<String>, std::collections::HashSet<String>)> =
-                std::collections::HashMap::new();
-            for op in ops {
-                match op {
-                    LockOp::Acquire(o, r, exclusive) => {
-                        let owner = format!("o{o}");
-                        let resource = format!("r{r}");
-                        let mode = if exclusive { LockMode::Exclusive } else { LockMode::Shared };
-                        let got = lm.try_acquire(&owner, &resource, mode);
-                        let entry = model.entry(resource.clone()).or_default();
-                        if got {
-                            if exclusive {
-                                // Nobody else may hold it in any mode.
-                                prop_assert!(
-                                    entry.0.as_deref().is_none_or(|h| h == owner),
-                                    "exclusive grant over exclusive holder"
-                                );
-                                prop_assert!(
-                                    entry.1.iter().all(|h| *h == owner),
-                                    "exclusive grant over shared holders"
-                                );
-                                entry.1.remove(&owner);
-                                entry.0 = Some(owner);
-                            } else {
-                                prop_assert!(
-                                    entry.0.as_deref().is_none_or(|h| h == owner),
-                                    "shared grant against exclusive holder"
-                                );
-                                if entry.0.as_deref() != Some(owner.as_str()) {
-                                    entry.1.insert(owner);
-                                }
-                            }
-                        }
-                    }
-                    LockOp::Release(o, r) => {
-                        let owner = format!("o{o}");
-                        let resource = format!("r{r}");
-                        lm.release(&owner, &resource);
-                        if let Some(entry) = model.get_mut(&resource) {
-                            if entry.0.as_deref() == Some(owner.as_str()) {
-                                entry.0 = None;
-                            }
-                            entry.1.remove(&owner);
-                        }
-                    }
-                    LockOp::ReleaseAll(o) => {
-                        let owner = format!("o{o}");
-                        lm.release_all(&owner);
-                        for entry in model.values_mut() {
-                            if entry.0.as_deref() == Some(owner.as_str()) {
-                                entry.0 = None;
-                            }
-                            entry.1.remove(&owner);
-                        }
-                    }
-                }
-                // Cross-check `holds` against the model.
-                for (resource, (excl, shared)) in &model {
-                    for o in 0..4u8 {
-                        let owner = format!("o{o}");
-                        let expected = excl.as_deref() == Some(owner.as_str())
-                            || shared.contains(&owner);
-                        prop_assert_eq!(lm.holds(&owner, resource), expected);
-                    }
-                }
-            }
-        }
-    }
-}
-
 mod delta_chain_props {
     use moira_common::VClock;
     use moira_db::journal::{Journal, JournalEntry};

@@ -4,14 +4,17 @@
 //! services table generating data files for services whose interval has
 //! elapsed (with `MR_NO_CHANGE` suppression), then scan server-hosts and
 //! push updates to every enabled host that has not been updated since the
-//! data files were generated (or has `override` set). Locking, inprogress
-//! flags, soft/hard error bookkeeping, and Zephyr/mail notification follow
-//! the paper.
+//! data files were generated (or has `override` set). Inprogress flags,
+//! soft/hard error bookkeeping, and Zephyr/mail notification follow the
+//! paper. The paper's service and host locks keep a cron-started DCM off
+//! one still running; here there is one `Dcm` value, driven through
+//! `&mut self`, so the borrow checker is that exclusion and the
+//! `inprogress` columns stay the advisory record an operator sees.
 //!
 //! [`Dcm::run_once`] is the stage sequence, one file per stage: `scan`
 //! (the `servers` scan with generation, the `serverhosts` scan), then for
 //! each host to update, one at a time in `serverhosts` row order,
-//! `prepare` (locks, DB writes, archive, credentials), `transfer` (the
+//! `prepare` (inprogress bit, archive, credentials), `transfer` (the
 //! update protocol over the network), `record` (stats, cursor, retry
 //! ledger, DB). A replicated service stops after its first hard failure.
 
@@ -25,10 +28,8 @@ use std::sync::Arc;
 
 use moira_core::registry::Registry;
 use moira_core::state::SharedState;
-use moira_db::lock::LockMode;
 use parking_lot::Mutex;
 
-use self::prepare::Prepared;
 pub use self::record::{DcmReport, DcmStats, Notice};
 use self::scan::{HostTodo, ServiceInfo};
 use self::transfer::run_transfer;
@@ -182,10 +183,6 @@ impl Dcm {
             return report;
         }
         self.stats.scans += 1;
-        // A DCM that crashed mid-run holds no locks after restart; the
-        // inprogress flags it left behind are advisory only ("It is not
-        // relyed upon for locking", §5.7.1).
-        self.state.write().locks.release_all("dcm");
 
         // Snapshot the services passing the initial check.
         let services = self.eligible_services();
@@ -198,42 +195,30 @@ impl Dcm {
         report
     }
 
-    /// One service's host scan, under the service lock.
+    /// One service's host scan.
     fn host_phase(&mut self, svc: &ServiceInfo, report: &mut DcmReport) {
         let Some(dfgen) = self.pushable_generation(svc) else {
             return;
         };
-        // "During the host scan, the DCM first locks the service … If the
-        // service type is replicated … exclusively, otherwise … shared."
-        let mode = if svc.replicated {
-            LockMode::Exclusive
-        } else {
-            LockMode::Shared
-        };
-        let lock = svc_lock(&svc.name);
-        let locked = self.state.write().locks.acquire("dcm", &lock, mode);
-        if locked.is_err() {
+        let todo = self.scan_hosts(&svc.name, dfgen);
+        if todo.is_empty() {
             return;
         }
-        let todo = self.scan_hosts(&svc.name, dfgen);
-        if !todo.is_empty() {
-            // The shared archive, cloned once per cycle (a per-host
-            // service's archives are cut from it).
-            let shared = Arc::new(self.prepared[&svc.name].archive().clone());
-            for host in &todo {
-                let result = self.update_host(svc, dfgen, host, &shared);
-                report
-                    .updates
-                    .push((svc.name.clone(), host.name.clone(), result));
-                if let Err(e) = result {
-                    if e.is_hard() && svc.replicated {
-                        self.record_service_stop(svc, dfgen, e);
-                        break;
-                    }
+        // The shared archive, cloned once per cycle (a per-host service's
+        // archives are cut from it).
+        let shared = Arc::new(self.prepared[&svc.name].archive().clone());
+        for host in &todo {
+            let result = self.update_host(svc, dfgen, host, &shared);
+            report
+                .updates
+                .push((svc.name.clone(), host.name.clone(), result));
+            if let Err(e) = result {
+                if e.is_hard() && svc.replicated {
+                    self.record_service_stop(svc, dfgen, e);
+                    break;
                 }
             }
         }
-        self.state.write().locks.release("dcm", &lock);
     }
 
     /// One host's update: prepare, transfer on this thread, record.
@@ -245,12 +230,11 @@ impl Dcm {
         shared: &Arc<Archive>,
     ) -> Result<(), UpdateError> {
         match self.prepare_update(svc, host, shared) {
-            Prepared::Busy => Err(UpdateError::Busy),
-            Prepared::Failed(e) => {
+            Err(e) => {
                 let no_bytes = TransferStats::default();
                 self.record_update(svc, dfgen, &host.name, None, Err(e), &no_bytes)
             }
-            Prepared::Job(job) => {
+            Ok(job) => {
                 let (result, tstats) = run_transfer(self.net.as_ref(), &job);
                 self.record_update(
                     svc,
@@ -263,16 +247,6 @@ impl Dcm {
             }
         }
     }
-}
-
-/// Lock-manager name of a service's lock.
-fn svc_lock(service: &str) -> String {
-    format!("svc:{service}")
-}
-
-/// Lock-manager name of one server-host's update lock.
-fn host_lock(service: &str, mach: &str) -> String {
-    format!("host:{service}:{mach}")
 }
 
 /// Where a service's files are installed on its hosts (the `target` is the
@@ -288,8 +262,9 @@ pub fn install_dir(service: &str) -> String {
 #[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
+    use crate::generators::incremental::{DeltaPlan, Section, SectionKind};
     use moira_core::queries::testutil::{add_test_machine, state_with_admin};
-    use moira_core::schema::{serverhosts, servers};
+    use moira_core::schema::{serverhosts, servers, users};
     use moira_core::seed::seed_capacls;
     use moira_core::state::{Caller, MoiraState};
     use moira_db::Pred;
@@ -555,7 +530,7 @@ mod tests {
         let suomi_ltt = host_cell(&state, "SUOMI.MIT.EDU", serverhosts::LTT);
         let report = dcm.run_once();
         // First host hard-fails; the second is never attempted: not
-        // counted, not prepared, its row untouched, and no lock left held.
+        // counted, not prepared, its row untouched.
         assert_eq!(report.updates.len(), 1);
         assert!(matches!(
             report.updates[0].2,
@@ -571,7 +546,6 @@ mod tests {
             host_cell(&state, "SUOMI.MIT.EDU", serverhosts::LTT),
             suomi_ltt
         );
-        assert!(state.read().locks.is_idle());
         // Zephyr + mail sent.
         assert!(dcm
             .notices
@@ -656,29 +630,7 @@ mod tests {
         // build, so a crash that loses the data files (dfgen says generated,
         // nothing prepared) must rebuild them like any other service's.
         let (mut dcm, state, hosts) = setup();
-        let registry = Registry::standard();
-        let run = |q: &str, args: &[&str]| {
-            let args: Vec<String> = args.iter().map(|x| x.to_string()).collect();
-            registry
-                .execute(&mut state.write(), &Caller::root("ops"), q, &args)
-                .unwrap();
-        };
-        run(
-            "add_server_info",
-            &[
-                "NFS",
-                "720",
-                "/tmp/nfs.out",
-                "install-nfs",
-                "UNIQUE",
-                "1",
-                "NONE",
-                "NONE",
-            ],
-        );
-        for host in ["KIWI.MIT.EDU", "SUOMI.MIT.EDU"] {
-            run("add_server_host_info", &["NFS", host, "1", "0", "0", ""]);
-        }
+        add_nfs_service(&state, &["KIWI.MIT.EDU", "SUOMI.MIT.EDU"]);
         dcm.run_once();
         let full_rebuilds = dcm.stats.full_rebuilds;
 
@@ -687,7 +639,7 @@ mod tests {
             host.lock().remove_file("/var/nfs/credentials");
         }
         for host in ["KIWI.MIT.EDU", "SUOMI.MIT.EDU"] {
-            run("set_server_host_override", &["NFS", host]);
+            as_root(&state, "set_server_host_override", &["NFS", host]);
         }
         // Within the interval: the generation phase does not run.
         state.write().db.clock().advance(60);
@@ -811,38 +763,152 @@ mod tests {
         assert!(dcm.stats.retries_deferred >= 1);
     }
 
+    /// A HESIOD generator that renders every user as the same member, so
+    /// every build fails with `MR_EXISTS`: a generator hard error.
+    struct CollidingGenerator;
+
+    impl Generator for CollidingGenerator {
+        fn service(&self) -> &'static str {
+            "HESIOD"
+        }
+
+        fn depends_on(&self) -> &'static [moira_db::TableId] {
+            &[<users::R as moira_db::Relation>::ID]
+        }
+
+        fn delta_plan(&self) -> DeltaPlan {
+            DeltaPlan {
+                sections: vec![Section {
+                    file: "dup",
+                    driver: <users::R as moira_db::Relation>::ID,
+                    lookups: &[],
+                    kind: SectionKind::Members(|_, _| vec![("dup".to_owned(), Vec::new())]),
+                    affected: None,
+                }],
+            }
+        }
+    }
+
+    /// Runs one query as root against the shared state.
+    fn as_root(state: &SharedState, query: &str, args: &[&str]) {
+        let args: Vec<String> = args.iter().map(|x| x.to_string()).collect();
+        Registry::standard()
+            .execute(&mut state.write(), &Caller::root("ops"), query, &args)
+            .unwrap();
+    }
+
+    /// Adds the per-host NFS service, served by `hosts`.
+    fn add_nfs_service(state: &SharedState, hosts: &[&str]) {
+        let nfs = [
+            "NFS",
+            "720",
+            "/tmp/nfs.out",
+            "install-nfs",
+            "UNIQUE",
+            "1",
+            "NONE",
+            "NONE",
+        ];
+        as_root(state, "add_server_info", &nfs);
+        for host in hosts {
+            as_root(
+                state,
+                "add_server_host_info",
+                &["NFS", host, "1", "0", "0", ""],
+            );
+        }
+    }
+
+    /// No DCM run leaves an `inprogress` flag set, whatever the outcome:
+    /// every path that sets one on a `servers` or `serverhosts` row clears
+    /// it before `run_once` returns. Each case also checks that its
+    /// outcome really happened.
     #[test]
-    fn host_lock_conflict_is_distinct_busy_error() {
-        let (mut dcm, state, _hosts) = setup();
-        // Another actor (a concurrent DCM pass, say) holds the host lock.
-        state
-            .write()
-            .locks
-            .acquire("other", "host:HESIOD:KIWI.MIT.EDU", LockMode::Exclusive)
-            .unwrap();
-        let report = dcm.run_once();
-        let kiwi = report
-            .updates
-            .iter()
-            .find(|(_, h, _)| h == "KIWI.MIT.EDU")
-            .unwrap();
-        assert_eq!(kiwi.2, Err(UpdateError::Busy), "not mislabelled Timeout");
-        assert_eq!(dcm.stats.busy_conflicts, 1);
-        // Busy is an internal collision: it charges no failure streak.
-        assert!(!dcm.retry_book().is_retry("HESIOD", "KIWI.MIT.EDU"));
-        // When the collision clears, the next pass succeeds.
-        state
-            .write()
-            .locks
-            .release("other", "host:HESIOD:KIWI.MIT.EDU");
-        state.write().db.clock().advance(60);
-        let report = dcm.run_once();
-        let kiwi = report
-            .updates
-            .iter()
-            .find(|(_, h, _)| h == "KIWI.MIT.EDU")
-            .unwrap();
-        assert!(kiwi.2.is_ok());
+    fn no_run_leaves_an_inprogress_flag_set() {
+        type Arrange = fn(&mut Dcm, &SharedState, &SharedHosts);
+        type Happened = fn(&Dcm, &DcmReport) -> bool;
+        let cases: [(&str, Arrange, Happened); 5] = [
+            (
+                "success",
+                |_, _, _| {},
+                |_, report| {
+                    report.updates.len() == 2 && report.updates.iter().all(|(_, _, r)| r.is_ok())
+                },
+            ),
+            (
+                "soft network failure",
+                |_, _, hosts| hosts[1].lock().up = false,
+                |dcm, report| {
+                    dcm.stats.soft_failures == 1
+                        && report.updates[1].2 == Err(UpdateError::HostDown)
+                },
+            ),
+            (
+                "replicated hard failure stops the scan",
+                |_, _, hosts| hosts[0].lock().fail.fail_exec_with = Some(13),
+                |_, report| {
+                    report.updates
+                        == [(
+                            "HESIOD".to_owned(),
+                            "KIWI.MIT.EDU".to_owned(),
+                            Err(UpdateError::ExecFailed(13)),
+                        )]
+                },
+            ),
+            (
+                "generator hard error",
+                |dcm, _, _| {
+                    dcm.generators
+                        .insert("HESIOD", Box::new(CollidingGenerator));
+                },
+                |dcm, report| {
+                    report.generated.is_empty()
+                        && dcm
+                            .notices
+                            .iter()
+                            .any(|n| n.message.contains("generator hard error"))
+                },
+            ),
+            (
+                "per-host archive failure",
+                |_, state, _| {
+                    // KIWI's two partitions cut to the same member stem
+                    // (`u1_a`), so its archive fails in `prepare_update`.
+                    add_nfs_service(state, &["KIWI.MIT.EDU"]);
+                    for (dir, dev) in [("/u1/a", "ra0a"), ("/u1_a", "ra0b")] {
+                        let args = ["KIWI.MIT.EDU", dir, dev, "1", "0", "99999"];
+                        as_root(state, "add_nfsphys", &args);
+                    }
+                },
+                |_, report| {
+                    report.updates.contains(&(
+                        "NFS".to_owned(),
+                        "KIWI.MIT.EDU".to_owned(),
+                        Err(UpdateError::BadData),
+                    ))
+                },
+            ),
+        ];
+        for (name, arrange, happened) in cases {
+            let (mut dcm, state, hosts) = setup();
+            arrange(&mut dcm, &state, &hosts);
+            let report = dcm.run_once();
+            assert!(happened(&dcm, &report), "{name}: {report:?}");
+            let s = state.read();
+            let t = s.db.table(servers::T);
+            for (row, _) in t.iter() {
+                let svc = t.cell(row, servers::NAME).render();
+                assert!(!t.cell(row, servers::INPROGRESS).as_bool(), "{name}: {svc}");
+            }
+            let t = s.db.table(serverhosts::T);
+            for (row, _) in t.iter() {
+                let svc = t.cell(row, serverhosts::SERVICE).render();
+                assert!(
+                    !t.cell(row, serverhosts::INPROGRESS).as_bool(),
+                    "{name}: {svc}"
+                );
+            }
+        }
     }
 
     /// A scripted history, one host at a time: a down host soft-fails,
@@ -945,7 +1011,6 @@ mod tests {
         }
         let files: Vec<_> = hosts.iter().map(|h| h.lock().files_mut().clone()).collect();
         assert_eq!(files[0], files[1], "both hosts hold the same files");
-        assert!(state.read().locks.is_idle());
     }
 
     /// Every confirmed install is recorded in the cursor store at the

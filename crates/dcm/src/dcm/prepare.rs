@@ -1,30 +1,18 @@
 //! Stage 2 of a host's update — everything before the network: the
-//! attempt counter, the exclusive host lock and inprogress bit, the
-//! archive (shared, or this host's cut of it), and fresh credentials (the
-//! authenticator nonce is a sequence).
+//! attempt counter, the inprogress bit, the archive (shared, or this
+//! host's cut of it), and fresh credentials (the authenticator nonce is a
+//! sequence).
 
 use std::sync::Arc;
 
-use moira_db::lock::LockMode;
 use parking_lot::Mutex;
 
 use super::record::HostFlags;
 use super::scan::{HostTodo, ServiceInfo};
-use super::{host_lock, install_dir, Dcm};
+use super::{install_dir, Dcm};
 use crate::archive::Archive;
 use crate::host::SimHost;
 use crate::update::{Script, UpdateCredentials, UpdateError};
-
-/// What `prepare_update` produced for one host.
-pub(super) enum Prepared {
-    /// Locked, prepared, and ready for its network legs.
-    Job(Box<UpdateJob>),
-    /// Host lock held by someone else; nothing was written or locked.
-    Busy,
-    /// Archive build failed. The host lock and inprogress bit are still
-    /// held — recording the failure releases them.
-    Failed(UpdateError),
-}
 
 /// Everything one host's transfer needs, and nothing more: no `&Dcm`, no
 /// database guard.
@@ -59,40 +47,26 @@ impl Dcm {
         })
     }
 
-    /// Prepares one host: host lock, inprogress bit, archive, credentials.
+    /// Prepares one host: inprogress bit, archive, credentials. An `Err`
+    /// is an archive build failure; the inprogress bit is still set, and
+    /// recording the failure clears it.
     pub(super) fn prepare_update(
         &mut self,
         svc: &ServiceInfo,
         host: &HostTodo,
         shared: &Arc<Archive>,
-    ) -> Prepared {
+    ) -> Result<Box<UpdateJob>, UpdateError> {
         self.stats.updates_attempted += 1;
-        {
-            let mut state = self.state.write();
-            let lock = host_lock(&svc.name, &host.name);
-            if state
-                .locks
-                .acquire("dcm", &lock, LockMode::Exclusive)
-                .is_err()
-            {
-                // Another update of this host holds the lock: a distinct
-                // soft conflict, not a network timeout. The colliding pass
-                // simply retries later; no failure streak is charged.
-                self.stats.busy_conflicts += 1;
-                return Prepared::Busy;
-            }
-            let started = HostFlags {
-                inprogress: true,
-                ..HostFlags::default()
-            };
-            self.set_host_flags(&mut state, &svc.name, &host.name, started);
-        }
+        let started = HostFlags {
+            inprogress: true,
+            ..HostFlags::default()
+        };
+        self.set_host_flags(&mut self.state.write(), &svc.name, &host.name, started);
 
         // The archive: the shared one, or for a per-host service this
         // host's cut of it. A generator failure here (e.g. colliding member
         // stems) is bad data for this host — a soft error, retried once the
-        // data is fixed. The host lock stays held: recording the failure
-        // releases it.
+        // data is fixed.
         let generator = self.generators.get(svc.name.as_str()).expect("eligible");
         let archive = match generator.per_host() {
             Some(for_host) => for_host(&self.state.read(), host.mach_id, &host.value3, shared)
@@ -101,12 +75,9 @@ impl Dcm {
             None => Ok(shared.clone()),
         };
         let credentials = self.credentials_for(&host.name);
-        let archive = match archive {
-            Ok(archive) => archive,
-            Err(e) => return Prepared::Failed(e),
-        };
+        let archive = archive?;
         let script = Script::standard(&archive, &install_dir(&svc.name), &svc.script);
-        Prepared::Job(Box::new(UpdateJob {
+        Ok(Box::new(UpdateJob {
             mach_name: host.name.clone(),
             prev: self.cursors.base(&svc.name, &host.name),
             host: self.hosts.get(&host.name).cloned(),

@@ -1,6 +1,6 @@
 //! Stage 4 of a host's update — everything after the network returns: obs
 //! counters, the cursor advance, the retry ledger and operator notices,
-//! the final server-host row write and the host lock release; and a
+//! the final server-host row write that clears `inprogress`; and a
 //! replicated service's stop-on-hard-failure.
 //!
 //! Also everything else the DCM writes down, for every stage: its columns
@@ -13,7 +13,7 @@ use std::sync::Arc;
 use moira_core::state::{Caller, MoiraState};
 
 use super::scan::ServiceInfo;
-use super::{host_lock, Dcm};
+use super::Dcm;
 use crate::archive::Archive;
 use crate::retry::SoftOutcome;
 use crate::update::{TransferStats, UpdateError};
@@ -60,8 +60,6 @@ pub struct DcmStats {
     pub retries_deferred: u64,
     /// Soft-failure streaks escalated to operator-visible hard errors.
     pub escalations: u64,
-    /// Updates refused because another update of the host was in progress.
-    pub busy_conflicts: u64,
 }
 
 /// What one `run_once` did.
@@ -233,12 +231,8 @@ impl Dcm {
                 }
             }
         }
-        {
-            // A failed attempt leaves `lts` where prepare put it, at 0.
-            let mut state = self.state.write();
-            self.set_host_flags(&mut state, &svc.name, mach_name, flags);
-            state.locks.release("dcm", &host_lock(&svc.name, mach_name));
-        }
+        // A failed attempt leaves `lts` where prepare put it, at 0.
+        self.set_host_flags(&mut self.state.write(), &svc.name, mach_name, flags);
         result
     }
 

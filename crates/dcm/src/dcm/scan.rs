@@ -2,11 +2,10 @@
 //! scan (which services are due, and their data-file generation) and the
 //! `serverhosts` scan (which hosts of a service need a push).
 
-use moira_db::lock::LockMode;
 use moira_db::Pred;
 
 use super::record::{DcmReport, ServiceFlags};
-use super::{svc_lock, Dcm};
+use super::Dcm;
 use crate::generators::incremental;
 use moira_core::schema::{machine, serverhosts, servers};
 
@@ -63,7 +62,7 @@ impl Dcm {
         out
     }
 
-    /// Regenerates a due service's data files under its exclusive lock.
+    /// Regenerates a due service's data files.
     pub(super) fn generation_phase(&mut self, svc: &ServiceInfo, report: &mut DcmReport) {
         let now = self.state.read().now();
         // "it compares dfcheck and the update interval against the current
@@ -72,23 +71,14 @@ impl Dcm {
             return;
         }
         // "it will obtain an exclusive lock on the service, set the
-        // inprogress flag, then run the generator."
-        {
-            let mut state = self.state.write();
-            let locked = state
-                .locks
-                .acquire("dcm", &svc_lock(&svc.name), LockMode::Exclusive);
-            if locked.is_err() {
-                return;
-            }
-            let started = ServiceFlags {
-                dfgen: svc.dfgen,
-                dfcheck: svc.dfcheck,
-                inprogress: true,
-                ..ServiceFlags::default()
-            };
-            self.set_service_flags(&mut state, &svc.name, started);
-        }
+        // inprogress flag, then run the generator." The lock is `&mut self`.
+        let started = ServiceFlags {
+            dfgen: svc.dfgen,
+            dfcheck: svc.dfcheck,
+            inprogress: true,
+            ..ServiceFlags::default()
+        };
+        self.set_service_flags(&mut self.state.write(), &svc.name, started);
         let generator = self.generators.get(svc.name.as_str()).expect("eligible");
         // Refresh the cached build under one read guard: the cursor cut and
         // the delta reads describe a single database version.
@@ -133,9 +123,7 @@ impl Dcm {
                 done.errmsg = e.to_string();
             }
         }
-        let mut state = self.state.write();
-        self.set_service_flags(&mut state, &svc.name, done);
-        state.locks.release("dcm", &svc_lock(&svc.name));
+        self.set_service_flags(&mut self.state.write(), &svc.name, done);
     }
 
     /// The service's `dfgen` as of now (generation may just have happened),

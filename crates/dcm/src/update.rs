@@ -188,9 +188,6 @@ pub enum UpdateError {
     /// Kerberos mutual authentication failed at connection set-up (soft;
     /// retried — tickets may simply have expired).
     AuthFailed,
-    /// Another update of the same host is already in progress (soft; the
-    /// conflict clears when the other update finishes).
-    Busy,
 }
 
 impl UpdateError {
@@ -209,7 +206,6 @@ impl UpdateError {
             UpdateError::BadData => 103,
             UpdateError::ExecFailed(c) => 1000 + c,
             UpdateError::AuthFailed => 104,
-            UpdateError::Busy => 105,
         }
     }
 
@@ -221,7 +217,6 @@ impl UpdateError {
             102 => UpdateError::Checksum,
             103 => UpdateError::BadData,
             104 => UpdateError::AuthFailed,
-            105 => UpdateError::Busy,
             c if c >= 1000 => UpdateError::ExecFailed(c - 1000),
             _ => return None,
         })
@@ -236,7 +231,6 @@ impl UpdateError {
             UpdateError::BadData => "transferred data unparsable".to_owned(),
             UpdateError::ExecFailed(c) => format!("install script exited {c}"),
             UpdateError::AuthFailed => "kerberos authentication failed".to_owned(),
-            UpdateError::Busy => "host update already in progress".to_owned(),
         }
     }
 }
@@ -1070,7 +1064,6 @@ mod tests {
             UpdateError::Checksum,
             UpdateError::BadData,
             UpdateError::AuthFailed,
-            UpdateError::Busy,
             UpdateError::ExecFailed(0),
             UpdateError::ExecFailed(203),
         ] {
@@ -1078,7 +1071,6 @@ mod tests {
         }
         assert_eq!(UpdateError::from_code(0), None);
         assert_eq!(UpdateError::from_code(99), None);
-        assert!(!UpdateError::Busy.is_hard(), "busy is retried, not fatal");
     }
 
     /// A test network that fails the Nth leg (0 = connect) with a fixed

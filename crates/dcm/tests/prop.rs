@@ -25,7 +25,6 @@ fn update_error() -> impl Strategy<Value = UpdateError> {
         Just(UpdateError::Checksum),
         Just(UpdateError::BadData),
         Just(UpdateError::AuthFailed),
-        Just(UpdateError::Busy),
         (0i32..1000).prop_map(UpdateError::ExecFailed),
     ]
 }

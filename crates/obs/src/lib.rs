@@ -16,12 +16,12 @@
 //!   — callers cache handles at construction time.
 //! - **No off switch.** Every instrument always records; there is no
 //!   unmeasured configuration for a reading to come from.
-//! - **A clock seam.** Spans and wait timers read nanoseconds through the
-//!   registry's [`ClockSource`]; the deployment simulator swaps in the
-//!   shared [`VClock`] so stage durations report *simulated* time.
+//! - **A clock seam.** Spans read nanoseconds through the registry's
+//!   [`ClockSource`]; the deployment simulator swaps in the shared
+//!   [`VClock`] so stage durations report *simulated* time.
 //!
 //! Instrument names are dotted families, lowest-cardinality prefix first
-//! (`server.*`, `db.lock.*`, `db.plan.*`, `dcm.*`). The DCM's push
+//! (`server.*`, `db.plan.*`, `db.wal.*`, `dcm.*`). The DCM's push
 //! records the `dcm.transfer.{patch,full}_{members,bytes}` split — the
 //! standing evidence that stragglers converge by line patch, not whole
 //! archive.
@@ -399,12 +399,7 @@ impl Registry {
         self.inner.clock.lock().clone()
     }
 
-    /// Current time in nanoseconds on the registry's clock axis.
-    pub fn now_nanos(&self) -> u64 {
-        self.clock_source().now_nanos()
-    }
-
-    /// Routes spans and wait timers through the shared simulation clock.
+    /// Routes spans through the shared simulation clock.
     pub fn set_virtual_clock(&self, vclock: VClock) {
         *self.inner.clock.lock() = ClockSource::Virtual(vclock);
     }
@@ -448,8 +443,8 @@ impl Default for Registry {
 
 impl fmt::Debug for Registry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Deliberately lock-free: Debug-printing a LockManager mid-poll
-        // must never contend with instrument creation.
+        // Deliberately lock-free: Debug-printing a state that holds the
+        // registry mid-poll must never contend with instrument creation.
         f.debug_struct("Registry").finish_non_exhaustive()
     }
 }

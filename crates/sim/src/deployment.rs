@@ -94,8 +94,8 @@ impl Deployment {
         let clock = VClock::new();
         let registry = Arc::new(Registry::standard());
         let mut st = MoiraState::new(clock.clone());
-        // Durations measured inside the simulation (DCM stage spans, lock
-        // waits) must read simulated time, not the wall.
+        // Durations measured inside the simulation (DCM stage spans) must
+        // read simulated time, not the wall.
         st.obs.set_virtual_clock(clock.clone());
         seed_capacls(&mut st, &registry);
         let population = populate(&mut st, &registry, spec).expect("population build must succeed");

@@ -617,7 +617,7 @@ fn e8_update_recovery() {
         (
             // Generate, lose the DCM's in-memory state (caches, last-pushed
             // archives), then change what the lost files held.
-            "Moira crash (data files lost, locks orphaned)",
+            "Moira crash (data files lost, inprogress flags orphaned)",
             "none",
             false,
             Box::new(|d| {
