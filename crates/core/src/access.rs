@@ -156,15 +156,12 @@ fn compute_capability(state: &MoiraState, principal: &str, capability: &str) -> 
     let Ok(users_id) = users_id_of(&state.db, principal) else {
         return false;
     };
-    for row in rows {
-        let list_id = caps.cell(row, capacls::LIST_ID).as_int();
+    for r in rows.into_iter().filter_map(|row| caps.row(row).ok()) {
+        let list_id = r.get(capacls::LIST_ID);
         // The "list containing everybody" admits any authenticated user.
-        if let Some(lr) = state
-            .db
-            .table(list::T)
-            .select_one(&Pred::Eq(list::LIST_ID, list_id.into()))
-        {
-            if state.db.cell(lr, list::NAME).as_str() == "everybody" {
+        let lists = state.db.table(list::T);
+        if let Some(lr) = lists.find(&Pred::Eq(list::LIST_ID, list_id.into())) {
+            if lr.get(list::NAME) == "everybody" {
                 return true;
             }
         }

@@ -7,7 +7,7 @@
 //! of `get_ace_use`).
 
 use moira_common::errors::{MrError, MrResult};
-use moira_db::{Col, Database, Pred, Relation};
+use moira_db::{Col, Database, Int, Pred, Relation, Row, Str};
 
 use crate::schema::{list, members, users};
 use crate::state::MoiraState;
@@ -52,18 +52,18 @@ pub fn resolve_ace(db: &Database, ace_type: &str, ace_name: &str) -> MrResult<Ac
     match ace_type.to_ascii_uppercase().as_str() {
         "NONE" => Ok(Ace::None),
         "USER" => {
-            let id = db
+            let r = db
                 .table(users::T)
-                .select_one(&Pred::Eq(users::LOGIN, ace_name.into()))
+                .find(&Pred::Eq(users::LOGIN, ace_name.into()))
                 .ok_or(MrError::Ace)?;
-            Ok(Ace::User(db.cell(id, users::USERS_ID).as_int()))
+            Ok(Ace::User(r.get(users::USERS_ID)))
         }
         "LIST" => {
-            let id = db
+            let r = db
                 .table(list::T)
-                .select_one(&Pred::Eq(list::NAME, ace_name.into()))
+                .find(&Pred::Eq(list::NAME, ace_name.into()))
                 .ok_or(MrError::Ace)?;
-            Ok(Ace::List(db.cell(id, list::LIST_ID).as_int()))
+            Ok(Ace::List(r.get(list::LIST_ID)))
         }
         _ => Err(MrError::Ace),
     }
@@ -76,16 +76,16 @@ pub fn render_ace(db: &Database, ace_type: &str, ace_id: i64) -> (String, String
         "USER" => {
             let name = db
                 .table(users::T)
-                .select_one(&Pred::Eq(users::USERS_ID, ace_id.into()))
-                .map(|r| db.cell(r, users::LOGIN).as_str().to_owned())
+                .find(&Pred::Eq(users::USERS_ID, ace_id.into()))
+                .map(|r| r.get(users::LOGIN).to_owned())
                 .unwrap_or_else(|| format!("#{ace_id}"));
             ("USER".to_owned(), name)
         }
         "LIST" => {
             let name = db
                 .table(list::T)
-                .select_one(&Pred::Eq(list::LIST_ID, ace_id.into()))
-                .map(|r| db.cell(r, list::NAME).as_str().to_owned())
+                .find(&Pred::Eq(list::LIST_ID, ace_id.into()))
+                .map(|r| r.get(list::NAME).to_owned())
                 .unwrap_or_else(|| format!("#{ace_id}"));
             ("LIST".to_owned(), name)
         }
@@ -95,20 +95,26 @@ pub fn render_ace(db: &Database, ace_type: &str, ace_id: i64) -> (String, String
 
 /// The `users_id` of a login, or `MR_USER`.
 pub fn users_id_of(db: &Database, login: &str) -> MrResult<i64> {
-    let id = db
+    let r = db
         .table(users::T)
-        .select_one(&Pred::Eq(users::LOGIN, login.into()))
+        .find(&Pred::Eq(users::LOGIN, login.into()))
         .ok_or(MrError::User)?;
-    Ok(db.cell(id, users::USERS_ID).as_int())
+    Ok(r.get(users::USERS_ID))
 }
 
 /// The `list_id` of a list name, or `MR_LIST`.
 pub fn list_id_of(db: &Database, name: &str) -> MrResult<i64> {
-    let id = db
+    let r = db
         .table(list::T)
-        .select_one(&Pred::Eq(list::NAME, name.into()))
+        .find(&Pred::Eq(list::NAME, name.into()))
         .ok_or(MrError::List)?;
-    Ok(db.cell(id, list::LIST_ID).as_int())
+    Ok(r.get(list::LIST_ID))
+}
+
+/// The MEMBERS rows of list `list_id`.
+pub fn members_of(db: &Database, list_id: i64) -> impl Iterator<Item = Row<'_, members::R>> {
+    db.table(members::T)
+        .rows(&Pred::Eq(members::LIST_ID, list_id.into()))
 }
 
 /// True if user `users_id` is a direct or recursive (through sub-lists)
@@ -119,11 +125,9 @@ pub fn user_in_list(db: &Database, users_id: i64, list_id: i64) -> bool {
             return false;
         }
         seen.push(list_id);
-        let members = db.table(members::T);
-        for row in db.select(&Pred::Eq(members::LIST_ID, list_id.into())) {
-            let mtype = members.cell(row, members::MEMBER_TYPE).as_str().to_owned();
-            let mid = members.cell(row, members::MEMBER_ID).as_int();
-            match mtype.as_str() {
+        for r in members_of(db, list_id) {
+            let mid = r.get(members::MEMBER_ID);
+            match r.get(members::MEMBER_TYPE) {
                 "USER" if mid == users_id => return true,
                 "LIST" if walk(db, users_id, mid, depth + 1, seen) => {
                     return true;
@@ -155,13 +159,14 @@ pub fn caller_on_row_ace<R: Relation>(
     state: &MoiraState,
     principal: Option<&str>,
     row: moira_db::RowId,
-    type_col: Col<R>,
-    id_col: Col<R>,
+    type_col: Col<R, Str>,
+    id_col: Col<R, Int>,
 ) -> bool {
-    let t = state.db.table(R::default());
-    let ace_type = t.cell(row, type_col).as_str().to_owned();
-    let ace_id = t.cell(row, id_col).as_int();
-    let ace = match ace_type.to_ascii_uppercase().as_str() {
+    let Ok(r) = state.db.table(R::default()).row(row) else {
+        return false;
+    };
+    let ace_id = r.get(id_col);
+    let ace = match r.get(type_col).to_ascii_uppercase().as_str() {
         "USER" => Ace::User(ace_id),
         "LIST" => Ace::List(ace_id),
         _ => Ace::None,

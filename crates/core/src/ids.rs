@@ -6,7 +6,7 @@
 //! the next hint back.
 
 use moira_common::errors::{MrError, MrResult};
-use moira_db::{Col, Database, Pred, Relation};
+use moira_db::{Col, Database, Int, Pred, Relation};
 
 use crate::schema::{cluster, filesys, list, machine, nfsphys, strings, users};
 use crate::state::MoiraState;
@@ -19,7 +19,7 @@ struct IdSpace {
     in_use: fn(&Database, i64) -> bool,
 }
 
-fn taken<R: Relation>(db: &Database, col: Col<R>, id: i64) -> bool {
+fn taken<R: Relation>(db: &Database, col: Col<R, Int>, id: i64) -> bool {
     !db.select(&Pred::Eq(col, id.into())).is_empty()
 }
 

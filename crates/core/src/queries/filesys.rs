@@ -1,12 +1,12 @@
 //! Filesystem, NFS physical partition, and quota queries (§7.0.5).
 
 use moira_common::errors::{MrError, MrResult};
-use moira_db::{Pred, RowId, Value};
+use moira_db::{Col, Pred, Row, RowId};
 
 use crate::ace::{list_id_of, user_in_list, users_id_of};
 use crate::ids::alloc_id;
 use crate::registry::{AccessRule, Handler, QueryHandle, QueryKind, Registry};
-use crate::schema::{filesys, machine, nfsphys, nfsquota};
+use crate::schema::{filesys, nfsphys, nfsquota};
 use crate::state::{Caller, MoiraState};
 
 use super::helpers::*;
@@ -261,24 +261,24 @@ pub fn register(r: &mut Registry) {
     }
 }
 
-fn render_filesys(state: &MoiraState, row: RowId) -> Vec<String> {
-    let t = state.db.table(filesys::T);
-    vec![
-        t.cell(row, filesys::LABEL).render(),
-        t.cell(row, filesys::TYPE).render(),
-        machine_name(state, t.cell(row, filesys::MACH_ID).as_int()),
-        t.cell(row, filesys::NAME).render(),
-        t.cell(row, filesys::MOUNT).render(),
-        t.cell(row, filesys::ACCESS).render(),
-        t.cell(row, filesys::COMMENTS).render(),
-        user_login(state, t.cell(row, filesys::OWNER).as_int()),
-        list_name(state, t.cell(row, filesys::OWNERS).as_int()),
-        t.cell(row, filesys::CREATEFLG).render(),
-        t.cell(row, filesys::LOCKERTYPE).render(),
-        t.cell(row, filesys::MODTIME).render(),
-        t.cell(row, filesys::MODBY).render(),
-        t.cell(row, filesys::MODWITH).render(),
-    ]
+fn render_filesys(state: &MoiraState, row: RowId) -> MrResult<Vec<String>> {
+    let r = state.db.table(filesys::T).row(row)?;
+    Ok(vec![
+        r.render(filesys::LABEL),
+        r.render(filesys::TYPE),
+        machine_name(state, r.get(filesys::MACH_ID)),
+        r.render(filesys::NAME),
+        r.render(filesys::MOUNT),
+        r.render(filesys::ACCESS),
+        r.render(filesys::COMMENTS),
+        user_login(state, r.get(filesys::OWNER)),
+        list_name(state, r.get(filesys::OWNERS)),
+        r.render(filesys::CREATEFLG),
+        r.render(filesys::LOCKERTYPE),
+        r.render(filesys::MODTIME),
+        r.render(filesys::MODBY),
+        r.render(filesys::MODWITH),
+    ])
 }
 
 fn get_filesys_by_label(
@@ -290,10 +290,9 @@ fn get_filesys_by_label(
     if ids.is_empty() {
         return Err(MrError::NoMatch);
     }
-    Ok(ids
-        .into_iter()
+    ids.into_iter()
         .map(|id| render_filesys(state, id))
-        .collect())
+        .collect()
 }
 
 fn get_filesys_by_machine(
@@ -301,16 +300,14 @@ fn get_filesys_by_machine(
     _c: &Caller,
     a: &[String],
 ) -> MrResult<Vec<Vec<String>>> {
-    let mrow = one_machine(state, &a[0])?;
-    let mach_id = state.db.cell(mrow, machine::MACH_ID).as_int();
+    let mach_id = one_machine_id(state, &a[0])?;
     let ids = state.db.select(&Pred::Eq(filesys::MACH_ID, mach_id.into()));
     if ids.is_empty() {
         return Err(MrError::NoMatch);
     }
-    Ok(ids
-        .into_iter()
+    ids.into_iter()
         .map(|id| render_filesys(state, id))
-        .collect())
+        .collect()
 }
 
 fn get_filesys_by_nfsphys(
@@ -318,13 +315,11 @@ fn get_filesys_by_nfsphys(
     _c: &Caller,
     a: &[String],
 ) -> MrResult<Vec<Vec<String>>> {
-    let mrow = one_machine(state, &a[0])?;
-    let mach_id = state.db.cell(mrow, machine::MACH_ID).as_int();
+    let mach_id = one_machine_id(state, &a[0])?;
     let mut phys_ids = Vec::new();
-    for prow in state.db.select(&Pred::Eq(nfsphys::MACH_ID, mach_id.into())) {
-        let dir = state.db.cell(prow, nfsphys::DIR).render();
-        if moira_common::wildcard::matches(&a[1], &dir) {
-            phys_ids.push(state.db.cell(prow, nfsphys::NFSPHYS_ID).as_int());
+    for r in partitions_of(state, mach_id) {
+        if moira_common::wildcard::matches(&a[1], r.get(nfsphys::DIR)) {
+            phys_ids.push(r.get(nfsphys::NFSPHYS_ID));
         }
     }
     if phys_ids.is_empty() {
@@ -333,7 +328,7 @@ fn get_filesys_by_nfsphys(
     let mut out = Vec::new();
     for pid in phys_ids {
         for row in state.db.select(&Pred::Eq(filesys::PHYS_ID, pid.into())) {
-            out.push(render_filesys(state, row));
+            out.push(render_filesys(state, row)?);
         }
     }
     if out.is_empty() {
@@ -361,20 +356,19 @@ fn get_filesys_by_group(
     if ids.is_empty() {
         return Err(MrError::NoMatch);
     }
-    Ok(ids
-        .into_iter()
+    ids.into_iter()
         .map(|id| render_filesys(state, id))
-        .collect())
+        .collect()
 }
 
 /// Validates the pack name against exported NFS partitions: it must lie
 /// under an existing nfsphys directory on the same machine (`MR_NFS`
 /// "Specified directory not exported"). Returns the `nfsphys_id`.
 fn nfs_pack_check(state: &MoiraState, mach_id: i64, packname: &str) -> MrResult<i64> {
-    for prow in state.db.select(&Pred::Eq(nfsphys::MACH_ID, mach_id.into())) {
-        let dir = state.db.cell(prow, nfsphys::DIR).render();
+    for r in partitions_of(state, mach_id) {
+        let dir = r.render(nfsphys::DIR);
         if packname == dir || packname.starts_with(&format!("{}/", dir.trim_end_matches('/'))) {
-            return Ok(state.db.cell(prow, nfsphys::NFSPHYS_ID).as_int());
+            return Ok(r.get(nfsphys::NFSPHYS_ID));
         }
     }
     Err(MrError::Nfs)
@@ -403,8 +397,7 @@ fn validate_fs_args(
 ) -> MrResult<FsArgs> {
     check_type_alias(state, "filesys", fstype, MrError::Fstype)?;
     check_type_alias(state, "lockertype", lockertype, MrError::Type)?;
-    let mrow = one_machine(state, machine)?;
-    let mach_id = state.db.cell(mrow, machine::MACH_ID).as_int();
+    let mach_id = one_machine_id(state, machine)?;
     let owner = users_id_of(&state.db, owner)?;
     let owners = list_id_of(&state.db, owners)?;
     let create = parse_bool(create)?;
@@ -472,7 +465,7 @@ fn update_filesys(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<
     let row = one_filesys(state, &a[0])?;
     check_chars(&a[1])?;
     no_wildcards(&a[1])?;
-    let current = state.db.cell(row, filesys::LABEL).as_str().to_owned();
+    let current = state.db.table(filesys::T).row(row)?.get(filesys::LABEL);
     if a[1] != current
         && state
             .db
@@ -489,21 +482,21 @@ fn update_filesys(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<
     state.db.update(
         row,
         &[
-            (filesys::LABEL, a[1].as_str().into()),
-            (filesys::TYPE, v.fstype.into()),
-            (filesys::MACH_ID, v.mach_id.into()),
-            (filesys::PHYS_ID, v.phys_id.into()),
-            (filesys::NAME, a[4].as_str().into()),
-            (filesys::MOUNT, a[5].as_str().into()),
-            (filesys::ACCESS, a[6].as_str().into()),
-            (filesys::COMMENTS, a[7].as_str().into()),
-            (filesys::OWNER, v.owner.into()),
-            (filesys::OWNERS, v.owners.into()),
-            (filesys::CREATEFLG, Value::Bool(v.create)),
-            (filesys::LOCKERTYPE, a[11].to_ascii_uppercase().into()),
-            (filesys::MODTIME, now.into()),
-            (filesys::MODBY, who.into()),
-            (filesys::MODWITH, with.into()),
+            filesys::LABEL.set(&a[1]),
+            filesys::TYPE.set(v.fstype),
+            filesys::MACH_ID.set(v.mach_id),
+            filesys::PHYS_ID.set(v.phys_id),
+            filesys::NAME.set(&a[4]),
+            filesys::MOUNT.set(&a[5]),
+            filesys::ACCESS.set(&a[6]),
+            filesys::COMMENTS.set(&a[7]),
+            filesys::OWNER.set(v.owner),
+            filesys::OWNERS.set(v.owners),
+            filesys::CREATEFLG.set(v.create),
+            filesys::LOCKERTYPE.set(a[11].to_ascii_uppercase()),
+            filesys::MODTIME.set(now),
+            filesys::MODBY.set(who),
+            filesys::MODWITH.set(with),
         ],
     )?;
     Ok(Vec::new())
@@ -511,50 +504,43 @@ fn update_filesys(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<
 
 fn delete_filesys(state: &mut MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
     let row = one_filesys(state, &a[0])?;
-    let filsys_id = state.db.cell(row, filesys::FILSYS_ID).as_int();
+    let r = state.db.table(filesys::T).row(row)?;
+    let (filsys_id, phys_id) = (r.get(filesys::FILSYS_ID), r.get(filesys::PHYS_ID));
     // "Any quotas assigned to that filesystem will be deleted, and the
     // allocation count on the nfs physical partition will be decremented."
-    let mut reclaimed = 0i64;
-    for qrow in state
-        .db
-        .select(&Pred::Eq(nfsquota::FILSYS_ID, filsys_id.into()))
-    {
-        reclaimed += state.db.cell(qrow, nfsquota::QUOTA).as_int();
-    }
-    state
-        .db
-        .delete_where(&Pred::Eq(nfsquota::FILSYS_ID, filsys_id.into()));
-    let phys_id = state.db.cell(row, filesys::PHYS_ID).as_int();
+    let quotas = Pred::Eq(nfsquota::FILSYS_ID, filsys_id.into());
+    let quota_rows = state.db.table(nfsquota::T).rows(&quotas);
+    let reclaimed: i64 = quota_rows.map(|q| q.get(nfsquota::QUOTA)).sum();
+    state.db.delete_where(&quotas);
     if reclaimed > 0 {
-        if let Some(prow) = state
-            .db
-            .table(nfsphys::T)
-            .select_one(&Pred::Eq(nfsphys::NFSPHYS_ID, phys_id.into()))
-        {
-            let allocated = state.db.cell(prow, nfsphys::ALLOCATED).as_int();
-            state.db.update(
-                prow,
-                &[(nfsphys::ALLOCATED, (allocated - reclaimed).into())],
-            )?;
-        }
+        charge_allocation(state, phys_id, -reclaimed)?;
     }
     state.db.delete(filesys::T, row)?;
     Ok(Vec::new())
 }
 
-fn render_nfsphys(state: &MoiraState, row: RowId) -> Vec<String> {
-    let t = state.db.table(nfsphys::T);
-    vec![
-        machine_name(state, t.cell(row, nfsphys::MACH_ID).as_int()),
-        t.cell(row, nfsphys::DIR).render(),
-        t.cell(row, nfsphys::DEVICE).render(),
-        t.cell(row, nfsphys::STATUS).render(),
-        t.cell(row, nfsphys::ALLOCATED).render(),
-        t.cell(row, nfsphys::SIZE).render(),
-        t.cell(row, nfsphys::MODTIME).render(),
-        t.cell(row, nfsphys::MODBY).render(),
-        t.cell(row, nfsphys::MODWITH).render(),
-    ]
+const NFSPHYS_FIELDS: [Col<nfsphys::R>; 8] = [
+    nfsphys::DIR.erase(),
+    nfsphys::DEVICE.erase(),
+    nfsphys::STATUS.erase(),
+    nfsphys::ALLOCATED.erase(),
+    nfsphys::SIZE.erase(),
+    nfsphys::MODTIME.erase(),
+    nfsphys::MODBY.erase(),
+    nfsphys::MODWITH.erase(),
+];
+
+/// The NFSPHYS rows of machine `mach_id`.
+fn partitions_of(state: &MoiraState, mach_id: i64) -> impl Iterator<Item = Row<'_, nfsphys::R>> {
+    let phys = state.db.table(nfsphys::T);
+    phys.rows(&Pred::Eq(nfsphys::MACH_ID, mach_id.into()))
+}
+
+fn render_nfsphys(state: &MoiraState, row: RowId) -> MrResult<Vec<String>> {
+    let mach_id = state.db.table(nfsphys::T).row(row)?.get(nfsphys::MACH_ID);
+    let mut out = vec![machine_name(state, mach_id)];
+    out.extend(project(state, row, &NFSPHYS_FIELDS)?);
+    Ok(out)
 }
 
 fn get_all_nfsphys(state: &MoiraState, _c: &Caller, _a: &[String]) -> MrResult<Vec<Vec<String>>> {
@@ -562,20 +548,18 @@ fn get_all_nfsphys(state: &MoiraState, _c: &Caller, _a: &[String]) -> MrResult<V
     if ids.is_empty() {
         return Err(MrError::NoMatch);
     }
-    Ok(ids
-        .into_iter()
+    ids.into_iter()
         .map(|id| render_nfsphys(state, id))
-        .collect())
+        .collect()
 }
 
 fn get_nfsphys(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
-    let mrow = one_machine(state, &a[0])?;
-    let mach_id = state.db.cell(mrow, machine::MACH_ID).as_int();
+    let mach_id = one_machine_id(state, &a[0])?;
     let mut out = Vec::new();
     for row in state.db.select(&Pred::Eq(nfsphys::MACH_ID, mach_id.into())) {
-        let dir = state.db.cell(row, nfsphys::DIR).render();
-        if moira_common::wildcard::matches(&a[1], &dir) {
-            out.push(render_nfsphys(state, row));
+        let dir = state.db.table(nfsphys::T).row(row)?.get(nfsphys::DIR);
+        if moira_common::wildcard::matches(&a[1], dir) {
+            out.push(render_nfsphys(state, row)?);
         }
     }
     if out.is_empty() {
@@ -586,8 +570,7 @@ fn get_nfsphys(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Ve
 
 /// Finds an nfsphys row by machine + exact directory.
 fn one_nfsphys(state: &MoiraState, machine: &str, dir: &str) -> MrResult<RowId> {
-    let mrow = one_machine(state, machine)?;
-    let mach_id = state.db.cell(mrow, machine::MACH_ID).as_int();
+    let mach_id = one_machine_id(state, machine)?;
     state.db.select_exactly_one(
         &Pred::Eq(nfsphys::MACH_ID, mach_id.into()).and(Pred::Eq(nfsphys::DIR, dir.into())),
         MrError::Nfsphys,
@@ -595,8 +578,7 @@ fn one_nfsphys(state: &MoiraState, machine: &str, dir: &str) -> MrResult<RowId> 
 }
 
 fn add_nfsphys(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
-    let mrow = one_machine(state, &a[0])?;
-    let mach_id = state.db.cell(mrow, machine::MACH_ID).as_int();
+    let mach_id = one_machine_id(state, &a[0])?;
     let status = parse_int(&a[3])?;
     let allocated = parse_int(&a[4])?;
     let size = parse_int(&a[5])?;
@@ -639,13 +621,13 @@ fn update_nfsphys(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<
     state.db.update(
         row,
         &[
-            (nfsphys::DEVICE, a[2].as_str().into()),
-            (nfsphys::STATUS, status.into()),
-            (nfsphys::ALLOCATED, allocated.into()),
-            (nfsphys::SIZE, size.into()),
-            (nfsphys::MODTIME, now.into()),
-            (nfsphys::MODBY, who.into()),
-            (nfsphys::MODWITH, with.into()),
+            nfsphys::DEVICE.set(&a[2]),
+            nfsphys::STATUS.set(status),
+            nfsphys::ALLOCATED.set(allocated),
+            nfsphys::SIZE.set(size),
+            nfsphys::MODTIME.set(now),
+            nfsphys::MODBY.set(who),
+            nfsphys::MODWITH.set(with),
         ],
     )?;
     Ok(Vec::new())
@@ -658,15 +640,15 @@ fn adjust_nfsphys_allocation(
 ) -> MrResult<Vec<Vec<String>>> {
     let row = one_nfsphys(state, &a[0], &a[1])?;
     let delta = parse_int(&a[2])?;
-    let allocated = state.db.cell(row, nfsphys::ALLOCATED).as_int();
+    let allocated = state.db.table(nfsphys::T).row(row)?.get(nfsphys::ALLOCATED);
     let (now, who, with) = mod_fields(state, c);
     state.db.update(
         row,
         &[
-            (nfsphys::ALLOCATED, (allocated + delta).into()),
-            (nfsphys::MODTIME, now.into()),
-            (nfsphys::MODBY, who.into()),
-            (nfsphys::MODWITH, with.into()),
+            nfsphys::ALLOCATED.set(allocated + delta),
+            nfsphys::MODTIME.set(now),
+            nfsphys::MODBY.set(who),
+            nfsphys::MODWITH.set(with),
         ],
     )?;
     Ok(Vec::new())
@@ -674,7 +656,8 @@ fn adjust_nfsphys_allocation(
 
 fn delete_nfsphys(state: &mut MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
     let row = one_nfsphys(state, &a[0], &a[1])?;
-    let phys_id = state.db.cell(row, nfsphys::NFSPHYS_ID).as_int();
+    let r = state.db.table(nfsphys::T).row(row)?;
+    let phys_id = r.get(nfsphys::NFSPHYS_ID);
     if !state
         .db
         .select(&Pred::Eq(filesys::PHYS_ID, phys_id.into()))
@@ -686,39 +669,30 @@ fn delete_nfsphys(state: &mut MoiraState, _c: &Caller, a: &[String]) -> MrResult
     Ok(Vec::new())
 }
 
-fn quota_tuple(state: &MoiraState, qrow: RowId, with_mod: bool) -> Vec<String> {
-    let t = state.db.table(nfsquota::T);
-    let filsys_id = t.cell(qrow, nfsquota::FILSYS_ID).as_int();
+fn quota_tuple(state: &MoiraState, q: Row<'_, nfsquota::R>, with_mod: bool) -> Vec<String> {
+    let filsys_id = q.get(nfsquota::FILSYS_ID);
     let (label, dir, machine) = state
         .db
         .table(filesys::T)
-        .select_one(&Pred::Eq(filesys::FILSYS_ID, filsys_id.into()))
-        .map(|fr| {
-            let ft = state.db.table(filesys::T);
-            (
-                ft.cell(fr, filesys::LABEL).render(),
-                ft.cell(fr, filesys::NAME).render(),
-                machine_name(state, ft.cell(fr, filesys::MACH_ID).as_int()),
-            )
+        .find(&Pred::Eq(filesys::FILSYS_ID, filsys_id.into()))
+        .map(|f| {
+            let host = machine_name(state, f.get(filesys::MACH_ID));
+            (f.render(filesys::LABEL), f.render(filesys::NAME), host)
         })
         .unwrap_or_else(|| (format!("#{filsys_id}"), String::new(), String::new()));
-    let mut out = vec![
-        label,
-        user_login(state, t.cell(qrow, nfsquota::USERS_ID).as_int()),
-        t.cell(qrow, nfsquota::QUOTA).render(),
-        dir,
-        machine,
-    ];
+    let login = user_login(state, q.get(nfsquota::USERS_ID));
+    let mut out = vec![label, login, q.render(nfsquota::QUOTA), dir, machine];
     if with_mod {
-        out.push(t.cell(qrow, nfsquota::MODTIME).render());
-        out.push(t.cell(qrow, nfsquota::MODBY).render());
-        out.push(t.cell(qrow, nfsquota::MODWITH).render());
+        out.push(q.render(nfsquota::MODTIME));
+        out.push(q.render(nfsquota::MODBY));
+        out.push(q.render(nfsquota::MODWITH));
     }
     out
 }
 
 fn get_nfs_quota(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
     let users_id = users_id_of(&state.db, &a[1])?;
+    let label = Pred::name_match(filesys::LABEL, &a[0]);
     // Owner of the target filesystem or the query ACL; a user may also see
     // their own quotas.
     let allowed = on_query_acl(state, c, "get_nfs_quota")
@@ -727,23 +701,20 @@ fn get_nfs_quota(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<V
             .as_deref()
             .and_then(|p| users_id_of(&state.db, p).ok())
             .is_some_and(|caller_id| {
-                state
-                    .db
-                    .select(&Pred::name_match(filesys::LABEL, &a[0]))
-                    .iter()
-                    .all(|&fr| state.db.cell(fr, filesys::OWNER).as_int() == caller_id)
+                let mut fs = state.db.table(filesys::T).rows(&label);
+                fs.all(|f| f.get(filesys::OWNER) == caller_id)
             });
     if !allowed {
         return Err(MrError::Perm);
     }
     let mut out = Vec::new();
-    for frow in state.db.select(&Pred::name_match(filesys::LABEL, &a[0])) {
-        let filsys_id = state.db.cell(frow, filesys::FILSYS_ID).as_int();
-        for qrow in state.db.select(
-            &Pred::Eq(nfsquota::FILSYS_ID, filsys_id.into())
+    let quotas = state.db.table(nfsquota::T);
+    for f in state.db.table(filesys::T).rows(&label) {
+        for q in quotas.rows(
+            &Pred::Eq(nfsquota::FILSYS_ID, f.get(filesys::FILSYS_ID).into())
                 .and(Pred::Eq(nfsquota::USERS_ID, users_id.into())),
         ) {
-            out.push(quota_tuple(state, qrow, true));
+            out.push(quota_tuple(state, q, true));
         }
     }
     if out.is_empty() {
@@ -757,20 +728,18 @@ fn get_nfs_quotas_by_partition(
     _c: &Caller,
     a: &[String],
 ) -> MrResult<Vec<Vec<String>>> {
-    let mrow = one_machine(state, &a[0])?;
-    let mach_id = state.db.cell(mrow, machine::MACH_ID).as_int();
+    let mach_id = one_machine_id(state, &a[0])?;
     let mut out = Vec::new();
-    for prow in state.db.select(&Pred::Eq(nfsphys::MACH_ID, mach_id.into())) {
-        let dir = state.db.cell(prow, nfsphys::DIR).render();
-        if !moira_common::wildcard::matches(&a[1], &dir) {
+    let quotas = state.db.table(nfsquota::T);
+    for r in partitions_of(state, mach_id) {
+        if !moira_common::wildcard::matches(&a[1], r.get(nfsphys::DIR)) {
             continue;
         }
-        let phys_id = state.db.cell(prow, nfsphys::NFSPHYS_ID).as_int();
-        for qrow in state
-            .db
-            .select(&Pred::Eq(nfsquota::PHYS_ID, phys_id.into()))
-        {
-            out.push(quota_tuple(state, qrow, false));
+        for q in quotas.rows(&Pred::Eq(
+            nfsquota::PHYS_ID,
+            r.get(nfsphys::NFSPHYS_ID).into(),
+        )) {
+            out.push(quota_tuple(state, q, false));
         }
     }
     if out.is_empty() {
@@ -780,28 +749,26 @@ fn get_nfs_quotas_by_partition(
 }
 
 fn charge_allocation(state: &mut MoiraState, phys_id: i64, delta: i64) -> MrResult<()> {
-    if let Some(prow) = state
-        .db
-        .table(nfsphys::T)
-        .select_one(&Pred::Eq(nfsphys::NFSPHYS_ID, phys_id.into()))
-    {
-        let allocated = state.db.cell(prow, nfsphys::ALLOCATED).as_int();
+    let phys = state.db.table(nfsphys::T);
+    if let Some(prow) = phys.select_one(&Pred::Eq(nfsphys::NFSPHYS_ID, phys_id.into())) {
+        let allocated = phys.row(prow)?.get(nfsphys::ALLOCATED);
         state
             .db
-            .update(prow, &[(nfsphys::ALLOCATED, (allocated + delta).into())])?;
+            .update(prow, &[nfsphys::ALLOCATED.set(allocated + delta)])?;
     }
     Ok(())
 }
 
 fn add_nfs_quota(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
     let frow = one_filesys(state, &a[0])?;
+    let r = state.db.table(filesys::T).row(frow)?;
     let users_id = users_id_of(&state.db, &a[1])?;
     let quota = parse_int(&a[2])?;
     if quota < 0 {
         return Err(MrError::Integer);
     }
-    let filsys_id = state.db.cell(frow, filesys::FILSYS_ID).as_int();
-    let phys_id = state.db.cell(frow, filesys::PHYS_ID).as_int();
+    let filsys_id = r.get(filesys::FILSYS_ID);
+    let phys_id = r.get(filesys::PHYS_ID);
     let dup = !state
         .db
         .select(
@@ -832,15 +799,15 @@ fn add_nfs_quota(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<V
 fn find_quota(state: &MoiraState, filesys: &str, login: &str) -> MrResult<(RowId, i64, i64)> {
     let frow = one_filesys(state, filesys)?;
     let users_id = users_id_of(&state.db, login)?;
-    let filsys_id = state.db.cell(frow, filesys::FILSYS_ID).as_int();
+    let r = state.db.table(filesys::T).row(frow)?;
+    let filsys_id = r.get(filesys::FILSYS_ID);
     let qrow = state.db.select_exactly_one(
         &Pred::Eq(nfsquota::FILSYS_ID, filsys_id.into())
             .and(Pred::Eq(nfsquota::USERS_ID, users_id.into())),
         MrError::NoQuota,
     )?;
-    let phys_id = state.db.cell(qrow, nfsquota::PHYS_ID).as_int();
-    let old = state.db.cell(qrow, nfsquota::QUOTA).as_int();
-    Ok((qrow, phys_id, old))
+    let q = state.db.table(nfsquota::T).row(qrow)?;
+    Ok((qrow, q.get(nfsquota::PHYS_ID), q.get(nfsquota::QUOTA)))
 }
 
 fn update_nfs_quota(
@@ -857,10 +824,10 @@ fn update_nfs_quota(
     state.db.update(
         qrow,
         &[
-            (nfsquota::QUOTA, quota.into()),
-            (nfsquota::MODTIME, now.into()),
-            (nfsquota::MODBY, who.into()),
-            (nfsquota::MODWITH, with.into()),
+            nfsquota::QUOTA.set(quota),
+            nfsquota::MODTIME.set(now),
+            nfsquota::MODBY.set(who),
+            nfsquota::MODWITH.set(with),
         ],
     )?;
     charge_allocation(state, phys_id, quota - old)?;

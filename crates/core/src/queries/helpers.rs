@@ -4,7 +4,7 @@
 use moira_common::errors::{MrError, MrResult};
 use moira_common::strutil;
 use moira_common::wildcard;
-use moira_db::{Col, Pred, Relation, RowId, Value};
+use moira_db::{Col, Int, Pred, Relation, RowId, Str};
 
 use crate::schema::{alias, cluster, filesys, list, machine, servers, strings, users};
 use crate::state::{Caller, MoiraState};
@@ -84,7 +84,7 @@ pub fn mod_fields(state: &MoiraState, caller: &Caller) -> (i64, String, String) 
 /// match exactly one" rule).
 pub fn exactly_one<R: Relation>(
     state: &MoiraState,
-    col: Col<R>,
+    col: Col<R, Str>,
     name: &str,
     not_found: MrError,
 ) -> MrResult<RowId> {
@@ -97,7 +97,7 @@ pub fn exactly_one<R: Relation>(
 /// (machines, services).
 pub fn exactly_one_ci<R: Relation>(
     state: &MoiraState,
-    col: Col<R>,
+    col: Col<R, Str>,
     name: &str,
     not_found: MrError,
 ) -> MrResult<RowId> {
@@ -114,6 +114,12 @@ pub fn one_user(state: &MoiraState, login: &str) -> MrResult<RowId> {
 /// Exactly one machine by (canonicalized) name.
 pub fn one_machine(state: &MoiraState, name: &str) -> MrResult<RowId> {
     exactly_one_ci(state, machine::NAME, name, MrError::Machine)
+}
+
+/// The `mach_id` of exactly one machine by (canonicalized) name.
+pub fn one_machine_id(state: &MoiraState, name: &str) -> MrResult<i64> {
+    let row = one_machine(state, name)?;
+    Ok(state.db.table(machine::T).row(row)?.get(machine::MACH_ID))
 }
 
 /// Exactly one cluster by name (case sensitive, §7.0.2).
@@ -137,61 +143,60 @@ pub fn one_filesys(state: &MoiraState, label: &str) -> MrResult<RowId> {
 }
 
 /// Projects columns of a row into protocol strings.
-pub fn project<R: Relation>(state: &MoiraState, id: RowId, cols: &[Col<R>]) -> Vec<String> {
-    let t = state.db.table(R::default());
-    cols.iter().map(|&c| t.cell(id, c).render()).collect()
+pub fn project<R: Relation>(
+    state: &MoiraState,
+    id: RowId,
+    cols: &[Col<R>],
+) -> MrResult<Vec<String>> {
+    let r = state.db.table(R::default()).row(id)?;
+    Ok(cols.iter().map(|&c| r.render(c)).collect())
+}
+
+/// Column `col` of the one row of `R` whose `key` column is `id`; dangling
+/// ids render as `#id`.
+fn name_by_id<R: Relation>(
+    state: &MoiraState,
+    key: Col<R, Int>,
+    id: i64,
+    col: Col<R, Str>,
+) -> String {
+    state
+        .db
+        .table(R::default())
+        .find(&Pred::Eq(key, id.into()))
+        .map_or_else(|| format!("#{id}"), |r| r.get(col).to_owned())
 }
 
 /// The machine name for a `mach_id` (dangling ids render as `#id`).
 pub fn machine_name(state: &MoiraState, mach_id: i64) -> String {
-    state
-        .db
-        .table(machine::T)
-        .select_one(&Pred::Eq(machine::MACH_ID, mach_id.into()))
-        .map(|r| state.db.cell(r, machine::NAME).as_str().to_owned())
-        .unwrap_or_else(|| format!("#{mach_id}"))
+    name_by_id(state, machine::MACH_ID, mach_id, machine::NAME)
 }
 
 /// The login for a `users_id`.
 pub fn user_login(state: &MoiraState, users_id: i64) -> String {
-    state
-        .db
-        .table(users::T)
-        .select_one(&Pred::Eq(users::USERS_ID, users_id.into()))
-        .map(|r| state.db.cell(r, users::LOGIN).as_str().to_owned())
-        .unwrap_or_else(|| format!("#{users_id}"))
+    name_by_id(state, users::USERS_ID, users_id, users::LOGIN)
 }
 
 /// The list name for a `list_id`.
 pub fn list_name(state: &MoiraState, list_id: i64) -> String {
-    state
-        .db
-        .table(list::T)
-        .select_one(&Pred::Eq(list::LIST_ID, list_id.into()))
-        .map(|r| state.db.cell(r, list::NAME).as_str().to_owned())
-        .unwrap_or_else(|| format!("#{list_id}"))
+    name_by_id(state, list::LIST_ID, list_id, list::NAME)
 }
 
 /// The string for a `string_id` (STRINGS relation).
 pub fn string_of(state: &MoiraState, string_id: i64) -> String {
-    state
-        .db
-        .table(strings::T)
-        .select_one(&Pred::Eq(strings::STRING_ID, string_id.into()))
-        .map(|r| state.db.cell(r, strings::STRING).as_str().to_owned())
-        .unwrap_or_else(|| format!("#{string_id}"))
+    name_by_id(state, strings::STRING_ID, string_id, strings::STRING)
 }
 
 /// Finds or creates a STRINGS entry, returning its id — "an optimization
 /// for dealing with arbitrary addresses in poboxes or as list members"
 /// (§6).
 pub fn intern_string(state: &mut MoiraState, s: &str) -> MrResult<i64> {
-    if let Some(row) = state
+    if let Some(r) = state
         .db
         .table(strings::T)
-        .select_one(&Pred::Eq(strings::STRING, s.into()))
+        .find(&Pred::Eq(strings::STRING, s.into()))
     {
-        return Ok(state.db.cell(row, strings::STRING_ID).as_int());
+        return Ok(r.get(strings::STRING_ID));
     }
     let id = crate::ids::alloc_id(state, "string_id")?;
     state.db.append(strings::T, vec![id.into(), s.into()])?;
@@ -205,10 +210,7 @@ pub fn on_query_acl(state: &MoiraState, caller: &Caller, query: &str) -> bool {
     crate::access::caller_has_capability(state, caller, query)
 }
 
-/// Renders a boolean cell for qualified queries' tristate matching.
-pub fn matches_tristate(cell: &Value, want: Option<bool>) -> bool {
-    match want {
-        None => true,
-        Some(w) => cell.as_bool() == w,
-    }
+/// A boolean cell against a qualified query's TRUE / FALSE / DONTCARE.
+pub fn matches_tristate(cell: bool, want: Option<bool>) -> bool {
+    want.is_none_or(|w| cell == w)
 }

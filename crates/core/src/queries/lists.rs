@@ -6,9 +6,9 @@
 //! self-service membership, and hidden lists.
 
 use moira_common::errors::{MrError, MrResult};
-use moira_db::{Col, Pred, Relation, RowId, Value};
+use moira_db::{Col, Int, Pred, Relation, RowId, Str};
 
-use crate::ace::{list_id_of, resolve_ace, user_in_list, users_id_of, Ace};
+use crate::ace::{list_id_of, members_of, resolve_ace, user_in_list, users_id_of, Ace};
 use crate::ids::alloc_id;
 use crate::registry::{AccessRule, Handler, QueryHandle, QueryKind, Registry};
 use crate::schema::{
@@ -33,6 +33,21 @@ const LIST_INFO: &[&str] = &[
     "modtime",
     "modby",
     "modwith",
+];
+
+/// `get_list_info`'s columns around the ACE pair, which is rendered apart.
+const LIST_FIELDS: [Col<list::R>; 11] = [
+    list::NAME.erase(),
+    list::ACTIVE.erase(),
+    list::PUBLIC.erase(),
+    list::HIDDEN.erase(),
+    list::MAILLIST.erase(),
+    list::GROUPLIST.erase(),
+    list::GID.erase(),
+    list::DESC.erase(),
+    list::MODTIME.erase(),
+    list::MODBY.erase(),
+    list::MODWITH.erase(),
 ];
 
 /// Registers the list queries.
@@ -178,28 +193,14 @@ pub fn register(r: &mut Registry) {
 }
 
 /// Renders one list row into the `get_list_info` tuple.
-fn render_list_info(state: &MoiraState, row: RowId) -> Vec<String> {
-    let t = state.db.table(list::T);
-    let (ace_type, ace_name) = crate::ace::render_ace(
-        &state.db,
-        t.cell(row, list::ACL_TYPE).as_str(),
-        t.cell(row, list::ACL_ID).as_int(),
-    );
-    vec![
-        t.cell(row, list::NAME).render(),
-        t.cell(row, list::ACTIVE).render(),
-        t.cell(row, list::PUBLIC).render(),
-        t.cell(row, list::HIDDEN).render(),
-        t.cell(row, list::MAILLIST).render(),
-        t.cell(row, list::GROUPLIST).render(),
-        t.cell(row, list::GID).render(),
-        ace_type,
-        ace_name,
-        t.cell(row, list::DESC).render(),
-        t.cell(row, list::MODTIME).render(),
-        t.cell(row, list::MODBY).render(),
-        t.cell(row, list::MODWITH).render(),
-    ]
+fn render_list_info(state: &MoiraState, row: RowId) -> MrResult<Vec<String>> {
+    let r = state.db.table(list::T).row(row)?;
+    let (ace_type, ace_name) =
+        crate::ace::render_ace(&state.db, r.get(list::ACL_TYPE), r.get(list::ACL_ID));
+    let mut out = project(state, row, &LIST_FIELDS[..7])?;
+    out.extend([ace_type, ace_name]);
+    out.extend(project(state, row, &LIST_FIELDS[7..])?);
+    Ok(out)
 }
 
 /// True if the caller is on the ACE of list `row`.
@@ -225,11 +226,11 @@ fn get_list_info(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<V
     }
     let mut out = Vec::new();
     for id in ids {
-        let hidden = state.db.cell(id, list::HIDDEN).as_bool();
+        let hidden = state.db.table(list::T).row(id)?.get(list::HIDDEN);
         if hidden && !on_acl && !caller_on_list_ace(state, c, id) {
             return Err(MrError::Perm);
         }
-        out.push(render_list_info(state, id));
+        out.push(render_list_info(state, id)?);
     }
     Ok(out)
 }
@@ -239,11 +240,11 @@ fn expand_list_names(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult<V
     let ids = state.db.select(&Pred::name_match(list::NAME, &a[0]));
     let mut out = Vec::new();
     for id in ids {
-        let hidden = state.db.cell(id, list::HIDDEN).as_bool();
-        if hidden && !on_acl && !caller_on_list_ace(state, c, id) {
+        let r = state.db.table(list::T).row(id)?;
+        if r.get(list::HIDDEN) && !on_acl && !caller_on_list_ace(state, c, id) {
             continue;
         }
-        out.push(vec![state.db.cell(id, list::NAME).render()]);
+        out.push(vec![r.get(list::NAME).to_owned()]);
     }
     if out.is_empty() {
         return Err(MrError::NoMatch);
@@ -324,7 +325,8 @@ fn update_list(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec
     let newname = &a[1];
     check_chars(newname)?;
     no_wildcards(newname)?;
-    let current = state.db.cell(row, list::NAME).as_str().to_owned();
+    let r = state.db.table(list::T).row(row)?;
+    let (current, list_id) = (r.get(list::NAME).to_owned(), r.get(list::LIST_ID));
     if newname != &current
         && state
             .db
@@ -336,7 +338,6 @@ fn update_list(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec
     }
     let group = parse_bool(&a[6])?;
     let gid = parse_gid(state, group, &a[7])?;
-    let list_id = state.db.cell(row, list::LIST_ID).as_int();
     let ace = if a[8].eq_ignore_ascii_case("LIST") && (&a[9] == newname || a[9] == current) {
         Ace::List(list_id)
     } else {
@@ -346,19 +347,19 @@ fn update_list(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec
     state.db.update(
         row,
         &[
-            (list::NAME, newname.as_str().into()),
-            (list::ACTIVE, Value::Bool(parse_bool(&a[2])?)),
-            (list::PUBLIC, Value::Bool(parse_bool(&a[3])?)),
-            (list::HIDDEN, Value::Bool(parse_bool(&a[4])?)),
-            (list::MAILLIST, Value::Bool(parse_bool(&a[5])?)),
-            (list::GROUPLIST, Value::Bool(group)),
-            (list::GID, gid.into()),
-            (list::ACL_TYPE, ace.type_str().into()),
-            (list::ACL_ID, ace.id().into()),
-            (list::DESC, a[10].as_str().into()),
-            (list::MODTIME, now.into()),
-            (list::MODBY, who.into()),
-            (list::MODWITH, with.into()),
+            list::NAME.set(newname.as_str()),
+            list::ACTIVE.set(parse_bool(&a[2])?),
+            list::PUBLIC.set(parse_bool(&a[3])?),
+            list::HIDDEN.set(parse_bool(&a[4])?),
+            list::MAILLIST.set(parse_bool(&a[5])?),
+            list::GROUPLIST.set(group),
+            list::GID.set(gid),
+            list::ACL_TYPE.set(ace.type_str()),
+            list::ACL_ID.set(ace.id()),
+            list::DESC.set(&a[10]),
+            list::MODTIME.set(now),
+            list::MODBY.set(who),
+            list::MODWITH.set(with),
         ],
     )?;
     Ok(Vec::new())
@@ -393,8 +394,8 @@ fn list_referenced(state: &MoiraState, list_id: i64) -> bool {
 /// The rows of `R` whose ACE, held in `type_col`/`id_col`, is list `list_id`.
 fn rows_with_list_ace<R: Relation>(
     state: &MoiraState,
-    type_col: Col<R>,
-    id_col: Col<R>,
+    type_col: Col<R, Str>,
+    id_col: Col<R, Int>,
     list_id: i64,
 ) -> Vec<RowId> {
     state
@@ -407,14 +408,14 @@ fn delete_list(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec
     if !caller_on_list_ace(state, c, row) && !on_query_acl(state, c, "delete_list") {
         return Err(MrError::Perm);
     }
-    let list_id = state.db.cell(row, list::LIST_ID).as_int();
+    let r = state.db.table(list::T).row(row)?;
+    let list_id = r.get(list::LIST_ID);
     let has_members = !state
         .db
         .select(&Pred::Eq(members::LIST_ID, list_id.into()))
         .is_empty();
     // A self-referential ACE does not count as a reference.
-    let self_ace = state.db.cell(row, list::ACL_TYPE).as_str() == "LIST"
-        && state.db.cell(row, list::ACL_ID).as_int() == list_id;
+    let self_ace = r.get(list::ACL_TYPE) == "LIST" && r.get(list::ACL_ID) == list_id;
     if has_members || (list_referenced(state, list_id) && !self_ace) {
         return Err(MrError::InUse);
     }
@@ -478,12 +479,12 @@ fn may_edit_members(
     mtype: &str,
     member: &str,
     query: &str,
-) -> bool {
-    let public = state.db.cell(row, list::PUBLIC).as_bool();
+) -> MrResult<bool> {
+    let public = state.db.table(list::T).row(row)?.get(list::PUBLIC);
     if public && mtype.eq_ignore_ascii_case("USER") && c.principal.as_deref() == Some(member) {
-        return true;
+        return Ok(true);
     }
-    caller_on_list_ace(state, c, row) || on_query_acl(state, c, query)
+    Ok(caller_on_list_ace(state, c, row) || on_query_acl(state, c, query))
 }
 
 fn touch_list(state: &mut MoiraState, c: &Caller, row: RowId) -> MrResult<()> {
@@ -491,9 +492,9 @@ fn touch_list(state: &mut MoiraState, c: &Caller, row: RowId) -> MrResult<()> {
     state.db.update(
         row,
         &[
-            (list::MODTIME, now.into()),
-            (list::MODBY, who.into()),
-            (list::MODWITH, with.into()),
+            list::MODTIME.set(now),
+            list::MODBY.set(who),
+            list::MODWITH.set(with),
         ],
     )?;
     Ok(())
@@ -505,11 +506,11 @@ fn add_member_to_list(
     a: &[String],
 ) -> MrResult<Vec<Vec<String>>> {
     let row = one_list(state, &a[0])?;
-    if !may_edit_members(state, c, row, &a[1], &a[2], "add_member_to_list") {
+    if !may_edit_members(state, c, row, &a[1], &a[2], "add_member_to_list")? {
         return Err(MrError::Perm);
     }
     let (mtype, mid) = resolve_member(state, &a[1], &a[2])?;
-    let list_id = state.db.cell(row, list::LIST_ID).as_int();
+    let list_id = state.db.table(list::T).row(row)?.get(list::LIST_ID);
     let dup = !state
         .db
         .select(
@@ -534,11 +535,11 @@ fn delete_member_from_list(
     a: &[String],
 ) -> MrResult<Vec<Vec<String>>> {
     let row = one_list(state, &a[0])?;
-    if !may_edit_members(state, c, row, &a[1], &a[2], "delete_member_from_list") {
+    if !may_edit_members(state, c, row, &a[1], &a[2], "delete_member_from_list")? {
         return Err(MrError::Perm);
     }
     let (mtype, mid) = resolve_member(state, &a[1], &a[2])?;
-    let list_id = state.db.cell(row, list::LIST_ID).as_int();
+    let list_id = state.db.table(list::T).row(row)?.get(list::LIST_ID);
     let gone = state.db.delete_where(
         &Pred::Eq(members::LIST_ID, list_id.into())
             .and(Pred::Eq(members::MEMBER_TYPE, mtype.as_str().into()))
@@ -590,12 +591,11 @@ fn list_in_list(db: &moira_db::Database, inner: i64, outer: i64) -> bool {
             return false;
         }
         seen.push(outer);
-        for row in db.select(&Pred::Eq(members::LIST_ID, outer.into())) {
-            let t = db.table(members::T);
-            if t.cell(row, members::MEMBER_TYPE).as_str() != "LIST" {
+        for r in members_of(db, outer) {
+            if r.get(members::MEMBER_TYPE) != "LIST" {
                 continue;
             }
-            let mid = t.cell(row, members::MEMBER_ID).as_int();
+            let mid = r.get(members::MEMBER_ID);
             if mid == inner || walk(db, inner, mid, depth + 1, seen) {
                 return true;
             }
@@ -637,63 +637,40 @@ fn get_ace_use(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<Vec
 
     let mut out: Vec<Vec<String>> = Vec::new();
     let db = &state.db;
-    for row in db.table(list::T).select(&Pred::True) {
-        let t = db.table(list::T);
-        if target.matches(
-            db,
-            t.cell(row, list::ACL_TYPE).as_str(),
-            t.cell(row, list::ACL_ID).as_int(),
-        ) {
-            out.push(vec!["LIST".into(), t.cell(row, list::NAME).render()]);
+    for r in db.table(list::T).rows(&Pred::True) {
+        if target.matches(db, r.get(list::ACL_TYPE), r.get(list::ACL_ID)) {
+            out.push(vec!["LIST".into(), r.get(list::NAME).to_owned()]);
         }
     }
-    for row in db.table(servers::T).select(&Pred::True) {
-        let t = db.table(servers::T);
-        if target.matches(
-            db,
-            t.cell(row, servers::ACL_TYPE).as_str(),
-            t.cell(row, servers::ACL_ID).as_int(),
-        ) {
-            out.push(vec!["SERVICE".into(), t.cell(row, servers::NAME).render()]);
+    for r in db.table(servers::T).rows(&Pred::True) {
+        if target.matches(db, r.get(servers::ACL_TYPE), r.get(servers::ACL_ID)) {
+            out.push(vec!["SERVICE".into(), r.get(servers::NAME).to_owned()]);
         }
     }
-    for row in db.table(filesys::T).select(&Pred::True) {
-        let t = db.table(filesys::T);
-        let owner_matches = target.matches(db, "USER", t.cell(row, filesys::OWNER).as_int());
-        let owners_matches = target.matches(db, "LIST", t.cell(row, filesys::OWNERS).as_int());
+    for r in db.table(filesys::T).rows(&Pred::True) {
+        let owner_matches = target.matches(db, "USER", r.get(filesys::OWNER));
+        let owners_matches = target.matches(db, "LIST", r.get(filesys::OWNERS));
         if owner_matches || owners_matches {
-            out.push(vec!["FILESYS".into(), t.cell(row, filesys::LABEL).render()]);
+            out.push(vec!["FILESYS".into(), r.get(filesys::LABEL).to_owned()]);
         }
     }
-    for row in db.table(capacls::T).select(&Pred::True) {
-        let t = db.table(capacls::T);
-        if target.matches(db, "LIST", t.cell(row, capacls::LIST_ID).as_int()) {
-            out.push(vec![
-                "QUERY".into(),
-                t.cell(row, capacls::CAPABILITY).render(),
-            ]);
+    for r in db.table(capacls::T).rows(&Pred::True) {
+        if target.matches(db, "LIST", r.get(capacls::LIST_ID)) {
+            out.push(vec!["QUERY".into(), r.get(capacls::CAPABILITY).to_owned()]);
         }
     }
-    for row in db.table(hostaccess::T).select(&Pred::True) {
-        let t = db.table(hostaccess::T);
-        if target.matches(
-            db,
-            t.cell(row, hostaccess::ACL_TYPE).as_str(),
-            t.cell(row, hostaccess::ACL_ID).as_int(),
-        ) {
-            out.push(vec![
-                "HOSTACCESS".into(),
-                machine_name(state, t.cell(row, hostaccess::MACH_ID).as_int()),
-            ]);
+    for r in db.table(hostaccess::T).rows(&Pred::True) {
+        if target.matches(db, r.get(hostaccess::ACL_TYPE), r.get(hostaccess::ACL_ID)) {
+            let host = machine_name(state, r.get(hostaccess::MACH_ID));
+            out.push(vec!["HOSTACCESS".into(), host]);
         }
     }
-    for row in db.table(zephyr::T).select(&Pred::True) {
-        let t = db.table(zephyr::T);
+    for r in db.table(zephyr::T).rows(&Pred::True) {
         if ZEPHYR_ACES
             .iter()
-            .any(|&(tc, ic)| target.matches(db, t.cell(row, tc).as_str(), t.cell(row, ic).as_int()))
+            .any(|&(tc, ic)| target.matches(db, r.get(tc), r.get(ic)))
         {
-            out.push(vec!["ZEPHYR".into(), t.cell(row, zephyr::CLASS).render()]);
+            out.push(vec!["ZEPHYR".into(), r.get(zephyr::CLASS).to_owned()]);
         }
     }
     out.sort();
@@ -721,13 +698,14 @@ fn qualified_get_lists(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult
     let t = state.db.table(list::T);
     let mut out = Vec::new();
     for (row, _) in t.iter() {
-        if matches_tristate(t.cell(row, list::ACTIVE), active)
-            && matches_tristate(t.cell(row, list::PUBLIC), public)
-            && matches_tristate(t.cell(row, list::HIDDEN), hidden)
-            && matches_tristate(t.cell(row, list::MAILLIST), maillist)
-            && matches_tristate(t.cell(row, list::GROUPLIST), group)
+        let r = t.row(row)?;
+        if matches_tristate(r.get(list::ACTIVE), active)
+            && matches_tristate(r.get(list::PUBLIC), public)
+            && matches_tristate(r.get(list::HIDDEN), hidden)
+            && matches_tristate(r.get(list::MAILLIST), maillist)
+            && matches_tristate(r.get(list::GROUPLIST), group)
         {
-            out.push(vec![t.cell(row, list::NAME).render()]);
+            out.push(vec![r.get(list::NAME).to_owned()]);
         }
     }
     if out.is_empty() {
@@ -736,28 +714,26 @@ fn qualified_get_lists(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult
     Ok(out)
 }
 
-fn may_see_members(state: &MoiraState, c: &Caller, row: RowId, query: &str) -> bool {
-    let hidden = state.db.cell(row, list::HIDDEN).as_bool();
-    !hidden || caller_on_list_ace(state, c, row) || on_query_acl(state, c, query)
+fn may_see_members(state: &MoiraState, c: &Caller, row: RowId, query: &str) -> MrResult<bool> {
+    let hidden = state.db.table(list::T).row(row)?.get(list::HIDDEN);
+    Ok(!hidden || caller_on_list_ace(state, c, row) || on_query_acl(state, c, query))
 }
 
 fn get_members_of_list(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
     let row = one_list(state, &a[0])?;
-    if !may_see_members(state, c, row, "get_members_of_list") {
+    if !may_see_members(state, c, row, "get_members_of_list")? {
         return Err(MrError::Perm);
     }
-    let list_id = state.db.cell(row, list::LIST_ID).as_int();
+    let list_id = state.db.table(list::T).row(row)?.get(list::LIST_ID);
     let mut out = Vec::new();
-    for mrow in state.db.select(&Pred::Eq(members::LIST_ID, list_id.into())) {
-        let t = state.db.table(members::T);
-        let mtype = t.cell(mrow, members::MEMBER_TYPE).as_str().to_owned();
-        let mid = t.cell(mrow, members::MEMBER_ID).as_int();
-        let value = match mtype.as_str() {
+    for r in members_of(&state.db, list_id) {
+        let (mtype, mid) = (r.get(members::MEMBER_TYPE), r.get(members::MEMBER_ID));
+        let value = match mtype {
             "USER" => user_login(state, mid),
             "LIST" => list_name(state, mid),
             _ => string_of(state, mid),
         };
-        out.push(vec![mtype, value]);
+        out.push(vec![mtype.to_owned(), value]);
     }
     out.sort();
     Ok(out)
@@ -781,8 +757,8 @@ fn get_lists_of_member(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult
             state
                 .db
                 .table(strings::T)
-                .select_one(&Pred::Eq(strings::STRING, a[1].as_str().into()))
-                .map(|r| state.db.cell(r, strings::STRING_ID).as_int())
+                .find(&Pred::Eq(strings::STRING, a[1].as_str().into()))
+                .map(|r| r.get(strings::STRING_ID))
                 .ok_or(MrError::NoMatch)?,
         ),
         _ => return Err(MrError::Type),
@@ -794,23 +770,22 @@ fn get_lists_of_member(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult
     }
 
     // Direct memberships, then (for R types) the transitive closure upward.
-    let mut list_ids: Vec<i64> = state
-        .db
-        .select(
+    let members = state.db.table(members::T);
+    let mut list_ids: Vec<i64> = members
+        .rows(
             &Pred::Eq(members::MEMBER_TYPE, mtype.into())
                 .and(Pred::Eq(members::MEMBER_ID, mid.into())),
         )
-        .into_iter()
-        .map(|r| state.db.cell(r, members::LIST_ID).as_int())
+        .map(|r| r.get(members::LIST_ID))
         .collect();
     if recursive {
         let mut frontier = list_ids.clone();
         while let Some(lid) = frontier.pop() {
-            for r in state.db.select(
+            for r in members.rows(
                 &Pred::Eq(members::MEMBER_TYPE, "LIST".into())
                     .and(Pred::Eq(members::MEMBER_ID, lid.into())),
             ) {
-                let parent = state.db.cell(r, members::LIST_ID).as_int();
+                let parent = r.get(members::LIST_ID);
                 if !list_ids.contains(&parent) {
                     list_ids.push(parent);
                     frontier.push(parent);
@@ -821,21 +796,10 @@ fn get_lists_of_member(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult
     list_ids.sort_unstable();
     list_ids.dedup();
     let mut out = Vec::new();
+    let lists = state.db.table(list::T);
     for lid in list_ids {
-        if let Some(row) = state
-            .db
-            .table(list::T)
-            .select_one(&Pred::Eq(list::LIST_ID, lid.into()))
-        {
-            let t = state.db.table(list::T);
-            out.push(vec![
-                t.cell(row, list::NAME).render(),
-                t.cell(row, list::ACTIVE).render(),
-                t.cell(row, list::PUBLIC).render(),
-                t.cell(row, list::HIDDEN).render(),
-                t.cell(row, list::MAILLIST).render(),
-                t.cell(row, list::GROUPLIST).render(),
-            ]);
+        if let Some(row) = lists.select_one(&Pred::Eq(list::LIST_ID, lid.into())) {
+            out.push(project(state, row, &LIST_FIELDS[..6])?);
         }
     }
     if out.is_empty() {
@@ -850,15 +814,13 @@ fn count_members_of_list(
     a: &[String],
 ) -> MrResult<Vec<Vec<String>>> {
     let row = one_list(state, &a[0])?;
-    if !may_see_members(state, c, row, "count_members_of_list") {
+    if !may_see_members(state, c, row, "count_members_of_list")? {
         return Err(MrError::Perm);
     }
-    let list_id = state.db.cell(row, list::LIST_ID).as_int();
-    let n = state
-        .db
-        .select(&Pred::Eq(members::LIST_ID, list_id.into()))
-        .len();
-    Ok(vec![vec![n.to_string()]])
+    let list_id = state.db.table(list::T).row(row)?.get(list::LIST_ID);
+    Ok(vec![vec![members_of(&state.db, list_id)
+        .count()
+        .to_string()]])
 }
 
 /// Expands a list to its transitive USER member ids plus STRING member ids
@@ -870,10 +832,9 @@ pub fn expand_member_ids_recursive(state: &MoiraState, list_id: i64) -> (Vec<i64
     let mut seen = vec![list_id];
     let mut frontier = vec![list_id];
     while let Some(lid) = frontier.pop() {
-        for row in state.db.select(&Pred::Eq(members::LIST_ID, lid.into())) {
-            let t = state.db.table(members::T);
-            let mid = t.cell(row, members::MEMBER_ID).as_int();
-            match t.cell(row, members::MEMBER_TYPE).as_str() {
+        for r in members_of(&state.db, lid) {
+            let mid = r.get(members::MEMBER_ID);
+            match r.get(members::MEMBER_TYPE) {
                 "USER" => users.push(mid),
                 "STRING" => strings.push(mid),
                 "LIST" if !seen.contains(&mid) => {
@@ -900,11 +861,9 @@ pub fn expand_members_recursive(state: &MoiraState, list_id: i64) -> (Vec<String
     let mut seen = vec![list_id];
     let mut frontier = vec![list_id];
     while let Some(lid) = frontier.pop() {
-        for row in state.db.select(&Pred::Eq(members::LIST_ID, lid.into())) {
-            let t = state.db.table(members::T);
-            let mtype = t.cell(row, members::MEMBER_TYPE).as_str().to_owned();
-            let mid = t.cell(row, members::MEMBER_ID).as_int();
-            match mtype.as_str() {
+        for r in members_of(&state.db, lid) {
+            let mid = r.get(members::MEMBER_ID);
+            match r.get(members::MEMBER_TYPE) {
                 "USER" => users.push(user_login(state, mid)),
                 "STRING" => strings.push(string_of(state, mid)),
                 "LIST" if !seen.contains(&mid) => {

@@ -14,20 +14,20 @@ use crate::state::{Caller, MoiraState};
 use super::helpers::*;
 
 const MACHINE_FIELDS: [Col<machine::R>; 5] = [
-    machine::NAME,
-    machine::TYPE,
-    machine::MODTIME,
-    machine::MODBY,
-    machine::MODWITH,
+    machine::NAME.erase(),
+    machine::TYPE.erase(),
+    machine::MODTIME.erase(),
+    machine::MODBY.erase(),
+    machine::MODWITH.erase(),
 ];
 const MACHINE_NAMES: [&str; 5] = Col::names(&MACHINE_FIELDS);
 const CLUSTER_FIELDS: [Col<cluster::R>; 6] = [
-    cluster::NAME,
-    cluster::DESC,
-    cluster::LOCATION,
-    cluster::MODTIME,
-    cluster::MODBY,
-    cluster::MODWITH,
+    cluster::NAME.erase(),
+    cluster::DESC.erase(),
+    cluster::LOCATION.erase(),
+    cluster::MODTIME.erase(),
+    cluster::MODBY.erase(),
+    cluster::MODWITH.erase(),
 ];
 const CLUSTER_NAMES: [&str; 6] = Col::names(&CLUSTER_FIELDS);
 
@@ -175,10 +175,9 @@ fn get_machine(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Ve
     if ids.is_empty() {
         return Err(MrError::NoMatch);
     }
-    Ok(ids
-        .into_iter()
+    ids.into_iter()
         .map(|id| project(state, id, &MACHINE_FIELDS))
-        .collect())
+        .collect()
 }
 
 fn add_machine(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
@@ -219,7 +218,7 @@ fn update_machine(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<
     check_chars(&newname)?;
     no_wildcards(&newname)?;
     check_type_alias(state, "mach_type", &a[2], MrError::Type)?;
-    let current = state.db.cell(row, machine::NAME).as_str().to_owned();
+    let current = state.db.table(machine::T).row(row)?.get(machine::NAME);
     if newname != current
         && state
             .db
@@ -233,11 +232,11 @@ fn update_machine(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<
     state.db.update(
         row,
         &[
-            (machine::NAME, newname.into()),
-            (machine::TYPE, a[2].to_ascii_uppercase().into()),
-            (machine::MODTIME, now.into()),
-            (machine::MODBY, who.into()),
-            (machine::MODWITH, with.into()),
+            machine::NAME.set(newname),
+            machine::TYPE.set(a[2].to_ascii_uppercase()),
+            machine::MODTIME.set(now),
+            machine::MODBY.set(who),
+            machine::MODWITH.set(with),
         ],
     )?;
     Ok(Vec::new())
@@ -245,7 +244,7 @@ fn update_machine(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<
 
 fn delete_machine(state: &mut MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
     let row = one_machine(state, &a[0])?;
-    let mach_id = state.db.cell(row, machine::MACH_ID).as_int();
+    let mach_id = state.db.table(machine::T).row(row)?.get(machine::MACH_ID);
     // "A machine that is in use (post office, file system, printer spooling
     // host, server_host_access, or DCM service update) cannot be deleted."
     let referenced = !state
@@ -287,10 +286,9 @@ fn get_cluster(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Ve
     if ids.is_empty() {
         return Err(MrError::NoMatch);
     }
-    Ok(ids
-        .into_iter()
+    ids.into_iter()
         .map(|id| project(state, id, &CLUSTER_FIELDS))
-        .collect())
+        .collect()
 }
 
 fn add_cluster(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
@@ -328,7 +326,7 @@ fn update_cluster(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<
     let row = one_cluster(state, &a[0])?;
     check_chars(&a[1])?;
     no_wildcards(&a[1])?;
-    let current = state.db.cell(row, cluster::NAME).as_str().to_owned();
+    let current = state.db.table(cluster::T).row(row)?.get(cluster::NAME);
     if a[1] != current
         && state
             .db
@@ -342,12 +340,12 @@ fn update_cluster(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<
     state.db.update(
         row,
         &[
-            (cluster::NAME, a[1].as_str().into()),
-            (cluster::DESC, a[2].as_str().into()),
-            (cluster::LOCATION, a[3].as_str().into()),
-            (cluster::MODTIME, now.into()),
-            (cluster::MODBY, who.into()),
-            (cluster::MODWITH, with.into()),
+            cluster::NAME.set(&a[1]),
+            cluster::DESC.set(&a[2]),
+            cluster::LOCATION.set(&a[3]),
+            cluster::MODTIME.set(now),
+            cluster::MODBY.set(who),
+            cluster::MODWITH.set(with),
         ],
     )?;
     Ok(Vec::new())
@@ -355,7 +353,7 @@ fn update_cluster(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<
 
 fn delete_cluster(state: &mut MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
     let row = one_cluster(state, &a[0])?;
-    let clu_id = state.db.cell(row, cluster::CLU_ID).as_int();
+    let clu_id = state.db.table(cluster::T).row(row)?.get(cluster::CLU_ID);
     if !state
         .db
         .select(&Pred::Eq(mcmap::CLU_ID, clu_id.into()))
@@ -379,19 +377,15 @@ fn get_machine_to_cluster_map(
     // (point or prefix range), and each machine's memberships come from the
     // indexed mcmap bucket — no pass over the full map.
     let mut out = Vec::new();
-    for mrow in state.db.select(&Pred::name_match_ci(machine::NAME, &a[0])) {
-        let mach_id = state.db.cell(mrow, machine::MACH_ID).as_int();
-        let mname = state.db.cell(mrow, machine::NAME).render();
-        for row in state.db.select(&Pred::Eq(mcmap::MACH_ID, mach_id.into())) {
-            let clu_id = state.db.cell(row, mcmap::CLU_ID).as_int();
-            let cname = state
-                .db
-                .table(cluster::T)
-                .select_one(&Pred::Eq(cluster::CLU_ID, clu_id.into()))
-                .map(|r| state.db.cell(r, cluster::NAME).render())
-                .unwrap_or_default();
-            if moira_common::wildcard::matches(&a[1], &cname) {
-                out.push(vec![mname.clone(), cname]);
+    let (maps, clusters) = (state.db.table(mcmap::T), state.db.table(cluster::T));
+    let names = Pred::name_match_ci(machine::NAME, &a[0]);
+    for m in state.db.table(machine::T).rows(&names) {
+        for r in maps.rows(&Pred::Eq(mcmap::MACH_ID, m.get(machine::MACH_ID).into())) {
+            let cname = clusters
+                .find(&Pred::Eq(cluster::CLU_ID, r.get(mcmap::CLU_ID).into()))
+                .map_or("", |c| c.get(cluster::NAME));
+            if moira_common::wildcard::matches(&a[1], cname) {
+                out.push(vec![m.render(machine::NAME), cname.to_owned()]);
             }
         }
     }
@@ -404,9 +398,10 @@ fn get_machine_to_cluster_map(
 fn mach_and_cluster_ids(state: &MoiraState, machine: &str, cluster: &str) -> MrResult<(i64, i64)> {
     let mrow = one_machine(state, machine)?;
     let crow = one_cluster(state, cluster)?;
+    let mach_id = state.db.table(machine::T).row(mrow)?.get(machine::MACH_ID);
     Ok((
-        state.db.cell(mrow, machine::MACH_ID).as_int(),
-        state.db.cell(crow, cluster::CLU_ID).as_int(),
+        mach_id,
+        state.db.table(cluster::T).row(crow)?.get(cluster::CLU_ID),
     ))
 }
 
@@ -419,9 +414,9 @@ fn touch_machine(state: &mut MoiraState, c: &Caller, mach_id: i64) -> MrResult<(
     state.db.update(
         row,
         &[
-            (machine::MODTIME, now.into()),
-            (machine::MODBY, who.into()),
-            (machine::MODWITH, with.into()),
+            machine::MODTIME.set(now),
+            machine::MODBY.set(who),
+            machine::MODWITH.set(with),
         ],
     )?;
     Ok(())
@@ -469,14 +464,14 @@ fn get_cluster_data(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<V
     // Cluster-major: the cluster pattern resolves through the cluster name
     // index, and each cluster's data rows come from the indexed svc bucket.
     let mut out = Vec::new();
-    for crow in state.db.select(&Pred::name_match(cluster::NAME, &a[0])) {
-        let clu_id = state.db.cell(crow, cluster::CLU_ID).as_int();
-        let cname = state.db.cell(crow, cluster::NAME).render();
-        for row in state.db.select(&Pred::Eq(svc::CLU_ID, clu_id.into())) {
-            let label = state.db.cell(row, svc::SERV_LABEL).render();
-            if moira_common::wildcard::matches(&a[1], &label) {
-                let data = state.db.cell(row, svc::SERV_CLUSTER).render();
-                out.push(vec![cname.clone(), label, data]);
+    let svcs = state.db.table(svc::T);
+    let names = Pred::name_match(cluster::NAME, &a[0]);
+    for c in state.db.table(cluster::T).rows(&names) {
+        for r in svcs.rows(&Pred::Eq(svc::CLU_ID, c.get(cluster::CLU_ID).into())) {
+            let label = r.get(svc::SERV_LABEL);
+            if moira_common::wildcard::matches(&a[1], label) {
+                let data = r.render(svc::SERV_CLUSTER);
+                out.push(vec![c.render(cluster::NAME), label.to_owned(), data]);
             }
         }
     }
@@ -492,7 +487,7 @@ fn add_cluster_data(
     a: &[String],
 ) -> MrResult<Vec<Vec<String>>> {
     let row = one_cluster(state, &a[0])?;
-    let clu_id = state.db.cell(row, cluster::CLU_ID).as_int();
+    let clu_id = state.db.table(cluster::T).row(row)?.get(cluster::CLU_ID);
     check_type_alias(state, "slabel", &a[1], MrError::Type)?;
     state.db.append(
         svc::T,
@@ -502,9 +497,9 @@ fn add_cluster_data(
     state.db.update(
         row,
         &[
-            (cluster::MODTIME, now.into()),
-            (cluster::MODBY, who.into()),
-            (cluster::MODWITH, with.into()),
+            cluster::MODTIME.set(now),
+            cluster::MODBY.set(who),
+            cluster::MODWITH.set(with),
         ],
     )?;
     Ok(Vec::new())
@@ -516,7 +511,7 @@ fn delete_cluster_data(
     a: &[String],
 ) -> MrResult<Vec<Vec<String>>> {
     let row = one_cluster(state, &a[0])?;
-    let clu_id = state.db.cell(row, cluster::CLU_ID).as_int();
+    let clu_id = state.db.table(cluster::T).row(row)?.get(cluster::CLU_ID);
     let pred = Pred::Eq(svc::CLU_ID, clu_id.into())
         .and(Pred::Eq(svc::SERV_LABEL, a[1].as_str().into()))
         .and(Pred::Eq(svc::SERV_CLUSTER, a[2].as_str().into()));
@@ -529,9 +524,9 @@ fn delete_cluster_data(
     state.db.update(
         row,
         &[
-            (cluster::MODTIME, now.into()),
-            (cluster::MODBY, who.into()),
-            (cluster::MODWITH, with.into()),
+            cluster::MODTIME.set(now),
+            cluster::MODBY.set(who),
+            cluster::MODWITH.set(with),
         ],
     )?;
     Ok(Vec::new())
@@ -542,13 +537,11 @@ fn delete_cluster_data(
 /// their data. Used by the Hesiod cluster.db generator.
 pub fn cluster_data_for_machine(state: &MoiraState, mach_id: i64) -> Vec<(String, String)> {
     let mut out = Vec::new();
-    for mrow in state.db.select(&Pred::Eq(mcmap::MACH_ID, mach_id.into())) {
-        let clu_id = state.db.cell(mrow, mcmap::CLU_ID).as_int();
-        for srow in state.db.select(&Pred::Eq(svc::CLU_ID, clu_id.into())) {
-            out.push((
-                state.db.cell(srow, svc::SERV_LABEL).render(),
-                state.db.cell(srow, svc::SERV_CLUSTER).render(),
-            ));
+    let svcs = state.db.table(svc::T);
+    let maps = state.db.table(mcmap::T);
+    for m in maps.rows(&Pred::Eq(mcmap::MACH_ID, mach_id.into())) {
+        for r in svcs.rows(&Pred::Eq(svc::CLU_ID, m.get(mcmap::CLU_ID).into())) {
+            out.push((r.render(svc::SERV_LABEL), r.render(svc::SERV_CLUSTER)));
         }
     }
     out.sort();
@@ -806,8 +799,7 @@ mod tests {
             &["SCARECROW", "c2"],
         )
         .unwrap();
-        let mrow = one_machine(&s, "SCARECROW").unwrap();
-        let mach_id = s.db.cell(mrow, machine::MACH_ID).as_int();
+        let mach_id = one_machine_id(&s, "SCARECROW").unwrap();
         let data = cluster_data_for_machine(&s, mach_id);
         assert_eq!(data.len(), 2);
         assert!(data.contains(&("zephyr".to_owned(), "z1".to_owned())));

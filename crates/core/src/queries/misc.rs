@@ -2,7 +2,7 @@
 //! printcaps, aliases, values, and table statistics.
 
 use moira_common::errors::{MrError, MrResult};
-use moira_db::{Pred, RowId};
+use moira_db::{Col, Pred, RowId};
 
 use crate::ace::{render_ace, resolve_ace};
 use crate::registry::{AccessRule, Handler, QueryHandle, QueryKind, Registry};
@@ -220,23 +220,25 @@ fn get_server_host_access(
     // index (a point lookup for the common exact-host call, a prefix range
     // for "BITSY*"), then each machine probes the unique hostaccess index.
     let mut out = Vec::new();
-    for mrow in state.db.select(&Pred::name_match_ci(machine::NAME, &a[0])) {
-        let mach_id = state.db.cell(mrow, machine::MACH_ID).as_int();
-        let mach = state.db.cell(mrow, machine::NAME).render();
-        let t = state.db.table(hostaccess::T);
-        for row in t.select(&Pred::Eq(hostaccess::MACH_ID, mach_id.into())) {
+    let access = state.db.table(hostaccess::T);
+    let names = Pred::name_match_ci(machine::NAME, &a[0]);
+    for m in state.db.table(machine::T).rows(&names) {
+        for r in access.rows(&Pred::Eq(
+            hostaccess::MACH_ID,
+            m.get(machine::MACH_ID).into(),
+        )) {
             let (ty, name) = render_ace(
                 &state.db,
-                t.cell(row, hostaccess::ACL_TYPE).as_str(),
-                t.cell(row, hostaccess::ACL_ID).as_int(),
+                r.get(hostaccess::ACL_TYPE),
+                r.get(hostaccess::ACL_ID),
             );
             out.push(vec![
-                mach.clone(),
+                m.render(machine::NAME),
                 ty,
                 name,
-                t.cell(row, hostaccess::MODTIME).render(),
-                t.cell(row, hostaccess::MODBY).render(),
-                t.cell(row, hostaccess::MODWITH).render(),
+                r.render(hostaccess::MODTIME),
+                r.render(hostaccess::MODBY),
+                r.render(hostaccess::MODWITH),
             ]);
         }
     }
@@ -251,8 +253,7 @@ fn add_server_host_access(
     c: &Caller,
     a: &[String],
 ) -> MrResult<Vec<Vec<String>>> {
-    let mrow = one_machine(state, &a[0])?;
-    let mach_id = state.db.cell(mrow, machine::MACH_ID).as_int();
+    let mach_id = one_machine_id(state, &a[0])?;
     let ace = resolve_ace(&state.db, &a[1], &a[2])?;
     if state
         .db
@@ -278,8 +279,7 @@ fn add_server_host_access(
 }
 
 fn one_hostaccess(state: &MoiraState, machine: &str) -> MrResult<RowId> {
-    let mrow = one_machine(state, machine)?;
-    let mach_id = state.db.cell(mrow, machine::MACH_ID).as_int();
+    let mach_id = one_machine_id(state, machine)?;
     state.db.select_exactly_one(
         &Pred::Eq(hostaccess::MACH_ID, mach_id.into()),
         MrError::NoMatch,
@@ -297,11 +297,11 @@ fn update_server_host_access(
     state.db.update(
         row,
         &[
-            (hostaccess::ACL_TYPE, ace.type_str().into()),
-            (hostaccess::ACL_ID, ace.id().into()),
-            (hostaccess::MODTIME, now.into()),
-            (hostaccess::MODBY, who.into()),
-            (hostaccess::MODWITH, with.into()),
+            hostaccess::ACL_TYPE.set(ace.type_str()),
+            hostaccess::ACL_ID.set(ace.id()),
+            hostaccess::MODTIME.set(now),
+            hostaccess::MODBY.set(who),
+            hostaccess::MODWITH.set(with),
         ],
     )?;
     Ok(Vec::new())
@@ -317,29 +317,24 @@ fn delete_server_host_access(
     Ok(Vec::new())
 }
 
+const SERVICE_FIELDS: [Col<services::R>; 7] = [
+    services::NAME.erase(),
+    services::PROTOCOL.erase(),
+    services::PORT.erase(),
+    services::DESC.erase(),
+    services::MODTIME.erase(),
+    services::MODBY.erase(),
+    services::MODWITH.erase(),
+];
+
 fn get_service(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
     let ids = state.db.select(&Pred::name_match(services::NAME, &a[0]));
     if ids.is_empty() {
         return Err(MrError::NoMatch);
     }
-    Ok(ids
-        .into_iter()
-        .map(|id| {
-            project(
-                state,
-                id,
-                &[
-                    services::NAME,
-                    services::PROTOCOL,
-                    services::PORT,
-                    services::DESC,
-                    services::MODTIME,
-                    services::MODBY,
-                    services::MODWITH,
-                ],
-            )
-        })
-        .collect())
+    ids.into_iter()
+        .map(|id| project(state, id, &SERVICE_FIELDS))
+        .collect()
 }
 
 fn add_service(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
@@ -382,22 +377,22 @@ fn get_printcap(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<V
     if ids.is_empty() {
         return Err(MrError::NoMatch);
     }
-    Ok(ids
-        .into_iter()
+    let t = state.db.table(printcap::T);
+    ids.into_iter()
         .map(|id| {
-            let t = state.db.table(printcap::T);
-            vec![
-                t.cell(id, printcap::NAME).render(),
-                machine_name(state, t.cell(id, printcap::MACH_ID).as_int()),
-                t.cell(id, printcap::DIR).render(),
-                t.cell(id, printcap::RP).render(),
-                t.cell(id, printcap::COMMENTS).render(),
-                t.cell(id, printcap::MODTIME).render(),
-                t.cell(id, printcap::MODBY).render(),
-                t.cell(id, printcap::MODWITH).render(),
-            ]
+            let r = t.row(id)?;
+            Ok(vec![
+                r.render(printcap::NAME),
+                machine_name(state, r.get(printcap::MACH_ID)),
+                r.render(printcap::DIR),
+                r.render(printcap::RP),
+                r.render(printcap::COMMENTS),
+                r.render(printcap::MODTIME),
+                r.render(printcap::MODBY),
+                r.render(printcap::MODWITH),
+            ])
         })
-        .collect())
+        .collect()
 }
 
 fn add_printcap(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
@@ -411,8 +406,7 @@ fn add_printcap(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Ve
     {
         return Err(MrError::Exists);
     }
-    let mrow = one_machine(state, &a[1])?;
-    let mach_id = state.db.cell(mrow, machine::MACH_ID).as_int();
+    let mach_id = one_machine_id(state, &a[1])?;
     let (now, who, with) = mod_fields(state, c);
     state.db.append(
         printcap::T,
@@ -448,10 +442,10 @@ fn get_alias(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<
     if ids.is_empty() {
         return Err(MrError::NoMatch);
     }
-    Ok(ids
-        .into_iter()
-        .map(|id| project(state, id, &[alias::NAME, alias::TYPE, alias::TRANS]))
-        .collect())
+    let fields = [alias::NAME, alias::TYPE, alias::TRANS].map(Col::erase);
+    ids.into_iter()
+        .map(|id| project(state, id, &fields))
+        .collect()
 }
 
 fn add_alias(state: &mut MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {

@@ -1,7 +1,7 @@
 //! Post office box queries (§7.0.1, pobox subset).
 
 use moira_common::errors::{MrError, MrResult};
-use moira_db::{Col, Pred};
+use moira_db::{Assign, Pred, Row};
 
 use crate::registry::{AccessRule, Handler, QueryHandle, QueryKind, Registry};
 use crate::schema::{machine, users};
@@ -86,33 +86,27 @@ pub fn register(r: &mut Registry) {
 
 /// Renders the `box` field: POP → machine name, SMTP → stored string,
 /// NONE → `NONE`.
-fn render_box(state: &MoiraState, row: moira_db::RowId) -> (String, String) {
-    let t = state.db.table(users::T);
-    let potype = t.cell(row, users::POTYPE).as_str().to_owned();
-    let boxval = match potype.as_str() {
-        "POP" => machine_name(state, t.cell(row, users::POP_ID).as_int()),
-        "SMTP" => string_of(state, t.cell(row, users::BOX_ID).as_int()),
+fn render_box(state: &MoiraState, r: Row<'_, users::R>) -> (String, String) {
+    let potype = r.get(users::POTYPE);
+    let boxval = match potype {
+        "POP" => machine_name(state, r.get(users::POP_ID)),
+        "SMTP" => string_of(state, r.get(users::BOX_ID)),
         _ => "NONE".to_owned(),
     };
-    (potype, boxval)
+    (potype.to_owned(), boxval)
 }
 
 fn get_pobox(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
     let (row, _) = user_row_and_id(state, &a[0])?;
-    let login = state.db.cell(row, users::LOGIN).render();
-    let (potype, boxval) = render_box(state, row);
-    let rest = project(
-        state,
-        row,
-        &[users::PMODTIME, users::PMODBY, users::PMODWITH],
-    );
+    let r = state.db.table(users::T).row(row)?;
+    let (potype, boxval) = render_box(state, r);
     Ok(vec![vec![
-        login,
+        r.render(users::LOGIN),
         potype,
         boxval,
-        rest[0].clone(),
-        rest[1].clone(),
-        rest[2].clone(),
+        r.render(users::PMODTIME),
+        r.render(users::PMODBY),
+        r.render(users::PMODWITH),
     ]])
 }
 
@@ -120,21 +114,16 @@ fn get_pobox(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<
 // enumeration by design.
 #[allow(clippy::disallowed_methods)]
 fn poboxes_where(state: &MoiraState, want: Option<&str>) -> Vec<Vec<String>> {
-    state
-        .db
-        .table(users::T)
-        .iter()
-        .filter(|(_, r)| {
-            let t = r[users::POTYPE.index()].as_str();
-            match want {
-                Some(w) => t == w,
-                None => t != "NONE",
-            }
+    let t = state.db.table(users::T);
+    t.iter()
+        .filter_map(|(id, _)| t.row(id).ok())
+        .filter(|r| match want {
+            Some(w) => r.get(users::POTYPE) == w,
+            None => r.get(users::POTYPE) != "NONE",
         })
-        .map(|(id, _)| {
-            let login = state.db.cell(id, users::LOGIN).render();
-            let (potype, boxval) = render_box(state, id);
-            vec![login, potype, boxval]
+        .map(|r| {
+            let (potype, boxval) = render_box(state, r);
+            vec![r.render(users::LOGIN), potype, boxval]
         })
         .collect()
 }
@@ -155,12 +144,12 @@ fn stamp_pobox(
     state: &mut MoiraState,
     c: &Caller,
     row: moira_db::RowId,
-    changes: &mut Vec<(Col<users::R>, moira_db::Value)>,
+    changes: &mut Vec<Assign<users::R>>,
 ) -> MrResult<()> {
     let (now, who, with) = mod_fields(state, c);
-    changes.push((users::PMODTIME, now.into()));
-    changes.push((users::PMODBY, who.into()));
-    changes.push((users::PMODWITH, with.into()));
+    changes.push(users::PMODTIME.set(now));
+    changes.push(users::PMODBY.set(who));
+    changes.push(users::PMODWITH.set(with));
     state.db.update(row, changes)?;
     Ok(())
 }
@@ -169,23 +158,20 @@ fn set_pobox(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<V
     let (row, _) = user_row_and_id(state, &a[0])?;
     let potype = a[1].to_ascii_uppercase();
     check_type_alias(state, "pobox", &potype, MrError::Type)?;
-    let mut changes: Vec<(Col<users::R>, moira_db::Value)> =
-        vec![(users::POTYPE, potype.clone().into())];
+    let mut changes = vec![users::POTYPE.set(&potype)];
     match potype.as_str() {
         "POP" => {
-            let mach_row = state
+            let m = state
                 .db
                 .table(machine::T)
-                .select_one(&Pred::EqCi(machine::NAME, a[2].clone()))
+                .find(&Pred::EqCi(machine::NAME, a[2].clone()))
                 .ok_or(MrError::Machine)?;
-            let mach_id = state.db.cell(mach_row, machine::MACH_ID).as_int();
-            let mach_name = state.db.cell(mach_row, machine::NAME).render();
-            changes.push((users::POP_ID, mach_id.into()));
-            changes.push((users::SAVED_POP, mach_name.into()));
+            changes.push(users::POP_ID.set(m.get(machine::MACH_ID)));
+            changes.push(users::SAVED_POP.set(m.get(machine::NAME)));
         }
         "SMTP" => {
             let sid = intern_string(state, &a[2])?;
-            changes.push((users::BOX_ID, sid.into()));
+            changes.push(users::BOX_ID.set(sid));
         }
         "NONE" => {}
         _ => return Err(MrError::Type),
@@ -196,34 +182,31 @@ fn set_pobox(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<V
 
 fn set_pobox_pop(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
     let (row, _) = user_row_and_id(state, &a[0])?;
-    let t = state.db.table(users::T);
-    if t.cell(row, users::POTYPE).as_str() == "POP" {
+    let r = state.db.table(users::T).row(row)?;
+    if r.get(users::POTYPE) == "POP" {
         return Ok(Vec::new());
     }
-    let saved = t.cell(row, users::SAVED_POP).as_str().to_owned();
+    let saved = r.get(users::SAVED_POP).to_owned();
     if saved.is_empty() {
         // "If there was no previous post office assignment, the query will
         // fail with MR_MACHINE since it will be unable to choose a post
         // office machine."
         return Err(MrError::Machine);
     }
-    let mach_row = state
+    let mach_id = state
         .db
         .table(machine::T)
-        .select_one(&Pred::EqCi(machine::NAME, saved))
-        .ok_or(MrError::Machine)?;
-    let mach_id = state.db.cell(mach_row, machine::MACH_ID).as_int();
-    let mut changes: Vec<(Col<users::R>, moira_db::Value)> = vec![
-        (users::POTYPE, "POP".into()),
-        (users::POP_ID, mach_id.into()),
-    ];
+        .find(&Pred::EqCi(machine::NAME, saved))
+        .ok_or(MrError::Machine)?
+        .get(machine::MACH_ID);
+    let mut changes = vec![users::POTYPE.set("POP"), users::POP_ID.set(mach_id)];
     stamp_pobox(state, c, row, &mut changes)?;
     Ok(Vec::new())
 }
 
 fn delete_pobox(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
     let (row, _) = user_row_and_id(state, &a[0])?;
-    let mut changes: Vec<(Col<users::R>, moira_db::Value)> = vec![(users::POTYPE, "NONE".into())];
+    let mut changes = vec![users::POTYPE.set("NONE")];
     stamp_pobox(state, c, row, &mut changes)?;
     Ok(Vec::new())
 }

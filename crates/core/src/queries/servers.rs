@@ -1,11 +1,11 @@
 //! Server and server-host queries (§7.0.4) — the DCM's control surface.
 
 use moira_common::errors::{MrError, MrResult};
-use moira_db::{Col, Pred, RowId, Value};
+use moira_db::{Col, Pred, Row, RowId};
 
 use crate::ace::{render_ace, resolve_ace};
 use crate::registry::{AccessRule, Handler, QueryHandle, QueryKind, Registry};
-use crate::schema::{machine, serverhosts, servers};
+use crate::schema::{serverhosts, servers};
 use crate::state::{Caller, MoiraState};
 
 use super::helpers::*;
@@ -247,31 +247,33 @@ fn caller_on_named_service_ace(state: &MoiraState, c: &Caller, service: &str) ->
         .is_some_and(|row| caller_on_service_ace(state, c, row))
 }
 
-fn render_server(state: &MoiraState, row: RowId) -> Vec<String> {
-    let t = state.db.table(servers::T);
-    let (ace_type, ace_name) = render_ace(
-        &state.db,
-        t.cell(row, servers::ACL_TYPE).as_str(),
-        t.cell(row, servers::ACL_ID).as_int(),
-    );
-    vec![
-        t.cell(row, servers::NAME).render(),
-        t.cell(row, servers::UPDATE_INT).render(),
-        t.cell(row, servers::TARGET_FILE).render(),
-        t.cell(row, servers::SCRIPT).render(),
-        t.cell(row, servers::DFGEN).render(),
-        t.cell(row, servers::DFCHECK).render(),
-        t.cell(row, servers::TYPE).render(),
-        t.cell(row, servers::ENABLE).render(),
-        t.cell(row, servers::INPROGRESS).render(),
-        t.cell(row, servers::HARDERROR).render(),
-        t.cell(row, servers::ERRMSG).render(),
-        ace_type,
-        ace_name,
-        t.cell(row, servers::MODTIME).render(),
-        t.cell(row, servers::MODBY).render(),
-        t.cell(row, servers::MODWITH).render(),
-    ]
+/// `get_server_info`'s columns around the ACE pair, which is rendered
+/// apart.
+const SERVER_FIELDS: [Col<servers::R>; 14] = [
+    servers::NAME.erase(),
+    servers::UPDATE_INT.erase(),
+    servers::TARGET_FILE.erase(),
+    servers::SCRIPT.erase(),
+    servers::DFGEN.erase(),
+    servers::DFCHECK.erase(),
+    servers::TYPE.erase(),
+    servers::ENABLE.erase(),
+    servers::INPROGRESS.erase(),
+    servers::HARDERROR.erase(),
+    servers::ERRMSG.erase(),
+    servers::MODTIME.erase(),
+    servers::MODBY.erase(),
+    servers::MODWITH.erase(),
+];
+
+fn render_server(state: &MoiraState, row: RowId) -> MrResult<Vec<String>> {
+    let r = state.db.table(servers::T).row(row)?;
+    let (ace_type, ace_name) =
+        render_ace(&state.db, r.get(servers::ACL_TYPE), r.get(servers::ACL_ID));
+    let mut out = project(state, row, &SERVER_FIELDS[..11])?;
+    out.extend([ace_type, ace_name]);
+    out.extend(project(state, row, &SERVER_FIELDS[11..])?);
+    Ok(out)
 }
 
 fn get_server_info(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
@@ -287,7 +289,7 @@ fn get_server_info(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec
     if !allowed {
         return Err(MrError::Perm);
     }
-    Ok(ids.into_iter().map(|id| render_server(state, id)).collect())
+    ids.into_iter().map(|id| render_server(state, id)).collect()
 }
 
 // Tristate qualifier over unindexed status flags: a genuine admin dump
@@ -304,12 +306,12 @@ fn qualified_get_server(
     let t = state.db.table(servers::T);
     let mut out = Vec::new();
     for (row, _) in t.iter() {
-        let he = t.cell(row, servers::HARDERROR).as_int() != 0;
-        if matches_tristate(t.cell(row, servers::ENABLE), enable)
-            && matches_tristate(t.cell(row, servers::INPROGRESS), inprogress)
-            && harderror.is_none_or(|w| he == w)
+        let r = t.row(row)?;
+        if matches_tristate(r.get(servers::ENABLE), enable)
+            && matches_tristate(r.get(servers::INPROGRESS), inprogress)
+            && matches_tristate(r.get(servers::HARDERROR) != 0, harderror)
         {
-            out.push(vec![t.cell(row, servers::NAME).render()]);
+            out.push(vec![r.render(servers::NAME)]);
         }
     }
     if out.is_empty() {
@@ -376,16 +378,16 @@ fn update_server_info(
     state.db.update(
         row,
         &[
-            (servers::UPDATE_INT, interval.into()),
-            (servers::TARGET_FILE, a[2].as_str().into()),
-            (servers::SCRIPT, a[3].as_str().into()),
-            (servers::TYPE, a[4].to_ascii_uppercase().into()),
-            (servers::ENABLE, Value::Bool(enable)),
-            (servers::ACL_TYPE, ace.type_str().into()),
-            (servers::ACL_ID, ace.id().into()),
-            (servers::MODTIME, now.into()),
-            (servers::MODBY, who.into()),
-            (servers::MODWITH, with.into()),
+            servers::UPDATE_INT.set(interval),
+            servers::TARGET_FILE.set(&a[2]),
+            servers::SCRIPT.set(&a[3]),
+            servers::TYPE.set(a[4].to_ascii_uppercase()),
+            servers::ENABLE.set(enable),
+            servers::ACL_TYPE.set(ace.type_str()),
+            servers::ACL_ID.set(ace.id()),
+            servers::MODTIME.set(now),
+            servers::MODBY.set(who),
+            servers::MODWITH.set(with),
         ],
     )?;
     Ok(Vec::new())
@@ -400,17 +402,17 @@ fn reset_server_error(
     if !caller_on_service_ace(state, c, row) && !on_query_acl(state, c, "reset_server_error") {
         return Err(MrError::Perm);
     }
-    let dfgen = state.db.cell(row, servers::DFGEN).as_int();
+    let dfgen = state.db.table(servers::T).row(row)?.get(servers::DFGEN);
     let (now, who, with) = mod_fields(state, c);
     state.db.update(
         row,
         &[
-            (servers::HARDERROR, 0.into()),
-            (servers::ERRMSG, "".into()),
-            (servers::DFCHECK, dfgen.into()),
-            (servers::MODTIME, now.into()),
-            (servers::MODBY, who.into()),
-            (servers::MODWITH, with.into()),
+            servers::HARDERROR.set(0),
+            servers::ERRMSG.set(""),
+            servers::DFCHECK.set(dfgen),
+            servers::MODTIME.set(now),
+            servers::MODBY.set(who),
+            servers::MODWITH.set(with),
         ],
     )?;
     Ok(Vec::new())
@@ -430,11 +432,11 @@ fn set_server_internal_flags(
     state.db.update(
         row,
         &[
-            (servers::DFGEN, dfgen.into()),
-            (servers::DFCHECK, dfcheck.into()),
-            (servers::INPROGRESS, Value::Bool(inprogress)),
-            (servers::HARDERROR, harderror.into()),
-            (servers::ERRMSG, a[5].as_str().into()),
+            servers::DFGEN.set(dfgen),
+            servers::DFCHECK.set(dfcheck),
+            servers::INPROGRESS.set(inprogress),
+            servers::HARDERROR.set(harderror),
+            servers::ERRMSG.set(&a[5]),
         ],
     )?;
     Ok(Vec::new())
@@ -446,8 +448,9 @@ fn delete_server_info(
     a: &[String],
 ) -> MrResult<Vec<Vec<String>>> {
     let row = one_service(state, &a[0])?;
-    let name = state.db.cell(row, servers::NAME).render();
-    if state.db.cell(row, servers::INPROGRESS).as_bool() {
+    let r = state.db.table(servers::T).row(row)?;
+    let name = r.render(servers::NAME);
+    if r.get(servers::INPROGRESS) {
         return Err(MrError::InUse);
     }
     if !state
@@ -462,30 +465,33 @@ fn delete_server_info(
 }
 
 const HOST_FIELDS: &[Col<serverhosts::R>] = &[
-    serverhosts::ENABLE,
-    serverhosts::OVERRIDE,
-    serverhosts::SUCCESS,
-    serverhosts::INPROGRESS,
-    serverhosts::HOSTERROR,
-    serverhosts::HOSTERRMSG,
-    serverhosts::LTT,
-    serverhosts::LTS,
-    serverhosts::VALUE1,
-    serverhosts::VALUE2,
-    serverhosts::VALUE3,
-    serverhosts::MODTIME,
-    serverhosts::MODBY,
-    serverhosts::MODWITH,
+    serverhosts::ENABLE.erase(),
+    serverhosts::OVERRIDE.erase(),
+    serverhosts::SUCCESS.erase(),
+    serverhosts::INPROGRESS.erase(),
+    serverhosts::HOSTERROR.erase(),
+    serverhosts::HOSTERRMSG.erase(),
+    serverhosts::LTT.erase(),
+    serverhosts::LTS.erase(),
+    serverhosts::VALUE1.erase(),
+    serverhosts::VALUE2.erase(),
+    serverhosts::VALUE3.erase(),
+    serverhosts::MODTIME.erase(),
+    serverhosts::MODBY.erase(),
+    serverhosts::MODWITH.erase(),
 ];
 
-fn render_server_host(state: &MoiraState, row: RowId) -> Vec<String> {
-    let t = state.db.table(serverhosts::T);
-    let mut out = vec![
-        t.cell(row, serverhosts::SERVICE).render(),
-        machine_name(state, t.cell(row, serverhosts::MACH_ID).as_int()),
-    ];
-    out.extend(project(state, row, HOST_FIELDS));
-    out
+/// A serverhost's service and machine name, the head of every serverhost
+/// tuple.
+fn service_and_host(state: &MoiraState, r: Row<'_, serverhosts::R>) -> Vec<String> {
+    let host = machine_name(state, r.get(serverhosts::MACH_ID));
+    vec![r.render(serverhosts::SERVICE), host]
+}
+
+fn render_server_host(state: &MoiraState, row: RowId) -> MrResult<Vec<String>> {
+    let mut out = service_and_host(state, state.db.table(serverhosts::T).row(row)?);
+    out.extend(project(state, row, HOST_FIELDS)?);
+    Ok(out)
 }
 
 fn get_server_host_info(
@@ -500,13 +506,11 @@ fn get_server_host_info(
     }
     let svc_pat = a[0].to_ascii_uppercase();
     let mut out = Vec::new();
-    for row in state
-        .db
-        .select(&Pred::name_match_ci(serverhosts::SERVICE, &svc_pat))
-    {
-        let mach = machine_name(state, state.db.cell(row, serverhosts::MACH_ID).as_int());
-        if moira_common::wildcard::matches_ci(&a[1], &mach) {
-            out.push(render_server_host(state, row));
+    let hosts = state.db.table(serverhosts::T);
+    for row in hosts.select(&Pred::name_match_ci(serverhosts::SERVICE, &svc_pat)) {
+        let mach_id = hosts.row(row)?.get(serverhosts::MACH_ID);
+        if moira_common::wildcard::matches_ci(&a[1], &machine_name(state, mach_id)) {
+            out.push(render_server_host(state, row)?);
         }
     }
     if out.is_empty() {
@@ -528,18 +532,14 @@ fn qualified_get_server_host(
     let svc_pat = a[0].to_ascii_uppercase();
     let t = state.db.table(serverhosts::T);
     let mut out = Vec::new();
-    for row in t.select(&Pred::name_match_ci(serverhosts::SERVICE, &svc_pat)) {
-        let he = t.cell(row, serverhosts::HOSTERROR).as_int() != 0;
-        if matches_tristate(t.cell(row, serverhosts::ENABLE), enable)
-            && matches_tristate(t.cell(row, serverhosts::OVERRIDE), override_)
-            && matches_tristate(t.cell(row, serverhosts::SUCCESS), success)
-            && matches_tristate(t.cell(row, serverhosts::INPROGRESS), inprogress)
-            && hosterror.is_none_or(|w| he == w)
+    for r in t.rows(&Pred::name_match_ci(serverhosts::SERVICE, &svc_pat)) {
+        if matches_tristate(r.get(serverhosts::ENABLE), enable)
+            && matches_tristate(r.get(serverhosts::OVERRIDE), override_)
+            && matches_tristate(r.get(serverhosts::SUCCESS), success)
+            && matches_tristate(r.get(serverhosts::INPROGRESS), inprogress)
+            && matches_tristate(r.get(serverhosts::HOSTERROR) != 0, hosterror)
         {
-            out.push(vec![
-                t.cell(row, serverhosts::SERVICE).render(),
-                machine_name(state, t.cell(row, serverhosts::MACH_ID).as_int()),
-            ]);
+            out.push(service_and_host(state, r));
         }
     }
     if out.is_empty() {
@@ -548,12 +548,23 @@ fn qualified_get_server_host(
     Ok(out)
 }
 
+/// The stored service name and the `mach_id` a (service, machine) pair of
+/// arguments names.
+fn service_and_mach_id(
+    state: &MoiraState,
+    service: &str,
+    machine: &str,
+) -> MrResult<(String, i64)> {
+    let svc = state
+        .db
+        .table(servers::T)
+        .row(one_service(state, service)?)?;
+    Ok((svc.render(servers::NAME), one_machine_id(state, machine)?))
+}
+
 /// Finds a serverhost row by exact service + machine.
 fn one_server_host(state: &MoiraState, service: &str, machine: &str) -> MrResult<RowId> {
-    let svc_row = one_service(state, service)?;
-    let svc = state.db.cell(svc_row, servers::NAME).render();
-    let mach_row = one_machine(state, machine)?;
-    let mach_id = state.db.cell(mach_row, machine::MACH_ID).as_int();
+    let (svc, mach_id) = service_and_mach_id(state, service, machine)?;
     state.db.select_exactly_one(
         &Pred::Eq(serverhosts::SERVICE, svc.into())
             .and(Pred::Eq(serverhosts::MACH_ID, mach_id.into())),
@@ -571,10 +582,7 @@ fn add_server_host_info(
     {
         return Err(MrError::Perm);
     }
-    let svc_row = one_service(state, &a[0])?;
-    let svc = state.db.cell(svc_row, servers::NAME).render();
-    let mach_row = one_machine(state, &a[1])?;
-    let mach_id = state.db.cell(mach_row, machine::MACH_ID).as_int();
+    let (svc, mach_id) = service_and_mach_id(state, &a[0], &a[1])?;
     let enable = parse_bool(&a[2])?;
     let v1 = parse_int(&a[3])?;
     let v2 = parse_int(&a[4])?;
@@ -626,7 +634,8 @@ fn update_server_host_info(
     let row = one_server_host(state, &a[0], &a[1])?;
     // "This query may only be executed when the inprogress bit is not
     // currently set."
-    if state.db.cell(row, serverhosts::INPROGRESS).as_bool() {
+    let host = state.db.table(serverhosts::T).row(row)?;
+    if host.get(serverhosts::INPROGRESS) {
         return Err(MrError::InProgress);
     }
     let enable = parse_bool(&a[2])?;
@@ -636,13 +645,13 @@ fn update_server_host_info(
     state.db.update(
         row,
         &[
-            (serverhosts::ENABLE, Value::Bool(enable)),
-            (serverhosts::VALUE1, v1.into()),
-            (serverhosts::VALUE2, v2.into()),
-            (serverhosts::VALUE3, a[5].as_str().into()),
-            (serverhosts::MODTIME, now.into()),
-            (serverhosts::MODBY, who.into()),
-            (serverhosts::MODWITH, with.into()),
+            serverhosts::ENABLE.set(enable),
+            serverhosts::VALUE1.set(v1),
+            serverhosts::VALUE2.set(v2),
+            serverhosts::VALUE3.set(&a[5]),
+            serverhosts::MODTIME.set(now),
+            serverhosts::MODBY.set(who),
+            serverhosts::MODWITH.set(with),
         ],
     )?;
     Ok(Vec::new())
@@ -663,11 +672,11 @@ fn reset_server_host_error(
     state.db.update(
         row,
         &[
-            (serverhosts::HOSTERROR, 0.into()),
-            (serverhosts::HOSTERRMSG, "".into()),
-            (serverhosts::MODTIME, now.into()),
-            (serverhosts::MODBY, who.into()),
-            (serverhosts::MODWITH, with.into()),
+            serverhosts::HOSTERROR.set(0),
+            serverhosts::HOSTERRMSG.set(""),
+            serverhosts::MODTIME.set(now),
+            serverhosts::MODBY.set(who),
+            serverhosts::MODWITH.set(with),
         ],
     )?;
     Ok(Vec::new())
@@ -688,10 +697,10 @@ fn set_server_host_override(
     state.db.update(
         row,
         &[
-            (serverhosts::OVERRIDE, true.into()),
-            (serverhosts::MODTIME, now.into()),
-            (serverhosts::MODBY, who.into()),
-            (serverhosts::MODWITH, with.into()),
+            serverhosts::OVERRIDE.set(true),
+            serverhosts::MODTIME.set(now),
+            serverhosts::MODBY.set(who),
+            serverhosts::MODWITH.set(with),
         ],
     )?;
     // "… and start a new DCM running."
@@ -715,13 +724,13 @@ fn set_server_host_internal(
     state.db.update(
         row,
         &[
-            (serverhosts::OVERRIDE, Value::Bool(override_)),
-            (serverhosts::SUCCESS, Value::Bool(success)),
-            (serverhosts::INPROGRESS, Value::Bool(inprogress)),
-            (serverhosts::HOSTERROR, hosterror.into()),
-            (serverhosts::HOSTERRMSG, a[6].as_str().into()),
-            (serverhosts::LTT, ltt.into()),
-            (serverhosts::LTS, lts.into()),
+            serverhosts::OVERRIDE.set(override_),
+            serverhosts::SUCCESS.set(success),
+            serverhosts::INPROGRESS.set(inprogress),
+            serverhosts::HOSTERROR.set(hosterror),
+            serverhosts::HOSTERRMSG.set(&a[6]),
+            serverhosts::LTT.set(ltt),
+            serverhosts::LTS.set(lts),
         ],
     )?;
     Ok(Vec::new())
@@ -738,7 +747,8 @@ fn delete_server_host_info(
         return Err(MrError::Perm);
     }
     let row = one_server_host(state, &a[0], &a[1])?;
-    if state.db.cell(row, serverhosts::INPROGRESS).as_bool() {
+    let host = state.db.table(serverhosts::T).row(row)?;
+    if host.get(serverhosts::INPROGRESS) {
         return Err(MrError::InUse);
     }
     state.db.delete(serverhosts::T, row)?;
@@ -753,11 +763,8 @@ fn get_server_locations(
     let pat = a[0].to_ascii_uppercase();
     let t = state.db.table(serverhosts::T);
     let mut out = Vec::new();
-    for row in t.select(&Pred::name_match_ci(serverhosts::SERVICE, &pat)) {
-        out.push(vec![
-            t.cell(row, serverhosts::SERVICE).render(),
-            machine_name(state, t.cell(row, serverhosts::MACH_ID).as_int()),
-        ]);
+    for r in t.rows(&Pred::name_match_ci(serverhosts::SERVICE, &pat)) {
+        out.push(service_and_host(state, r));
     }
     if out.is_empty() {
         return Err(MrError::NoMatch);

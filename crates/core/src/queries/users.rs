@@ -15,46 +15,46 @@ use super::helpers::*;
 
 /// Summary fields for the `get_all_*logins` queries.
 const SUMMARY: [Col<users::R>; 6] = [
-    users::LOGIN,
-    users::UID,
-    users::SHELL,
-    users::LAST,
-    users::FIRST,
-    users::MIDDLE,
+    users::LOGIN.erase(),
+    users::UID.erase(),
+    users::SHELL.erase(),
+    users::LAST.erase(),
+    users::FIRST.erase(),
+    users::MIDDLE.erase(),
 ];
 const SUMMARY_NAMES: [&str; 6] = Col::names(&SUMMARY);
 
 /// Full account fields for the `get_user_by_*` queries.
 const FULL: [Col<users::R>; 12] = [
-    users::LOGIN,
-    users::UID,
-    users::SHELL,
-    users::LAST,
-    users::FIRST,
-    users::MIDDLE,
-    users::STATUS,
-    users::MIT_ID,
-    users::MIT_YEAR,
-    users::MODTIME,
-    users::MODBY,
-    users::MODWITH,
+    users::LOGIN.erase(),
+    users::UID.erase(),
+    users::SHELL.erase(),
+    users::LAST.erase(),
+    users::FIRST.erase(),
+    users::MIDDLE.erase(),
+    users::STATUS.erase(),
+    users::MIT_ID.erase(),
+    users::MIT_YEAR.erase(),
+    users::MODTIME.erase(),
+    users::MODBY.erase(),
+    users::MODWITH.erase(),
 ];
 const FULL_NAMES: [&str; 12] = Col::names(&FULL);
 
 /// Finger fields for `get_finger_by_login`.
 const FINGER: [Col<users::R>; 12] = [
-    users::LOGIN,
-    users::FULLNAME,
-    users::NICKNAME,
-    users::HOME_ADDR,
-    users::HOME_PHONE,
-    users::OFFICE_ADDR,
-    users::OFFICE_PHONE,
-    users::MIT_DEPT,
-    users::MIT_AFFIL,
-    users::FMODTIME,
-    users::FMODBY,
-    users::FMODWITH,
+    users::LOGIN.erase(),
+    users::FULLNAME.erase(),
+    users::NICKNAME.erase(),
+    users::HOME_ADDR.erase(),
+    users::HOME_PHONE.erase(),
+    users::OFFICE_ADDR.erase(),
+    users::OFFICE_PHONE.erase(),
+    users::MIT_DEPT.erase(),
+    users::MIT_AFFIL.erase(),
+    users::FMODTIME.erase(),
+    users::FMODBY.erase(),
+    users::FMODWITH.erase(),
 ];
 const FINGER_NAMES: [&str; 12] = Col::names(&FINGER);
 
@@ -230,10 +230,9 @@ pub fn register(r: &mut Registry) {
 
 fn get_all_logins(state: &MoiraState, _c: &Caller, _a: &[String]) -> MrResult<Vec<Vec<String>>> {
     let ids = state.db.table(users::T).select(&Pred::True);
-    Ok(ids
-        .into_iter()
+    ids.into_iter()
         .map(|id| project(state, id, &SUMMARY))
-        .collect())
+        .collect()
 }
 
 fn get_all_active_logins(
@@ -245,10 +244,9 @@ fn get_all_active_logins(
     let ids = state
         .db
         .select(&Pred::Not(Pred::Eq(users::STATUS, 0.into())));
-    Ok(ids
-        .into_iter()
+    ids.into_iter()
         .map(|id| project(state, id, &SUMMARY))
-        .collect())
+        .collect()
 }
 
 fn retrieve_users(state: &MoiraState, pred: &Pred<users::R>) -> MrResult<Vec<Vec<String>>> {
@@ -256,10 +254,9 @@ fn retrieve_users(state: &MoiraState, pred: &Pred<users::R>) -> MrResult<Vec<Vec
     if ids.is_empty() {
         return Err(MrError::NoMatch);
     }
-    Ok(ids
-        .into_iter()
+    ids.into_iter()
         .map(|id| project(state, id, &FULL))
-        .collect())
+        .collect()
 }
 
 fn get_user_by_login(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
@@ -378,16 +375,16 @@ fn least_loaded_pop(state: &MoiraState) -> MrResult<(RowId, i64)> {
     let sh = state.db.table(serverhosts::T);
     let mut best: Option<(RowId, i64, i64)> = None;
     for row in sh.select(&Pred::EqCi(serverhosts::SERVICE, "POP".to_owned())) {
-        if !sh.cell(row, serverhosts::ENABLE).as_bool() {
+        let r = sh.row(row)?;
+        if !r.get(serverhosts::ENABLE) {
             continue;
         }
-        let used = sh.cell(row, serverhosts::VALUE1).as_int();
-        let cap = sh.cell(row, serverhosts::VALUE2).as_int();
+        let (used, cap) = (r.get(serverhosts::VALUE1), r.get(serverhosts::VALUE2));
         if cap > 0 && used >= cap {
             continue;
         }
         if best.is_none_or(|(_, b, _)| used < b) {
-            best = Some((row, used, sh.cell(row, serverhosts::MACH_ID).as_int()));
+            best = Some((row, used, r.get(serverhosts::MACH_ID)));
         }
     }
     best.map(|(row, _, mach)| (row, mach))
@@ -400,11 +397,11 @@ fn least_loaded_nfsphys(state: &MoiraState, fstype: i64, quota: i64) -> MrResult
     let np = state.db.table(nfsphys::T);
     let mut best: Option<(RowId, f64)> = None;
     for row in np.select(&Pred::True) {
-        if np.cell(row, nfsphys::STATUS).as_int() & fstype == 0 {
+        let r = np.row(row)?;
+        if r.get(nfsphys::STATUS) & fstype == 0 {
             continue;
         }
-        let allocated = np.cell(row, nfsphys::ALLOCATED).as_int();
-        let size = np.cell(row, nfsphys::SIZE).as_int();
+        let (allocated, size) = (r.get(nfsphys::ALLOCATED), r.get(nfsphys::SIZE));
         if size <= 0 || allocated + quota > size {
             continue;
         }
@@ -428,9 +425,11 @@ fn register_user(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<V
     let user_row = state
         .db
         .select_exactly_one(&Pred::Eq(users::UID, uid.into()), MrError::NoMatch)?;
-    if state.db.cell(user_row, users::STATUS).as_int() != user_status::REGISTERABLE {
+    let r = state.db.table(users::T).row(user_row)?;
+    if r.get(users::STATUS) != user_status::REGISTERABLE {
         return Err(MrError::NotRegisterable);
     }
+    let users_id = r.get(users::USERS_ID);
     if state
         .db
         .table(users::T)
@@ -439,28 +438,26 @@ fn register_user(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<V
     {
         return Err(MrError::InUse);
     }
-    let users_id = state.db.cell(user_row, users::USERS_ID).as_int();
     let quota = state
         .get_value("def_quota")
         .unwrap_or(crate::seed::DEFAULT_QUOTA);
 
     // Pobox: least-loaded POP server.
     let (pop_row, pop_mach) = least_loaded_pop(state)?;
-    let pop_used = state.db.cell(pop_row, serverhosts::VALUE1).as_int();
+    let pop = state.db.table(serverhosts::T).row(pop_row)?;
+    let pop_used = pop.get(serverhosts::VALUE1);
     state
         .db
-        .update(pop_row, &[(serverhosts::VALUE1, (pop_used + 1).into())])?;
+        .update(pop_row, &[serverhosts::VALUE1.set(pop_used + 1)])?;
 
     // Home filesystem on the least-loaded matching partition.
     let phys_row = least_loaded_nfsphys(state, fstype, quota)?;
-    let phys_id = state.db.cell(phys_row, nfsphys::NFSPHYS_ID).as_int();
-    let phys_mach = state.db.cell(phys_row, nfsphys::MACH_ID).as_int();
-    let phys_dir = state.db.cell(phys_row, nfsphys::DIR).as_str().to_owned();
-    let allocated = state.db.cell(phys_row, nfsphys::ALLOCATED).as_int();
-    state.db.update(
-        phys_row,
-        &[(nfsphys::ALLOCATED, (allocated + quota).into())],
-    )?;
+    let r = state.db.table(nfsphys::T).row(phys_row)?;
+    let (phys_id, phys_mach) = (r.get(nfsphys::NFSPHYS_ID), r.get(nfsphys::MACH_ID));
+    let (phys_dir, allocated) = (r.get(nfsphys::DIR).to_owned(), r.get(nfsphys::ALLOCATED));
+    state
+        .db
+        .update(phys_row, &[nfsphys::ALLOCATED.set(allocated + quota)])?;
 
     let (now, who, with) = mod_fields(state, c);
 
@@ -534,17 +531,17 @@ fn register_user(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<V
     state.db.update(
         user_row,
         &[
-            (users::LOGIN, login.into()),
-            (users::STATUS, user_status::HALF_REGISTERED.into()),
-            (users::POTYPE, "POP".into()),
-            (users::POP_ID, pop_mach.into()),
-            (users::SAVED_POP, pop_name.into()),
-            (users::PMODTIME, now.into()),
-            (users::PMODBY, who.clone().into()),
-            (users::PMODWITH, with.clone().into()),
-            (users::MODTIME, now.into()),
-            (users::MODBY, who.into()),
-            (users::MODWITH, with.into()),
+            users::LOGIN.set(login),
+            users::STATUS.set(user_status::HALF_REGISTERED),
+            users::POTYPE.set("POP"),
+            users::POP_ID.set(pop_mach),
+            users::SAVED_POP.set(pop_name),
+            users::PMODTIME.set(now),
+            users::PMODBY.set(&who),
+            users::PMODWITH.set(&with),
+            users::MODTIME.set(now),
+            users::MODBY.set(who),
+            users::MODWITH.set(with),
         ],
     )?;
     Ok(Vec::new())
@@ -561,8 +558,8 @@ fn update_user(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec
     let uid = parse_int(&a[2])?;
     let status = parse_int(&a[7])?;
     check_type_alias(state, "class", &a[9], MrError::BadClass)?;
-    let current = state.db.cell(row, users::LOGIN).as_str().to_owned();
-    if newlogin != &current
+    let current = state.db.table(users::T).row(row)?.get(users::LOGIN);
+    if newlogin != current
         && state
             .db
             .table(users::T)
@@ -575,18 +572,18 @@ fn update_user(state: &mut MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec
     state.db.update(
         row,
         &[
-            (users::LOGIN, newlogin.as_str().into()),
-            (users::UID, uid.into()),
-            (users::SHELL, a[3].as_str().into()),
-            (users::LAST, a[4].as_str().into()),
-            (users::FIRST, a[5].as_str().into()),
-            (users::MIDDLE, a[6].as_str().into()),
-            (users::STATUS, status.into()),
-            (users::MIT_ID, a[8].as_str().into()),
-            (users::MIT_YEAR, a[9].as_str().into()),
-            (users::MODTIME, now.into()),
-            (users::MODBY, who.into()),
-            (users::MODWITH, with.into()),
+            users::LOGIN.set(newlogin.as_str()),
+            users::UID.set(uid),
+            users::SHELL.set(&a[3]),
+            users::LAST.set(&a[4]),
+            users::FIRST.set(&a[5]),
+            users::MIDDLE.set(&a[6]),
+            users::STATUS.set(status),
+            users::MIT_ID.set(&a[8]),
+            users::MIT_YEAR.set(&a[9]),
+            users::MODTIME.set(now),
+            users::MODBY.set(who),
+            users::MODWITH.set(with),
         ],
     )?;
     Ok(Vec::new())
@@ -602,10 +599,10 @@ fn update_user_shell(
     state.db.update(
         row,
         &[
-            (users::SHELL, a[1].as_str().into()),
-            (users::MODTIME, now.into()),
-            (users::MODBY, who.into()),
-            (users::MODWITH, with.into()),
+            users::SHELL.set(&a[1]),
+            users::MODTIME.set(now),
+            users::MODBY.set(who),
+            users::MODWITH.set(with),
         ],
     )?;
     Ok(Vec::new())
@@ -622,10 +619,10 @@ fn update_user_status(
     state.db.update(
         row,
         &[
-            (users::STATUS, status.into()),
-            (users::MODTIME, now.into()),
-            (users::MODBY, who.into()),
-            (users::MODWITH, with.into()),
+            users::STATUS.set(status),
+            users::MODTIME.set(now),
+            users::MODBY.set(who),
+            users::MODWITH.set(with),
         ],
     )?;
     Ok(Vec::new())
@@ -678,10 +675,11 @@ fn check_user_unreferenced(state: &MoiraState, users_id: i64) -> MrResult<()> {
 }
 
 fn delete_user_row(state: &mut MoiraState, row: RowId) -> MrResult<Vec<Vec<String>>> {
-    if state.db.cell(row, users::STATUS).as_int() != user_status::REGISTERABLE {
+    let r = state.db.table(users::T).row(row)?;
+    if r.get(users::STATUS) != user_status::REGISTERABLE {
         return Err(MrError::InUse);
     }
-    let users_id = state.db.cell(row, users::USERS_ID).as_int();
+    let users_id = r.get(users::USERS_ID);
     check_user_unreferenced(state, users_id)?;
     // Finger and pobox information live in the same record and die with it.
     state.db.delete(users::T, row)?;
@@ -711,7 +709,7 @@ fn get_finger_by_login(
     a: &[String],
 ) -> MrResult<Vec<Vec<String>>> {
     let row = one_user(state, &a[0])?;
-    Ok(vec![project(state, row, &FINGER)])
+    Ok(vec![project(state, row, &FINGER)?])
 }
 
 fn update_finger_by_login(
@@ -724,17 +722,17 @@ fn update_finger_by_login(
     state.db.update(
         row,
         &[
-            (users::FULLNAME, a[1].as_str().into()),
-            (users::NICKNAME, a[2].as_str().into()),
-            (users::HOME_ADDR, a[3].as_str().into()),
-            (users::HOME_PHONE, a[4].as_str().into()),
-            (users::OFFICE_ADDR, a[5].as_str().into()),
-            (users::OFFICE_PHONE, a[6].as_str().into()),
-            (users::MIT_DEPT, a[7].as_str().into()),
-            (users::MIT_AFFIL, a[8].as_str().into()),
-            (users::FMODTIME, now.into()),
-            (users::FMODBY, who.into()),
-            (users::FMODWITH, with.into()),
+            users::FULLNAME.set(&a[1]),
+            users::NICKNAME.set(&a[2]),
+            users::HOME_ADDR.set(&a[3]),
+            users::HOME_PHONE.set(&a[4]),
+            users::OFFICE_ADDR.set(&a[5]),
+            users::OFFICE_PHONE.set(&a[6]),
+            users::MIT_DEPT.set(&a[7]),
+            users::MIT_AFFIL.set(&a[8]),
+            users::FMODTIME.set(now),
+            users::FMODBY.set(who),
+            users::FMODWITH.set(with),
         ],
     )?;
     Ok(Vec::new())
@@ -743,7 +741,7 @@ fn update_finger_by_login(
 /// Shared by the pobox module: the ACE checks there need user row lookup.
 pub(crate) fn user_row_and_id(state: &MoiraState, login: &str) -> MrResult<(RowId, i64)> {
     let row = one_user(state, login)?;
-    Ok((row, state.db.cell(row, users::USERS_ID).as_int()))
+    Ok((row, state.db.table(users::T).row(row)?.get(users::USERS_ID)))
 }
 
 #[cfg(test)]

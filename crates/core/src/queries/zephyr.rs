@@ -1,7 +1,7 @@
 //! Zephyr class ACL queries (§7.0.6).
 
 use moira_common::errors::{MrError, MrResult};
-use moira_db::{Col, Pred, RowId};
+use moira_db::{Col, Int, Pred, RowId, Str};
 
 use crate::ace::{render_ace, resolve_ace, Ace};
 use crate::registry::{AccessRule, Handler, QueryHandle, QueryKind, Registry};
@@ -70,29 +70,25 @@ pub fn register(r: &mut Registry) {
 
 /// The four `(type, id)` ACE column pairs of a ZEPHYR row: transmit,
 /// subscribe, instance-wildcard, instance-uid.
-pub const ACES: [(Col<zephyr::R>, Col<zephyr::R>); 4] = [
+pub const ACES: [(Col<zephyr::R, Str>, Col<zephyr::R, Int>); 4] = [
     (zephyr::XMT_TYPE, zephyr::XMT_ID),
     (zephyr::SUB_TYPE, zephyr::SUB_ID),
     (zephyr::IWS_TYPE, zephyr::IWS_ID),
     (zephyr::IUI_TYPE, zephyr::IUI_ID),
 ];
 
-fn render_class(state: &MoiraState, row: RowId) -> Vec<String> {
-    let t = state.db.table(zephyr::T);
-    let mut out = vec![t.cell(row, zephyr::CLASS).render()];
+fn render_class(state: &MoiraState, row: RowId) -> MrResult<Vec<String>> {
+    let r = state.db.table(zephyr::T).row(row)?;
+    let mut out = vec![r.get(zephyr::CLASS).to_owned()];
     for (tc, ic) in ACES {
-        let (ty, name) = render_ace(
-            &state.db,
-            t.cell(row, tc).as_str(),
-            t.cell(row, ic).as_int(),
-        );
+        let (ty, name) = render_ace(&state.db, r.get(tc), r.get(ic));
         out.push(ty);
         out.push(name);
     }
-    out.push(t.cell(row, zephyr::MODTIME).render());
-    out.push(t.cell(row, zephyr::MODBY).render());
-    out.push(t.cell(row, zephyr::MODWITH).render());
-    out
+    out.push(r.render(zephyr::MODTIME));
+    out.push(r.get(zephyr::MODBY).to_owned());
+    out.push(r.get(zephyr::MODWITH).to_owned());
+    Ok(out)
 }
 
 fn get_zephyr_class(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
@@ -100,7 +96,7 @@ fn get_zephyr_class(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<V
     if ids.is_empty() {
         return Err(MrError::NoMatch);
     }
-    Ok(ids.into_iter().map(|id| render_class(state, id)).collect())
+    ids.into_iter().map(|id| render_class(state, id)).collect()
 }
 
 fn resolve_four_aces(state: &MoiraState, a: &[String], base: usize) -> MrResult<[Ace; 4]> {
@@ -157,7 +153,7 @@ fn update_zephyr_class(
     let row = exactly_one(state, zephyr::CLASS, &a[0], MrError::NoMatch)?;
     check_chars(&a[1])?;
     no_wildcards(&a[1])?;
-    let current = state.db.cell(row, zephyr::CLASS).as_str().to_owned();
+    let current = state.db.table(zephyr::T).row(row)?.get(zephyr::CLASS);
     if a[1] != current
         && state
             .db
@@ -172,18 +168,18 @@ fn update_zephyr_class(
     state.db.update(
         row,
         &[
-            (zephyr::CLASS, a[1].as_str().into()),
-            (zephyr::XMT_TYPE, aces[0].type_str().into()),
-            (zephyr::XMT_ID, aces[0].id().into()),
-            (zephyr::SUB_TYPE, aces[1].type_str().into()),
-            (zephyr::SUB_ID, aces[1].id().into()),
-            (zephyr::IWS_TYPE, aces[2].type_str().into()),
-            (zephyr::IWS_ID, aces[2].id().into()),
-            (zephyr::IUI_TYPE, aces[3].type_str().into()),
-            (zephyr::IUI_ID, aces[3].id().into()),
-            (zephyr::MODTIME, now.into()),
-            (zephyr::MODBY, who.into()),
-            (zephyr::MODWITH, with.into()),
+            zephyr::CLASS.set(&a[1]),
+            zephyr::XMT_TYPE.set(aces[0].type_str()),
+            zephyr::XMT_ID.set(aces[0].id()),
+            zephyr::SUB_TYPE.set(aces[1].type_str()),
+            zephyr::SUB_ID.set(aces[1].id()),
+            zephyr::IWS_TYPE.set(aces[2].type_str()),
+            zephyr::IWS_ID.set(aces[2].id()),
+            zephyr::IUI_TYPE.set(aces[3].type_str()),
+            zephyr::IUI_ID.set(aces[3].id()),
+            zephyr::MODTIME.set(now),
+            zephyr::MODBY.set(who),
+            zephyr::MODWITH.set(with),
         ],
     )?;
     Ok(Vec::new())

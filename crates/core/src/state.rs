@@ -265,9 +265,10 @@ impl MoiraState {
 
     /// Reads an integer from the `values` relation (§6 VALUES).
     pub fn get_value(&self, name: &str) -> Option<i64> {
-        let t = self.db.table(values::T);
-        t.select_one(&moira_db::Pred::Eq(values::NAME, name.into()))
-            .map(|id| t.cell(id, values::VALUE).as_int())
+        self.db
+            .table(values::T)
+            .find(&moira_db::Pred::Eq(values::NAME, name.into()))
+            .map(|r| r.get(values::VALUE))
     }
 
     /// Writes an integer into the `values` relation, creating it if absent.
@@ -279,7 +280,7 @@ impl MoiraState {
         match existing {
             Some(id) => self
                 .db
-                .update(id, &[(values::VALUE, value.into())])
+                .update(id, &[values::VALUE.set(value)])
                 .expect("values update"),
             None => {
                 self.db

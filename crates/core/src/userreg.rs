@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use moira_common::errors::MrError;
-use moira_db::Pred;
+use moira_db::{Pred, Row};
 use moira_krb::cipher::{pcbc_decrypt, pcbc_encrypt, Key};
 use moira_krb::crypt::hash_mit_id;
 use moira_krb::realm::Kdc;
@@ -119,14 +119,14 @@ impl RegistrationServer {
     }
 
     /// Finds the user row for (first, last) and verifies the authenticator
-    /// against the stored encrypted ID. Returns `(row, extra, login)`.
-    fn verify(
+    /// against the stored encrypted ID. Returns `(row, extra)`.
+    fn verify<'a>(
         &self,
-        state: &MoiraState,
+        state: &'a MoiraState,
         first: &str,
         last: &str,
         authenticator: &[u8],
-    ) -> Result<(moira_db::RowId, Option<String>), RegReply> {
+    ) -> Result<(Row<'a, users::R>, Option<String>), RegReply> {
         let rows = state
             .db
             .select(&Pred::Eq(users::FIRST, first.into()).and(Pred::Eq(users::LAST, last.into())));
@@ -135,8 +135,9 @@ impl RegistrationServer {
         }
         // Several students may share a name; the authenticator (keyed by
         // each one's hashed ID) disambiguates.
-        for &row in &rows {
-            let stored_hash = state.db.cell(row, users::MIT_ID).as_str().to_owned();
+        let t = state.db.table(users::T);
+        for r in rows.into_iter().filter_map(|row| t.row(row).ok()) {
+            let stored_hash = r.get(users::MIT_ID);
             if stored_hash.is_empty() {
                 continue;
             }
@@ -160,7 +161,7 @@ impl RegistrationServer {
                 continue;
             }
             let extra = parts.next().map(|s| s.to_owned());
-            return Ok((row, extra));
+            return Ok((r, extra));
         }
         Err(RegReply::BadAuthenticator)
     }
@@ -175,7 +176,7 @@ impl RegistrationServer {
             } => {
                 let state = self.state.read();
                 match self.verify(&state, first, last, authenticator) {
-                    Ok((row, _)) => RegReply::Ok(state.db.cell(row, users::STATUS).as_int()),
+                    Ok((r, _)) => RegReply::Ok(r.get(users::STATUS)),
                     Err(e) => e,
                 }
             }
@@ -194,14 +195,14 @@ impl RegistrationServer {
 
     fn grab_login(&self, first: &str, last: &str, authenticator: &[u8]) -> RegReply {
         let mut state = self.state.write();
-        let (row, extra) = match self.verify(&state, first, last, authenticator) {
+        let (r, extra) = match self.verify(&state, first, last, authenticator) {
             Ok(v) => v,
             Err(e) => return e,
         };
         let Some(login) = extra else {
             return RegReply::BadAuthenticator;
         };
-        let status = state.db.cell(row, users::STATUS).as_int();
+        let (status, uid) = (r.get(users::STATUS), r.get(users::UID));
         if status != user_status::REGISTERABLE {
             return RegReply::AlreadyRegistered;
         }
@@ -210,7 +211,6 @@ impl RegistrationServer {
         if self.kdc.principal_exists(&login) {
             return RegReply::LoginTaken;
         }
-        let uid = state.db.cell(row, users::UID).as_int();
         let caller = Caller::new("register", "userreg");
         let result = self.registry.execute(
             &mut state,
@@ -232,19 +232,18 @@ impl RegistrationServer {
 
     fn set_password(&self, first: &str, last: &str, authenticator: &[u8]) -> RegReply {
         let state = self.state.read();
-        let (row, extra) = match self.verify(&state, first, last, authenticator) {
+        let (r, extra) = match self.verify(&state, first, last, authenticator) {
             Ok(v) => v,
             Err(e) => return e,
         };
         let Some(password) = extra else {
             return RegReply::BadAuthenticator;
         };
-        let status = state.db.cell(row, users::STATUS).as_int();
+        let status = r.get(users::STATUS);
         if status != user_status::HALF_REGISTERED {
             return RegReply::Error(MrError::NotRegisterable.code());
         }
-        let login = state.db.cell(row, users::LOGIN).as_str().to_owned();
-        match self.kdc.set_password(&login, &password) {
+        match self.kdc.set_password(r.get(users::LOGIN), &password) {
             Ok(()) => RegReply::Ok(status),
             Err(_) => RegReply::Error(MrError::AuthFailure.code()),
         }
@@ -369,7 +368,7 @@ mod tests {
                 .select_one(&Pred::Eq(users::LOGIN, "kazimi".into()))
                 .unwrap();
         assert_eq!(
-            s.db.cell(row, users::STATUS).as_int(),
+            s.db.table(users::T).row(row).unwrap().get(users::STATUS),
             user_status::HALF_REGISTERED
         );
         assert!(s
@@ -432,7 +431,7 @@ mod tests {
                 s.db.table(users::T)
                     .select_one(&Pred::Eq(users::LAST, "Zimmermann".into()))
                     .unwrap();
-            assert_eq!(s.db.cell(row, users::STATUS).as_int(), 0);
+            assert_eq!(s.db.table(users::T).row(row).unwrap().get(users::STATUS), 0);
         }
         let reply = server.handle(&RegRequest::GrabLogin {
             first: "Martin".into(),
@@ -508,7 +507,10 @@ mod tests {
             s.db.table(users::T)
                 .select_one(&Pred::Eq(users::LOGIN, "mzim2".into()))
                 .unwrap();
-        assert_eq!(s.db.cell(row, users::MIT_YEAR).as_str(), "1991");
+        assert_eq!(
+            s.db.table(users::T).row(row).unwrap().get(users::MIT_YEAR),
+            "1991"
+        );
     }
 }
 

@@ -12,17 +12,21 @@ use moira_core::schema::{
     filesys, list, machine, members, nfsphys, nfsquota, serverhosts, servers, users,
 };
 use moira_core::state::{Caller, MoiraState};
-use moira_db::{Pred, Relation};
+use moira_db::{Pred, Relation, Row, TableRef};
 use proptest::prelude::*;
 
 /// The global invariants Moira's referential rules are supposed to
 /// maintain.
 fn check_invariants(state: &MoiraState) {
     let db = &state.db;
+    fn rows<R: Relation>(t: TableRef<'_, R>) -> impl Iterator<Item = Row<'_, R>> {
+        let ids: Vec<_> = t.iter().map(|(id, _)| id).collect();
+        ids.into_iter().map(move |id| t.row(id).unwrap())
+    }
 
     // 1. Every members row references an existing list.
-    for (row, _) in db.table(members::T).iter() {
-        let list_id = db.cell(row, members::LIST_ID).as_int();
+    for r in rows(db.table(members::T)) {
+        let list_id = r.get(members::LIST_ID);
         assert!(
             db.table(list::T)
                 .select_one(&Pred::Eq(list::LIST_ID, list_id.into()))
@@ -30,8 +34,8 @@ fn check_invariants(state: &MoiraState) {
             "dangling members.list_id {list_id}"
         );
         // USER members reference existing users.
-        if db.cell(row, members::MEMBER_TYPE).as_str() == "USER" {
-            let uid = db.cell(row, members::MEMBER_ID).as_int();
+        if r.get(members::MEMBER_TYPE) == "USER" {
+            let uid = r.get(members::MEMBER_ID);
             assert!(
                 db.table(users::T)
                     .select_one(&Pred::Eq(users::USERS_ID, uid.into()))
@@ -44,21 +48,20 @@ fn check_invariants(state: &MoiraState) {
     // 2. Per-partition allocation equals the sum of its quotas plus any
     //    manual adjustments — here no manual adjustments are generated, so
     //    equality must hold exactly.
-    for (prow, _) in db.table(nfsphys::T).iter() {
-        let phys_id = db.cell(prow, nfsphys::NFSPHYS_ID).as_int();
-        let allocated = db.cell(prow, nfsphys::ALLOCATED).as_int();
+    for p in rows(db.table(nfsphys::T)) {
+        let phys_id = p.get(nfsphys::NFSPHYS_ID);
         let sum: i64 = db
-            .select(&Pred::Eq(nfsquota::PHYS_ID, phys_id.into()))
-            .into_iter()
-            .map(|q| db.cell(q, nfsquota::QUOTA).as_int())
+            .table(nfsquota::T)
+            .rows(&Pred::Eq(nfsquota::PHYS_ID, phys_id.into()))
+            .map(|q| q.get(nfsquota::QUOTA))
             .sum();
+        let allocated = p.get(nfsphys::ALLOCATED);
         assert_eq!(allocated, sum, "allocation drift on partition {phys_id}");
     }
 
     // 3. Every quota references an existing filesystem and user.
-    for (qrow, _) in db.table(nfsquota::T).iter() {
-        let fid = db.cell(qrow, nfsquota::FILSYS_ID).as_int();
-        let uid = db.cell(qrow, nfsquota::USERS_ID).as_int();
+    for q in rows(db.table(nfsquota::T)) {
+        let (fid, uid) = (q.get(nfsquota::FILSYS_ID), q.get(nfsquota::USERS_ID));
         assert!(
             db.table(filesys::T)
                 .select_one(&Pred::Eq(filesys::FILSYS_ID, fid.into()))
@@ -74,9 +77,9 @@ fn check_invariants(state: &MoiraState) {
     }
 
     // 4. POP poboxes point at existing machines.
-    for (urow, _) in db.table(users::T).iter() {
-        if db.cell(urow, users::POTYPE).as_str() == "POP" {
-            let mid = db.cell(urow, users::POP_ID).as_int();
+    for u in rows(db.table(users::T)) {
+        if u.get(users::POTYPE) == "POP" {
+            let mid = u.get(users::POP_ID);
             assert!(
                 db.table(machine::T)
                     .select_one(&Pred::Eq(machine::MACH_ID, mid.into()))
@@ -87,12 +90,11 @@ fn check_invariants(state: &MoiraState) {
     }
 
     // 5. Serverhosts reference existing services and machines.
-    for (srow, _) in db.table(serverhosts::T).iter() {
-        let svc = db.cell(srow, serverhosts::SERVICE).render();
-        let mid = db.cell(srow, serverhosts::MACH_ID).as_int();
+    for h in rows(db.table(serverhosts::T)) {
+        let (svc, mid) = (h.get(serverhosts::SERVICE), h.get(serverhosts::MACH_ID));
         assert!(
             db.table(servers::T)
-                .select_one(&Pred::Eq(servers::NAME, svc.clone().into()))
+                .select_one(&Pred::Eq(servers::NAME, svc.into()))
                 .is_some(),
             "dangling serverhost service {svc}"
         );

@@ -2,7 +2,7 @@
 //!
 //! Tables live in creation order and are reached by slot: through a typed
 //! handle (`db.table(users::T)`, or implied by a column —
-//! `db.cell(id, users::LOGIN)`, `db.select(&Pred::Eq(users::LOGIN, v))`) or,
+//! `db.select(&Pred::Eq(users::LOGIN, v))`, `db.update(id, &[users::SHELL.set(s)])`) or,
 //! where relations are handled as data, through a [`TableId`]. A *name* is
 //! resolved in exactly one place, [`Database::lookup`], for the readers of
 //! on-disk documents.
@@ -16,7 +16,7 @@ use moira_common::clock::VClock;
 use moira_common::errors::{MrError, MrResult};
 
 use crate::query::Pred;
-use crate::schema::{Col, Relation, TableId, TableSchema};
+use crate::schema::{Assign, Relation, TableId, TableSchema};
 use crate::table::{RowId, Table, TableRef};
 use crate::value::{Symbols, Value};
 
@@ -213,7 +213,7 @@ impl Database {
     }
 
     /// Relation `R`'s table, typed: it selects by `R`'s predicates and
-    /// hands out `R`'s cells only.
+    /// hands out `R`'s rows only.
     pub fn table<R: Relation>(&self, rel: R) -> TableRef<'_, R> {
         self.at(R::ID).rel(rel)
     }
@@ -226,7 +226,7 @@ impl Database {
     }
 
     /// Updates columns of a row of `R`, stamping the modtime.
-    pub fn update<R: Relation>(&mut self, id: RowId, changes: &[(Col<R>, Value)]) -> MrResult<()> {
+    pub fn update<R: Relation>(&mut self, id: RowId, changes: &[Assign<R>]) -> MrResult<()> {
         let now = self.now();
         self.at_mut(R::ID).update(id, changes, now)
     }
@@ -267,11 +267,6 @@ impl Database {
         }
     }
 
-    /// The value of `col` in row `id` of `col`'s relation.
-    pub fn cell<R: Relation>(&self, id: RowId, col: Col<R>) -> Value {
-        self.at(R::ID).cell_at(id, col.index()).clone()
-    }
-
     /// Total mutations (appends + updates + deletes) ever applied across all
     /// tables — a cheap generation counter: if it is unchanged across a
     /// handler invocation, the handler did not touch the database.
@@ -307,11 +302,17 @@ mod tests {
         let id = d
             .append(machine::T, vec!["KIWI.MIT.EDU".into(), "VAX".into()])
             .unwrap();
-        assert_eq!(d.cell(id, machine::TYPE), Value::Str("VAX".into()));
-        d.update(id, &[(machine::TYPE, "RT".into())]).unwrap();
-        assert_eq!(d.cell(id, machine::TYPE), Value::Str("RT".into()));
+        let ty = |d: &Database| {
+            d.table(machine::T)
+                .row(id)
+                .map(|r| r.get(machine::TYPE).to_owned())
+        };
+        assert_eq!(ty(&d).as_deref(), Ok("VAX"));
+        d.update(id, &[machine::TYPE.set("RT")]).unwrap();
+        assert_eq!(ty(&d).as_deref(), Ok("RT"));
         d.delete(machine::T, id).unwrap();
         assert!(d.table(machine::T).select(&Pred::True).is_empty());
+        assert_eq!(ty(&d), Err(MrError::NoMatch), "a dead id reads as no match");
     }
 
     #[test]

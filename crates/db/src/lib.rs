@@ -10,7 +10,9 @@
 //!
 //! - [`value`] / [`schema`] — typed columns, table schemas, and the
 //!   [`relations!`] declaration that yields a relation's schema and its typed
-//!   table and column handles from one entry per column.
+//!   table and column handles from one entry per column; a column handle
+//!   carries its value kind, so a [`Row`] read returns `i64`, `&str` or
+//!   `bool` directly.
 //! - [`table`] — slab-stored rows, secondary indexes, predicate selection,
 //!   and per-table statistics (the TBLSTATS relation's raw material).
 //! - [`query`] — the predicate language (equality, wildcard `Like`,
@@ -45,10 +47,12 @@ pub mod wal;
 pub use database::{Database, GenCursor};
 pub use plan::Plan;
 pub use query::Pred;
-pub use schema::{Col, ColId, ColumnDef, Relation, TableId, TableSchema};
+pub use schema::{
+    Any, Assign, Bool, Col, ColId, ColumnDef, Int, Kind, Relation, Str, TableId, TableSchema,
+};
 pub use storage::{
     DiskMedia, DurableEngine, GroupCommitConfig, Media, NullStorage, OpKind, RecoveredImage,
     SimMedia, Storage,
 };
-pub use table::{RowChange, RowId, Table, TableRef};
+pub use table::{Row, RowChange, RowId, Table, TableRef};
 pub use value::{ColType, Symbols, Value};

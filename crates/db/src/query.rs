@@ -12,7 +12,7 @@
 use std::fmt;
 use std::marker::PhantomData;
 
-use crate::schema::{Col, ColId};
+use crate::schema::{Col, ColId, Int, Str};
 use crate::value::Value;
 use moira_common::wildcard;
 
@@ -35,9 +35,10 @@ pub(crate) enum RawPred {
 ///
 /// A thin tag over the engine's index-based predicate: the constructors are
 /// spelled like the enum variants they stand for (`Pred::Eq(users::LOGIN,
-/// v)`, `Pred::True`) and take [`Col<R>`], so a predicate can only combine
+/// v)`, `Pred::True`) and take [`Col<R, K>`], so a predicate can only combine
 /// columns of one relation and selects only from that relation's table,
-/// while one untagged copy of the planner serves every relation.
+/// while one untagged copy of the planner serves every relation. The string
+/// matches take `str` columns only and `Cmp` takes `int` columns only.
 pub struct Pred<R> {
     raw: RawPred,
     _rel: PhantomData<fn() -> R>,
@@ -82,27 +83,27 @@ impl<R> Pred<R> {
     pub const True: Self = Pred::tag(RawPred::True);
 
     /// Column equals value exactly.
-    pub fn Eq(col: Col<R>, value: Value) -> Self {
+    pub fn Eq<K>(col: Col<R, K>, value: Value) -> Self {
         Pred::tag(RawPred::Eq(col.id(), value))
     }
 
     /// String column equals, ASCII case-insensitively.
-    pub fn EqCi(col: Col<R>, value: String) -> Self {
+    pub fn EqCi(col: Col<R, Str>, value: String) -> Self {
         Pred::tag(RawPred::EqCi(col.id(), value))
     }
 
     /// String column matches a `*`/`?` wildcard pattern.
-    pub fn Like(col: Col<R>, pattern: String) -> Self {
+    pub fn Like(col: Col<R, Str>, pattern: String) -> Self {
         Pred::tag(RawPred::Like(col.id(), pattern))
     }
 
     /// String column matches a wildcard pattern case-insensitively.
-    pub fn LikeCi(col: Col<R>, pattern: String) -> Self {
+    pub fn LikeCi(col: Col<R, Str>, pattern: String) -> Self {
         Pred::tag(RawPred::LikeCi(col.id(), pattern))
     }
 
     /// Integer column compares `< / <= / > / >=` against a bound.
-    pub fn Cmp(col: Col<R>, op: CmpOp, bound: i64) -> Self {
+    pub fn Cmp(col: Col<R, Int>, op: CmpOp, bound: i64) -> Self {
         Pred::tag(RawPred::Cmp(col.id(), op, bound))
     }
 
@@ -135,7 +136,7 @@ impl<R> Pred<R> {
     /// Builds an `Eq` or `Like` predicate depending on whether the argument
     /// contains wildcards — the standard treatment of "may contain
     /// wildcards" query arguments.
-    pub fn name_match(col: Col<R>, arg: &str) -> Pred<R> {
+    pub fn name_match(col: Col<R, Str>, arg: &str) -> Pred<R> {
         if wildcard::has_wildcards(arg) {
             Pred::Like(col, arg.to_owned())
         } else {
@@ -145,7 +146,7 @@ impl<R> Pred<R> {
 
     /// Case-insensitive variant of [`Pred::name_match`] (machines,
     /// services).
-    pub fn name_match_ci(col: Col<R>, arg: &str) -> Pred<R> {
+    pub fn name_match_ci(col: Col<R, Str>, arg: &str) -> Pred<R> {
         if wildcard::has_wildcards(arg) {
             Pred::LikeCi(col, arg.to_owned())
         } else {

@@ -7,12 +7,13 @@
 //! [`relations!`](crate::relations) states it once: one entry per column
 //! yields the [`TableSchema`] installed at boot, a zero-sized tag type per
 //! relation, a table handle, and one [`Col`] constant per column carrying
-//! the column's index. Queries are built from those constants — there is no
-//! lookup of a table or a column by name on any query path, hence no typo
-//! to catch and no "no such column" to panic on.
+//! the column's index and its value [`Kind`]. Queries are built from those
+//! constants — there is no lookup of a table or a column by name on any
+//! query path, hence no typo to catch and no "no such column" to panic on.
 //!
-//! A [`Col`] is tagged with its relation and the table is implied by the
-//! column, so a column of the wrong relation is a type error:
+//! A [`Col`] is tagged with its relation and its kind, and the table is
+//! implied by the column. A read of a live row returns the cell as `i64`,
+//! `&str` or `bool`; an update pairs a column with a value of its kind:
 //!
 //! ```
 //! moira_db::relations! {
@@ -21,14 +22,15 @@
 //!     /// Hosts.
 //!     machine { NAME: str "name" unique, TYPE: str "type" }
 //! }
-//! use moira_db::{Database, Pred, Value};
+//! use moira_db::{Database, Pred};
 //!
 //! let mut db = Database::new(Default::default());
 //! create_all_tables(&mut db);
 //! let id = db.append(users::T, vec!["kit".into(), 6530.into()]).unwrap();
 //! assert_eq!(db.select(&Pred::Eq(users::LOGIN, "kit".into())), vec![id]);
-//! db.update(id, &[(users::UID, 6531.into())]).unwrap();
-//! assert_eq!(db.table(users::T).cell(id, users::UID), &Value::Int(6531));
+//! db.update(id, &[users::UID.set(6531)]).unwrap();
+//! let row = db.table(users::T).row(id).unwrap();
+//! assert_eq!((row.get(users::LOGIN), row.get(users::UID)), ("kit", 6531));
 //! ```
 //!
 //! A predicate over `users` cannot name a column of `machine` (E0308) —
@@ -59,21 +61,48 @@
 //! # let mut db = Database::new(Default::default());
 //! # create_all_tables(&mut db);
 //! # let id = db.append(users::T, vec!["kit".into(), 6530.into()]).unwrap();
-//! db.update(id, &[(users::UID, 6531.into()), (machine::TYPE, "VAX".into())]).unwrap();
+//! db.update(id, &[users::UID.set(6531), machine::TYPE.set("VAX")]).unwrap();
 //! ```
 //!
-//! — and a table handle hands out cells of its own relation only (E0308):
+//! — nor give an `int` column a string (E0308) —
+//!
+//! ```compile_fail
+//! # moira_db::relations! {
+//! #     users { LOGIN: str "login" unique, UID: int "uid" indexed }
+//! # }
+//! # use moira_db::Database;
+//! # let mut db = Database::new(Default::default());
+//! # create_all_tables(&mut db);
+//! # let id = db.append(users::T, vec!["kit".into(), 6530.into()]).unwrap();
+//! db.update(id, &[users::UID.set("6531")]).unwrap();
+//! ```
+//!
+//! — a row of one relation hands out cells of its own relation only
+//! (E0308) —
 //!
 //! ```compile_fail
 //! # moira_db::relations! {
 //! #     users { LOGIN: str "login" unique, UID: int "uid" indexed }
 //! #     machine { NAME: str "name" unique, TYPE: str "type" }
 //! # }
-//! # use moira_db::{Database, Pred};
+//! # use moira_db::Database;
 //! # let mut db = Database::new(Default::default());
 //! # create_all_tables(&mut db);
 //! # let id = db.append(users::T, vec!["kit".into(), 6530.into()]).unwrap();
-//! let _ = db.table(users::T).cell(id, machine::NAME);
+//! let _ = db.table(users::T).row(id).unwrap().get(machine::NAME);
+//! ```
+//!
+//! — and an `int` column does not read as a string (E0308):
+//!
+//! ```compile_fail
+//! # moira_db::relations! {
+//! #     users { LOGIN: str "login" unique, UID: int "uid" indexed }
+//! # }
+//! # use moira_db::Database;
+//! # let mut db = Database::new(Default::default());
+//! # create_all_tables(&mut db);
+//! # let id = db.append(users::T, vec!["kit".into(), 6530.into()]).unwrap();
+//! let uid: &str = db.table(users::T).row(id).unwrap().get(users::UID);
 //! ```
 //!
 //! Names stay strings exactly where they are data: in the documents on disk
@@ -86,7 +115,7 @@
 use std::fmt;
 use std::marker::PhantomData;
 
-use crate::value::ColType;
+use crate::value::{ColType, Value};
 
 /// Definition of one column.
 #[derive(Debug, Clone)]
@@ -244,30 +273,112 @@ impl fmt::Debug for ColId {
     }
 }
 
-/// A column of relation `R`: its index in the row, tagged with the relation
-/// so it cannot be applied to another one's rows.
-pub struct Col<R> {
-    id: ColId,
-    _rel: PhantomData<fn() -> R>,
+/// A column's value kind: the storage class `relations!` declared for it,
+/// carried in the column handle's type so that a read returns the cell as a
+/// plain `i64`, `&str` or `bool` and an update takes only a value of that
+/// type. The kinds are [`Int`], [`Str`] and [`Bool`]; [`Any`] is a column
+/// with its kind erased, which can be rendered but not read.
+pub trait Kind: 'static {
+    /// What a read returns, borrowing the row for `'a`.
+    type Cell<'a>: Copy + Default;
+
+    /// The cell as this kind, or `None` when it holds another storage class.
+    fn read(v: &Value) -> Option<Self::Cell<'_>>;
 }
 
-impl<R> Clone for Col<R> {
+/// The kind of an `int` column: reads as `i64`.
+#[derive(Debug)]
+pub enum Int {}
+
+/// The kind of a `str` column: reads as `&str`, borrowed from the row.
+#[derive(Debug)]
+pub enum Str {}
+
+/// The kind of a `boolean` column: reads as `bool`.
+#[derive(Debug)]
+pub enum Bool {}
+
+/// A column whose kind is erased — the element type of a projection's
+/// column list, which mixes kinds and is only ever rendered.
+#[derive(Debug)]
+pub enum Any {}
+
+impl Kind for Int {
+    type Cell<'a> = i64;
+
+    fn read(v: &Value) -> Option<i64> {
+        match v {
+            Value::Int(i) => Some(*i),
+            _ => None,
+        }
+    }
+}
+
+impl Kind for Str {
+    type Cell<'a> = &'a str;
+
+    fn read(v: &Value) -> Option<&str> {
+        match v {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+impl Kind for Bool {
+    type Cell<'a> = bool;
+
+    fn read(v: &Value) -> Option<bool> {
+        match v {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+}
+
+/// Maps a `relations!` column type to its [`Kind`].
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __column_kind {
+    (str) => {
+        $crate::schema::Str
+    };
+    (int) => {
+        $crate::schema::Int
+    };
+    (boolean) => {
+        $crate::schema::Bool
+    };
+}
+
+/// A column of relation `R` holding values of kind `K`: its index in the
+/// row, tagged with the relation so it cannot be applied to another one's
+/// rows and with the kind so it reads and writes one type only.
+pub struct Col<R, K = Any> {
+    id: ColId,
+    _rel: PhantomData<fn() -> (R, K)>,
+}
+
+impl<R, K> Clone for Col<R, K> {
     fn clone(&self) -> Self {
         *self
     }
 }
 
-impl<R> Copy for Col<R> {}
+impl<R, K> Copy for Col<R, K> {}
 
-impl<R> fmt::Debug for Col<R> {
+impl<R, K> fmt::Debug for Col<R, K> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.id.fmt(f)
     }
 }
 
-impl<R> Col<R> {
-    /// The column at `idx`, called `name`. [`relations!`](crate::relations)
-    /// is the intended caller: it derives both from the one column entry.
+impl<R, K> Col<R, K> {
+    /// The column at `idx`, called `name`, of kind `K`.
+    /// [`relations!`](crate::relations) is the intended caller: it derives
+    /// the index, the name and the kind from the one column entry. A handle
+    /// built by hand must name the kind its column was declared with; a
+    /// read through one that does not returns the kind's default.
     pub const fn new(idx: usize, name: &'static str) -> Self {
         Col {
             id: ColId { idx, name },
@@ -290,9 +401,17 @@ impl<R> Col<R> {
         self.id
     }
 
+    /// The column with its kind erased, for a projection's column list.
+    pub const fn erase(self) -> Col<R> {
+        Col {
+            id: self.id,
+            _rel: PhantomData,
+        }
+    }
+
     /// The names of `cols`, in order: a query handle that returns exactly a
     /// projection's columns derives its `returns` from the projection.
-    pub const fn names<const N: usize>(cols: &[Col<R>; N]) -> [&'static str; N] {
+    pub const fn names<const N: usize>(cols: &[Col<R, K>; N]) -> [&'static str; N] {
         let mut out = [""; N];
         let mut i = 0;
         while i < N {
@@ -300,6 +419,49 @@ impl<R> Col<R> {
             i += 1;
         }
         out
+    }
+
+    fn assign(self, value: Value) -> Assign<R> {
+        Assign {
+            col: self.id,
+            value,
+            _rel: PhantomData,
+        }
+    }
+}
+
+impl<R> Col<R, Int> {
+    /// The change "this column becomes `v`", for an update's change list.
+    pub fn set(self, v: i64) -> Assign<R> {
+        self.assign(Value::Int(v))
+    }
+}
+
+impl<R> Col<R, Str> {
+    /// The change "this column becomes `v`", for an update's change list.
+    pub fn set(self, v: impl AsRef<str>) -> Assign<R> {
+        self.assign(v.as_ref().into())
+    }
+}
+
+impl<R> Col<R, Bool> {
+    /// The change "this column becomes `v`", for an update's change list.
+    pub fn set(self, v: bool) -> Assign<R> {
+        self.assign(Value::Bool(v))
+    }
+}
+
+/// One entry of an update's change list over relation `R`: a column and a
+/// value of the column's kind, made by `Col::set`.
+pub struct Assign<R> {
+    pub(crate) col: ColId,
+    pub(crate) value: Value,
+    _rel: PhantomData<fn() -> R>,
+}
+
+impl<R> fmt::Debug for Assign<R> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:?}={}", self.col, self.value)
     }
 }
 
@@ -309,7 +471,8 @@ impl<R> Col<R> {
 /// one of `str`, `int`, `boolean` and flags any of `unique`, `indexed`,
 /// `max_len(n)` — the [`ColumnDef`] builders. Per relation this generates a
 /// module `name` holding the tag type `R`, the table handle `T`, one
-/// `Col<R>` constant per column and `COLUMNS`, all of them in storage order;
+/// `Col<R, K>` constant per column — `K` the [`Kind`] its type names — and
+/// `COLUMNS`, all of them in storage order;
 /// for the set, `RELATIONS` (the
 /// [`TableId`]s in declaration order) and `create_all_tables`, which
 /// installs the schemas into an empty [`Database`](crate::Database) in that
@@ -345,12 +508,12 @@ macro_rules! relations {
 
                 $(
                     #[doc = concat!("Column `", $name, "`.")]
-                    pub const $col: $crate::schema::Col<R> =
+                    pub const $col: $crate::schema::Col<R, $crate::__column_kind!($ty)> =
                         $crate::schema::Col::new(Index::$col as usize, $name);
                 )+
 
-                /// Every column, in storage order.
-                pub const COLUMNS: &[$crate::schema::Col<R>] = &[$($col),+];
+                /// Every column, in storage order, kinds erased.
+                pub const COLUMNS: &[$crate::schema::Col<R>] = &[$($col.erase()),+];
             }
 
             impl $crate::schema::Relation for $rel::R {
@@ -395,7 +558,7 @@ mod tests {
         let s = <users::R as Relation>::schema();
         assert_eq!(s.name, "users");
         assert_eq!(s.arity(), 3);
-        for col in [users::LOGIN, users::UID, users::ACTIVE] {
+        for col in users::COLUMNS {
             assert_eq!(s.columns[col.index()].name, col.name());
         }
         assert!(s.columns[0].unique && s.columns[0].indexed);
@@ -406,7 +569,10 @@ mod tests {
             RELATIONS,
             &[TableId::new("users", 0), TableId::new("machine", 1)]
         );
-        assert_eq!(Col::names(&[users::UID, users::LOGIN]), ["uid", "login"]);
+        assert_eq!(
+            Col::names(&[users::UID.erase(), users::LOGIN.erase()]),
+            ["uid", "login"]
+        );
     }
 
     #[test]

@@ -389,7 +389,7 @@ mod tests {
         db.append(users::T, vec!["b\\ck".into(), 2.into(), false.into()])
             .unwrap();
         clock.advance(60);
-        db.update(a, &[(users::UID, 9.into())]).unwrap();
+        db.update(a, &[users::UID.set(9)]).unwrap();
         db.delete(users::T, a).unwrap();
         db.append(values::T, vec!["dcm\nenable".into(), 1.into()])
             .unwrap();
@@ -495,7 +495,7 @@ mod tests {
         // stays put and must not appear in the delta.
         db.append(users::T, vec!["new".into(), 5.into(), true.into()])
             .unwrap();
-        db.update(1, &[(users::UID, 8.into())]).unwrap();
+        db.update(1, &[users::UID.set(8)]).unwrap();
         db.delete(users::T, 1).unwrap();
         journal.log(JournalEntry {
             time: db.now(),

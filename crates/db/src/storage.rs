@@ -1235,7 +1235,7 @@ mod tests {
         // Slot reuse, an in-place update and a fresh tombstone.
         live.commit("del", |db| db.delete(t::T, 0).unwrap());
         live.add("d");
-        live.commit("upd", |db| db.update(1, &[(t::V, 7.into())]).unwrap());
+        live.commit("upd", |db| db.update(1, &[t::V.set(7)]).unwrap());
         live.commit("del", |db| db.delete(t::T, 2).unwrap());
         live.seal();
         assert_eq!(

@@ -12,7 +12,7 @@ use moira_common::errors::{MrError, MrResult};
 
 use crate::plan::{self, Plan, PlanStats};
 use crate::query::{Pred, RawPred};
-use crate::schema::{Col, ColId, Relation, TableSchema};
+use crate::schema::{Assign, Col, ColId, Kind, Relation, TableSchema};
 use crate::value::{ColType, Symbols, Value};
 
 /// Identifier of a row within one table (stable across updates, reused only
@@ -359,8 +359,9 @@ impl Table {
         Ok(id)
     }
 
-    /// Borrows a live row.
-    pub fn get(&self, id: RowId) -> Option<&[Value]> {
+    /// Borrows a live row's cells; code above the engine reads them
+    /// through [`TableRef::row`].
+    pub(crate) fn get(&self, id: RowId) -> Option<&[Value]> {
         self.rows.get(id).and_then(|r| r.as_deref())
     }
 
@@ -387,12 +388,14 @@ impl Table {
         match plan {
             Plan::IndexPoint { col, value, ci } => {
                 let c = col.idx;
-                let bucket = if *ci {
-                    self.indexes_ci
+                let bucket = match (*ci, value) {
+                    (true, Value::Str(folded)) => self
+                        .indexes_ci
                         .get(&c)
-                        .and_then(|ix| ix.get(value.as_str()))
-                } else {
-                    self.indexes.get(&c).and_then(|ix| ix.get(value))
+                        .and_then(|ix| ix.get(folded.as_ref())),
+                    // The planner folds only string keys.
+                    (true, _) => None,
+                    (false, _) => self.indexes.get(&c).and_then(|ix| ix.get(value)),
                 };
                 Some(bucket.cloned().unwrap_or_default())
             }
@@ -521,37 +524,29 @@ impl Table {
     }
 
     /// Updates columns of a row in place.
+    ///
+    /// The new row is built from a borrow of the old one and checked before
+    /// anything moves: a failed update leaves the slot and every index as
+    /// they were. Only then is the old row taken out of its slot, to unhook
+    /// its index entries.
     pub fn update<R: Relation>(
         &mut self,
         id: RowId,
-        changes: &[(Col<R>, Value)],
+        changes: &[Assign<R>],
         now: i64,
     ) -> MrResult<()> {
         self.check_rel::<R>();
-        self.update_at(id, &mut changes.iter().map(|(c, v)| (c.index(), v)), now)
-    }
-
-    /// [`Table::update`] under the relation tag: `(column index, value)`.
-    fn update_at(
-        &mut self,
-        id: RowId,
-        changes: &mut dyn Iterator<Item = (usize, &Value)>,
-        now: i64,
-    ) -> MrResult<()> {
-        let old = self
-            .rows
-            .get(id)
-            .and_then(|r| r.clone())
-            .ok_or(MrError::NoMatch)?;
-        let mut new = old.clone();
-        for (col, value) in changes {
-            let mut v = value.clone();
+        let mut new = self.get(id).ok_or(MrError::NoMatch)?.to_vec();
+        for change in changes {
+            let mut v = change.value.clone();
             self.symbols.intern_value(&mut v);
-            *new.get_mut(col).ok_or(MrError::Internal)? = v;
+            *new.get_mut(change.col.idx).ok_or(MrError::Internal)? = v;
         }
         self.check_row(&new)?;
         self.check_unique(&new, Some(id))?;
-        self.index_remove(id, &old);
+        if let Some(old) = self.rows.get_mut(id).and_then(Option::take) {
+            self.index_remove(id, &old);
+        }
         self.index_insert(id, &new);
         self.rows[id] = Some(new);
         self.stats.updates += 1;
@@ -565,11 +560,10 @@ impl Table {
     pub fn delete(&mut self, id: RowId, now: i64) -> MrResult<()> {
         let old = self
             .rows
-            .get(id)
-            .and_then(|r| r.clone())
+            .get_mut(id)
+            .and_then(Option::take)
             .ok_or(MrError::NoMatch)?;
         self.index_remove(id, &old);
-        self.rows[id] = None;
         self.free.push(id);
         self.live -= 1;
         self.stats.deletes += 1;
@@ -681,28 +675,23 @@ impl Table {
         }
         Ok(())
     }
-
-    /// The value at column index `col` of row `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row is dead — row liveness, not naming: every caller
-    /// holds an id a select just returned under the same guard. Making
-    /// this an `Option` is ROADMAP item 1's business (it changes what a
-    /// handler does with a row that vanished), not this file's.
-    #[allow(clippy::expect_used)]
-    pub(crate) fn cell_at(&self, id: RowId, col: usize) -> &Value {
-        &self.get(id).expect("live row")[col]
-    }
 }
 
-/// A table seen as relation `R`: selects, plans and cells take `R`'s
+/// A table seen as relation `R`: selects, plans and rows take `R`'s
 /// predicates and columns only. Everything that involves no column (`len`,
 /// `iter`, `get`, `stats`, `changed_since`, …) is reached through `Deref`.
 pub struct TableRef<'a, R> {
     table: &'a Table,
     _rel: PhantomData<fn() -> R>,
 }
+
+impl<R> Clone for TableRef<'_, R> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<R> Copy for TableRef<'_, R> {}
 
 impl<R> Deref for TableRef<'_, R> {
     type Target = Table;
@@ -743,18 +732,69 @@ impl<'a, R> TableRef<'a, R> {
         self.table.select_one(pred.raw())
     }
 
+    /// The matching rows, in id order: [`TableRef::select`] read through
+    /// [`TableRef::row`].
+    pub fn rows(&self, pred: &Pred<R>) -> impl Iterator<Item = Row<'a, R>> {
+        let t = *self;
+        self.select(pred)
+            .into_iter()
+            .filter_map(move |id| t.row(id).ok())
+    }
+
+    /// The lowest matching row, if any: [`TableRef::select_one`] read
+    /// through [`TableRef::row`].
+    pub fn find(&self, pred: &Pred<R>) -> Option<Row<'a, R>> {
+        self.select_one(pred).and_then(|id| self.row(id).ok())
+    }
+
     /// Counts matching rows without materializing ids.
     pub fn count(&self, pred: &Pred<R>) -> usize {
         self.table.count(pred.raw())
     }
 
-    /// The value of `col` in row `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row is dead.
-    pub fn cell(&self, id: RowId, col: Col<R>) -> &'a Value {
-        self.table.cell_at(id, col.index())
+    /// Row `id`, live: `MR_NO_MATCH` when the slot is free — the answer
+    /// `update` and `delete` give a dead id.
+    pub fn row(&self, id: RowId) -> MrResult<Row<'a, R>> {
+        let cells = self.table.get(id).ok_or(MrError::NoMatch)?;
+        Ok(Row {
+            cells,
+            _rel: PhantomData,
+        })
+    }
+}
+
+/// A live row of relation `R`, borrowed from its table: the one way a cell
+/// is read. Got from [`TableRef::row`], which has already decided liveness.
+pub struct Row<'a, R> {
+    cells: &'a [Value],
+    _rel: PhantomData<fn() -> R>,
+}
+
+impl<R> Clone for Row<'_, R> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<R> Copy for Row<'_, R> {}
+
+impl<'a, R> Row<'a, R> {
+    /// The cell of `col`, as its kind's type: `i64`, `&str` or `bool`.
+    pub fn get<K: Kind>(self, col: Col<R, K>) -> K::Cell<'a> {
+        // `check_row` refuses a cell whose storage class is not its
+        // column's at every way into the slab — `append`, `update` and
+        // `import_image` (`backup::restore_table` goes through `append`) —
+        // and `relations!` gives each column handle the kind of the schema
+        // column it names. So for its handles `read` always matches and the
+        // default is never returned; only a handle built by hand with
+        // `Col::new` and the wrong kind could reach it.
+        K::read(&self.cells[col.index()]).unwrap_or_default()
+    }
+
+    /// The cell of `col` the way the protocol sends it: integers in
+    /// decimal, booleans as `0`/`1`, strings verbatim.
+    pub fn render<K>(self, col: Col<R, K>) -> String {
+        self.cells[col.index()].render()
     }
 }
 
@@ -917,11 +957,52 @@ mod tests {
         );
     }
 
+    /// The typed getter's invariant: no way into the slab stores a cell
+    /// whose storage class is not its column's. Each entry is handed a
+    /// wrong-typed cell; each must answer `MR_INTERNAL` and leave the table
+    /// byte-for-byte as it was. `import_image` and `restore_table` need an
+    /// empty table, the other two start from one row.
     #[test]
-    fn type_mismatch_is_internal() {
-        let mut t = users_table();
-        let bad = vec![Value::Int(1), Value::Int(2), Value::Bool(true)];
-        assert_eq!(t.append(bad, 0), Err(MrError::Internal));
+    fn every_entry_refuses_a_wrong_typed_cell() {
+        use crate::Database;
+        type Entry = fn(&mut Database) -> MrResult<()>;
+        fn append(db: &mut Database) -> MrResult<()> {
+            let login_as_int = vec![Value::Int(1), Value::Int(2), Value::Bool(true)];
+            db.append(users::T, login_as_int).map(drop)
+        }
+        fn update(db: &mut Database) -> MrResult<()> {
+            // `Col::set` cannot build this change; a hand-made handle of the
+            // wrong kind can.
+            let login_as_int: Col<users::R, crate::Int> = Col::new(LOGIN.index(), "login");
+            db.update(0, &[login_as_int.set(7)])
+        }
+        fn import_image(db: &mut Database) -> MrResult<()> {
+            let mut source = users_table();
+            source.append(row("a", 1, true), 0)?;
+            let mut image = source.export_image();
+            image.rows[0].2[LOGIN.index()] = Value::Int(7);
+            db.at_mut(users::R::ID).import_image(&image)
+        }
+        fn restore_table(db: &mut Database) -> MrResult<()> {
+            // `uid` is an int column.
+            crate::backup::restore_table(db, users::R::ID, "a:six:1\n").map(drop)
+        }
+        let cases: [(&str, bool, Entry); 4] = [
+            ("append", true, append),
+            ("update", true, update),
+            ("import_image", false, import_image),
+            ("restore_table", false, restore_table),
+        ];
+        for (entry, seeded, wrong) in cases {
+            let mut db = Database::new(Default::default());
+            db.create_table(users::R::schema());
+            if seeded {
+                db.append(users::T, row("a", 1, true)).unwrap();
+            }
+            let before = db.at(users::R::ID).export_image();
+            assert_eq!(wrong(&mut db), Err(MrError::Internal), "{entry}");
+            assert_eq!(db.at(users::R::ID).export_image(), before, "{entry}");
+        }
     }
 
     #[test]
@@ -933,10 +1014,7 @@ mod tests {
         }
         let hits = t.rel(users::T).select(&Pred::Eq(UID, 6042.into()));
         assert_eq!(hits.len(), 1);
-        assert_eq!(
-            t.rel(users::T).cell(hits[0], LOGIN),
-            &Value::Str("u42".into())
-        );
+        assert_eq!(t.rel(users::T).row(hits[0]).unwrap().get(LOGIN), "u42");
         // Wildcard forces a scan.
         let scans = t.rel(users::T).select(&Pred::Like(LOGIN, "u4?".into()));
         assert_eq!(scans.len(), 10);
@@ -946,8 +1024,7 @@ mod tests {
     fn update_moves_index_entries() {
         let mut t = users_table();
         let id = t.append(row("old", 1, true), 0).unwrap();
-        t.update(id, &[(LOGIN, "new".into()), (UID, Value::Int(2))], 5)
-            .unwrap();
+        t.update(id, &[LOGIN.set("new"), UID.set(2)], 5).unwrap();
         assert!(t
             .rel(users::T)
             .select(&Pred::Eq(LOGIN, "old".into()))
@@ -966,17 +1043,16 @@ mod tests {
         let mut t = users_table();
         let a = t.append(row("a", 1, true), 0).unwrap();
         t.append(row("b", 2, true), 0).unwrap();
-        assert_eq!(t.update(a, &[(LOGIN, "b".into())], 0), Err(MrError::Exists));
-        assert_eq!(t.rel(users::T).cell(a, LOGIN), &Value::Str("a".into()));
+        assert_eq!(t.update(a, &[LOGIN.set("b")], 0), Err(MrError::Exists));
+        assert_eq!(t.rel(users::T).row(a).unwrap().get(LOGIN), "a");
     }
 
     #[test]
     fn update_to_same_unique_value_allowed() {
         let mut t = users_table();
         let a = t.append(row("a", 1, true), 0).unwrap();
-        t.update(a, &[(LOGIN, "a".into()), (UID, Value::Int(9))], 0)
-            .unwrap();
-        assert_eq!(t.rel(users::T).cell(a, UID), &Value::Int(9));
+        t.update(a, &[LOGIN.set("a"), UID.set(9)], 0).unwrap();
+        assert_eq!(t.rel(users::T).row(a).unwrap().get(UID), 9);
     }
 
     #[test]
@@ -1142,7 +1218,7 @@ mod tests {
 
         // The folded index tracks updates and deletes.
         let id = t.rel(machine::T).select_one(&eq).unwrap();
-        t.update(id, &[(machine::NAME, "RENAMED.MIT.EDU".into())], 1)
+        t.update(id, &[machine::NAME.set("RENAMED.MIT.EDU")], 1)
             .unwrap();
         assert!(t.rel(machine::T).select(&eq).is_empty());
         let renamed = Pred::EqCi(machine::NAME, "renamed.mit.edu".into());
@@ -1248,7 +1324,7 @@ mod tests {
         let mut t = users_table();
         assert_eq!(t.generation(), 0);
         let a = t.append(row("a", 1, true), 0).unwrap();
-        t.update(a, &[(UID, Value::Int(2))], 0).unwrap();
+        t.update(a, &[UID.set(2)], 0).unwrap();
         t.delete(a, 0).unwrap();
         assert_eq!(t.generation(), 3);
         let s = t.stats();
@@ -1262,7 +1338,7 @@ mod tests {
         let b = t.append(row("b", 2, true), 0).unwrap();
         let cursor = t.generation();
         assert_eq!(t.changed_since(cursor), vec![]);
-        t.update(b, &[(UID, Value::Int(9))], 1).unwrap();
+        t.update(b, &[UID.set(9)], 1).unwrap();
         t.delete(a, 1).unwrap();
         let c = t.append(row("c", 3, true), 1).unwrap();
         assert_eq!(c, a, "slot reused");
@@ -1315,7 +1391,7 @@ mod tests {
         let a = t.append(row("a", 1, true), 10).unwrap();
         let b = t.append(row("b", 2, false), 11).unwrap();
         t.append(row("c", 3, true), 12).unwrap();
-        t.update(b, &[(UID, Value::Int(9))], 13).unwrap();
+        t.update(b, &[UID.set(9)], 13).unwrap();
         t.delete(a, 14).unwrap();
         t.delete(b, 15).unwrap();
 
@@ -1402,7 +1478,7 @@ mod tests {
         let a = t.append(row("a", 1, true), 0).unwrap();
         t.append(row("b", 2, true), 0).unwrap();
         t.delete(a, 0).unwrap();
-        let logins: Vec<String> = t.iter().map(|(_, r)| r[0].as_str().to_owned()).collect();
+        let logins: Vec<String> = t.iter().map(|(_, r)| r[0].render()).collect();
         assert_eq!(logins, vec!["b"]);
     }
 }

@@ -2,8 +2,12 @@
 //!
 //! The Moira schema (§6) uses three storage classes: integers (ids, uids,
 //! flags, unix times), short text fields, and booleans (stored as 0/1 in
-//! INGRES but typed here). `Value` is the dynamic cell type flowing through
-//! the engine; query handles convert to and from the counted strings of the
+//! INGRES but typed here). `Value` is the stored cell and the engine's
+//! internal currency — index keys, predicate evaluation, the rows `append`
+//! takes, and the snapshot, WAL and backup codecs. Code above the engine
+//! reads cells through [`Row`](crate::Row), whose getter returns the
+//! column's kind (`i64`, `&str`, `bool`) directly, and writes them through
+//! `Col::set`; query handles convert to and from the counted strings of the
 //! wire protocol at the edge.
 //!
 //! String cells are `Arc<str>`: at production scale the same handful of
@@ -14,6 +18,8 @@
 //! row costs one pointer per string cell and the text itself is stored
 //! once. Interning is invisible to every observer — equality, ordering,
 //! hashing, rendering, and the snapshot/WAL wire form are all by content.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::cmp::Ordering;
 use std::collections::HashSet;
@@ -33,7 +39,7 @@ pub enum ColType {
     Bool,
 }
 
-/// A dynamically typed cell value.
+/// A stored cell, tagged with its storage class.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Value {
     /// An integer cell.
@@ -51,43 +57,6 @@ impl Value {
             Value::Int(_) => ColType::Int,
             Value::Str(_) => ColType::Str,
             Value::Bool(_) => ColType::Bool,
-        }
-    }
-
-    /// The integer contents; panics if not an [`Value::Int`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when called on a non-integer value — schema mismatches are
-    /// programming errors inside the engine, not runtime conditions.
-    pub fn as_int(&self) -> i64 {
-        match self {
-            Value::Int(i) => *i,
-            other => panic!("expected Int, got {other:?}"),
-        }
-    }
-
-    /// The string contents; panics if not a [`Value::Str`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when called on a non-string value.
-    pub fn as_str(&self) -> &str {
-        match self {
-            Value::Str(s) => s,
-            other => panic!("expected Str, got {other:?}"),
-        }
-    }
-
-    /// The boolean contents; panics if not a [`Value::Bool`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when called on a non-boolean value.
-    pub fn as_bool(&self) -> bool {
-        match self {
-            Value::Bool(b) => *b,
-            other => panic!("expected Bool, got {other:?}"),
         }
     }
 
@@ -308,12 +277,6 @@ mod tests {
         vals.sort();
         assert_eq!(vals[0], Value::Int(1));
         assert_eq!(vals[3], Value::Bool(true));
-    }
-
-    #[test]
-    #[should_panic(expected = "expected Int")]
-    fn as_int_panics_on_mismatch() {
-        Value::Str("x".into()).as_int();
     }
 
     #[test]

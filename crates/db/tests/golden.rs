@@ -54,7 +54,7 @@ fn first_commits(db: &mut Database, clock: &VClock) -> Vec<JournalEntry> {
         .unwrap();
     let e1 = entry(db, "add_users", &["co:lon", "b\\ck", "caf\u{e9}"]);
     clock.advance(60);
-    db.update(a, &[(users::UID, 9.into())]).unwrap();
+    db.update(a, &[users::UID.set(9)]).unwrap();
     db.delete(users::T, a).unwrap();
     let e2 = entry(db, "drop_user", &["co:lon", ""]);
     db.append(values::T, vec!["dcm\nenable".into(), 1.into()])
@@ -69,7 +69,7 @@ fn later_commits(db: &mut Database, clock: &VClock) -> Vec<JournalEntry> {
     clock.advance(60);
     db.append(users::T, vec!["new:bie".into(), 4.into(), true.into()])
         .unwrap();
-    db.update(1, &[(users::ACTIVE, true.into())]).unwrap();
+    db.update(1, &[users::ACTIVE.set(true)]).unwrap();
     let e4 = entry(db, "add_user", &["new:bie"]);
     db.delete(users::T, 2).unwrap();
     let e5 = entry(db, "drop_user", &["caf\u{e9}", "x\ny"]);

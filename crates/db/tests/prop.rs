@@ -94,7 +94,7 @@ proptest! {
                 }
                 Op::UpdateNum(name, num) => {
                     if let Some(id) = t.rel(t::T).select_one(&Pred::Eq(t::NAME, name.clone().into())) {
-                        t.update(id, &[(t::NUM, num.into())], now).unwrap();
+                        t.update(id, &[t::NUM.set(num)], now).unwrap();
                         model.iter_mut().find(|(n, _, _)| n == &name).unwrap().1 = num;
                     }
                 }
@@ -109,7 +109,10 @@ proptest! {
             prop_assert_eq!(t.len(), model.len());
             let mut actual: Vec<(String, i64, bool)> = t
                 .iter()
-                .map(|(_, row)| (row[0].as_str().to_owned(), row[1].as_int(), row[2].as_bool()))
+                .map(|(id, _)| {
+                    let r = t.rel(t::T).row(id).unwrap();
+                    (r.get(t::NAME).to_owned(), r.get(t::NUM), r.get(t::FLAG))
+                })
                 .collect();
             actual.sort();
             let mut expected = model.clone();
@@ -445,7 +448,7 @@ mod plan_props {
                     Churn::Update(s, num) => {
                         let name = rand_name(&mut { *s });
                         if let Some(id) = t.rel(t::T).select_one(&Pred::Eq(NAME, name.into())) {
-                            t.update(id, &[(NUM, (*num).into())], now).unwrap();
+                            t.update(id, &[NUM.set(*num)], now).unwrap();
                         }
                     }
                     Churn::Delete(s) => {
@@ -575,7 +578,7 @@ mod delta_chain_props {
     use moira_db::journal::{Journal, JournalEntry};
     use moira_db::snapshot::encode_snapshot;
     use moira_db::storage::{DurableEngine, GroupCommitConfig, SimMedia, Storage, SNAPSHOT_FILE};
-    use moira_db::{Col, Database, Pred, Relation};
+    use moira_db::{Col, Database, Pred, Relation, Str};
     use proptest::prelude::*;
 
     moira_db::relations! {
@@ -588,7 +591,7 @@ mod delta_chain_props {
     fn apply<R: Relation>(
         db: &mut Database,
         rel: R,
-        name: Col<R>,
+        name: Col<R, Str>,
         step: &Step,
     ) -> Option<Vec<String>> {
         let pick = |db: &Database, pick: u64| {
@@ -603,7 +606,7 @@ mod delta_chain_props {
             }
             Step::Update(_, p, s) => {
                 let id = pick(db, *p)?;
-                db.update(id, &[(name, s.as_str().into())]).unwrap();
+                db.update(id, &[name.set(s)]).unwrap();
                 Some(vec![id.to_string(), s.clone()])
             }
             Step::Delete(_, p) => {

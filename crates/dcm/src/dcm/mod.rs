@@ -328,19 +328,20 @@ mod tests {
 
     /// One column of the HESIOD `serverhosts` row of machine `mach`, as the
     /// protocol renders it.
-    fn host_cell(state: &SharedState, mach: &str, col: moira_db::Col<serverhosts::R>) -> String {
+    fn host_cell<K>(
+        state: &SharedState,
+        mach: &str,
+        col: moira_db::Col<serverhosts::R, K>,
+    ) -> String {
         use moira_core::schema::machine;
         let s = state.read();
-        let m = s.db.table(machine::T);
-        let mach_id = m
-            .select_one(&Pred::Eq(machine::NAME, mach.into()))
-            .map(|r| m.cell(r, machine::MACH_ID).as_int())
-            .unwrap();
+        let m =
+            s.db.table(machine::T)
+                .find(&Pred::Eq(machine::NAME, mach.into()));
+        let mach_id = m.unwrap().get(machine::MACH_ID);
         let t = s.db.table(serverhosts::T);
-        let row = t
-            .select_one(&Pred::Eq(serverhosts::MACH_ID, mach_id.into()))
-            .unwrap();
-        t.cell(row, col).render()
+        let r = t.find(&Pred::Eq(serverhosts::MACH_ID, mach_id.into()));
+        r.unwrap().render(col)
     }
 
     #[test]
@@ -402,12 +403,10 @@ mod tests {
         assert_eq!(dcm.stats.no_changes, 1);
         // dfcheck advanced even though nothing was built.
         let s = state.read();
-        let row =
-            s.db.table(servers::T)
-                .select_one(&Pred::Eq(servers::NAME, "HESIOD".into()))
-                .unwrap();
-        assert_eq!(s.db.cell(row, servers::DFCHECK).as_int(), s.now());
-        assert!(s.db.cell(row, servers::DFGEN).as_int() < s.now());
+        let hesiod = Pred::Eq(servers::NAME, "HESIOD".into());
+        let r = s.db.table(servers::T).find(&hesiod).unwrap();
+        assert_eq!(r.get(servers::DFCHECK), s.now());
+        assert!(r.get(servers::DFGEN) < s.now());
     }
 
     /// Regression: a mutation committed in the same second the data files
@@ -510,7 +509,7 @@ mod tests {
             let s = state.read();
             let t = s.db.table(serverhosts::T);
             for (row, _) in t.iter() {
-                assert_eq!(t.cell(row, serverhosts::HOSTERROR).as_int(), 0);
+                assert_eq!(t.row(row).unwrap().get(serverhosts::HOSTERROR), 0);
             }
         }
         hosts[1].lock().reboot();
@@ -555,11 +554,9 @@ mod tests {
         // Service harderror set: next run skips the service entirely.
         {
             let s = state.read();
-            let row =
-                s.db.table(servers::T)
-                    .select_one(&Pred::Eq(servers::NAME, "HESIOD".into()))
-                    .unwrap();
-            assert_ne!(s.db.cell(row, servers::HARDERROR).as_int(), 0);
+            let hesiod = Pred::Eq(servers::NAME, "HESIOD".into());
+            let r = s.db.table(servers::T).find(&hesiod).unwrap();
+            assert_ne!(r.get(servers::HARDERROR), 0);
         }
         state.write().db.clock().advance(7 * 3600);
         let report = dcm.run_once();
@@ -620,7 +617,7 @@ mod tests {
         let s = state.read();
         let t = s.db.table(serverhosts::T);
         for (row, _) in t.iter() {
-            assert!(!t.cell(row, serverhosts::OVERRIDE).as_bool());
+            assert!(!t.row(row).unwrap().get(serverhosts::OVERRIDE));
         }
     }
 
@@ -721,7 +718,7 @@ mod tests {
             let t = s.db.table(serverhosts::T);
             let errs: Vec<i64> = t
                 .iter()
-                .map(|(r, _)| t.cell(r, serverhosts::HOSTERROR).as_int())
+                .map(|(r, _)| t.row(r).unwrap().get(serverhosts::HOSTERROR))
                 .collect();
             assert!(errs.contains(&(UpdateError::HostDown.code() as i64)));
         }
@@ -897,16 +894,15 @@ mod tests {
             let s = state.read();
             let t = s.db.table(servers::T);
             for (row, _) in t.iter() {
-                let svc = t.cell(row, servers::NAME).render();
-                assert!(!t.cell(row, servers::INPROGRESS).as_bool(), "{name}: {svc}");
+                let r = t.row(row).unwrap();
+                let svc = r.get(servers::NAME);
+                assert!(!r.get(servers::INPROGRESS), "{name}: {svc}");
             }
             let t = s.db.table(serverhosts::T);
             for (row, _) in t.iter() {
-                let svc = t.cell(row, serverhosts::SERVICE).render();
-                assert!(
-                    !t.cell(row, serverhosts::INPROGRESS).as_bool(),
-                    "{name}: {svc}"
-                );
+                let r = t.row(row).unwrap();
+                let svc = r.get(serverhosts::SERVICE);
+                assert!(!r.get(serverhosts::INPROGRESS), "{name}: {svc}");
             }
         }
     }
@@ -1026,11 +1022,11 @@ mod tests {
         }
         let gen = {
             let s = state.read();
-            let row =
-                s.db.table(servers::T)
-                    .select_one(&Pred::Eq(servers::NAME, "HESIOD".into()))
-                    .unwrap();
-            s.db.cell(row, servers::DFGEN).as_int()
+            let hesiod = Pred::Eq(servers::NAME, "HESIOD".into());
+            s.db.table(servers::T)
+                .find(&hesiod)
+                .unwrap()
+                .get(servers::DFGEN)
         };
         for host in ["KIWI.MIT.EDU", "SUOMI.MIT.EDU"] {
             assert_eq!(dcm.cursors().generation("HESIOD", host), Some(gen));

@@ -41,18 +41,18 @@ impl Dcm {
         let state = self.state.read();
         let t = state.db.table(servers::T);
         let mut out = Vec::new();
-        for (row, _) in t.iter() {
+        for r in t.iter().filter_map(|(row, _)| t.row(row).ok()) {
             let info = ServiceInfo {
-                name: t.cell(row, servers::NAME).as_str().to_owned(),
-                interval_secs: t.cell(row, servers::UPDATE_INT).as_int() * 60,
-                target: t.cell(row, servers::TARGET_FILE).as_str().to_owned(),
-                script: t.cell(row, servers::SCRIPT).as_str().to_owned(),
-                replicated: t.cell(row, servers::TYPE).as_str() == "REPLICAT",
-                dfgen: t.cell(row, servers::DFGEN).as_int(),
-                dfcheck: t.cell(row, servers::DFCHECK).as_int(),
+                name: r.get(servers::NAME).to_owned(),
+                interval_secs: r.get(servers::UPDATE_INT) * 60,
+                target: r.get(servers::TARGET_FILE).to_owned(),
+                script: r.get(servers::SCRIPT).to_owned(),
+                replicated: r.get(servers::TYPE) == "REPLICAT",
+                dfgen: r.get(servers::DFGEN),
+                dfcheck: r.get(servers::DFCHECK),
             };
-            if t.cell(row, servers::ENABLE).as_bool()
-                && t.cell(row, servers::HARDERROR).as_int() == 0
+            if r.get(servers::ENABLE)
+                && r.get(servers::HARDERROR) == 0
                 && info.interval_secs > 0
                 && self.generators.contains_key(info.name.as_str())
             {
@@ -133,8 +133,8 @@ impl Dcm {
         let dfgen = {
             let state = self.state.read();
             let t = state.db.table(servers::T);
-            t.select_one(&Pred::Eq(servers::NAME, svc.name.clone().into()))
-                .map_or(0, |row| t.cell(row, servers::DFGEN).as_int())
+            t.find(&Pred::Eq(servers::NAME, svc.name.clone().into()))
+                .map_or(0, |r| r.get(servers::DFGEN))
         };
         if self.prepared.contains_key(&svc.name) {
             return Some(dfgen);
@@ -172,20 +172,20 @@ impl Dcm {
         let budget = self.retry.policy().per_run_budget;
         let mut retries_scheduled = 0usize;
         let mut todo = Vec::new();
-        for row in t.select(&Pred::Eq(serverhosts::SERVICE, service.into())) {
-            if !t.cell(row, serverhosts::ENABLE).as_bool() {
+        for r in t.rows(&Pred::Eq(serverhosts::SERVICE, service.into())) {
+            if !r.get(serverhosts::ENABLE) {
                 continue;
             }
-            let mach_id = t.cell(row, serverhosts::MACH_ID).as_int();
-            let override_ = t.cell(row, serverhosts::OVERRIDE).as_bool();
-            if t.cell(row, serverhosts::HOSTERROR).as_int() != 0
-                || (t.cell(row, serverhosts::LTS).as_int() >= dfgen && !override_)
+            let mach_id = r.get(serverhosts::MACH_ID);
+            let override_ = r.get(serverhosts::OVERRIDE);
+            if r.get(serverhosts::HOSTERROR) != 0
+                || (r.get(serverhosts::LTS) >= dfgen && !override_)
             {
                 continue;
             }
             let name = machines
-                .select_one(&Pred::Eq(machine::MACH_ID, mach_id.into()))
-                .map(|r| machines.cell(r, machine::NAME).render())
+                .find(&Pred::Eq(machine::MACH_ID, mach_id.into()))
+                .map(|m| m.render(machine::NAME))
                 .unwrap_or_default();
             if !override_ && self.retry.is_retry(service, &name) {
                 if !self.retry.ready(service, &name, now) || retries_scheduled >= budget {
@@ -197,7 +197,7 @@ impl Dcm {
             todo.push(HostTodo {
                 name,
                 mach_id,
-                value3: t.cell(row, serverhosts::VALUE3).render(),
+                value3: r.render(serverhosts::VALUE3),
             });
         }
         todo

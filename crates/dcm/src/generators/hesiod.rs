@@ -10,7 +10,7 @@ use moira_core::schema::{
     strings, svc, users,
 };
 use moira_core::state::MoiraState;
-use moira_db::{Pred, Relation, RowId, TableId};
+use moira_db::{Pred, Relation, Row, RowId, TableId};
 
 use super::incremental::{DeltaPlan, LineKey, Section, SectionKind};
 use super::{groups_of_user, Generator};
@@ -145,21 +145,22 @@ impl Generator for HesiodGenerator {
     }
 }
 
-/// True when the users row is an active account.
-fn user_active(state: &MoiraState, row: RowId) -> bool {
-    state.db.table(users::T).cell(row, users::STATUS).as_int() == 1
+/// Users row `row`, when it is an active account.
+fn active_user(state: &MoiraState, row: RowId) -> Option<Row<'_, users::R>> {
+    let r = state.db.table(users::T).row(row).ok();
+    r.filter(|r| r.get(users::STATUS) == 1)
 }
 
 /// `cluster.db`, first half: one cluster's data lines.
 fn frag_cluster(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
-    let clusters = state.db.table(cluster::T);
-    let name = clusters.cell(row, cluster::NAME).as_str().to_owned();
-    let clu_id = clusters.cell(row, cluster::CLU_ID).as_int();
+    let c = state.db.table(cluster::T).row(row).ok()?;
+    let name = c.get(cluster::NAME);
     let mut text = String::new();
-    for srow in state.db.select(&Pred::Eq(svc::CLU_ID, clu_id.into())) {
-        let label = state.db.cell(srow, svc::SERV_LABEL).render();
-        let data = state.db.cell(srow, svc::SERV_CLUSTER).render();
-        text.push_str(&unspeca(&name, "cluster", &format!("{label} {data}")));
+    let svcs = state.db.table(svc::T);
+    for r in svcs.rows(&Pred::Eq(svc::CLU_ID, c.get(cluster::CLU_ID).into())) {
+        let label = r.get(svc::SERV_LABEL);
+        let data = r.get(svc::SERV_CLUSTER);
+        text.push_str(&unspeca(name, "cluster", &format!("{label} {data}")));
     }
     Some(((row as i64, String::new()), text))
 }
@@ -167,22 +168,18 @@ fn frag_cluster(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
 /// `cluster.db`, second half: a CNAME per machine; a machine in several
 /// clusters gets a pseudo-cluster holding the union.
 fn frag_cluster_machine(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
-    let machines = state.db.table(machine::T);
-    let mach = machines.cell(row, machine::NAME).as_str().to_owned();
-    let mach_id = machines.cell(row, machine::MACH_ID).as_int();
+    let m = state.db.table(machine::T).row(row).ok()?;
+    let (mach, mach_id) = (m.get(machine::NAME), m.get(machine::MACH_ID));
     let memberships = state.db.select(&Pred::Eq(mcmap::MACH_ID, mach_id.into()));
     let mut text = String::new();
-    match memberships.len() {
-        0 => {}
-        1 => {
-            let clu_id = state.db.cell(memberships[0], mcmap::CLU_ID).as_int();
-            if let Some(crow) = state
-                .db
-                .table(cluster::T)
-                .select_one(&Pred::Eq(cluster::CLU_ID, clu_id.into()))
-            {
-                let cluster = state.db.cell(crow, cluster::NAME).render();
-                text.push_str(&cname(&mach, "cluster", &format!("{cluster}.cluster")));
+    match memberships.as_slice() {
+        [] => {}
+        [only] => {
+            let clu_id = state.db.table(mcmap::T).row(*only).ok()?.get(mcmap::CLU_ID);
+            let clusters = state.db.table(cluster::T);
+            if let Some(c) = clusters.find(&Pred::Eq(cluster::CLU_ID, clu_id.into())) {
+                let cluster = c.get(cluster::NAME);
+                text.push_str(&cname(mach, "cluster", &format!("{cluster}.cluster")));
             }
         }
         _ => {
@@ -195,7 +192,7 @@ fn frag_cluster_machine(state: &MoiraState, row: RowId) -> Option<(LineKey, Stri
             {
                 text.push_str(&unspeca(&pseudo, "cluster", &format!("{label} {data}")));
             }
-            text.push_str(&cname(&mach, "cluster", &format!("{pseudo}.cluster")));
+            text.push_str(&cname(mach, "cluster", &format!("{pseudo}.cluster")));
         }
     }
     Some(((row as i64, String::new()), text))
@@ -203,20 +200,17 @@ fn frag_cluster_machine(state: &MoiraState, row: RowId) -> Option<(LineKey, Stri
 
 /// `filsys.db`: every filesystem entry needed to find and attach lockers.
 fn frag_filsys(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
-    let t = state.db.table(filesys::T);
-    let label = t.cell(row, filesys::LABEL).as_str().to_owned();
-    let fstype = t.cell(row, filesys::TYPE).as_str().to_owned();
-    let name = t.cell(row, filesys::NAME).as_str().to_owned();
-    let machine = machine_name_upper(state, t.cell(row, filesys::MACH_ID).as_int())
-        .to_ascii_lowercase()
-        .split('.')
-        .next()
-        .unwrap_or_default()
-        .to_owned();
-    let access = t.cell(row, filesys::ACCESS).as_str().to_owned();
-    let mount = t.cell(row, filesys::MOUNT).as_str().to_owned();
+    let r = state.db.table(filesys::T).row(row).ok()?;
+    let (label, fstype, name) = (
+        r.get(filesys::LABEL),
+        r.get(filesys::TYPE),
+        r.get(filesys::NAME),
+    );
+    let host = machine_name_upper(state, r.get(filesys::MACH_ID)).to_ascii_lowercase();
+    let machine = host.split('.').next().unwrap_or_default();
+    let (access, mount) = (r.get(filesys::ACCESS), r.get(filesys::MOUNT));
     let line = unspeca(
-        &label,
+        label,
         "filsys",
         &format!("{fstype} {name} {machine} {access} {mount}"),
     );
@@ -227,124 +221,106 @@ fn frag_filsys(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
 
 /// `gid.db`: group ID numbers to group entries.
 fn frag_gid(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
-    let t = state.db.table(list::T);
-    if !(t.cell(row, list::ACTIVE).as_bool() && t.cell(row, list::GROUPLIST).as_bool()) {
+    let r = state.db.table(list::T).row(row).ok()?;
+    if !(r.get(list::ACTIVE) && r.get(list::GROUPLIST)) {
         return None;
     }
-    let name = t.cell(row, list::NAME).as_str().to_owned();
-    let gid = t.cell(row, list::GID).as_int();
+    let (name, gid) = (r.get(list::NAME), r.get(list::GID));
     let line = cname(&gid.to_string(), "gid", &format!("{name}.group"));
-    Some(((0, name), line))
+    Some(((0, name.to_owned()), line))
 }
 
 /// `group.db`: `/etc/group`-shaped entries (members never filled in).
 fn frag_group(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
-    let t = state.db.table(list::T);
-    if !(t.cell(row, list::ACTIVE).as_bool() && t.cell(row, list::GROUPLIST).as_bool()) {
+    let r = state.db.table(list::T).row(row).ok()?;
+    if !(r.get(list::ACTIVE) && r.get(list::GROUPLIST)) {
         return None;
     }
-    let name = t.cell(row, list::NAME).as_str().to_owned();
-    let gid = t.cell(row, list::GID).as_int();
-    let line = unspeca(&name, "group", &format!("{name}:*:{gid}:"));
-    Some(((0, name), line))
+    let (name, gid) = (r.get(list::NAME), r.get(list::GID));
+    let line = unspeca(name, "group", &format!("{name}:*:{gid}:"));
+    Some(((0, name.to_owned()), line))
 }
 
 /// `grplist.db`: per-user colon-separated (group, gid) pairs.
 fn frag_grplist(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
-    if !user_active(state, row) {
-        return None;
-    }
-    let t = state.db.table(users::T);
-    let login = t.cell(row, users::LOGIN).as_str().to_owned();
-    let users_id = t.cell(row, users::USERS_ID).as_int();
-    let mut entry = login.clone();
-    for (gname, gid) in groups_of_user(state, users_id) {
+    let r = active_user(state, row)?;
+    let login = r.get(users::LOGIN);
+    let mut entry = login.to_owned();
+    for (gname, gid) in groups_of_user(state, r.get(users::USERS_ID)) {
         entry.push_str(&format!(":{gname}:{gid}"));
     }
-    let line = unspeca(&login, "grplist", &entry);
-    Some(((0, login), line))
+    let line = unspeca(login, "grplist", &entry);
+    Some(((0, login.to_owned()), line))
 }
 
 /// `passwd.db`: `/etc/passwd`-shaped entries for active users.
 fn frag_passwd(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
-    if !user_active(state, row) {
-        return None;
-    }
-    let t = state.db.table(users::T);
-    let login = t.cell(row, users::LOGIN).as_str().to_owned();
-    let line = unspeca(&login, "passwd", &passwd_line(state, row));
-    Some(((0, login), line))
+    let r = active_user(state, row)?;
+    let login = r.get(users::LOGIN);
+    let line = unspeca(login, "passwd", &passwd_line(r));
+    Some(((0, login.to_owned()), line))
 }
 
 /// `pobox.db`: the location of each active POP user's post office box.
 fn frag_pobox(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
-    if !user_active(state, row) {
+    let r = active_user(state, row)?;
+    if r.get(users::POTYPE) != "POP" {
         return None;
     }
-    let t = state.db.table(users::T);
-    if t.cell(row, users::POTYPE).as_str() != "POP" {
-        return None;
-    }
-    let login = t.cell(row, users::LOGIN).as_str().to_owned();
-    let machine = machine_name_upper(state, t.cell(row, users::POP_ID).as_int());
-    let line = unspeca(&login, "pobox", &format!("POP {machine} {login}"));
-    Some(((0, login), line))
+    let login = r.get(users::LOGIN);
+    let machine = machine_name_upper(state, r.get(users::POP_ID));
+    let line = unspeca(login, "pobox", &format!("POP {machine} {login}"));
+    Some(((0, login.to_owned()), line))
 }
 
 /// `printcap.db`: `/etc/printcap` entries.
 fn frag_printcap(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
-    let t = state.db.table(printcap::T);
-    let name = t.cell(row, printcap::NAME).as_str().to_owned();
-    let rp = t.cell(row, printcap::RP).as_str().to_owned();
-    let rm = machine_name_upper(state, t.cell(row, printcap::MACH_ID).as_int());
-    let sd = t.cell(row, printcap::DIR).as_str().to_owned();
-    let line = unspeca(&name, "pcap", &format!("{name}:rp={rp}:rm={rm}:sd={sd}"));
+    let r = state.db.table(printcap::T).row(row).ok()?;
+    let (name, rp, sd) = (
+        r.get(printcap::NAME),
+        r.get(printcap::RP),
+        r.get(printcap::DIR),
+    );
+    let rm = machine_name_upper(state, r.get(printcap::MACH_ID));
+    let line = unspeca(name, "pcap", &format!("{name}:rp={rp}:rm={rm}:sd={sd}"));
     Some(((0, line.clone()), line))
 }
 
 /// `service.db`: `/etc/services` entries.
 fn frag_service(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
-    let t = state.db.table(services::T);
-    let name = t.cell(row, services::NAME).as_str().to_owned();
-    let proto = t
-        .cell(row, services::PROTOCOL)
-        .as_str()
-        .to_ascii_lowercase();
-    let port = t.cell(row, services::PORT).as_int();
-    let line = unspeca(&name, "service", &format!("{name} {proto} {port}"));
+    let r = state.db.table(services::T).row(row).ok()?;
+    let name = r.get(services::NAME);
+    let proto = r.get(services::PROTOCOL).to_ascii_lowercase();
+    let port = r.get(services::PORT);
+    let line = unspeca(name, "service", &format!("{name} {proto} {port}"));
     Some(((0, line.clone()), line))
 }
 
 /// `sloc.db`: DCM service/host tuples, indexed by service.
 fn frag_sloc(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
-    let t = state.db.table(serverhosts::T);
-    let service = t.cell(row, serverhosts::SERVICE).as_str().to_owned();
-    let machine = machine_name_upper(state, t.cell(row, serverhosts::MACH_ID).as_int());
+    let r = state.db.table(serverhosts::T).row(row).ok()?;
+    let service = r.get(serverhosts::SERVICE);
+    let machine = machine_name_upper(state, r.get(serverhosts::MACH_ID));
     let line = format!("{service}.sloc\tHS UNSPECA\t{machine}\n");
     Some(((0, line.clone()), line))
 }
 
 /// `uid.db`: unix UIDs to password entries, in stable uid order.
 fn frag_uid(state: &MoiraState, row: RowId) -> Option<(LineKey, String)> {
-    if !user_active(state, row) {
-        return None;
-    }
-    let t = state.db.table(users::T);
-    let login = t.cell(row, users::LOGIN).as_str().to_owned();
-    let uid = t.cell(row, users::UID).as_int();
+    let r = active_user(state, row)?;
+    let (login, uid) = (r.get(users::LOGIN), r.get(users::UID));
     let line = cname(&uid.to_string(), "uid", &format!("{login}.passwd"));
-    Some(((uid, login), line))
+    Some(((uid, login.to_owned()), line))
 }
 
-fn passwd_line(state: &MoiraState, row: RowId) -> String {
-    let t = state.db.table(users::T);
+fn passwd_line(r: Row<'_, users::R>) -> String {
     format!(
         "{}:*:{}:101:{},,,,:/mit/{}:{}",
-        t.cell(row, users::LOGIN).render(),
-        t.cell(row, users::UID).render(),
-        t.cell(row, users::FULLNAME).render(),
-        t.cell(row, users::LOGIN).render(),
-        t.cell(row, users::SHELL).render(),
+        r.get(users::LOGIN),
+        r.get(users::UID),
+        r.get(users::FULLNAME),
+        r.get(users::LOGIN),
+        r.get(users::SHELL),
     )
 }
 
@@ -352,9 +328,11 @@ pub(crate) fn machine_name_upper(state: &MoiraState, mach_id: i64) -> String {
     state
         .db
         .table(machine::T)
-        .select_one(&Pred::Eq(machine::MACH_ID, mach_id.into()))
-        .map(|r| state.db.cell(r, machine::NAME).render())
-        .unwrap_or_else(|| format!("#{mach_id}"))
+        .find(&Pred::Eq(machine::MACH_ID, mach_id.into()))
+        .map_or_else(
+            || format!("#{mach_id}"),
+            |r| r.get(machine::NAME).to_owned(),
+        )
 }
 
 #[cfg(test)]

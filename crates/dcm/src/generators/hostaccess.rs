@@ -79,30 +79,28 @@ impl HostAccessGenerator {
 /// One active user's standard-format password line (also the mail hub's
 /// `passwd`).
 pub(crate) fn frag_passwd(state: &MoiraState, row: moira_db::RowId) -> Option<(LineKey, String)> {
-    let users = state.db.table(users::T);
-    if users.cell(row, users::STATUS).as_int() != 1 {
+    let r = state.db.table(users::T).row(row).ok()?;
+    if r.get(users::STATUS) != 1 {
         return None;
     }
-    let login = users.cell(row, users::LOGIN).as_str().to_owned();
-    let uid = users.cell(row, users::UID).as_int();
+    let (login, uid) = (r.get(users::LOGIN), r.get(users::UID));
     let line = format!(
         "{login}:*:{uid}:101:{},,,:/mit/{login}:{}\n",
-        users.cell(row, users::FULLNAME).render(),
-        users.cell(row, users::SHELL).render(),
+        r.get(users::FULLNAME),
+        r.get(users::SHELL),
     );
-    Some(((0, login), line))
+    Some(((0, login.to_owned()), line))
 }
 
 /// The `users_id` set admitted by a machine's HOSTACCESS ACE, or `None`
 /// when the machine is unrestricted.
 fn hostaccess_users(state: &MoiraState, mach_id: i64) -> Option<Vec<i64>> {
-    let row = state
+    let r = state
         .db
         .table(hostaccess::T)
-        .select_one(&Pred::Eq(hostaccess::MACH_ID, mach_id.into()))?;
-    let ace_type = state.db.cell(row, hostaccess::ACL_TYPE).as_str().to_owned();
-    let ace_id = state.db.cell(row, hostaccess::ACL_ID).as_int();
-    match ace_type.as_str() {
+        .find(&Pred::Eq(hostaccess::MACH_ID, mach_id.into()))?;
+    let ace_id = r.get(hostaccess::ACL_ID);
+    match r.get(hostaccess::ACL_TYPE) {
         "USER" => Some(vec![ace_id]),
         "LIST" => {
             let (users, _strings) = expand_member_ids_recursive(state, ace_id);
@@ -119,9 +117,10 @@ pub fn klogin_file(state: &MoiraState, mach_id: i64) -> String {
     let Some(users) = hostaccess_users(state, mach_id) else {
         return String::new();
     };
+    let t = state.db.table(users::T);
     let mut logins: Vec<String> = user_rows(state, &users)
         .into_iter()
-        .map(|row| state.db.cell(row, users::LOGIN).render())
+        .filter_map(|row| Some(t.row(row).ok()?.render(users::LOGIN)))
         .collect();
     logins.sort();
     logins

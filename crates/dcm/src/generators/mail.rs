@@ -94,7 +94,7 @@ fn lists_affected_by_user_changes(
     for change in changes {
         match change {
             moira_db::RowChange::Upserted(id) => {
-                user_ids.push(users.cell(*id, users::USERS_ID).as_int())
+                user_ids.push(users.row(*id).ok()?.get(users::USERS_ID))
             }
             moira_db::RowChange::Deleted(_) => return None,
         }
@@ -106,14 +106,11 @@ fn lists_affected_by_user_changes(
     let mut affected: HashSet<i64> = HashSet::new();
     let mut frontier: Vec<(&str, i64)> = user_ids.iter().map(|&id| ("USER", id)).collect();
     while let Some((member_type, member_id)) = frontier.pop() {
-        for row in state
-            .db
-            .select(&Pred::Eq(members::MEMBER_ID, member_id.into()))
-        {
-            if members.cell(row, members::MEMBER_TYPE).as_str() != member_type {
+        for r in members.rows(&Pred::Eq(members::MEMBER_ID, member_id.into())) {
+            if r.get(members::MEMBER_TYPE) != member_type {
                 continue;
             }
-            let list_id = members.cell(row, members::LIST_ID).as_int();
+            let list_id = r.get(members::LIST_ID);
             if affected.insert(list_id) {
                 frontier.push(("LIST", list_id));
             }
@@ -126,8 +123,11 @@ fn lists_affected_by_user_changes(
     }
     // Lists whose ACE names a changed user render a different owner line.
     for &uid in &user_ids {
-        for row in state.db.select(&Pred::Eq(list::ACL_ID, uid.into())) {
-            if lists.cell(row, list::ACL_TYPE).as_str() == "USER" {
+        for row in lists.select(&Pred::Eq(list::ACL_ID, uid.into())) {
+            if lists
+                .row(row)
+                .is_ok_and(|r| r.get(list::ACL_TYPE) == "USER")
+            {
                 rows.insert(row);
             }
         }
@@ -138,22 +138,19 @@ fn lists_affected_by_user_changes(
 /// One active maillist's aliases block: comment, `owner-` alias from its
 /// ACE, member line.
 fn frag_maillist(state: &MoiraState, row: moira_db::RowId) -> Option<(LineKey, String)> {
-    let lists = state.db.table(list::T);
-    if !(lists.cell(row, list::ACTIVE).as_bool() && lists.cell(row, list::MAILLIST).as_bool()) {
+    let r = state.db.table(list::T).row(row).ok()?;
+    if !(r.get(list::ACTIVE) && r.get(list::MAILLIST)) {
         return None;
     }
-    let name = lists.cell(row, list::NAME).render();
-    let desc = lists.cell(row, list::DESC).render();
-    let list_id = lists.cell(row, list::LIST_ID).as_int();
+    let name = r.render(list::NAME);
+    let desc = r.render(list::DESC);
+    let list_id = r.get(list::LIST_ID);
     let mut text = String::new();
     if !desc.is_empty() {
         text.push_str(&format!("# {desc}\n"));
     }
-    let (ace_type, ace_name) = moira_core::ace::render_ace(
-        &state.db,
-        lists.cell(row, list::ACL_TYPE).as_str(),
-        lists.cell(row, list::ACL_ID).as_int(),
-    );
+    let (ace_type, ace_name) =
+        moira_core::ace::render_ace(&state.db, r.get(list::ACL_TYPE), r.get(list::ACL_ID));
     if ace_type != "NONE" {
         text.push_str(&format!("owner-{name}: {ace_name}\n"));
     }
@@ -170,27 +167,24 @@ fn frag_maillist(state: &MoiraState, row: moira_db::RowId) -> Option<(LineKey, S
 
 /// One active user's pobox routing line.
 fn frag_pobox_routing(state: &MoiraState, row: moira_db::RowId) -> Option<(LineKey, String)> {
-    let users = state.db.table(users::T);
-    if users.cell(row, users::STATUS).as_int() != 1 {
+    let r = state.db.table(users::T).row(row).ok()?;
+    if r.get(users::STATUS) != 1 {
         return None;
     }
-    let login = users.cell(row, users::LOGIN).as_str().to_owned();
-    let line = match users.cell(row, users::POTYPE).as_str() {
+    let login = r.get(users::LOGIN);
+    let line = match r.get(users::POTYPE) {
         "POP" => {
-            let po = po_shortname(state, users.cell(row, users::POP_ID).as_int());
-            let short = po.split('.').next().unwrap_or(&po).to_owned();
+            let po = po_shortname(state, r.get(users::POP_ID));
+            let short = po.split('.').next().unwrap_or(&po);
             format!("{login}: {login}@{short}.LOCAL\n")
         }
         "SMTP" => {
-            let addr = moira_core::queries::helpers::string_of(
-                state,
-                users.cell(row, users::BOX_ID).as_int(),
-            );
+            let addr = moira_core::queries::helpers::string_of(state, r.get(users::BOX_ID));
             format!("{login}: {addr}\n")
         }
         _ => return None,
     };
-    Some(((0, login), line))
+    Some(((0, login.to_owned()), line))
 }
 
 /// Short host name for `@<po>.LOCAL` routing.
@@ -198,8 +192,8 @@ fn po_shortname(state: &MoiraState, mach_id: i64) -> String {
     state
         .db
         .table(machine::T)
-        .select_one(&Pred::Eq(machine::MACH_ID, mach_id.into()))
-        .map(|r| state.db.cell(r, machine::NAME).render())
+        .find(&Pred::Eq(machine::MACH_ID, mach_id.into()))
+        .map(|r| r.render(machine::NAME))
         .unwrap_or_else(|| format!("#{mach_id}"))
 }
 

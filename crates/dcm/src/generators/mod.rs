@@ -113,8 +113,8 @@ pub fn groups_of_user(state: &MoiraState, users_id: i64) -> Vec<(String, i64)> {
             Pred::Eq(members::MEMBER_ID, id.into()),
             Pred::Eq(members::MEMBER_TYPE, ty.into()),
         ]);
-        for row in members.select(&pred) {
-            let list_id = members.cell(row, members::LIST_ID).as_int();
+        for r in members.rows(&pred) {
+            let list_id = r.get(members::LIST_ID);
             if seen.insert(list_id) {
                 frontier.push(("LIST", list_id));
             }
@@ -124,14 +124,9 @@ pub fn groups_of_user(state: &MoiraState, users_id: i64) -> Vec<(String, i64)> {
     let mut out: Vec<(String, i64)> = seen
         .into_iter()
         .filter_map(|list_id| {
-            let row = lists.select_one(&Pred::Eq(list::LIST_ID, list_id.into()))?;
-            (lists.cell(row, list::ACTIVE).as_bool() && lists.cell(row, list::GROUPLIST).as_bool())
-                .then(|| {
-                    (
-                        lists.cell(row, list::NAME).as_str().to_owned(),
-                        lists.cell(row, list::GID).as_int(),
-                    )
-                })
+            let r = lists.find(&Pred::Eq(list::LIST_ID, list_id.into()))?;
+            (r.get(list::ACTIVE) && r.get(list::GROUPLIST))
+                .then(|| (r.get(list::NAME).to_owned(), r.get(list::GID)))
         })
         .collect();
     out.sort();

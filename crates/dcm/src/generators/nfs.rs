@@ -69,9 +69,9 @@ impl NfsGenerator {
         let lists = state.db.table(list::T);
         let list = value3.trim();
         let restrict = (!list.is_empty())
-            .then(|| lists.select_one(&Pred::Eq(list::NAME, list.into())))
+            .then(|| lists.find(&Pred::Eq(list::NAME, list.into())))
             .flatten()
-            .map(|row| lists.cell(row, list::LIST_ID).as_int());
+            .map(|r| r.get(list::LIST_ID));
         let credentials = match restrict {
             Some(list_id) => {
                 let (admitted, _strings) = expand_member_ids_recursive(state, list_id);
@@ -81,10 +81,10 @@ impl NfsGenerator {
         };
         let mut archive = Archive::new();
         archive.add("credentials", credentials)?;
-        for prow in state.db.select(&Pred::Eq(nfsphys::MACH_ID, mach_id.into())) {
-            let dir = state.db.cell(prow, nfsphys::DIR).render();
-            let phys_id = state.db.cell(prow, nfsphys::NFSPHYS_ID).as_int();
-            let stem = dir.trim_matches('/').replace('/', "_");
+        let phys = state.db.table(nfsphys::T);
+        for r in phys.rows(&Pred::Eq(nfsphys::MACH_ID, mach_id.into())) {
+            let phys_id = r.get(nfsphys::NFSPHYS_ID);
+            let stem = r.get(nfsphys::DIR).trim_matches('/').replace('/', "_");
             archive.add(&format!("{stem}.quotas"), quotas_file(state, phys_id))?;
             archive.add(&format!("{stem}.dirs"), dirs_file(state, phys_id))?;
         }
@@ -94,36 +94,28 @@ impl NfsGenerator {
 
 /// One active user's credentials line: `login:uid:gid:gid…`.
 fn frag_credentials(state: &MoiraState, row: moira_db::RowId) -> Option<(LineKey, String)> {
-    let users = state.db.table(users::T);
-    if users.cell(row, users::STATUS).as_int() != 1 {
+    let r = state.db.table(users::T).row(row).ok()?;
+    if r.get(users::STATUS) != 1 {
         return None;
     }
-    let login = users.cell(row, users::LOGIN).as_str().to_owned();
-    let uid = users.cell(row, users::UID).as_int();
-    let users_id = users.cell(row, users::USERS_ID).as_int();
-    let mut line = format!("{login}:{uid}");
-    for (_, gid) in groups_of_user(state, users_id) {
+    let login = r.get(users::LOGIN);
+    let mut line = format!("{login}:{}", r.get(users::UID));
+    for (_, gid) in groups_of_user(state, r.get(users::USERS_ID)) {
         line.push_str(&format!(":{gid}"));
     }
     line.push('\n');
-    Some(((0, login), line))
+    Some(((0, login.to_owned()), line))
 }
 
 /// The quotas file for one partition: `uid quota` per line.
 pub fn quotas_file(state: &MoiraState, phys_id: i64) -> String {
     let mut lines: Vec<(i64, i64)> = Vec::new();
-    for qrow in state
-        .db
-        .select(&Pred::Eq(nfsquota::PHYS_ID, phys_id.into()))
-    {
-        let users_id = state.db.cell(qrow, nfsquota::USERS_ID).as_int();
-        let quota = state.db.cell(qrow, nfsquota::QUOTA).as_int();
-        if let Some(urow) = state
-            .db
-            .table(users::T)
-            .select_one(&Pred::Eq(users::USERS_ID, users_id.into()))
-        {
-            lines.push((state.db.cell(urow, users::UID).as_int(), quota));
+    let users = state.db.table(users::T);
+    let quotas = state.db.table(nfsquota::T);
+    for q in quotas.rows(&Pred::Eq(nfsquota::PHYS_ID, phys_id.into())) {
+        let users_id = q.get(nfsquota::USERS_ID);
+        if let Some(u) = users.find(&Pred::Eq(users::USERS_ID, users_id.into())) {
+            lines.push((u.get(users::UID), q.get(nfsquota::QUOTA)));
         }
     }
     lines.sort_unstable();
@@ -137,26 +129,24 @@ pub fn quotas_file(state: &MoiraState, phys_id: i64) -> String {
 /// partition.
 pub fn dirs_file(state: &MoiraState, phys_id: i64) -> String {
     let mut lines = Vec::new();
-    for frow in state.db.select(&Pred::Eq(filesys::PHYS_ID, phys_id.into())) {
-        let t = state.db.table(filesys::T);
-        if !t.cell(frow, filesys::CREATEFLG).as_bool() {
+    let lockers = state.db.table(filesys::T);
+    for f in lockers.rows(&Pred::Eq(filesys::PHYS_ID, phys_id.into())) {
+        if !f.get(filesys::CREATEFLG) {
             continue;
         }
-        let name = t.cell(frow, filesys::NAME).render();
-        let owner = t.cell(frow, filesys::OWNER).as_int();
-        let owners = t.cell(frow, filesys::OWNERS).as_int();
-        let lockertype = t.cell(frow, filesys::LOCKERTYPE).render();
+        let (name, lockertype) = (f.get(filesys::NAME), f.get(filesys::LOCKERTYPE));
+        let (owner, owners) = (f.get(filesys::OWNER), f.get(filesys::OWNERS));
         let uid = state
             .db
             .table(users::T)
-            .select_one(&Pred::Eq(users::USERS_ID, owner.into()))
-            .map(|r| state.db.cell(r, users::UID).as_int())
+            .find(&Pred::Eq(users::USERS_ID, owner.into()))
+            .map(|r| r.get(users::UID))
             .unwrap_or(0);
         let gid = state
             .db
             .table(list::T)
-            .select_one(&Pred::Eq(list::LIST_ID, owners.into()))
-            .map(|r| state.db.cell(r, list::GID).as_int())
+            .find(&Pred::Eq(list::LIST_ID, owners.into()))
+            .map(|r| r.get(list::GID))
             .unwrap_or(0);
         lines.push(format!("{name} {uid} {gid} {lockertype}\n"));
     }
@@ -260,13 +250,10 @@ mod tests {
         );
         run(&mut s, "add_nfs_quota", &["mtalford", "mtalford", "300"]);
         let mach_id =
-            s.db.cell(
-                s.db.table(machine::T)
-                    .select_one(&Pred::Eq(machine::NAME, "CHARON".into()))
-                    .unwrap(),
-                machine::MACH_ID,
-            )
-            .as_int();
+            s.db.table(machine::T)
+                .find(&Pred::Eq(machine::NAME, "CHARON".into()))
+                .unwrap()
+                .get(machine::MACH_ID);
         (s, mach_id)
     }
 

@@ -50,18 +50,20 @@ impl Generator for ZephyrGenerator {
 
 /// One class's ACL files, in [`ACES`] order.
 fn frag_class(state: &MoiraState, row: moira_db::RowId) -> Vec<(String, Vec<u8>)> {
-    let t = state.db.table(zephyr::T);
-    let class = t.cell(row, zephyr::CLASS).render();
+    let Ok(r) = state.db.table(zephyr::T).row(row) else {
+        return Vec::new();
+    };
+    let class = r.get(zephyr::CLASS);
     let mut out = Vec::new();
     for ((type_col, id_col), suffix) in ACES.into_iter().zip(ACL_SUFFIXES) {
-        let ace_type = t.cell(row, type_col).as_str().to_owned();
+        let ace_type = r.get(type_col);
         // "For each existing ACE (even if it is empty), the membership
         // will be output" — NONE slots have no ACE and produce no file
         // (the server treats absence as open).
         if ace_type == "NONE" {
             continue;
         }
-        let content = acl_file(state, &ace_type, t.cell(row, id_col).as_int());
+        let content = acl_file(state, ace_type, r.get(id_col));
         out.push((format!("{class}.{suffix}.acl"), content.into_bytes()));
     }
     out
@@ -74,8 +76,8 @@ pub fn acl_file(state: &MoiraState, ace_type: &str, ace_id: i64) -> String {
             let login = state
                 .db
                 .table(users::T)
-                .select_one(&Pred::Eq(users::USERS_ID, ace_id.into()))
-                .map(|r| state.db.cell(r, users::LOGIN).render())
+                .find(&Pred::Eq(users::USERS_ID, ace_id.into()))
+                .map(|r| r.render(users::LOGIN))
                 .unwrap_or_else(|| format!("#{ace_id}"));
             format!("{login}@ATHENA.MIT.EDU\n")
         }

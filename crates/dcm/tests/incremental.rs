@@ -30,14 +30,12 @@ use proptest::prelude::*;
 fn group_map(state: &MoiraState) -> HashMap<i64, Vec<(String, i64)>> {
     let t = state.db.table(list::T);
     let mut map: HashMap<i64, Vec<(String, i64)>> = HashMap::new();
-    for (_, row) in t.iter() {
-        if !(row[list::ACTIVE.index()].as_bool() && row[list::GROUPLIST.index()].as_bool()) {
+    for r in t.iter().map(|(id, _)| t.row(id).unwrap()) {
+        if !(r.get(list::ACTIVE) && r.get(list::GROUPLIST)) {
             continue;
         }
-        let name = row[list::NAME.index()].as_str().to_owned();
-        let gid = row[list::GID.index()].as_int();
-        let (users, _strings) =
-            expand_member_ids_recursive(state, row[list::LIST_ID.index()].as_int());
+        let (name, gid) = (r.get(list::NAME).to_owned(), r.get(list::GID));
+        let (users, _strings) = expand_member_ids_recursive(state, r.get(list::LIST_ID));
         for users_id in users {
             map.entry(users_id).or_default().push((name.clone(), gid));
         }
@@ -202,16 +200,16 @@ proptest! {
             }
             let oracle = group_map(&state);
             let users = state.db.table(users::T);
-            for (_, row) in users.iter() {
-                if row[users::STATUS.index()].as_int() != 1 {
+            for r in users.iter().map(|(id, _)| users.row(id).unwrap()) {
+                if r.get(users::STATUS) != 1 {
                     continue;
                 }
-                let users_id = row[users::USERS_ID.index()].as_int();
+                let users_id = r.get(users::USERS_ID);
                 prop_assert_eq!(
                     groups_of_user(&state, users_id),
                     oracle.get(&users_id).cloned().unwrap_or_default(),
                     "groups of {} after step {} ({:?})",
-                    row[users::LOGIN.index()].as_str(),
+                    r.get(users::LOGIN),
                     step,
                     (code, a, b)
                 );

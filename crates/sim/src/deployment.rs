@@ -643,7 +643,7 @@ mod tests {
                 s.db.table(users::T)
                     .select_one(&moira_db::Pred::Eq(users::LOGIN, login.clone().into()))
                     .unwrap();
-            s.db.cell(row, users::UID).as_int()
+            s.db.table(users::T).row(row).unwrap().get(users::UID)
         };
         let holders = d
             .nfs

@@ -677,7 +677,7 @@ mod tests {
         let t = state.db.table(nfsphys::T);
         let total: i64 = t
             .iter()
-            .map(|(id, _)| t.cell(id, nfsphys::ALLOCATED).as_int())
+            .map(|(id, _)| t.row(id).unwrap().get(nfsphys::ALLOCATED))
             .sum();
         assert_eq!(total, 100 * 300);
     }

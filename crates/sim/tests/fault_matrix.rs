@@ -24,9 +24,10 @@ fn converged(d: &Deployment) -> bool {
     let s = d.state.read();
     let t = s.db.table(serverhosts::T);
     let all_ok = t.iter().all(|(row, _)| {
-        !t.cell(row, serverhosts::ENABLE).as_bool()
-            || t.cell(row, serverhosts::SERVICE).as_str() == "POP"
-            || t.cell(row, serverhosts::SUCCESS).as_bool()
+        let r = t.row(row).unwrap();
+        !r.get(serverhosts::ENABLE)
+            || r.get(serverhosts::SERVICE) == "POP"
+            || r.get(serverhosts::SUCCESS)
     });
     all_ok
 }

@@ -140,7 +140,7 @@ fn unflushed_commits_die_with_the_crash_but_recovery_is_consistent() {
             .select_one(&moira_db::Pred::Eq(users::LOGIN, login.into()))
             .expect("user recovered");
     assert_eq!(
-        s.db.cell(row, users::SHELL).render(),
+        s.db.table(users::T).row(row).unwrap().render(users::SHELL),
         "/bin/durable",
         "the durable prefix, exactly"
     );

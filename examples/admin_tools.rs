@@ -103,7 +103,7 @@ fn main() {
             s.db.table(users::T)
                 .select_one(&moira::db::Pred::Eq(users::LOGIN, user.clone().into()))
                 .unwrap();
-        s.db.cell(row, users::UID).as_int()
+        s.db.table(users::T).row(row).unwrap().get(users::UID)
     };
     let served = athena
         .nfs

@@ -35,7 +35,7 @@ fn quota_change_example() {
             s.db.table(users::T)
                 .select_one(&moira::db::Pred::Eq(users::LOGIN, user.clone().into()))
                 .unwrap();
-        s.db.cell(row, users::UID).as_int()
+        s.db.table(users::T).row(row).unwrap().get(users::UID)
     };
     // Exactly the proper server has the new quota.
     let holders = athena

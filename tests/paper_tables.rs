@@ -52,12 +52,12 @@ fn athena() -> &'static (MoiraState, PopulationReport) {
 }
 
 fn mach_id(state: &MoiraState, name: &str) -> i64 {
-    let row = state
+    let r = state
         .db
         .table(machine::T)
-        .select_one(&Pred::Eq(machine::NAME, name.into()))
+        .find(&Pred::Eq(machine::NAME, name.into()))
         .expect("machine");
-    state.db.cell(row, machine::MACH_ID).as_int()
+    r.get(machine::MACH_ID)
 }
 
 /// E1 rows: (service, file, size in bytes, files, propagations).
@@ -396,9 +396,10 @@ fn converged(d: &Deployment) -> bool {
     let s = d.state.read();
     let t = s.db.table(serverhosts::T);
     let all = t.iter().all(|(row, _)| {
-        !t.cell(row, serverhosts::ENABLE).as_bool()
-            || t.cell(row, serverhosts::SERVICE).as_str() == "POP"
-            || t.cell(row, serverhosts::SUCCESS).as_bool()
+        let r = t.row(row).unwrap();
+        !r.get(serverhosts::ENABLE)
+            || r.get(serverhosts::SERVICE) == "POP"
+            || r.get(serverhosts::SUCCESS)
     });
     all
 }
@@ -436,7 +437,7 @@ fn reset_errors(d: &mut Deployment) {
     let t = s.db.table(servers::T);
     let services: Vec<String> = t
         .iter()
-        .map(|(row, _)| t.cell(row, servers::NAME).render())
+        .map(|(row, _)| t.row(row).unwrap().render(servers::NAME))
         .collect();
     let operator = Caller::root("operator");
     for svc in services {
@@ -452,10 +453,10 @@ fn reset_errors(d: &mut Deployment) {
             .into_iter()
             .map(|r| {
                 let m = s.db.table(machine::T);
-                let id = t.cell(r, serverhosts::MACH_ID).as_int();
+                let id = t.row(r).unwrap().get(serverhosts::MACH_ID);
                 m.select(&Pred::Eq(machine::MACH_ID, id.into()))
                     .first()
-                    .map(|&mr| m.cell(mr, machine::NAME).render())
+                    .map(|&mr| m.row(mr).unwrap().render(machine::NAME))
                     .unwrap_or_default()
             })
             .collect();
@@ -718,10 +719,8 @@ fn e9_registration() {
     let half = t.select(&Pred::Eq(users::STATUS, 2.into())).len();
     let poboxes = t
         .iter()
-        .filter(|(row, _)| {
-            t.cell(*row, users::STATUS).as_int() == 2
-                && t.cell(*row, users::POTYPE).as_str() == "POP"
-        })
+        .map(|(row, _)| t.row(row).unwrap())
+        .filter(|r| r.get(users::STATUS) == 2 && r.get(users::POTYPE) == "POP")
         .count();
     let principals = (0..students.len())
         .filter(|i| d.kdc.principal_exists(&format!("f{i:05}")))
