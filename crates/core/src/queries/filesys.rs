@@ -537,9 +537,9 @@ fn partitions_of(state: &MoiraState, mach_id: i64) -> impl Iterator<Item = Row<'
 }
 
 fn render_nfsphys(state: &MoiraState, row: RowId) -> MrResult<Vec<String>> {
-    let mach_id = state.db.table(nfsphys::T).row(row)?.get(nfsphys::MACH_ID);
-    let mut out = vec![machine_name(state, mach_id)];
-    out.extend(project(state, row, &NFSPHYS_FIELDS)?);
+    let r = state.db.table(nfsphys::T).row(row)?;
+    let mut out = vec![machine_name(state, r.get(nfsphys::MACH_ID))];
+    out.extend(NFSPHYS_FIELDS.iter().map(|&c| r.render(c)));
     Ok(out)
 }
 

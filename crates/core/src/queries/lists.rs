@@ -35,21 +35,6 @@ const LIST_INFO: &[&str] = &[
     "modwith",
 ];
 
-/// `get_list_info`'s columns around the ACE pair, which is rendered apart.
-const LIST_FIELDS: [Col<list::R>; 11] = [
-    list::NAME.erase(),
-    list::ACTIVE.erase(),
-    list::PUBLIC.erase(),
-    list::HIDDEN.erase(),
-    list::MAILLIST.erase(),
-    list::GROUPLIST.erase(),
-    list::GID.erase(),
-    list::DESC.erase(),
-    list::MODTIME.erase(),
-    list::MODBY.erase(),
-    list::MODWITH.erase(),
-];
-
 /// Registers the list queries.
 pub fn register(r: &mut Registry) {
     use AccessRule::*;
@@ -197,10 +182,21 @@ fn render_list_info(state: &MoiraState, row: RowId) -> MrResult<Vec<String>> {
     let r = state.db.table(list::T).row(row)?;
     let (ace_type, ace_name) =
         crate::ace::render_ace(&state.db, r.get(list::ACL_TYPE), r.get(list::ACL_ID));
-    let mut out = project(state, row, &LIST_FIELDS[..7])?;
-    out.extend([ace_type, ace_name]);
-    out.extend(project(state, row, &LIST_FIELDS[7..])?);
-    Ok(out)
+    Ok(vec![
+        r.render(list::NAME),
+        r.render(list::ACTIVE),
+        r.render(list::PUBLIC),
+        r.render(list::HIDDEN),
+        r.render(list::MAILLIST),
+        r.render(list::GROUPLIST),
+        r.render(list::GID),
+        ace_type,
+        ace_name,
+        r.render(list::DESC),
+        r.render(list::MODTIME),
+        r.render(list::MODBY),
+        r.render(list::MODWITH),
+    ])
 }
 
 /// True if the caller is on the ACE of list `row`.
@@ -695,10 +691,8 @@ fn qualified_get_lists(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult
     if !benign && !on_query_acl(state, c, "qualified_get_lists") {
         return Err(MrError::Perm);
     }
-    let t = state.db.table(list::T);
     let mut out = Vec::new();
-    for (row, _) in t.iter() {
-        let r = t.row(row)?;
+    for r in state.db.table(list::T).iter_rows() {
         if matches_tristate(r.get(list::ACTIVE), active)
             && matches_tristate(r.get(list::PUBLIC), public)
             && matches_tristate(r.get(list::HIDDEN), hidden)
@@ -798,8 +792,15 @@ fn get_lists_of_member(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult
     let mut out = Vec::new();
     let lists = state.db.table(list::T);
     for lid in list_ids {
-        if let Some(row) = lists.select_one(&Pred::Eq(list::LIST_ID, lid.into())) {
-            out.push(project(state, row, &LIST_FIELDS[..6])?);
+        if let Some(r) = lists.find(&Pred::Eq(list::LIST_ID, lid.into())) {
+            out.push(vec![
+                r.render(list::NAME),
+                r.render(list::ACTIVE),
+                r.render(list::PUBLIC),
+                r.render(list::HIDDEN),
+                r.render(list::MAILLIST),
+                r.render(list::GROUPLIST),
+            ]);
         }
     }
     if out.is_empty() {

@@ -114,9 +114,10 @@ fn get_pobox(state: &MoiraState, _c: &Caller, a: &[String]) -> MrResult<Vec<Vec<
 // enumeration by design.
 #[allow(clippy::disallowed_methods)]
 fn poboxes_where(state: &MoiraState, want: Option<&str>) -> Vec<Vec<String>> {
-    let t = state.db.table(users::T);
-    t.iter()
-        .filter_map(|(id, _)| t.row(id).ok())
+    state
+        .db
+        .table(users::T)
+        .iter_rows()
         .filter(|r| match want {
             Some(w) => r.get(users::POTYPE) == w,
             None => r.get(users::POTYPE) != "NONE",

@@ -247,33 +247,28 @@ fn caller_on_named_service_ace(state: &MoiraState, c: &Caller, service: &str) ->
         .is_some_and(|row| caller_on_service_ace(state, c, row))
 }
 
-/// `get_server_info`'s columns around the ACE pair, which is rendered
-/// apart.
-const SERVER_FIELDS: [Col<servers::R>; 14] = [
-    servers::NAME.erase(),
-    servers::UPDATE_INT.erase(),
-    servers::TARGET_FILE.erase(),
-    servers::SCRIPT.erase(),
-    servers::DFGEN.erase(),
-    servers::DFCHECK.erase(),
-    servers::TYPE.erase(),
-    servers::ENABLE.erase(),
-    servers::INPROGRESS.erase(),
-    servers::HARDERROR.erase(),
-    servers::ERRMSG.erase(),
-    servers::MODTIME.erase(),
-    servers::MODBY.erase(),
-    servers::MODWITH.erase(),
-];
-
 fn render_server(state: &MoiraState, row: RowId) -> MrResult<Vec<String>> {
     let r = state.db.table(servers::T).row(row)?;
     let (ace_type, ace_name) =
         render_ace(&state.db, r.get(servers::ACL_TYPE), r.get(servers::ACL_ID));
-    let mut out = project(state, row, &SERVER_FIELDS[..11])?;
-    out.extend([ace_type, ace_name]);
-    out.extend(project(state, row, &SERVER_FIELDS[11..])?);
-    Ok(out)
+    Ok(vec![
+        r.render(servers::NAME),
+        r.render(servers::UPDATE_INT),
+        r.render(servers::TARGET_FILE),
+        r.render(servers::SCRIPT),
+        r.render(servers::DFGEN),
+        r.render(servers::DFCHECK),
+        r.render(servers::TYPE),
+        r.render(servers::ENABLE),
+        r.render(servers::INPROGRESS),
+        r.render(servers::HARDERROR),
+        r.render(servers::ERRMSG),
+        ace_type,
+        ace_name,
+        r.render(servers::MODTIME),
+        r.render(servers::MODBY),
+        r.render(servers::MODWITH),
+    ])
 }
 
 fn get_server_info(state: &MoiraState, c: &Caller, a: &[String]) -> MrResult<Vec<Vec<String>>> {
@@ -303,10 +298,8 @@ fn qualified_get_server(
     let enable = parse_tristate(&a[0])?;
     let inprogress = parse_tristate(&a[1])?;
     let harderror = parse_tristate(&a[2])?;
-    let t = state.db.table(servers::T);
     let mut out = Vec::new();
-    for (row, _) in t.iter() {
-        let r = t.row(row)?;
+    for r in state.db.table(servers::T).iter_rows() {
         if matches_tristate(r.get(servers::ENABLE), enable)
             && matches_tristate(r.get(servers::INPROGRESS), inprogress)
             && matches_tristate(r.get(servers::HARDERROR) != 0, harderror)
@@ -489,8 +482,9 @@ fn service_and_host(state: &MoiraState, r: Row<'_, serverhosts::R>) -> Vec<Strin
 }
 
 fn render_server_host(state: &MoiraState, row: RowId) -> MrResult<Vec<String>> {
-    let mut out = service_and_host(state, state.db.table(serverhosts::T).row(row)?);
-    out.extend(project(state, row, HOST_FIELDS)?);
+    let r = state.db.table(serverhosts::T).row(row)?;
+    let mut out = service_and_host(state, r);
+    out.extend(HOST_FIELDS.iter().map(|&c| r.render(c)));
     Ok(out)
 }
 

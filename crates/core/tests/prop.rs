@@ -12,20 +12,16 @@ use moira_core::schema::{
     filesys, list, machine, members, nfsphys, nfsquota, serverhosts, servers, users,
 };
 use moira_core::state::{Caller, MoiraState};
-use moira_db::{Pred, Relation, Row, TableRef};
+use moira_db::{Pred, Relation};
 use proptest::prelude::*;
 
 /// The global invariants Moira's referential rules are supposed to
 /// maintain.
 fn check_invariants(state: &MoiraState) {
     let db = &state.db;
-    fn rows<R: Relation>(t: TableRef<'_, R>) -> impl Iterator<Item = Row<'_, R>> {
-        let ids: Vec<_> = t.iter().map(|(id, _)| id).collect();
-        ids.into_iter().map(move |id| t.row(id).unwrap())
-    }
 
     // 1. Every members row references an existing list.
-    for r in rows(db.table(members::T)) {
+    for r in db.table(members::T).iter_rows() {
         let list_id = r.get(members::LIST_ID);
         assert!(
             db.table(list::T)
@@ -48,7 +44,7 @@ fn check_invariants(state: &MoiraState) {
     // 2. Per-partition allocation equals the sum of its quotas plus any
     //    manual adjustments — here no manual adjustments are generated, so
     //    equality must hold exactly.
-    for p in rows(db.table(nfsphys::T)) {
+    for p in db.table(nfsphys::T).iter_rows() {
         let phys_id = p.get(nfsphys::NFSPHYS_ID);
         let sum: i64 = db
             .table(nfsquota::T)
@@ -60,7 +56,7 @@ fn check_invariants(state: &MoiraState) {
     }
 
     // 3. Every quota references an existing filesystem and user.
-    for q in rows(db.table(nfsquota::T)) {
+    for q in db.table(nfsquota::T).iter_rows() {
         let (fid, uid) = (q.get(nfsquota::FILSYS_ID), q.get(nfsquota::USERS_ID));
         assert!(
             db.table(filesys::T)
@@ -77,7 +73,7 @@ fn check_invariants(state: &MoiraState) {
     }
 
     // 4. POP poboxes point at existing machines.
-    for u in rows(db.table(users::T)) {
+    for u in db.table(users::T).iter_rows() {
         if u.get(users::POTYPE) == "POP" {
             let mid = u.get(users::POP_ID);
             assert!(
@@ -90,7 +86,7 @@ fn check_invariants(state: &MoiraState) {
     }
 
     // 5. Serverhosts reference existing services and machines.
-    for h in rows(db.table(serverhosts::T)) {
+    for h in db.table(serverhosts::T).iter_rows() {
         let (svc, mid) = (h.get(serverhosts::SERVICE), h.get(serverhosts::MACH_ID));
         assert!(
             db.table(servers::T)

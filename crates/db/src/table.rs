@@ -752,6 +752,17 @@ impl<'a, R> TableRef<'a, R> {
         self.table.count(pred.raw())
     }
 
+    /// Every live row, in id order: [`Table::iter`] read as typed rows.
+    /// A whole-table pass, so the same `clippy.toml` bans hold it to the
+    /// reviewed dumps.
+    pub fn iter_rows(&self) -> impl Iterator<Item = Row<'a, R>> {
+        let t: &'a Table = self.table;
+        t.iter().map(|(_, cells)| Row {
+            cells,
+            _rel: PhantomData,
+        })
+    }
+
     /// Row `id`, live: `MR_NO_MATCH` when the slot is free — the answer
     /// `update` and `delete` give a dead id.
     pub fn row(&self, id: RowId) -> MrResult<Row<'a, R>> {

@@ -507,9 +507,8 @@ mod tests {
         // Soft: hosterror stays 0, so the next run retries.
         {
             let s = state.read();
-            let t = s.db.table(serverhosts::T);
-            for (row, _) in t.iter() {
-                assert_eq!(t.row(row).unwrap().get(serverhosts::HOSTERROR), 0);
+            for r in s.db.table(serverhosts::T).iter_rows() {
+                assert_eq!(r.get(serverhosts::HOSTERROR), 0);
             }
         }
         hosts[1].lock().reboot();
@@ -615,9 +614,8 @@ mod tests {
         assert!(hosts[0].lock().read_file("/var/hesiod/passwd.db").is_some());
         // Override cleared afterwards.
         let s = state.read();
-        let t = s.db.table(serverhosts::T);
-        for (row, _) in t.iter() {
-            assert!(!t.row(row).unwrap().get(serverhosts::OVERRIDE));
+        for r in s.db.table(serverhosts::T).iter_rows() {
+            assert!(!r.get(serverhosts::OVERRIDE));
         }
     }
 
@@ -892,15 +890,11 @@ mod tests {
             let report = dcm.run_once();
             assert!(happened(&dcm, &report), "{name}: {report:?}");
             let s = state.read();
-            let t = s.db.table(servers::T);
-            for (row, _) in t.iter() {
-                let r = t.row(row).unwrap();
+            for r in s.db.table(servers::T).iter_rows() {
                 let svc = r.get(servers::NAME);
                 assert!(!r.get(servers::INPROGRESS), "{name}: {svc}");
             }
-            let t = s.db.table(serverhosts::T);
-            for (row, _) in t.iter() {
-                let r = t.row(row).unwrap();
+            for r in s.db.table(serverhosts::T).iter_rows() {
                 let svc = r.get(serverhosts::SERVICE);
                 assert!(!r.get(serverhosts::INPROGRESS), "{name}: {svc}");
             }

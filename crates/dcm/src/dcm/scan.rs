@@ -39,9 +39,8 @@ impl Dcm {
     #[allow(clippy::disallowed_methods)]
     pub(super) fn eligible_services(&self) -> Vec<ServiceInfo> {
         let state = self.state.read();
-        let t = state.db.table(servers::T);
         let mut out = Vec::new();
-        for r in t.iter().filter_map(|(row, _)| t.row(row).ok()) {
+        for r in state.db.table(servers::T).iter_rows() {
             let info = ServiceInfo {
                 name: r.get(servers::NAME).to_owned(),
                 interval_secs: r.get(servers::UPDATE_INT) * 60,

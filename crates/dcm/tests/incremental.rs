@@ -28,9 +28,8 @@ use proptest::prelude::*;
 /// active unix group (nested lists included) into
 /// `users_id -> [(group name, gid)]`, sorted and deduplicated.
 fn group_map(state: &MoiraState) -> HashMap<i64, Vec<(String, i64)>> {
-    let t = state.db.table(list::T);
     let mut map: HashMap<i64, Vec<(String, i64)>> = HashMap::new();
-    for r in t.iter().map(|(id, _)| t.row(id).unwrap()) {
+    for r in state.db.table(list::T).iter_rows() {
         if !(r.get(list::ACTIVE) && r.get(list::GROUPLIST)) {
             continue;
         }
@@ -199,8 +198,7 @@ proptest! {
                 caches.fill(None);
             }
             let oracle = group_map(&state);
-            let users = state.db.table(users::T);
-            for r in users.iter().map(|(id, _)| users.row(id).unwrap()) {
+            for r in state.db.table(users::T).iter_rows() {
                 if r.get(users::STATUS) != 1 {
                     continue;
                 }

@@ -22,9 +22,7 @@ fn hesiod_passwd(d: &Deployment, host: &str) -> Option<Vec<u8>> {
 /// Every enabled serverhost reports success.
 fn converged(d: &Deployment) -> bool {
     let s = d.state.read();
-    let t = s.db.table(serverhosts::T);
-    let all_ok = t.iter().all(|(row, _)| {
-        let r = t.row(row).unwrap();
+    let all_ok = s.db.table(serverhosts::T).iter_rows().all(|r| {
         !r.get(serverhosts::ENABLE)
             || r.get(serverhosts::SERVICE) == "POP"
             || r.get(serverhosts::SUCCESS)

@@ -12,8 +12,6 @@
 //!
 //! Nothing here is timed. A change that moves a constant updates it and
 //! says why; a rise nobody explained is a regression.
-//! `BUDGET_PRINT=1 cargo test --test work_budget -- --nocapture` prints the
-//! measured table.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -172,11 +170,6 @@ fn request_ops_stay_within_budget() {
         let [warm, run] = calls(&b, name);
         b.measure(&warm);
         measured.push((name, b.measure(&run)));
-    }
-    if std::env::var_os("BUDGET_PRINT").is_some() {
-        for (name, (a, r)) in &measured {
-            println!("    (\"{name}\", {a}, {r}),");
-        }
     }
     for ((name, want_allocs, want_rows), (_, (allocs, rows))) in BUDGET.iter().zip(&measured) {
         assert_eq!(
