@@ -1,5 +1,6 @@
-//! Work budgets: exact per-operation counts for the request-path op mix,
-//! where wall-clock on a small host cannot resolve a change.
+//! Work budgets: exact per-operation counts for the request-path op mix
+//! and for a DCM cycle, where wall-clock on a small host cannot resolve a
+//! change.
 //!
 //! For each query handle the benchmark's request workloads issue, the test
 //! builds the small population, runs the handle once to warm the access
@@ -10,17 +11,25 @@
 //!   allocator over `System`; each test thread keeps its own count), and
 //! - rows the planner examined (`db.select.rows_examined`'s sum).
 //!
+//! For the DCM the test builds the small deployment and pins, for its first
+//! cycle and for one cycle after a 1 % shell change, the hosts confirmed,
+//! the install commands run, the bytes on the wire and the patch/whole
+//! member split of the transfer.
+//!
 //! Nothing here is timed. A change that moves a constant updates it and
 //! says why; a rise nobody explained is a regression.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use moira::common::clock::VClock;
 use moira::core::registry::Registry;
 use moira::core::seed::seed_capacls;
 use moira::core::state::{Caller, MoiraState};
-use moira::sim::{populate, PopulationSpec};
+use moira::dcm::net::{NetFault, Network};
+use moira::sim::{populate, Deployment, PopulationSpec};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -178,4 +187,111 @@ fn request_ops_stay_within_budget() {
             "{name}: (allocations, rows examined) moved; measured {measured:?}"
         );
     }
+}
+
+/// What one DCM cycle did, summed over every host.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct CycleWork {
+    /// Host updates that ended `Ok`.
+    confirmed: u64,
+    /// Commands the hosts' install scripts ran (growth of `exec_log`).
+    installs: u64,
+    /// Bytes every update leg put on the wire.
+    wire_bytes: u64,
+    /// `dcm.transfer.patch_members`.
+    patch_members: u64,
+    /// `dcm.transfer.full_members`.
+    full_members: u64,
+}
+
+/// The first cycle, then one cycle after a 1 % shell change.
+const DCM_BUDGET: [(&str, CycleWork); 2] = [
+    (
+        "first",
+        CycleWork {
+            confirmed: 9,
+            installs: 9,
+            wire_bytes: 75519,
+            patch_members: 0,
+            full_members: 38,
+        },
+    ),
+    (
+        "shell change",
+        CycleWork {
+            confirmed: 7,
+            installs: 7,
+            wire_bytes: 2882,
+            patch_members: 3,
+            full_members: 0,
+        },
+    ),
+];
+
+/// Forwards to the deployment's fabric, counting transmitted bytes.
+struct CountingNet {
+    inner: Arc<dyn Network>,
+    bytes: AtomicU64,
+}
+
+impl Network for CountingNet {
+    fn connect(&self, host: &str) -> Result<(), NetFault> {
+        self.inner.connect(host)
+    }
+
+    fn transmit(&self, host: &str, len: usize) -> Result<(), NetFault> {
+        self.bytes.fetch_add(len as u64, Ordering::Relaxed);
+        self.inner.transmit(host, len)
+    }
+}
+
+/// Runs one DCM cycle and returns what it did.
+fn dcm_cycle(d: &mut Deployment, net: &CountingNet) -> CycleWork {
+    let installs = |d: &Deployment| -> u64 {
+        d.hosts
+            .values()
+            .map(|h| h.lock().exec_log.len() as u64)
+            .sum()
+    };
+    let counter = |d: &Deployment, name: &str| d.state.read().obs.snapshot().counter(name);
+    let before = (
+        installs(d),
+        net.bytes.load(Ordering::Relaxed),
+        counter(d, "dcm.transfer.patch_members"),
+        counter(d, "dcm.transfer.full_members"),
+    );
+    d.advance(25 * 3600);
+    let report = d.run_dcm_once();
+    CycleWork {
+        confirmed: report.updates.iter().filter(|u| u.2.is_ok()).count() as u64,
+        installs: installs(d) - before.0,
+        wire_bytes: net.bytes.load(Ordering::Relaxed) - before.1,
+        patch_members: counter(d, "dcm.transfer.patch_members") - before.2,
+        full_members: counter(d, "dcm.transfer.full_members") - before.3,
+    }
+}
+
+#[test]
+fn dcm_cycle_stays_within_budget() {
+    let mut d = Deployment::build(&PopulationSpec::small());
+    let net = Arc::new(CountingNet {
+        inner: d.net.clone(),
+        bytes: AtomicU64::new(0),
+    });
+    d.dcm.set_network(net.clone());
+    let mut measured = vec![("first", dcm_cycle(&mut d, &net))];
+
+    let logins = d.population.active_logins.clone();
+    let root = Caller::root("work-budget");
+    {
+        let mut st = d.state.write();
+        for login in logins.iter().take((logins.len() / 100).max(1)) {
+            let args = [login.clone(), "/bin/tcsh".to_owned()];
+            d.registry
+                .execute(&mut st, &root, "update_user_shell", &args)
+                .expect("shell change on a populated login");
+        }
+    }
+    measured.push(("shell change", dcm_cycle(&mut d, &net)));
+    assert_eq!(measured, DCM_BUDGET, "a DCM cycle's work moved");
 }
