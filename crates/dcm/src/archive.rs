@@ -91,18 +91,6 @@ impl Archive {
         self.members.iter().map(|(n, d)| n.len() + d.len()).sum()
     }
 
-    /// The subset archive containing exactly the named members that exist
-    /// here, preserving this archive's order.
-    pub fn subset(&self, names: &[String]) -> Archive {
-        let mut out = Archive::new();
-        for (name, data) in &self.members {
-            if names.iter().any(|n| n == name) {
-                let _ = out.add(name, data.clone());
-            }
-        }
-        out
-    }
-
     /// The per-member CRC manifest plus the whole-archive CRC. The full
     /// CRC is taken over the serialized form without building it.
     pub fn manifest(&self) -> Manifest {
@@ -289,18 +277,6 @@ mod tests {
             bytes.extend_from_slice(&0u32.to_be_bytes());
         }
         assert!(Archive::from_bytes(&bytes).is_none());
-    }
-
-    #[test]
-    fn subset_preserves_order() {
-        let a = Archive::from_members(vec![
-            ("a".into(), vec![1]),
-            ("b".into(), vec![2]),
-            ("c".into(), vec![3]),
-        ])
-        .unwrap();
-        let s = a.subset(&["c".to_owned(), "a".to_owned(), "zz".to_owned()]);
-        assert_eq!(s.member_names(), vec!["a", "c"]);
     }
 
     #[test]

@@ -814,6 +814,26 @@ mod tests {
         }
     }
 
+    /// Regression: a partition directory holding a space, which
+    /// `add_nfsphys` accepts, makes a member stem with a space. The script
+    /// codec split `extract` lines at the first space, so the host could
+    /// not find the member and every push to it failed hard with
+    /// `ExecFailed(203)`.
+    #[test]
+    fn nfs_partition_with_a_space_installs() {
+        let (mut dcm, state, hosts) = setup();
+        add_nfs_service(&state, &["KIWI.MIT.EDU"]);
+        let args = ["KIWI.MIT.EDU", "/u1/my lockers", "ra0a", "1", "0", "99999"];
+        as_root(&state, "add_nfsphys", &args);
+        let report = dcm.run_once();
+        let nfs = ("NFS".to_owned(), "KIWI.MIT.EDU".to_owned(), Ok(()));
+        assert!(report.updates.contains(&nfs), "{report:?}");
+        let kiwi = hosts[0].lock();
+        assert!(kiwi.read_file("/var/nfs/u1_my lockers.quotas").is_some());
+        assert!(kiwi.read_file("/var/nfs/u1_my lockers.dirs").is_some());
+        assert!(kiwi.exec_log.iter().any(|c| c == "install-nfs"));
+    }
+
     /// No DCM run leaves an `inprogress` flag set, whatever the outcome:
     /// every path that sets one on a `servers` or `serverhosts` row clears
     /// it before `run_once` returns. Each case also checks that its

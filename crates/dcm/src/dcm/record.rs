@@ -250,9 +250,10 @@ impl Dcm {
         self.set_service_flags(&mut self.state.write(), &svc.name, failed);
     }
 
-    /// Patch-versus-whole byte split (the §5.7 partial-transfer savings);
-    /// and, when a leg broke, a per-leg retry count: the attempt that
-    /// follows the failure is charged to the leg that caused it.
+    /// Patch-versus-whole byte split (the §5.7 partial-transfer savings),
+    /// the hosts that confirmed in place without reinstalling; and, when a
+    /// leg broke, a per-leg retry count: the attempt that follows the
+    /// failure is charged to the leg that caused it.
     fn count_transfer(&self, tstats: &TransferStats) {
         // The registry handle is an Arc clone taken under a statement-scoped
         // guard; the recording itself happens lock-free.
@@ -262,6 +263,7 @@ impl Dcm {
             ("patch_bytes", tstats.patch_bytes),
             ("full_members", tstats.full_members),
             ("full_bytes", tstats.full_bytes),
+            ("already_installed", u64::from(tstats.already_installed)),
         ] {
             obs.counter(&format!("dcm.transfer.{what}")).add(n);
         }

@@ -23,6 +23,20 @@
 //! first push, evicted cache, tampered base — falls back to the full bytes,
 //! and the whole-archive checksum still guards the reconstruction either
 //! way, so a bad patch can never install.
+//!
+//! The install step follows the transfer's rule: what the host already
+//! holds is not redone. Once an install script exits 0 the host writes an
+//! install record beside the staged target (`<target>.moira_installed`)
+//! naming the archive's whole-archive CRC and the script's CRC; every
+//! install removes it before its first `Swap`. A push confirms in place — no
+//! target rebuild or write, no `Extract`, no `Swap`, no install command —
+//! only when no member is stale, the staged target's CRC is the
+//! manifest's, the record names this archive and this script, and every
+//! `Extract` destination still holds its member's bytes. A first push, a
+//! removed or altered live file, a changed install command, or a failed
+//! or crashed previous install (a missing, torn or unparseable record)
+//! runs the full install. Every leg crosses the network with the same
+//! bytes either way.
 
 // The update leg talks to hosts that may be down or hostile: errors surface
 // as `UpdateError`, never as a panic.
@@ -81,42 +95,79 @@ pub enum Instruction {
     },
 }
 
+/// Escapes one field of a script line: a backslash, a line break and, in
+/// a field another follows on the line (`word`), the separating space. A
+/// field with none of them is written as it is.
+fn escape(field: &str, word: bool) -> String {
+    let mut out = String::with_capacity(field.len());
+    for c in field.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            ' ' if word => out.push_str("\\s"),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// Reverses [`escape`]; `None` on an unknown or dangling escape.
+fn unescape(field: &str) -> Option<String> {
+    let mut out = String::with_capacity(field.len());
+    let mut chars = field.chars();
+    while let Some(c) = chars.next() {
+        out.push(match c {
+            '\\' => match chars.next()? {
+                '\\' => '\\',
+                'n' => '\n',
+                'r' => '\r',
+                's' => ' ',
+                _ => return None,
+            },
+            c => c,
+        });
+    }
+    Some(out)
+}
+
 impl Instruction {
-    /// Serializes to one script line.
+    /// Serializes to one script line. Fields are escaped, so a member
+    /// name holding a space still parses back whole.
     pub fn to_line(&self) -> String {
         match self {
-            Instruction::Extract { member, dest } => format!("extract {member} {dest}"),
-            Instruction::Swap { file } => format!("swap {file}"),
-            Instruction::Revert { file } => format!("revert {file}"),
-            Instruction::Signal { pidfile } => format!("signal {pidfile}"),
-            Instruction::Exec { command } => format!("exec {command}"),
+            Instruction::Extract { member, dest } => {
+                format!("extract {} {}", escape(member, true), escape(dest, false))
+            }
+            Instruction::Swap { file } => format!("swap {}", escape(file, false)),
+            Instruction::Revert { file } => format!("revert {}", escape(file, false)),
+            Instruction::Signal { pidfile } => format!("signal {}", escape(pidfile, false)),
+            Instruction::Exec { command } => format!("exec {}", escape(command, false)),
         }
     }
 
     /// Parses one script line.
     pub fn from_line(line: &str) -> Option<Instruction> {
-        let mut words = line.splitn(2, ' ');
-        let op = words.next()?;
-        let rest = words.next().unwrap_or("");
+        let (op, rest) = line.split_once(' ').unwrap_or((line, ""));
         Some(match op {
             "extract" => {
-                let mut parts = rest.splitn(2, ' ');
+                let (member, dest) = rest.split_once(' ')?;
                 Instruction::Extract {
-                    member: parts.next()?.to_owned(),
-                    dest: parts.next()?.to_owned(),
+                    member: unescape(member)?,
+                    dest: unescape(dest)?,
                 }
             }
             "swap" => Instruction::Swap {
-                file: rest.to_owned(),
+                file: unescape(rest)?,
             },
             "revert" => Instruction::Revert {
-                file: rest.to_owned(),
+                file: unescape(rest)?,
             },
             "signal" => Instruction::Signal {
-                pidfile: rest.to_owned(),
+                pidfile: unescape(rest)?,
             },
             "exec" => Instruction::Exec {
-                command: rest.to_owned(),
+                command: unescape(rest)?,
             },
             _ => return None,
         })
@@ -491,6 +542,10 @@ pub struct TransferStats {
     pub full_members: u64,
     /// Whole-member payload bytes.
     pub full_bytes: u64,
+    /// The host confirmed without reinstalling: its staged target already
+    /// was this archive, installed by this script, and its live files
+    /// still held it.
+    pub already_installed: bool,
     /// The protocol leg in flight when the attempt failed; `None` on
     /// success. One of `connect`, `manifest`, `stale`, `delta`, `script`,
     /// `execute`, `confirm`.
@@ -526,7 +581,8 @@ pub struct UpdateCredentials {
 ///   script successfully. The DCM then sees a timeout even though the
 ///   files installed — precisely the ambiguity §5.9 resolves by making
 ///   installations idempotent ("extra installations are not harmful"),
-///   so the inevitable retry converges.
+///   so the inevitable retry converges. The retry finds the install
+///   recorded and confirms in place, without running it again.
 ///
 /// `prev` is the archive the DCM last pushed to this host, if it still
 /// holds one: stale members whose host-side base CRC matches the cached
@@ -621,7 +677,12 @@ fn update_legs(
     // the recovery-from-tampering path are both just "all members".
     stats.failed_leg = Some("stale");
     let base = host.read_file(target).and_then(Archive::from_bytes);
-    let reply = encode_stale(&stale_entries(&manifest, base.as_ref()));
+    let stale_here = stale_entries(&manifest, base.as_ref());
+    // Nothing stale and the staged bytes check out whole: the target
+    // already is this archive.
+    let current =
+        stale_here.is_empty() && host.read_file(target).map(crc32) == Some(manifest.full_crc);
+    let reply = encode_stale(&stale_here);
     net.transmit(&host.name, reply.len())
         .map_err(|f| f.to_update_error())?;
     // — Moira side: an unparseable reply is bad data from the host.
@@ -668,49 +729,9 @@ fn update_legs(
     let Some(delta) = decode_delta(&received) else {
         return Err(UpdateError::Checksum);
     };
-    // — host side: materialize each transferred member (applying patches
-    // against the base copy), then reconstruct the complete archive in
-    // manifest order, preferring fresh members over the base, and verify
-    // the whole-archive checksum before anything touches disk.
-    let mut fresh: HashMap<String, Vec<u8>> = HashMap::with_capacity(delta.len());
-    for (name, entry) in delta {
-        let data = match entry {
-            MemberDelta::Full(data) => data,
-            MemberDelta::Patch(patch) => {
-                // A patch without a base copy is bad data; a patch that
-                // does not apply means something was mangled in flight.
-                let Some(base_member) = base.as_ref().and_then(|b| b.get(&name)) else {
-                    return Err(UpdateError::BadData);
-                };
-                let Some(applied) = apply_line_patch(base_member, &patch) else {
-                    return Err(UpdateError::Checksum);
-                };
-                applied
-            }
-        };
-        fresh.insert(name, data);
-    }
-    let mut rebuilt = Archive::new();
-    for (name, _) in &manifest.entries {
-        let data = fresh
-            .get(name)
-            .map(|d| d.as_slice())
-            .or_else(|| base.as_ref().and_then(|b| b.get(name)));
-        let Some(data) = data else {
-            return Err(UpdateError::BadData);
-        };
-        if rebuilt.add(name, data.to_vec()).is_err() {
-            return Err(UpdateError::BadData);
-        }
-    }
-    let rebuilt_bytes = rebuilt.to_bytes();
-    if crc32(&rebuilt_bytes) != manifest.full_crc {
-        return Err(UpdateError::Checksum);
-    }
-    match host.write_file(target, &rebuilt_bytes) {
-        Ok(()) => {}
-        Err(HostError::Down) => return Err(UpdateError::HostDown),
-        Err(_) => return Err(UpdateError::BadData),
+    let current = current && delta.is_empty();
+    if !current {
+        stage_target(host, target, &manifest, base.as_ref(), delta)?;
     }
 
     // A.5 Transfer the installation instruction sequence.
@@ -729,11 +750,22 @@ fn update_legs(
     // A.6 Flush all data to disk — the in-memory host is always durable.
 
     // B. Execution phase, driven by a single command from Moira; the host
-    // executes the staged script against the staged archive.
+    // executes the staged script against the staged archive — unless it
+    // already installed exactly this archive with exactly this script and
+    // nothing since has touched what that install wrote. Then it confirms
+    // without running anything.
     stats.failed_leg = Some("execute");
     net.transmit(&host.name, 1)
         .map_err(|f| f.to_update_error())?;
-    let result = execute_on_host(host, target);
+    let already_installed = current
+        && base.as_ref().is_some_and(|archive| {
+            installed(host, target, archive, manifest.full_crc, &received_script)
+        });
+    let result = if already_installed {
+        Ok(0)
+    } else {
+        execute_on_host(host, target, manifest.full_crc)
+    };
 
     // C. Confirm installation. The confirmation travels back over the
     // network: if it is lost, Moira must assume failure and retry, even
@@ -744,6 +776,7 @@ fn update_legs(
             net.transmit(&host.name, 1)
                 .map_err(|f| f.to_update_error())?;
             stats.failed_leg = None;
+            stats.already_installed = already_installed;
             Ok(())
         }
         Ok(code) => Err(UpdateError::ExecFailed(code)),
@@ -752,21 +785,153 @@ fn update_legs(
     }
 }
 
+/// The host side of the partial transfer: materialize each transferred
+/// member (applying patches against the base copy), then reconstruct the
+/// complete archive in manifest order, preferring fresh members over the
+/// base, and verify the whole-archive checksum before writing it as the
+/// staged target.
+fn stage_target(
+    host: &mut SimHost,
+    target: &str,
+    manifest: &Manifest,
+    base: Option<&Archive>,
+    delta: Vec<(String, MemberDelta)>,
+) -> Result<(), UpdateError> {
+    let mut fresh: HashMap<String, Vec<u8>> = HashMap::with_capacity(delta.len());
+    for (name, entry) in delta {
+        let data = match entry {
+            MemberDelta::Full(data) => data,
+            MemberDelta::Patch(patch) => {
+                // A patch without a base copy is bad data; a patch that
+                // does not apply means something was mangled in flight.
+                let Some(base_member) = base.and_then(|b| b.get(&name)) else {
+                    return Err(UpdateError::BadData);
+                };
+                let Some(applied) = apply_line_patch(base_member, &patch) else {
+                    return Err(UpdateError::Checksum);
+                };
+                applied
+            }
+        };
+        fresh.insert(name, data);
+    }
+    let mut rebuilt = Archive::new();
+    for (name, _) in &manifest.entries {
+        let data = fresh
+            .get(name)
+            .map(|d| d.as_slice())
+            .or_else(|| base.and_then(|b| b.get(name)));
+        let Some(data) = data else {
+            return Err(UpdateError::BadData);
+        };
+        if rebuilt.add(name, data.to_vec()).is_err() {
+            return Err(UpdateError::BadData);
+        }
+    }
+    let rebuilt_bytes = rebuilt.to_bytes();
+    if crc32(&rebuilt_bytes) != manifest.full_crc {
+        return Err(UpdateError::Checksum);
+    }
+    match host.write_file(target, &rebuilt_bytes) {
+        Ok(()) => Ok(()),
+        Err(HostError::Down) => Err(UpdateError::HostDown),
+        Err(_) => Err(UpdateError::BadData),
+    }
+}
+
+/// What a host records once an install script exits 0: the whole-archive
+/// CRC of the staged target it installed and the CRC of the script that
+/// installed it. One line, `<archive crc> <script crc>` in hex, so an
+/// operator can read it by hand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct InstallRecord {
+    archive_crc: u32,
+    script_crc: u32,
+}
+
+impl InstallRecord {
+    fn to_bytes(self) -> Vec<u8> {
+        format!("{:08x} {:08x}\n", self.archive_crc, self.script_crc).into_bytes()
+    }
+
+    /// Total: a torn or garbled record is `None` — "not installed".
+    fn from_bytes(bytes: &[u8]) -> Option<InstallRecord> {
+        let line = std::str::from_utf8(bytes).ok()?.strip_suffix('\n')?;
+        let (archive, script) = line.split_once(' ')?;
+        let hex = |h: &str| {
+            (h.len() == 8 && h.bytes().all(|b| b.is_ascii_hexdigit()))
+                .then(|| u32::from_str_radix(h, 16).ok())
+                .flatten()
+        };
+        Some(InstallRecord {
+            archive_crc: hex(archive)?,
+            script_crc: hex(script)?,
+        })
+    }
+}
+
+/// Where the host keeps the install record of `target`.
+fn install_record_path(target: &str) -> String {
+    format!("{target}.moira_installed")
+}
+
+/// True if the host's record names the archive staged at `target` (whose
+/// whole-archive CRC is `archive_crc`) and `script`, and every `Extract`
+/// destination of `script` still holds its member's bytes in `archive`.
+/// A missing, torn or unparseable record, or a script that does not
+/// parse, is "not installed".
+fn installed(
+    host: &SimHost,
+    target: &str,
+    archive: &Archive,
+    archive_crc: u32,
+    script: &[u8],
+) -> bool {
+    let want = InstallRecord {
+        archive_crc,
+        script_crc: crc32(script),
+    };
+    let recorded = host
+        .read_file(&install_record_path(target))
+        .and_then(InstallRecord::from_bytes);
+    if recorded != Some(want) {
+        return false;
+    }
+    let Some(script) = std::str::from_utf8(script).ok().and_then(Script::from_text) else {
+        return false;
+    };
+    script.instructions.iter().all(|i| match i {
+        Instruction::Extract { member, dest } => archive
+            .get(member)
+            .is_some_and(|data| host.read_file(dest) == Some(data)),
+        _ => true,
+    })
+}
+
 /// The server side of the execution phase: parse the staged script and run
-/// it. Public so crash-recovery tests can re-drive a rebooted host.
-pub fn execute_on_host(host: &mut SimHost, target: &str) -> Result<i32, HostError> {
+/// it against the staged target, whose whole-archive CRC the transfer
+/// phase verified as `archive_crc`, then record the install. The old
+/// record goes first, before the first `Swap`: an install that stops part
+/// way leaves none, and the next push runs in full.
+fn execute_on_host(host: &mut SimHost, target: &str, archive_crc: u32) -> Result<i32, HostError> {
+    let record_path = install_record_path(target);
+    host.remove_file(&record_path);
     let script_bytes = match host.read_file(SCRIPT_PATH) {
         Some(b) => b.to_vec(),
         None => return Ok(200),
     };
-    let Some(script) = String::from_utf8(script_bytes)
+    let Some(script) = std::str::from_utf8(&script_bytes)
         .ok()
-        .and_then(|t| Script::from_text(&t))
+        .and_then(Script::from_text)
     else {
         return Ok(201);
     };
     let Some(archive) = host.read_file(target).and_then(Archive::from_bytes) else {
         return Ok(202);
+    };
+    let record = InstallRecord {
+        archive_crc,
+        script_crc: crc32(&script_bytes),
     };
     for instruction in &script.instructions {
         match instruction {
@@ -795,6 +960,7 @@ pub fn execute_on_host(host: &mut SimHost, target: &str) -> Result<i32, HostErro
             }
         }
     }
+    host.write_file(&record_path, &record.to_bytes())?;
     Ok(0)
 }
 
@@ -1558,5 +1724,242 @@ mod tests {
         let mut host = SimHost::new("X");
         let err = push(&mut host, &a, "/tmp/t", &bad).unwrap_err();
         assert_eq!(err, UpdateError::ExecFailed(203));
+    }
+
+    /// `run_update` over a perfect network, stats kept.
+    fn push_stats(
+        host: &mut SimHost,
+        archive: &Archive,
+        script: &Script,
+    ) -> (Result<(), UpdateError>, TransferStats) {
+        run_update(&PerfectNetwork, host, None, archive, None, "/tmp/t", script)
+    }
+
+    /// Every member of `archive` is live under `/var/hesiod`.
+    fn assert_live(host: &SimHost, archive: &Archive, what: &str) {
+        for (member, data) in archive.iter() {
+            let path = format!("/var/hesiod/{member}");
+            assert_eq!(host.read_file(&path), Some(data), "{what}: {path}");
+        }
+    }
+
+    fn newer_archive() -> Archive {
+        let mut b = Archive::new();
+        b.add("passwd.db", b"babette:*:6530\nnewbie:*:7000\n".to_vec())
+            .unwrap();
+        b.add("uid.db", b"6530.uid\n7000.uid\n".to_vec()).unwrap();
+        b
+    }
+
+    #[test]
+    fn repush_confirms_in_place_only_what_is_installed() {
+        /// Leaves the host as the case's history would, and returns what
+        /// the next push carries.
+        type Arrange = fn(&mut SimHost) -> (Archive, Script);
+        fn installed_sample(h: &mut SimHost) -> (Archive, Script) {
+            let a = sample_archive();
+            let s = sample_script(&a);
+            push(h, &a, "/tmp/t", &s).unwrap();
+            (a, s)
+        }
+        let cases: [(&str, Arrange, bool); 6] = [
+            ("identical re-push", installed_sample, false),
+            (
+                "removed live file",
+                |h| {
+                    let pushed = installed_sample(h);
+                    h.remove_file("/var/hesiod/passwd.db");
+                    pushed
+                },
+                true,
+            ),
+            (
+                "altered live file",
+                |h| {
+                    let pushed = installed_sample(h);
+                    h.write_file("/var/hesiod/uid.db", b"0.uid\n").unwrap();
+                    pushed
+                },
+                true,
+            ),
+            (
+                "changed install command",
+                |h| {
+                    let (a, _) = installed_sample(h);
+                    let s = Script::standard(&a, "/var/hesiod", "restart-hesiod -f");
+                    (a, s)
+                },
+                true,
+            ),
+            (
+                "changed archive",
+                |h| {
+                    installed_sample(h);
+                    let b = newer_archive();
+                    let s = sample_script(&b);
+                    (b, s)
+                },
+                true,
+            ),
+            (
+                "healed exec failure",
+                |h| {
+                    h.fail.fail_exec_with = Some(3);
+                    let a = sample_archive();
+                    let s = sample_script(&a);
+                    assert_eq!(push(h, &a, "/tmp/t", &s), Err(UpdateError::ExecFailed(3)));
+                    h.fail.fail_exec_with = None;
+                    (a, s)
+                },
+                true,
+            ),
+        ];
+        for (name, arrange, reinstalls) in cases {
+            let mut host = SimHost::new("X");
+            let (archive, script) = arrange(&mut host);
+            let files = host.files().clone();
+            let execs = host.exec_log.len();
+            let (result, stats) = push_stats(&mut host, &archive, &script);
+            assert_eq!(result, Ok(()), "{name}");
+            assert_eq!(stats.already_installed, !reinstalls, "{name}");
+            if reinstalls {
+                assert_eq!(host.exec_log.len(), execs + 1, "{name}");
+                assert_live(&host, &archive, name);
+            } else {
+                assert_eq!(host.exec_log.len(), execs, "{name}: command ran");
+                assert_eq!(host.files(), &files, "{name}: files touched");
+            }
+            // Either way the host now holds the push: the next identical
+            // one confirms in place.
+            let execs = host.exec_log.len();
+            let (result, stats) = push_stats(&mut host, &archive, &script);
+            assert_eq!((result, stats.already_installed), (Ok(()), true), "{name}");
+            assert_eq!(host.exec_log.len(), execs, "{name}");
+        }
+    }
+
+    #[test]
+    fn crashed_install_is_never_confirmed_in_place() {
+        // A crash at every mutating op of an install — a first push, an
+        // upgrade over an installed archive, and a repair of a removed live
+        // file under an intact record — then a reboot and the same push
+        // again: it runs the full install, the command exactly once more,
+        // and only the push after that confirms in place. The grid ends at
+        // the first op count the install survives.
+        type History = fn(&mut SimHost);
+        let histories: [(&str, History); 3] = [
+            ("first push", |_| {}),
+            ("upgrade", |h| {
+                let a = sample_archive();
+                push(h, &a, "/tmp/t", &sample_script(&a)).unwrap();
+            }),
+            ("repair", |h| {
+                let b = newer_archive();
+                push(h, &b, "/tmp/t", &sample_script(&b)).unwrap();
+                h.remove_file("/var/hesiod/passwd.db");
+            }),
+        ];
+        let b = newer_archive();
+        let s = sample_script(&b);
+        let record_path = install_record_path("/tmp/t");
+        for (name, history) in histories {
+            let mut tore_record = false;
+            for crash_at in 0..64u64 {
+                let mut host = SimHost::new("X");
+                history(&mut host);
+                let old = host
+                    .read_file(&record_path)
+                    .and_then(InstallRecord::from_bytes);
+                let execs = host.exec_log.len();
+                host.fail.crash_after_ops = Some(crash_at);
+                if push(&mut host, &b, "/tmp/t", &s).is_ok() {
+                    break;
+                }
+                host.reboot();
+                let record = host.read_file(&record_path);
+                if host.exec_log.len() > execs {
+                    // The command ran; the crash tore the record write.
+                    let torn = record.expect("a torn record");
+                    assert_eq!(InstallRecord::from_bytes(torn), None, "{name} {crash_at}");
+                    tore_record = true;
+                } else {
+                    // At most the previous install's record is left.
+                    let left = record.and_then(InstallRecord::from_bytes);
+                    assert!(left.is_none() || left == old, "{name} {crash_at}");
+                }
+                let execs = host.exec_log.len();
+                let (result, stats) = push_stats(&mut host, &b, &s);
+                assert_eq!(result, Ok(()), "{name} {crash_at}");
+                assert!(!stats.already_installed, "{name} {crash_at}");
+                assert_eq!(host.exec_log.len(), execs + 1, "{name} {crash_at}");
+                assert_live(&host, &b, name);
+                let (result, stats) = push_stats(&mut host, &b, &s);
+                assert_eq!((result, stats.already_installed), (Ok(()), true));
+            }
+            // The grid reached the install's last op, the record write.
+            assert!(tore_record, "{name}");
+        }
+    }
+
+    #[test]
+    fn torn_install_record_means_not_installed() {
+        let a = sample_archive();
+        let s = sample_script(&a);
+        let mut host = SimHost::new("X");
+        push(&mut host, &a, "/tmp/t", &s).unwrap();
+        let path = install_record_path("/tmp/t");
+        let whole = host.read_file(&path).unwrap().to_vec();
+        let want = InstallRecord {
+            archive_crc: crc32(&a.to_bytes()),
+            script_crc: crc32(s.to_text().as_bytes()),
+        };
+        assert_eq!(InstallRecord::from_bytes(&whole), Some(want));
+        // Every cut of the record write, not only the half a crash leaves.
+        for cut in 0..whole.len() {
+            host.write_file(&path, &whole[..cut]).unwrap();
+            let execs = host.exec_log.len();
+            let (result, stats) = push_stats(&mut host, &a, &s);
+            assert_eq!(
+                (result, stats.already_installed),
+                (Ok(()), false),
+                "cut {cut}"
+            );
+            assert_eq!(host.exec_log.len(), execs + 1, "cut {cut}");
+            assert_eq!(host.read_file(&path), Some(&whole[..]), "cut {cut}");
+        }
+        for junk in [
+            &b"00000000  00000000\n"[..],
+            b"+0000000 00000000\n",
+            b"0000000g 00000000\n",
+            b"00000000 00000000",
+            b"00000000 00000000\n\n",
+            b"\xff0000000 00000000\n",
+        ] {
+            assert_eq!(InstallRecord::from_bytes(junk), None, "{junk:?}");
+        }
+    }
+
+    #[test]
+    fn member_names_with_spaces_round_trip_and_install() {
+        let mut a = Archive::new();
+        a.add("u1_my lockers.quotas", b"6530 300\n".to_vec())
+            .unwrap();
+        a.add("back\\slash", b"x\n".to_vec()).unwrap();
+        let s = sample_script(&a);
+        assert_eq!(Script::from_text(&s.to_text()), Some(s.clone()));
+        let mut host = SimHost::new("X");
+        push(&mut host, &a, "/tmp/t", &s).unwrap();
+        assert_live(&host, &a, "spaced names");
+        // Names without a space, backslash or line break are written as
+        // they always were.
+        assert_eq!(
+            sample_script(&sample_archive()).to_text(),
+            "extract passwd.db /var/hesiod/passwd.db\nswap /var/hesiod/passwd.db\n\
+             extract uid.db /var/hesiod/uid.db\nswap /var/hesiod/uid.db\n\
+             exec restart-hesiod\n"
+        );
+        for bad in ["swap a\\", "exec a\\q", "extract a\\ b"] {
+            assert_eq!(Instruction::from_line(bad), None, "{bad}");
+        }
     }
 }

@@ -62,6 +62,30 @@ proptest! {
             let _ = archive.add(f, b"x".to_vec());
         }
         let script = Script::standard(&archive, "/var/svc", "install");
+        // Plain names are written as they always were.
+        let plain: String = archive
+            .member_names()
+            .iter()
+            .map(|m| format!("extract {m} /var/svc/{m}\nswap /var/svc/{m}\n"))
+            .chain(["exec install\n".to_owned()])
+            .collect();
+        prop_assert_eq!(script.to_text(), plain);
+        prop_assert_eq!(Script::from_text(&script.to_text()), Some(script));
+    }
+
+    /// Names and commands holding spaces, backslashes and line breaks
+    /// round-trip whole.
+    #[test]
+    fn scripts_with_escapes_round_trip(
+        files in prop::collection::vec("[a-z \\\\\n\r]{1,12}", 0..8),
+        dir in "/[a-z \\\\]{0,8}",
+        command in "[a-z \\\\\n\r]{1,12}",
+    ) {
+        let mut archive = Archive::new();
+        for f in &files {
+            let _ = archive.add(f, b"x".to_vec());
+        }
+        let script = Script::standard(&archive, &dir, &command);
         prop_assert_eq!(Script::from_text(&script.to_text()), Some(script));
     }
 
