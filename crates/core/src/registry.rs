@@ -335,14 +335,13 @@ impl Registry {
             Handler::Write(f) => f(state, caller, args)?,
         };
         if before.is_some_and(|b| state.db.mutation_count() != b) {
-            let entry = JournalEntry {
+            let entry = state.journal.log(JournalEntry {
                 time: state.db.now(),
                 who: caller.who().to_owned(),
                 with: caller.client_name.clone(),
                 query: handle.name.to_owned(),
                 args: args.to_vec(),
-            };
-            state.journal.log(entry.clone());
+            });
             // Write-ahead: the commit is not acknowledged until the entry
             // is at least buffered in the WAL (group commit fsyncs it). A
             // failed append is surfaced to the caller — the in-memory
@@ -354,7 +353,7 @@ impl Registry {
             // so it cannot move outside the write lock (DESIGN.md
             // "Durability"). It therefore carries no `assert_may_block`.
             let now = state.db.now();
-            if let Err(e) = state.storage.append(&entry, now) {
+            if let Err(e) = state.storage.append(entry, now) {
                 state.obs.counter("db.wal.append_errors").inc();
                 return Err(e);
             }

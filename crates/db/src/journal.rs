@@ -85,9 +85,10 @@ impl Journal {
         Self::default()
     }
 
-    /// Appends an entry.
-    pub fn log(&mut self, entry: JournalEntry) {
+    /// Appends an entry and returns it as stored.
+    pub fn log(&mut self, entry: JournalEntry) -> &JournalEntry {
         self.entries.push(entry);
+        &self.entries[self.entries.len() - 1]
     }
 
     /// Appends every entry of `tail`, in order.

@@ -3,6 +3,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::marker::PhantomData;
@@ -12,7 +13,7 @@ use moira_common::errors::{MrError, MrResult};
 
 use crate::plan::{self, Plan, PlanStats};
 use crate::query::{Pred, RawPred};
-use crate::schema::{Assign, Col, ColId, Kind, Relation, TableSchema};
+use crate::schema::{Assign, Col, ColId, ColumnDef, Kind, Relation, TableSchema};
 use crate::value::{ColType, Symbols, Value};
 
 /// Identifier of a row within one table (stable across updates, reused only
@@ -256,75 +257,54 @@ impl Table {
         if row.len() != self.schema.arity() {
             return Err(MrError::Internal);
         }
-        for (val, def) in row.iter().zip(&self.schema.columns) {
-            if val.col_type() != def.ty {
-                return Err(MrError::Internal);
-            }
-            if def.max_len > 0 {
-                if let Value::Str(s) = val {
-                    if s.len() > def.max_len {
-                        return Err(MrError::ArgTooLong);
-                    }
-                }
-            }
-        }
-        Ok(())
+        row.iter()
+            .zip(&self.schema.columns)
+            .try_for_each(|(val, def)| check_cell(val, def))
     }
 
-    fn check_unique(&self, row: &[Value], exempt: Option<RowId>) -> MrResult<()> {
-        for (i, def) in self.schema.columns.iter().enumerate() {
-            if !def.unique {
-                continue;
-            }
-            if let Some(ids) = self.indexes.get(&i).and_then(|ix| ix.get(&row[i])) {
-                if ids.iter().any(|&id| Some(id) != exempt) {
-                    return Err(MrError::Exists);
-                }
-            }
-        }
-        Ok(())
+    /// True if `col` is unique and another live row already holds `value`.
+    fn taken(&self, col: usize, value: &Value) -> bool {
+        self.schema.columns.get(col).is_some_and(|def| def.unique)
+            && self
+                .indexes
+                .get(&col)
+                .is_some_and(|ix| ix.contains_key(value))
     }
 
-    fn index_insert(&mut self, id: RowId, row: &[Value]) {
-        for (&col, index) in self.indexes.iter_mut() {
-            let ids = index.entry(row[col].clone()).or_default();
-            if let Err(pos) = ids.binary_search(&id) {
-                ids.insert(pos, id);
-            }
-        }
-        for (&col, index) in self.indexes_ci.iter_mut() {
-            if let Value::Str(s) = &row[col] {
-                let ids = index.entry(s.to_ascii_lowercase()).or_default();
-                if let Err(pos) = ids.binary_search(&id) {
-                    ids.insert(pos, id);
-                }
-            }
+    /// Hooks cell `col` of live row `id` into the column's index and, for a
+    /// string column, its case-folded index. Unindexed columns have neither.
+    fn hook(&mut self, id: RowId, col: usize) {
+        let (Some(index), Some(value)) = (self.indexes.get_mut(&col), cell(&self.rows, id, col))
+        else {
+            return;
+        };
+        insert_id(index.entry(value.clone()).or_default(), id);
+        if let (Some(folded), Value::Str(s)) = (self.indexes_ci.get_mut(&col), value) {
+            insert_id(folded.entry(s.to_ascii_lowercase()).or_default(), id);
         }
     }
 
-    fn index_remove(&mut self, id: RowId, row: &[Value]) {
-        for (&col, index) in self.indexes.iter_mut() {
-            if let Some(ids) = index.get_mut(&row[col]) {
-                if let Ok(pos) = ids.binary_search(&id) {
-                    ids.remove(pos);
-                }
-                if ids.is_empty() {
-                    index.remove(&row[col]);
-                }
-            }
+    /// Undoes [`Table::hook`] for the cell as it stands in the slot.
+    fn unhook(&mut self, id: RowId, col: usize) {
+        let (Some(index), Some(value)) = (self.indexes.get_mut(&col), cell(&self.rows, id, col))
+        else {
+            return;
+        };
+        remove_id(index, value, id);
+        if let (Some(folded), Value::Str(s)) = (self.indexes_ci.get_mut(&col), value) {
+            remove_id(folded, s.to_ascii_lowercase().as_str(), id);
         }
-        for (&col, index) in self.indexes_ci.iter_mut() {
-            if let Value::Str(s) = &row[col] {
-                let folded = s.to_ascii_lowercase();
-                if let Some(ids) = index.get_mut(&folded) {
-                    if let Ok(pos) = ids.binary_search(&id) {
-                        ids.remove(pos);
-                    }
-                    if ids.is_empty() {
-                        index.remove(&folded);
-                    }
-                }
-            }
+    }
+
+    fn index_insert(&mut self, id: RowId) {
+        for col in 0..self.schema.arity() {
+            self.hook(id, col);
+        }
+    }
+
+    fn index_remove(&mut self, id: RowId) {
+        for col in 0..self.schema.arity() {
+            self.unhook(id, col);
         }
     }
 
@@ -334,7 +314,9 @@ impl Table {
     /// on over-long strings, and `MR_INTERNAL` on arity or type mismatch.
     pub fn append(&mut self, mut row: Vec<Value>, now: i64) -> MrResult<RowId> {
         self.check_row(&row)?;
-        self.check_unique(&row, None)?;
+        if row.iter().enumerate().any(|(col, v)| self.taken(col, v)) {
+            return Err(MrError::Exists);
+        }
         for v in &mut row {
             self.symbols.intern_value(v);
         }
@@ -349,8 +331,8 @@ impl Table {
                 self.rows.len() - 1
             }
         };
-        self.index_insert(id, &row);
         self.rows[id] = Some(row);
+        self.index_insert(id);
         self.live += 1;
         self.stats.appends += 1;
         self.stats.modtime = now;
@@ -523,12 +505,19 @@ impl Table {
         }
     }
 
-    /// Updates columns of a row in place.
+    /// Updates columns of a row in place, touching only the cells that
+    /// change.
     ///
-    /// The new row is built from a borrow of the old one and checked before
-    /// anything moves: a failed update leaves the slot and every index as
-    /// they were. Only then is the old row taken out of its slot, to unhook
-    /// its index entries.
+    /// Every assignment is validated before any cell moves: first the kind
+    /// and `max_len` of each value (`MR_INTERNAL`, `MR_ARG_TOO_LONG`), then
+    /// uniqueness of each unique column whose value changes (`MR_EXISTS`); a
+    /// dead id is `MR_NO_MATCH`. A failed update leaves the slot, every
+    /// index and the statistics as they were. Then each cell whose value
+    /// differs is unhooked from its column's indexes, replaced in the slot
+    /// and hooked back in; unchanged cells are not copied, checked or
+    /// re-indexed. A column named twice takes its last value. An update
+    /// that changes no cell still counts: statistics, generation and the
+    /// row's stamp move as for any other.
     pub fn update<R: Relation>(
         &mut self,
         id: RowId,
@@ -536,19 +525,30 @@ impl Table {
         now: i64,
     ) -> MrResult<()> {
         self.check_rel::<R>();
-        let mut new = self.get(id).ok_or(MrError::NoMatch)?.to_vec();
-        for change in changes {
-            let mut v = change.value.clone();
-            self.symbols.intern_value(&mut v);
-            *new.get_mut(change.col.idx).ok_or(MrError::Internal)? = v;
+        let row = self.get(id).ok_or(MrError::NoMatch)?;
+        for change in effective(changes) {
+            let def = self.schema.columns.get(change.col.idx);
+            check_cell(&change.value, def.ok_or(MrError::Internal)?)?;
         }
-        self.check_row(&new)?;
-        self.check_unique(&new, Some(id))?;
-        if let Some(old) = self.rows.get_mut(id).and_then(Option::take) {
-            self.index_remove(id, &old);
+        for change in effective(changes) {
+            let col = change.col.idx;
+            if row.get(col) != Some(&change.value) && self.taken(col, &change.value) {
+                return Err(MrError::Exists);
+            }
         }
-        self.index_insert(id, &new);
-        self.rows[id] = Some(new);
+        for change in effective(changes) {
+            let col = change.col.idx;
+            if cell(&self.rows, id, col) == Some(&change.value) {
+                continue;
+            }
+            self.unhook(id, col);
+            let mut value = change.value.clone();
+            self.symbols.intern_value(&mut value);
+            if let Some(cells) = &mut self.rows[id] {
+                cells[col] = value;
+            }
+            self.hook(id, col);
+        }
         self.stats.updates += 1;
         self.stats.modtime = now;
         self.stats.generation += 1;
@@ -558,12 +558,9 @@ impl Table {
 
     /// Deletes a row.
     pub fn delete(&mut self, id: RowId, now: i64) -> MrResult<()> {
-        let old = self
-            .rows
-            .get_mut(id)
-            .and_then(Option::take)
-            .ok_or(MrError::NoMatch)?;
-        self.index_remove(id, &old);
+        self.get(id).ok_or(MrError::NoMatch)?;
+        self.index_remove(id);
+        self.rows[id] = None;
         self.free.push(id);
         self.live -= 1;
         self.stats.deletes += 1;
@@ -664,14 +661,8 @@ impl Table {
         self.dead = image.dead.iter().copied().collect();
         self.stats = image.stats;
         // Index from the interned copies so index keys share the row Arcs.
-        let inserts: Vec<(RowId, Vec<Value>)> = self
-            .rows
-            .iter()
-            .enumerate()
-            .filter_map(|(id, r)| r.as_ref().map(|row| (id, row.clone())))
-            .collect();
-        for (id, row) in inserts {
-            self.index_insert(id, &row);
+        for id in 0..slab_len {
+            self.index_insert(id);
         }
         Ok(())
     }
@@ -792,9 +783,10 @@ impl<R> Copy for Row<'_, R> {}
 impl<'a, R> Row<'a, R> {
     /// The cell of `col`, as its kind's type: `i64`, `&str` or `bool`.
     pub fn get<K: Kind>(self, col: Col<R, K>) -> K::Cell<'a> {
-        // `check_row` refuses a cell whose storage class is not its
-        // column's at every way into the slab — `append`, `update` and
-        // `import_image` (`backup::restore_table` goes through `append`) —
+        // `check_cell` refuses a cell whose storage class is not its
+        // column's at every way into the slab — every cell `append` and
+        // `import_image` store, every value `update` assigns
+        // (`backup::restore_table` goes through `append`) —
         // and `relations!` gives each column handle the kind of the schema
         // column it names. So for its handles `read` always matches and the
         // default is never returned; only a handle built by hand with
@@ -861,6 +853,60 @@ impl PlanStats for Table {
 
     fn live_len(&self) -> usize {
         self.live
+    }
+}
+
+/// Refuses a cell whose storage class is not its column's (`MR_INTERNAL`)
+/// or a string longer than the column's `max_len` (`MR_ARG_TOO_LONG`).
+fn check_cell(value: &Value, def: &ColumnDef) -> MrResult<()> {
+    if value.col_type() != def.ty {
+        return Err(MrError::Internal);
+    }
+    match value {
+        Value::Str(s) if def.max_len > 0 && s.len() > def.max_len => Err(MrError::ArgTooLong),
+        _ => Ok(()),
+    }
+}
+
+/// The assignments of `changes` that take effect: of a column named more
+/// than once, only the last.
+fn effective<R>(changes: &[Assign<R>]) -> impl Iterator<Item = &Assign<R>> {
+    changes
+        .iter()
+        .enumerate()
+        .filter(|&(i, change)| {
+            !changes[i + 1..]
+                .iter()
+                .any(|later| later.col.idx == change.col.idx)
+        })
+        .map(|(_, change)| change)
+}
+
+/// Cell `col` of live row `id`.
+fn cell(rows: &[Option<Vec<Value>>], id: RowId, col: usize) -> Option<&Value> {
+    rows.get(id)?.as_ref()?.get(col)
+}
+
+/// Adds `id` to an index bucket, keeping it sorted.
+fn insert_id(ids: &mut Vec<RowId>, id: RowId) {
+    if let Err(pos) = ids.binary_search(&id) {
+        ids.insert(pos, id);
+    }
+}
+
+/// Removes `id` from the bucket of `key`, dropping the bucket once empty.
+fn remove_id<K, Q>(index: &mut BTreeMap<K, Vec<RowId>>, key: &Q, id: RowId)
+where
+    K: Borrow<Q> + Ord,
+    Q: Ord + ?Sized,
+{
+    if let Some(ids) = index.get_mut(key) {
+        if let Ok(pos) = ids.binary_search(&id) {
+            ids.remove(pos);
+        }
+        if ids.is_empty() {
+            index.remove(key);
+        }
     }
 }
 
@@ -1014,6 +1060,86 @@ mod tests {
             assert_eq!(wrong(&mut db), Err(MrError::Internal), "{entry}");
             assert_eq!(db.at(users::R::ID).export_image(), before, "{entry}");
         }
+    }
+
+    /// A refused update changes nothing: each case answers today's error
+    /// and leaves the image and every indexed column's point selects —
+    /// exact and case-folded — as they were. Rows `a` (0) and `b` (1) are
+    /// live, slot 2 is dead.
+    #[test]
+    fn a_failed_update_changes_nothing() {
+        use crate::Database;
+        type Attempt = fn(&mut Database) -> MrResult<()>;
+        fn too_long(db: &mut Database) -> MrResult<()> {
+            db.update(0, &[LOGIN.set("waytoolongname")])
+        }
+        fn valid_then_unique_conflict(db: &mut Database) -> MrResult<()> {
+            db.update(0, &[UID.set(5), LOGIN.set("b")])
+        }
+        fn dead_id(db: &mut Database) -> MrResult<()> {
+            db.update(2, &[UID.set(5)])
+        }
+        fn wrong_kind(db: &mut Database) -> MrResult<()> {
+            let login_as_int: Col<users::R, crate::Int> = Col::new(LOGIN.index(), "login");
+            db.update(0, &[UID.set(5), login_as_int.set(7)])
+        }
+        fn probes(db: &Database) -> Vec<Vec<RowId>> {
+            let logins = ["a", "b", "c", "A", "B", "waytoolongname"];
+            let by_login = logins.iter().flat_map(|&l| {
+                [
+                    db.select(&Pred::Eq(LOGIN, l.into())),
+                    db.select(&Pred::EqCi(LOGIN, l.into())),
+                ]
+            });
+            let by_uid = [1, 2, 3, 5, 7].map(|u| db.select(&Pred::Eq(UID, u.into())));
+            by_login.chain(by_uid).collect()
+        }
+        let cases: [(&str, MrError, Attempt); 4] = [
+            ("too long", MrError::ArgTooLong, too_long),
+            (
+                "valid then unique conflict",
+                MrError::Exists,
+                valid_then_unique_conflict,
+            ),
+            ("dead id", MrError::NoMatch, dead_id),
+            ("wrong kind", MrError::Internal, wrong_kind),
+        ];
+        for (case, want, attempt) in cases {
+            let mut db = Database::new(Default::default());
+            db.create_table(users::R::schema());
+            for r in [row("a", 1, true), row("b", 2, true), row("c", 3, true)] {
+                db.append(users::T, r).unwrap();
+            }
+            db.delete(users::T, 2).unwrap();
+            let (image, selects) = (db.at(users::R::ID).export_image(), probes(&db));
+            assert_eq!(attempt(&mut db), Err(want), "{case}");
+            assert_eq!(db.at(users::R::ID).export_image(), image, "{case}");
+            assert_eq!(probes(&db), selects, "{case}");
+        }
+    }
+
+    /// An update that assigns every cell its stored value still counts:
+    /// statistics, generation and the row's stamp move, the cells do not.
+    #[test]
+    fn a_no_op_update_still_counts() {
+        let mut t = users_table();
+        let a = t.append(row("a", 1, true), 0).unwrap();
+        t.append(row("b", 2, true), 0).unwrap();
+        let before = t.export_image();
+        t.update(a, &[LOGIN.set("a"), UID.set(1), ACTIVE.set(true)], 9)
+            .unwrap();
+        let after = t.export_image();
+        assert_eq!(after.stats.updates, before.stats.updates + 1);
+        assert_eq!(after.stats.modtime, 9);
+        assert_eq!(t.generation(), before.stats.generation + 1);
+        assert_eq!(
+            t.changed_since(before.stats.generation),
+            vec![RowChange::Upserted(a)]
+        );
+        let cells = |image: &TableImage| -> Vec<Vec<Value>> {
+            image.rows.iter().map(|(_, _, row)| row.clone()).collect()
+        };
+        assert_eq!(cells(&after), cells(&before));
     }
 
     #[test]

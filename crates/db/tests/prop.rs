@@ -312,8 +312,9 @@ mod wal_props {
 
 mod plan_props {
     use super::t::{self, FLAG, NAME, NUM};
+    use moira_common::errors::MrError;
     use moira_db::schema::{ColumnDef, TableSchema};
-    use moira_db::{Table, Value};
+    use moira_db::{RowChange, Table, Value};
     use proptest::prelude::*;
 
     type Pred = moira_db::Pred<t::R>;
@@ -364,13 +365,15 @@ mod plan_props {
         }
     }
 
-    /// One of four index layouts: every combination of name/num carrying
-    /// a secondary index. Non-unique indexes, so buckets grow multi-entry.
+    /// One of eight index layouts: every combination of name/num carrying
+    /// a secondary index, and of name being unique (which implies indexed).
+    /// Non-unique indexes let buckets grow multi-entry; a unique name makes
+    /// `MR_EXISTS` reachable.
     fn build_table(indexed: u8) -> Table {
-        let name = if indexed & 1 != 0 {
-            ColumnDef::str("name").indexed()
-        } else {
-            ColumnDef::str("name")
+        let name = match indexed & 5 {
+            0 => ColumnDef::str("name"),
+            1 => ColumnDef::str("name").indexed(),
+            _ => ColumnDef::str("name").unique(),
         };
         let num = if indexed & 2 != 0 {
             ColumnDef::int("num").indexed()
@@ -387,6 +390,16 @@ mod plan_props {
     enum Churn {
         Append(u64, i64, bool),
         Update(u64, i64),
+        /// Renames the row named by the first seed to the second seed's
+        /// name.
+        Rename(u64, u64),
+        /// Renames a row to its own name with the case of every letter
+        /// flipped.
+        FlipCase(u64),
+        /// Assigns a row the values it already holds.
+        NoOp(u64),
+        /// Names `name` twice in one change list: the second value wins.
+        RenameTwice(u64, u64, u64, i64),
         Delete(u64),
     }
 
@@ -394,8 +407,62 @@ mod plan_props {
         prop_oneof![
             (any::<u64>(), -2i64..3, any::<bool>()).prop_map(|(s, n, f)| Churn::Append(s, n, f)),
             (any::<u64>(), -2i64..3).prop_map(|(s, n)| Churn::Update(s, n)),
+            (any::<u64>(), any::<u64>()).prop_map(|(s, to)| Churn::Rename(s, to)),
+            any::<u64>().prop_map(Churn::FlipCase),
+            any::<u64>().prop_map(Churn::NoOp),
+            (any::<u64>(), any::<u64>(), any::<u64>(), -2i64..3)
+                .prop_map(|(s, first, last, n)| Churn::RenameTwice(s, first, last, n)),
             any::<u64>().prop_map(Churn::Delete),
         ]
+    }
+
+    /// What the table must answer for a write that stores `name` in row
+    /// `id` (`None` for an append): `MR_EXISTS` exactly when the name
+    /// column is unique and another live row already holds the name, as a
+    /// forced scan sees it.
+    fn expected(t: &Table, id: Option<usize>, name: &str) -> Result<(), MrError> {
+        let unique = t.schema().columns[0].unique;
+        let holders = t.rel(t::T).select_scan(&Pred::Eq(NAME, name.into()));
+        match unique && holders.iter().any(|&other| Some(other) != id) {
+            true => Err(MrError::Exists),
+            false => Ok(()),
+        }
+    }
+
+    /// Runs one update against the model: the answer is [`expected`]'s, a
+    /// refused update leaves the table's image untouched, and an accepted
+    /// one counts once, whether or not it changed a cell.
+    fn check_update(
+        t: &mut Table,
+        id: usize,
+        changes: &[moira_db::Assign<t::R>],
+        final_name: &str,
+        now: i64,
+    ) -> Result<(), TestCaseError> {
+        let want = expected(t, Some(id), final_name);
+        let before = t.export_image();
+        prop_assert_eq!(t.update(id, changes, now), want);
+        match want {
+            Ok(()) => {
+                prop_assert_eq!(t.stats().updates, before.stats.updates + 1);
+                prop_assert_eq!(
+                    t.changed_since(before.stats.generation),
+                    vec![RowChange::Upserted(id)]
+                );
+                prop_assert_eq!(t.rel(t::T).row(id).unwrap().get(NAME), final_name);
+            }
+            Err(_) => prop_assert_eq!(t.export_image(), before),
+        }
+        Ok(())
+    }
+
+    fn flip_case(name: &str) -> String {
+        name.chars()
+            .map(|c| match c.is_ascii_lowercase() {
+                true => c.to_ascii_uppercase(),
+                false => c.to_ascii_lowercase(),
+            })
+            .collect()
     }
 
     /// `select(pred)` must agree with the forced naive scan, however the
@@ -423,11 +490,13 @@ mod plan_props {
         /// narrows the candidate set, so whatever access path `choose`
         /// picks — point, folded point, intersect, range, or scan — the
         /// results equal a forced slab scan. Runs across every index
-        /// layout, under slot-reusing mutation churn, over point, folded,
-        /// wildcard, and boolean-combined predicates.
+        /// layout, under slot-reusing mutation churn that renames, re-cases
+        /// and re-assigns indexed cells (and is refused on unique
+        /// conflicts), over point, folded, wildcard, and boolean-combined
+        /// predicates.
         #[test]
         fn any_plan_equals_forced_scan(
-            indexed in 0u8..4,
+            indexed in 0u8..8,
             pred_seeds in prop::collection::vec(any::<u64>(), 1..16),
             ops in prop::collection::vec(churn(), 0..60),
         ) {
@@ -442,13 +511,49 @@ mod plan_props {
                 match op {
                     Churn::Append(s, num, flag) => {
                         let name = rand_name(&mut { *s });
-                        t.append(vec![name.into(), (*num).into(), (*flag).into()], now)
-                            .unwrap();
+                        let want = expected(&t, None, name);
+                        let got = t.append(vec![name.into(), (*num).into(), (*flag).into()], now);
+                        prop_assert_eq!(got.map(drop), want);
                     }
                     Churn::Update(s, num) => {
                         let name = rand_name(&mut { *s });
                         if let Some(id) = t.rel(t::T).select_one(&Pred::Eq(NAME, name.into())) {
-                            t.update(id, &[NUM.set(*num)], now).unwrap();
+                            check_update(&mut t, id, &[NUM.set(*num)], name, now)?;
+                        }
+                    }
+                    Churn::Rename(s, to) => {
+                        let name = rand_name(&mut { *s });
+                        let to = rand_name(&mut { *to });
+                        if let Some(id) = t.rel(t::T).select_one(&Pred::Eq(NAME, name.into())) {
+                            check_update(&mut t, id, &[NAME.set(to)], to, now)?;
+                        }
+                    }
+                    Churn::FlipCase(s) => {
+                        let name = rand_name(&mut { *s });
+                        let flipped = flip_case(name);
+                        if let Some(id) = t.rel(t::T).select_one(&Pred::Eq(NAME, name.into())) {
+                            check_update(&mut t, id, &[NAME.set(flipped.as_str())], &flipped, now)?;
+                        }
+                    }
+                    Churn::NoOp(s) => {
+                        let name = rand_name(&mut { *s });
+                        if let Some(id) = t.rel(t::T).select_one(&Pred::Eq(NAME, name.into())) {
+                            let row = t.rel(t::T).row(id).unwrap();
+                            let same = [NAME.set(name), NUM.set(row.get(NUM)), FLAG.set(row.get(FLAG))];
+                            let cells = |t: &Table| -> Vec<(usize, Vec<Value>)> {
+                                t.export_image().rows.into_iter().map(|(id, _, row)| (id, row)).collect()
+                            };
+                            let before = cells(&t);
+                            check_update(&mut t, id, &same, name, now)?;
+                            prop_assert_eq!(cells(&t), before);
+                        }
+                    }
+                    Churn::RenameTwice(s, first, last, num) => {
+                        let name = rand_name(&mut { *s });
+                        let (first, last) = (rand_name(&mut { *first }), rand_name(&mut { *last }));
+                        if let Some(id) = t.rel(t::T).select_one(&Pred::Eq(NAME, name.into())) {
+                            let changes = [NAME.set(first), NUM.set(*num), NAME.set(last)];
+                            check_update(&mut t, id, &changes, last, now)?;
                         }
                     }
                     Churn::Delete(s) => {

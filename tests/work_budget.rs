@@ -76,9 +76,9 @@ fn allocs() -> u64 {
 /// `(handle, heap allocations, rows examined)` of the measured call.
 const BUDGET: [(&str, u64, u64); 7] = [
     ("get_user_by_login", 21, 1),
-    ("update_user_shell", 62, 5),
-    ("add_member_to_list", 70, 7),
-    ("delete_member_from_list", 68, 8),
+    ("update_user_shell", 41, 5),
+    ("add_member_to_list", 57, 7),
+    ("delete_member_from_list", 55, 8),
     ("get_lists_of_member", 28, 3),
     ("get_members_of_list", 17, 3),
     ("get_filesys_by_label", 33, 4),
