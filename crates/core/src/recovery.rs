@@ -37,7 +37,9 @@ use crate::state::MoiraState;
 pub struct BootReport {
     /// False on first boot (no prior durable state existed).
     pub recovered: bool,
-    /// Journal entries restored directly from the snapshot document.
+    /// Journal entries the recovered chain records as on media. Counted,
+    /// not read: the journal file stays on media and a boot decodes no
+    /// history.
     pub snapshot_entries: usize,
     /// WAL entries replayed on top of the snapshot.
     pub replayed: usize,
@@ -54,7 +56,9 @@ pub struct BootReport {
 /// recovering boot loads the snapshot (the base with its delta chain
 /// already folded in by [`DurableEngine::open`]), replays the surviving WAL
 /// tail through `registry`, seals what the replay added as one more delta,
-/// and reports what happened.
+/// and reports what happened. The booted journal holds no entries the
+/// journal file already has: [`moira_db::storage::Storage::history`] reads
+/// those back.
 pub fn boot_durable(
     clock: VClock,
     registry: &Registry,
@@ -100,6 +104,7 @@ pub fn boot_durable(
     // recovery it moves the replayed tail out of the WAL into a delta
     // (nothing at all when there was no tail).
     engine.snapshot(&state.db, &state.journal)?;
+    state.journal.trim(engine.sealed_journal());
     report.epoch = state.db.epoch();
     state.storage = Box::new(engine);
     Ok((state, report))

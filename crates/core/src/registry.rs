@@ -364,6 +364,11 @@ impl Registry {
                     state.obs.counter("db.wal.snapshot_errors").inc();
                 }
             }
+            // The journal file holds what a seal covered — this one, or one
+            // a caller made directly since the last commit — so memory keeps
+            // only the tail past it.
+            let sealed = state.storage.sealed_journal();
+            state.journal.trim(sealed);
         }
         Ok(result)
     }

@@ -191,7 +191,9 @@ pub struct ClientInfo {
 pub struct MoiraState {
     /// The database of §6.
     pub db: Database,
-    /// Journal of successful side-effecting queries (§5.2.2).
+    /// Journal of successful side-effecting queries (§5.2.2): the entries
+    /// `storage` has not sealed into its journal file yet, and the count of
+    /// those it has. [`Storage::history`] reads the whole of it.
     pub journal: Journal,
     /// The §5.5 access cache.
     pub access_cache: AccessCache,

@@ -3,13 +3,15 @@
 //!
 //! The gate (EXPERIMENTS.md E16): for every armed kill point — spread
 //! across WAL appends, fsyncs, and checkpoint renames, and landing in every
-//! gap of both checkpoint sequences (delta and base rewrite) — the server
-//! crashes mid-operation, reboots from durable media, re-applies the
-//! workload suffix the crash swallowed, and lands on a state
-//! **byte-identical** to a server that never crashed: same rows, same row
-//! slots, same per-row generation stamps, same tombstones, same free-list
-//! order, same journal. The fingerprint is the full snapshot encoding
-//! (epoch line excluded: each boot draws a distinct epoch by design).
+//! gap of both checkpoint sequences (delta and base rewrite), the journal
+//! file's append and fsync among them — the server crashes mid-operation,
+//! reboots from durable media, re-applies the workload suffix the crash
+//! swallowed, and lands on a state **byte-identical** to a server that
+//! never crashed: same rows, same row slots, same per-row generation
+//! stamps, same tombstones, same free-list order, same journal. The
+//! fingerprint is the full snapshot encoding (epoch line excluded: each
+//! boot draws a distinct epoch by design) followed by the whole history:
+//! the journal file read back from media plus the live tail.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
@@ -23,9 +25,12 @@ use moira_core::schema::{machine, members};
 use moira_core::seed::seed_capacls;
 use moira_core::state::{shared, Caller, MoiraState};
 use moira_core::MoiraServer;
+use moira_db::backup::{mrbackup, mrrestore};
 use moira_db::snapshot::encode_snapshot;
-use moira_db::storage::{GroupCommitConfig, Media, OpKind, SimMedia, SNAPSHOT_FILE, SNAPSHOT_TMP};
-use moira_db::Pred;
+use moira_db::storage::{
+    GroupCommitConfig, Media, OpKind, SimMedia, JOURNAL_FILE, SNAPSHOT_FILE, SNAPSHOT_TMP,
+};
+use moira_db::{Database, Pred};
 use moira_protocol::transport::{pair, recv_blocking};
 use moira_protocol::wire::{MajorRequest, Reply, Request};
 
@@ -66,8 +71,19 @@ fn step(i: usize) -> (&'static str, Vec<String>) {
 /// Applies workload steps `from..STEPS`; returns how many applied before
 /// the media died (committed steps only).
 fn apply_from(registry: &Registry, state: &mut MoiraState, clock: &VClock, from: usize) -> usize {
+    apply_steps(registry, state, clock, from, STEPS)
+}
+
+/// Applies workload steps `from..to`, like [`apply_from`].
+fn apply_steps(
+    registry: &Registry,
+    state: &mut MoiraState,
+    clock: &VClock,
+    from: usize,
+    to: usize,
+) -> usize {
     let root = Caller::root("torture");
-    for i in from..STEPS {
+    for i in from..to {
         clock.set(ATHENA_EPOCH + 60 * (i as i64 + 1));
         let (query, args) = step(i);
         match registry.execute(state, &root, query, &args) {
@@ -76,18 +92,29 @@ fn apply_from(registry: &Registry, state: &mut MoiraState, clock: &VClock, from:
             Err(e) => panic!("workload step {i} ({query}) failed with {e:?}"),
         }
     }
-    STEPS - from
+    to - from
 }
 
 /// The convergence fingerprint: the exact snapshot encoding minus the
 /// epoch line (each boot allocates a fresh epoch; everything else must
-/// match byte for byte).
+/// match byte for byte), then the whole history as the journal file and
+/// the live tail give it back — one line per committed entry.
 fn fingerprint(state: &MoiraState) -> String {
-    encode_snapshot(&state.db, &state.journal, 0)
+    let history = state
+        .storage
+        .history(&state.journal)
+        .expect("the journal file holds what the chain records");
+    assert_eq!(
+        history.len(),
+        state.journal.len(),
+        "every entry exactly once"
+    );
+    let image = encode_snapshot(&state.db, &state.journal, 0)
         .lines()
         .filter(|l| !l.starts_with("epoch:"))
         .collect::<Vec<_>>()
-        .join("\n")
+        .join("\n");
+    format!("{image}\n{}", history.to_text())
 }
 
 fn cfg() -> GroupCommitConfig {
@@ -103,12 +130,21 @@ fn cfg() -> GroupCommitConfig {
 enum KillSite {
     /// A commit's WAL append or its group-commit fsync.
     Wal,
+    /// The journal append of a delta checkpoint: torn lines past the end
+    /// the chain records.
+    DeltaJournalAppend,
+    /// The journal fsync of a delta checkpoint: the lines half-land.
+    DeltaJournalFsync,
     /// `fsync(snapshot.tmp)` holding a delta: the document is torn.
     DeltaFsync,
     /// `rename(snapshot.tmp, snapshot.delta.k)`: the delta never appears.
     DeltaRename,
     /// The WAL-truncation fsync after a delta went durable.
     DeltaWalCut,
+    /// The journal append of a base rewrite.
+    BaseJournalAppend,
+    /// The journal fsync of a base rewrite.
+    BaseJournalFsync,
     /// `fsync(snapshot.tmp)` holding a rewritten base.
     BaseFsync,
     /// `rename(snapshot.tmp, snapshot.moira)` over an existing chain.
@@ -140,7 +176,14 @@ impl Media for Watched {
     fn append(&mut self, file: &str, bytes: &[u8]) -> MrResult<()> {
         let was_dead = self.inner.crashed();
         let r = self.inner.append(file, bytes);
-        self.note(was_dead, KillSite::Wal);
+        self.note(
+            was_dead,
+            match (file == JOURNAL_FILE, self.delta_in_flight) {
+                (true, true) => KillSite::DeltaJournalAppend,
+                (true, false) => KillSite::BaseJournalAppend,
+                (false, _) => KillSite::Wal,
+            },
+        );
         r
     }
     fn fsync(&mut self, file: &str) -> MrResult<()> {
@@ -149,12 +192,14 @@ impl Media for Watched {
         let r = self.inner.fsync(file);
         self.note(
             was_dead,
-            match (file == SNAPSHOT_TMP, wal_cut, self.delta_in_flight) {
-                (true, _, true) => KillSite::DeltaFsync,
-                (true, _, false) => KillSite::BaseFsync,
-                (false, true, true) => KillSite::DeltaWalCut,
-                (false, true, false) => KillSite::CompactionCleanup,
-                (false, false, _) => KillSite::Wal,
+            match (file, wal_cut, self.delta_in_flight) {
+                (SNAPSHOT_TMP, _, true) => KillSite::DeltaFsync,
+                (SNAPSHOT_TMP, _, false) => KillSite::BaseFsync,
+                (JOURNAL_FILE, _, true) => KillSite::DeltaJournalFsync,
+                (JOURNAL_FILE, _, false) => KillSite::BaseJournalFsync,
+                (_, true, true) => KillSite::DeltaWalCut,
+                (_, true, false) => KillSite::CompactionCleanup,
+                (_, false, _) => KillSite::Wal,
             },
         );
         r
@@ -186,7 +231,7 @@ impl Media for Watched {
         self.inner.remove(file)
     }
     fn truncate(&mut self, file: &str, len: usize) -> MrResult<()> {
-        self.wal_cut = true;
+        self.wal_cut = file != JOURNAL_FILE;
         self.inner.truncate(file, len)
     }
 }
@@ -216,13 +261,13 @@ fn kill_points_converge_byte_identical_to_no_crash_oracle() {
 
     // ≥50 kill points across the three crash-prone operation classes.
     let mut grid: Vec<(OpKind, u64)> = Vec::new();
-    for nth in 0..20 {
+    for nth in 0..60 {
         grid.push((OpKind::Append, nth));
     }
-    for nth in 0..40 {
+    for nth in 0..90 {
         grid.push((OpKind::Fsync, nth));
     }
-    for nth in 0..12 {
+    for nth in 0..15 {
         grid.push((OpKind::Rename, nth));
     }
     assert!(
@@ -295,9 +340,13 @@ fn kill_points_converge_byte_identical_to_no_crash_oracle() {
     // Every gap of both checkpoint sequences took at least one kill.
     let all = [
         KillSite::Wal,
+        KillSite::DeltaJournalAppend,
+        KillSite::DeltaJournalFsync,
         KillSite::DeltaFsync,
         KillSite::DeltaRename,
         KillSite::DeltaWalCut,
+        KillSite::BaseJournalAppend,
+        KillSite::BaseJournalFsync,
         KillSite::BaseFsync,
         KillSite::CompactionRename,
         KillSite::CompactionCleanup,
@@ -337,6 +386,55 @@ fn crash_during_recovery_snapshot_recovers_again() {
         apply_from(&registry, &mut recovered, &clock, committed),
         STEPS - committed
     );
+}
+
+/// §5.2.2 on the durable engine: a backup taken at time T, then commits
+/// through at least two compactions, a crash and a boot. The history read
+/// back from the journal file, replayed from T onto the restored backup,
+/// must give the recovered database — no base rewrote or dropped any of it.
+#[test]
+fn journal_read_back_replays_onto_a_backup_across_compactions() {
+    let registry = Registry::standard();
+    let clock = VClock::new();
+    let media = SimMedia::new();
+    let (mut state, _) =
+        boot_durable(clock.clone(), &registry, Box::new(media.clone()), cfg()).expect("boot");
+    assert_eq!(apply_steps(&registry, &mut state, &clock, 0, 12), 12);
+    let backup_time = clock.now();
+    let backup = mrbackup(&state.db);
+    let compactions = |s: &MoiraState| s.obs.snapshot().counter("db.snapshot.compactions");
+    let before = compactions(&state);
+    assert_eq!(apply_from(&registry, &mut state, &clock, 12), STEPS - 12);
+    assert!(compactions(&state) >= before + 2, "{}", compactions(&state));
+    state.storage.flush().expect("flush");
+    drop(state);
+
+    media.power_cycle();
+    let (recovered, report) =
+        boot_durable(clock.clone(), &registry, Box::new(media), cfg()).expect("reboot");
+    assert_eq!(
+        report.snapshot_entries, STEPS,
+        "all of it sealed, none of it read"
+    );
+    assert!(recovered.journal.entries().is_empty());
+    let history = recovered
+        .storage
+        .history(&recovered.journal)
+        .expect("read back");
+    assert_eq!(history.len(), STEPS);
+
+    let mut restored = MoiraState::new(clock.clone());
+    let mut db = Database::new(clock.clone());
+    moira_core::schema::create_all_tables(&mut db);
+    mrrestore(&mut db, &backup).expect("restore");
+    restored.db = db;
+    let replay: Vec<_> = history.since(backup_time).cloned().collect();
+    assert_eq!(replay.len(), STEPS - 12);
+    for entry in &replay {
+        clock.set(entry.time);
+        registry.replay(&mut restored, entry).expect("replay");
+    }
+    assert_eq!(mrbackup(&restored.db), mrbackup(&recovered.db));
 }
 
 /// Sends one request through `server` and returns its final status.

@@ -284,3 +284,199 @@ proptest! {
         let _ = registry.check_access(&state, &Caller::anonymous("x"), handle.name, &args);
     }
 }
+
+/// Seeded ACL op sequences for the access-cache property.
+mod acl_cache {
+    use moira_core::access::caller_has_capability;
+    use moira_core::queries::testutil::state_with_admin;
+    use moira_core::registry::Registry;
+    use moira_core::schema::{capacls, list, members, users};
+    use moira_core::state::{Caller, MoiraState};
+    use moira_db::Pred;
+    use proptest::prelude::*;
+
+    /// Principals the checks ask about; `n0`..`n3` come and go.
+    const PRINCIPALS: [&str; 6] = ["ops", "n0", "n1", "n2", "n3", "nobody"];
+    /// Seeded capabilities plus `cap0`..`cap2`, which the ops tie to lists.
+    const CAPABILITIES: [&str; 6] = [
+        "add_machine",
+        "get_user_by_login",
+        "trigger_dcm",
+        "cap0",
+        "cap1",
+        "cap2",
+    ];
+
+    #[derive(Debug, Clone)]
+    enum AclOp {
+        Query(&'static str, Vec<String>),
+        /// Ties `cap{0}` to list `l{1}` through a CAPACL row.
+        AddCapacl(u8, u8),
+        /// Drops every CAPACL row of `cap{0}`.
+        DeleteCapacl(u8),
+        /// Adds (or, when `2`, drops) `n{1}` as a member of `l{0}` straight
+        /// in the table, as the seed does: the handlers also touch the list
+        /// row, so only this op moves `members` alone.
+        RawMember(u8, u8, bool),
+    }
+
+    fn login(i: u8) -> String {
+        format!("n{}", i % 4)
+    }
+
+    fn list(i: u8) -> String {
+        format!("l{}", i % 3)
+    }
+
+    fn op_add_user(a: u8) -> AclOp {
+        let uid = (7000 + a as i64).to_string();
+        let args = [&login(a), &uid, "/bin/csh", "L", "F", "", "1", "id", "1990"];
+        AclOp::Query("add_user", args.map(str::to_owned).to_vec())
+    }
+
+    fn op_add_list(l: u8) -> AclOp {
+        let args = [&list(l), "1", "0", "0", "0", "0", "-1", "NONE", "NONE", ""];
+        AclOp::Query("add_list", args.map(str::to_owned).to_vec())
+    }
+
+    fn op() -> impl Strategy<Value = AclOp> {
+        let u = any::<u8>();
+        prop_oneof![
+            u.prop_map(op_add_user),
+            (u, u).prop_map(|(a, b)| AclOp::Query(
+                "update_user",
+                [
+                    &login(a),
+                    &login(b),
+                    "7100",
+                    "/bin/csh",
+                    "L",
+                    "F",
+                    "",
+                    "1",
+                    "id",
+                    "1990"
+                ]
+                .map(str::to_owned)
+                .to_vec(),
+            )),
+            u.prop_map(|a| AclOp::Query("delete_user", vec![login(a)])),
+            (u, u).prop_map(|(a, b)| AclOp::Query(
+                "update_user_shell",
+                vec![login(a), format!("/bin/s{b}")],
+            )),
+            u.prop_map(op_add_list),
+            u.prop_map(|l| AclOp::Query("delete_list", vec![list(l)])),
+            (u, u).prop_map(|(l, a)| AclOp::Query(
+                "add_member_to_list",
+                vec![list(l), "USER".into(), login(a)],
+            )),
+            (u, u).prop_map(|(l, a)| AclOp::Query(
+                "delete_member_from_list",
+                vec![list(l), "USER".into(), login(a)],
+            )),
+            (u, u).prop_map(|(l, m)| AclOp::Query(
+                "add_member_to_list",
+                vec![list(l), "LIST".into(), list(m)],
+            )),
+            (u, u).prop_map(|(l, m)| AclOp::Query(
+                "delete_member_from_list",
+                vec![list(l), "LIST".into(), list(m)],
+            )),
+            (u, u).prop_map(|(c, l)| AclOp::AddCapacl(c % 3, l)),
+            u.prop_map(|c| AclOp::DeleteCapacl(c % 3)),
+            (u, u, any::<bool>()).prop_map(|(l, a, add)| AclOp::RawMember(l, a, add)),
+        ]
+    }
+
+    fn list_id(state: &MoiraState, l: u8) -> Option<i64> {
+        state
+            .db
+            .table(list::T)
+            .find(&Pred::Eq(list::NAME, list(l).as_str().into()))
+            .map(|r| r.get(list::LIST_ID))
+    }
+
+    fn apply(state: &mut MoiraState, registry: &Registry, op: &AclOp) {
+        match op {
+            AclOp::Query(query, args) => {
+                let _ = registry.execute(state, &Caller::new("ops", "prop"), query, args);
+            }
+            AclOp::AddCapacl(c, l) => {
+                if let Some(id) = list_id(state, *l) {
+                    let row = vec![format!("cap{c}").into(), format!("c{c}").into(), id.into()];
+                    state.db.append(capacls::T, row).expect("capacl row");
+                }
+            }
+            AclOp::DeleteCapacl(c) => {
+                let cap = format!("cap{c}");
+                let rows = state
+                    .db
+                    .table(capacls::T)
+                    .select(&Pred::Eq(capacls::CAPABILITY, cap.as_str().into()));
+                for row in rows {
+                    state.db.delete(capacls::T, row).expect("capacl delete");
+                }
+            }
+            AclOp::RawMember(l, a, add) => {
+                let user = state
+                    .db
+                    .table(users::T)
+                    .find(&Pred::Eq(users::LOGIN, login(*a).as_str().into()))
+                    .map(|r| r.get(users::USERS_ID));
+                let (Some(list_id), Some(user)) = (list_id(state, *l), user) else {
+                    return;
+                };
+                let row = Pred::Eq(members::LIST_ID, list_id.into())
+                    .and(Pred::Eq(members::MEMBER_TYPE, "USER".into()))
+                    .and(Pred::Eq(members::MEMBER_ID, user.into()));
+                if *add {
+                    if state.db.select(&row).is_empty() {
+                        let member = vec![list_id.into(), "USER".into(), user.into()];
+                        state.db.append(members::T, member).expect("member row");
+                    }
+                } else {
+                    state.db.delete_where(&row);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The access cache never changes an answer: after every op, each
+        /// principal × capability check agrees with the cache on (warm with
+        /// the answers of every earlier step) and off.
+        #[test]
+        fn access_cache_agrees_with_uncached_checks(ops in prop::collection::vec(op(), 0..40)) {
+            let (mut state, _) = state_with_admin("ops");
+            let registry = Registry::standard();
+            // Every list, user and capability the ops name exists at first,
+            // so the first op can already move an answer.
+            let start = (0..3u8)
+                .map(op_add_list)
+                .chain((0..4u8).map(op_add_user))
+                .chain((0..3u8).map(|i| AclOp::AddCapacl(i, i)));
+            for op in start {
+                apply(&mut state, &registry, &op);
+            }
+            for op in &ops {
+                apply(&mut state, &registry, op);
+                for principal in PRINCIPALS {
+                    let caller = Caller::new(principal, "prop");
+                    for capability in CAPABILITIES {
+                        let cached = caller_has_capability(&state, &caller, capability);
+                        state.access_cache.set_enabled(false);
+                        let fresh = caller_has_capability(&state, &caller, capability);
+                        state.access_cache.set_enabled(true);
+                        prop_assert_eq!(
+                            cached, fresh,
+                            "{} may {}? after {:?}", principal, capability, op
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

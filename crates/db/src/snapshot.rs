@@ -6,18 +6,21 @@
 //! are the only dump format whose corruption is always curable) to the
 //! *mutation state* the delta-DCM machinery depends on: the database epoch,
 //! per-table statistics, per-row generation stamps, tombstones, and
-//! free-list order, plus the in-memory journal so the recovered server's
-//! change history is complete. Field values use the same `\:`, `\\`, `\nnn`
-//! escapes as the backup dumps.
+//! free-list order. Field values use the same `\:`, `\\`, `\nnn` escapes as
+//! the backup dumps. The change history is not in it: the journal's entries
+//! live in the journal file beside the chain, and a document records only
+//! the [`JournalMark`] that file reaches once the checkpoint's own entries
+//! are appended (`journal:<entries>:<bytes>`). A checkpoint is therefore
+//! O(database), never O(history), and a boot decodes no history.
 //!
 //! A delta is the same document restricted to what moved since the
 //! checkpoint it names in `prev:`: only the tables whose generation
 //! advanced, in each only the rows and tombstones stamped after that
 //! checkpoint (plus the whole free list and the statistics, which are
-//! small), and only the journal entries logged since. §5.7's DCM skips a
-//! generator whose tables have not changed (`MR_NO_CHANGE`); this is the
-//! same rule applied to the checkpoint, down to rows. One table-section
-//! encoder writes both, so the two formats cannot drift.
+//! small). §5.7's DCM skips a generator whose tables have not changed
+//! (`MR_NO_CHANGE`); this is the same rule applied to the checkpoint, down
+//! to rows. One table-section encoder writes both, so the two formats
+//! cannot drift.
 //! [`SnapshotImage::fold`] replays a delta onto the image it extends while
 //! the rows are still escaped text.
 //!
@@ -40,13 +43,14 @@ use moira_common::errors::{MrError, MrResult};
 
 use crate::backup::{column_types, decode_row, encode_row, split_unescaped_colons};
 use crate::database::{Database, GenCursor};
-use crate::journal::{Journal, JournalEntry};
+use crate::journal::{Journal, JournalMark};
 use crate::table::{RowId, Table, TableImage, TableStats};
 
-/// Magic first line of a base; the `:1` is the format version.
-const MAGIC: &str = "moira-snapshot:1";
+/// Magic first line of a base; the `:2` is the format version (`:1`
+/// carried the journal's entries and is refused).
+const MAGIC: &str = "moira-snapshot:2";
 /// Magic first line of a delta.
-const DELTA_MAGIC: &str = "moira-delta:1";
+const DELTA_MAGIC: &str = "moira-delta:2";
 /// Length of a delta's end marker, `end:` + eight hex digits + newline.
 const DELTA_END_LEN: usize = 13;
 
@@ -72,7 +76,9 @@ pub struct SnapshotImage {
     /// Last WAL sequence number the snapshot covers; recovery replays only
     /// frames with a higher sequence.
     pub seq: u64,
-    /// The journal as of snapshot time.
+    /// The journal as of snapshot time: its [`Journal::sealed`] mark says
+    /// how many entries the journal file holds and where it ends; it has
+    /// no tail.
     pub journal: Journal,
     tables: BTreeMap<String, RawTable>,
 }
@@ -105,61 +111,60 @@ fn encode_table(out: &mut String, name: &str, table: &Table, since: u64) {
     out.push_str("\nendtable\n");
 }
 
-fn encode_journal(out: &mut String, entries: &[JournalEntry]) {
-    for entry in entries {
-        out.push_str("journal:");
-        entry.write_line(out);
-        out.push('\n');
-    }
+/// Serializes the database into a base document sealing every WAL frame up
+/// to and including `seq`, recording where a journal file holding all of
+/// `journal` ends ([`Journal::end`]).
+pub fn encode_snapshot(db: &Database, journal: &Journal, seq: u64) -> String {
+    encode_base(db, journal.end(), seq)
 }
 
-/// Serializes the database (plus journal) into a base document sealing
-/// every WAL frame up to and including `seq`.
-pub fn encode_snapshot(db: &Database, journal: &Journal, seq: u64) -> String {
+/// [`encode_snapshot`] with the journal file's mark given.
+pub(crate) fn encode_base(db: &Database, journal: JournalMark, seq: u64) -> String {
     let ids = db.table_ids();
-    // About 96 bytes to a row and to a journal line on the paper's
-    // population; close enough that the document is written into one
-    // allocation instead of doubling its way up.
-    let lines = ids.iter().map(|&id| db.at(id).len()).sum::<usize>() + journal.len();
+    // About 96 bytes to a row on the paper's population; close enough that
+    // the document is written into one allocation instead of doubling its
+    // way up.
+    let lines = ids.iter().map(|&id| db.at(id).len()).sum::<usize>();
     let mut out = String::with_capacity(lines * 96 + 1024);
     let _ = write!(
         out,
-        "{MAGIC}\nepoch:{}\nnow:{}\nseq:{seq}\n",
+        "{MAGIC}\nepoch:{}\nnow:{}\nseq:{seq}\njournal:{}:{}\n",
         db.epoch(),
-        db.now()
+        db.now(),
+        journal.entries,
+        journal.bytes
     );
     for id in ids {
         encode_table(&mut out, id.name(), db.at(id), 0);
     }
-    encode_journal(&mut out, journal.entries());
     out.push_str("end\n");
     out
 }
 
-/// Serializes what changed since the checkpoint `cursor` and `sealed_len`
-/// describe (the one sealing WAL frame `prev`) into a delta document sealing
-/// every frame up to and including `seq`. The caller has checked
-/// `cursor.valid_for(db)` and that the journal only grew.
+/// Serializes what changed since the checkpoint `cursor` describes (the
+/// one sealing WAL frame `prev`) into a delta document sealing every frame
+/// up to and including `seq`, with the journal file reaching `journal`.
+/// The caller has checked `cursor.valid_for(db)`.
 pub(crate) fn encode_delta(
     db: &Database,
-    journal: &Journal,
+    journal: JournalMark,
     cursor: &GenCursor,
-    sealed_len: usize,
     prev: u64,
     seq: u64,
 ) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
-        "{DELTA_MAGIC}\nepoch:{}\nnow:{}\nprev:{prev}\nseq:{seq}\n",
+        "{DELTA_MAGIC}\nepoch:{}\nnow:{}\nprev:{prev}\nseq:{seq}\njournal:{}:{}\n",
         db.epoch(),
-        db.now()
+        db.now(),
+        journal.entries,
+        journal.bytes
     );
     for id in cursor.advanced_tables(db) {
         let since = cursor.gens.get(&id).copied().unwrap_or(0);
         encode_table(&mut out, id.name(), db.at(id), since);
     }
-    encode_journal(&mut out, journal.entries().get(sealed_len..).unwrap_or(&[]));
     let crc = crc32(out.as_bytes());
     let _ = writeln!(out, "end:{crc:08x}");
     out
@@ -183,7 +188,7 @@ fn parse_body(body: &str, magic: &str) -> MrResult<(SnapshotImage, Option<u64>)>
     let mut now = None;
     let mut seq = None;
     let mut prev = None;
-    let mut journal = Journal::new();
+    let mut journal = None;
     let mut tables: BTreeMap<String, RawTable> = BTreeMap::new();
     let mut current: Option<(String, RawTable)> = None;
     for line in lines {
@@ -193,6 +198,13 @@ fn parse_body(body: &str, magic: &str) -> MrResult<(SnapshotImage, Option<u64>)>
             "now" => now = Some(parse(rest)?),
             "seq" => seq = Some(parse(rest)?),
             "prev" => prev = Some(parse(rest)?),
+            "journal" => {
+                let (entries, bytes) = rest.split_once(':').ok_or(MrError::Durability)?;
+                journal = Some(JournalMark {
+                    entries: parse(entries)?,
+                    bytes: parse(bytes)?,
+                });
+            }
             "table" if current.is_none() => {
                 let parts: Vec<&str> = rest.split(':').collect();
                 if parts.len() != 6 {
@@ -245,9 +257,6 @@ fn parse_body(body: &str, magic: &str) -> MrResult<(SnapshotImage, Option<u64>)>
                     return Err(MrError::Durability);
                 }
             }
-            "journal" => {
-                journal.log(JournalEntry::from_line(rest).map_err(|_| MrError::Durability)?);
-            }
             // Includes a second end marker and anything after the first.
             _ => return Err(MrError::Durability),
         }
@@ -255,13 +264,13 @@ fn parse_body(body: &str, magic: &str) -> MrResult<(SnapshotImage, Option<u64>)>
     if current.is_some() {
         return Err(MrError::Durability);
     }
-    match (epoch, now, seq) {
-        (Some(epoch), Some(now), Some(seq)) => Ok((
+    match (epoch, now, seq, journal) {
+        (Some(epoch), Some(now), Some(seq), Some(journal)) => Ok((
             SnapshotImage {
                 epoch,
                 now,
                 seq,
-                journal,
+                journal: Journal::sealed_at(journal),
                 tables,
             },
             prev,
@@ -304,11 +313,17 @@ impl SnapshotImage {
     /// Folds in the delta that extends this image (the caller matched its
     /// `prev:` against [`SnapshotImage::seq`]): per table, rows replace by
     /// id, newer tombstones drop the rows they name, the free list and the
-    /// statistics are replaced; the journal tail is appended. The rows stay
-    /// escaped text, so [`SnapshotImage::apply`] remains the only place
-    /// disk bytes become live rows — and the only validation they need.
+    /// statistics are replaced, and so is the journal mark, which must not
+    /// move backwards. The rows stay escaped text, so
+    /// [`SnapshotImage::apply`] remains the only place disk bytes become
+    /// live rows — and the only validation they need.
     pub(crate) fn fold(&mut self, delta: SnapshotImage) -> MrResult<()> {
-        if delta.epoch != self.epoch || delta.seq <= self.seq {
+        let (old, new) = (self.journal.sealed(), delta.journal.sealed());
+        if delta.epoch != self.epoch
+            || delta.seq <= self.seq
+            || new.entries < old.entries
+            || new.bytes < old.bytes
+        {
             return Err(MrError::Durability);
         }
         for (name, d) in delta.tables {
@@ -325,7 +340,7 @@ impl SnapshotImage {
             t.free = d.free;
             t.stats = d.stats;
         }
-        self.journal.append(delta.journal);
+        self.journal = delta.journal;
         self.now = delta.now;
         self.seq = delta.seq;
         Ok(())
@@ -371,6 +386,7 @@ impl SnapshotImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::JournalEntry;
     use crate::schema::Relation;
     use moira_common::clock::VClock;
 
@@ -419,7 +435,11 @@ mod tests {
         assert_eq!(image.epoch, db.epoch());
         assert_eq!(image.now, db.now());
         assert_eq!(image.seq, 17);
-        assert_eq!(image.journal.entries(), journal.entries());
+        assert_eq!(image.journal, Journal::sealed_at(journal.end()));
+        assert!(text.contains(&format!(
+            "\nseq:17\njournal:1:{}\n",
+            journal.to_text().len()
+        )));
 
         let back = rebuild(&image);
         assert_eq!(back.epoch(), db.epoch());
@@ -490,7 +510,6 @@ mod tests {
         let (mut db, mut journal) = build_db();
         let base = encode_snapshot(&db, &journal, 3);
         let cursor = db.cursor(&db.table_ids());
-        let sealed_len = journal.len();
         // Reuse the freed slot, touch a row, tombstone another; `values`
         // stays put and must not appear in the delta.
         db.append(users::T, vec!["new".into(), 5.into(), true.into()])
@@ -504,8 +523,9 @@ mod tests {
             query: "churn".into(),
             args: vec![],
         });
-        let delta = encode_delta(&db, &journal, &cursor, sealed_len, 3, 4);
+        let delta = encode_delta(&db, journal.end(), &cursor, 3, 4);
         assert!(!delta.contains("table:values"), "{delta}");
+        assert!(!delta.contains("churn"), "entries live in the journal file");
         assert!(decode_snapshot(&delta).is_err());
         assert!(decode_delta(&base).is_err());
 
@@ -514,7 +534,7 @@ mod tests {
         assert_eq!((prev, tail.seq), (3, 4));
         image.fold(tail).unwrap();
         assert_eq!(image.seq, 4);
-        assert_eq!(image.journal.entries(), journal.entries());
+        assert_eq!(image.journal, Journal::sealed_at(journal.end()));
         assert_eq!(
             encode_snapshot(&rebuild(&image), &journal, 4),
             encode_snapshot(&db, &journal, 4)
@@ -522,6 +542,34 @@ mod tests {
         // A delta must move the sequence on, within one epoch.
         let (_, again) = decode_delta(&delta).unwrap();
         assert_eq!(image.fold(again), Err(MrError::Durability));
+        // Nor may it move the journal file's end backwards.
+        let mut image = decode_snapshot(&base).unwrap();
+        let behind = encode_delta(&db, JournalMark::default(), &cursor, 3, 4);
+        let (_, behind) = decode_delta(&behind).unwrap();
+        assert_eq!(image.fold(behind), Err(MrError::Durability));
+    }
+
+    #[test]
+    fn a_version_1_document_or_a_missing_journal_mark_is_refused() {
+        let (db, journal) = build_db();
+        let text = encode_snapshot(&db, &journal, 3);
+        let old = text.replace(MAGIC, "moira-snapshot:1");
+        assert_eq!(decode_snapshot(&old).map(|_| ()), Err(MrError::Durability));
+        let (head, tail) = text.split_once("journal:").unwrap();
+        let unmarked = format!("{head}{}", tail.split_once('\n').unwrap().1);
+        assert_eq!(
+            decode_snapshot(&unmarked).map(|_| ()),
+            Err(MrError::Durability)
+        );
+        let line = text.lines().find(|l| l.starts_with("journal:")).unwrap();
+        for hostile in ["journal:1", "journal:x:1", "journal:1:-1", "journal::"] {
+            let bad = text.replace(line, hostile);
+            assert_eq!(
+                decode_snapshot(&bad).map(|_| ()),
+                Err(MrError::Durability),
+                "{hostile}"
+            );
+        }
     }
 
     #[test]

@@ -8,8 +8,12 @@
 //! periodically sealed into an atomic checkpoint document
 //! ([`crate::snapshot`]): a delta carrying the rows that changed since the
 //! last one, or — first time, and whenever the deltas have cost as much as
-//! it did — the base image they all extend. DESIGN.md "Durability" has the
-//! file layout, the chain rule and the crash argument for each gap between
+//! it did — the base image they all extend. The change history is §5.2.2's
+//! journal file ([`JOURNAL_FILE`]): every checkpoint appends the entries
+//! logged since the last one and records only where the file then ends, so
+//! neither a checkpoint nor a boot touches old history, and
+//! [`Storage::history`] reads it back. DESIGN.md "Durability" has the file
+//! layout, the chain rule and the crash argument for each gap between
 //! media calls.
 //!
 //! Two seams keep the engine testable:
@@ -43,10 +47,8 @@ use moira_obs::{Counter, Histo, Registry};
 use parking_lot::Mutex;
 
 use crate::database::{Database, GenCursor};
-use crate::journal::{Journal, JournalEntry};
-use crate::snapshot::{
-    decode_delta, decode_snapshot, encode_delta, encode_snapshot, SnapshotImage,
-};
+use crate::journal::{write_lines, Journal, JournalEntry, JournalMark};
+use crate::snapshot::{decode_delta, decode_snapshot, encode_base, encode_delta, SnapshotImage};
 use crate::wal::{encode_frame, scan_frames, WalScan};
 
 /// WAL file name inside the storage root.
@@ -55,6 +57,10 @@ pub const WAL_FILE: &str = "wal.log";
 pub const SNAPSHOT_FILE: &str = "snapshot.moira";
 /// Temporary snapshot name; only ever visible after a crash mid-write.
 pub const SNAPSHOT_TMP: &str = "snapshot.tmp";
+/// The journal file: every sealed [`JournalEntry`], one line each, in
+/// commit order. Only appended to, and cut back only to where the
+/// recovered chain says it ends.
+pub const JOURNAL_FILE: &str = "journal";
 
 /// File name of the `k`-th delta (`k` from 1) of the chain over
 /// [`SNAPSHOT_FILE`]. [`Media`] cannot list a directory, so recovery probes
@@ -412,8 +418,21 @@ pub trait Storage: Send + Sync {
 
     /// Seals `db` + `journal` into an atomic checkpoint — what changed
     /// since the last one, when the backend can tell; otherwise the whole
-    /// image — and truncates the sealed WAL prefix.
+    /// image — and truncates the sealed WAL prefix. `journal` must extend
+    /// what is already sealed: its tail reaches back at least to
+    /// [`Storage::sealed_journal`] and it is no shorter.
     fn snapshot(&mut self, db: &Database, journal: &Journal) -> MrResult<()>;
+
+    /// How much of the journal the backend has made durable. The journal's
+    /// owner drops the entries this covers ([`Journal::trim`]);
+    /// [`NullStorage`] seals nothing, so its journals keep every entry.
+    fn sealed_journal(&self) -> JournalMark;
+
+    /// The whole history: the sealed journal read back from media, then the
+    /// entries of `journal`'s tail past it. [`Journal::since`] on the result
+    /// is §5.2.2's replay input. `MR_DURABILITY` when the media does not hold
+    /// what the last checkpoint recorded.
+    fn history(&self, journal: &Journal) -> MrResult<Journal>;
 
     /// Appends buffered (not yet fsynced) — 0 means everything committed
     /// so far is durable.
@@ -447,6 +466,18 @@ impl Storage for NullStorage {
 
     fn snapshot(&mut self, _db: &Database, _journal: &Journal) -> MrResult<()> {
         Ok(())
+    }
+
+    fn sealed_journal(&self) -> JournalMark {
+        JournalMark::default()
+    }
+
+    fn history(&self, journal: &Journal) -> MrResult<Journal> {
+        // Entries sealed elsewhere are on media this backend cannot read.
+        if journal.sealed().entries > 0 {
+            return Err(MrError::Durability);
+        }
+        Ok(journal.clone())
     }
 
     fn pending_entries(&self) -> usize {
@@ -514,8 +545,6 @@ struct Seal {
     /// `&'static str` keys of a [`GenCursor`]; [`Seal::cursor`] resolves
     /// them against the live database at each cut.
     gens: BTreeMap<String, u64>,
-    /// Journal length at that document.
-    journal_len: usize,
     /// Delta files in the chain; the next is `delta_file(deltas + 1)`.
     deltas: u64,
     /// Size of the base document.
@@ -538,13 +567,7 @@ impl Seal {
     /// The seal after a document of `bytes` bytes sealing `seq` was made
     /// durable: the chain's next delta when `chain` names the seal it
     /// extends, otherwise a fresh base.
-    fn after(
-        db: &Database,
-        journal: &Journal,
-        seq: u64,
-        bytes: usize,
-        chain: Option<&Seal>,
-    ) -> Seal {
+    fn after(db: &Database, seq: u64, bytes: usize, chain: Option<&Seal>) -> Seal {
         Seal {
             epoch: db.epoch(),
             seq,
@@ -553,7 +576,6 @@ impl Seal {
                 .into_iter()
                 .map(|id| (id.name().to_owned(), db.at(id).generation()))
                 .collect(),
-            journal_len: journal.len(),
             deltas: chain.map_or(0, |c| c.deltas + 1),
             base_bytes: chain.map_or(bytes, |c| c.base_bytes),
             delta_bytes: chain.map_or(0, |c| c.delta_bytes + bytes),
@@ -561,11 +583,11 @@ impl Seal {
     }
 
     /// The seal as a cursor over `db`, when a delta against it means
-    /// anything: the same tables, the same epoch, no generation moved
-    /// backwards ([`GenCursor::valid_for`]) and a journal that only grew.
-    fn cursor(&self, db: &Database, journal: &Journal) -> Option<GenCursor> {
+    /// anything: the same tables, the same epoch and no generation moved
+    /// backwards ([`GenCursor::valid_for`]).
+    fn cursor(&self, db: &Database) -> Option<GenCursor> {
         let ids = db.table_ids();
-        if ids.len() != self.gens.len() || journal.len() < self.journal_len {
+        if ids.len() != self.gens.len() {
             return None;
         }
         let gens = ids
@@ -585,12 +607,13 @@ impl Seal {
     /// over from the chain before the last compaction. The base is
     /// rewritten once the deltas since it have cost as much as it did,
     /// which bounds both the write amplification (2x, amortised) and what
-    /// recovery folds, without a setting.
-    fn plan(&self, db: &Database, journal: &Journal, seq: u64) -> Checkpoint {
-        let Some(cursor) = self.cursor(db, journal) else {
+    /// recovery folds, without a setting. `journaled` says whether entries
+    /// were logged since the seal.
+    fn plan(&self, db: &Database, seq: u64, journaled: bool) -> Checkpoint {
+        let Some(cursor) = self.cursor(db) else {
             return Checkpoint::Base;
         };
-        if seq == self.seq && cursor.unchanged_in(db) && journal.len() == self.journal_len {
+        if seq == self.seq && cursor.unchanged_in(db) && !journaled {
             Checkpoint::Nothing
         } else if seq > self.seq && self.delta_bytes < self.base_bytes {
             Checkpoint::Delta(cursor)
@@ -619,6 +642,12 @@ pub struct DurableEngine {
     /// The chain on disk, when the engine knows it: recovered by `open`,
     /// replaced by every checkpoint, forgotten when one fails part-way.
     sealed: Option<Seal>,
+    /// Where the journal file ends by the newest chain the disk may hold:
+    /// recovered by `open`, moved on by each checkpoint's rename.
+    journal: JournalMark,
+    /// The journal file may hold bytes past `journal`: a checkpoint
+    /// appended and did not reach its rename. The next one cuts them.
+    journal_torn: bool,
     /// What `open` recovered (telemetry only; the image itself is handed
     /// to the caller).
     scan: WalScan,
@@ -634,7 +663,10 @@ impl DurableEngine {
     /// sequence the image has reached; the first that does not continue
     /// the chain is a leftover of an earlier one and ends it), scan the WAL
     /// tolerating a torn tail (the file is truncated to its clean prefix),
-    /// and keep only frames the chain does not already cover.
+    /// and keep only frames the chain does not already cover. The journal
+    /// file is cut back to where the chain says it ends, which drops the
+    /// lines of a checkpoint that never became durable (the WAL still holds
+    /// their entries); it is not read.
     pub fn open(
         mut media: Box<dyn Media>,
         config: GroupCommitConfig,
@@ -660,7 +692,6 @@ impl DurableEngine {
                     epoch: image.epoch,
                     seq: image.seq,
                     gens: image.generations(),
-                    journal_len: image.journal.len(),
                     deltas,
                     base_bytes: bytes.len(),
                     delta_bytes,
@@ -669,6 +700,10 @@ impl DurableEngine {
             }
             None => None,
         };
+        let journal = snapshot
+            .as_ref()
+            .map_or(JournalMark::default(), |s| s.journal.sealed());
+        media.truncate(JOURNAL_FILE, journal.bytes)?;
         let sealed_seq = snapshot.as_ref().map(|s| s.seq).unwrap_or(0);
         let wal_bytes = media.read(WAL_FILE)?;
         let had_state = snapshot.is_some() || wal_bytes.is_some();
@@ -694,6 +729,8 @@ impl DurableEngine {
             last_flush: 0,
             since_snapshot: 0,
             sealed,
+            journal,
+            journal_torn: false,
             scan,
             obs: None,
         };
@@ -735,6 +772,31 @@ impl DurableEngine {
         self.pending = 0;
         self.pending_bytes = 0;
         Ok(())
+    }
+
+    /// `journal`'s entries past the journal file's end, named by ordinal;
+    /// `MR_DURABILITY` when `journal` does not extend the file.
+    fn unsealed<'j>(&self, journal: &'j Journal) -> MrResult<&'j [JournalEntry]> {
+        let first = journal.sealed().entries;
+        if first > self.journal.entries || journal.len() < self.journal.entries {
+            return Err(MrError::Durability);
+        }
+        Ok(&journal.entries()[self.journal.entries - first..])
+    }
+
+    /// Appends a checkpoint's journal lines at the end the chain records
+    /// and makes them durable.
+    fn append_journal(&mut self, lines: &str) -> MrResult<()> {
+        if self.journal_torn {
+            self.media.truncate(JOURNAL_FILE, self.journal.bytes)?;
+            self.journal_torn = false;
+        }
+        if lines.is_empty() {
+            return Ok(());
+        }
+        self.journal_torn = true;
+        self.media.append(JOURNAL_FILE, lines.as_bytes())?;
+        self.media.fsync(JOURNAL_FILE)
     }
 }
 
@@ -794,13 +856,19 @@ impl Storage for DurableEngine {
         // WAL must never be ahead of the durable one.
         self.flush()?;
         let seq = self.next_seq.saturating_sub(1);
+        let mut lines = String::new();
+        write_lines(&mut lines, self.unsealed(journal)?);
+        let mark = JournalMark {
+            entries: journal.len(),
+            bytes: self.journal.bytes + lines.len(),
+        };
         // Forgotten until the new document is durable: if a call below
         // fails the disk may hold either chain, and the base the next
         // checkpoint then writes is right whichever it is.
         let old = self.sealed.take();
-        let plan = old
-            .as_ref()
-            .map_or(Checkpoint::Base, |seal| seal.plan(db, journal, seq));
+        let plan = old.as_ref().map_or(Checkpoint::Base, |seal| {
+            seal.plan(db, seq, mark.entries != self.journal.entries)
+        });
         if matches!(plan, Checkpoint::Nothing) {
             self.sealed = old;
             self.since_snapshot = 0;
@@ -811,19 +879,22 @@ impl Storage for DurableEngine {
             (Checkpoint::Delta(cursor), Some(seal)) => (
                 Some(seal),
                 delta_file(seal.deltas + 1),
-                encode_delta(db, journal, cursor, seal.journal_len, seal.seq, seq),
+                encode_delta(db, mark, cursor, seal.seq, seq),
             ),
-            _ => (
-                None,
-                SNAPSHOT_FILE.to_owned(),
-                encode_snapshot(db, journal, seq),
-            ),
+            _ => (None, SNAPSHOT_FILE.to_owned(), encode_base(db, mark, seq)),
         };
         self.media.write_new(SNAPSHOT_TMP, doc.as_bytes())?;
+        // The lines are durable before the document naming their end is
+        // renamed into the chain: a chain never reaches past its file.
+        self.append_journal(&lines)?;
         self.media.fsync(SNAPSHOT_TMP)?;
         self.media.rename(SNAPSHOT_TMP, &file)?;
+        // From here the disk may hold the new chain: a later checkpoint
+        // must append after these lines, never cut them.
+        self.journal = mark;
+        self.journal_torn = false;
         self.media.fsync_dir()?;
-        self.sealed = Some(Seal::after(db, journal, seq, doc.len(), chain));
+        self.sealed = Some(Seal::after(db, seq, doc.len(), chain));
         // A crash from here on is harmless: stale WAL frames carry seqs
         // the chain already covers, so recovery filters them.
         self.media.truncate(WAL_FILE, 0)?;
@@ -862,12 +933,31 @@ impl Storage for DurableEngine {
     fn pending_entries(&self) -> usize {
         self.pending
     }
+
+    fn sealed_journal(&self) -> JournalMark {
+        self.journal
+    }
+
+    fn history(&self, journal: &Journal) -> MrResult<Journal> {
+        let tail = self.unsealed(journal)?;
+        let file = self.media.read(JOURNAL_FILE)?.unwrap_or_default();
+        let sealed = file.get(..self.journal.bytes).ok_or(MrError::Durability)?;
+        let mut history = Journal::from_file(sealed)?;
+        if history.len() != self.journal.entries {
+            return Err(MrError::Durability);
+        }
+        for entry in tail {
+            history.log(entry.clone());
+        }
+        Ok(history)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::{Relation, TableSchema};
+    use crate::snapshot::encode_snapshot;
     use moira_common::clock::VClock;
 
     crate::relations! {
@@ -1059,9 +1149,10 @@ mod tests {
         journal.log(e.clone());
         engine.append(&e, 1).unwrap();
 
-        // Crash on the fsync of the WAL truncation (the 2nd fsync after
-        // flush-inside-snapshot: [wal flush, tmp fsync, wal truncate]).
-        media.arm_crash(OpKind::Fsync, 2);
+        // Crash on the fsync of the WAL truncation (the 3rd fsync after
+        // flush-inside-snapshot: [wal flush, journal fsync, tmp fsync,
+        // wal truncate]).
+        media.arm_crash(OpKind::Fsync, 3);
         assert_eq!(engine.snapshot(&db, &journal), Err(MrError::Durability));
         media.power_cycle();
         let (_, recovered) = open_sim(&media, config());
@@ -1169,8 +1260,11 @@ mod tests {
             });
         }
 
+        /// Seals, then drops the sealed tail the way the journal's owner
+        /// does.
         fn seal(&mut self) {
             self.engine.snapshot(&self.db, &self.journal).unwrap();
+            self.journal.trim(self.engine.sealed_journal());
         }
 
         fn chain(&self) -> &Seal {
@@ -1246,7 +1340,13 @@ mod tests {
         let delta = durable_text(&live.media, &delta_file(1)).unwrap();
         assert!(delta.contains("\nprev:3\nseq:7\n"), "{delta}");
         assert!(delta.contains("\nrow:0:5:d:0\nrow:1:6:b:7\ndead:2:7\nfree:2\n"));
-        assert_eq!(delta.matches("journal:").count(), 4);
+        let journal = durable_text(&live.media, JOURNAL_FILE).unwrap();
+        assert!(delta.contains(&format!("\njournal:7:{}\n", journal.len())));
+        assert_eq!(
+            journal.lines().count(),
+            7,
+            "three sealed by the base, four since"
+        );
         let (text, recovered) = recovered_text(&live.media);
         assert_eq!(text, live.text());
         assert_eq!(recovered.snapshot.unwrap().seq, 7);
@@ -1261,7 +1361,8 @@ mod tests {
         // Nothing committed: nothing to write.
         live.seal();
         assert_eq!(durable_text(&live.media, &delta_file(1)), None);
-        // A commit that left the tables alone: the journal line, no table.
+        // A commit that left the tables alone: the journal mark moves, no
+        // table does.
         live.commit("noop", |_| {});
         live.seal();
         let delta = durable_text(&live.media, &delta_file(1)).unwrap();
@@ -1269,7 +1370,7 @@ mod tests {
             !delta.contains("table:") && !delta.contains("row:"),
             "{delta}"
         );
-        assert_eq!(delta.matches("journal:").count(), 1);
+        assert!(delta.contains("\njournal:2:"), "{delta}");
         assert_eq!(recovered_text(&live.media).0, live.text());
     }
 
@@ -1291,6 +1392,152 @@ mod tests {
             recovered.snapshot.unwrap().journal.len(),
             live.journal.len()
         );
+        // The compaction rewrote no history: every entry is on file once.
+        let journal = durable_text(&live.media, JOURNAL_FILE).unwrap();
+        assert_eq!(journal.lines().count(), live.journal.len());
+    }
+
+    /// The history a fresh engine on `media` reads back.
+    fn history_on(media: &SimMedia) -> Journal {
+        let (engine, recovered) = open_sim(media, config());
+        let journal = recovered
+            .and_then(|r| r.snapshot)
+            .map_or(Journal::new(), |s| s.journal);
+        engine.history(&journal).unwrap()
+    }
+
+    #[test]
+    fn the_journal_file_holds_each_sealed_entry_once_and_reads_back_whole() {
+        let mut live = Live::new();
+        let mut all = Journal::new();
+        for i in 0..3 {
+            live.add(&format!("a{i}"));
+            all.log(live.journal.entries().last().unwrap().clone());
+        }
+        live.seal();
+        assert!(live.journal.entries().is_empty(), "the seal's owner trims");
+        assert_eq!(live.journal.len(), 3);
+        live.commit("noop", |_| {});
+        all.log(live.journal.entries()[0].clone());
+        // The live tail follows what the file holds.
+        assert_eq!(live.engine.history(&live.journal), Ok(all.clone()));
+        live.seal();
+        assert_eq!(durable_text(&live.media, JOURNAL_FILE), Some(all.to_text()));
+        live.media.power_cycle();
+        assert_eq!(history_on(&live.media), all);
+        // A journal that does not extend the file cannot be sealed or read.
+        let (mut engine, _) = open_sim(&live.media, config());
+        assert_eq!(
+            engine.snapshot(&live.db, &Journal::new()),
+            Err(MrError::Durability)
+        );
+        assert_eq!(engine.history(&Journal::new()), Err(MrError::Durability));
+        // Under `NullStorage` the journal is the whole history.
+        assert_eq!(NullStorage.history(&all), Ok(all.clone()));
+        assert_eq!(NullStorage.history(&live.journal), Err(MrError::Durability));
+    }
+
+    #[test]
+    fn open_cuts_journal_lines_no_durable_checkpoint_names() {
+        let mut live = Live::new();
+        live.add("a");
+        live.seal();
+        let sealed = durable_text(&live.media, JOURNAL_FILE).unwrap();
+        live.add("b");
+        // [wal flush, journal fsync, tmp fsync]: the journal line is
+        // durable, the delta naming it is not.
+        live.media.arm_crash(OpKind::Fsync, 2);
+        assert_eq!(
+            live.engine.snapshot(&live.db, &live.journal),
+            Err(MrError::Durability)
+        );
+        assert!(durable_text(&live.media, JOURNAL_FILE).unwrap().len() > sealed.len());
+        live.media.power_cycle();
+        let (mut engine, recovered) = open_sim(&live.media, config());
+        let recovered = recovered.unwrap();
+        assert_eq!(recovered.wal.len(), 1, "the WAL still holds the entry");
+        let mut journal = recovered.snapshot.unwrap().journal;
+        assert_eq!(engine.history(&journal).unwrap().to_text(), sealed);
+        // Re-sealing the replayed entry appends it once, after the cut.
+        journal.log(recovered.wal[0].clone());
+        engine.snapshot(&live.db, &journal).unwrap();
+        live.media.power_cycle();
+        let history = history_on(&live.media);
+        assert_eq!(history.len(), 2);
+        assert_eq!(
+            history.to_text(),
+            format!("{sealed}{}\n", recovered.wal[0].to_line())
+        );
+    }
+
+    /// A [`SimMedia`] whose rename fails once when armed, leaving the media
+    /// alive: an I/O error rather than a crash.
+    struct FailingRename(SimMedia, Arc<std::sync::atomic::AtomicBool>);
+
+    impl Media for FailingRename {
+        fn append(&mut self, file: &str, bytes: &[u8]) -> MrResult<()> {
+            self.0.append(file, bytes)
+        }
+        fn fsync(&mut self, file: &str) -> MrResult<()> {
+            self.0.fsync(file)
+        }
+        fn read(&self, file: &str) -> MrResult<Option<Vec<u8>>> {
+            self.0.read(file)
+        }
+        fn write_new(&mut self, file: &str, bytes: &[u8]) -> MrResult<()> {
+            self.0.write_new(file, bytes)
+        }
+        fn rename(&mut self, from: &str, to: &str) -> MrResult<()> {
+            if self.1.swap(false, std::sync::atomic::Ordering::SeqCst) {
+                return Err(MrError::Durability);
+            }
+            self.0.rename(from, to)
+        }
+        fn fsync_dir(&mut self) -> MrResult<()> {
+            self.0.fsync_dir()
+        }
+        fn remove(&mut self, file: &str) -> MrResult<()> {
+            self.0.remove(file)
+        }
+        fn truncate(&mut self, file: &str, len: usize) -> MrResult<()> {
+            self.0.truncate(file, len)
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_that_failed_after_its_append_is_cut_by_the_next() {
+        let media = SimMedia::new();
+        let fail = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let wrapped = FailingRename(media.clone(), fail.clone());
+        let (engine, _) = DurableEngine::open(Box::new(wrapped), config()).unwrap();
+        let mut db = Database::new(VClock::new());
+        db.create_table(t_schema());
+        let mut live = Live {
+            engine,
+            ..Live::on(db, &media)
+        };
+        live.add("a");
+        live.seal();
+        live.add("b");
+        fail.store(true, std::sync::atomic::Ordering::SeqCst);
+        assert_eq!(
+            live.engine.snapshot(&live.db, &live.journal),
+            Err(MrError::Durability)
+        );
+        // b's line is on file past the end the chain names; the next
+        // checkpoint cuts it and appends b again, then c.
+        live.add("c");
+        let tail = live.journal.to_text();
+        assert_eq!(
+            live.journal.entries().len(),
+            2,
+            "the failed seal trimmed nothing"
+        );
+        live.seal();
+        media.power_cycle();
+        let history = history_on(&media);
+        assert_eq!(history.len(), 3);
+        assert!(history.to_text().ends_with(&tail), "{}", history.to_text());
     }
 
     #[test]
@@ -1299,9 +1546,10 @@ mod tests {
         live.fill_chain();
         let deltas = live.chain().deltas;
         live.add("tip");
-        // [wal flush, tmp fsync, wal-truncation fsync]: the new base is
-        // renamed and directory-synced, the old chain's files still there.
-        live.media.arm_crash(OpKind::Fsync, 2);
+        // [wal flush, journal fsync, tmp fsync, wal-truncation fsync]: the
+        // new base is renamed and directory-synced, the old chain's files
+        // still there.
+        live.media.arm_crash(OpKind::Fsync, 3);
         assert_eq!(
             live.engine.snapshot(&live.db, &live.journal),
             Err(MrError::Durability)

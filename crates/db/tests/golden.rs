@@ -1,22 +1,24 @@
-//! Golden bytes of the two checkpoint documents.
+//! Golden bytes of the durable files: the two checkpoint documents and the
+//! journal file.
 //!
-//! `golden/base.txt` was written by `encode_snapshot` at the commit before
-//! delta checkpoints existed: the base format (`moira-snapshot:1`) did not
-//! change, so an image that commit left on disk still boots. `golden/delta.txt`
-//! pins the one on-disk format this engine added (`moira-delta:1`); a later
-//! codec change shows up here as a diff, not as a recovery failure in the
-//! field.
+//! `golden/base.txt` (`moira-snapshot:2`) and `golden/delta.txt`
+//! (`moira-delta:2`) carry the journal's count and the journal file's end
+//! where version 1 carried the entries; `golden/journal.txt` is the journal
+//! file those two checkpoints leave. A later codec change shows up here as
+//! a diff, not as a recovery failure in the field.
 
 use moira_common::VClock;
 use moira_db::journal::{Journal, JournalEntry};
 use moira_db::snapshot::encode_snapshot;
 use moira_db::storage::{
-    delta_file, DurableEngine, GroupCommitConfig, Media, SimMedia, Storage, SNAPSHOT_FILE,
+    delta_file, DurableEngine, GroupCommitConfig, Media, SimMedia, Storage, JOURNAL_FILE,
+    SNAPSHOT_FILE,
 };
 use moira_db::Database;
 
 const BASE: &str = include_str!("golden/base.txt");
 const DELTA: &str = include_str!("golden/delta.txt");
+const JOURNAL: &str = include_str!("golden/journal.txt");
 
 const EPOCH: u64 = 7;
 const T0: i64 = 600_000_000;
@@ -118,13 +120,24 @@ fn base_and_delta_documents_are_the_recorded_bytes() {
         "the base is not rewritten"
     );
     assert_eq!(file(&media, &delta_file(1)), DELTA);
+    assert_eq!(file(&media, JOURNAL_FILE), JOURNAL);
+    assert_eq!(
+        journal.to_text(),
+        JOURNAL,
+        "the file's format is `to_text`'s"
+    );
 
     // And the pair recovers to the live image, byte for byte.
     drop(engine);
     media.power_cycle();
-    let (_, recovered) = DurableEngine::open(Box::new(media), config()).unwrap();
+    let (engine, recovered) = DurableEngine::open(Box::new(media), config()).unwrap();
     let image = recovered.unwrap().snapshot.unwrap();
     assert_eq!(image.seq, 5);
+    assert!(
+        image.journal.entries().is_empty(),
+        "a boot reads no history"
+    );
+    assert_eq!(engine.history(&image.journal), Ok(journal.clone()));
     let mut back = empty_db(&VClock::starting_at(image.now));
     image.apply(&mut back).unwrap();
     assert_eq!(
@@ -134,8 +147,17 @@ fn base_and_delta_documents_are_the_recorded_bytes() {
 }
 
 #[test]
-fn a_base_written_before_deltas_existed_boots_unmodified() {
+fn a_recorded_base_boots_unmodified_and_a_version_1_one_is_refused() {
     let mut media = SimMedia::new();
+    let v1 = BASE.replace("moira-snapshot:2", "moira-snapshot:1");
+    media.write_new(SNAPSHOT_FILE, v1.as_bytes()).unwrap();
+    media.fsync(SNAPSHOT_FILE).unwrap();
+    let opened = DurableEngine::open(Box::new(media.clone()), config());
+    assert_eq!(
+        opened.map(|_| ()).unwrap_err(),
+        moira_common::MrError::Durability
+    );
+
     media.write_new(SNAPSHOT_FILE, BASE.as_bytes()).unwrap();
     media.fsync(SNAPSHOT_FILE).unwrap();
     let (_, recovered) = DurableEngine::open(Box::new(media.clone()), config()).unwrap();

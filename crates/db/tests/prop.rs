@@ -6,6 +6,8 @@ use moira_db::backup::{decode_backup, escape_field, unescape_field};
 use moira_db::journal::{Journal, JournalEntry};
 use moira_db::schema::{ColumnDef, TableSchema};
 use moira_db::snapshot::decode_snapshot;
+use moira_db::storage::{delta_file, DurableEngine, GroupCommitConfig, Media, SimMedia};
+use moira_db::storage::{JOURNAL_FILE, SNAPSHOT_FILE};
 use moira_db::{Database, Pred, Relation, Table, Value};
 use proptest::prelude::*;
 
@@ -65,10 +67,51 @@ proptest! {
             "moira-backup:1\ntable:{field}\n{body}\nendtable\nend\n"
         ));
         let _ = decode_snapshot(&body);
-        let _ = decode_snapshot(&format!(
-            "moira-snapshot:1\nepoch:1\nnow:0\nseq:0\ntable:t:0:0:0:0:0\n\
-             row:0:1:{field}\nendtable\njournal:0:{field}\nend\n"
-        ));
+        let base = format!(
+            "moira-snapshot:2\nepoch:1\nnow:0\nseq:0\njournal:0:0\ntable:t:0:0:0:0:0\n\
+             row:0:1:{field}\nendtable\nend\n"
+        );
+        let _ = decode_snapshot(&base);
+        let _ = decode_snapshot(&base.replace("journal:0:0", &format!("journal:{field}")));
+        let _ = decode_snapshot(&base.replace("journal:0:0", &format!("journal:0:{field}")));
+        // The journal-file reader, on lines and on raw bytes.
+        let _ = Journal::from_file(body.as_bytes());
+        let _ = Journal::from_file(format!("{body}\n").as_bytes());
+        let _ = Journal::from_file(field.as_bytes());
+        // A delta is only read as a link of a chain: one that checksums
+        // but carries a hostile count line, or extends the base's count.
+        let empty_base = "moira-snapshot:2\nepoch:1\nnow:0\nseq:0\njournal:0:0\nend\n";
+        for count in [format!("journal:{field}"), format!("journal:1:{field}"), rows.join(":")] {
+            let body = format!("moira-delta:2\nepoch:1\nnow:0\nprev:0\nseq:1\n{count}\n");
+            let delta = format!("{body}end:{:08x}\n", moira_common::crc::crc32(body.as_bytes()));
+            let mut media = SimMedia::new();
+            media.write_new(SNAPSHOT_FILE, empty_base.as_bytes()).unwrap();
+            media.write_new(&delta_file(1), delta.as_bytes()).unwrap();
+            media.write_new(JOURNAL_FILE, field.as_bytes()).unwrap();
+            let config = GroupCommitConfig { flush_interval_secs: 0, flush_bytes: 1, snapshot_every: 0 };
+            if let Ok((engine, Some(image))) = DurableEngine::open(Box::new(media), config) {
+                let journal = image.snapshot.map(|s| s.journal).unwrap_or_default();
+                let _ = moira_db::storage::Storage::history(&engine, &journal);
+            }
+        }
+    }
+
+    /// The journal's text form is exact on hostile fields: what
+    /// `to_text` writes, `from_text` reads back as the same journal.
+    #[test]
+    fn journal_text_round_trips_hostile_fields(
+        entries in prop::collection::vec(
+            (any::<i64>(), HOSTILE, HOSTILE, HOSTILE, prop::collection::vec(HOSTILE, 0..4)),
+            0..6,
+        ),
+    ) {
+        let mut j = Journal::new();
+        for (time, who, with, query, args) in entries {
+            j.log(JournalEntry { time, who, with, query, args });
+        }
+        prop_assert_eq!(Journal::from_text(&j.to_text()), Ok(j.clone()));
+        prop_assert_eq!(Journal::from_file(j.to_text().as_bytes()), Ok(j.clone()));
+        prop_assert_eq!(j.end().bytes, j.to_text().len());
     }
 
     /// The table agrees with a Vec-of-rows model under arbitrary mutation,
@@ -803,6 +846,9 @@ mod delta_chain_props {
                 encode_snapshot(&back, &image.journal, image.seq),
                 encode_snapshot(&self.db, &self.journal, image.seq)
             );
+            // The journal file holds every sealed entry exactly once.
+            let (engine, _) = DurableEngine::open(Box::new(self.media.clone()), config()).unwrap();
+            prop_assert_eq!(engine.history(&image.journal), Ok(self.journal.clone()));
             Ok(())
         }
     }
