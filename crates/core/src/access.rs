@@ -31,7 +31,7 @@ use crate::state::{Caller, MoiraState};
 /// the read tier of the server dispatches retrieves under a shared lock, and
 /// ACL decisions (a cache write at worst) must not require `&mut` state.
 pub struct AccessCache {
-    entries: Mutex<HashTable<(u64, bool)>>,
+    entries: Mutex<Entries>,
     /// Whether caching is active (ablation switch).
     enabled: AtomicBool,
     /// Cache hits served.
@@ -40,11 +40,20 @@ pub struct AccessCache {
     misses: AtomicU64,
 }
 
+/// The cached decisions, `(generation, allowed)` by `principal` `\u{1}`
+/// `capability`, and the buffer every lookup builds its key in, so a hit
+/// allocates nothing.
+#[derive(Default)]
+struct Entries {
+    table: HashTable<(u64, bool)>,
+    key: String,
+}
+
 impl AccessCache {
     /// Creates an enabled, empty cache.
     pub fn new() -> Self {
         AccessCache {
-            entries: Mutex::new(HashTable::new()),
+            entries: Mutex::new(Entries::default()),
             enabled: AtomicBool::new(true),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -71,20 +80,30 @@ impl AccessCache {
         self.misses.load(Ordering::SeqCst)
     }
 
-    fn key(principal: &str, capability: &str) -> String {
-        format!("{principal}\u{1}{capability}")
+    /// Runs `f` on the table and the key of `(principal, capability)`.
+    fn keyed<R>(
+        &self,
+        principal: &str,
+        capability: &str,
+        f: impl FnOnce(&mut HashTable<(u64, bool)>, &str) -> R,
+    ) -> R {
+        let mut entries = self.entries.lock();
+        let Entries { table, key } = &mut *entries;
+        key.clear();
+        key.push_str(principal);
+        key.push('\u{1}');
+        key.push_str(capability);
+        f(table, key)
     }
 
     fn get(&self, principal: &str, capability: &str, generation: u64) -> Option<bool> {
         if !self.enabled() {
             return None;
         }
-        match self
-            .entries
-            .lock()
-            .lookup(&Self::key(principal, capability))
-        {
-            Some(&(gen, allowed)) if gen == generation => {
+        match self.keyed(principal, capability, |table, key| {
+            table.lookup(key).copied()
+        }) {
+            Some((gen, allowed)) if gen == generation => {
                 self.hits.fetch_add(1, Ordering::SeqCst);
                 Some(allowed)
             }
@@ -95,15 +114,15 @@ impl AccessCache {
     fn put(&self, principal: &str, capability: &str, generation: u64, allowed: bool) {
         self.misses.fetch_add(1, Ordering::SeqCst);
         if self.enabled() {
-            self.entries
-                .lock()
-                .store(&Self::key(principal, capability), (generation, allowed));
+            self.keyed(principal, capability, |table, key| {
+                table.store(key, (generation, allowed));
+            });
         }
     }
 
     /// Drops every cached decision.
     pub fn flush(&self) {
-        self.entries.lock().clear();
+        self.entries.lock().table.clear();
     }
 }
 
@@ -133,17 +152,17 @@ pub fn caller_has_capability(state: &MoiraState, caller: &Caller, capability: &s
     if caller.is_privileged() {
         return true;
     }
-    let Some(principal) = caller.principal.clone() else {
+    let Some(principal) = caller.principal.as_deref() else {
         return false;
     };
     let generation = acl_generation(state);
-    if let Some(hit) = state.access_cache.get(&principal, capability, generation) {
+    if let Some(hit) = state.access_cache.get(principal, capability, generation) {
         return hit;
     }
-    let allowed = compute_capability(state, &principal, capability);
+    let allowed = compute_capability(state, principal, capability);
     state
         .access_cache
-        .put(&principal, capability, generation, allowed);
+        .put(principal, capability, generation, allowed);
     allowed
 }
 

@@ -335,13 +335,11 @@ impl Registry {
             Handler::Write(f) => f(state, caller, args)?,
         };
         if before.is_some_and(|b| state.db.mutation_count() != b) {
-            let entry = state.journal.log(JournalEntry {
-                time: state.db.now(),
-                who: caller.who().to_owned(),
-                with: caller.client_name.clone(),
-                query: handle.name.to_owned(),
-                args: args.to_vec(),
-            });
+            // The entry is encoded once, as the journal line the tail
+            // keeps, the WAL frame carries and a seal appends to the file.
+            let now = state.db.now();
+            let journal = &mut state.journal;
+            let line = journal.record(now, caller.who(), &caller.client_name, handle.name, args);
             // Write-ahead: the commit is not acknowledged until the entry
             // is at least buffered in the WAL (group commit fsyncs it). A
             // failed append is surfaced to the caller — the in-memory
@@ -352,8 +350,7 @@ impl Registry {
             // bounded, and the journal order must match the guard order,
             // so it cannot move outside the write lock (DESIGN.md
             // "Durability"). It therefore carries no `assert_may_block`.
-            let now = state.db.now();
-            if let Err(e) = state.storage.append(entry, now) {
+            if let Err(e) = state.storage.append(line, now) {
                 state.obs.counter("db.wal.append_errors").inc();
                 return Err(e);
             }
@@ -396,7 +393,7 @@ impl Registry {
             Handler::Write(f) => f(state, &caller, &entry.args).map(|_| ())?,
         }
         if state.db.mutation_count() != before {
-            state.journal.log(entry.clone());
+            state.journal.log(entry);
         }
         Ok(())
     }

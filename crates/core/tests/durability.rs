@@ -416,7 +416,7 @@ fn journal_read_back_replays_onto_a_backup_across_compactions() {
         report.snapshot_entries, STEPS,
         "all of it sealed, none of it read"
     );
-    assert!(recovered.journal.entries().is_empty());
+    assert!(recovered.journal.tail().is_empty());
     let history = recovered
         .storage
         .history(&recovered.journal)
@@ -428,7 +428,7 @@ fn journal_read_back_replays_onto_a_backup_across_compactions() {
     moira_core::schema::create_all_tables(&mut db);
     mrrestore(&mut db, &backup).expect("restore");
     restored.db = db;
-    let replay: Vec<_> = history.since(backup_time).cloned().collect();
+    let replay: Vec<_> = history.since(backup_time).collect();
     assert_eq!(replay.len(), STEPS - 12);
     for entry in &replay {
         clock.set(entry.time);

@@ -410,7 +410,7 @@ mod tests {
         db.append(values::T, vec!["dcm\nenable".into(), 1.into()])
             .unwrap();
         let mut journal = Journal::new();
-        journal.log(JournalEntry {
+        journal.log(&JournalEntry {
             time: db.now(),
             who: "ops:root".into(),
             with: "maint".into(),
@@ -516,7 +516,7 @@ mod tests {
             .unwrap();
         db.update(1, &[users::UID.set(8)]).unwrap();
         db.delete(users::T, 1).unwrap();
-        journal.log(JournalEntry {
+        journal.log(&JournalEntry {
             time: db.now(),
             who: "ops".into(),
             with: "maint".into(),

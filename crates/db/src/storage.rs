@@ -12,9 +12,12 @@
 //! journal file ([`JOURNAL_FILE`]): every checkpoint appends the entries
 //! logged since the last one and records only where the file then ends, so
 //! neither a checkpoint nor a boot touches old history, and
-//! [`Storage::history`] reads it back. DESIGN.md "Durability" has the file
-//! layout, the chain rule and the crash argument for each gap between
-//! media calls.
+//! [`Storage::history`] reads it back. The in-memory [`Journal`] already
+//! holds those entries as journal-file lines: [`Storage::append`] frames
+//! the line [`Journal::record`] wrote, and a checkpoint appends the tail's
+//! bytes past the file's mark without re-encoding them. DESIGN.md
+//! "Durability" has the file layout, the chain rule and the crash argument
+//! for each gap between media calls.
 //!
 //! Two seams keep the engine testable:
 //!
@@ -47,7 +50,7 @@ use moira_obs::{Counter, Histo, Registry};
 use parking_lot::Mutex;
 
 use crate::database::{Database, GenCursor};
-use crate::journal::{write_lines, Journal, JournalEntry, JournalMark};
+use crate::journal::{Journal, JournalEntry, JournalMark};
 use crate::snapshot::{decode_delta, decode_snapshot, encode_base, encode_delta, SnapshotImage};
 use crate::wal::{encode_frame, scan_frames, WalScan};
 
@@ -400,9 +403,10 @@ pub trait Storage: Send + Sync {
     /// Implementation name, for logs and statistics.
     fn kind(&self) -> &'static str;
 
-    /// Records one committed mutation. May fsync eagerly if the group
+    /// Records one committed mutation, given as its journal line
+    /// ([`Journal::record`]'s return). May fsync eagerly if the group
     /// commit byte threshold is reached.
-    fn append(&mut self, entry: &JournalEntry, now: i64) -> MrResult<()>;
+    fn append(&mut self, line: &str, now: i64) -> MrResult<()>;
 
     /// Group-commit tick: fsync buffered appends if the flush interval
     /// has elapsed (or `flush_interval_secs` is 0). Returns whether a
@@ -419,8 +423,8 @@ pub trait Storage: Send + Sync {
     /// Seals `db` + `journal` into an atomic checkpoint — what changed
     /// since the last one, when the backend can tell; otherwise the whole
     /// image — and truncates the sealed WAL prefix. `journal` must extend
-    /// what is already sealed: its tail reaches back at least to
-    /// [`Storage::sealed_journal`] and it is no shorter.
+    /// what is already sealed: [`Storage::sealed_journal`] is one of its
+    /// tail's line boundaries.
     fn snapshot(&mut self, db: &Database, journal: &Journal) -> MrResult<()>;
 
     /// How much of the journal the backend has made durable. The journal's
@@ -448,7 +452,7 @@ impl Storage for NullStorage {
         "null"
     }
 
-    fn append(&mut self, _entry: &JournalEntry, _now: i64) -> MrResult<()> {
+    fn append(&mut self, _line: &str, _now: i64) -> MrResult<()> {
         Ok(())
     }
 
@@ -774,14 +778,10 @@ impl DurableEngine {
         Ok(())
     }
 
-    /// `journal`'s entries past the journal file's end, named by ordinal;
-    /// `MR_DURABILITY` when `journal` does not extend the file.
-    fn unsealed<'j>(&self, journal: &'j Journal) -> MrResult<&'j [JournalEntry]> {
-        let first = journal.sealed().entries;
-        if first > self.journal.entries || journal.len() < self.journal.entries {
-            return Err(MrError::Durability);
-        }
-        Ok(&journal.entries()[self.journal.entries - first..])
+    /// `journal`'s lines past the journal file's end, as the file will hold
+    /// them; `MR_DURABILITY` when `journal` does not extend the file.
+    fn unsealed<'j>(&self, journal: &'j Journal) -> MrResult<&'j str> {
+        journal.lines_after(self.journal).ok_or(MrError::Durability)
     }
 
     /// Appends a checkpoint's journal lines at the end the chain records
@@ -805,8 +805,8 @@ impl Storage for DurableEngine {
         "durable"
     }
 
-    fn append(&mut self, entry: &JournalEntry, now: i64) -> MrResult<()> {
-        let frame = encode_frame(self.next_seq, entry);
+    fn append(&mut self, line: &str, now: i64) -> MrResult<()> {
+        let frame = encode_frame(self.next_seq, line);
         self.media.append(WAL_FILE, &frame)?;
         self.next_seq = self.next_seq.saturating_add(1);
         self.pending += 1;
@@ -856,12 +856,8 @@ impl Storage for DurableEngine {
         // WAL must never be ahead of the durable one.
         self.flush()?;
         let seq = self.next_seq.saturating_sub(1);
-        let mut lines = String::new();
-        write_lines(&mut lines, self.unsealed(journal)?);
-        let mark = JournalMark {
-            entries: journal.len(),
-            bytes: self.journal.bytes + lines.len(),
-        };
+        let lines = self.unsealed(journal)?;
+        let mark = journal.end();
         // Forgotten until the new document is durable: if a call below
         // fails the disk may hold either chain, and the base the next
         // checkpoint then writes is right whichever it is.
@@ -886,7 +882,7 @@ impl Storage for DurableEngine {
         self.media.write_new(SNAPSHOT_TMP, doc.as_bytes())?;
         // The lines are durable before the document naming their end is
         // renamed into the chain: a chain never reaches past its file.
-        self.append_journal(&lines)?;
+        self.append_journal(lines)?;
         self.media.fsync(SNAPSHOT_TMP)?;
         self.media.rename(SNAPSHOT_TMP, &file)?;
         // From here the disk may hold the new chain: a later checkpoint
@@ -940,14 +936,18 @@ impl Storage for DurableEngine {
 
     fn history(&self, journal: &Journal) -> MrResult<Journal> {
         let tail = self.unsealed(journal)?;
-        let file = self.media.read(JOURNAL_FILE)?.unwrap_or_default();
-        let sealed = file.get(..self.journal.bytes).ok_or(MrError::Durability)?;
-        let mut history = Journal::from_file(sealed)?;
-        if history.len() != self.journal.entries {
+        let mut file = self.media.read(JOURNAL_FILE)?.unwrap_or_default();
+        // The sealed prefix must end on a whole line, or its last line
+        // would run into the tail's first.
+        let end = self.journal.bytes;
+        if end > 0 && file.get(end - 1) != Some(&b'\n') {
             return Err(MrError::Durability);
         }
-        for entry in tail {
-            history.log(entry.clone());
+        file.truncate(end);
+        file.extend_from_slice(tail.as_bytes());
+        let history = Journal::from_file(&file)?;
+        if history.len() != journal.len() {
+            return Err(MrError::Durability);
         }
         Ok(history)
     }
@@ -966,6 +966,11 @@ mod tests {
 
     fn t_schema() -> TableSchema {
         t::R::schema()
+    }
+
+    /// The journal line of [`entry`]`(t, q, args)`.
+    fn line(t: i64, q: &str, args: &[&str]) -> String {
+        entry(t, q, args).to_line()
     }
 
     fn entry(t: i64, q: &str, args: &[&str]) -> JournalEntry {
@@ -1006,13 +1011,13 @@ mod tests {
     fn flushed_appends_survive_power_cycle() {
         let media = SimMedia::new();
         let (mut engine, _) = open_sim(&media, config());
-        engine.append(&entry(1, "add_user", &["a"]), 1).unwrap();
-        engine.append(&entry(2, "add_user", &["b"]), 2).unwrap();
+        engine.append(&line(1, "add_user", &["a"]), 1).unwrap();
+        engine.append(&line(2, "add_user", &["b"]), 2).unwrap();
         assert_eq!(engine.pending_entries(), 2);
         engine.flush().unwrap();
         assert_eq!(engine.pending_entries(), 0);
         // A third append is committed but never fsynced: lost on crash.
-        engine.append(&entry(3, "add_user", &["c"]), 3).unwrap();
+        engine.append(&line(3, "add_user", &["c"]), 3).unwrap();
         drop(engine);
         media.power_cycle();
         let (_, recovered) = open_sim(&media, config());
@@ -1030,7 +1035,7 @@ mod tests {
         let mut cfg = config();
         cfg.flush_bytes = 1; // every append flushes itself
         let (mut engine, _) = open_sim(&media, cfg);
-        engine.append(&entry(1, "q", &[]), 1).unwrap();
+        engine.append(&line(1, "q", &[]), 1).unwrap();
         assert_eq!(engine.pending_entries(), 0);
         media.power_cycle();
         let (_, recovered) = open_sim(&media, config());
@@ -1044,7 +1049,7 @@ mod tests {
         cfg.flush_interval_secs = 10;
         let (mut engine, _) = open_sim(&media, cfg);
         assert!(!engine.maybe_flush(100).unwrap()); // idle tick: nothing to do
-        engine.append(&entry(1, "q", &[]), 100).unwrap();
+        engine.append(&line(1, "q", &[]), 100).unwrap();
         assert!(!engine.maybe_flush(105).unwrap()); // interval not elapsed
         assert_eq!(engine.pending_entries(), 1);
         assert!(engine.maybe_flush(110).unwrap());
@@ -1064,14 +1069,14 @@ mod tests {
             let e = entry(i, "add", &[&format!("n{i}")]);
             db.append(t::T, vec![format!("n{i}").into(), 0.into()])
                 .unwrap();
-            journal.log(e.clone());
-            engine.append(&e, i).unwrap();
+            journal.log(&e);
+            engine.append(&e.to_line(), i).unwrap();
         }
         engine.snapshot(&db, &journal).unwrap();
         // Two more entries after the seal.
         for i in 3..5 {
             let e = entry(i, "add", &[&format!("n{i}")]);
-            engine.append(&e, i).unwrap();
+            engine.append(&e.to_line(), i).unwrap();
         }
         engine.flush().unwrap();
         media.power_cycle();
@@ -1094,17 +1099,17 @@ mod tests {
     fn torn_append_truncates_on_recovery() {
         let media = SimMedia::new();
         let (mut engine, _) = open_sim(&media, config());
-        engine.append(&entry(1, "good", &[]), 1).unwrap();
+        engine.append(&line(1, "good", &[]), 1).unwrap();
         engine.flush().unwrap();
         media.arm_crash(OpKind::Append, 0);
         assert_eq!(
-            engine.append(&entry(2, "torn", &[]), 2),
+            engine.append(&line(2, "torn", &[]), 2),
             Err(MrError::Durability)
         );
         assert!(media.crashed());
         // Engine is now useless; every media-touching call errors.
         assert_eq!(
-            engine.append(&entry(3, "dead", &[]), 3),
+            engine.append(&line(3, "dead", &[]), 3),
             Err(MrError::Durability)
         );
         media.power_cycle();
@@ -1120,9 +1125,9 @@ mod tests {
     fn torn_fsync_leaves_recoverable_prefix() {
         let media = SimMedia::new();
         let (mut engine, _) = open_sim(&media, config());
-        engine.append(&entry(1, "good", &["x"]), 1).unwrap();
+        engine.append(&line(1, "good", &["x"]), 1).unwrap();
         engine.flush().unwrap();
-        engine.append(&entry(2, "half", &["y"]), 2).unwrap();
+        engine.append(&line(2, "half", &["y"]), 2).unwrap();
         media.arm_crash(OpKind::Fsync, 0);
         assert_eq!(engine.flush(), Err(MrError::Durability));
         media.power_cycle();
@@ -1146,8 +1151,8 @@ mod tests {
         let (mut engine, _) = open_sim(&media, config());
         let e = entry(1, "add", &["a"]);
         db.append(t::T, vec!["a".into(), 0.into()]).unwrap();
-        journal.log(e.clone());
-        engine.append(&e, 1).unwrap();
+        journal.log(&e);
+        engine.append(&e.to_line(), 1).unwrap();
 
         // Crash on the fsync of the WAL truncation (the 3rd fsync after
         // flush-inside-snapshot: [wal flush, journal fsync, tmp fsync,
@@ -1173,8 +1178,8 @@ mod tests {
         db.create_table(t_schema());
         db.append(t::T, vec!["a".into(), 0.into()]).unwrap();
         let mut journal = Journal::new();
-        journal.log(e.clone());
-        engine.append(&e, 1).unwrap();
+        journal.log(&e);
+        engine.append(&e.to_line(), 1).unwrap();
         media.arm_crash(OpKind::Rename, 0);
         assert_eq!(engine.snapshot(&db, &journal), Err(MrError::Durability));
         media.power_cycle();
@@ -1191,9 +1196,9 @@ mod tests {
         cfg.snapshot_every = 2;
         let (mut engine, _) = open_sim(&media, cfg);
         assert!(!engine.wants_snapshot());
-        engine.append(&entry(1, "q", &[]), 1).unwrap();
+        engine.append(&line(1, "q", &[]), 1).unwrap();
         assert!(!engine.wants_snapshot());
-        engine.append(&entry(2, "q", &[]), 2).unwrap();
+        engine.append(&line(2, "q", &[]), 2).unwrap();
         assert!(engine.wants_snapshot());
         let db = Database::new(VClock::new());
         engine.snapshot(&db, &Journal::new()).unwrap();
@@ -1207,7 +1212,7 @@ mod tests {
         let (mut engine, _) = open_sim(&media, config());
         engine.set_obs(&registry);
         for i in 0..5 {
-            engine.append(&entry(i, "q", &[]), i).unwrap();
+            engine.append(&line(i, "q", &[]), i).unwrap();
         }
         engine.flush().unwrap();
         let snap = registry.snapshot();
@@ -1250,8 +1255,8 @@ mod tests {
             mutate(&mut self.db);
             self.commits += 1;
             let e = entry(self.commits, query, &[]);
-            self.journal.log(e.clone());
-            self.engine.append(&e, self.commits).unwrap();
+            self.journal.log(&e);
+            self.engine.append(&e.to_line(), self.commits).unwrap();
         }
 
         fn add(&mut self, name: &str) {
@@ -1412,13 +1417,13 @@ mod tests {
         let mut all = Journal::new();
         for i in 0..3 {
             live.add(&format!("a{i}"));
-            all.log(live.journal.entries().last().unwrap().clone());
+            all.log(&live.journal.entries().last().unwrap());
         }
         live.seal();
-        assert!(live.journal.entries().is_empty(), "the seal's owner trims");
+        assert!(live.journal.tail().is_empty(), "the seal's owner trims");
         assert_eq!(live.journal.len(), 3);
         live.commit("noop", |_| {});
-        all.log(live.journal.entries()[0].clone());
+        all.log(&live.journal.entries().next().unwrap());
         // The live tail follows what the file holds.
         assert_eq!(live.engine.history(&live.journal), Ok(all.clone()));
         live.seal();
@@ -1459,7 +1464,7 @@ mod tests {
         let mut journal = recovered.snapshot.unwrap().journal;
         assert_eq!(engine.history(&journal).unwrap().to_text(), sealed);
         // Re-sealing the replayed entry appends it once, after the cut.
-        journal.log(recovered.wal[0].clone());
+        journal.log(&recovered.wal[0]);
         engine.snapshot(&live.db, &journal).unwrap();
         live.media.power_cycle();
         let history = history_on(&live.media);
@@ -1529,7 +1534,7 @@ mod tests {
         live.add("c");
         let tail = live.journal.to_text();
         assert_eq!(
-            live.journal.entries().len(),
+            live.journal.entries().count(),
             2,
             "the failed seal trimmed nothing"
         );
@@ -1590,8 +1595,8 @@ mod tests {
             other.append(t::T, vec![name.into(), 1.into()]).unwrap();
         }
         let e = entry(9, "restore", &[]);
-        live.journal.log(e.clone());
-        live.engine.append(&e, 9).unwrap();
+        live.journal.log(&e);
+        live.engine.append(&e.to_line(), 9).unwrap();
         live.engine.snapshot(&other, &live.journal).unwrap();
         assert_eq!(live.chain().deltas, 0);
         assert_eq!(live.chain().epoch, other.epoch());
@@ -1659,10 +1664,10 @@ mod tests {
     fn recovered_scan_stats_credit_obs() {
         let media = SimMedia::new();
         let (mut engine, _) = open_sim(&media, config());
-        engine.append(&entry(1, "q", &[]), 1).unwrap();
-        engine.append(&entry(2, "q", &[]), 2).unwrap();
+        engine.append(&line(1, "q", &[]), 1).unwrap();
+        engine.append(&line(2, "q", &[]), 2).unwrap();
         engine.flush().unwrap();
-        engine.append(&entry(3, "q", &[]), 3).unwrap();
+        engine.append(&line(3, "q", &[]), 3).unwrap();
         media.arm_crash(OpKind::Fsync, 0);
         assert!(engine.flush().is_err());
         media.power_cycle();
@@ -1706,7 +1711,7 @@ mod tests {
             GroupCommitConfig::default(),
         )
         .unwrap();
-        engine.append(&entry(1, "q", &["disk"]), 1).unwrap();
+        engine.append(&line(1, "q", &["disk"]), 1).unwrap();
         engine.flush().unwrap();
         drop(engine);
         let (_, recovered) = DurableEngine::open(

@@ -24,6 +24,8 @@
 // makes the database unbootable.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use std::io::Write;
+
 use moira_common::crc::crc32;
 
 use crate::journal::JournalEntry;
@@ -44,14 +46,18 @@ pub struct WalScan {
     pub clean_len: usize,
 }
 
-/// Encodes one journal entry as a WAL frame.
-pub fn encode_frame(seq: u64, entry: &JournalEntry) -> Vec<u8> {
-    let payload = format!("{seq}:{}", entry.to_line());
-    let bytes = payload.as_bytes();
-    let mut frame = Vec::with_capacity(8 + bytes.len());
-    frame.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(bytes).to_le_bytes());
-    frame.extend_from_slice(bytes);
+/// Encodes one journal line (a [`JournalEntry::to_line`], no newline) as
+/// the WAL frame of commit `seq`.
+pub fn encode_frame(seq: u64, line: &str) -> Vec<u8> {
+    // Header, then the widest `u64` and its colon, then the line.
+    let mut frame = Vec::with_capacity(8 + 21 + line.len());
+    frame.extend_from_slice(&[0; 8]);
+    let _ = write!(frame, "{seq}:");
+    frame.extend_from_slice(line.as_bytes());
+    let payload = &frame[8..];
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    frame[4..8].copy_from_slice(&crc.to_le_bytes());
     frame
 }
 
@@ -121,11 +127,38 @@ mod tests {
         }
     }
 
+    /// The exact bytes of two frames: one with no arguments, one whose
+    /// arguments need every escape (`:`, `\\`, a newline) and end on an
+    /// empty one. The WAL on disk must not move.
+    #[test]
+    fn frame_bytes_are_pinned() {
+        let bare = frame_of(1, &entry(9, "trigger_dcm", &[]));
+        let mut want = vec![25, 0, 0, 0, 147, 108, 13, 249];
+        want.extend_from_slice(b"1:9:ops:maint:trigger_dcm");
+        assert_eq!(bare, want);
+
+        let nasty = JournalEntry {
+            time: 1_700_000_000,
+            who: "ops".into(),
+            with: "maint".into(),
+            query: "add_member_to_list".into(),
+            args: vec!["a:b".into(), "c\\d".into(), "e\nf".into(), String::new()],
+        };
+        let mut want = vec![60, 0, 0, 0, 226, 150, 234, 156];
+        want.extend_from_slice(b"42:1700000000:ops:maint:add_member_to_list:a\\:b:c\\\\d:e\\012f:");
+        assert_eq!(frame_of(42, &nasty), want);
+    }
+
+    /// The frame [`encode_frame`] makes of `e`.
+    fn frame_of(seq: u64, e: &JournalEntry) -> Vec<u8> {
+        encode_frame(seq, &e.to_line())
+    }
+
     #[test]
     fn frame_round_trip() {
         let e = entry(100, "update_user_shell", &["babette", "/bin/csh"]);
-        let mut log = encode_frame(7, &e);
-        log.extend(encode_frame(8, &entry(101, "add_machine", &["K", "VAX"])));
+        let mut log = frame_of(7, &e);
+        log.extend(frame_of(8, &entry(101, "add_machine", &["K", "VAX"])));
         let (frames, stats) = scan_frames(&log);
         assert_eq!(frames.len(), 2);
         assert_eq!(frames[0], (7, e));
@@ -138,9 +171,9 @@ mod tests {
     #[test]
     fn torn_tail_truncates_without_panic() {
         let e = entry(5, "q", &["a:b", "c\\d", "e\nf"]);
-        let good = encode_frame(1, &e);
+        let good = frame_of(1, &e);
         let mut log = good.clone();
-        log.extend(encode_frame(2, &e));
+        log.extend(frame_of(2, &e));
         // Tear the second frame at every possible byte boundary. A cut at
         // exactly the first frame's end is a clean log, so start one past.
         for cut in good.len() + 1..log.len() {
@@ -153,8 +186,8 @@ mod tests {
 
     #[test]
     fn crc_mismatch_truncates() {
-        let mut log = encode_frame(1, &entry(1, "q", &[]));
-        log.extend(encode_frame(2, &entry(2, "q", &[])));
+        let mut log = frame_of(1, &entry(1, "q", &[]));
+        log.extend(frame_of(2, &entry(2, "q", &[])));
         let tail = log.len() - 1;
         log[tail] ^= 0x40; // flip a bit in the second payload
         let (frames, stats) = scan_frames(&log);

@@ -107,7 +107,7 @@ proptest! {
     ) {
         let mut j = Journal::new();
         for (time, who, with, query, args) in entries {
-            j.log(JournalEntry { time, who, with, query, args });
+            j.log(&JournalEntry { time, who, with, query, args });
         }
         prop_assert_eq!(Journal::from_text(&j.to_text()), Ok(j.clone()));
         prop_assert_eq!(Journal::from_file(j.to_text().as_bytes()), Ok(j.clone()));
@@ -210,11 +210,11 @@ proptest! {
     ) {
         let entry = JournalEntry { time, who, with: "prop".into(), query, args };
         let mut j = Journal::new();
-        j.log(entry.clone());
+        j.log(&entry);
         let back = Journal::from_text(&j.to_text()).unwrap();
         // Zero-arg entries gain one empty arg through the text form (the
         // trailing field); content is otherwise identical.
-        let e = &back.entries()[0];
+        let e = &back.entries().next().unwrap();
         prop_assert_eq!(e.time, entry.time);
         prop_assert_eq!(&e.who, &entry.who);
         prop_assert_eq!(&e.query, &entry.query);
@@ -276,7 +276,7 @@ mod wal_props {
         fn frames_round_trip(entries in prop::collection::vec((any::<u64>(), entry_strategy()), 0..12)) {
             let mut log = Vec::new();
             for (seq, entry) in &entries {
-                log.extend_from_slice(&encode_frame(*seq, entry));
+                log.extend_from_slice(&encode_frame(*seq, &entry.to_line()));
             }
             let (frames, scan) = scan_frames(&log);
             prop_assert_eq!(scan.recovered_frames as usize, entries.len());
@@ -312,7 +312,7 @@ mod wal_props {
             let mut log = Vec::new();
             let mut frame_ends = Vec::new();
             for (seq, entry) in &entries {
-                log.extend_from_slice(&encode_frame(*seq, entry));
+                log.extend_from_slice(&encode_frame(*seq, &entry.to_line()));
                 frame_ends.push(log.len());
             }
             // Torn write: drop bytes off the tail.
@@ -655,7 +655,7 @@ mod intern_props {
                     .unwrap();
             }
             let mut journal = Journal::new();
-            journal.log(JournalEntry {
+            journal.log(&JournalEntry {
                 time: db.now(),
                 who: "ops:root".into(),
                 with: "prop".into(),
@@ -709,7 +709,7 @@ mod intern_props {
                 .collect();
             let mut log = Vec::new();
             for (i, e) in entries.iter().enumerate() {
-                log.extend_from_slice(&encode_frame(i as u64, e));
+                log.extend_from_slice(&encode_frame(i as u64, &e.to_line()));
             }
             let (frames, scan) = scan_frames(&log);
             prop_assert_eq!(scan.torn_tail_truncations, 0);
@@ -723,7 +723,7 @@ mod intern_props {
 
 mod delta_chain_props {
     use moira_common::VClock;
-    use moira_db::journal::{Journal, JournalEntry};
+    use moira_db::journal::Journal;
     use moira_db::snapshot::encode_snapshot;
     use moira_db::storage::{DurableEngine, GroupCommitConfig, SimMedia, Storage, SNAPSHOT_FILE};
     use moira_db::{Col, Database, Pred, Relation, Str};
@@ -817,15 +817,9 @@ mod delta_chain_props {
             // Time moves with commits only: a seal with nothing to seal
             // writes nothing, so the last document's `now:` stands.
             self.clock.advance(1);
-            let entry = JournalEntry {
-                time: self.db.now(),
-                who: "prop".into(),
-                with: "delta".into(),
-                query: "step".into(),
-                args,
-            };
-            self.journal.log(entry.clone());
-            self.engine.append(&entry, entry.time).unwrap();
+            let now = self.db.now();
+            let line = self.journal.record(now, "prop", "delta", "step", &args);
+            self.engine.append(line, now).unwrap();
         }
 
         /// Seals, loses power, and demands that what a second engine reads

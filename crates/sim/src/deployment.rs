@@ -284,6 +284,9 @@ impl Deployment {
         engine
             .snapshot(&st.db, &st.journal)
             .expect("sealing the initial snapshot on fresh media");
+        // The journal file now holds the populate-era history: memory
+        // keeps only what is logged after it, as `boot_durable` does.
+        st.journal.trim(engine.sealed_journal());
         st.storage = Box::new(engine);
         self.durable_media = Some(media.clone());
         media

@@ -59,7 +59,7 @@ fn restore_and_replay_invalidates_generator_caches() {
         let s = d.state.read();
         s.journal
             .since(d.last_backup)
-            .map(|e| (e.who.clone(), e.query.clone(), e.args.clone()))
+            .map(|e| (e.who, e.query, e.args))
             .collect()
     };
     assert!(

@@ -111,6 +111,24 @@ fn post_restart_dcm_cycle_ships_patches_not_fulls() {
     );
 }
 
+/// Enabling durable storage seals the populated database and the journal
+/// populate logged: memory keeps none of those entries from then on, and
+/// the journal file reads every one of them back.
+#[test]
+fn enabling_durable_storage_leaves_the_journal_tail_empty() {
+    let mut d = Deployment::build(&PopulationSpec::small());
+    let populated = d.state.read().journal.clone();
+    assert!(!populated.is_empty());
+    d.enable_durable_storage(eager_cfg());
+    let s = d.state.read();
+    assert!(
+        s.journal.tail().is_empty(),
+        "the seal's owner trims at once"
+    );
+    assert_eq!(s.journal.len(), populated.len());
+    assert_eq!(s.storage.history(&s.journal), Ok(populated));
+}
+
 /// Nothing fsyncs until the group-commit policy says so; a crash then
 /// loses the buffered tail — but never a prefix, and never consistency.
 #[test]

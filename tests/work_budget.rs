@@ -16,6 +16,9 @@
 //! the install commands run, the hosts that confirmed without one, the
 //! bytes on the wire and the patch/whole member split of the transfer.
 //!
+//! And it pins the journal's heap footprint after populate: the bytes its
+//! drop gives back, at most twice the journal file those entries make.
+//!
 //! Nothing here is timed. A change that moves a constant updates it and
 //! says why; a rise nobody explained is a regression.
 
@@ -33,14 +36,20 @@ use moira::sim::{populate, Deployment, PopulationSpec};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 /// `System`, counting every allocation and reallocation on the calling
-/// thread.
+/// thread, and the bytes the thread holds (what it allocated less what it
+/// freed).
 struct Counting;
 
 fn bump() {
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+fn hold(bytes: i64) {
+    let _ = LIVE.try_with(|c| c.set(c.get() + bytes));
 }
 
 // SAFETY: every call forwards to `System` with the caller's arguments; the
@@ -48,20 +57,24 @@ fn bump() {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump();
+        hold(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         bump();
+        hold(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         bump();
+        hold(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        hold(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -73,13 +86,21 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
+fn live_bytes() -> i64 {
+    LIVE.with(Cell::get)
+}
+
 /// `(handle, heap allocations, rows examined)` of the measured call.
+///
+/// An access-cache hit allocates nothing (the principal is borrowed and
+/// the key built in a reused buffer), and a commit encodes its journal
+/// line straight into the journal's tail with no per-field copy.
 const BUDGET: [(&str, u64, u64); 7] = [
-    ("get_user_by_login", 21, 1),
-    ("update_user_shell", 41, 5),
-    ("add_member_to_list", 57, 7),
-    ("delete_member_from_list", 55, 8),
-    ("get_lists_of_member", 28, 3),
+    ("get_user_by_login", 18, 1),
+    ("update_user_shell", 30, 5),
+    ("add_member_to_list", 45, 7),
+    ("delete_member_from_list", 43, 8),
+    ("get_lists_of_member", 25, 3),
     ("get_members_of_list", 17, 3),
     ("get_filesys_by_label", 33, 4),
 ];
@@ -187,6 +208,27 @@ fn request_ops_stay_within_budget() {
             "{name}: (allocations, rows examined) moved; measured {measured:?}"
         );
     }
+}
+
+/// The journal populate leaves holds at most this many heap bytes per
+/// byte of the journal file its entries make.
+const JOURNAL_HEAP_PER_FILE_BYTE: f64 = 2.0;
+
+#[test]
+fn journal_heap_stays_near_its_file_size() {
+    let registry = Registry::standard();
+    let mut state = MoiraState::new(VClock::new());
+    seed_capacls(&mut state, &registry);
+    populate(&mut state, &registry, &PopulationSpec::small()).expect("populate");
+    let file_bytes = state.journal.end().bytes;
+    let before = live_bytes();
+    drop(std::mem::take(&mut state.journal));
+    let heap = before - live_bytes();
+    let ratio = heap as f64 / file_bytes as f64;
+    assert!(
+        ratio <= JOURNAL_HEAP_PER_FILE_BYTE,
+        "the journal holds {heap} heap bytes for a {file_bytes}-byte file ({ratio:.2}x)"
+    );
 }
 
 /// What one DCM cycle did, summed over every host.
