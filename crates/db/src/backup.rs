@@ -14,6 +14,7 @@
 // never a panic.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
@@ -23,7 +24,7 @@ use crate::database::Database;
 use crate::schema::TableId;
 use crate::storage::Media;
 use crate::table::Table;
-use crate::value::{ColType, Value};
+use crate::value::{ColType, Symbols, Value};
 
 /// Escapes one field: `\:`, `\\`, and `\nnn` octal for non-printing bytes.
 pub fn escape_field(s: &str) -> String {
@@ -111,20 +112,30 @@ pub(crate) fn encode_row(out: &mut String, row: &[Value]) {
     }
 }
 
-/// Reverses [`encode_row`] on fields already split at their unescaped
-/// colons: one field per column, each unescaped and parsed as its column's
-/// type. Any mismatch is [`MrError::Internal`].
-pub(crate) fn decode_row<S: AsRef<str>>(raw: &[S], types: &[ColType]) -> MrResult<Vec<Value>> {
-    if raw.len() != types.len() {
+/// Reverses [`encode_row`]: splits `line` at its unescaped colons, then
+/// unescapes and parses one field per column as its column's type. Every
+/// string comes back as `symbols`' canonical `Arc`, and the row is sized to
+/// its arity exactly, since the slab keeps it as it is. Any mismatch is
+/// [`MrError::Internal`].
+pub(crate) fn decode_row(line: &str, types: &[ColType], symbols: &Symbols) -> MrResult<Vec<Value>> {
+    let fields = split_unescaped_colons(line);
+    if fields.len() != types.len() {
         return Err(MrError::Internal);
     }
-    raw.iter()
-        .zip(types)
-        .map(|(field, &ty)| {
-            let text = unescape_field(field.as_ref())?;
-            Value::parse(ty, &text).ok_or(MrError::Internal)
-        })
-        .collect()
+    let mut row = Vec::with_capacity(types.len());
+    for (field, &ty) in fields.into_iter().zip(types) {
+        // Most fields hold no escape, and unescaping one changes nothing.
+        let text = if field.contains('\\') {
+            Cow::Owned(unescape_field(field)?)
+        } else {
+            Cow::Borrowed(field)
+        };
+        row.push(match ty {
+            ColType::Str => Value::Str(symbols.intern(&text)),
+            _ => Value::parse(ty, &text).ok_or(MrError::Internal)?,
+        });
+    }
+    Ok(row)
 }
 
 /// A table's column types, in schema order — what [`decode_row`] parses
@@ -162,6 +173,7 @@ pub fn backup_size(backup: &BTreeMap<String, String>) -> usize {
 /// empty database?").
 pub fn restore_table(db: &mut Database, table: TableId, dump: &str) -> MrResult<usize> {
     let now = db.now();
+    let symbols = db.symbols().clone();
     let table = db.at_mut(table);
     if !table.is_empty() {
         return Err(MrError::Exists);
@@ -169,7 +181,7 @@ pub fn restore_table(db: &mut Database, table: TableId, dump: &str) -> MrResult<
     let types = column_types(table);
     let mut count = 0;
     for line in dump.lines().filter(|l| !l.is_empty()) {
-        let row = decode_row(&split_unescaped_colons(line), &types)?;
+        let row = decode_row(line, &types, &symbols)?;
         table.append(row, now)?;
         count += 1;
     }

@@ -386,7 +386,7 @@ mod tests {
         let mut back = Database::recovered(VClock::new(), d.epoch());
         back.create_table(machine::R::schema());
         back.at_mut(machine::R::ID)
-            .import_image(&d.table(machine::T).export_image())
+            .import_image(d.table(machine::T).export_image())
             .unwrap();
         assert!(cur.valid_for(&back));
         assert!(cur.unchanged_in(&back));

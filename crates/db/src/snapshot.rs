@@ -24,6 +24,11 @@
 //! [`SnapshotImage::fold`] replays a delta onto the image it extends while
 //! the rows are still escaped text.
 //!
+//! A decoded image holds each live row as the one escaped line it was on
+//! disk, less its `row:<id>:<gen>:` prefix. [`SnapshotImage::apply`] is the
+//! one place those lines become live rows: each is split, unescaped, typed
+//! and interned once, and moved into its table by [`Table::import_image`].
+//!
 //! Both documents are line-oriented and end with an explicit end marker, so
 //! a torn file (impossible under the temp-file + rename + dir-fsync write
 //! protocol, but disks lie) is detected rather than half-applied. A delta's
@@ -41,7 +46,7 @@ use std::fmt::Write;
 use moira_common::crc::crc32;
 use moira_common::errors::{MrError, MrResult};
 
-use crate::backup::{column_types, decode_row, encode_row, split_unescaped_colons};
+use crate::backup::{column_types, decode_row, encode_row};
 use crate::database::{Database, GenCursor};
 use crate::journal::{Journal, JournalMark};
 use crate::table::{RowId, Table, TableImage, TableStats};
@@ -54,12 +59,15 @@ const DELTA_MAGIC: &str = "moira-delta:2";
 /// Length of a delta's end marker, `end:` + eight hex digits + newline.
 const DELTA_END_LEN: usize = 13;
 
-/// One table's raw (still-escaped-text) image inside a checkpoint document.
+/// One table's raw image inside a checkpoint document: every live row is
+/// still its one escaped line, so a chain folds by replacing whole lines
+/// and a boot holds one string per row, not one per field.
 #[derive(Debug, Clone, Default)]
 struct RawTable {
     stats: TableStats,
-    /// `slot id -> (generation stamp, escaped fields)`.
-    rows: BTreeMap<RowId, (u64, Vec<String>)>,
+    /// `slot id -> (generation stamp, the row's text after
+    /// `row:<id>:<gen>:`)`, still escaped and colon-separated.
+    rows: BTreeMap<RowId, (u64, String)>,
     /// `slot id -> generation of the delete`.
     dead: BTreeMap<RowId, u64>,
     free: Vec<RowId>,
@@ -226,15 +234,13 @@ fn parse_body(body: &str, magic: &str) -> MrResult<(SnapshotImage, Option<u64>)>
                 ));
             }
             "row" => {
+                // The id and the stamp are plain digits, so the first two
+                // colons end them; the fields stay escaped until `apply`.
                 let t = current.as_mut().ok_or(MrError::Durability)?;
-                let fields = split_unescaped_colons(rest);
-                if fields.len() < 2 {
-                    return Err(MrError::Durability);
-                }
-                let id = parse(fields[0])?;
-                let gen = parse(fields[1])?;
-                let values = fields[2..].iter().map(|f| (*f).to_owned()).collect();
-                if t.1.rows.insert(id, (gen, values)).is_some() {
+                let (id, rest) = rest.split_once(':').ok_or(MrError::Durability)?;
+                let (gen, fields) = rest.split_once(':').ok_or(MrError::Durability)?;
+                let row = (parse(gen)?, fields.to_owned());
+                if t.1.rows.insert(parse(id)?, row).is_some() {
                     return Err(MrError::Durability);
                 }
             }
@@ -359,15 +365,18 @@ impl SnapshotImage {
     /// created (and whose epoch the caller set via [`Database::recovered`]).
     /// Every table named in the snapshot must exist and be pristine, and
     /// every row must decode against its table's column types — the rows
-    /// stay escaped text until here, where the types are known.
+    /// stay escaped text until here, where the types are known. Each line
+    /// is decoded once, its strings interned as they are read, and the row
+    /// moves into the table's slab as decoded.
     pub fn apply(&self, db: &mut Database) -> MrResult<()> {
+        let symbols = db.symbols().clone();
         for (name, raw) in &self.tables {
             let table = db.lookup(name).ok_or(MrError::Durability)?;
             let types = column_types(db.at(table));
             let mut rows = Vec::with_capacity(raw.rows.len());
-            for (id, (gen, fields)) in &raw.rows {
-                let values = decode_row(fields, &types).map_err(|_| MrError::Durability)?;
-                rows.push((*id, *gen, values));
+            for (&id, (gen, line)) in &raw.rows {
+                let values = decode_row(line, &types, &symbols).map_err(|_| MrError::Durability)?;
+                rows.push((id, *gen, values));
             }
             let image = TableImage {
                 rows,
@@ -376,7 +385,7 @@ impl SnapshotImage {
                 stats: raw.stats,
             };
             db.at_mut(table)
-                .import_image(&image)
+                .import_image(image)
                 .map_err(|_| MrError::Durability)?;
         }
         Ok(())
@@ -503,6 +512,34 @@ mod tests {
         );
         let bad = text.replace("\nrow:1:2:", "\nrow:1:2:x:1:1\nrow:1:2:");
         assert!(decode_snapshot(&bad).is_err());
+    }
+
+    /// A row's fields are split and unescaped only by `apply`, so a bad
+    /// row may pass decode; it must still be refused, by one or the other.
+    #[test]
+    fn a_malformed_row_is_refused_by_decode_or_by_apply() {
+        let (db, journal) = build_db();
+        let text = encode_snapshot(&db, &journal, 3);
+        let line = text.lines().find(|l| l.starts_with("row:1:2:")).unwrap();
+        let boot = |row: &str| -> MrResult<()> {
+            let image = decode_snapshot(&text.replace(line, row))?;
+            let mut back = Database::recovered(VClock::new(), image.epoch);
+            create_all_tables(&mut back);
+            image.apply(&mut back)
+        };
+        assert_eq!(boot("row:1:2:a:1:1"), Ok(()), "the well-formed control");
+        for bad in [
+            "row:5",           // no stamp
+            "row:1:2",         // no fields
+            "row:x:2:a:1:1",   // a non-numeric id
+            "row:1\\:9:2:a:1", // an id holding `\:`
+            "row:1:2:a:1:1\\", // a lone trailing `\`
+            "row:1:2:a:1",     // one field short
+            "row:1:2:a:1:1:1", // one field over
+            "row:1:2:a:x:1",   // a non-numeric int
+        ] {
+            assert_eq!(boot(bad), Err(MrError::Durability), "{bad}");
+        }
     }
 
     #[test]

@@ -606,14 +606,15 @@ impl Table {
     /// Restores the state captured by [`Table::export_image`] into this
     /// (pristine) table: rows land in their original slots with their
     /// original generation stamps, tombstones and free-list order return,
-    /// and the statistics resume where they left off.
+    /// and the statistics resume where they left off. The image's rows
+    /// move into the slab as they are; each string is interned in place.
     ///
     /// Fails with `MR_EXISTS` if the table has ever been mutated, and
     /// `MR_INTERNAL` on arity/type mismatches, on ids that are out of range
     /// or claimed twice, and on stamps outside `1..=generation` — a corrupt
     /// image must not half-apply, and an id read off disk must not size an
     /// allocation.
-    pub fn import_image(&mut self, image: &TableImage) -> MrResult<()> {
+    pub fn import_image(&mut self, image: TableImage) -> MrResult<()> {
         if self.stats.generation != 0 || !self.is_empty() {
             return Err(MrError::Exists);
         }
@@ -623,19 +624,17 @@ impl Table {
         // Every slab slot is live or free, so the slab's length is the
         // number of entries the image carries, whatever ids they claim; the
         // checks below then force the ids to be exactly `0..slab_len`.
-        let slab_len = image
-            .rows
-            .len()
+        let live = image.rows.len();
+        let slab_len = live
             .checked_add(image.free.len())
             .ok_or(MrError::Internal)?;
         let stamp_ok = |gen: u64| (1..=image.stats.generation).contains(&gen);
         let mut rows: Vec<Option<Vec<Value>>> = vec![None; slab_len];
         let mut row_gens = vec![0u64; slab_len];
-        for &(id, gen, ref values) in &image.rows {
+        for (id, gen, mut row) in image.rows {
             if id >= slab_len || rows[id].is_some() || !stamp_ok(gen) {
                 return Err(MrError::Internal);
             }
-            let mut row = values.clone();
             for v in &mut row {
                 self.symbols.intern_value(v);
             }
@@ -656,9 +655,9 @@ impl Table {
         }
         self.rows = rows;
         self.row_gens = row_gens;
-        self.free = image.free.clone();
-        self.live = image.rows.len();
-        self.dead = image.dead.iter().copied().collect();
+        self.free = image.free;
+        self.live = live;
+        self.dead = image.dead.into_iter().collect();
         self.stats = image.stats;
         // Index from the interned copies so index keys share the row Arcs.
         for id in 0..slab_len {
@@ -1038,7 +1037,7 @@ mod tests {
             source.append(row("a", 1, true), 0)?;
             let mut image = source.export_image();
             image.rows[0].2[LOGIN.index()] = Value::Int(7);
-            db.at_mut(users::R::ID).import_image(&image)
+            db.at_mut(users::R::ID).import_image(image)
         }
         fn restore_table(db: &mut Database) -> MrResult<()> {
             // `uid` is an int column.
@@ -1534,7 +1533,7 @@ mod tests {
 
         let image = t.export_image();
         let mut back = users_table();
-        back.import_image(&image).unwrap();
+        back.import_image(image.clone()).unwrap();
 
         assert_eq!(back.export_image(), image);
         assert_eq!(back.stats(), t.stats());
@@ -1564,17 +1563,17 @@ mod tests {
         let mut t = users_table();
         t.append(row("a", 1, true), 0).unwrap();
         let image = t.export_image();
-        assert_eq!(t.import_image(&image), Err(MrError::Exists));
+        assert_eq!(t.import_image(image.clone()), Err(MrError::Exists));
 
         let mut bad = image.clone();
         bad.free.push(0); // overlaps the live row in slot 0
         let mut fresh = users_table();
-        assert_eq!(fresh.import_image(&bad), Err(MrError::Internal));
+        assert_eq!(fresh.import_image(bad), Err(MrError::Internal));
 
         let mut wrong_arity = image.clone();
         wrong_arity.rows[0].2.pop();
         let mut fresh = users_table();
-        assert_eq!(fresh.import_image(&wrong_arity), Err(MrError::Internal));
+        assert_eq!(fresh.import_image(wrong_arity), Err(MrError::Internal));
     }
 
     #[test]
@@ -1585,28 +1584,28 @@ mod tests {
         t.append(row("c", 3, true), 0).unwrap();
         t.delete(a, 1).unwrap();
         let image = t.export_image();
-        assert_eq!(users_table().import_image(&image), Ok(()));
+        assert_eq!(users_table().import_image(image.clone()), Ok(()));
 
         // `usize::MAX + 1` wraps; 4e15 slots would be a 96 PB slab.
         for hostile in [usize::MAX, 4_000_000_000_000_000] {
             let mut bad = image.clone();
             bad.rows[0].0 = hostile;
-            assert_eq!(users_table().import_image(&bad), Err(MrError::Internal));
+            assert_eq!(users_table().import_image(bad), Err(MrError::Internal));
             let mut bad = image.clone();
             bad.free[0] = hostile;
-            assert_eq!(users_table().import_image(&bad), Err(MrError::Internal));
+            assert_eq!(users_table().import_image(bad), Err(MrError::Internal));
             let mut bad = image.clone();
             bad.dead[0].0 = hostile;
-            assert_eq!(users_table().import_image(&bad), Err(MrError::Internal));
+            assert_eq!(users_table().import_image(bad), Err(MrError::Internal));
         }
         // The same free slot listed twice would be handed out twice.
         let mut bad = image.clone();
         bad.free.push(a);
-        assert_eq!(users_table().import_image(&bad), Err(MrError::Internal));
+        assert_eq!(users_table().import_image(bad), Err(MrError::Internal));
         // A stamp the table's generation has not reached yet.
         let mut bad = image.clone();
         bad.rows[0].1 = bad.stats.generation + 1;
-        assert_eq!(users_table().import_image(&bad), Err(MrError::Internal));
+        assert_eq!(users_table().import_image(bad), Err(MrError::Internal));
     }
 
     #[test]

@@ -153,6 +153,18 @@ struct SymbolsInner {
     sweep_at: usize,
 }
 
+impl SymbolsInner {
+    /// Adds a symbol the set does not hold, sweeping first if the set has
+    /// reached its high-water mark.
+    fn insert(&mut self, a: Arc<str>) {
+        if self.set.len() >= self.sweep_at {
+            self.set.retain(|a| Arc::strong_count(a) > 1);
+            self.sweep_at = (self.set.len() * 2).max(Symbols::SWEEP_FLOOR);
+        }
+        self.set.insert(a);
+    }
+}
+
 /// A per-database symbol table deduplicating [`Value::Str`] payloads.
 ///
 /// Every table of one [`crate::Database`] shares a handle (clones share the
@@ -186,25 +198,21 @@ impl Symbols {
         if let Some(a) = inner.set.get(s) {
             return a.clone();
         }
-        if inner.set.len() >= inner.sweep_at {
-            inner.set.retain(|a| Arc::strong_count(a) > 1);
-            inner.sweep_at = (inner.set.len() * 2).max(Self::SWEEP_FLOOR);
-        }
         let a: Arc<str> = Arc::from(s);
-        inner.set.insert(a.clone());
+        inner.insert(a.clone());
         a
     }
 
     /// Rewrites a string value to its canonical `Arc` in place; other value
-    /// kinds pass through untouched. Already-canonical values return their
-    /// own `Arc` without allocating.
+    /// kinds pass through untouched. One lock and one lookup: on a miss the
+    /// value's own `Arc` becomes the canonical one, so nothing allocates.
     pub fn intern_value(&self, v: &mut Value) {
         if let Value::Str(s) = v {
-            if let Some(a) = self.inner.lock().set.get(s.as_ref()) {
-                *s = a.clone();
-                return;
+            let mut inner = self.inner.lock();
+            match inner.set.get(s.as_ref()) {
+                Some(a) => *s = a.clone(),
+                None => inner.insert(s.clone()),
             }
-            *s = self.intern(s.as_ref());
         }
     }
 

@@ -21,6 +21,14 @@ fn table() -> Table {
     Table::new(t::R::schema())
 }
 
+/// A recovered database holding the one typed table `t`, ready for a
+/// checkpoint image to be applied.
+fn typed_db() -> Database {
+    let mut db = Database::recovered(VClock::new(), 1);
+    db.create_table(t::R::schema());
+    db
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     Append(String, i64, bool),
@@ -67,29 +75,52 @@ proptest! {
             "moira-backup:1\ntable:{field}\n{body}\nendtable\nend\n"
         ));
         let _ = decode_snapshot(&body);
-        let base = format!(
-            "moira-snapshot:2\nepoch:1\nnow:0\nseq:0\njournal:0:0\ntable:t:0:0:0:0:0\n\
-             row:0:1:{field}\nendtable\nend\n"
-        );
-        let _ = decode_snapshot(&base);
-        let _ = decode_snapshot(&base.replace("journal:0:0", &format!("journal:{field}")));
-        let _ = decode_snapshot(&base.replace("journal:0:0", &format!("journal:0:{field}")));
+        // A base's rows stay escaped text until `apply` splits, unescapes
+        // and types them, so every base that decodes is applied too.
+        let mut bases = vec![format!(
+            "moira-snapshot:2\nepoch:1\nnow:0\nseq:0\njournal:0:0\ntable:t:1:0:0:0:1\n\
+             row:0:1:{field}\nfree:\nendtable\nend\n"
+        )];
+        bases.push(bases[0].replace("journal:0:0", &format!("journal:{field}")));
+        bases.push(bases[0].replace("journal:0:0", &format!("journal:0:{field}")));
+        bases.push(bases[0].replace(&format!("row:0:1:{field}"), &format!("row:{field}")));
+        let listed: String = rows.iter().enumerate().map(|(i, r)| format!("row:{i}:1:{r}\n")).collect();
+        bases.push(bases[0].replace(&format!("row:0:1:{field}\n"), &listed));
+        for base in &bases {
+            if let Ok(image) = decode_snapshot(base) {
+                let _ = image.apply(&mut typed_db());
+            }
+        }
         // The journal-file reader, on lines and on raw bytes.
         let _ = Journal::from_file(body.as_bytes());
         let _ = Journal::from_file(format!("{body}\n").as_bytes());
         let _ = Journal::from_file(field.as_bytes());
         // A delta is only read as a link of a chain: one that checksums
-        // but carries a hostile count line, or extends the base's count.
-        let empty_base = "moira-snapshot:2\nepoch:1\nnow:0\nseq:0\njournal:0:0\nend\n";
-        for count in [format!("journal:{field}"), format!("journal:1:{field}"), rows.join(":")] {
-            let body = format!("moira-delta:2\nepoch:1\nnow:0\nprev:0\nseq:1\n{count}\n");
+        // but carries a hostile count line, or extends the base's count,
+        // or carries a hostile row. Every chain that opens is applied.
+        let base = "moira-snapshot:2\nepoch:1\nnow:0\nseq:0\njournal:0:0\n\
+                    table:t:1:0:0:0:1\nrow:0:1:a:1:1\nfree:\nendtable\nend\n";
+        let counts = [
+            format!("journal:{field}"),
+            format!("journal:1:{field}"),
+            rows.join(":"),
+            "journal:0:0".to_owned(),
+        ];
+        for count in counts {
+            let body = format!(
+                "moira-delta:2\nepoch:1\nnow:0\nprev:0\nseq:1\n{count}\n\
+                 table:t:2:0:0:0:2\nrow:0:2:{field}\nfree:\nendtable\n"
+            );
             let delta = format!("{body}end:{:08x}\n", moira_common::crc::crc32(body.as_bytes()));
             let mut media = SimMedia::new();
-            media.write_new(SNAPSHOT_FILE, empty_base.as_bytes()).unwrap();
+            media.write_new(SNAPSHOT_FILE, base.as_bytes()).unwrap();
             media.write_new(&delta_file(1), delta.as_bytes()).unwrap();
             media.write_new(JOURNAL_FILE, field.as_bytes()).unwrap();
             let config = GroupCommitConfig { flush_interval_secs: 0, flush_bytes: 1, snapshot_every: 0 };
             if let Ok((engine, Some(image))) = DurableEngine::open(Box::new(media), config) {
+                if let Some(snap) = &image.snapshot {
+                    let _ = snap.apply(&mut typed_db());
+                }
                 let journal = image.snapshot.map(|s| s.journal).unwrap_or_default();
                 let _ = moira_db::storage::Storage::history(&engine, &journal);
             }

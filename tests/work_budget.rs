@@ -18,6 +18,9 @@
 //!
 //! And it pins the journal's heap footprint after populate: the bytes its
 //! drop gives back, at most twice the journal file those entries make.
+//! And the recovery boot's: booting the sealed small population may peak
+//! only a bounded share above the state it boots, and that state may hold
+//! no more heap than it did when each row was decoded and then cloned.
 //!
 //! Nothing here is timed. A change that moves a constant updates it and
 //! says why; a rise nobody explained is a regression.
@@ -28,20 +31,23 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use moira::common::clock::VClock;
+use moira::core::boot_durable;
 use moira::core::registry::Registry;
 use moira::core::seed::seed_capacls;
 use moira::core::state::{Caller, MoiraState};
+use moira::db::storage::{DurableEngine, GroupCommitConfig, SimMedia, Storage};
 use moira::dcm::net::{NetFault, Network};
 use moira::sim::{populate, Deployment, PopulationSpec};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 /// `System`, counting every allocation and reallocation on the calling
-/// thread, and the bytes the thread holds (what it allocated less what it
-/// freed).
+/// thread, the bytes the thread holds (what it allocated less what it
+/// freed), and the most it has held since [`reset_peak`].
 struct Counting;
 
 fn bump() {
@@ -49,7 +55,11 @@ fn bump() {
 }
 
 fn hold(bytes: i64) {
-    let _ = LIVE.try_with(|c| c.set(c.get() + bytes));
+    let _ = LIVE.try_with(|c| {
+        let live = c.get() + bytes;
+        c.set(live);
+        let _ = PEAK.try_with(|p| p.set(p.get().max(live)));
+    });
 }
 
 // SAFETY: every call forwards to `System` with the caller's arguments; the
@@ -90,14 +100,25 @@ fn live_bytes() -> i64 {
     LIVE.with(Cell::get)
 }
 
+/// Starts a new high-water mark at what the thread holds now.
+fn reset_peak() {
+    PEAK.with(|p| p.set(live_bytes()));
+}
+
+fn peak_bytes() -> i64 {
+    PEAK.with(Cell::get)
+}
+
 /// `(handle, heap allocations, rows examined)` of the measured call.
 ///
 /// An access-cache hit allocates nothing (the principal is borrowed and
 /// the key built in a reused buffer), and a commit encodes its journal
 /// line straight into the journal's tail with no per-field copy.
+/// A string the interner has not seen keeps the `Arc` it arrived in as
+/// the canonical one.
 const BUDGET: [(&str, u64, u64); 7] = [
     ("get_user_by_login", 18, 1),
-    ("update_user_shell", 30, 5),
+    ("update_user_shell", 29, 5),
     ("add_member_to_list", 45, 7),
     ("delete_member_from_list", 43, 8),
     ("get_lists_of_member", 25, 3),
@@ -228,6 +249,55 @@ fn journal_heap_stays_near_its_file_size() {
     assert!(
         ratio <= JOURNAL_HEAP_PER_FILE_BYTE,
         "the journal holds {heap} heap bytes for a {file_bytes}-byte file ({ratio:.2}x)"
+    );
+}
+
+/// A durable boot of the small population may hold at most this many
+/// transient heap bytes (its peak, less the booted state) per byte of the
+/// state it boots. It reads 0.18: the checkpoint's bytes, one escaped
+/// string per live row, and one table's rows while they move into its
+/// slab. With a string per field and a second copy of each table's rows it
+/// read 0.70.
+const BOOT_TRANSIENT_PER_BOOTED_BYTE: f64 = 0.25;
+
+/// The heap the booted state of the small population holds. Rows are
+/// sized to their arity exactly; a rounded-up `Vec` per row would show
+/// here.
+const BOOTED_HEAP_BYTES: i64 = 707_105;
+
+#[test]
+fn recovery_boot_heap_stays_near_the_database() {
+    let registry = Registry::standard();
+    let config = GroupCommitConfig::default();
+    let media = SimMedia::new();
+    {
+        // Seal the populated database as `Deployment::enable_durable_storage`
+        // does, then let it go: only the media carries it to the boot.
+        let mut state = MoiraState::new(VClock::new());
+        seed_capacls(&mut state, &registry);
+        populate(&mut state, &registry, &PopulationSpec::small()).expect("populate");
+        let (mut engine, _) =
+            DurableEngine::open(Box::new(media.clone()), config).expect("fresh media opens");
+        engine
+            .snapshot(&state.db, &state.journal)
+            .expect("sealing the populated database");
+    }
+    let baseline = live_bytes();
+    reset_peak();
+    // Held to the end: the booted heap is measured with the state alive.
+    let (_state, report) =
+        boot_durable(VClock::new(), &registry, Box::new(media), config).expect("boot");
+    assert!(report.recovered);
+    let booted = live_bytes() - baseline;
+    let transient = peak_bytes() - baseline - booted;
+    let ratio = transient as f64 / booted as f64;
+    assert!(
+        ratio <= BOOT_TRANSIENT_PER_BOOTED_BYTE,
+        "the boot peaked {transient} bytes above the {booted}-byte state it booted ({ratio:.2}x)"
+    );
+    assert!(
+        booted <= BOOTED_HEAP_BYTES,
+        "the booted state holds {booted} heap bytes, more than {BOOTED_HEAP_BYTES}"
     );
 }
 
